@@ -18,7 +18,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, Optional
+
+import numpy as np
 
 from . import gf2
 from .cochain import (
@@ -40,7 +42,7 @@ from .errors import (
     RegularityError,
 )
 from .graphs import Graph, edge_graph, underlying_graph
-from .spectral import normalized_spectrum
+from .spectral import check_table_bits, cut_sizes, lex_first, normalized_spectrum, subset_sums
 
 #: Default exhaustive certification bound: 2**bits subsets per dimension.
 CERTIFY_BIT_LIMIT = 24
@@ -420,6 +422,30 @@ def coboundary_of_local_view(X: Complex2, F: Chain, v: int) -> Chain:
     return coboundary_edges(X, local_view(X, F, v))
 
 
+def local_view_sums(X: Complex2, value: Callable[[int, Chain], int]) -> np.ndarray:
+    """Sum over vertices v of value(v, local view of F at v), for every edge mask F.
+
+    ``value(v, L)`` is called once for each vertex v and each 1-chain L
+    inside the star of v, and returns a non-negative integer; every F then
+    looks its local views up by index.  The result is indexed by F's mask.
+    """
+    check_table_bits(X.n_edges)
+    stars = [mask_bits(star) for star in X.vertex_edge_masks]
+    # A view's index has bit t set when it holds the t-th edge of the star.
+    tables = [
+        [value(v, mask_to_chain(1, int(L))) for L in subset_sums([1 << e for e in edges], int)]
+        for v, edges in enumerate(stars)
+    ]
+    total = np.zeros(1 << X.n_edges, np.min_scalar_type(sum(map(max, tables))))
+    for edges, table in zip(stars, tables):
+        weights = [0] * X.n_edges
+        for t, e in enumerate(edges):
+            weights[e] = 1 << t
+        index = subset_sums(weights, np.min_scalar_type(len(table) - 1))
+        total += np.asarray(table, total.dtype)[index]
+    return total
+
+
 @dataclass(frozen=True)
 class LargeCutsResult:
     min_cut: int
@@ -448,29 +474,16 @@ def large_cuts_audit(G0: Graph, *, max_vertices: int = LARGE_CUTS_VERTEX_LIMIT) 
     lambda2 = normalized_spectrum(G0).lambda2
     if lambda2 >= 0.5:
         raise DomainError(f"minimum-cut bound requires lambda2 < 1/2, got {lambda2}")
-    n = G0.n
-    best = _Best()
-    for m in range(1 << (n - 1)):
-        mask = (m << 1) | 1
-        if mask.bit_count() == n:
-            continue
-        cut = 0
-        outside = ((1 << n) - 1) & ~mask
-        mm = mask
-        while mm:
-            v = gf2.low_bit(mm)
-            cut += (G0.neighbor_masks[v] & outside).bit_count()
-            mm &= mm - 1
-        best.offer(cut, mask)
-    assert best.value is not None
-    precondition = n >= 4.0 / (1.0 - 2.0 * lambda2) - 1e-12
+    cut = cut_sizes(G0)[1:-1:2]  # masks 1, 3, ...: proper subsets containing vertex 0
+    min_cut = int(cut.min())
+    precondition = G0.n >= 4.0 / (1.0 - 2.0 * lambda2) - 1e-12
     return LargeCutsResult(
-        min_cut=best.value,
-        witness=tuple(mask_bits(best.mask)),
+        min_cut=min_cut,
+        witness=lex_first(2 * np.flatnonzero(cut == min_cut) + 1),
         k=k,
         lambda2=lambda2,
         precondition_met=precondition,
-        passes=best.value >= k,
+        passes=min_cut >= k,
     )
 
 

@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
-
 import numpy as np
 
+from .cochain import mask_bits
 from .complexes import Complex2, degree_profile
 from .errors import CapacityError, DomainError, ParameterError, RegularityError
 from .graphs import Graph, edge_graph
@@ -23,6 +22,8 @@ from .graphs import Graph, edge_graph
 CHEEGER_VERTEX_LIMIT = 26
 #: Exhaustive mixing-lemma enumeration bound (2**n subsets).
 MIXING_LEMMA_VERTEX_LIMIT = 22
+#: Largest subset table (2**bits entries) the enumeration kernels build.
+TABLE_BIT_LIMIT = 26
 #: Normalized floor for the smallest edge-graph eigenvalue.
 EDGE_GRAPH_FLOOR = Fraction(-17, 18)
 
@@ -78,27 +79,50 @@ def normalized_spectrum(G: Graph, tol: float = 1e-9) -> SpectralReport:
     )
 
 
-def _mask_vertices(mask: int) -> tuple[int, ...]:
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return tuple(out)
+def check_table_bits(bits: int) -> None:
+    """Refuse a subset table of 2**bits entries above the limit, before allocating it."""
+    if bits > TABLE_BIT_LIMIT:
+        raise CapacityError(
+            f"subset tables are limited to 2**{TABLE_BIT_LIMIT} entries; got 2**{bits}"
+        )
 
 
-def _cut_size(G: Graph, mask: int) -> int:
-    total = 0
-    full = (1 << G.n) - 1
-    outside = full & ~mask
-    m = mask
-    while m:
-        v = (m & -m).bit_length() - 1
-        total += (G.neighbor_masks[v] & outside).bit_count()
-        m &= m - 1
-    return total
+def subset_sums(weights: list[int], dtype) -> np.ndarray:
+    """Sum of weights[j] over the set bits j of every mask below 2**len(weights).
+
+    Built by doubling: the masks with top bit j take the sums of the masks
+    below 2**j, plus weights[j].
+    """
+    check_table_bits(len(weights))
+    out = np.zeros(1 << len(weights), dtype)
+    for j, w in enumerate(weights):
+        np.add(out[: 1 << j], w, out=out[1 << j : 2 << j])
+    return out
+
+
+def cut_sizes(G: Graph) -> np.ndarray:
+    """Cut size |E(S, V - S)| of every vertex subset S, indexed by its bit mask.
+
+    Built by doubling: cut(S + j) = cut(S) + deg(j) - 2|N(j) & S| for S below
+    2**j.  Each vertex uses its own degree, so irregular graphs work too.
+    """
+    check_table_bits(G.n)
+    cut = np.zeros(1 << G.n, np.int16)
+    for j, nbrs in enumerate(G.neighbor_masks):
+        top = cut[1 << j : 2 << j]
+        np.add(cut[: 1 << j], G.degrees[j], out=top)
+        top -= 2 * subset_sums([nbrs >> i & 1 for i in range(j)], np.uint8)
+    return cut
+
+
+def lex_first(masks: np.ndarray) -> tuple[int, ...]:
+    """The least of distinct masks, compared as sorted vertex tuples."""
+    rest = masks
+    while len(masks) > 1:
+        low = rest & -rest  # each mask's next vertex; 0 marks a prefix of all the others
+        keep = low == low.min()
+        masks, rest = masks[keep], rest[keep] ^ low[keep]
+    return tuple(mask_bits(int(masks[0])))
 
 
 @dataclass(frozen=True)
@@ -108,10 +132,10 @@ class CheegerResult:
 
 
 def cheeger_exhaustive(G: Graph, *, max_vertices: int = CHEEGER_VERTEX_LIMIT) -> CheegerResult:
-    """Exact normalized Cheeger constant by enumerating subsets containing vertex 0.
+    """Exact normalized Cheeger constant by enumerating every vertex subset.
 
-    Complement symmetry halves the work; ties are broken by the
-    lexicographically smallest witness (as a sorted vertex tuple).
+    Ties are broken by the lexicographically smallest witness (as a sorted
+    vertex tuple).
     """
     k = _require_regular(G)
     if G.n > max_vertices:
@@ -119,28 +143,18 @@ def cheeger_exhaustive(G: Graph, *, max_vertices: int = CHEEGER_VERTEX_LIMIT) ->
     if G.n < 2:
         raise DomainError("Cheeger constant needs at least 2 vertices")
     n = G.n
-    best: Optional[Fraction] = None
-    best_witness: Optional[tuple[int, ...]] = None
-    for m in range(1 << (n - 1)):
-        mask = (m << 1) | 1
-        size = mask.bit_count()
-        if size == n:
-            continue
-        cut = _cut_size(G, mask)
-        small = min(size, n - size)
-        ratio = Fraction(cut, k * small)
-        if best is not None and ratio > best:
-            continue
-        if size < n - size:
-            witness = _mask_vertices(mask)
-        elif size > n - size:
-            witness = _mask_vertices(((1 << n) - 1) & ~mask)
-        else:
-            witness = _mask_vertices(mask)  # contains vertex 0, lex smaller side
-        if best is None or ratio < best or witness < best_witness:
-            best, best_witness = ratio, witness
-    assert best is not None and best_witness is not None
-    return CheegerResult(best, best_witness)
+    cut = cut_sizes(G)
+    size = subset_sums([1] * n, np.uint8)
+    # Each cut once, from its smaller side; of two equal sides, the one with vertex 0.
+    side = 2 * size < n
+    side[1::2] |= 2 * size[1::2] == n
+    least = {m: int(cut[side & (size == m)].min()) for m in range(1, n // 2 + 1)}
+    best = min(Fraction(c, k * m) for m, c in least.items())
+    ties = np.zeros_like(side)
+    for m, c in least.items():
+        if Fraction(c, k * m) == best:
+            ties |= side & (size == m) & (cut == c)
+    return CheegerResult(best, lex_first(np.flatnonzero(ties)))
 
 
 @dataclass(frozen=True)
@@ -171,21 +185,20 @@ def mixing_lemma_audit(
         )
     lambda2 = normalized_spectrum(G).lambda2
     n = G.n
-    worst = float("-inf")
-    worst_witness: tuple[int, ...] = ()
-    for mask in range(1 << n):
-        size = mask.bit_count()
-        two_es = 0
-        m = mask
-        while m:
-            v = (m & -m).bit_length() - 1
-            two_es += (G.neighbor_masks[v] & mask).bit_count()
-            m &= m - 1
-        residual = two_es - k * size * (size / n + lambda2 * (1.0 - size / n))
-        if residual > worst:
-            worst = residual
-            worst_witness = _mask_vertices(mask)
-    return MixingLemmaAudit(worst, worst_witness, lambda2, worst <= slack)
+    cut = cut_sizes(G)
+    size = subset_sums([1] * n, np.uint8)
+    # 2|E(S)| = k|S| - cut(S): at each size the least cut gives the worst residual.
+    least = [int(cut[size == s].min()) for s in range(n + 1)]
+    residuals = [
+        (k * s - c) - k * s * (s / n + lambda2 * (1.0 - s / n)) for s, c in enumerate(least)
+    ]
+    worst = max(residuals)
+    first = min(
+        int(np.argmax((size == s) & (cut == c)))
+        for s, (c, r) in enumerate(zip(least, residuals))
+        if r == worst
+    )
+    return MixingLemmaAudit(worst, tuple(mask_bits(first)), lambda2, worst <= slack)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,29 @@
 """Command-line behavior: reports, determinism, and exit codes."""
 
+import argparse
 import io
 import json
+import re
+import time
 
+import numpy as np
 import pytest
 
+from hdxwalk import cli
 from hdxwalk.cli import run
+from hdxwalk.cochain import mask_bits, mask_to_chain
+from hdxwalk.complexes import build_from_triangles, complete_complex, random_complex, save_complex
+from hdxwalk.errors import DomainError, RegularityError
+from hdxwalk.expansion import (
+    certify_exact,
+    distance_formula_audit,
+    fatness_constant,
+    local_view_bounds_audit,
+    outgoing_edges_identity,
+    sum_coboundaries_audit,
+)
+from hdxwalk.graphs import underlying_graph
+from hdxwalk.spectral import normalized_spectrum
 
 
 def invoke(*args):
@@ -199,6 +217,128 @@ def test_audit_not_applicable_strict_exit_1(hexagon_file):
     assert code == 1
 
 
+def test_audit_violation_listing_k4(k4_file):
+    # slack -3 breaks the local-view and sum bounds; violations are the first
+    # 10 failing edge sets in mask order
+    code, out, _ = invoke("audit", k4_file, "--lemma", "all", "--slack", "-3")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "fail"
+    lemmas = {l["lemma"]: l for l in doc["results"]["lemmas"]}
+    assert lemmas["local-views"]["status"] == "fail"
+    assert lemmas["local-views"]["violations"] == [
+        {"edges": [], "vertices": [0, 1, 2, 3]},
+        {"edges": [0], "vertices": [0, 1, 2, 3]},
+        {"edges": [1], "vertices": [0, 1, 2, 3]},
+        {"edges": [0, 1], "vertices": [0, 1, 2, 3]},
+        {"edges": [2], "vertices": [0, 1, 2, 3]},
+        {"edges": [0, 2], "vertices": [0, 1, 2, 3]},
+        {"edges": [1, 2], "vertices": [0, 1, 2, 3]},
+        {"edges": [0, 1, 2], "vertices": [1, 2, 3]},
+        {"edges": [3], "vertices": [0, 1, 2, 3]},
+        {"edges": [0, 3], "vertices": [0, 1, 2, 3]},
+    ]
+    assert lemmas["sum"]["status"] == "fail"
+    assert lemmas["sum"]["violations"] == [{"edges": [], "lhs": 0, "rhs_bound": 0.0}]
+
+
+def test_audit_sum_violation_listing_k5(tmp_path):
+    path = tmp_path / "k5.complex"
+    save_complex(complete_complex(5), str(path))
+    code, out, _ = invoke("audit", str(path), "--lemma", "sum", "--slack", "-1")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "fail"
+    (lemma,) = doc["results"]["lemmas"]
+    assert lemma["status"] == "fail"
+    assert lemma["subsets_checked"] == 638
+    assert lemma["violations"] == [{"edges": [], "lhs": 0, "rhs_bound": 0.0}]
+
+
+def test_audit_table_capacity_exit_3(tmp_path):
+    # 28 edges pass a raised --max-bits but not the 2**26-entry table limit
+    path = tmp_path / "k8.complex"
+    assert invoke("gen", "complete", "--n", "8", "-o", str(path))[0] == 0
+    start = time.perf_counter()
+    code, out, err = invoke("audit", str(path), "--lemma", "outgoing", "--max-bits", "40")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert err.startswith("hdx: capacity error: ") and "Traceback" not in err
+
+
+# --- lemma runners against per-subset loops ---------------------------------------
+
+OCTAHEDRON = build_from_triangles(
+    [(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)]
+)
+RUNNER_INPUTS = {
+    "k4": complete_complex(4),
+    "octahedron": OCTAHEDRON,
+    "k5": complete_complex(5),
+    "random": random_complex(6, 0.5, seed=3),
+}
+
+
+def reference_failures(X, lemma, slack):
+    """Masks on which the per-subset library function reports a failure."""
+    masks = range(1 << X.n_edges)
+    chain = lambda m: mask_to_chain(1, m)  # noqa: E731
+    if lemma == "outgoing":
+        return [m for m in masks if not outgoing_edges_identity(X, chain(m)).holds]
+    cert = certify_exact(X)
+    if lemma == "distance":
+        audit = lambda m: distance_formula_audit(X, chain(m), mu=cert.mu)  # noqa: E731
+        return [m for m in masks if audit(m).passes is False]
+    if lemma == "local-views":
+        eta = fatness_constant(normalized_spectrum(underlying_graph(X)).lambda2)
+        return [
+            m
+            for m in masks
+            if local_view_bounds_audit(
+                X, chain(m), cert.epsilon_cosystolic, eta, mu=cert.mu, slack=slack
+            ).passes
+            is False
+        ]
+    return [
+        m
+        for m in masks
+        if 2 * m.bit_count() <= X.n_edges
+        and not sum_coboundaries_audit(X, chain(m), cert.epsilon_cosystolic, slack=slack).passes
+    ]
+
+
+@pytest.mark.parametrize(
+    "lemma,slack",
+    # outgoing and distance take no slack
+    [("outgoing", 1e-9), ("distance", 1e-9)]
+    + [(lemma, slack) for lemma in ("local-views", "sum") for slack in (1e-9, -1.0)],
+)
+@pytest.mark.parametrize("name", sorted(RUNNER_INPUTS))
+def test_lemma_tables_match_per_subset_loops(name, lemma, slack, monkeypatch):
+    X = RUNNER_INPUTS[name]
+    tables = []
+    lemma_result = cli._lemma_result
+
+    def recording(name, fail, *args, **kwargs):
+        tables.append(fail)
+        return lemma_result(name, fail, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_lemma_result", recording)
+    ns = argparse.Namespace(max_bits=24, slack=slack)
+    try:
+        result = cli._LEMMA_RUNNERS[lemma](X, ns)
+    except (RegularityError, DomainError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            reference_failures(X, lemma, slack)
+        return
+    (fail,) = tables
+    want = reference_failures(X, lemma, slack)
+    assert np.flatnonzero(fail).tolist() == want
+    assert [v["edges"] for v in result["violations"]] == [mask_bits(m) for m in want[:10]]
+    assert (result["status"] == "fail") == bool(want)
+
+
 # --- walk -------------------------------------------------------------------------
 
 
@@ -276,18 +416,7 @@ def test_report_embeds_flags_and_digest(k4_file):
     assert len(doc["inputs"]["sha256"]) == 64
 
 
-# --- environment -----------------------------------------------------------------
-
-
-def test_threads_env_validation(k4_file, monkeypatch):
-    monkeypatch.setenv("HDX_THREADS", "4")
-    assert invoke("validate", k4_file)[0] == 0
-    monkeypatch.setenv("HDX_THREADS", "0")
-    assert invoke("validate", k4_file)[0] == 0
-    monkeypatch.setenv("HDX_THREADS", "banana")
-    assert invoke("validate", k4_file)[0] == 2
-    monkeypatch.setenv("HDX_THREADS", "-2")
-    assert invoke("validate", k4_file)[0] == 2
+# --- usage -----------------------------------------------------------------------
 
 
 def test_unknown_subcommand_usage_error():

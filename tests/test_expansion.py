@@ -25,14 +25,16 @@ from hdxwalk.expansion import (
     distance_formula_audit,
     fatness_constant,
     fatness_partition,
+    coboundary_of_local_view,
     large_cuts_audit,
     local_view_bounds_audit,
+    local_view_sums,
     mixing_rate_bound,
     outgoing_edges_identity,
     sum_coboundaries_audit,
     sum_local_coboundaries,
 )
-from hdxwalk.graphs import complete_graph, underlying_graph
+from hdxwalk.graphs import complete_graph, edge_graph, underlying_graph
 from hdxwalk.rng import SplitMix64
 from hdxwalk.spectral import normalized_spectrum
 
@@ -421,6 +423,19 @@ def test_large_cuts_witness_achieves_minimum():
     assert cut == result.min_cut
 
 
+def test_large_cuts_witness_is_least_minimum_cut():
+    # proper subsets containing vertex 0, compared as sorted vertex tuples
+    for G in (complete_graph(4), complete_graph(6), edge_graph(K4).graph):
+        candidates = []
+        for r in range(1, G.n):
+            for s in combinations(range(G.n), r):
+                if 0 in s:
+                    cut = sum(1 for u in s for v in G.adjacency[u] if v not in s)
+                    candidates.append((cut, s))
+        result = large_cuts_audit(G)
+        assert (result.min_cut, result.witness) == min(candidates)
+
+
 def test_large_cuts_single_vertex_cut_is_k():
     # every k-regular graph has a vertex cut of exactly k, so min_cut <= k always
     for G in (complete_graph(4), complete_graph(6)):
@@ -483,6 +498,16 @@ def test_sum_coboundaries_exhaustive_k4_k5():
                 continue
             result = sum_coboundaries_audit(X, mask_to_chain(1, mask), eps)
             assert result.passes, mask
+
+
+@pytest.mark.parametrize(
+    "X",
+    [K4, build_from_triangles([(0, 1, 2), (1, 2, 3)], [(3, 4)]), random_complex(6, 0.5, seed=3)],
+)
+def test_local_view_sums_match_per_subset_sums(X):
+    table = local_view_sums(X, lambda v, F: len(coboundary_of_local_view(X, F, v)))
+    want = [sum_local_coboundaries(X, mask_to_chain(1, m)) for m in range(1 << X.n_edges)]
+    assert table.tolist() == want
 
 
 def test_sum_local_coboundaries_matches_direct():

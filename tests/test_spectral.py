@@ -16,10 +16,12 @@ import pytest
 from hdxwalk.complexes import build_from_triangles, complete_complex, random_complex
 from hdxwalk.errors import CapacityError, RegularityError
 from hdxwalk.graphs import Graph, complete_graph, cycle_graph, edge_graph, underlying_graph
+from hdxwalk.rng import SplitMix64
 from hdxwalk.spectral import (
     char_poly_eval,
     characteristic_polynomial,
     cheeger_exhaustive,
+    cut_sizes,
     cheeger_inequality_audit,
     edge_graph_floor_audit,
     mixing_lemma_audit,
@@ -209,21 +211,56 @@ def test_eigensolver_cross_validation_small_graphs():
             assert_char_poly_sign_agreement(G)
 
 
+# --- cut tables ------------------------------------------------------------
+
+
+def seeded_graph(n, seed):
+    """Irregular graph: each pair is an edge with probability 1/2."""
+    rng = SplitMix64(seed)
+    return Graph.from_edges(n, [(u, v) for u, v in combinations(range(n), 2) if rng.randrange(2)])
+
+
+CUT_GRAPHS = {
+    **CORPUS,
+    "single vertex": Graph.from_edges(1, []),
+    "isolated vertices": Graph.from_edges(4, [(1, 2)]),
+    "seeded 9": seeded_graph(9, 5),
+    "seeded 11": seeded_graph(11, 6),
+    "irregular edge-graph": edge_graph(random_complex(5, 0.5, seed=2)).graph,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CUT_GRAPHS))
+def test_cut_sizes_match_per_mask_cut(name):
+    G = CUT_GRAPHS[name]
+    want = [
+        sum(1 for u, v in G.edges if (mask >> u & 1) != (mask >> v & 1))
+        for mask in range(1 << G.n)
+    ]
+    assert cut_sizes(G).tolist() == want
+
+
 # --- Cheeger ---------------------------------------------------------------
 
 
 def brute_cheeger(G):
-    """Direct enumeration of all subsets with 0 < |S| <= n/2."""
+    """Direct enumeration of all subsets with 0 < |S| <= n/2.
+
+    Returns (h, witness): the least (ratio, sorted vertices) pair, where a
+    half-size witness must contain vertex 0 (its complement is the same cut).
+    """
     best = None
     for r in range(1, G.n // 2 + 1):
         for s in combinations(range(G.n), r):
+            if 2 * r == G.n and 0 not in s:
+                continue
             inside = set(s)
             cut = sum(
                 1 for u in inside for v in G.adjacency[u] if v not in inside
             )
-            ratio = Fraction(cut, G.regular_k * len(inside))
-            if best is None or ratio < best:
-                best = ratio
+            candidate = (Fraction(cut, G.regular_k * len(inside)), s)
+            if best is None or candidate < best:
+                best = candidate
     return best
 
 
@@ -238,7 +275,8 @@ def test_cheeger_known_values(name, expected):
 
 def test_cheeger_matches_brute_force():
     for G in CORPUS.values():
-        assert cheeger_exhaustive(G).h_normalized == brute_cheeger(G)
+        result = cheeger_exhaustive(G)
+        assert (result.h_normalized, result.witness) == brute_cheeger(G)
 
 
 def test_cheeger_witness_achieves_ratio():
@@ -266,15 +304,18 @@ def test_cheeger_capacity_error():
 
 
 def brute_mixing_residual(G):
+    """(worst residual, the first subset in mask order that attains it)."""
     lambda2 = normalized_spectrum(G).lambda2
-    worst = float("-inf")
+    worst, witness = float("-inf"), ()
     k, n = G.regular_k, G.n
-    for r in range(n + 1):
-        for s in combinations(range(n), r):
-            inside = set(s)
-            two_es = sum(1 for u in inside for v in G.adjacency[u] if v in inside)
-            worst = max(worst, two_es - k * r * (r / n + lambda2 * (1 - r / n)))
-    return worst
+    for mask in range(1 << n):
+        inside = {v for v in range(n) if mask >> v & 1}
+        r = len(inside)
+        two_es = sum(1 for u in inside for v in G.adjacency[u] if v in inside)
+        residual = two_es - k * r * (r / n + lambda2 * (1 - r / n))
+        if residual > worst:
+            worst, witness = residual, tuple(sorted(inside))
+    return worst, witness
 
 
 def test_mixing_lemma_audit_corpus():
@@ -285,9 +326,11 @@ def test_mixing_lemma_audit_corpus():
 
 
 def test_mixing_lemma_residual_matches_brute():
-    for G in (K4, C4, OCTAHEDRON):
+    for G in (K4, C4, C6, OCTAHEDRON, T5):
         audit = mixing_lemma_audit(G)
-        assert abs(audit.residual - brute_mixing_residual(G)) <= 1e-9
+        worst, witness = brute_mixing_residual(G)
+        assert abs(audit.residual - worst) <= 1e-9
+        assert audit.witness == witness
 
 
 def test_mixing_lemma_nonpositive_on_complete_and_octahedron():
