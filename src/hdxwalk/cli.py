@@ -54,7 +54,13 @@ from .expansion import (
     sum_coboundaries_audit,
 )
 from .graphs import edge_graph, underlying_graph
-from .spectral import cheeger_exhaustive, cut_sizes, normalized_spectrum, subset_sums
+from .spectral import (
+    cheeger_exhaustive,
+    cut_sizes,
+    lambda2_below_half,
+    normalized_spectrum,
+    subset_sums,
+)
 from .walk import (
     Distribution,
     evolve_exact,
@@ -386,9 +392,11 @@ def _cmd_verify_theorem(ns, out, err) -> int:
         results["reason"] = "no triangles; the edge walk has no moves"
         return finish(NOT_APPLICABLE)
 
-    lambda2 = normalized_spectrum(underlying_graph(X), ns.tol).lambda2
+    G0 = underlying_graph(X)
+    report = normalized_spectrum(G0, ns.tol)
+    lambda2 = report.lambda2
     results["lambda2_g0"] = lambda2
-    if lambda2 >= 0.5:
+    if not lambda2_below_half(G0, report):
         results["reason"] = "spectral gap of the underlying graph is at most 1/2"
         return finish(NOT_APPLICABLE)
 

@@ -28,8 +28,12 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .errors import DuplicateFaceError, InvalidFaceError, ParameterError
+from .errors import CapacityError, DuplicateFaceError, InvalidFaceError, ParameterError
 from .rng import SplitMix64
+
+#: Most vertices a complex document may describe.  Vertex ids set the vertex
+#: count, so a few bytes could otherwise ask for any number of vertices.
+VERTEX_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -296,29 +300,52 @@ def _label_sort_key(label):
     return (1, 0, str(label))
 
 
+def _list_field(doc: dict, key: str) -> list:
+    value = doc.get(key)
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise ParameterError(f"{key!r} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _check_vertex_count(n: int) -> None:
+    if n > VERTEX_LIMIT:
+        raise CapacityError(f"complex documents are limited to {VERTEX_LIMIT} vertices; got {n}")
+
+
 def from_document(doc: dict) -> Complex2:
     """Parse the text-format document into a complex.
 
     Plain non-negative integer labels are taken literally as vertex ids
-    (gaps become isolated vertices).  Anything else is treated as arbitrary
-    labels, remapped to dense ids in sorted order with the mapping retained.
+    (gaps become isolated vertices).  Other integers and strings are treated
+    as arbitrary labels, remapped to dense ids in sorted order with the
+    mapping retained.  Any other shape raises ParameterError, and more than
+    VERTEX_LIMIT vertices raise CapacityError.
     """
     if not isinstance(doc, dict):
         raise ParameterError("complex document must be a JSON object")
-    explicit = doc.get("vertices") or []
-    raw_edges = doc.get("edges") or []
-    raw_triangles = doc.get("triangles") or []
+    explicit = _list_field(doc, "vertices")
+    raw_edges = _list_field(doc, "edges")
+    raw_triangles = _list_field(doc, "triangles")
     labels_map = doc.get("labels")
+    if labels_map is not None and not (
+        isinstance(labels_map, dict)
+        and all(not isinstance(v, (list, dict)) for v in labels_map.values())
+    ):
+        raise ParameterError("labels must be an object mapping vertex ids to scalar labels")
 
     universe = list(explicit)
-    for e in raw_edges:
-        universe.extend(e)
-    for t in raw_triangles:
-        universe.extend(t)
+    for face in raw_edges + raw_triangles:
+        if not isinstance(face, list):
+            raise ParameterError(f"faces must be lists of vertex ids, got {type(face).__name__}")
+        universe.extend(face)
+    for x in universe:
+        # bool is an int subclass: true would alias vertex 1.
+        if isinstance(x, bool) or not isinstance(x, (int, str)):
+            raise ParameterError(f"vertex ids must be integers or strings, got {type(x).__name__}")
 
-    ints_only = all(
-        isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in universe
-    )
+    ints_only = all(isinstance(x, int) and x >= 0 for x in universe)
     if labels_map is not None and not ints_only:
         raise ParameterError("faces must use dense integer ids when a labels map is present")
     if ints_only:
@@ -326,6 +353,7 @@ def from_document(doc: dict) -> Complex2:
         n = max((x + 1 for x in universe), default=0)
         if labels_map is not None:
             n = max(n, len(labels_map))
+        _check_vertex_count(n)
         X = build_from_triangles(raw_triangles, raw_edges, n_vertices=n)
         if labels_map is not None:
             labels = tuple(labels_map.get(str(i), i) for i in range(X.n_vertices))
@@ -333,6 +361,7 @@ def from_document(doc: dict) -> Complex2:
         return X
 
     labels = tuple(sorted(set(universe), key=_label_sort_key))
+    _check_vertex_count(len(labels))
     to_id = {label: i for i, label in enumerate(labels)}
     edges = [[to_id[x] for x in e] for e in raw_edges]
     triangles = [[to_id[x] for x in t] for t in raw_triangles]
@@ -347,7 +376,7 @@ def dumps_complex(X: Complex2) -> str:
 def loads_complex(text: str) -> Complex2:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParameterError(f"not a valid complex document: {exc}") from exc
     return from_document(doc)
 
@@ -359,4 +388,8 @@ def save_complex(X: Complex2, path: str) -> None:
 
 def load_complex(path: str) -> Complex2:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_complex(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParameterError(f"not a valid complex document: {exc}") from exc
+    return loads_complex(text)

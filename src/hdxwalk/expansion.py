@@ -1,9 +1,11 @@
 """Exact expansion certificates and numerical audits of the mixing machinery.
 
-``certify_exact`` brute-forces, per face dimension i, the minimum of
+``certify_exact`` computes exactly, per face dimension i, the minimum of
 |coboundary(S)| / (k_i * dist(S, Z^i)) over all non-cocycle subsets S (the
 cosystolic constant; the coboundary constant takes distances to B^i instead),
-together with the smallest relative size mu of a nontrivial cocycle.
+together with the smallest relative size mu of a nontrivial cocycle.  Each
+quantity depends only on the coset of S, so it is read off tables of coset
+leaders indexed by syndrome; one scan of all subsets finds the witnesses.
 
 The audits check, on concrete inputs, the chain of facts behind the mixing
 bound: the outgoing-edges identity between edge-graph cuts and local-view
@@ -42,12 +44,24 @@ from .errors import (
     RegularityError,
 )
 from .graphs import Graph, edge_graph, underlying_graph
-from .spectral import check_table_bits, cut_sizes, lex_first, normalized_spectrum, subset_sums
+from .spectral import (
+    check_table_bits,
+    cut_sizes,
+    lambda2_below_half,
+    lex_first,
+    normalized_spectrum,
+    subset_sums,
+    subset_xors,
+)
 
 #: Default exhaustive certification bound: 2**bits subsets per dimension.
 CERTIFY_BIT_LIMIT = 24
 #: Exhaustive minimum-cut enumeration bound.
 LARGE_CUTS_VERTEX_LIMIT = 26
+#: The witness scan takes subsets in blocks of 2**bits.
+_SCAN_BLOCK_BITS = 16
+#: Coset-leader weight of a syndrome not reached yet.
+_UNREACHED = 255
 
 
 @dataclass(frozen=True)
@@ -82,79 +96,149 @@ def _required_regular(X: Complex2) -> tuple[int, int]:
     return regular
 
 
-def _lambda2(X: Complex2) -> float:
-    return normalized_spectrum(underlying_graph(X)).lambda2
+def _gap_lambda2(X: Complex2, claim: str) -> float:
+    """lambda2 of the underlying graph; DomainError("<claim> lambda2 < 1/2") unless below 1/2."""
+    G0 = underlying_graph(X)
+    report = normalized_spectrum(G0)
+    if not lambda2_below_half(G0, report):
+        raise DomainError(f"{claim} lambda2 < 1/2, got {report.lambda2}")
+    return report.lambda2
 
 
-class _Best:
-    """Running minimum of (value, witness mask) with lexicographic tie-break."""
+def _coset_leaders(
+    columns: list[int], bits: int, gens: tuple[int, ...], width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Least weight and coboundary size of every coset, indexed by syndrome.
 
-    def __init__(self):
-        self.value = None
-        self.mask = 0
-        self._bits: Optional[list[int]] = None
+    ``columns`` are the faces' syndrome columns of ``bits`` bits, ``gens``
+    their coboundary masks of ``width`` bits.  Breadth first from syndrome 0:
+    a coset first reached at step d has least weight d, and the subset that
+    reaches it has its parent's coboundary XOR one face's.  The coboundary
+    is the same across a coset, since the code lies in the cocycles.
+    """
+    check_table_bits(bits)
+    chunks = -(-width // 64)
+    faces = np.array(
+        [[g >> (64 * c) & (2**64 - 1) for c in range(chunks)] for g in gens], np.uint64
+    ).reshape(len(gens), chunks)
+    weight = np.full(1 << bits, _UNREACHED, np.uint8)
+    size = np.zeros(1 << bits, np.min_scalar_type(width))
+    weight[0] = 0
+    frontier, deltas = np.zeros(1, np.int64), np.zeros((1, chunks), np.uint64)
+    step = 0
+    while len(frontier):
+        step += 1
+        reached, reached_deltas = [], []
+        for column, face in zip(columns, faces):
+            found = frontier ^ column
+            new = weight[found] == _UNREACHED
+            found, delta = found[new], deltas[new] ^ face
+            weight[found] = step
+            size[found] = np.bitwise_count(delta).sum(axis=1)
+            reached.append(found)
+            reached_deltas.append(delta)
+        frontier, deltas = np.concatenate(reached), np.concatenate(reached_deltas)
+    return weight, size
 
-    def offer(self, value, mask: int) -> None:
-        if self.value is None or value < self.value:
-            self.value, self.mask, self._bits = value, mask, None
-        elif value == self.value and mask != self.mask:
-            if self._bits is None:
-                self._bits = mask_bits(self.mask)
-            candidate = mask_bits(mask)
-            if candidate < self._bits:
-                self.mask, self._bits = mask, candidate
+
+def _least_ratio(weight: np.ndarray, size: np.ndarray, k: int) -> tuple[Fraction, np.ndarray]:
+    """Least size / (k * weight) over the cosets off the cocycles, and the cosets attaining it.
+
+    For each weight only the least size can attain it, so at most one exact
+    fraction per weight is compared.
+    """
+    live = size > 0
+    unset = np.iinfo(np.int64).max
+    least = np.full(int(weight.max()) + 1, unset)
+    np.minimum.at(least, weight[live], size[live])
+    ratios = {d: Fraction(c, k * d) for d, c in enumerate(least.tolist()) if c != unset}
+    best = min(ratios.values())
+    tie = np.zeros_like(least)
+    for d, ratio in ratios.items():
+        if ratio == best:
+            tie[d] = least[d]
+    return best, live & (size == tie[weight])
+
+
+def _first_members(count: int, searches) -> list[tuple[int, ...]]:
+    """The lexicographically first subset of range(count) found by each search.
+
+    A search is (syndrome columns, flag per coset, size or None): it finds
+    the subsets whose coset is flagged and, given a size, that have it.
+    Subsets are scanned in blocks over their top bits, keeping each block's
+    first, so memory stays at the size of a block.
+    """
+    low = min(count, _SCAN_BLOCK_BITS)
+    sizes = subset_sums([1] * low, np.uint8)
+    # Low parts with the bit order reversed: in a block whose top part is not
+    # empty, the first member has the largest, because there a low part ends
+    # with the top part's least element, which follows every low element.
+    reversed_low = subset_sums([1 << (low - 1 - j) for j in range(low)], np.uint32)
+    tables = []
+    for columns, flags, want in searches:
+        dtype = np.min_scalar_type(len(flags) - 1)
+        tables.append(
+            (subset_xors(columns[:low], dtype), subset_xors(columns[low:], dtype), flags, want)
+        )
+    firsts = [None] * len(searches)
+    for top in range(1 << (count - low)):
+        for s, (low_syndromes, top_syndromes, flags, want) in enumerate(tables):
+            hit = flags[low_syndromes ^ top_syndromes[top]]
+            if want is not None:
+                hit &= sizes == want - top.bit_count()
+            if hit.any():
+                masks = np.flatnonzero(hit)
+                if top:
+                    masks = masks[[np.argmax(reversed_low[masks])]]
+                first = lex_first(masks + (top << low))
+                if firsts[s] is None or first < firsts[s]:
+                    firsts[s] = first
+    return firsts
 
 
 def _certify_dimension(X: Complex2, i: int, k_i: int) -> DimensionReport:
     if i == 0:
-        count = X.n_vertices
-        gens = X.vertex_edge_masks
-        b_masks = [(1 << count) - 1] if count else []
+        count, gens, width = X.n_vertices, X.vertex_edge_masks, X.n_edges
+        b_basis = [(1 << count) - 1] if count else []
     else:
-        count = X.n_edges
-        gens = X.edge_triangle_masks
-        b_masks = gf2.image_basis(X.vertex_edge_masks)
+        count, gens, width = X.n_edges, X.edge_triangle_masks, X.n_triangles
+        b_basis = gf2.image_basis(X.vertex_edge_masks)
     z_basis = gf2.kernel_basis(gens)
-    z_words = list(gf2.span_iter(z_basis))
-    b_words = list(gf2.span_iter(b_masks))
-
-    best_z = _Best()
-    best_b = _Best()
-    best_mu = _Best()
-    cur = 0
-    delta = 0
-    for idx in range(1, 1 << count):
-        bit = gf2.low_bit(idx)
-        cur ^= 1 << bit
-        delta ^= gens[bit]
-        if delta == 0:
-            if not gf2.in_span(cur, b_masks):
-                best_mu.offer(Fraction(cur.bit_count(), count), cur)
-            continue
-        dsize = delta.bit_count()
-        dist_z = min((cur ^ z).bit_count() for z in z_words)
-        dist_b = min((cur ^ z).bit_count() for z in b_words)
-        best_z.offer(Fraction(dsize, k_i * dist_z), cur)
-        best_b.offer(Fraction(dsize, k_i * dist_b), cur)
-
-    if best_z.value is None:
+    if len(z_basis) == count:
         raise DegenerateComplexError(
             f"every subset at dimension {i} is a cocycle; expansion ratio undefined"
         )
+    z_columns = gf2.syndrome_columns(z_basis, count)
+    b_columns = gf2.syndrome_columns(b_basis, count)
+    # Both distances, and |coboundary(S)|, depend only on the coset of S.
+    z_weight, z_size = _coset_leaders(z_columns, count - len(z_basis), gens, width)
+    b_weight, b_size = _coset_leaders(b_columns, count - len(b_basis), gens, width)
+    eps_z, z_ties = _least_ratio(z_weight, z_size, k_i)
+    eps_b, b_ties = _least_ratio(b_weight, b_size, k_i)
+    searches = [(z_columns, z_ties, None), (b_columns, b_ties, None)]
+    # Cocycles outside B: the nonzero cosets of B with an empty coboundary.
+    nontrivial = b_size == 0
+    nontrivial[0] = False
+    mu = None
+    if nontrivial.any():
+        mu_size = int(b_weight[nontrivial].min())
+        mu = Fraction(mu_size, count)
+        searches.append((b_columns, nontrivial & (b_weight == mu_size), mu_size))
+    witnesses = _first_members(count, searches)
     return DimensionReport(
         dimension=i,
-        epsilon_cosystolic=best_z.value,
-        cosystolic_witness=mask_to_chain(i, best_z.mask),
-        epsilon_coboundary=best_b.value,
-        coboundary_witness=mask_to_chain(i, best_b.mask),
-        mu=best_mu.value,
-        mu_witness=mask_to_chain(i, best_mu.mask) if best_mu.value is not None else None,
+        epsilon_cosystolic=eps_z,
+        cosystolic_witness=Chain.of(i, witnesses[0]),
+        epsilon_coboundary=eps_b,
+        coboundary_witness=Chain.of(i, witnesses[1]),
+        mu=mu,
+        mu_witness=Chain.of(i, witnesses[2]) if mu is not None else None,
     )
 
 
 @lru_cache(maxsize=32)
 def certify_exact(X: Complex2, *, max_bits: int = CERTIFY_BIT_LIMIT) -> ExpansionCertificate:
-    """Exact expansion certificate by full subset enumeration at both dimensions."""
+    """Exact expansion certificate at both dimensions, with the least witnesses."""
     k0, k1 = _required_regular(X)
     if X.n_vertices > max_bits or X.n_edges > max_bits:
         raise CapacityError(
@@ -334,9 +418,7 @@ def distance_formula_audit(
     max_bits: int = CERTIFY_BIT_LIMIT,
 ) -> DistanceFormulaReport:
     k0, _ = _required_regular(X)
-    lambda2 = _lambda2(X)
-    if lambda2 >= 0.5:
-        raise DomainError(f"distance formula requires lambda2 < 1/2, got {lambda2}")
+    lambda2 = _gap_lambda2(X, "distance formula requires")
     if F.dimension != 1:
         raise ParameterError("distance formula audit takes a 1-chain of edges")
     if mu is None:
@@ -396,9 +478,7 @@ def local_view_bounds_audit(
     max_bits: int = CERTIFY_BIT_LIMIT,
 ) -> LocalViewBoundsReport:
     k0, k1 = _required_regular(X)
-    lambda2 = _lambda2(X)
-    if lambda2 >= 0.5:
-        raise DomainError(f"local-view bounds require lambda2 < 1/2, got {lambda2}")
+    lambda2 = _gap_lambda2(X, "local-view bounds require")
     if mu is None:
         mu = certify_exact(X, max_bits=max_bits).mu
     preconditions = _size_preconditions(X.n_vertices, lambda2, mu)
@@ -471,8 +551,9 @@ def large_cuts_audit(G0: Graph, *, max_vertices: int = LARGE_CUTS_VERTEX_LIMIT) 
         )
     if G0.n < 2:
         raise DomainError("minimum cut needs at least 2 vertices")
-    lambda2 = normalized_spectrum(G0).lambda2
-    if lambda2 >= 0.5:
+    report = normalized_spectrum(G0)
+    lambda2 = report.lambda2
+    if not lambda2_below_half(G0, report):
         raise DomainError(f"minimum-cut bound requires lambda2 < 1/2, got {lambda2}")
     cut = cut_sizes(G0)[1:-1:2]  # masks 1, 3, ...: proper subsets containing vertex 0
     min_cut = int(cut.min())
@@ -504,9 +585,7 @@ def sum_coboundaries_audit(
 ) -> SumCoboundariesResult:
     """Check sum_v |coboundary(F_v)| >= (eps*k1/4) * bracket(lambda2) * |F|."""
     _, k1 = _required_regular(X)
-    lambda2 = _lambda2(X)
-    if lambda2 >= 0.5:
-        raise DomainError(f"sum-of-coboundaries bound requires lambda2 < 1/2, got {lambda2}")
+    lambda2 = _gap_lambda2(X, "sum-of-coboundaries bound requires")
     if F.dimension != 1:
         raise ParameterError("sum-of-coboundaries audit takes a 1-chain of edges")
     if 2 * len(F) > X.n_edges:

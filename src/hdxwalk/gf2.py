@@ -66,6 +66,21 @@ def kernel_basis(generators: Sequence[int]) -> list[int]:
     return row_reduce(kernel)
 
 
+def syndrome_columns(basis: Sequence[int], length: int) -> list[int]:
+    """Per coordinate j < length, its column of a parity-check matrix of span(basis).
+
+    The syndrome of a vector, the XOR of the columns of its set bits, is 0
+    exactly on the span, so two vectors share a coset exactly when their
+    syndromes agree.  For an independent basis the columns have
+    length - len(basis) bits, and every syndrome of that width occurs.
+    """
+    # The checks are the vectors orthogonal to every basis row, the kernel
+    # of the transposed basis.
+    transposed = [sum((b >> j & 1) << t for t, b in enumerate(basis)) for j in range(length)]
+    checks = kernel_basis(transposed)
+    return [sum((h >> j & 1) << r for r, h in enumerate(checks)) for j in range(length)]
+
+
 def image_basis(generators: Iterable[int]) -> list[int]:
     """Reduced basis of the span of ``generators``."""
     return row_reduce(generators)

@@ -79,6 +79,31 @@ def normalized_spectrum(G: Graph, tol: float = 1e-9) -> SpectralReport:
     )
 
 
+def lambda2_below_half(G: Graph, report: SpectralReport) -> bool:
+    """Whether the normalized lambda2 of a regular graph is below 1/2, decided exactly.
+
+    ``report`` is G's normalized spectrum.  Its float lambda2 decides when it
+    lies farther from 1/2 than n times the eigensolver's normalized residual
+    (at least 1e-9), which bounds its error.  Inside that band, lambda2 < 1/2
+    exactly when A has one eigenvalue at or above k/2.  Those are the roots
+    y >= 0 of det(yI - (2A - kI)), an integer polynomial with only real
+    roots: Descartes' rule of signs counts its positive roots exactly, and
+    its trailing zero coefficients count the root at 0.
+    """
+    if abs(report.lambda2 - 0.5) > max(G.n * report.tolerance, 1e-9):
+        return report.lambda2 < 0.5
+    k = G.regular_k
+    # Horner's rule for 2**n * p((y + k) / 2), p = det(xI - A), highest power first.
+    q: list[int] = []
+    for j, c in enumerate(characteristic_polynomial(G)):
+        q = [a + k * b for a, b in zip(q + [0], [0] + q)]
+        q[-1] += c * 2**j
+    at_zero = next(j for j, a in enumerate(reversed(q)) if a)
+    signs = [a > 0 for a in q if a]
+    positive = sum(a != b for a, b in zip(signs, signs[1:]))
+    return at_zero + positive == 1
+
+
 def check_table_bits(bits: int) -> None:
     """Refuse a subset table of 2**bits entries above the limit, before allocating it."""
     if bits > TABLE_BIT_LIMIT:
@@ -87,17 +112,27 @@ def check_table_bits(bits: int) -> None:
         )
 
 
-def subset_sums(weights: list[int], dtype) -> np.ndarray:
-    """Sum of weights[j] over the set bits j of every mask below 2**len(weights).
+def _doubled(combine, weights: list[int], dtype) -> np.ndarray:
+    """combine() of weights[j] over the set bits j of every mask below 2**len(weights).
 
-    Built by doubling: the masks with top bit j take the sums of the masks
-    below 2**j, plus weights[j].
+    Built by doubling: the masks with top bit j take the values of the masks
+    below 2**j, combined with weights[j].
     """
     check_table_bits(len(weights))
     out = np.zeros(1 << len(weights), dtype)
     for j, w in enumerate(weights):
-        np.add(out[: 1 << j], w, out=out[1 << j : 2 << j])
+        combine(out[: 1 << j], w, out=out[1 << j : 2 << j])
     return out
+
+
+def subset_sums(weights: list[int], dtype) -> np.ndarray:
+    """Sum of weights[j] over the set bits j of every mask below 2**len(weights)."""
+    return _doubled(np.add, weights, dtype)
+
+
+def subset_xors(columns: list[int], dtype) -> np.ndarray:
+    """XOR of columns[j] over the set bits j of every mask below 2**len(columns)."""
+    return _doubled(np.bitwise_xor, columns, dtype)
 
 
 def cut_sizes(G: Graph) -> np.ndarray:
@@ -237,29 +272,23 @@ def edge_graph_floor_audit(X: Complex2, *, slack: float = 1e-9) -> EdgeGraphFloo
 def characteristic_polynomial(G: Graph) -> tuple[int, ...]:
     """Exact integer coefficients of det(xI - A), highest power first.
 
-    Faddeev-LeVerrier over rationals; independent of the floating eigensolver,
-    so it can cross-check reported spectra.
+    Faddeev-LeVerrier in integers (each coefficient is an integer, so its
+    division by k is exact); independent of the floating eigensolver, so it
+    can cross-check reported spectra.
     """
     n = G.n
-    A = [[Fraction(1) if v in G.adjacency[u] else Fraction(0) for v in range(n)] for u in range(n)]
-    coeffs = [Fraction(1)]
-    M = [[Fraction(0)] * n for _ in range(n)]
+    coeffs = [1]
+    M = [[0] * n for _ in range(n)]
     for k in range(1, n + 1):
         # M <- A @ (M + c_{k-1} I)
         for i in range(n):
             M[i][i] += coeffs[-1]
-        M = [
-            [sum(A[i][t] * M[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
+        M = [[sum(M[t][j] for t in G.adjacency[i]) for j in range(n)] for i in range(n)]
         trace = sum(M[i][i] for i in range(n))
-        coeffs.append(-trace / k)
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
+        if trace % k:
             raise AssertionError("characteristic polynomial must have integer coefficients")
-        out.append(int(c))
-    return tuple(out)
+        coeffs.append(-trace // k)
+    return tuple(coeffs)
 
 
 def char_poly_eval(coeffs: tuple[int, ...], x: Fraction) -> Fraction:

@@ -22,7 +22,7 @@ from .errors import ParameterError, RegularityError, UndefinedTransitionError
 from .expansion import ExpansionCertificate, mixing_rate_bound
 from .graphs import Graph, edge_graph, underlying_graph
 from .rng import SplitMix64, derive_seed
-from .spectral import normalized_spectrum
+from .spectral import lambda2_below_half, normalized_spectrum
 
 
 @dataclass(frozen=True)
@@ -234,8 +234,10 @@ def rapid_mixing_audit(
         return not_applicable("complex is not (k0, k1)-regular")
     if profile.regular[1] == 0:
         return not_applicable("no triangles; the edge walk has no moves")
-    lambda2 = normalized_spectrum(underlying_graph(X)).lambda2
-    if lambda2 >= 0.5:
+    G0 = underlying_graph(X)
+    report = normalized_spectrum(G0)
+    lambda2 = report.lambda2
+    if not lambda2_below_half(G0, report):
         return not_applicable(f"lambda2 = {lambda2} >= 1/2")
     rate = mixing_rate_bound(certificate.epsilon_cosystolic, lambda2)
     g1 = edge_graph(X).graph

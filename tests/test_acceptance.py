@@ -1,4 +1,4 @@
-"""Acceptance suite: ten end-to-end criteria with stated tolerances.
+"""Acceptance suite: eleven end-to-end criteria with stated tolerances.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
 criterion.  Each test measures its own wall-clock budget.
@@ -260,3 +260,27 @@ def test_criterion_10_gf2_calculus():
     ok &= coboundary_space(K4, 1).dim == 3
     report(10, ok, "coboundary-of-coboundary vanishes on 500 sampled complexes; Z1/B1 dims are 3",
            time.perf_counter() - start, 30.0)
+
+
+def test_criterion_11_certification_at_k7(tmp_path):
+    path = tmp_path / "k7.complex"
+    assert cli_run(["gen", "complete", "--n", "7", "-o", str(path)],
+                   io.StringIO(), io.StringIO()) == 0
+    certify_exact.cache_clear()
+    start = time.perf_counter()
+    out = io.StringIO()
+    ok = cli_run(["certify", str(path)], out, io.StringIO()) == 0
+    elapsed = time.perf_counter() - start
+    results = json.loads(out.getvalue())["results"]
+    ok &= results["epsilon_cosystolic"] == results["epsilon_coboundary"] == "7/15"
+    ok &= results["mu"] == "1" and results["mu_vacuous"]
+
+    # 2**21 edge subsets: each witness re-evaluates to the reported constant
+    X = complete_complex(7)
+    dim1 = results["dimensions"][1]
+    for key, space in (("cosystolic", cocycle_space(X, 1)), ("coboundary", coboundary_space(X, 1))):
+        w = mask_to_chain(1, sum(1 << e for e in dim1[f"{key}_witness"]))
+        dist, _ = distance_to_space(w, space)
+        ok &= str(Fraction(len(coboundary_edges(X, w)), 5 * dist)) == dim1[f"epsilon_{key}"]
+    report(11, ok, "certify on K7 (21 edges): 7/15 at both dimensions, witnesses re-evaluate",
+           elapsed, 2.0)

@@ -3,11 +3,16 @@
 import argparse
 import io
 import json
+import os
 import re
+import tempfile
 import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from named_complexes import CUBOCTAHEDRON, relabel
 
 from hdxwalk import cli
 from hdxwalk.cli import run
@@ -154,6 +159,68 @@ def test_certify_k7_within_capacity(tmp_path):
     assert invoke("gen", "complete", "--n", "7", "-o", str(path))[0] == 0
     code, _, _ = invoke("certify", str(path), "--max-bits", "10")
     assert code == 3
+
+
+# --- malformed input -----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"triangles": 5}',
+        '{"triangles": [null]}',
+        '{"vertices": 3}',
+        '{"labels": 3, "triangles": [[0,1,2]]}',
+        '{"triangles": [[[0],1,2]]}',
+    ],
+)
+def test_malformed_document_exits_2(text, tmp_path):
+    path = tmp_path / "bad.complex"
+    path.write_text(text)
+    code, out, err = invoke("validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("hdx: ") and "Traceback" not in err
+
+
+def test_oversized_vertex_id_exits_3_quickly(tmp_path):
+    path = tmp_path / "far.complex"
+    path.write_text('{"edges": [[0, 3000000]]}')
+    start = time.perf_counter()
+    code, _, err = invoke("validate", str(path))
+    assert time.perf_counter() - start < 0.5
+    assert code == 3
+    assert err.startswith("hdx: capacity error: ")
+
+
+_scalars = st.none() | st.booleans() | st.integers(-3, 10**7) | st.floats() | st.text(max_size=3)
+_json = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+_ids = st.integers(-1, 7) | st.sampled_from(["a", "b", True, 1.5, None, [0]])
+_faces = st.lists(st.lists(_ids, max_size=4), max_size=6)
+_documents = _json | st.fixed_dictionaries(
+    {},
+    optional={
+        "vertices": st.lists(_ids, max_size=4) | _json,
+        "edges": _faces | _json,
+        "triangles": _faces | _json,
+        "labels": st.dictionaries(st.sampled_from(["0", "1", "x"]), _scalars, max_size=3) | _json,
+    },
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_documents)
+def test_validate_fuzz_never_raises_and_never_exits_1(doc):
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "fuzz.complex")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        code, _, err = invoke("validate", path)
+    assert code in (0, 2, 3), err
 
 
 # --- audit ---------------------------------------------------------------------
@@ -387,6 +454,20 @@ def test_verify_theorem_k4(k4_file):
     assert all(results["walk"]["bound_ok"])
     assert results["walk"]["spectral_decay_ok"] is True
     assert results["degrees"] == {"k0": 3, "k1": 2}
+
+
+@pytest.mark.parametrize("seed", [None, 14, 24, 25])
+def test_verify_theorem_cuboctahedron_not_applicable(seed, tmp_path):
+    # lambda2 = 1/2 exactly; for these relabellings the float reads below 1/2.
+    X = CUBOCTAHEDRON if seed is None else relabel(CUBOCTAHEDRON, seed)
+    path = tmp_path / "cubo.complex"
+    save_complex(X, str(path))
+    code, out, _ = invoke("verify-theorem", str(path))
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["status"] == "not-applicable"
+    assert doc["results"]["reason"] == "spectral gap of the underlying graph is at most 1/2"
+    assert "certificate" not in doc["results"]
 
 
 def test_verify_theorem_not_applicable(hexagon_file):

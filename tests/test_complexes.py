@@ -1,11 +1,13 @@
 """Construction, generation, validation, and serialization of complexes."""
 
 import dataclasses
+import json
 from math import comb
 
 import pytest
 
 from hdxwalk.complexes import (
+    VERTEX_LIMIT,
     build_from_triangles,
     build_incidence,
     complete_complex,
@@ -17,7 +19,7 @@ from hdxwalk.complexes import (
     to_document,
     validate,
 )
-from hdxwalk.errors import DuplicateFaceError, InvalidFaceError, ParameterError
+from hdxwalk.errors import CapacityError, DuplicateFaceError, InvalidFaceError, ParameterError
 
 
 def test_build_empty():
@@ -188,3 +190,43 @@ def test_explicit_vertices_allow_gaps_as_isolated():
     X = from_document({"vertices": [0, 1, 2, 9], "triangles": [[0, 1, 2]]})
     assert X.n_vertices == 10
     assert X.vertex_edges[9] == ()
+
+
+MALFORMED_DOCUMENTS = [
+    {"triangles": 5},
+    {"triangles": [None]},
+    {"vertices": 3},
+    {"labels": 3, "triangles": [[0, 1, 2]]},
+    {"triangles": [[[0], 1, 2]]},
+    {"triangles": ["abc"]},
+    {"vertices": [None]},
+    {"edges": [[True, 0]], "triangles": [[0, 1, 2]]},  # true would alias vertex 1
+    {"edges": [[0, 1.5]]},
+    {"labels": {"0": [1]}, "triangles": [[0, 1, 2]]},
+]
+
+
+@pytest.mark.parametrize("doc", MALFORMED_DOCUMENTS, ids=json.dumps)
+def test_malformed_documents_raise_parameter_error(doc):
+    with pytest.raises(ParameterError):
+        from_document(doc)
+
+
+def test_vertex_limit_refuses_before_allocating():
+    with pytest.raises(CapacityError):
+        from_document({"edges": [[0, 3000000]]})
+    with pytest.raises(CapacityError):
+        from_document({"vertices": [f"v{i}" for i in range(VERTEX_LIMIT + 1)]})
+    with pytest.raises(CapacityError):
+        from_document({"labels": {str(i): i for i in range(VERTEX_LIMIT + 1)}})
+    assert from_document({"vertices": [VERTEX_LIMIT - 1]}).n_vertices == VERTEX_LIMIT
+
+
+def test_complete_complex_k40_loads():
+    X = complete_complex(40)
+    assert loads_complex(dumps_complex(X)) == X
+
+
+def test_loads_rejects_deep_nesting():
+    with pytest.raises(ParameterError):
+        loads_complex("[" * 100_000 + "]" * 100_000)

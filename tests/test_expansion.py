@@ -6,13 +6,24 @@ distances by direct minima.  The production certifier must reproduce its
 exact rational constants.
 """
 
+import functools
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from named_complexes import CUBOCTAHEDRON, OCTAHEDRON, RP2_6, relabel
+from scan_certifier import scan_certify_dimension
 
-from hdxwalk.cochain import Chain, cocycle_space, distance_to_space, mask_to_chain
+from hdxwalk import expansion
+from hdxwalk.cochain import (
+    Chain,
+    coboundary_space,
+    cocycle_space,
+    distance_to_space,
+    mask_to_chain,
+)
 from hdxwalk.complexes import build_from_triangles, complete_complex, random_complex
 from hdxwalk.errors import (
     CapacityError,
@@ -221,6 +232,92 @@ def test_certify_degenerate_without_triangles():
 def test_certify_requires_regularity():
     with pytest.raises(RegularityError):
         certify_exact(build_from_triangles([(0, 1, 2)], [(0, 3)]))
+
+
+# --- coset tables against the per-subset codeword scan ----------------------
+
+
+def _sparse_complex(seed):
+    """A few random triangles on 6 or 7 vertices: irregular, often disconnected."""
+    rng = random.Random(seed)
+    n = rng.choice((6, 7))
+    return build_from_triangles(rng.sample(list(combinations(range(n), 3)), rng.randint(1, 5)))
+
+
+SCAN_INPUTS = (
+    [("K4", K4), ("K5", K5), ("K6", complete_complex(6)), ("octahedron", OCTAHEDRON), ("RP2_6", RP2_6)]
+    + [(f"{name} relabelled {seed}", relabel(X, seed))
+       for name, X in (("K5", K5), ("octahedron", OCTAHEDRON), ("RP2_6", RP2_6)) for seed in (1, 2)]
+    + [(f"random_complex seed {s}", random_complex(3 + s % 3, s * 37 % 100 / 100, seed=s))
+       for s in range(120)]
+    + [(f"sparse seed {s}", X) for s in range(30) if (X := _sparse_complex(s)).n_edges <= 14]
+)
+
+
+def _dimension_or_error(certify, X, i, k_i):
+    try:
+        return certify(X, i, k_i)
+    except DegenerateComplexError as exc:
+        return str(exc)
+
+
+@functools.cache
+def _scan_reference(j, i, k_i):
+    return _dimension_or_error(scan_certify_dimension, SCAN_INPUTS[j][1], i, k_i)
+
+
+@pytest.mark.parametrize("block_bits", [expansion._SCAN_BLOCK_BITS, 2])
+def test_certify_dimension_matches_codeword_scan(block_bits, monkeypatch):
+    # Every field, witnesses included, for arbitrary k_i; block_bits 2 splits
+    # each scan into many blocks.
+    monkeypatch.setattr(expansion, "_SCAN_BLOCK_BITS", block_bits)
+    nontrivial_h1 = 0
+    for j, (name, X) in enumerate(SCAN_INPUTS):
+        nontrivial_h1 += len(cocycle_space(X, 1).basis) > len(coboundary_space(X, 1).basis)
+        for i in (0, 1):
+            k_i = 1 + j % 4
+            want = _scan_reference(j, i, k_i)
+            got = _dimension_or_error(expansion._certify_dimension, X, i, k_i)
+            assert got == want, (name, i)
+    assert nontrivial_h1 >= 20
+
+
+def test_certificate_invariant_under_relabelling():
+    for X in (K5, OCTAHEDRON, RP2_6, complete_complex(6)):
+        cert = certify_exact(X)
+        for seed in range(4):
+            other = certify_exact(relabel(X, seed))
+            for field in ("epsilon_cosystolic", "epsilon_coboundary", "mu", "mu_vacuous", "connected"):
+                assert getattr(other, field) == getattr(cert, field), (field, seed)
+            for a, b in zip(cert.dimensions, other.dimensions):
+                assert (a.epsilon_cosystolic, a.epsilon_coboundary, a.mu) == (
+                    b.epsilon_cosystolic, b.epsilon_coboundary, b.mu)
+
+
+@pytest.mark.parametrize("seed", [14, 24, 25])
+def test_gap_gates_exact_on_relabelled_cuboctahedron(seed):
+    from hdxwalk.walk import rapid_mixing_audit
+
+    X = relabel(CUBOCTAHEDRON, seed)
+    F = Chain.empty(1)
+    with pytest.raises(DomainError):
+        large_cuts_audit(underlying_graph(X))
+    with pytest.raises(DomainError):
+        distance_formula_audit(X, F, mu=Fraction(1))
+    with pytest.raises(DomainError):
+        local_view_bounds_audit(X, F, Fraction(1), 0.9, mu=Fraction(1))
+    with pytest.raises(DomainError):
+        sum_coboundaries_audit(X, F, Fraction(1))
+    assert not rapid_mixing_audit(X, certify_exact(CUBOCTAHEDRON), 1).applicable
+
+
+def test_cuboctahedron_dimension_1():
+    # 24 edges: out of reach of the codeword scan, which needs 2**24 * 2**16 steps.
+    report = certify_exact(CUBOCTAHEDRON).dimensions[1]
+    assert report.epsilon_cosystolic == 1
+    assert report.epsilon_coboundary == Fraction(1, 5)
+    assert report.mu == Fraction(1, 12)
+    assert report.mu_witness.to_list() == [0, 2]
 
 
 # --- fatness constant and partition -----------------------------------------

@@ -87,3 +87,23 @@ def test_span_iter_gray_order_single_flip():
     seen = list(gf2.span_iter(basis))
     for a, b in zip(seen, seen[1:]):
         assert (a ^ b).bit_count() == 1
+
+
+@settings(max_examples=200)
+@given(mask_lists, masks, masks)
+def test_syndrome_columns_label_cosets(rows, x, y):
+    basis = gf2.row_reduce(rows)
+    columns = gf2.syndrome_columns(basis, 12)
+
+    def syndrome(v):
+        acc = 0
+        for j in range(12):
+            if v >> j & 1:
+                acc ^= columns[j]
+        return acc
+
+    width = 12 - len(basis)
+    assert all(c < 1 << width for c in columns)
+    assert gf2.rank(columns) == width  # every syndrome of that width occurs
+    assert syndrome(0) == 0
+    assert (syndrome(x) == syndrome(y)) == ((x ^ y) in brute_span(rows))

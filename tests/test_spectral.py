@@ -8,10 +8,13 @@ floating eigensolver is cross-checked against exact characteristic-polynomial
 signs, and Cheeger values against a direct subset loop written here.
 """
 
+import dataclasses
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
+from named_complexes import CUBOCTAHEDRON, relabel
 
 from hdxwalk.complexes import build_from_triangles, complete_complex, random_complex
 from hdxwalk.errors import CapacityError, RegularityError
@@ -24,8 +27,10 @@ from hdxwalk.spectral import (
     cut_sizes,
     cheeger_inequality_audit,
     edge_graph_floor_audit,
+    lambda2_below_half,
     mixing_lemma_audit,
     normalized_spectrum,
+    subset_xors,
 )
 
 K4 = complete_graph(4)
@@ -211,7 +216,53 @@ def test_eigensolver_cross_validation_small_graphs():
             assert_char_poly_sign_agreement(G)
 
 
+# --- exact lambda2 < 1/2 ----------------------------------------------------
+
+
+def test_lambda2_below_half_at_exactly_one_half():
+    # lambda2 = 1/2 exactly; the float reads 0.5 +- a few ulps, by vertex order.
+    assert not lambda2_below_half(C6, normalized_spectrum(C6))
+    for seed in range(100):
+        G = underlying_graph(relabel(CUBOCTAHEDRON, seed))
+        assert not lambda2_below_half(G, normalized_spectrum(G)), seed
+
+
+GAP_GRAPHS = {
+    **{f"K{n}": complete_graph(n) for n in range(2, 9)},
+    **{f"C{n}": cycle_graph(n) for n in range(3, 11) if n != 6},
+    "octahedron": OCTAHEDRON,
+    "T5": T5,
+    "two triangles": Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+    "edge-graph of K6": edge_graph(complete_complex(6)).graph,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GAP_GRAPHS))
+def test_lambda2_below_half_exact_count_matches_float(name):
+    # Away from 1/2 the float decides; a report pinned at 1/2 forces the
+    # exact count of eigenvalues at or above k/2, which must agree.
+    G = GAP_GRAPHS[name]
+    report = normalized_spectrum(G)
+    assert abs(report.lambda2 - 0.5) > 0.05
+    assert lambda2_below_half(G, report) == (report.lambda2 < 0.5)
+    pinned = dataclasses.replace(report, lambda2=0.5)
+    assert lambda2_below_half(G, pinned) == (report.lambda2 < 0.5)
+
+
 # --- cut tables ------------------------------------------------------------
+
+
+def test_subset_xors_match_per_mask_xor():
+    rng = SplitMix64(8)
+    columns = [rng.randrange(1 << 20) for _ in range(9)]
+    want = []
+    for mask in range(1 << len(columns)):
+        acc = 0
+        for j, c in enumerate(columns):
+            if mask >> j & 1:
+                acc ^= c
+        want.append(acc)
+    assert subset_xors(columns, np.uint32).tolist() == want
 
 
 def seeded_graph(n, seed):
