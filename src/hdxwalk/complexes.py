@@ -26,6 +26,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from math import comb
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapacityError, DuplicateFaceError, InvalidFaceError, ParameterError
@@ -34,6 +35,9 @@ from .rng import SplitMix64
 #: Most vertices a complex document may describe.  Vertex ids set the vertex
 #: count, so a few bytes could otherwise ask for any number of vertices.
 VERTEX_LIMIT = 4096
+
+#: Most candidate triangles, C(n, 3), the generators may build or draw.
+TRIANGLE_LIMIT = 2**17
 
 
 @dataclass(frozen=True)
@@ -187,10 +191,18 @@ def build_from_triangles(
     return Complex2(n, edges, triangles, vertex_edges, edge_triangles)
 
 
+def _check_triangle_budget(n: int) -> None:
+    if comb(n, 3) > TRIANGLE_LIMIT:
+        raise CapacityError(
+            f"{n} vertices have {comb(n, 3)} candidate triangles; limit is {TRIANGLE_LIMIT}"
+        )
+
+
 def complete_complex(n: int) -> Complex2:
     """Complete complex on n vertices: all pairs and all triples."""
     if n < 0:
         raise ParameterError(f"vertex count must be non-negative, got {n}")
+    _check_triangle_budget(n)
     edges = tuple(combinations(range(n), 2))
     triangles = tuple(combinations(range(n), 3))
     vertex_edges, edge_triangles = build_incidence(n, edges, triangles)
@@ -207,6 +219,7 @@ def random_complex(n: int, p: float, seed: int) -> Complex2:
         raise ParameterError(f"vertex count must be non-negative, got {n}")
     if not (0.0 <= p <= 1.0):
         raise ParameterError(f"triangle probability must be in [0, 1], got {p}")
+    _check_triangle_budget(n)
     rng = SplitMix64(seed)
     threshold = int(p * 2.0**64)
     edges = tuple(combinations(range(n), 2))

@@ -12,17 +12,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .complexes import Complex2
-from .errors import ParameterError, RegularityError, UndefinedTransitionError
+from .errors import CapacityError, ParameterError, RegularityError, UndefinedTransitionError
 from .expansion import ExpansionCertificate, mixing_rate_bound
 from .graphs import Graph, edge_graph, underlying_graph
-from .rng import SplitMix64, derive_seed
+from .rng import _GAMMA, SplitMix64, derive_seeds, mix_array
 from .spectral import lambda2_below_half, normalized_spectrum
+
+#: Most cells, (steps + 1) per vertex or edge, in a walk's output table.
+WALK_CELL_LIMIT = 2**21
+#: Most edge visits, (steps + 1) per path, in a path ensemble.
+WALK_VISIT_LIMIT = 2**27
+
+# Paths advanced together by the ensemble engine.
+_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -78,6 +85,21 @@ def transition_matrix(G: Graph) -> np.ndarray:
     return M
 
 
+def _check_walk_capacity(width: int, steps: int, paths: int = 0) -> None:
+    cells = (steps + 1) * width
+    if cells > WALK_CELL_LIMIT:
+        raise CapacityError(
+            f"a walk table of {steps + 1} rows x {width} columns has {cells} cells; "
+            f"limit is {WALK_CELL_LIMIT}"
+        )
+    visits = (steps + 1) * paths
+    if visits > WALK_VISIT_LIMIT:
+        raise CapacityError(
+            f"{paths} paths of {steps} steps would make {visits} edge visits; "
+            f"limit is {WALK_VISIT_LIMIT}"
+        )
+
+
 def evolve_exact(
     G: Graph,
     p0: Distribution,
@@ -93,6 +115,7 @@ def evolve_exact(
         raise ParameterError(
             f"distribution has {len(p0.probabilities)} entries for a graph on {G.n} vertices"
         )
+    _check_walk_capacity(G.n, steps)
     M = transition_matrix(G)
     u = np.full(G.n, 1.0 / G.n)
     p = np.array(p0.probabilities)
@@ -108,22 +131,11 @@ def evolve_exact(
     return WalkTrace(distributions, distances, rate_bound, bound_ok)
 
 
-@lru_cache(maxsize=128)
-def _edge_neighbor_table(X: Complex2) -> tuple[tuple[int, ...], ...]:
-    """Sorted neighbor edge ids per edge, from the triangle incidences of X."""
-    nbrs: list[set[int]] = [set() for _ in range(X.n_edges)]
-    for (a, b, c) in X.triangle_edge_ids:
-        nbrs[a].update((b, c))
-        nbrs[b].update((a, c))
-        nbrs[c].update((a, b))
-    return tuple(tuple(sorted(s)) for s in nbrs)
-
-
 def high_order_neighbors(X: Complex2, e: int) -> tuple[int, ...]:
     """Edges sharing a triangle with edge e, as sorted edge ids."""
     if not (0 <= e < X.n_edges):
         raise ParameterError(f"edge index {e} out of range")
-    return _edge_neighbor_table(X)[e]
+    return edge_graph(X).graph.adjacency[e]
 
 
 def simulate(G: Graph, v0: int, steps: int, seed: int) -> tuple[int, ...]:
@@ -150,17 +162,22 @@ def high_order_simulate(X: Complex2, e0: int, steps: int, seed: int) -> tuple[in
         raise ParameterError(f"start edge {e0} out of range")
     if steps < 0:
         raise ParameterError(f"steps must be non-negative, got {steps}")
-    table = _edge_neighbor_table(X)
-    rng = SplitMix64(seed)
-    path = [e0]
-    e = e0
-    for _ in range(steps):
-        nbrs = table[e]
-        if not nbrs:
-            raise UndefinedTransitionError(f"edge {e} belongs to no triangle; walk undefined")
-        e = nbrs[rng.randrange(len(nbrs))]
-        path.append(e)
-    return tuple(path)
+    g1 = edge_graph(X).graph
+    if steps and not g1.adjacency[e0]:
+        raise UndefinedTransitionError(f"edge {e0} belongs to no triangle; walk undefined")
+    return simulate(g1, e0, steps, seed)
+
+
+def _padded_neighbors(adjacency: tuple[tuple[int, ...], ...]):
+    """Neighbor lists as one (n, max degree) array, the degrees, and the largest
+    accepted 64-bit draw per vertex, ``(2**64 // d) * d - 1`` (below 2**64
+    also at d = 1)."""
+    degrees = [len(nbrs) for nbrs in adjacency]
+    table = np.zeros((len(adjacency), max(degrees)), dtype=np.intp)
+    for v, nbrs in enumerate(adjacency):
+        table[v, : len(nbrs)] = nbrs
+    accept_max = [(2**64 // d) * d - 1 if d else 0 for d in degrees]
+    return table, np.array(degrees, dtype=np.uint64), np.array(accept_max, dtype=np.uint64)
 
 
 def high_order_step_counts(
@@ -169,27 +186,42 @@ def high_order_step_counts(
     """Occupancy counts per step over ``paths`` independent seeded walks.
 
     Path i draws from SplitMix64(derive_seed(seed, i)), so the ensemble is
-    reproducible and independent of evaluation order.
+    reproducible and independent of evaluation order.  All paths of a block
+    advance together on uint64 state arrays; a draw above the largest
+    multiple of the degree is redrawn from the same path's stream, exactly as
+    ``SplitMix64.randrange`` does.  Blocks have a fixed size and their counts
+    add exactly, so memory does not grow with ``paths``.
     """
     if paths < 0:
         raise ParameterError(f"path count must be non-negative, got {paths}")
+    if steps < 0:
+        raise ParameterError(f"steps must be non-negative, got {steps}")
     if not (0 <= e0 < X.n_edges):
         raise ParameterError(f"start edge {e0} out of range")
-    table = _edge_neighbor_table(X)
-    counts = [[0] * X.n_edges for _ in range(steps + 1)]
-    for i in range(paths):
-        rng = SplitMix64(derive_seed(seed, i))
-        e = e0
-        counts[0][e] += 1
-        for t in range(1, steps + 1):
-            nbrs = table[e]
-            if not nbrs:
-                raise UndefinedTransitionError(
-                    f"edge {e} belongs to no triangle; walk undefined"
-                )
-            e = nbrs[rng.randrange(len(nbrs))]
-            counts[t][e] += 1
-    return tuple(tuple(row) for row in counts)
+    _check_walk_capacity(X.n_edges, steps, paths)
+    counts = np.zeros((steps + 1, X.n_edges), dtype=np.int64)
+    counts[0, e0] = paths
+    adjacency = edge_graph(X).graph.adjacency
+    if steps and paths and not adjacency[e0]:
+        # Every other edge a walk reaches has the edge it came from as a neighbor.
+        raise UndefinedTransitionError(f"edge {e0} belongs to no triangle; walk undefined")
+    table, degree, accept_max = _padded_neighbors(adjacency)
+    gamma = np.uint64(_GAMMA)
+    for lo in range(0, paths if steps else 0, _BLOCK):
+        state = derive_seeds(seed, lo, min(lo + _BLOCK, paths))
+        e = np.full(state.size, e0, dtype=np.intp)
+        for row in counts[1:]:
+            state += gamma
+            draw = mix_array(state.copy())
+            high = accept_max[e]
+            redo = np.flatnonzero(draw > high)
+            while redo.size:
+                state[redo] += gamma
+                draw[redo] = mix_array(state[redo])
+                redo = redo[draw[redo] > high[redo]]
+            e = table[e, draw % degree[e]]
+            row += np.bincount(e, minlength=X.n_edges)
+    return tuple(map(tuple, counts.tolist()))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Command-line behavior: reports, determinism, and exit codes."""
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -70,6 +71,15 @@ def test_gen_random_deterministic():
     assert a == b
     c = invoke("gen", "random", "--n", "6", "--p", "0.5", "--seed", "8")
     assert c[1] != a[1]
+
+
+def test_gen_capacity_exit_3_quickly():
+    for args in (("complete", "--n", "2000"), ("random", "--n", "2000", "--p", "0.5", "--seed", "1")):
+        start = time.perf_counter()
+        code, out, err = invoke("gen", *args)
+        assert time.perf_counter() - start < 0.5
+        assert code == 3 and out == ""
+        assert err.startswith("hdx: capacity error: ")
 
 
 def test_gen_random_bad_probability():
@@ -434,6 +444,35 @@ def test_walk_paths_mode_deterministic(k4_file):
     assert a == b and a[0] == 0
     final = a[1].strip().splitlines()[-1]
     assert float(final.split(",")[1]) < 0.2
+
+
+def test_walk_paths_csv_pinned(tmp_path):
+    # sha256 of this command's stdout from the one-path-at-a-time engine.
+    path = tmp_path / "k5.complex"
+    assert invoke("gen", "complete", "--n", "5", "-o", str(path))[0] == 0
+    code, out, _ = invoke(
+        "walk", str(path), "--start", "0", "--steps", "8", "--seed", "1", "--paths", "100000"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "127938ff2da430a9ab44b57ae19647143053c612573f7259675f77adc0849131"
+    )
+
+
+@pytest.mark.parametrize("mode", [("--paths", "10"), ("--paths", "0"), ()])
+def test_walk_negative_steps_exit_2(k4_file, mode):
+    code, out, err = invoke("walk", k4_file, "--start", "0", "--steps", "-1", *mode)
+    assert code == 2 and out == ""
+    assert err.startswith("hdx: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", [("--paths", "1"), ()])
+def test_walk_capacity_exit_3_quickly(k4_file, mode):
+    start = time.perf_counter()
+    code, out, err = invoke("walk", k4_file, "--start", "0", "--steps", "100000000", *mode)
+    assert time.perf_counter() - start < 0.5
+    assert code == 3 and out == ""
+    assert err.startswith("hdx: capacity error: ")
 
 
 def test_walk_bad_start(k4_file):

@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 from hdxwalk.complexes import (
+    TRIANGLE_LIMIT,
     VERTEX_LIMIT,
     build_from_triangles,
     build_incidence,
@@ -220,6 +221,17 @@ def test_vertex_limit_refuses_before_allocating():
     with pytest.raises(CapacityError):
         from_document({"labels": {str(i): i for i in range(VERTEX_LIMIT + 1)}})
     assert from_document({"vertices": [VERTEX_LIMIT - 1]}).n_vertices == VERTEX_LIMIT
+
+
+def test_generators_refuse_above_triangle_limit():
+    n = max(n for n in range(200) if comb(n, 3) <= TRIANGLE_LIMIT)
+    for build in (complete_complex, lambda n: random_complex(n, 0.5, 1)):
+        for too_many in (n + 1, 10**12):
+            with pytest.raises(CapacityError):
+                build(too_many)
+    assert random_complex(n, 0.0, 1).n_edges == comb(n, 2)
+    with pytest.raises(ParameterError):
+        random_complex(-1, 0.5, 1)
 
 
 def test_complete_complex_k40_loads():

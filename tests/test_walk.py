@@ -2,14 +2,25 @@
 
 import numpy as np
 import pytest
+from named_complexes import OCTAHEDRON as OCTAHEDRON_COMPLEX
+from named_complexes import RP2_6
+from scalar_walk import edge_neighbor_table, scalar_step_counts
 
-from hdxwalk.complexes import build_from_triangles, complete_complex
-from hdxwalk.errors import ParameterError, RegularityError, UndefinedTransitionError
+from hdxwalk import walk
+from hdxwalk.complexes import build_from_triangles, complete_complex, random_complex
+from hdxwalk.errors import (
+    CapacityError,
+    ParameterError,
+    RegularityError,
+    UndefinedTransitionError,
+)
 from hdxwalk.expansion import certify_exact
 from hdxwalk.graphs import Graph, complete_graph, cycle_graph, edge_graph
-from hdxwalk.rng import SplitMix64, derive_seed
+from hdxwalk.rng import _GAMMA, _mix, SplitMix64, derive_seed, derive_seeds, mix_array
 from hdxwalk.spectral import normalized_spectrum
 from hdxwalk.walk import (
+    WALK_CELL_LIMIT,
+    WALK_VISIT_LIMIT,
     Distribution,
     evolve_exact,
     high_order_neighbors,
@@ -45,6 +56,15 @@ def test_derive_seed_is_root_stream_output():
     root = SplitMix64(42)
     outputs = [root.next_u64() for _ in range(4)]
     assert [derive_seed(42, i) for i in range(4)] == outputs
+
+
+def test_vectorised_mix_and_substream_seeds_match_scalar():
+    z = [0, 1, _GAMMA, 2**63, 2**64 - 1, 12345678901234567890]
+    assert mix_array(np.array(z, dtype=np.uint64)).tolist() == [_mix(x) for x in z]
+    for seed in (0, 42, -5, 2**64 - 1, 2**70 + 3):
+        for start, stop in ((0, 300), (2**40, 2**40 + 5)):
+            want = [derive_seed(seed, i) for i in range(start, stop)]
+            assert derive_seeds(seed, start, stop).tolist() == want
 
 
 def test_randrange_bounds_and_determinism():
@@ -162,6 +182,12 @@ def test_high_order_neighbors_regular_size():
         assert len(high_order_neighbors(K5, e)) == 6  # 2 * k1
 
 
+def test_high_order_neighbors_are_the_triangle_incidences():
+    for X in (K4, K5, OCTAHEDRON_COMPLEX, RP2_6, random_complex(7, 0.5, 3)):
+        table = edge_neighbor_table(X)
+        assert tuple(high_order_neighbors(X, e) for e in range(X.n_edges)) == table
+
+
 def test_high_order_neighbors_triangle_free_edge():
     X = build_from_triangles([(0, 1, 2)], [(0, 3)])
     assert high_order_neighbors(X, X.edge_ids[(0, 3)]) == ()
@@ -219,6 +245,31 @@ def test_step_counts_shape_and_totals():
     assert counts[0][0] == 500
 
 
+def test_step_counts_validate_arguments():
+    for paths in (10, 0):
+        with pytest.raises(ParameterError):
+            high_order_step_counts(K5, 0, -1, paths=paths, seed=1)
+    with pytest.raises(ParameterError):
+        high_order_step_counts(K5, 0, 3, paths=-1, seed=1)
+    with pytest.raises(ParameterError):
+        high_order_step_counts(K5, 10, 3, paths=1, seed=1)
+
+
+def test_walk_capacity_refused_before_allocating():
+    # The largest benchmark jobs fit: K40 exact for 2000 steps, K5 with 1e5 paths of 8 steps.
+    assert 2001 * 780 <= WALK_CELL_LIMIT and 100_000 * 9 <= WALK_VISIT_LIMIT
+    with pytest.raises(CapacityError):
+        high_order_step_counts(K5, 0, 10**8, paths=1, seed=0)
+    with pytest.raises(CapacityError):
+        high_order_step_counts(K5, 0, 8, paths=WALK_VISIT_LIMIT, seed=0)
+    with pytest.raises(CapacityError):
+        high_order_step_counts(K5, 0, 0, paths=10**30, seed=0)
+    with pytest.raises(CapacityError):
+        evolve_exact(edge_graph(K5).graph, Distribution.point_mass(10, 0), 10**8)
+    steps = WALK_CELL_LIMIT // 10 - 1
+    assert len(high_order_step_counts(K5, 0, steps, paths=0, seed=0)) == steps + 1
+
+
 def test_step_counts_reproducible():
     a = high_order_step_counts(K4, 0, 5, paths=300, seed=4)
     b = high_order_step_counts(K4, 0, 5, paths=300, seed=4)
@@ -232,6 +283,100 @@ def test_ensemble_tracks_exact_distribution():
     empirical = [c / paths for c in counts[5]]
     tv = 0.5 * sum(abs(a - b) for a, b in zip(empirical, trace.distributions[5]))
     assert tv < 0.02
+
+
+# --- ensemble against the scalar reference ------------------------------------------
+
+
+_MASK64 = 2**64 - 1
+
+
+def _unxorshift(y, shift):
+    x = y
+    for _ in range(64 // shift + 1):
+        x = y ^ (x >> shift)
+    return x
+
+
+def _unmix(y):
+    """Inverse of the SplitMix64 finaliser ``rng._mix``."""
+    y = _unxorshift(y, 31)
+    y = (y * pow(0x94D049BB133111EB, -1, 2**64)) & _MASK64
+    y = _unxorshift(y, 27)
+    y = (y * pow(0xBF58476D1CE4E5B9, -1, 2**64)) & _MASK64
+    return _unxorshift(y, 30)
+
+
+def _seed_with_first_draw(path, draw):
+    """A root seed whose given path draws ``draw`` first."""
+    state = (_unmix(draw) - _GAMMA) & _MASK64
+    return (_unmix(state) - (path + 1) * _GAMMA) & _MASK64
+
+
+def _assert_counts_match_reference(X, e0, steps, paths, seed):
+    try:
+        want = scalar_step_counts(X, e0, steps, paths, seed)
+    except UndefinedTransitionError as exc:
+        with pytest.raises(UndefinedTransitionError, match=str(exc)):
+            high_order_step_counts(X, e0, steps, paths=paths, seed=seed)
+        return
+    assert high_order_step_counts(X, e0, steps, paths=paths, seed=seed) == want
+
+
+@pytest.mark.parametrize(
+    "X",
+    [K4, K5, complete_complex(6), OCTAHEDRON_COMPLEX, RP2_6],
+    ids=["k4", "k5", "k6", "octahedron", "rp2"],
+)
+def test_step_counts_match_scalar_reference_on_named_complexes(X):
+    for e0 in (0, X.n_edges - 1):
+        for seed in (0, 7, 2**64 - 1, -3):
+            _assert_counts_match_reference(X, e0, 10, 300, seed)
+
+
+def test_step_counts_match_scalar_reference_on_irregular_complexes():
+    degrees = set()
+    for s in range(24):
+        X = random_complex(7, 0.5, s)
+        table = edge_neighbor_table(X)
+        degrees.update(map(len, table))
+        stuck = [e for e in range(X.n_edges) if not table[e]]
+        for e0 in {0, s % X.n_edges, *stuck[:1]}:
+            _assert_counts_match_reference(X, e0, 9, 200, s)
+    assert len(degrees) >= 6 and 0 in degrees
+
+
+def test_step_counts_match_scalar_reference_at_edge_cases(monkeypatch):
+    X = OCTAHEDRON_COMPLEX
+    _assert_counts_match_reference(X, 3, 5, 0, 1)
+    _assert_counts_match_reference(X, 3, 0, 10, 1)
+    _assert_counts_match_reference(X, 3, 2, walk._BLOCK + 3, 1)
+    monkeypatch.setattr(walk, "_BLOCK", 7)
+    for paths in (1, 6, 7, 8, 50):
+        _assert_counts_match_reference(X, 3, 6, paths, 5)
+
+
+def test_step_counts_at_the_rejection_threshold(monkeypatch):
+    # At degree 6 the largest accepted draw is 2**64 - 5; at degree 2, 2**64 - 1.
+    triangle = build_from_triangles([(0, 1, 2)])
+    cases = [(K5, _MASK64), (K5, _MASK64 - 3), (K5, _MASK64 - 4), (triangle, _MASK64)]
+    for X, draw in cases:
+        for path, block in ((0, walk._BLOCK), (9, 7)):
+            seed = _seed_with_first_draw(path, draw)
+            assert SplitMix64(derive_seed(seed, path)).next_u64() == draw
+            monkeypatch.setattr(walk, "_BLOCK", block)
+            _assert_counts_match_reference(X, 0, 6, 20, seed)
+
+
+def test_step_counts_are_sums_of_simulated_paths():
+    X, steps, paths, seed = RP2_6, 12, 40, 99
+    want = np.zeros((steps + 1, X.n_edges), dtype=np.int64)
+    for i in range(paths):
+        path = high_order_simulate(X, 2, steps, derive_seed(seed, i))
+        want[np.arange(steps + 1), path] += 1
+    assert high_order_step_counts(X, 2, steps, paths=paths, seed=seed) == tuple(
+        map(tuple, want.tolist())
+    )
 
 
 # --- end-to-end mixing audit --------------------------------------------------------
