@@ -39,6 +39,7 @@ from .errors import (
     DegenerateComplexError,
     DomainError,
     HdxError,
+    ParameterError,
     RegularityError,
 )
 from .expansion import (
@@ -63,6 +64,7 @@ from .spectral import (
 )
 from .walk import (
     Distribution,
+    check_walk_capacity,
     evolve_exact,
     high_order_step_counts,
     rapid_mixing_audit,
@@ -126,7 +128,7 @@ def _load(ns: argparse.Namespace) -> tuple[Complex2, dict]:
 
 
 def _pick_graph(X: Complex2, which: str):
-    return underlying_graph(X) if which == "g0" else edge_graph(X).graph
+    return underlying_graph(X) if which == "g0" else edge_graph(X)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +238,7 @@ def _audit_outgoing(X: Complex2, ns) -> dict:
             f"{ns.max_bits} edges; got {X.n_edges}"
         )
     # The left-hand side is the cut of F in the edge-graph.
-    fail = cut_sizes(edge_graph(X).graph) != _local_coboundary_sums(X)
+    fail = cut_sizes(edge_graph(X)) != _local_coboundary_sums(X)
     return _lemma_result(
         "outgoing", fail, lambda F: dataclasses.asdict(outgoing_edges_identity(X, F))
     )
@@ -360,7 +362,7 @@ def _cmd_walk(ns, out, err) -> int:
             for row in counts
         ]
     else:
-        g1 = edge_graph(X).graph
+        g1 = edge_graph(X)
         trace = evolve_exact(g1, Distribution.point_mass(g1.n, ns.start), ns.steps)
         dists = list(trace.distances)
     out.write("step,distance,alpha_power,ok\n")
@@ -376,6 +378,9 @@ def _cmd_walk(ns, out, err) -> int:
 
 def _cmd_verify_theorem(ns, out, err) -> int:
     X, inputs = _load(ns)
+    if ns.steps < 0:
+        raise ParameterError(f"steps must be non-negative, got {ns.steps}")
+    check_walk_capacity(X.n_edges, ns.steps)
     results: dict = {}
 
     def finish(status: str) -> int:
@@ -409,7 +414,7 @@ def _cmd_verify_theorem(ns, out, err) -> int:
     results["rate_bound"] = mixing_rate_bound(cert.epsilon_cosystolic, lambda2)
 
     audit = rapid_mixing_audit(X, cert, ns.steps, slack=ns.slack)
-    g1 = edge_graph(X).graph
+    g1 = edge_graph(X)
     results["edge_graph"] = {
         "n": g1.n,
         "k": g1.regular_k,

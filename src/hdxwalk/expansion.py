@@ -97,11 +97,14 @@ def _required_regular(X: Complex2) -> tuple[int, int]:
 
 
 def _gap_lambda2(X: Complex2, claim: str) -> float:
-    """lambda2 of the underlying graph; DomainError("<claim> lambda2 < 1/2") unless below 1/2."""
+    """lambda2 of the underlying graph; DomainError("<claim> lambda2 < 1/2; ...") unless below."""
     G0 = underlying_graph(X)
     report = normalized_spectrum(G0)
     if not lambda2_below_half(G0, report):
-        raise DomainError(f"{claim} lambda2 < 1/2, got {report.lambda2}")
+        raise DomainError(
+            f"{claim} lambda2 < 1/2; it is at least 1/2, decided exactly "
+            f"(eigensolver value {report.lambda2})"
+        )
     return report.lambda2
 
 
@@ -341,7 +344,7 @@ class OutgoingEdgesIdentity:
 def outgoing_edges_identity(X: Complex2, F: Chain) -> OutgoingEdgesIdentity:
     if F.dimension != 1:
         raise ParameterError("outgoing-edges identity takes a 1-chain of edges")
-    g1 = edge_graph(X).graph
+    g1 = edge_graph(X)
     fmask = chain_to_mask(F)
     outside = ((1 << g1.n) - 1) & ~fmask
     lhs = 0
@@ -554,7 +557,10 @@ def large_cuts_audit(G0: Graph, *, max_vertices: int = LARGE_CUTS_VERTEX_LIMIT) 
     report = normalized_spectrum(G0)
     lambda2 = report.lambda2
     if not lambda2_below_half(G0, report):
-        raise DomainError(f"minimum-cut bound requires lambda2 < 1/2, got {lambda2}")
+        raise DomainError(
+            "minimum-cut bound requires lambda2 < 1/2; it is at least 1/2, decided exactly "
+            f"(eigensolver value {lambda2})"
+        )
     cut = cut_sizes(G0)[1:-1:2]  # masks 1, 3, ...: proper subsets containing vertex 0
     min_cut = int(cut.min())
     precondition = G0.n >= 4.0 / (1.0 - 2.0 * lambda2) - 1e-12

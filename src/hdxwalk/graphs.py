@@ -82,15 +82,6 @@ def cycle_graph(n: int) -> Graph:
     return Graph.from_edges(n, ((i, (i + 1) % n) for i in range(n)))
 
 
-@dataclass(frozen=True)
-class EdgeGraphMap:
-    """Edge-graph plus the bijection between its vertices and complex edges."""
-
-    graph: Graph
-    to_edge: tuple[int, ...]
-    from_edge: tuple[int, ...]
-
-
 @lru_cache(maxsize=128)
 def underlying_graph(X: Complex2) -> Graph:
     """The 1-skeleton: same vertices and edges, triangles ignored."""
@@ -98,11 +89,9 @@ def underlying_graph(X: Complex2) -> Graph:
 
 
 @lru_cache(maxsize=128)
-def edge_graph(X: Complex2) -> EdgeGraphMap:
-    """Graph on the edge ids of X; adjacency iff the union spans a triangle."""
+def edge_graph(X: Complex2) -> Graph:
+    """Graph on the edge ids of X (vertex i is edge i); adjacent iff the union is a triangle."""
     pairs = []
     for (a, b, c) in X.triangle_edge_ids:
         pairs.extend(((a, b), (a, c), (b, c)))
-    g = Graph.from_edges(X.n_edges, pairs)
-    ids = tuple(range(X.n_edges))
-    return EdgeGraphMap(g, ids, ids)
+    return Graph.from_edges(X.n_edges, pairs)

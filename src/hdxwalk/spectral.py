@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
+
 import numpy as np
 
 from .cochain import mask_bits
@@ -24,6 +26,8 @@ CHEEGER_VERTEX_LIMIT = 26
 MIXING_LEMMA_VERTEX_LIMIT = 22
 #: Largest subset table (2**bits entries) the enumeration kernels build.
 TABLE_BIT_LIMIT = 26
+#: Most vertices of a graph whose dense n x n matrices are built.
+DENSE_VERTEX_LIMIT = 2**11
 #: Normalized floor for the smallest edge-graph eigenvalue.
 EDGE_GRAPH_FLOOR = Fraction(-17, 18)
 
@@ -49,10 +53,14 @@ def _require_regular(G: Graph) -> int:
 
 
 def adjacency_matrix(G: Graph) -> np.ndarray:
+    """Dense 0/1 adjacency matrix; refused above DENSE_VERTEX_LIMIT vertices before allocating."""
+    if G.n > DENSE_VERTEX_LIMIT:
+        raise CapacityError(
+            f"dense matrices are limited to {DENSE_VERTEX_LIMIT} vertices, got {G.n}"
+        )
     A = np.zeros((G.n, G.n))
-    for u, nbrs in enumerate(G.adjacency):
-        for v in nbrs:
-            A[u, v] = 1.0
+    rows = np.repeat(np.arange(G.n), G.degrees)
+    A[rows, np.fromiter(chain.from_iterable(G.adjacency), np.intp, rows.size)] = 1.0
     return A
 
 
@@ -264,7 +272,7 @@ def edge_graph_floor_audit(X: Complex2, *, slack: float = 1e-9) -> EdgeGraphFloo
     profile = degree_profile(X)
     if not profile.edge_triangle_degrees or len(set(profile.edge_triangle_degrees)) != 1:
         raise RegularityError("complex is not edge-regular; edge-graph floor undefined")
-    report = normalized_spectrum(edge_graph(X).graph)
+    report = normalized_spectrum(edge_graph(X))
     value = report.lambda_n - float(EDGE_GRAPH_FLOOR)
     return EdgeGraphFloorAudit(report.lambda_n, value, value >= -slack)
 

@@ -10,8 +10,10 @@ behavior and is surfaced by the distances, not patched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -21,7 +23,7 @@ from .errors import CapacityError, ParameterError, RegularityError, UndefinedTra
 from .expansion import ExpansionCertificate, mixing_rate_bound
 from .graphs import Graph, edge_graph, underlying_graph
 from .rng import _GAMMA, SplitMix64, derive_seeds, mix_array
-from .spectral import lambda2_below_half, normalized_spectrum
+from .spectral import adjacency_matrix, lambda2_below_half, normalized_spectrum
 
 #: Most cells, (steps + 1) per vertex or edge, in a walk's output table.
 WALK_CELL_LIMIT = 2**21
@@ -63,29 +65,45 @@ class Distribution:
 
 @dataclass(frozen=True)
 class WalkTrace:
-    """Distribution evolution with per-step l2 distances to uniform."""
+    """Distribution evolution with per-step l2 distances to uniform.
 
-    distributions: tuple[tuple[float, ...], ...]
+    ``table`` is read-only, one row per step: row t is the distribution
+    after t steps.  ``distributions`` gives the same rows as tuples of floats,
+    built on first read.
+    """
+
+    table: np.ndarray = field(repr=False, compare=False)
     distances: tuple[float, ...]
     rate_bound: Optional[float]
     bound_ok: Optional[tuple[bool, ...]]
 
+    def __eq__(self, other):
+        if not isinstance(other, WalkTrace):
+            return NotImplemented
+        return (self.distances, self.rate_bound, self.bound_ok) == (
+            other.distances, other.rate_bound, other.bound_ok
+        ) and np.array_equal(self.table, other.table)
+
+    @cached_property
+    def distributions(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(map(tuple, self.table.tolist()))
+
 
 def transition_matrix(G: Graph) -> np.ndarray:
-    """Uniform-neighbor transition matrix of a regular graph."""
+    """Uniform-neighbor transition matrix of a regular graph: A / k (A is symmetric)."""
     k = G.regular_k
     if k is None:
         raise RegularityError("exact evolution requires a regular graph")
     if k == 0:
         raise UndefinedTransitionError("every vertex has zero degree; walk undefined")
-    M = np.zeros((G.n, G.n))
-    for u, nbrs in enumerate(G.adjacency):
-        for v in nbrs:
-            M[v, u] = 1.0 / k
+    M = adjacency_matrix(G)
+    M /= k
     return M
 
 
-def _check_walk_capacity(width: int, steps: int, paths: int = 0) -> None:
+def check_walk_capacity(width: int, steps: int, paths: int = 0) -> None:
+    """Refuse a walk table of (steps + 1) x width cells, or (steps + 1) * paths
+    edge visits, above the limits, before allocating."""
     cells = (steps + 1) * width
     if cells > WALK_CELL_LIMIT:
         raise CapacityError(
@@ -108,34 +126,42 @@ def evolve_exact(
     *,
     slack: float = 1e-9,
 ) -> WalkTrace:
-    """Evolve p0 for the given number of steps, recording distances to uniform."""
+    """Evolve p0 for the given number of steps, recording distances to uniform.
+
+    Row t + 1 of one preallocated (steps + 1, n) table is M times row t; each
+    distance is ``sqrt(diff.dot(diff))`` for diff = row - uniform, the form
+    ``np.linalg.norm`` takes for a 1-D float64 vector.
+    """
     if steps < 0:
         raise ParameterError(f"steps must be non-negative, got {steps}")
     if len(p0.probabilities) != G.n:
         raise ParameterError(
             f"distribution has {len(p0.probabilities)} entries for a graph on {G.n} vertices"
         )
-    _check_walk_capacity(G.n, steps)
+    check_walk_capacity(G.n, steps)
     M = transition_matrix(G)
     u = np.full(G.n, 1.0 / G.n)
-    p = np.array(p0.probabilities)
-    dists = [p]
-    for _ in range(steps):
-        p = M @ p
-        dists.append(p)
-    distributions = tuple(tuple(float(x) for x in p) for p in dists)
-    distances = tuple(float(np.linalg.norm(p - u)) for p in dists)
+    diff = np.empty(G.n)
+    P = np.empty((steps + 1, G.n))
+    P[0] = p0.probabilities
+    for t in range(steps):
+        np.matmul(M, P[t], out=P[t + 1])
+    P.flags.writeable = False
+    distances = []
+    for row in P:
+        np.subtract(row, u, out=diff)
+        distances.append(math.sqrt(diff.dot(diff)))
     bound_ok = None
     if rate_bound is not None:
         bound_ok = tuple(d <= rate_bound**i + slack for i, d in enumerate(distances))
-    return WalkTrace(distributions, distances, rate_bound, bound_ok)
+    return WalkTrace(P, tuple(distances), rate_bound, bound_ok)
 
 
 def high_order_neighbors(X: Complex2, e: int) -> tuple[int, ...]:
     """Edges sharing a triangle with edge e, as sorted edge ids."""
     if not (0 <= e < X.n_edges):
         raise ParameterError(f"edge index {e} out of range")
-    return edge_graph(X).graph.adjacency[e]
+    return edge_graph(X).adjacency[e]
 
 
 def simulate(G: Graph, v0: int, steps: int, seed: int) -> tuple[int, ...]:
@@ -162,7 +188,7 @@ def high_order_simulate(X: Complex2, e0: int, steps: int, seed: int) -> tuple[in
         raise ParameterError(f"start edge {e0} out of range")
     if steps < 0:
         raise ParameterError(f"steps must be non-negative, got {steps}")
-    g1 = edge_graph(X).graph
+    g1 = edge_graph(X)
     if steps and not g1.adjacency[e0]:
         raise UndefinedTransitionError(f"edge {e0} belongs to no triangle; walk undefined")
     return simulate(g1, e0, steps, seed)
@@ -198,10 +224,10 @@ def high_order_step_counts(
         raise ParameterError(f"steps must be non-negative, got {steps}")
     if not (0 <= e0 < X.n_edges):
         raise ParameterError(f"start edge {e0} out of range")
-    _check_walk_capacity(X.n_edges, steps, paths)
+    check_walk_capacity(X.n_edges, steps, paths)
     counts = np.zeros((steps + 1, X.n_edges), dtype=np.int64)
     counts[0, e0] = paths
-    adjacency = edge_graph(X).graph.adjacency
+    adjacency = edge_graph(X).adjacency
     if steps and paths and not adjacency[e0]:
         # Every other edge a walk reaches has the edge it came from as a neighbor.
         raise UndefinedTransitionError(f"edge {e0} belongs to no triangle; walk undefined")
@@ -254,9 +280,14 @@ def rapid_mixing_audit(
     """Exact edge-walk evolution from every point-mass start vs. the rate bound.
 
     Hypothesis failures (irregular complex, lambda2 >= 1/2, no triangles)
-    yield a not-applicable report rather than a failure.
+    yield a not-applicable report rather than a failure.  Negative or
+    oversized ``steps`` raise first, whatever the complex.
     """
     from .complexes import degree_profile
+
+    if steps < 0:
+        raise ParameterError(f"steps must be non-negative, got {steps}")
+    check_walk_capacity(X.n_edges, steps)
 
     def not_applicable(reason: str) -> RapidMixingReport:
         return RapidMixingReport(False, reason, None, None, None, None, (), ())
@@ -270,9 +301,12 @@ def rapid_mixing_audit(
     report = normalized_spectrum(G0)
     lambda2 = report.lambda2
     if not lambda2_below_half(G0, report):
-        return not_applicable(f"lambda2 = {lambda2} >= 1/2")
+        return not_applicable(
+            "rate bound requires lambda2 < 1/2; it is at least 1/2, decided exactly "
+            f"(eigensolver value {lambda2})"
+        )
     rate = mixing_rate_bound(certificate.epsilon_cosystolic, lambda2)
-    g1 = edge_graph(X).graph
+    g1 = edge_graph(X)
     M = transition_matrix(g1)
     u = np.full(g1.n, 1.0 / g1.n)
     P = np.eye(g1.n)  # column j = point mass at edge j

@@ -1,0 +1,52 @@
+"""Loop reference for ``walk.evolve_exact`` and the dense matrices behind it.
+
+The matrices are filled one neighbor at a time, and the walk appends a new
+array per step, then converts every step to a tuple of floats and takes
+``np.linalg.norm`` of each.  The library fills one preallocated table and
+one vectorised matrix; tests require its results to equal these.
+"""
+
+import numpy as np
+
+from hdxwalk.errors import ParameterError, RegularityError, UndefinedTransitionError
+
+
+def loop_adjacency_matrix(G):
+    A = np.zeros((G.n, G.n))
+    for u, nbrs in enumerate(G.adjacency):
+        for v in nbrs:
+            A[u, v] = 1.0
+    return A
+
+
+def loop_transition_matrix(G):
+    """Uniform-neighbor transition matrix of a regular graph."""
+    k = G.regular_k
+    if k is None:
+        raise RegularityError("exact evolution requires a regular graph")
+    if k == 0:
+        raise UndefinedTransitionError("every vertex has zero degree; walk undefined")
+    M = np.zeros((G.n, G.n))
+    for u, nbrs in enumerate(G.adjacency):
+        for v in nbrs:
+            M[v, u] = 1.0 / k
+    return M
+
+
+def loop_evolve_exact(G, p0, steps, rate_bound=None, *, slack=1e-9):
+    """(distributions, distances, bound_ok) of p0 evolved for the given number of steps."""
+    if steps < 0:
+        raise ParameterError(f"steps must be non-negative, got {steps}")
+    M = loop_transition_matrix(G)
+    u = np.full(G.n, 1.0 / G.n)
+    p = np.array(p0.probabilities)
+    dists = [p]
+    for _ in range(steps):
+        p = M @ p
+        dists.append(p)
+    distributions = tuple(tuple(float(x) for x in p) for p in dists)
+    distances = tuple(float(np.linalg.norm(p - u)) for p in dists)
+    bound_ok = None
+    if rate_bound is not None:
+        bound_ok = tuple(d <= rate_bound**i + slack for i, d in enumerate(distances))
+    return distributions, distances, bound_ok

@@ -54,13 +54,13 @@ def test_criterion_01_edge_graph_ground_truth():
     start = time.perf_counter()
     ok = True
 
-    g1 = edge_graph(K4).graph
+    g1 = edge_graph(K4)
     ok &= g1.n == 6 and g1.regular_k == 4
     spec = normalized_spectrum(g1).normalized_eigenvalues
     want = [1.0, 0.0, 0.0, 0.0, -0.5, -0.5]
     ok &= all(abs(a - b) <= 1e-9 for a, b in zip(spec, want))
 
-    g1 = edge_graph(K5).graph
+    g1 = edge_graph(K5)
     ok &= g1.n == 10 and g1.regular_k == 6
     spec = normalized_spectrum(g1).normalized_eigenvalues
     want = [1.0] + [1 / 6] * 4 + [-1 / 3] * 5
@@ -89,8 +89,8 @@ def test_criterion_03_mixing_lemma_audit():
         complete_graph(5),
         cycle_graph(4),
         cycle_graph(6),
-        edge_graph(K4).graph,
-        edge_graph(K5).graph,
+        edge_graph(K4),
+        edge_graph(K5),
     ]
     ok = all(mixing_lemma_audit(G).residual <= 1e-6 for G in corpus)
     report(3, ok, "expander mixing bound residual <= 1e-6 over all subsets of the 6-graph corpus",
@@ -104,8 +104,8 @@ def test_criterion_04_cheeger_inequality():
         "K5": complete_graph(5),
         "C4": cycle_graph(4),
         "C6": cycle_graph(6),
-        "octahedron": edge_graph(K4).graph,
-        "T5": edge_graph(K5).graph,
+        "octahedron": edge_graph(K4),
+        "T5": edge_graph(K5),
     }
     ok = all(cheeger_inequality_audit(G).slack >= -1e-9 for G in corpus.values())
     ok &= cheeger_exhaustive(corpus["K4"]).h_normalized == Fraction(2, 3)
@@ -204,7 +204,7 @@ def test_criterion_08_main_theorem_end_to_end(tmp_path):
 
         # exact evolution from every point-mass start, against both bounds
         X = complete_complex(n)
-        g1 = edge_graph(X).graph
+        g1 = edge_graph(X)
         for e0 in range(g1.n):
             trace = evolve_exact(g1, Distribution.point_mass(g1.n, e0), 100)
             d0 = trace.distances[0]
@@ -221,7 +221,7 @@ def test_criterion_09_walk_engine_equivalence():
     start = time.perf_counter()
     paths, steps, seed = 100_000, 8, 1729
     counts = high_order_step_counts(K5, 0, steps, paths=paths, seed=seed)
-    exact = evolve_exact(edge_graph(K5).graph, Distribution.point_mass(10, 0), steps)
+    exact = evolve_exact(edge_graph(K5), Distribution.point_mass(10, 0), steps)
     empirical = [c / paths for c in counts[steps]]
     tv = 0.5 * sum(abs(a - b) for a, b in zip(empirical, exact.distributions[steps]))
     ok = tv <= 0.01

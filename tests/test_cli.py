@@ -120,6 +120,16 @@ def test_spectrum_missing_file():
     assert code == 2
 
 
+def test_spectrum_dense_limit_exit_3_quickly(tmp_path):
+    path = tmp_path / "cycle.complex"
+    path.write_text(json.dumps({"edges": [[i, (i + 1) % 2049] for i in range(2049)]}))
+    start = time.perf_counter()
+    code, out, err = invoke("spectrum", str(path), "--graph", "g0")
+    assert time.perf_counter() - start < 0.5
+    assert code == 3 and out == ""
+    assert err.startswith("hdx: capacity error: ")
+
+
 def test_spectrum_g1_octahedron(k4_file):
     code, out, _ = invoke("spectrum", k4_file, "--graph", "g1")
     assert code == 0
@@ -459,6 +469,17 @@ def test_walk_paths_csv_pinned(tmp_path):
     )
 
 
+def test_walk_exact_csv_pinned(tmp_path):
+    # sha256 of this command's stdout from the engine that kept one array per step.
+    path = tmp_path / "k40.complex"
+    assert invoke("gen", "complete", "--n", "40", "-o", str(path))[0] == 0
+    code, out, _ = invoke("walk", str(path), "--start", "0", "--steps", "2000")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "38c4b6e255cd3ca2d348fe9d11162ed73e99389a9e9a03c56cc7fbe02dfe9aa6"
+    )
+
+
 @pytest.mark.parametrize("mode", [("--paths", "10"), ("--paths", "0"), ()])
 def test_walk_negative_steps_exit_2(k4_file, mode):
     code, out, err = invoke("walk", k4_file, "--start", "0", "--steps", "-1", *mode)
@@ -507,6 +528,30 @@ def test_verify_theorem_cuboctahedron_not_applicable(seed, tmp_path):
     assert doc["status"] == "not-applicable"
     assert doc["results"]["reason"] == "spectral gap of the underlying graph is at most 1/2"
     assert "certificate" not in doc["results"]
+
+
+@pytest.mark.parametrize("complex_file", ["k4_file", "hexagon_file"])
+@pytest.mark.parametrize("steps, code", [("-1", 2), ("100000000", 3)])
+def test_verify_theorem_steps_refused_quickly(complex_file, steps, code, request):
+    # Refused before certification, whether or not the theorem applies.
+    path = request.getfixturevalue(complex_file)
+    start = time.perf_counter()
+    got, out, err = invoke("verify-theorem", path, "--steps", steps)
+    assert time.perf_counter() - start < 0.5
+    assert got == code and out == ""
+    assert err.startswith("hdx: capacity error: " if code == 3 else "hdx: ")
+
+
+def test_gap_messages_state_the_exact_decision(tmp_path):
+    # lambda2 = 1/2 exactly; on this relabelling the float reads 0.49999999999999956.
+    path = tmp_path / "cubo.complex"
+    save_complex(relabel(CUBOCTAHEDRON, 14), str(path))
+    code, out, _ = invoke("audit", str(path), "--lemma", "all")
+    assert code == 0
+    reasons = [r["reason"] for r in json.loads(out)["results"]["lemmas"] if "reason" in r]
+    assert len(reasons) == 4
+    exact = "lambda2 < 1/2; it is at least 1/2, decided exactly (eigensolver value 0.4999"
+    assert all(exact in reason for reason in reasons)
 
 
 def test_verify_theorem_not_applicable(hexagon_file):

@@ -522,7 +522,7 @@ def test_large_cuts_witness_achieves_minimum():
 
 def test_large_cuts_witness_is_least_minimum_cut():
     # proper subsets containing vertex 0, compared as sorted vertex tuples
-    for G in (complete_graph(4), complete_graph(6), edge_graph(K4).graph):
+    for G in (complete_graph(4), complete_graph(6), edge_graph(K4)):
         candidates = []
         for r in range(1, G.n):
             for s in combinations(range(G.n), r):

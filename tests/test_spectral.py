@@ -37,8 +37,8 @@ K4 = complete_graph(4)
 K5 = complete_graph(5)
 C4 = cycle_graph(4)
 C6 = cycle_graph(6)
-OCTAHEDRON = edge_graph(complete_complex(4)).graph
-T5 = edge_graph(complete_complex(5)).graph
+OCTAHEDRON = edge_graph(complete_complex(4))
+T5 = edge_graph(complete_complex(5))
 
 CORPUS = {
     "K4": K4,
@@ -86,7 +86,7 @@ def test_edge_graph_t5():
 
 def test_edge_graph_adjacency_rule_exhaustive():
     for X in (complete_complex(5), random_complex(6, 0.5, seed=3)):
-        g1 = edge_graph(X).graph
+        g1 = edge_graph(X)
         tri = set(X.triangles)
         for a in range(X.n_edges):
             for b in range(a + 1, X.n_edges):
@@ -97,22 +97,25 @@ def test_edge_graph_adjacency_rule_exhaustive():
 
 def test_edge_graph_degree_identity():
     for X in (complete_complex(5), random_complex(6, 0.4, seed=9)):
-        g1 = edge_graph(X).graph
+        g1 = edge_graph(X)
         for e in range(X.n_edges):
             assert g1.degrees[e] == 2 * len(X.edge_triangles[e])
 
 
 def test_edge_graph_isolated_vertex_for_triangle_free_edge():
     X = build_from_triangles([(0, 1, 2)], [(0, 3)])
-    g1 = edge_graph(X).graph
+    g1 = edge_graph(X)
     assert g1.adjacency[X.edge_ids[(0, 3)]] == ()
 
 
 def test_edge_graph_bijection():
+    # The edge-graph is a Graph on the edge ids themselves: vertex e is edge e.
     X = complete_complex(5)
-    eg = edge_graph(X)
-    assert sorted(eg.to_edge) == list(range(X.n_edges))
-    assert all(eg.from_edge[eg.to_edge[i]] == i for i in range(X.n_edges))
+    g1 = edge_graph(X)
+    assert isinstance(g1, Graph) and g1.n == X.n_edges
+    for e in range(X.n_edges):
+        want = {f for t in X.triangle_edge_ids if e in t for f in t if f != e}
+        assert set(g1.adjacency[e]) == want
 
 
 # --- spectra ---------------------------------------------------------------
@@ -233,7 +236,7 @@ GAP_GRAPHS = {
     "octahedron": OCTAHEDRON,
     "T5": T5,
     "two triangles": Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
-    "edge-graph of K6": edge_graph(complete_complex(6)).graph,
+    "edge-graph of K6": edge_graph(complete_complex(6)),
 }
 
 
@@ -277,7 +280,7 @@ CUT_GRAPHS = {
     "isolated vertices": Graph.from_edges(4, [(1, 2)]),
     "seeded 9": seeded_graph(9, 5),
     "seeded 11": seeded_graph(11, 6),
-    "irregular edge-graph": edge_graph(random_complex(5, 0.5, seed=2)).graph,
+    "irregular edge-graph": edge_graph(random_complex(5, 0.5, seed=2)),
 }
 
 

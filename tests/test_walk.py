@@ -1,9 +1,13 @@
 """Walk engines: the portable RNG, exact evolution, and seeded simulation."""
 
+import tracemalloc
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from loop_exact import loop_adjacency_matrix, loop_evolve_exact, loop_transition_matrix
+from named_complexes import CUBOCTAHEDRON, RP2_6, relabel
 from named_complexes import OCTAHEDRON as OCTAHEDRON_COMPLEX
-from named_complexes import RP2_6
 from scalar_walk import edge_neighbor_table, scalar_step_counts
 
 from hdxwalk import walk
@@ -17,7 +21,7 @@ from hdxwalk.errors import (
 from hdxwalk.expansion import certify_exact
 from hdxwalk.graphs import Graph, complete_graph, cycle_graph, edge_graph
 from hdxwalk.rng import _GAMMA, _mix, SplitMix64, derive_seed, derive_seeds, mix_array
-from hdxwalk.spectral import normalized_spectrum
+from hdxwalk.spectral import DENSE_VERTEX_LIMIT, adjacency_matrix, normalized_spectrum
 from hdxwalk.walk import (
     WALK_CELL_LIMIT,
     WALK_VISIT_LIMIT,
@@ -33,7 +37,7 @@ from hdxwalk.walk import (
 
 K4 = complete_complex(4)
 K5 = complete_complex(5)
-OCTAHEDRON = edge_graph(K4).graph
+OCTAHEDRON = edge_graph(K4)
 
 
 # --- RNG ---------------------------------------------------------------------
@@ -123,7 +127,7 @@ def test_octahedron_spectral_decay():
 
 
 def test_spectral_decay_on_nonbipartite_corpus():
-    graphs = [complete_graph(4), complete_graph(5), OCTAHEDRON, edge_graph(K5).graph, cycle_graph(5)]
+    graphs = [complete_graph(4), complete_graph(5), OCTAHEDRON, edge_graph(K5), cycle_graph(5)]
     for G in graphs:
         lam = normalized_spectrum(G).lambda_max_nontrivial
         for start in range(G.n):
@@ -141,14 +145,14 @@ def test_trace_steps_recomputable():
 
 
 def test_trace_preserves_stochasticity():
-    trace = evolve_exact(edge_graph(K5).graph, Distribution.point_mass(10, 3), 50)
+    trace = evolve_exact(edge_graph(K5), Distribution.point_mass(10, 3), 50)
     for p in trace.distributions:
         assert abs(sum(p) - 1.0) <= 1e-12
         assert min(p) >= -1e-15
 
 
 def test_monotone_contraction_on_connected_regular():
-    for G in (complete_graph(4), OCTAHEDRON, edge_graph(K5).graph, cycle_graph(5)):
+    for G in (complete_graph(4), OCTAHEDRON, edge_graph(K5), cycle_graph(5)):
         trace = evolve_exact(G, Distribution.point_mass(G.n, 0), 30)
         for a, b in zip(trace.distances, trace.distances[1:]):
             assert b <= a + 1e-12
@@ -166,6 +170,110 @@ def test_evolve_rejects_irregular_and_isolated():
         evolve_exact(Graph.from_edges(3, [(0, 1), (1, 2)]), Distribution.uniform(3), 2)
     with pytest.raises(UndefinedTransitionError):
         evolve_exact(Graph.from_edges(2, []), Distribution.uniform(2), 1)
+
+
+# --- exact evolution against the loop reference ------------------------------------
+
+
+@lru_cache(maxsize=None)
+def k40_edges():
+    """Edge graph of the complete complex on 40 vertices: 780 vertices, 76-regular."""
+    return edge_graph(complete_complex(40))
+
+
+EXACT_GRAPHS = {
+    "K2 (bipartite)": complete_graph(2),
+    "K4": complete_graph(4),
+    "K5": complete_graph(5),
+    "K6": complete_graph(6),
+    "C5": cycle_graph(5),
+    "C6 (bipartite)": cycle_graph(6),
+    "octahedron": OCTAHEDRON,
+    "T5": edge_graph(K5),
+    "edge graph of K6": edge_graph(complete_complex(6)),
+    "edge graph of the octahedron": edge_graph(OCTAHEDRON_COMPLEX),
+    "edge graph of RP2_6": edge_graph(RP2_6),
+}
+
+
+def _fields(trace):
+    return trace.distributions, trace.distances, trace.bound_ok
+
+
+@pytest.mark.parametrize("rate_bound", [None, 0.9])
+@pytest.mark.parametrize("name", list(EXACT_GRAPHS))
+def test_evolve_exact_matches_loop_reference(name, rate_bound):
+    G = EXACT_GRAPHS[name]
+    starts = [Distribution.uniform(G.n)] + [Distribution.point_mass(G.n, v) for v in range(G.n)]
+    for p0 in starts:
+        for steps in (0, 1, 60):
+            want = loop_evolve_exact(G, p0, steps, rate_bound)
+            assert _fields(evolve_exact(G, p0, steps, rate_bound)) == want
+
+
+def test_evolve_exact_matches_loop_reference_on_k40_edges():
+    G = k40_edges()
+    for p0, steps in ((Distribution.point_mass(G.n, 0), 2000), (Distribution.uniform(G.n), 20)):
+        want = loop_evolve_exact(G, p0, steps, 0.99)
+        assert _fields(evolve_exact(G, p0, steps, 0.99)) == want
+        plain = evolve_exact(G, p0, steps)
+        assert plain.distances == want[1] and plain.bound_ok is None
+
+
+def test_dense_matrices_match_loops():
+    irregular = [
+        Graph.from_edges(0, []),
+        Graph.from_edges(1, []),
+        Graph.from_edges(4, [(1, 2)]),
+        Graph.from_edges(3, [(0, 1), (1, 2)]),
+        Graph.from_edges(7, [(0, 5), (0, 6), (1, 2), (2, 6), (3, 4), (4, 6)]),
+        edge_graph(random_complex(6, 0.5, 3)),
+    ]
+    for G in list(EXACT_GRAPHS.values()) + [k40_edges()] + irregular:
+        assert np.array_equal(adjacency_matrix(G), loop_adjacency_matrix(G))
+        if G.regular_k:
+            assert np.array_equal(transition_matrix(G), loop_transition_matrix(G))
+
+
+def test_trace_table_is_read_only_and_distributions_are_its_rows():
+    trace = evolve_exact(OCTAHEDRON, Distribution.point_mass(6, 2), 12)
+    assert trace.table.shape == (13, 6) and not trace.table.flags.writeable
+    with pytest.raises(ValueError):
+        trace.table[0, 0] = 0.5
+    assert trace.distributions == tuple(tuple(float(x) for x in row) for row in trace.table)
+    assert trace.distributions is trace.distributions
+    assert trace == evolve_exact(OCTAHEDRON, Distribution.point_mass(6, 2), 12)
+    # Point masses on a vertex-transitive graph give equal distances, not equal traces.
+    assert trace != evolve_exact(OCTAHEDRON, Distribution.point_mass(6, 3), 12)
+
+
+def test_evolve_exact_peak_memory_is_one_table():
+    G = k40_edges()
+    p0 = Distribution.point_mass(G.n, 0)
+    G.regular_k  # cached before tracing
+    tracemalloc.start()
+    try:
+        trace = evolve_exact(G, p0, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table, matrix = 2001 * G.n * 8, G.n * G.n * 8
+    assert peak < table + matrix + 2**21
+    rows = trace.distributions
+    assert len(rows) == 2001 and rows[0][0] == 1.0 and abs(sum(rows[-1]) - 1.0) < 1e-12
+
+
+def test_dense_matrices_refused_above_limit():
+    assert k40_edges().n <= DENSE_VERTEX_LIMIT  # the largest benchmark graph
+    big = cycle_graph(DENSE_VERTEX_LIMIT + 1)
+    for build in (adjacency_matrix, transition_matrix, normalized_spectrum):
+        with pytest.raises(CapacityError):
+            build(big)
+    with pytest.raises(CapacityError):
+        evolve_exact(big, Distribution.uniform(big.n), 0)
+    X = complete_complex(65)  # 2080 edges
+    with pytest.raises(CapacityError):
+        rapid_mixing_audit(X, certify_exact(K4), 0)
 
 
 # --- neighbor rule ---------------------------------------------------------------
@@ -222,11 +330,10 @@ def test_high_order_simulate_determinism_and_validity():
 
 def test_walk_engines_agree_through_edge_graph():
     # the edge walk on X and the vertex walk on its edge-graph share the rule
-    eg = edge_graph(K5)
+    # (edge-graph vertex e is edge e)
     for seed in (0, 1, 2, 77):
         ho = high_order_simulate(K5, 4, 25, seed=seed)
-        gv = simulate(eg.graph, eg.from_edge[4], 25, seed=seed)
-        assert tuple(eg.to_edge[v] for v in gv) == ho
+        assert simulate(edge_graph(K5), 4, 25, seed=seed) == ho
 
 
 def test_simulate_stuck_edge_errors():
@@ -265,7 +372,7 @@ def test_walk_capacity_refused_before_allocating():
     with pytest.raises(CapacityError):
         high_order_step_counts(K5, 0, 0, paths=10**30, seed=0)
     with pytest.raises(CapacityError):
-        evolve_exact(edge_graph(K5).graph, Distribution.point_mass(10, 0), 10**8)
+        evolve_exact(edge_graph(K5), Distribution.point_mass(10, 0), 10**8)
     steps = WALK_CELL_LIMIT // 10 - 1
     assert len(high_order_step_counts(K5, 0, steps, paths=0, seed=0)) == steps + 1
 
@@ -279,7 +386,7 @@ def test_step_counts_reproducible():
 def test_ensemble_tracks_exact_distribution():
     paths = 20000
     counts = high_order_step_counts(K4, 0, 5, paths=paths, seed=2024)
-    trace = evolve_exact(edge_graph(K4).graph, Distribution.point_mass(6, 0), 5)
+    trace = evolve_exact(edge_graph(K4), Distribution.point_mass(6, 0), 5)
     empirical = [c / paths for c in counts[5]]
     tv = 0.5 * sum(abs(a - b) for a, b in zip(empirical, trace.distributions[5]))
     assert tv < 0.02
@@ -424,6 +531,26 @@ def test_rapid_mixing_not_applicable_small_gap():
     assert not report.applicable
     assert "1/2" in report.reason
     assert not cert.connected and not cert.mu_vacuous
+
+
+def test_rapid_mixing_not_applicable_reason_states_exact_decision():
+    # The float lambda2 reads 0.49999999999999956 on this relabelling.
+    report = rapid_mixing_audit(relabel(CUBOCTAHEDRON, 14), certify_exact(K4), 10)
+    assert not report.applicable
+    assert report.reason.startswith(
+        "rate bound requires lambda2 < 1/2; it is at least 1/2, decided exactly "
+        "(eigensolver value 0.4999"
+    )
+
+
+def test_rapid_mixing_audit_validates_steps_first():
+    irregular = build_from_triangles([(0, 1, 2)], [(0, 3)])
+    cert = certify_exact(K4)
+    for X in (K4, irregular):
+        with pytest.raises(ParameterError):
+            rapid_mixing_audit(X, cert, -1)
+        with pytest.raises(CapacityError):
+            rapid_mixing_audit(X, cert, WALK_CELL_LIMIT // X.n_edges)
 
 
 def test_step_zero_distance_at_most_one():
