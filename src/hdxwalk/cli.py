@@ -47,6 +47,7 @@ from .expansion import (
     coboundary_of_local_view,
     distance_formula_audit,
     fatness_constant,
+    gap_lambda2,
     large_cuts_audit,
     local_view_bounds_audit,
     local_view_sums,
@@ -280,8 +281,7 @@ def _audit_distance(X: Complex2, ns) -> dict:
 
 def _audit_local_views(X: Complex2, ns) -> dict:
     cert = certify_exact(X, max_bits=ns.max_bits)
-    lambda2 = normalized_spectrum(underlying_graph(X)).lambda2
-    eta = fatness_constant(lambda2)
+    eta = fatness_constant(gap_lambda2(X, "local-view bounds require"))
     eps = cert.epsilon_cosystolic
     audit = partial(local_view_bounds_audit, X, epsilon=eps, eta=eta, mu=cert.mu, slack=ns.slack)
 
@@ -508,9 +508,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=int, required=True, help="start edge index")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", help="exact evolution (default)")
-    mode.add_argument("--paths", type=int, default=None, help="Monte Carlo path count")
+    p.add_argument("--paths", type=int, default=None, help="Monte Carlo path count")
     p.add_argument("--alpha", type=float, default=None, help="rate bound to compare against")
     p.add_argument("--slack", type=float, default=1e-9)
     p.set_defaults(func=_cmd_walk)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from . import gf2
 from .complexes import Complex2
@@ -158,10 +158,6 @@ class CodeSpace:
                 f"chain dimension {chain.dimension} != code dimension {self.face_dimension}"
             )
         return gf2.in_span(chain_to_mask(chain), self.basis_masks)
-
-    def iter_codewords(self) -> Iterator[Chain]:
-        for mask in gf2.span_iter(self.basis_masks):
-            yield mask_to_chain(self.face_dimension, mask)
 
 
 def _coboundary_generators(X: Complex2, i: int) -> tuple[int, ...]:

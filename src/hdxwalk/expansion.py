@@ -5,7 +5,9 @@
 cosystolic constant; the coboundary constant takes distances to B^i instead),
 together with the smallest relative size mu of a nontrivial cocycle.  Each
 quantity depends only on the coset of S, so it is read off tables of coset
-leaders indexed by syndrome; one scan of all subsets finds the witnesses.
+leaders indexed by syndrome.  The least witnesses come from the same tables:
+a greedy pass over the faces for the two ratios, and a scan of the cocycles
+for mu.
 
 The audits check, on concrete inputs, the chain of facts behind the mixing
 bound: the outgoing-edges identity between edge-graph cuts and local-view
@@ -54,12 +56,10 @@ from .spectral import (
     subset_xors,
 )
 
-#: Default exhaustive certification bound: 2**bits subsets per dimension.
+#: Default certification bound: faces per dimension.
 CERTIFY_BIT_LIMIT = 24
 #: Exhaustive minimum-cut enumeration bound.
 LARGE_CUTS_VERTEX_LIMIT = 26
-#: The witness scan takes subsets in blocks of 2**bits.
-_SCAN_BLOCK_BITS = 16
 #: Coset-leader weight of a syndrome not reached yet.
 _UNREACHED = 255
 
@@ -96,7 +96,7 @@ def _required_regular(X: Complex2) -> tuple[int, int]:
     return regular
 
 
-def _gap_lambda2(X: Complex2, claim: str) -> float:
+def gap_lambda2(X: Complex2, claim: str) -> float:
     """lambda2 of the underlying graph; DomainError("<claim> lambda2 < 1/2; ...") unless below."""
     G0 = underlying_graph(X)
     report = normalized_spectrum(G0)
@@ -163,40 +163,28 @@ def _least_ratio(weight: np.ndarray, size: np.ndarray, k: int) -> tuple[Fraction
     return best, live & (size == tie[weight])
 
 
-def _first_members(count: int, searches) -> list[tuple[int, ...]]:
-    """The lexicographically first subset of range(count) found by each search.
+def _lex_least(columns: list[int], flags: np.ndarray) -> tuple[int, ...]:
+    """The lexicographically least subset of range(len(columns)) whose syndrome is flagged.
 
-    A search is (syndrome columns, flag per coset, size or None): it finds
-    the subsets whose coset is flagged and, given a size, that have it.
-    Subsets are scanned in blocks over their top bits, keeping each block's
-    first, so memory stays at the size of a block.
+    Greedy, one index at a time: stop once the syndrome of the subset chosen
+    so far is flagged; otherwise take index j exactly when some flagged
+    syndrome lies in syndrome ^ columns[j] ^ span(columns[j + 1:]).  Two
+    syndromes differ by a member of that span exactly when they reduce alike
+    against its reduced basis, so one pass over the flagged syndromes tests
+    them all.  Some flagged syndrome must be reachable from the start.
     """
-    low = min(count, _SCAN_BLOCK_BITS)
-    sizes = subset_sums([1] * low, np.uint8)
-    # Low parts with the bit order reversed: in a block whose top part is not
-    # empty, the first member has the largest, because there a low part ends
-    # with the top part's least element, which follows every low element.
-    reversed_low = subset_sums([1 << (low - 1 - j) for j in range(low)], np.uint32)
-    tables = []
-    for columns, flags, want in searches:
-        dtype = np.min_scalar_type(len(flags) - 1)
-        tables.append(
-            (subset_xors(columns[:low], dtype), subset_xors(columns[low:], dtype), flags, want)
-        )
-    firsts = [None] * len(searches)
-    for top in range(1 << (count - low)):
-        for s, (low_syndromes, top_syndromes, flags, want) in enumerate(tables):
-            hit = flags[low_syndromes ^ top_syndromes[top]]
-            if want is not None:
-                hit &= sizes == want - top.bit_count()
-            if hit.any():
-                masks = np.flatnonzero(hit)
-                if top:
-                    masks = masks[[np.argmax(reversed_low[masks])]]
-                first = lex_first(masks + (top << low))
-                if firsts[s] is None or first < firsts[s]:
-                    firsts[s] = first
-    return firsts
+    flagged = np.flatnonzero(flags)
+    chosen, syndrome = [], 0
+    for j, column in enumerate(columns):
+        if flags[syndrome]:
+            break
+        offsets = flagged ^ (syndrome ^ column)
+        for row in gf2.row_reduce(columns[j + 1 :]):
+            offsets ^= (offsets >> gf2.low_bit(row) & 1) * row
+        if not offsets.all():
+            chosen.append(j)
+            syndrome ^= column
+    return tuple(chosen)
 
 
 def _certify_dimension(X: Complex2, i: int, k_i: int) -> DimensionReport:
@@ -218,24 +206,31 @@ def _certify_dimension(X: Complex2, i: int, k_i: int) -> DimensionReport:
     b_weight, b_size = _coset_leaders(b_columns, count - len(b_basis), gens, width)
     eps_z, z_ties = _least_ratio(z_weight, z_size, k_i)
     eps_b, b_ties = _least_ratio(b_weight, b_size, k_i)
-    searches = [(z_columns, z_ties, None), (b_columns, b_ties, None)]
     # Cocycles outside B: the nonzero cosets of B with an empty coboundary.
     nontrivial = b_size == 0
     nontrivial[0] = False
-    mu = None
+    mu = mu_witness = None
     if nontrivial.any():
         mu_size = int(b_weight[nontrivial].min())
         mu = Fraction(mu_size, count)
-        searches.append((b_columns, nontrivial & (b_weight == mu_size), mu_size))
-    witnesses = _first_members(count, searches)
+        # The least weight is not found greedily: scan every cocycle, with
+        # its B-syndrome by the same doubling from the basis vectors' own.
+        cocycles = subset_xors(z_basis, np.min_scalar_type((1 << count) - 1))
+        columns = np.array(b_columns, np.int64)
+        b_syndromes = subset_xors(
+            [int(np.bitwise_xor.reduce(columns[mask_bits(z)])) for z in z_basis],
+            np.min_scalar_type(len(b_weight) - 1),
+        )
+        fits = (np.bitwise_count(cocycles) == mu_size) & (b_syndromes != 0)
+        mu_witness = Chain.of(i, lex_first(cocycles[fits]))
     return DimensionReport(
         dimension=i,
         epsilon_cosystolic=eps_z,
-        cosystolic_witness=Chain.of(i, witnesses[0]),
+        cosystolic_witness=Chain.of(i, _lex_least(z_columns, z_ties)),
         epsilon_coboundary=eps_b,
-        coboundary_witness=Chain.of(i, witnesses[1]),
+        coboundary_witness=Chain.of(i, _lex_least(b_columns, b_ties)),
         mu=mu,
-        mu_witness=Chain.of(i, witnesses[2]) if mu is not None else None,
+        mu_witness=mu_witness,
     )
 
 
@@ -421,7 +416,7 @@ def distance_formula_audit(
     max_bits: int = CERTIFY_BIT_LIMIT,
 ) -> DistanceFormulaReport:
     k0, _ = _required_regular(X)
-    lambda2 = _gap_lambda2(X, "distance formula requires")
+    lambda2 = gap_lambda2(X, "distance formula requires")
     if F.dimension != 1:
         raise ParameterError("distance formula audit takes a 1-chain of edges")
     if mu is None:
@@ -481,7 +476,7 @@ def local_view_bounds_audit(
     max_bits: int = CERTIFY_BIT_LIMIT,
 ) -> LocalViewBoundsReport:
     k0, k1 = _required_regular(X)
-    lambda2 = _gap_lambda2(X, "local-view bounds require")
+    lambda2 = gap_lambda2(X, "local-view bounds require")
     if mu is None:
         mu = certify_exact(X, max_bits=max_bits).mu
     preconditions = _size_preconditions(X.n_vertices, lambda2, mu)
@@ -591,7 +586,7 @@ def sum_coboundaries_audit(
 ) -> SumCoboundariesResult:
     """Check sum_v |coboundary(F_v)| >= (eps*k1/4) * bracket(lambda2) * |F|."""
     _, k1 = _required_regular(X)
-    lambda2 = _gap_lambda2(X, "sum-of-coboundaries bound requires")
+    lambda2 = gap_lambda2(X, "sum-of-coboundaries bound requires")
     if F.dimension != 1:
         raise ParameterError("sum-of-coboundaries audit takes a 1-chain of edges")
     if 2 * len(F) > X.n_edges:

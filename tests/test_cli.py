@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from named_complexes import CUBOCTAHEDRON, relabel
+from named_complexes import CUBOCTAHEDRON, HEAWOOD_LINE, relabel
 
 from hdxwalk import cli
 from hdxwalk.cli import run
@@ -501,6 +501,13 @@ def test_walk_bad_start(k4_file):
     assert code == 2
 
 
+def test_walk_has_no_exact_flag(k4_file, capsys):
+    # Exact evolution is what walk does without --paths; there is no flag for it.
+    code, out, _ = invoke("walk", k4_file, "--start", "0", "--steps", "2", "--exact")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --exact" in capsys.readouterr().err
+
+
 # --- verify-theorem ------------------------------------------------------------------
 
 
@@ -552,6 +559,35 @@ def test_gap_messages_state_the_exact_decision(tmp_path):
     assert len(reasons) == 4
     exact = "lambda2 < 1/2; it is at least 1/2, decided exactly (eigensolver value 0.4999"
     assert all(exact in reason for reason in reasons)
+
+
+def test_local_views_gate_is_exact_on_the_cuboctahedron(tmp_path):
+    # Unrelabelled, the float reads 0.5000000000000004; the local-views runner
+    # decides the gap exactly before the fatness constant, as the others do.
+    path = tmp_path / "cubo.complex"
+    save_complex(CUBOCTAHEDRON, str(path))
+    code, out, _ = invoke("audit", str(path), "--lemma", "all")
+    assert code == 0
+    lemmas = json.loads(out)["results"]["lemmas"]
+    reasons = {r["lemma"]: r["reason"] for r in lemmas if r["status"] == "not-applicable"}
+    assert len(reasons) == 4
+    assert all("decided exactly" in reason for reason in reasons.values())
+    assert reasons["local-views"] == (
+        "local-view bounds require lambda2 < 1/2; it is at least 1/2, decided exactly "
+        "(eigensolver value 0.5000000000000004)"
+    )
+
+
+def test_certify_guard_is_bounded_by_tables_not_faces(tmp_path):
+    # 42 edges: a scan of 2**42 subsets never finishes, but the 2**28
+    # cocycles of Z^1 are one table over the limit, refused before allocating.
+    path = tmp_path / "heawood.complex"
+    save_complex(HEAWOOD_LINE, str(path))
+    start = time.perf_counter()
+    code, out, err = invoke("certify", str(path), "--max-bits", "64")
+    assert time.perf_counter() - start < 5.0
+    assert (code, out) == (3, "")
+    assert "2**28" in err
 
 
 def test_verify_theorem_not_applicable(hexagon_file):

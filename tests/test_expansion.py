@@ -8,12 +8,26 @@ exact rational constants.
 
 import functools
 import math
+import operator
 import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
-from named_complexes import CUBOCTAHEDRON, OCTAHEDRON, RP2_6, relabel
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from named_complexes import (
+    CUBOCTAHEDRON,
+    ICOSAHEDRON,
+    K333,
+    OCTAHEDRON,
+    PETERSEN_LINE,
+    RP2_6,
+    T5,
+    TORUS_7,
+    relabel,
+)
 from scan_certifier import scan_certify_dimension
 
 from hdxwalk import expansion
@@ -266,11 +280,8 @@ def _scan_reference(j, i, k_i):
     return _dimension_or_error(scan_certify_dimension, SCAN_INPUTS[j][1], i, k_i)
 
 
-@pytest.mark.parametrize("block_bits", [expansion._SCAN_BLOCK_BITS, 2])
-def test_certify_dimension_matches_codeword_scan(block_bits, monkeypatch):
-    # Every field, witnesses included, for arbitrary k_i; block_bits 2 splits
-    # each scan into many blocks.
-    monkeypatch.setattr(expansion, "_SCAN_BLOCK_BITS", block_bits)
+def test_certify_dimension_matches_codeword_scan():
+    # Every field, witnesses included, for arbitrary k_i.
     nontrivial_h1 = 0
     for j, (name, X) in enumerate(SCAN_INPUTS):
         nontrivial_h1 += len(cocycle_space(X, 1).basis) > len(coboundary_space(X, 1).basis)
@@ -280,6 +291,87 @@ def test_certify_dimension_matches_codeword_scan(block_bits, monkeypatch):
             got = _dimension_or_error(expansion._certify_dimension, X, i, k_i)
             assert got == want, (name, i)
     assert nontrivial_h1 >= 20
+
+
+# --- witnesses read off the coset tables -------------------------------------
+
+
+def _brute_lex_least(columns, flags):
+    subsets = sorted(
+        tuple(j for j in range(len(columns)) if m >> j & 1) for m in range(1 << len(columns))
+    )
+    hits = [s for s in subsets if flags[functools.reduce(operator.xor, (columns[j] for j in s), 0)]]
+    return hits[0] if hits else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_lex_least_matches_brute_force(data):
+    bits = data.draw(st.integers(1, 5))
+    columns = data.draw(st.lists(st.integers(0, 2**bits - 1), max_size=10))
+    flags = np.array(data.draw(st.lists(st.booleans(), min_size=2**bits, max_size=2**bits)))
+    want = _brute_lex_least(columns, flags)
+    assume(want is not None)
+    assert expansion._lex_least(columns, flags) == want
+
+
+@pytest.mark.parametrize("columns", [[1, 2, 4, 8], [3, 1, 2, 3, 6, 5], [1, 1, 1]])
+def test_lex_least_at_the_ends(columns):
+    flags = np.zeros(8 if max(columns) < 8 else 16, bool)
+    flags[0] = True  # a flagged empty prefix: the empty subset is least
+    assert expansion._lex_least(columns, flags) == () == _brute_lex_least(columns, flags)
+    flags[:] = False
+    flags[functools.reduce(operator.xor, columns)] = True  # flagged only at the full set
+    assert expansion._lex_least(columns, flags) == _brute_lex_least(columns, flags)
+
+
+# Captured from the earlier witness scan over all 2**faces subsets.
+PINNED_CERTIFICATES = {  # per dimension: (eps_cos, witness, eps_cob, witness, mu, witness)
+    TORUS_7: (
+        ('2/3', (0, 1, 2), '2/3', (0, 1, 2),
+         None, None),
+        ('1/3', (0, 1, 2), '1/7', (0, 1, 2, 3, 4, 5, 6, 7, 10, 12, 15, 17, 20),
+         '2/7', (0, 1, 2, 9, 10, 14)),
+    ),
+    K333: (
+        ('7/12', (0, 1, 3, 4, 6), '7/12', (0, 1, 3, 4, 6),
+         None, None),
+        ('1/3', (0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 12, 14, 15, 17, 23, 25), '1/3', (0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 12, 14, 15, 17, 23, 25),
+         None, None),
+    ),
+    ICOSAHEDRON: (
+        ('1/3', (0, 1, 2, 3, 4, 5), '1/3', (0, 1, 2, 3, 4, 5),
+         None, None),
+        ('1/5', (0, 1, 2, 3, 4, 5, 7, 8, 11, 13, 14, 16, 17, 18, 19, 20, 22, 28, 29), '1/5', (0, 1, 2, 3, 4, 5, 7, 8, 11, 13, 14, 16, 17, 18, 19, 20, 22, 28, 29),
+         None, None),
+    ),
+    T5: (
+        ('7/15', (0, 1, 2, 3, 4), '7/15', (0, 1, 2, 3, 4),
+         None, None),
+        ('5/21', (0, 1, 2, 3, 4, 5, 8, 9, 10, 12, 13, 14, 16, 25, 29), '5/21', (0, 1, 2, 3, 4, 5, 8, 9, 10, 12, 13, 14, 16, 25, 29),
+         None, None),
+    ),
+    PETERSEN_LINE: (
+        ('5/14', (0, 1, 2, 3, 4, 5, 6), '5/14', (0, 1, 2, 3, 4, 5, 6),
+         None, None),
+        ('1', (0,), '1/5', (0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 12, 15, 16),
+         '1/15', (0, 3)),
+    ),
+}
+
+
+@pytest.mark.parametrize("X", list(PINNED_CERTIFICATES), ids=["torus7", "K333", "icosahedron", "T5", "petersen-line"])
+def test_certificates_past_the_default_face_limit(X):
+    def fields(r):
+        return (
+            str(r.epsilon_cosystolic), tuple(sorted(r.cosystolic_witness.members)),
+            str(r.epsilon_coboundary), tuple(sorted(r.coboundary_witness.members)),
+            None if r.mu is None else str(r.mu),
+            None if r.mu_witness is None else tuple(sorted(r.mu_witness.members)),
+        )
+
+    cert = certify_exact(X, max_bits=30)
+    assert tuple(fields(r) for r in cert.dimensions) == PINNED_CERTIFICATES[X]
 
 
 def test_certificate_invariant_under_relabelling():
