@@ -43,6 +43,7 @@ from .errors import (
     RegularityError,
 )
 from .expansion import (
+    CERTIFY_BIT_LIMIT,
     certify_exact,
     coboundary_of_local_view,
     distance_formula_audit,
@@ -281,7 +282,7 @@ def _audit_distance(X: Complex2, ns) -> dict:
 
 def _audit_local_views(X: Complex2, ns) -> dict:
     cert = certify_exact(X, max_bits=ns.max_bits)
-    eta = fatness_constant(gap_lambda2(X, "local-view bounds require"))
+    eta = fatness_constant(gap_lambda2(underlying_graph(X), "local-view bounds require"))
     eps = cert.epsilon_cosystolic
     audit = partial(local_view_bounds_audit, X, epsilon=eps, eta=eta, mu=cert.mu, slack=ns.slack)
 
@@ -487,7 +488,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="exact expansion certificate")
     p.add_argument("file")
-    p.add_argument("--max-bits", type=int, default=24)
+    p.add_argument("--max-bits", type=int, default=CERTIFY_BIT_LIMIT)
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("audit", help="check the supporting inequalities on one complex")
@@ -497,7 +498,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("outgoing", "large-cuts", "distance", "local-views", "sum", "all"),
         required=True,
     )
-    p.add_argument("--max-bits", type=int, default=24)
+    p.add_argument("--max-bits", type=int, default=CERTIFY_BIT_LIMIT)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--slack", type=float, default=1e-9)
     p.add_argument("--strict", action="store_true")
@@ -519,7 +520,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("file")
     p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--max-bits", type=int, default=24)
+    p.add_argument("--max-bits", type=int, default=CERTIFY_BIT_LIMIT)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--slack", type=float, default=1e-9)
     p.add_argument("--strict", action="store_true")

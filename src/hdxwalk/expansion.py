@@ -5,7 +5,8 @@
 cosystolic constant; the coboundary constant takes distances to B^i instead),
 together with the smallest relative size mu of a nontrivial cocycle.  Each
 quantity depends only on the coset of S, so it is read off tables of coset
-leaders indexed by syndrome.  The least witnesses come from the same tables:
+leaders indexed by syndrome: one table per distinct code, all of them sized
+before any is built.  The least witnesses come from the same tables:
 a greedy pass over the faces for the two ratios, and a scan of the cocycles
 for mu.
 
@@ -31,6 +32,7 @@ from .cochain import (
     Chain,
     chain_to_mask,
     coboundary_edges,
+    coboundary_space,
     cocycle_space,
     distance_to_space,
     local_view,
@@ -96,11 +98,10 @@ def _required_regular(X: Complex2) -> tuple[int, int]:
     return regular
 
 
-def gap_lambda2(X: Complex2, claim: str) -> float:
-    """lambda2 of the underlying graph; DomainError("<claim> lambda2 < 1/2; ...") unless below."""
-    G0 = underlying_graph(X)
-    report = normalized_spectrum(G0)
-    if not lambda2_below_half(G0, report):
+def gap_lambda2(G: Graph, claim: str) -> float:
+    """lambda2 of G; DomainError("<claim> lambda2 < 1/2; ...") unless decided below exactly."""
+    report = normalized_spectrum(G)
+    if not lambda2_below_half(G, report):
         raise DomainError(
             f"{claim} lambda2 < 1/2; it is at least 1/2, decided exactly "
             f"(eigensolver value {report.lambda2})"
@@ -187,50 +188,58 @@ def _lex_least(columns: list[int], flags: np.ndarray) -> tuple[int, ...]:
     return tuple(chosen)
 
 
-def _certify_dimension(X: Complex2, i: int, k_i: int) -> DimensionReport:
-    if i == 0:
-        count, gens, width = X.n_vertices, X.vertex_edge_masks, X.n_edges
-        b_basis = [(1 << count) - 1] if count else []
-    else:
-        count, gens, width = X.n_edges, X.edge_triangle_masks, X.n_triangles
-        b_basis = gf2.image_basis(X.vertex_edge_masks)
-    z_basis = gf2.kernel_basis(gens)
-    if len(z_basis) == count:
+def _codes(X: Complex2, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Bases of Z^i and B^i, once every table certifying dimension i is known to fit.
+
+    The Z coset table has 2**(faces - dim Z) entries.  Only when B is smaller
+    than Z are the B coset table, 2**(faces - dim B), and the cocycle table,
+    2**dim Z, needed.
+    """
+    z, b = cocycle_space(X, i), coboundary_space(X, i)
+    if z.dim == z.ambient:
         raise DegenerateComplexError(
             f"every subset at dimension {i} is a cocycle; expansion ratio undefined"
         )
-    z_columns = gf2.syndrome_columns(z_basis, count)
-    b_columns = gf2.syndrome_columns(b_basis, count)
-    # Both distances, and |coboundary(S)|, depend only on the coset of S.
-    z_weight, z_size = _coset_leaders(z_columns, count - len(z_basis), gens, width)
-    b_weight, b_size = _coset_leaders(b_columns, count - len(b_basis), gens, width)
-    eps_z, z_ties = _least_ratio(z_weight, z_size, k_i)
-    eps_b, b_ties = _least_ratio(b_weight, b_size, k_i)
+    check_table_bits(z.ambient - z.dim)
+    if b.dim < z.dim:
+        check_table_bits(z.ambient - b.dim)
+        check_table_bits(z.dim)
+    return z.basis_masks, b.basis_masks
+
+
+def _certify_dimension(
+    X: Complex2, i: int, k_i: int, z_basis: tuple[int, ...], b_basis: tuple[int, ...]
+) -> DimensionReport:
+    """One dimension's report from the bases ``_codes`` returned."""
+    count, width = (X.n_vertices, X.n_edges, X.n_triangles)[i : i + 2]
+    gens = (X.vertex_edge_masks, X.edge_triangle_masks)[i]
+
+    def coset_table(basis):
+        # Distances, and |coboundary(S)|, depend only on the coset of S.
+        columns = gf2.syndrome_columns(basis, count)
+        weight, size = _coset_leaders(columns, count - len(basis), gens, width)
+        eps, ties = _least_ratio(weight, size, k_i)
+        return eps, Chain.of(i, _lex_least(columns, ties)), columns, weight, size
+
+    eps_z, z_witness, *_ = coset_table(z_basis)
+    if len(b_basis) == len(z_basis):
+        # B = Z: one code, so one table, and no cocycle outside B.
+        return DimensionReport(i, eps_z, z_witness, eps_z, z_witness, None, None)
+    eps_b, b_witness, b_columns, b_weight, b_size = coset_table(b_basis)
     # Cocycles outside B: the nonzero cosets of B with an empty coboundary.
-    nontrivial = b_size == 0
-    nontrivial[0] = False
-    mu = mu_witness = None
-    if nontrivial.any():
-        mu_size = int(b_weight[nontrivial].min())
-        mu = Fraction(mu_size, count)
-        # The least weight is not found greedily: scan every cocycle, with
-        # its B-syndrome by the same doubling from the basis vectors' own.
-        cocycles = subset_xors(z_basis, np.min_scalar_type((1 << count) - 1))
-        columns = np.array(b_columns, np.int64)
-        b_syndromes = subset_xors(
-            [int(np.bitwise_xor.reduce(columns[mask_bits(z)])) for z in z_basis],
-            np.min_scalar_type(len(b_weight) - 1),
-        )
-        fits = (np.bitwise_count(cocycles) == mu_size) & (b_syndromes != 0)
-        mu_witness = Chain.of(i, lex_first(cocycles[fits]))
+    mu_size = int(b_weight[1:][b_size[1:] == 0].min())
+    # The least weight is not found greedily: scan every cocycle, with its
+    # B-syndrome by the same doubling from the basis vectors' own.
+    cocycles = subset_xors(z_basis, np.min_scalar_type((1 << count) - 1))
+    columns = np.array(b_columns, np.int64)
+    b_syndromes = subset_xors(
+        [int(np.bitwise_xor.reduce(columns[mask_bits(z)])) for z in z_basis],
+        np.min_scalar_type(len(b_weight) - 1),
+    )
+    fits = (np.bitwise_count(cocycles) == mu_size) & (b_syndromes != 0)
+    mu_witness = Chain.of(i, lex_first(cocycles[fits]))
     return DimensionReport(
-        dimension=i,
-        epsilon_cosystolic=eps_z,
-        cosystolic_witness=Chain.of(i, _lex_least(z_columns, z_ties)),
-        epsilon_coboundary=eps_b,
-        coboundary_witness=Chain.of(i, _lex_least(b_columns, b_ties)),
-        mu=mu,
-        mu_witness=mu_witness,
+        i, eps_z, z_witness, eps_b, b_witness, Fraction(mu_size, count), mu_witness
     )
 
 
@@ -240,23 +249,20 @@ def certify_exact(X: Complex2, *, max_bits: int = CERTIFY_BIT_LIMIT) -> Expansio
     k0, k1 = _required_regular(X)
     if X.n_vertices > max_bits or X.n_edges > max_bits:
         raise CapacityError(
-            f"certification enumerates 2**faces subsets and is limited to "
-            f"{max_bits} faces per dimension; got {X.n_vertices} vertices, "
-            f"{X.n_edges} edges"
+            f"certification is limited to {max_bits} faces per dimension; "
+            f"got {X.n_vertices} vertices, {X.n_edges} edges"
         )
-    reports = tuple(
-        _certify_dimension(X, i, k_i) for i, k_i in ((0, k0), (1, k1))
-    )
+    codes = [_codes(X, i) for i in (0, 1)]  # every table is sized before any is built
+    reports = tuple(_certify_dimension(X, i, k, *codes[i]) for i, k in enumerate((k0, k1)))
     mus = [r.mu for r in reports if r.mu is not None]
     vacuous = not mus
-    mu = Fraction(1) if vacuous else min(mus)
-    connected = X.n_vertices == 0 or len(gf2.kernel_basis(X.vertex_edge_masks)) == 1
     return ExpansionCertificate(
         epsilon_cosystolic=min(r.epsilon_cosystolic for r in reports),
         epsilon_coboundary=min(r.epsilon_coboundary for r in reports),
-        mu=mu,
+        mu=Fraction(1) if vacuous else min(mus),
         mu_vacuous=vacuous,
-        connected=connected,
+        # dim Z^0 counts the components; _codes refuses a complex without vertices.
+        connected=len(codes[0][0]) == 1,
         dimensions=reports,
     )
 
@@ -416,7 +422,7 @@ def distance_formula_audit(
     max_bits: int = CERTIFY_BIT_LIMIT,
 ) -> DistanceFormulaReport:
     k0, _ = _required_regular(X)
-    lambda2 = gap_lambda2(X, "distance formula requires")
+    lambda2 = gap_lambda2(underlying_graph(X), "distance formula requires")
     if F.dimension != 1:
         raise ParameterError("distance formula audit takes a 1-chain of edges")
     if mu is None:
@@ -476,7 +482,7 @@ def local_view_bounds_audit(
     max_bits: int = CERTIFY_BIT_LIMIT,
 ) -> LocalViewBoundsReport:
     k0, k1 = _required_regular(X)
-    lambda2 = gap_lambda2(X, "local-view bounds require")
+    lambda2 = gap_lambda2(underlying_graph(X), "local-view bounds require")
     if mu is None:
         mu = certify_exact(X, max_bits=max_bits).mu
     preconditions = _size_preconditions(X.n_vertices, lambda2, mu)
@@ -549,13 +555,7 @@ def large_cuts_audit(G0: Graph, *, max_vertices: int = LARGE_CUTS_VERTEX_LIMIT) 
         )
     if G0.n < 2:
         raise DomainError("minimum cut needs at least 2 vertices")
-    report = normalized_spectrum(G0)
-    lambda2 = report.lambda2
-    if not lambda2_below_half(G0, report):
-        raise DomainError(
-            "minimum-cut bound requires lambda2 < 1/2; it is at least 1/2, decided exactly "
-            f"(eigensolver value {lambda2})"
-        )
+    lambda2 = gap_lambda2(G0, "minimum-cut bound requires")
     cut = cut_sizes(G0)[1:-1:2]  # masks 1, 3, ...: proper subsets containing vertex 0
     min_cut = int(cut.min())
     precondition = G0.n >= 4.0 / (1.0 - 2.0 * lambda2) - 1e-12
@@ -586,7 +586,7 @@ def sum_coboundaries_audit(
 ) -> SumCoboundariesResult:
     """Check sum_v |coboundary(F_v)| >= (eps*k1/4) * bracket(lambda2) * |F|."""
     _, k1 = _required_regular(X)
-    lambda2 = gap_lambda2(X, "sum-of-coboundaries bound requires")
+    lambda2 = gap_lambda2(underlying_graph(X), "sum-of-coboundaries bound requires")
     if F.dimension != 1:
         raise ParameterError("sum-of-coboundaries audit takes a 1-chain of edges")
     if 2 * len(F) > X.n_edges:

@@ -297,10 +297,3 @@ def characteristic_polynomial(G: Graph) -> tuple[int, ...]:
             raise AssertionError("characteristic polynomial must have integer coefficients")
         coeffs.append(-trace // k)
     return tuple(coeffs)
-
-
-def char_poly_eval(coeffs: tuple[int, ...], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in coeffs:
-        acc = acc * x + c
-    return acc

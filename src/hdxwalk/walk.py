@@ -19,11 +19,17 @@ from typing import Optional
 import numpy as np
 
 from .complexes import Complex2
-from .errors import CapacityError, ParameterError, RegularityError, UndefinedTransitionError
-from .expansion import ExpansionCertificate, mixing_rate_bound
+from .errors import (
+    CapacityError,
+    DomainError,
+    ParameterError,
+    RegularityError,
+    UndefinedTransitionError,
+)
+from .expansion import ExpansionCertificate, gap_lambda2, mixing_rate_bound
 from .graphs import Graph, edge_graph, underlying_graph
 from .rng import _GAMMA, SplitMix64, derive_seeds, mix_array
-from .spectral import adjacency_matrix, lambda2_below_half, normalized_spectrum
+from .spectral import adjacency_matrix, normalized_spectrum
 
 #: Most cells, (steps + 1) per vertex or edge, in a walk's output table.
 WALK_CELL_LIMIT = 2**21
@@ -297,14 +303,10 @@ def rapid_mixing_audit(
         return not_applicable("complex is not (k0, k1)-regular")
     if profile.regular[1] == 0:
         return not_applicable("no triangles; the edge walk has no moves")
-    G0 = underlying_graph(X)
-    report = normalized_spectrum(G0)
-    lambda2 = report.lambda2
-    if not lambda2_below_half(G0, report):
-        return not_applicable(
-            "rate bound requires lambda2 < 1/2; it is at least 1/2, decided exactly "
-            f"(eigensolver value {lambda2})"
-        )
+    try:
+        lambda2 = gap_lambda2(underlying_graph(X), "rate bound requires")
+    except DomainError as exc:
+        return not_applicable(str(exc))
     rate = mixing_rate_bound(certificate.epsilon_cosystolic, lambda2)
     g1 = edge_graph(X)
     M = transition_matrix(g1)

@@ -10,6 +10,7 @@ import functools
 import math
 import operator
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -19,6 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from named_complexes import (
     CUBOCTAHEDRON,
+    HEAWOOD_LINE,
     ICOSAHEDRON,
     K333,
     OCTAHEDRON,
@@ -275,6 +277,10 @@ def _dimension_or_error(certify, X, i, k_i):
         return str(exc)
 
 
+def _library_dimension(X, i, k_i):
+    return expansion._certify_dimension(X, i, k_i, *expansion._codes(X, i))
+
+
 @functools.cache
 def _scan_reference(j, i, k_i):
     return _dimension_or_error(scan_certify_dimension, SCAN_INPUTS[j][1], i, k_i)
@@ -288,7 +294,7 @@ def test_certify_dimension_matches_codeword_scan():
         for i in (0, 1):
             k_i = 1 + j % 4
             want = _scan_reference(j, i, k_i)
-            got = _dimension_or_error(expansion._certify_dimension, X, i, k_i)
+            got = _dimension_or_error(_library_dimension, X, i, k_i)
             assert got == want, (name, i)
     assert nontrivial_h1 >= 20
 
@@ -372,6 +378,42 @@ def test_certificates_past_the_default_face_limit(X):
 
     cert = certify_exact(X, max_bits=30)
     assert tuple(fields(r) for r in cert.dimensions) == PINNED_CERTIFICATES[X]
+
+
+@pytest.fixture
+def coset_table_bits(monkeypatch):
+    """The bits of every coset table built, in order; certify_exact's cache is bypassed."""
+    built = []
+    leaders = expansion._coset_leaders
+
+    def spy(columns, bits, gens, width):
+        built.append(bits)
+        return leaders(columns, bits, gens, width)
+
+    monkeypatch.setattr(expansion, "_coset_leaders", spy)
+    return built
+
+
+@pytest.mark.parametrize(
+    "X, max_bits, bits",
+    [(K5, 24, [4, 6]), (RP2_6, 24, [5, 9, 10]), (TORUS_7, 24, [6, 13, 15]), (T5, 30, [9, 21])],
+    ids=["K5", "RP2_6", "torus7", "T5"],
+)
+def test_one_coset_table_per_distinct_code(coset_table_bits, X, max_bits, bits):
+    # B^i = Z^i at dimension 0 of a connected complex and at dimension 1
+    # of K5 and T(5): one table serves both distances.
+    certify_exact.__wrapped__(X, max_bits=max_bits)
+    assert coset_table_bits == bits
+
+
+def test_every_table_is_sized_before_any_is_built(coset_table_bits):
+    # Tables of 2**20, 2**14 and 2**22 entries would fit; the 2**28
+    # cocycles of Z^1 do not, and that is known from dim Z and dim B alone.
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match=r"got 2\*\*28"):
+        certify_exact.__wrapped__(HEAWOOD_LINE, max_bits=64)
+    assert time.perf_counter() - start < 0.1
+    assert coset_table_bits == []
 
 
 def test_certificate_invariant_under_relabelling():

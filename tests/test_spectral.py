@@ -21,7 +21,6 @@ from hdxwalk.errors import CapacityError, RegularityError
 from hdxwalk.graphs import Graph, complete_graph, cycle_graph, edge_graph, underlying_graph
 from hdxwalk.rng import SplitMix64
 from hdxwalk.spectral import (
-    char_poly_eval,
     characteristic_polynomial,
     cheeger_exhaustive,
     cut_sizes,
@@ -175,6 +174,14 @@ def _clusters(values, tol=1e-6):
         else:
             out.append([v])
     return [(cluster[0], len(cluster)) for cluster in out]
+
+
+def char_poly_eval(coeffs, x: Fraction) -> Fraction:
+    """Horner's rule, highest power first."""
+    acc = Fraction(0)
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
 
 
 def assert_char_poly_sign_agreement(G):
