@@ -60,7 +60,6 @@ from .graphs import edge_graph, underlying_graph
 from .spectral import (
     cheeger_exhaustive,
     cut_sizes,
-    lambda2_below_half,
     normalized_spectrum,
     subset_sums,
 )
@@ -399,16 +398,11 @@ def _cmd_verify_theorem(ns, out, err) -> int:
         return finish(NOT_APPLICABLE)
 
     G0 = underlying_graph(X)
-    report = normalized_spectrum(G0, ns.tol)
-    lambda2 = report.lambda2
-    results["lambda2_g0"] = lambda2
-    if not lambda2_below_half(G0, report):
-        results["reason"] = "spectral gap of the underlying graph is at most 1/2"
-        return finish(NOT_APPLICABLE)
-
+    results["lambda2_g0"] = normalized_spectrum(G0, ns.tol).lambda2
     try:
+        lambda2 = gap_lambda2(G0, "rate bound requires")
         cert = certify_exact(X, max_bits=ns.max_bits)
-    except DegenerateComplexError as exc:
+    except (DomainError, DegenerateComplexError) as exc:
         results["reason"] = str(exc)
         return finish(NOT_APPLICABLE)
     results["certificate"] = _jsonable(cert)

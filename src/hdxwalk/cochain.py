@@ -196,12 +196,7 @@ def set_distance(S: Chain, T: Chain) -> int:
     return len(S.members ^ T.members)
 
 
-def distance_to_space(
-    F: Chain,
-    C: CodeSpace,
-    *,
-    max_dim: int = DISTANCE_ENUMERATION_LIMIT,
-) -> tuple[int, Chain]:
+def distance_to_space(F: Chain, C: CodeSpace) -> tuple[int, Chain]:
     """Minimum Hamming distance from F to the span of C, with a nearest codeword.
 
     Enumerates all 2**dim codewords; ties go to the codeword whose sorted
@@ -211,9 +206,9 @@ def distance_to_space(
         raise DimensionMismatchError(
             f"chain dimension {F.dimension} != code dimension {C.face_dimension}"
         )
-    if C.dim > max_dim:
+    if C.dim > DISTANCE_ENUMERATION_LIMIT:
         raise CapacityError(
-            f"code dimension {C.dim} exceeds enumeration threshold {max_dim}"
+            f"code dimension {C.dim} exceeds enumeration threshold {DISTANCE_ENUMERATION_LIMIT}"
         )
     fmask = chain_to_mask(F)
     best_dist: Optional[int] = None

@@ -60,8 +60,6 @@ from .spectral import (
 
 #: Default certification bound: faces per dimension.
 CERTIFY_BIT_LIMIT = 24
-#: Exhaustive minimum-cut enumeration bound.
-LARGE_CUTS_VERTEX_LIMIT = 26
 #: Coset-leader weight of a syndrome not reached yet.
 _UNREACHED = 255
 
@@ -149,19 +147,21 @@ def _least_ratio(weight: np.ndarray, size: np.ndarray, k: int) -> tuple[Fraction
     """Least size / (k * weight) over the cosets off the cocycles, and the cosets attaining it.
 
     For each weight only the least size can attain it, so at most one exact
-    fraction per weight is compared.
+    fraction per weight is compared.  Weight 0 is the code itself, whose
+    coboundary is empty.
     """
     live = size > 0
-    unset = np.iinfo(np.int64).max
-    least = np.full(int(weight.max()) + 1, unset)
-    np.minimum.at(least, weight[live], size[live])
-    ratios = {d: Fraction(c, k * d) for d, c in enumerate(least.tolist()) if c != unset}
-    best = min(ratios.values())
-    tie = np.zeros_like(least)
-    for d, ratio in ratios.items():
-        if ratio == best:
-            tie[d] = least[d]
-    return best, live & (size == tie[weight])
+    least = {}
+    for d in range(1, int(weight.max()) + 1):
+        sizes = size[live & (weight == d)]
+        if sizes.size:
+            least[d] = int(sizes.min())
+    best = min(Fraction(c, k * d) for d, c in least.items())
+    ties = np.zeros_like(live)
+    for d, c in least.items():
+        if Fraction(c, k * d) == best:
+            ties |= (weight == d) & (size == c)
+    return best, ties
 
 
 def _lex_least(columns: list[int], flags: np.ndarray) -> tuple[int, ...]:
@@ -419,14 +419,13 @@ def distance_formula_audit(
     F: Chain,
     *,
     mu: Optional[Fraction] = None,
-    max_bits: int = CERTIFY_BIT_LIMIT,
 ) -> DistanceFormulaReport:
     k0, _ = _required_regular(X)
     lambda2 = gap_lambda2(underlying_graph(X), "distance formula requires")
     if F.dimension != 1:
         raise ParameterError("distance formula audit takes a 1-chain of edges")
     if mu is None:
-        mu = certify_exact(X, max_bits=max_bits).mu
+        mu = certify_exact(X).mu
     preconditions = _size_preconditions(X.n_vertices, lambda2, mu)
     note = None
     applicable = 0 < len(F) < X.n_edges
@@ -479,12 +478,11 @@ def local_view_bounds_audit(
     *,
     mu: Optional[Fraction] = None,
     slack: float = 1e-9,
-    max_bits: int = CERTIFY_BIT_LIMIT,
 ) -> LocalViewBoundsReport:
     k0, k1 = _required_regular(X)
     lambda2 = gap_lambda2(underlying_graph(X), "local-view bounds require")
     if mu is None:
-        mu = certify_exact(X, max_bits=max_bits).mu
+        mu = certify_exact(X).mu
     preconditions = _size_preconditions(X.n_vertices, lambda2, mu)
     partition = fatness_partition(X, F, eta)
     eps = float(epsilon)
@@ -544,15 +542,12 @@ class LargeCutsResult:
         return self.passes if self.precondition_met else None
 
 
-def large_cuts_audit(G0: Graph, *, max_vertices: int = LARGE_CUTS_VERTEX_LIMIT) -> LargeCutsResult:
+def large_cuts_audit(G0: Graph) -> LargeCutsResult:
     """Exact minimum cut over proper nonempty vertex subsets, compared to k."""
     k = G0.regular_k
     if k is None or k == 0:
         raise RegularityError("minimum-cut bound needs a regular graph of positive degree")
-    if G0.n > max_vertices:
-        raise CapacityError(
-            f"cut enumeration limited to {max_vertices} vertices, got {G0.n}"
-        )
+    check_table_bits(G0.n)  # before the eigensolver runs
     if G0.n < 2:
         raise DomainError("minimum cut needs at least 2 vertices")
     lambda2 = gap_lambda2(G0, "minimum-cut bound requires")

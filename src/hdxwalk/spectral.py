@@ -20,10 +20,6 @@ from .complexes import Complex2, degree_profile
 from .errors import CapacityError, DomainError, ParameterError, RegularityError
 from .graphs import Graph, edge_graph
 
-#: Exhaustive Cheeger enumeration bound (2**(n-1) subsets).
-CHEEGER_VERTEX_LIMIT = 26
-#: Exhaustive mixing-lemma enumeration bound (2**n subsets).
-MIXING_LEMMA_VERTEX_LIMIT = 22
 #: Largest subset table (2**bits entries) the enumeration kernels build.
 TABLE_BIT_LIMIT = 26
 #: Most vertices of a graph whose dense n x n matrices are built.
@@ -174,15 +170,13 @@ class CheegerResult:
     witness: tuple[int, ...]
 
 
-def cheeger_exhaustive(G: Graph, *, max_vertices: int = CHEEGER_VERTEX_LIMIT) -> CheegerResult:
+def cheeger_exhaustive(G: Graph) -> CheegerResult:
     """Exact normalized Cheeger constant by enumerating every vertex subset.
 
     Ties are broken by the lexicographically smallest witness (as a sorted
     vertex tuple).
     """
     k = _require_regular(G)
-    if G.n > max_vertices:
-        raise CapacityError(f"Cheeger enumeration limited to {max_vertices} vertices, got {G.n}")
     if G.n < 2:
         raise DomainError("Cheeger constant needs at least 2 vertices")
     n = G.n
@@ -208,12 +202,7 @@ class MixingLemmaAudit:
     passes: bool
 
 
-def mixing_lemma_audit(
-    G: Graph,
-    *,
-    max_vertices: int = MIXING_LEMMA_VERTEX_LIMIT,
-    slack: float = 1e-6,
-) -> MixingLemmaAudit:
+def mixing_lemma_audit(G: Graph, *, slack: float = 1e-6) -> MixingLemmaAudit:
     """Worst residual of the one-sided expander mixing bound over all subsets.
 
     Audits 2|E(S)| <= k|S|(|S|/n + lambda2*(1 - |S|/n)), the exact Rayleigh
@@ -222,10 +211,7 @@ def mixing_lemma_audit(
     sound when lambda2 >= 0, and this bound implies that simpler one there.
     """
     k = _require_regular(G)
-    if G.n > max_vertices:
-        raise CapacityError(
-            f"mixing-lemma enumeration limited to {max_vertices} vertices, got {G.n}"
-        )
+    check_table_bits(G.n)  # before the eigensolver runs
     lambda2 = normalized_spectrum(G).lambda2
     n = G.n
     cut = cut_sizes(G)

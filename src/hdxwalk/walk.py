@@ -80,15 +80,11 @@ class WalkTrace:
 
     table: np.ndarray = field(repr=False, compare=False)
     distances: tuple[float, ...]
-    rate_bound: Optional[float]
-    bound_ok: Optional[tuple[bool, ...]]
 
     def __eq__(self, other):
         if not isinstance(other, WalkTrace):
             return NotImplemented
-        return (self.distances, self.rate_bound, self.bound_ok) == (
-            other.distances, other.rate_bound, other.bound_ok
-        ) and np.array_equal(self.table, other.table)
+        return self.distances == other.distances and np.array_equal(self.table, other.table)
 
     @cached_property
     def distributions(self) -> tuple[tuple[float, ...], ...]:
@@ -124,14 +120,7 @@ def check_walk_capacity(width: int, steps: int, paths: int = 0) -> None:
         )
 
 
-def evolve_exact(
-    G: Graph,
-    p0: Distribution,
-    steps: int,
-    rate_bound: Optional[float] = None,
-    *,
-    slack: float = 1e-9,
-) -> WalkTrace:
+def evolve_exact(G: Graph, p0: Distribution, steps: int) -> WalkTrace:
     """Evolve p0 for the given number of steps, recording distances to uniform.
 
     Row t + 1 of one preallocated (steps + 1, n) table is M times row t; each
@@ -157,10 +146,7 @@ def evolve_exact(
     for row in P:
         np.subtract(row, u, out=diff)
         distances.append(math.sqrt(diff.dot(diff)))
-    bound_ok = None
-    if rate_bound is not None:
-        bound_ok = tuple(d <= rate_bound**i + slack for i, d in enumerate(distances))
-    return WalkTrace(P, tuple(distances), rate_bound, bound_ok)
+    return WalkTrace(P, tuple(distances))
 
 
 def high_order_neighbors(X: Complex2, e: int) -> tuple[int, ...]:

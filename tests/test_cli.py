@@ -533,7 +533,10 @@ def test_verify_theorem_cuboctahedron_not_applicable(seed, tmp_path):
     doc = json.loads(out)
     assert code == 0
     assert doc["status"] == "not-applicable"
-    assert doc["results"]["reason"] == "spectral gap of the underlying graph is at most 1/2"
+    assert doc["results"]["reason"] == (
+        "rate bound requires lambda2 < 1/2; it is at least 1/2, decided exactly "
+        f"(eigensolver value {doc['results']['lambda2_g0']})"
+    )
     assert "certificate" not in doc["results"]
 
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from hdxwalk import gf2
 from hdxwalk.cochain import (
     Chain,
+    CodeSpace,
     chain_to_mask,
     coboundary_edges,
     coboundary_space,
@@ -242,10 +243,9 @@ def test_distance_matches_brute_force():
 
 
 def test_distance_capacity_error_names_threshold():
-    big = Chain.empty(1)
-    space = cocycle_space(random_complex(5, 0.0, seed=0), 1)  # no triangles: dim = |E| = 10
-    with pytest.raises(CapacityError, match="3"):
-        distance_to_space(big, space, max_dim=3)
+    space = CodeSpace(1, 25, "Z", tuple(Chain.of(1, [e]) for e in range(25)))
+    with pytest.raises(CapacityError, match="threshold 24"):
+        distance_to_space(Chain.empty(1), space)
 
 
 def test_distance_to_vertex_cocycles():

@@ -693,7 +693,7 @@ def test_large_cuts_downgrades_when_too_small():
 def test_large_cuts_capacity():
     from hdxwalk.graphs import cycle_graph
 
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match=r"got 2\*\*27"):
         large_cuts_audit(cycle_graph(27))
 
 

@@ -1,5 +1,7 @@
 """Replay the benchmark's goldens in-process: every deterministic job's exit
-code and stdout must match what ``perfbench/goldens.json`` recorded.
+code and stdout must match what ``perfbench/goldens.json`` recorded, and
+every exit 3 must come from a capacity error, not from a traceback or a
+usage error.
 
 The corpus is written by the benchmark's own ``corpus.write_fixed``; nothing
 under ``perfbench/`` is changed.
@@ -28,9 +30,11 @@ def test_goldens_replay_in_process(tmp_path, monkeypatch):
     for key, golden in goldens.items():
         if key == "--version":  # argparse exits from its version action
             continue
-        out = io.StringIO()
-        code = cli.run(key.split(), out, io.StringIO())
+        out, err = io.StringIO(), io.StringIO()
+        code = cli.run(key.split(), out, err)
         found = checks.diff_golden(golden, code, out.getvalue())
+        if not found and code == 3 and not err.getvalue().startswith("hdx: capacity error:"):
+            found = f"exit 3 without a capacity error: {err.getvalue()!r}"
         if found:
             differences[key] = found
     assert len(goldens) > 80

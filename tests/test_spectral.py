@@ -357,7 +357,7 @@ def test_cheeger_octahedron_witness_is_triangle():
 
 
 def test_cheeger_capacity_error():
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match=r"got 2\*\*27"):
         cheeger_exhaustive(cycle_graph(27))
 
 
@@ -399,9 +399,24 @@ def test_mixing_lemma_nonpositive_on_complete_and_octahedron():
     assert mixing_lemma_audit(OCTAHEDRON).residual <= 1e-12
 
 
-def test_mixing_lemma_capacity():
-    with pytest.raises(CapacityError):
-        mixing_lemma_audit(cycle_graph(23))
+def test_mixing_lemma_capacity(monkeypatch):
+    # Refused by the subset-table limit before the eigensolver runs.
+    monkeypatch.setattr(np.linalg, "eigh", None)
+    with pytest.raises(CapacityError, match=r"got 2\*\*27"):
+        mixing_lemma_audit(cycle_graph(27))
+
+
+def test_mixing_lemma_on_23_vertices():
+    # On a cycle the least cut of 0 < s < n vertices is an arc's 2, so the
+    # worst residual has a closed form.
+    n = 23
+    audit = mixing_lemma_audit(cycle_graph(n))
+    lam = audit.lambda2
+    want = max(
+        2 * s - (2 if 0 < s < n else 0) - 2 * s * (s / n + lam * (1 - s / n))
+        for s in range(n + 1)
+    )
+    assert audit.residual == pytest.approx(want, abs=1e-12) and audit.passes
 
 
 # --- Cheeger inequality ----------------------------------------------------

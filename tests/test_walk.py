@@ -158,13 +158,6 @@ def test_monotone_contraction_on_connected_regular():
             assert b <= a + 1e-12
 
 
-def test_evolve_bound_flags():
-    trace = evolve_exact(OCTAHEDRON, Distribution.point_mass(6, 0), 10, rate_bound=0.6)
-    assert trace.bound_ok is not None and all(trace.bound_ok)
-    trace = evolve_exact(complete_graph(2), Distribution.point_mass(2, 0), 5, rate_bound=0.5)
-    assert trace.bound_ok is not None and not all(trace.bound_ok)
-
-
 def test_evolve_rejects_irregular_and_isolated():
     with pytest.raises(RegularityError):
         evolve_exact(Graph.from_edges(3, [(0, 1), (1, 2)]), Distribution.uniform(3), 2)
@@ -196,28 +189,30 @@ EXACT_GRAPHS = {
 }
 
 
-def _fields(trace):
-    return trace.distributions, trace.distances, trace.bound_ok
+def _fields(trace, alpha):
+    """The trace's rows and distances, and the ok column ``walk --alpha`` prints for them."""
+    ok = None
+    if alpha is not None:
+        ok = tuple(d <= alpha**i + 1e-9 for i, d in enumerate(trace.distances))
+    return trace.distributions, trace.distances, ok
 
 
-@pytest.mark.parametrize("rate_bound", [None, 0.9])
+@pytest.mark.parametrize("alpha", [None, 0.9])
 @pytest.mark.parametrize("name", list(EXACT_GRAPHS))
-def test_evolve_exact_matches_loop_reference(name, rate_bound):
+def test_evolve_exact_matches_loop_reference(name, alpha):
     G = EXACT_GRAPHS[name]
     starts = [Distribution.uniform(G.n)] + [Distribution.point_mass(G.n, v) for v in range(G.n)]
     for p0 in starts:
         for steps in (0, 1, 60):
-            want = loop_evolve_exact(G, p0, steps, rate_bound)
-            assert _fields(evolve_exact(G, p0, steps, rate_bound)) == want
+            want = loop_evolve_exact(G, p0, steps, alpha)
+            assert _fields(evolve_exact(G, p0, steps), alpha) == want
 
 
 def test_evolve_exact_matches_loop_reference_on_k40_edges():
     G = k40_edges()
     for p0, steps in ((Distribution.point_mass(G.n, 0), 2000), (Distribution.uniform(G.n), 20)):
         want = loop_evolve_exact(G, p0, steps, 0.99)
-        assert _fields(evolve_exact(G, p0, steps, 0.99)) == want
-        plain = evolve_exact(G, p0, steps)
-        assert plain.distances == want[1] and plain.bound_ok is None
+        assert _fields(evolve_exact(G, p0, steps), 0.99) == want
 
 
 def test_dense_matrices_match_loops():
