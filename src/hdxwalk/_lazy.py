@@ -1,0 +1,30 @@
+"""numpy, imported on first attribute access rather than at package import.
+
+Commands that never compute with arrays (``--version``, ``validate``, ``gen``,
+``cocycles``, usage and input errors) then start without paying for numpy.
+Every module takes ``np`` from here; nothing may read an ``np.`` attribute at
+import time, which annotations under ``from __future__ import annotations``
+do not.  This is the ``importlib.util.LazyLoader`` recipe of the importlib
+documentation ("Implementing lazy imports").
+"""
+
+import importlib.util
+import sys
+
+
+def lazy_import(name: str):
+    """The module ``name``, executed when one of its attributes is first read."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    loader.exec_module(module)
+    return module
+
+
+np = lazy_import("numpy")

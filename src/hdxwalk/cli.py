@@ -17,13 +17,13 @@ import hashlib
 import json
 import math
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from functools import partial
 from typing import Optional, TextIO
 
-import numpy as np
-
 from . import __version__
+from ._lazy import np
 from .cochain import Chain, cocycle_space, coboundary_space, mask_to_chain
 from .complexes import (
     Complex2,
@@ -58,6 +58,7 @@ from .expansion import (
 )
 from .graphs import edge_graph, underlying_graph
 from .spectral import (
+    check_tolerance,
     cheeger_exhaustive,
     cut_sizes,
     normalized_spectrum,
@@ -528,11 +529,15 @@ def run(argv=None, stdout: Optional[TextIO] = None, stderr: Optional[TextIO] = N
     err = stderr if stderr is not None else sys.stderr
     parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        # argparse writes --version, --help and usage errors to sys.stdout/stderr.
+        with redirect_stdout(out), redirect_stderr(err):
+            ns = parser.parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
+        if "tol" in ns:  # before any work: audit and some verify-theorem runs never use it
+            check_tolerance(ns.tol)
         return ns.func(ns, out, err)
     except CapacityError as exc:
         print(f"hdx: capacity error: {exc}", file=err)

@@ -25,9 +25,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional
 
-import numpy as np
-
 from . import gf2
+from ._lazy import np
 from .cochain import (
     Chain,
     chain_to_mask,

@@ -19,7 +19,7 @@ arithmetic wraps modulo 2**64, for engines that advance many streams at once.
 
 from __future__ import annotations
 
-import numpy as np
+from ._lazy import np
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15

@@ -8,13 +8,13 @@ relating cuts, eigenvalues, and the edge-graph spectral floor of -17/18.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 
-import numpy as np
-
+from ._lazy import np
 from .cochain import mask_bits
 from .complexes import Complex2, degree_profile
 from .errors import CapacityError, DomainError, ParameterError, RegularityError
@@ -60,9 +60,20 @@ def adjacency_matrix(G: Graph) -> np.ndarray:
     return A
 
 
+def check_tolerance(tol: float) -> None:
+    """Refuse an eigensolver tolerance that is not a finite number >= 0.
+
+    ``residual > tol`` is never true for a NaN or infinite ``tol``, which
+    would turn the residual guard off, and always true for a negative one.
+    """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ParameterError(f"tolerance must be finite and non-negative, got {tol!r}")
+
+
 @lru_cache(maxsize=256)
 def normalized_spectrum(G: Graph, tol: float = 1e-9) -> SpectralReport:
     """All eigenvalues of A/k via a dense symmetric eigensolver."""
+    check_tolerance(tol)
     if G.n < 1:
         raise ParameterError("spectrum of the empty graph is undefined")
     k = _require_regular(G)

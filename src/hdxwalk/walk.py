@@ -16,8 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-import numpy as np
-
+from ._lazy import np
 from .complexes import Complex2
 from .errors import (
     CapacityError,

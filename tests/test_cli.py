@@ -19,7 +19,7 @@ from hdxwalk import cli
 from hdxwalk.cli import run
 from hdxwalk.cochain import mask_bits, mask_to_chain
 from hdxwalk.complexes import build_from_triangles, complete_complex, random_complex, save_complex
-from hdxwalk.errors import DomainError, RegularityError
+from hdxwalk.errors import DomainError, ParameterError, RegularityError
 from hdxwalk.expansion import (
     certify_exact,
     distance_formula_audit,
@@ -501,11 +501,11 @@ def test_walk_bad_start(k4_file):
     assert code == 2
 
 
-def test_walk_has_no_exact_flag(k4_file, capsys):
+def test_walk_has_no_exact_flag(k4_file):
     # Exact evolution is what walk does without --paths; there is no flag for it.
-    code, out, _ = invoke("walk", k4_file, "--start", "0", "--steps", "2", "--exact")
+    code, out, err = invoke("walk", k4_file, "--start", "0", "--steps", "2", "--exact")
     assert code == 2 and out == ""
-    assert "unrecognized arguments: --exact" in capsys.readouterr().err
+    assert "unrecognized arguments: --exact" in err
 
 
 # --- verify-theorem ------------------------------------------------------------------
@@ -623,8 +623,38 @@ def test_report_embeds_flags_and_digest(k4_file):
 # --- usage -----------------------------------------------------------------------
 
 
-def test_unknown_subcommand_usage_error():
-    assert invoke("frobnicate")[0] == 2
+def test_unknown_subcommand_usage_error(capsys):
+    code, out, err = invoke("frobnicate")
+    assert code == 2 and out == ""
+    assert err.startswith("usage: hdx") and "invalid choice: 'frobnicate'" in err
+    assert capsys.readouterr() == ("", "")
+
+
+def test_version_and_help_go_to_run_stdout(capsys):
+    assert invoke("--version") == (0, f"hdx {cli.__version__}\n", "")
+    code, out, err = invoke("certify", "--help")
+    assert code == 0 and out.startswith("usage: hdx certify") and err == ""
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("command", ["spectrum", "audit --lemma sum", "verify-theorem"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_tolerance_must_be_finite_and_non_negative(k4_file, hexagon_file, command, tol, monkeypatch):
+    # Refused before any work: the eigensolver is never reached, and neither
+    # is the degree check that ends verify-theorem on an irregular complex.
+    monkeypatch.setattr(np.linalg, "eigh", None)
+    for path in (k4_file, hexagon_file):
+        code, out, err = invoke(*command.split(), path, "--tol", tol)
+        assert (code, out) == (2, "")
+        assert err == f"hdx: tolerance must be finite and non-negative, got {float(tol)!r}\n"
+
+
+def test_normalized_spectrum_refuses_bad_tolerance():
+    G = underlying_graph(complete_complex(4))
+    for tol in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ParameterError, match="finite and non-negative"):
+            normalized_spectrum(G, tol)
+    assert normalized_spectrum(G, 0.5).lambda2 == pytest.approx(-1 / 3)
 
 
 def test_exit_code_mapping():

@@ -28,8 +28,6 @@ def test_goldens_replay_in_process(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     differences = {}
     for key, golden in goldens.items():
-        if key == "--version":  # argparse exits from its version action
-            continue
         out, err = io.StringIO(), io.StringIO()
         code = cli.run(key.split(), out, err)
         found = checks.diff_golden(golden, code, out.getvalue())

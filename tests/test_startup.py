@@ -1,0 +1,165 @@
+"""Start-up contract: numpy is loaded on first use, never at import.
+
+Every case runs in a fresh interpreter, because this test process has
+already imported numpy.  The benchmark's tracer (``perfbench/tracer.py``)
+relies on ``import hdxwalk.cli`` loading every layer module eagerly; that
+contract is pinned here too, without changing anything under ``perfbench/``.
+"""
+
+import ast
+import io
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+from hdxwalk import cli
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+PACKAGE = os.path.join(SRC, "hdxwalk")
+PERFBENCH = os.path.join(ROOT, "perfbench")
+sys.path.insert(0, PERFBENCH)
+
+import corpus  # noqa: E402
+import tracer  # noqa: E402
+
+# Runs `python -m hdxwalk.cli ARG...` and reports on stderr, last, whether
+# numpy's compiled core was ever imported.
+PROBE = """
+import runpy, sys
+try:
+    runpy.run_module("hdxwalk.cli", run_name="__main__", alter_sys=True)
+finally:
+    sys.stderr.write(f"\\nnumpy._core loaded: {'numpy._core' in sys.modules}\\n")
+"""
+
+
+def python(*args, cwd=None):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+def hdx(directory, *args):
+    """(exit code, stdout, stderr, whether numpy._core was loaded) of one fresh process."""
+    done = python("-c", PROBE, *args, cwd=directory)
+    err, _, flag = done.stderr.rstrip("\n").rpartition("\nnumpy._core loaded: ")
+    assert flag in ("True", "False"), done.stderr
+    return done.returncode, done.stdout, err, flag == "True"
+
+
+@pytest.fixture(scope="module")
+def fixed(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("corpus")
+    corpus.write_fixed(str(directory), 0)
+    return str(directory)
+
+
+# (command, exit code): the commands that compute with no array.
+WITHOUT_NUMPY = [
+    ("--version", 0),
+    ("validate k5.complex", 0),
+    ("gen complete --n 4", 0),
+    ("gen random --n 6 --p 0.5 --seed 7", 0),
+    ("cocycles k5.complex --dim 0", 0),
+    ("cocycles k5.complex --dim 1", 0),
+    ("spectrum k4.complex --graph g2", 2),  # usage error
+    ("validate missing.complex", 2),
+]
+
+
+@pytest.mark.parametrize("command, code", WITHOUT_NUMPY, ids=[c for c, _ in WITHOUT_NUMPY])
+def test_command_never_loads_numpy(fixed, command, code):
+    args = command.split()
+    got, out, err, loaded = hdx(fixed, *args)
+    assert (got, loaded) == (code, False), err
+    if args == ["--version"]:
+        assert out == f"hdx {cli.__version__}\n"
+
+
+def test_certify_loads_numpy_and_output_is_unchanged(fixed, monkeypatch):
+    code, out, err, loaded = hdx(fixed, "certify", "k5.complex")
+    assert (code, loaded) == (0, True), err
+    monkeypatch.chdir(fixed)
+    want = io.StringIO()
+    assert cli.run(["certify", "k5.complex"], want, io.StringIO()) == 0
+    assert out == want.getvalue()
+
+
+def test_package_import_loads_no_numpy():
+    done = python(
+        "-c",
+        "import sys, hdxwalk\n"
+        "assert 'numpy._core' not in sys.modules\n"
+        "X = hdxwalk.complete_complex(4)\n"
+        "print(hdxwalk.normalized_spectrum(hdxwalk.underlying_graph(X)).lambda2)\n"
+        "assert 'numpy._core' in sys.modules\n",
+    )
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) == pytest.approx(-1 / 3)
+
+
+# --- the tracer's contract ------------------------------------------------------
+
+
+def test_cli_import_loads_every_layer():
+    done = python(
+        "-c",
+        "import sys, hdxwalk.cli\n"
+        "print(sorted(n for n in sys.modules if n.startswith('hdxwalk.')))",
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(ast.literal_eval(done.stdout))
+    assert {f"hdxwalk.{layer}" for layer in tracer.LAYERS} <= loaded
+
+
+def test_tracer_output_matches_untraced_run(fixed, tmp_path):
+    trace_path = str(tmp_path / "trace.json")
+    traced = python(os.path.join(PERFBENCH, "tracer.py"), trace_path, "certify", "k5.complex",
+                    cwd=fixed)
+    plain = python("-m", "hdxwalk.cli", "certify", "k5.complex", cwd=fixed)
+    assert traced.returncode == plain.returncode == 0, traced.stderr
+    assert traced.stdout == plain.stdout
+    with open(trace_path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    assert doc["layers"]["expansion"]["calls"] > 0
+    assert doc["layers"]["expansion"]["errors"] == 0
+
+
+# --- lint guard -------------------------------------------------------------------
+
+
+def _module_level_imports(tree):
+    """Import statements outside any function body."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _imports_numpy(node) -> bool:
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    else:
+        names = [node.module or ""] if node.level == 0 else []
+    return any(name == "numpy" or name.startswith("numpy.") for name in names)
+
+
+def test_numpy_is_imported_only_through_the_lazy_helper():
+    offenders = []
+    for name in sorted(os.listdir(PACKAGE)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        if any(_imports_numpy(node) for node in _module_level_imports(tree)):
+            offenders.append(name)
+    assert offenders == [], f"import numpy at module level (use `from ._lazy import np`): {offenders}"
