@@ -12,7 +12,6 @@ Exit codes: 0 pass or not-applicable (without ``--strict``), 1 audit failure,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
@@ -24,6 +23,7 @@ from typing import Optional, TextIO
 
 from . import __version__
 from ._lazy import np
+from ._record import Record
 from .cochain import Chain, cocycle_space, coboundary_space, mask_to_chain
 from .complexes import (
     Complex2,
@@ -83,8 +83,8 @@ def _jsonable(obj):
         return str(obj)
     if isinstance(obj, Chain):
         return obj.to_list()
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, Record):
+        return {name: _jsonable(value) for name, value in obj.asdict().items()}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -242,12 +242,12 @@ def _audit_outgoing(X: Complex2, ns) -> dict:
     # The left-hand side is the cut of F in the edge-graph.
     fail = cut_sizes(edge_graph(X)) != _local_coboundary_sums(X)
     return _lemma_result(
-        "outgoing", fail, lambda F: dataclasses.asdict(outgoing_edges_identity(X, F))
+        "outgoing", fail, lambda F: outgoing_edges_identity(X, F).asdict()
     )
 
 
 def _audit_large_cuts(X: Complex2, ns) -> dict:
-    result = large_cuts_audit(underlying_graph(X))
+    result = large_cuts_audit(underlying_graph(X), tol=ns.tol)
     if not result.precondition_met:
         status = NOT_APPLICABLE
     else:
@@ -265,7 +265,7 @@ def _audit_large_cuts(X: Complex2, ns) -> dict:
 
 def _audit_distance(X: Complex2, ns) -> dict:
     mu = certify_exact(X, max_bits=ns.max_bits).mu
-    audit = partial(distance_formula_audit, X, mu=mu)
+    audit = partial(distance_formula_audit, X, mu=mu, tol=ns.tol)
 
     def unequal(F: Chain) -> list[int]:
         return [e.vertex for e in audit(F).entries if not e.equal]
@@ -282,9 +282,11 @@ def _audit_distance(X: Complex2, ns) -> dict:
 
 def _audit_local_views(X: Complex2, ns) -> dict:
     cert = certify_exact(X, max_bits=ns.max_bits)
-    eta = fatness_constant(gap_lambda2(underlying_graph(X), "local-view bounds require"))
+    eta = fatness_constant(gap_lambda2(underlying_graph(X), "local-view bounds require", ns.tol))
     eps = cert.epsilon_cosystolic
-    audit = partial(local_view_bounds_audit, X, epsilon=eps, eta=eta, mu=cert.mu, slack=ns.slack)
+    audit = partial(
+        local_view_bounds_audit, X, epsilon=eps, eta=eta, mu=cert.mu, slack=ns.slack, tol=ns.tol
+    )
 
     def bad(F: Chain) -> list[int]:
         return [e.vertex for e in audit(F).entries if not e.ok]
@@ -299,7 +301,7 @@ def _audit_local_views(X: Complex2, ns) -> dict:
 
 def _audit_sum(X: Complex2, ns) -> dict:
     eps = certify_exact(X, max_bits=ns.max_bits).epsilon_cosystolic
-    audit = partial(sum_coboundaries_audit, X, epsilon=eps, slack=ns.slack)
+    audit = partial(sum_coboundaries_audit, X, epsilon=eps, slack=ns.slack, tol=ns.tol)
 
     def violation(F: Chain) -> dict:
         r = audit(F)
@@ -401,7 +403,7 @@ def _cmd_verify_theorem(ns, out, err) -> int:
     G0 = underlying_graph(X)
     results["lambda2_g0"] = normalized_spectrum(G0, ns.tol).lambda2
     try:
-        lambda2 = gap_lambda2(G0, "rate bound requires")
+        lambda2 = gap_lambda2(G0, "rate bound requires", ns.tol)
         cert = certify_exact(X, max_bits=ns.max_bits)
     except (DomainError, DegenerateComplexError) as exc:
         results["reason"] = str(exc)
@@ -409,7 +411,7 @@ def _cmd_verify_theorem(ns, out, err) -> int:
     results["certificate"] = _jsonable(cert)
     results["rate_bound"] = mixing_rate_bound(cert.epsilon_cosystolic, lambda2)
 
-    audit = rapid_mixing_audit(X, cert, ns.steps, slack=ns.slack)
+    audit = rapid_mixing_audit(X, cert, ns.steps, slack=ns.slack, tol=ns.tol)
     g1 = edge_graph(X)
     results["edge_graph"] = {
         "n": g1.n,
@@ -536,8 +538,15 @@ def run(argv=None, stdout: Optional[TextIO] = None, stderr: Optional[TextIO] = N
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        if "tol" in ns:  # before any work: audit and some verify-theorem runs never use it
+        # Before any work: audit and some verify-theorem runs never use these.
+        # NaN or infinity would turn each comparison they enter into a constant.
+        if "tol" in ns:
             check_tolerance(ns.tol)
+        if "slack" in ns and not math.isfinite(ns.slack):
+            raise ParameterError(f"slack must be finite, got {ns.slack!r}")
+        alpha = getattr(ns, "alpha", None)
+        if alpha is not None and not (math.isfinite(alpha) and alpha >= 0):
+            raise ParameterError(f"alpha must be finite and non-negative, got {alpha!r}")
         return ns.func(ns, out, err)
     except CapacityError as exc:
         print(f"hdx: capacity error: {exc}", file=err)

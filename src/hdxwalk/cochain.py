@@ -10,11 +10,11 @@ images of the next map down; distances are Hamming distances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
 from . import gf2
+from ._record import Record
 from .complexes import Complex2
 from .errors import CapacityError, DimensionMismatchError, ParameterError
 
@@ -22,8 +22,7 @@ from .errors import CapacityError, DimensionMismatchError, ParameterError
 DISTANCE_ENUMERATION_LIMIT = 24
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(Record):
     """Set of face indices of one dimension (0 vertices, 1 edges, 2 triangles)."""
 
     dimension: int
@@ -135,8 +134,7 @@ def local_view(X: Complex2, F: Chain, v: int) -> Chain:
     return mask_to_chain(1, mask)
 
 
-@dataclass(frozen=True)
-class CodeSpace:
+class CodeSpace(Record):
     """GF(2) span of a reduced basis of chains of one face dimension."""
 
     face_dimension: int

@@ -21,14 +21,13 @@ that round-trips are loss-free face-for-face.
 
 from __future__ import annotations
 
-import dataclasses
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import comb
 from typing import Iterable, Optional, Sequence
 
+from ._record import Record
 from .errors import CapacityError, DuplicateFaceError, InvalidFaceError, ParameterError
 from .rng import SplitMix64
 
@@ -40,8 +39,7 @@ VERTEX_LIMIT = 4096
 TRIANGLE_LIMIT = 2**17
 
 
-@dataclass(frozen=True)
-class Complex2:
+class Complex2(Record):
     """Immutable 2-dimensional simplicial complex with incidence maps."""
 
     n_vertices: int
@@ -228,8 +226,7 @@ def random_complex(n: int, p: float, seed: int) -> Complex2:
     return Complex2(n, edges, triangles, vertex_edges, edge_triangles)
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
+class DegreeProfile(Record):
     """Per-face degree counts; ``regular`` is (k0, k1) when both are constant."""
 
     vertex_edge_degrees: tuple[int, ...]
@@ -246,8 +243,7 @@ def degree_profile(X: Complex2) -> DegreeProfile:
     return DegreeProfile(v_deg, e_deg, regular)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     findings: tuple[str, ...]
 
     @property
@@ -370,7 +366,7 @@ def from_document(doc: dict) -> Complex2:
         X = build_from_triangles(raw_triangles, raw_edges, n_vertices=n)
         if labels_map is not None:
             labels = tuple(labels_map.get(str(i), i) for i in range(X.n_vertices))
-            X = dataclasses.replace(X, labels=labels)
+            X = X.replace(labels=labels)
         return X
 
     labels = tuple(sorted(set(universe), key=_label_sort_key))
@@ -379,7 +375,7 @@ def from_document(doc: dict) -> Complex2:
     edges = [[to_id[x] for x in e] for e in raw_edges]
     triangles = [[to_id[x] for x in t] for t in raw_triangles]
     X = build_from_triangles(triangles, edges, n_vertices=len(labels))
-    return dataclasses.replace(X, labels=labels)
+    return X.replace(labels=labels)
 
 
 def dumps_complex(X: Complex2) -> str:

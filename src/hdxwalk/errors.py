@@ -33,6 +33,14 @@ class DomainError(HdxError):
     """A numeric argument lies outside the domain where the formula is defined."""
 
 
+class ToleranceError(HdxError):
+    """The eigensolver's residual exceeds the requested tolerance.
+
+    Not a DomainError: a spectrum that cannot be trusted leaves the question
+    undecided, and must not read as a hypothesis that fails to hold.
+    """
+
+
 class DegenerateComplexError(HdxError):
     """Every subset at some dimension is a cocycle, so expansion ratios are undefined."""
 

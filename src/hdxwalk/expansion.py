@@ -20,13 +20,13 @@ the sum-of-coboundaries lower bound, and the closed-form mixing rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional
 
 from . import gf2
 from ._lazy import np
+from ._record import Record
 from .cochain import (
     Chain,
     chain_to_mask,
@@ -63,8 +63,7 @@ CERTIFY_BIT_LIMIT = 24
 _UNREACHED = 255
 
 
-@dataclass(frozen=True)
-class DimensionReport:
+class DimensionReport(Record):
     """Exact expansion data for one face dimension."""
 
     dimension: int
@@ -76,8 +75,7 @@ class DimensionReport:
     mu_witness: Optional[Chain]
 
 
-@dataclass(frozen=True)
-class ExpansionCertificate:
+class ExpansionCertificate(Record):
     """Brute-forced expansion constants with minimizing witnesses."""
 
     epsilon_cosystolic: Fraction
@@ -95,9 +93,12 @@ def _required_regular(X: Complex2) -> tuple[int, int]:
     return regular
 
 
-def gap_lambda2(G: Graph, claim: str) -> float:
-    """lambda2 of G; DomainError("<claim> lambda2 < 1/2; ...") unless decided below exactly."""
-    report = normalized_spectrum(G)
+def gap_lambda2(G: Graph, claim: str, tol: float = 1e-9) -> float:
+    """lambda2 of G; DomainError("<claim> lambda2 < 1/2; ...") unless decided below exactly.
+
+    ``tol`` bounds the eigensolver's residual, as in ``normalized_spectrum``.
+    """
+    report = normalized_spectrum(G, tol)
     if not lambda2_below_half(G, report):
         raise DomainError(
             f"{claim} lambda2 < 1/2; it is at least 1/2, decided exactly "
@@ -286,8 +287,7 @@ def fatness_constant(lambda2: float) -> float:
     return eta
 
 
-@dataclass(frozen=True)
-class FatnessPartition:
+class FatnessPartition(Record):
     """Vertices split by local-view size: > eta*k0 / (k0/2, eta*k0] / <= k0/2."""
 
     eta: float
@@ -329,8 +329,7 @@ def sum_local_coboundaries(X: Complex2, F: Chain) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class OutgoingEdgesIdentity:
+class OutgoingEdgesIdentity(Record):
     """Cut size in the edge-graph vs. the local-view coboundary sum."""
 
     lhs: int
@@ -356,8 +355,7 @@ def outgoing_edges_identity(X: Complex2, F: Chain) -> OutgoingEdgesIdentity:
     return OutgoingEdgesIdentity(lhs, sum_local_coboundaries(X, F))
 
 
-@dataclass(frozen=True)
-class SizePreconditions:
+class SizePreconditions(Record):
     """Minimum-size hypotheses under which the asymptotic statements are asserted."""
 
     spectral_bound: float  # |V| >= 4 / (1 - 2*lambda2)
@@ -381,8 +379,7 @@ def _size_preconditions(n: int, lambda2: float, mu: Fraction) -> SizePreconditio
     )
 
 
-@dataclass(frozen=True)
-class VertexDistanceEntry:
+class VertexDistanceEntry(Record):
     vertex: int
     local_view_size: int
     distance: int
@@ -393,8 +390,7 @@ class VertexDistanceEntry:
         return self.distance == self.formula_value
 
 
-@dataclass(frozen=True)
-class DistanceFormulaReport:
+class DistanceFormulaReport(Record):
     """Per-vertex comparison of dist(F_v, Z^1) against min(|F_v|, k0 - |F_v|)."""
 
     applicable: bool
@@ -418,9 +414,10 @@ def distance_formula_audit(
     F: Chain,
     *,
     mu: Optional[Fraction] = None,
+    tol: float = 1e-9,
 ) -> DistanceFormulaReport:
     k0, _ = _required_regular(X)
-    lambda2 = gap_lambda2(underlying_graph(X), "distance formula requires")
+    lambda2 = gap_lambda2(underlying_graph(X), "distance formula requires", tol)
     if F.dimension != 1:
         raise ParameterError("distance formula audit takes a 1-chain of edges")
     if mu is None:
@@ -441,8 +438,7 @@ def distance_formula_audit(
     return DistanceFormulaReport(applicable, note, preconditions, tuple(entries))
 
 
-@dataclass(frozen=True)
-class LocalViewBoundEntry:
+class LocalViewBoundEntry(Record):
     vertex: int
     category: str  # "semi_fat" or "non_fat"
     coboundary_size: int
@@ -450,8 +446,7 @@ class LocalViewBoundEntry:
     ok: bool
 
 
-@dataclass(frozen=True)
-class LocalViewBoundsReport:
+class LocalViewBoundsReport(Record):
     """Coboundary lower bounds for semi-fat and non-fat local views."""
 
     preconditions: SizePreconditions
@@ -477,9 +472,10 @@ def local_view_bounds_audit(
     *,
     mu: Optional[Fraction] = None,
     slack: float = 1e-9,
+    tol: float = 1e-9,
 ) -> LocalViewBoundsReport:
     k0, k1 = _required_regular(X)
-    lambda2 = gap_lambda2(underlying_graph(X), "local-view bounds require")
+    lambda2 = gap_lambda2(underlying_graph(X), "local-view bounds require", tol)
     if mu is None:
         mu = certify_exact(X).mu
     preconditions = _size_preconditions(X.n_vertices, lambda2, mu)
@@ -527,8 +523,7 @@ def local_view_sums(X: Complex2, value: Callable[[int, Chain], int]) -> np.ndarr
     return total
 
 
-@dataclass(frozen=True)
-class LargeCutsResult:
+class LargeCutsResult(Record):
     min_cut: int
     witness: tuple[int, ...]
     k: int
@@ -541,7 +536,7 @@ class LargeCutsResult:
         return self.passes if self.precondition_met else None
 
 
-def large_cuts_audit(G0: Graph) -> LargeCutsResult:
+def large_cuts_audit(G0: Graph, *, tol: float = 1e-9) -> LargeCutsResult:
     """Exact minimum cut over proper nonempty vertex subsets, compared to k."""
     k = G0.regular_k
     if k is None or k == 0:
@@ -549,7 +544,7 @@ def large_cuts_audit(G0: Graph) -> LargeCutsResult:
     check_table_bits(G0.n)  # before the eigensolver runs
     if G0.n < 2:
         raise DomainError("minimum cut needs at least 2 vertices")
-    lambda2 = gap_lambda2(G0, "minimum-cut bound requires")
+    lambda2 = gap_lambda2(G0, "minimum-cut bound requires", tol)
     cut = cut_sizes(G0)[1:-1:2]  # masks 1, 3, ...: proper subsets containing vertex 0
     min_cut = int(cut.min())
     precondition = G0.n >= 4.0 / (1.0 - 2.0 * lambda2) - 1e-12
@@ -563,8 +558,7 @@ def large_cuts_audit(G0: Graph) -> LargeCutsResult:
     )
 
 
-@dataclass(frozen=True)
-class SumCoboundariesResult:
+class SumCoboundariesResult(Record):
     lhs: int
     rhs_bound: float
     lambda2: float
@@ -577,10 +571,11 @@ def sum_coboundaries_audit(
     epsilon: Fraction,
     *,
     slack: float = 1e-9,
+    tol: float = 1e-9,
 ) -> SumCoboundariesResult:
     """Check sum_v |coboundary(F_v)| >= (eps*k1/4) * bracket(lambda2) * |F|."""
     _, k1 = _required_regular(X)
-    lambda2 = gap_lambda2(underlying_graph(X), "sum-of-coboundaries bound requires")
+    lambda2 = gap_lambda2(underlying_graph(X), "sum-of-coboundaries bound requires", tol)
     if F.dimension != 1:
         raise ParameterError("sum-of-coboundaries audit takes a 1-chain of edges")
     if 2 * len(F) > X.n_edges:

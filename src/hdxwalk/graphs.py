@@ -9,16 +9,15 @@ edge it is 2*k1-regular.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
+from ._record import Record
 from .complexes import Complex2
 from .errors import ParameterError
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Record):
     """Simple undirected graph with sorted neighbor lists."""
 
     n: int

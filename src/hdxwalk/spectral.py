@@ -9,15 +9,15 @@ relating cuts, eigenvalues, and the edge-graph spectral floor of -17/18.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 
 from ._lazy import np
+from ._record import Record
 from .cochain import mask_bits
 from .complexes import Complex2, degree_profile
-from .errors import CapacityError, DomainError, ParameterError, RegularityError
+from .errors import CapacityError, DomainError, ParameterError, RegularityError, ToleranceError
 from .graphs import Graph, edge_graph
 
 #: Largest subset table (2**bits entries) the enumeration kernels build.
@@ -28,8 +28,7 @@ DENSE_VERTEX_LIMIT = 2**11
 EDGE_GRAPH_FLOOR = Fraction(-17, 18)
 
 
-@dataclass(frozen=True)
-class SpectralReport:
+class SpectralReport(Record):
     """Normalized spectrum of a regular graph, sorted descending."""
 
     normalized_eigenvalues: tuple[float, ...]
@@ -72,7 +71,10 @@ def check_tolerance(tol: float) -> None:
 
 @lru_cache(maxsize=256)
 def normalized_spectrum(G: Graph, tol: float = 1e-9) -> SpectralReport:
-    """All eigenvalues of A/k via a dense symmetric eigensolver."""
+    """All eigenvalues of A/k via a dense symmetric eigensolver.
+
+    A normalized residual above ``tol`` raises ToleranceError.
+    """
     check_tolerance(tol)
     if G.n < 1:
         raise ParameterError("spectrum of the empty graph is undefined")
@@ -81,7 +83,7 @@ def normalized_spectrum(G: Graph, tol: float = 1e-9) -> SpectralReport:
     eigvals, eigvecs = np.linalg.eigh(A)
     residual = float(np.abs(A @ eigvecs - eigvecs * eigvals).max()) / k
     if residual > tol:
-        raise DomainError(f"eigensolver residual {residual:.3e} exceeds tolerance {tol:.3e}")
+        raise ToleranceError(f"eigensolver residual {residual:.3e} exceeds tolerance {tol:.3e}")
     normalized = tuple(float(v) / k for v in eigvals[::-1])
     lambda2 = normalized[1] if G.n > 1 else normalized[0]
     lambda_n = normalized[-1]
@@ -175,8 +177,7 @@ def lex_first(masks: np.ndarray) -> tuple[int, ...]:
     return tuple(mask_bits(int(masks[0])))
 
 
-@dataclass(frozen=True)
-class CheegerResult:
+class CheegerResult(Record):
     h_normalized: Fraction
     witness: tuple[int, ...]
 
@@ -205,8 +206,7 @@ def cheeger_exhaustive(G: Graph) -> CheegerResult:
     return CheegerResult(best, lex_first(np.flatnonzero(ties)))
 
 
-@dataclass(frozen=True)
-class MixingLemmaAudit:
+class MixingLemmaAudit(Record):
     residual: float
     witness: tuple[int, ...]
     lambda2: float
@@ -241,8 +241,7 @@ def mixing_lemma_audit(G: Graph, *, slack: float = 1e-6) -> MixingLemmaAudit:
     return MixingLemmaAudit(worst, tuple(mask_bits(first)), lambda2, worst <= slack)
 
 
-@dataclass(frozen=True)
-class CheegerInequalityAudit:
+class CheegerInequalityAudit(Record):
     slack: float
     h_normalized: Fraction
     lambda2: float
@@ -257,8 +256,7 @@ def cheeger_inequality_audit(G: Graph, *, slack: float = 1e-9) -> CheegerInequal
     return CheegerInequalityAudit(value, h, lambda2, value >= -slack)
 
 
-@dataclass(frozen=True)
-class EdgeGraphFloorAudit:
+class EdgeGraphFloorAudit(Record):
     lambda_n: float
     slack: float
     passes: bool

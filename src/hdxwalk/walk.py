@@ -11,12 +11,12 @@ behavior and is surfaced by the distances, not patched.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
 from ._lazy import np
+from ._record import Record
 from .complexes import Complex2
 from .errors import (
     CapacityError,
@@ -39,8 +39,7 @@ WALK_VISIT_LIMIT = 2**27
 _BLOCK = 2**16
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(Record):
     """Probability vector over the vertices of a bound graph."""
 
     probabilities: tuple[float, ...]
@@ -68,22 +67,28 @@ class Distribution:
         return cls((1.0 / n,) * n)
 
 
-@dataclass(frozen=True)
-class WalkTrace:
+class WalkTrace(Record):
     """Distribution evolution with per-step l2 distances to uniform.
 
     ``table`` is read-only, one row per step: row t is the distribution
     after t steps.  ``distributions`` gives the same rows as tuples of floats,
-    built on first read.
+    built on first read.  The repr and the hash leave the table out, and
+    equality compares it by value.
     """
 
-    table: np.ndarray = field(repr=False, compare=False)
+    table: np.ndarray
     distances: tuple[float, ...]
 
     def __eq__(self, other):
         if not isinstance(other, WalkTrace):
             return NotImplemented
         return self.distances == other.distances and np.array_equal(self.table, other.table)
+
+    def __hash__(self):
+        return hash(self.distances)
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(distances={self.distances!r})"
 
     @cached_property
     def distributions(self) -> tuple[tuple[float, ...], ...]:
@@ -241,8 +246,7 @@ def high_order_step_counts(
     return tuple(map(tuple, counts.tolist()))
 
 
-@dataclass(frozen=True)
-class RapidMixingReport:
+class RapidMixingReport(Record):
     """Worst-start decay of the edge walk against the certified rate bound."""
 
     applicable: bool
@@ -267,6 +271,7 @@ def rapid_mixing_audit(
     steps: int,
     *,
     slack: float = 1e-9,
+    tol: float = 1e-9,
 ) -> RapidMixingReport:
     """Exact edge-walk evolution from every point-mass start vs. the rate bound.
 
@@ -289,7 +294,7 @@ def rapid_mixing_audit(
     if profile.regular[1] == 0:
         return not_applicable("no triangles; the edge walk has no moves")
     try:
-        lambda2 = gap_lambda2(underlying_graph(X), "rate bound requires")
+        lambda2 = gap_lambda2(underlying_graph(X), "rate bound requires", tol)
     except DomainError as exc:
         return not_applicable(str(exc))
     rate = mixing_rate_bound(certificate.epsilon_cosystolic, lambda2)
@@ -302,7 +307,7 @@ def rapid_mixing_audit(
         max_distances.append(float(np.linalg.norm(P - u[:, None], axis=0).max()))
         P = M @ P
     bound_ok = tuple(d <= rate**i + slack for i, d in enumerate(max_distances))
-    g1_lambda = normalized_spectrum(g1).lambda_max_nontrivial
+    g1_lambda = normalized_spectrum(g1, tol).lambda_max_nontrivial
     return RapidMixingReport(
         applicable=True,
         reason=None,

@@ -412,7 +412,7 @@ def test_lemma_tables_match_per_subset_loops(name, lemma, slack, monkeypatch):
         return lemma_result(name, fail, *args, **kwargs)
 
     monkeypatch.setattr(cli, "_lemma_result", recording)
-    ns = argparse.Namespace(max_bits=24, slack=slack)
+    ns = argparse.Namespace(max_bits=24, slack=slack, tol=1e-9)
     try:
         result = cli._LEMMA_RUNNERS[lemma](X, ns)
     except (RegularityError, DomainError) as exc:
@@ -647,6 +647,41 @@ def test_tolerance_must_be_finite_and_non_negative(k4_file, hexagon_file, comman
         code, out, err = invoke(*command.split(), path, "--tol", tol)
         assert (code, out) == (2, "")
         assert err == f"hdx: tolerance must be finite and non-negative, got {float(tol)!r}\n"
+
+
+@pytest.mark.parametrize(
+    "command, option, value, message",
+    [
+        (command, "--slack", value, "slack must be finite")
+        for command in ("audit --lemma sum", "walk --start 0 --steps 2", "verify-theorem --steps 3")
+        for value in ("nan", "inf", "-inf")
+    ]
+    + [
+        ("walk --start 0 --steps 2", "--alpha", value, "alpha must be finite and non-negative")
+        for value in ("nan", "inf", "-1")
+    ],
+)
+def test_slack_and_alpha_must_be_finite(k4_file, command, option, value, message, monkeypatch):
+    # Refused before any work: the complex file is never read.  A negative
+    # slack stays allowed; it tightens the bounds, as the violation listings use.
+    monkeypatch.setattr(cli, "_load", None)
+    code, out, err = invoke(*command.split(), k4_file, f"{option}={value}")
+    assert (code, out) == (2, "")
+    assert err == f"hdx: {message}, got {float(value)!r}\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [f"audit --lemma {lemma}" for lemma in ("large-cuts", "distance", "local-views", "sum")]
+    + ["verify-theorem --steps 3"],
+)
+def test_tol_reaches_every_lambda2_gate(tmp_path, command):
+    path = str(tmp_path / "octa.complex")
+    save_complex(OCTAHEDRON, path)
+    assert invoke(*command.split(), path)[0] == 0
+    code, out, err = invoke(*command.split(), path, "--tol", "1e-300")
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"hdx: eigensolver residual \S+ exceeds tolerance 1\.000e-300\n", err)
 
 
 def test_normalized_spectrum_refuses_bad_tolerance():

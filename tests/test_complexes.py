@@ -1,6 +1,5 @@
 """Construction, generation, validation, and serialization of complexes."""
 
-import dataclasses
 import json
 from math import comb
 
@@ -131,7 +130,7 @@ def test_validate_accepts_valid():
 
 def test_validate_detects_missing_edge():
     X = complete_complex(3)
-    damaged = dataclasses.replace(X, edges=X.edges[1:])
+    damaged = X.replace(edges=X.edges[1:])
     report = validate(damaged)
     assert not report.ok
     assert any("closure" in f for f in report.findings)
@@ -140,7 +139,7 @@ def test_validate_detects_missing_edge():
 def test_validate_detects_stale_incidence():
     X = complete_complex(4)
     Y = build_from_triangles([(0, 1, 2)], [(0, 3), (1, 3), (2, 3)])
-    damaged = dataclasses.replace(X, triangles=Y.triangles)
+    damaged = X.replace(triangles=Y.triangles)
     assert not validate(damaged).ok
 
 

@@ -104,6 +104,26 @@ def test_package_import_loads_no_numpy():
     assert float(done.stdout) == pytest.approx(-1 / 3)
 
 
+def test_cli_import_loads_no_dataclasses():
+    # The value classes build no methods at import; see hdxwalk/_record.py.
+    done = python("-c", "import sys, hdxwalk.cli\nprint('dataclasses' in sys.modules)")
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+
+
+def test_version_loads_no_inspect(fixed):
+    done = python(
+        "-c",
+        "import runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('hdxwalk.cli', run_name='__main__', alter_sys=True)\n"
+        "finally:\n"
+        "    print('inspect' in sys.modules)\n",
+        "--version",
+        cwd=fixed,
+    )
+    assert (done.returncode, done.stdout) == (0, f"hdx {cli.__version__}\nFalse\n"), done.stderr
+
+
 # --- the tracer's contract ------------------------------------------------------
 
 
