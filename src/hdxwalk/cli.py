@@ -18,13 +18,12 @@ import math
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-from functools import partial
 from typing import Optional, TextIO
 
 from . import __version__
 from ._lazy import np
 from ._record import Record
-from .cochain import Chain, cocycle_space, coboundary_space, mask_to_chain
+from .cochain import Chain, cocycle_space, coboundary_space, mask_bits
 from .complexes import (
     Complex2,
     complete_complex,
@@ -45,16 +44,13 @@ from .errors import (
 from .expansion import (
     CERTIFY_BIT_LIMIT,
     certify_exact,
-    coboundary_of_local_view,
-    distance_formula_audit,
-    fatness_constant,
+    coboundary_size,
+    distance_judgement,
     gap_lambda2,
     large_cuts_audit,
-    local_view_bounds_audit,
+    local_view_bound_judgement,
     local_view_sums,
-    mixing_rate_bound,
-    outgoing_edges_identity,
-    sum_coboundaries_audit,
+    sum_bound_judgement,
 )
 from .graphs import edge_graph, underlying_graph
 from .spectral import (
@@ -214,9 +210,9 @@ def _cmd_certify(ns, out, err) -> int:
 
 
 def _lemma_result(name: str, fail: np.ndarray, violation, asserted=True, **extra) -> dict:
-    """A lemma's report; ``violation(F)`` describes each of the first 10 failing edge sets."""
-    chains = [mask_to_chain(1, m) for m in np.flatnonzero(fail)[:10].tolist()]
-    violations = [{"edges": F.to_list(), **violation(F)} for F in chains]
+    """A lemma's report; ``violation(m)`` describes each of the first 10 failing edge masks."""
+    first = np.flatnonzero(fail)[:10].tolist()
+    violations = [{"edges": mask_bits(m), **violation(m)} for m in first]
     return {
         "lemma": name,
         "subsets_checked": fail.size,
@@ -226,9 +222,16 @@ def _lemma_result(name: str, fail: np.ndarray, violation, asserted=True, **extra
     }
 
 
-def _local_coboundary_sums(X: Complex2) -> np.ndarray:
-    """sum_v |coboundary(F_v)| for every edge mask F."""
-    return local_view_sums(X, lambda v, F: len(coboundary_of_local_view(X, F, v)))
+def _view_lemma(name: str, X: Complex2, bad, asserted, **extra) -> dict:
+    """A lemma failing at F where ``asserted(|F|)`` and ``bad(v, F_v)`` at some vertex v."""
+    fail = local_view_sums(X, bad) > 0
+    by_size = np.array([asserted(s) for s in range(X.n_edges + 1)])
+    fail &= by_size[subset_sums([1] * X.n_edges, np.uint8)]
+
+    def violation(m: int) -> dict:
+        return {"vertices": [v for v, star in enumerate(X.vertex_edge_masks) if bad(v, m & star)]}
+
+    return _lemma_result(name, fail, violation, by_size.any(), **extra)
 
 
 def _audit_outgoing(X: Complex2, ns) -> dict:
@@ -239,10 +242,11 @@ def _audit_outgoing(X: Complex2, ns) -> dict:
             f"lemma audit enumerates 2**edges subsets and is limited to "
             f"{ns.max_bits} edges; got {X.n_edges}"
         )
-    # The left-hand side is the cut of F in the edge-graph.
-    fail = cut_sizes(edge_graph(X)) != _local_coboundary_sums(X)
+    # The cut of F in the edge-graph against sum_v |coboundary(F_v)|.
+    cut = cut_sizes(edge_graph(X))
+    sums = local_view_sums(X, lambda v, L: coboundary_size(X, L))
     return _lemma_result(
-        "outgoing", fail, lambda F: outgoing_edges_identity(X, F).asdict()
+        "outgoing", cut != sums, lambda m: {"lhs": int(cut[m]), "rhs": int(sums[m])}
     )
 
 
@@ -265,60 +269,42 @@ def _audit_large_cuts(X: Complex2, ns) -> dict:
 
 def _audit_distance(X: Complex2, ns) -> dict:
     mu = certify_exact(X, max_bits=ns.max_bits).mu
-    audit = partial(distance_formula_audit, X, mu=mu, tol=ns.tol)
-
-    def unequal(F: Chain) -> list[int]:
-        return [e.vertex for e in audit(F).entries if not e.equal]
-
-    # Whether the formula is asserted for F depends on |F| alone (the size
-    # preconditions concern X), so one report per size settles it.
-    asserted = np.array(
-        [audit(Chain.of(1, range(s))).passes is not None for s in range(X.n_edges + 1)]
+    preconditions, judge = distance_judgement(X, mu=mu, tol=ns.tol)
+    return _view_lemma(
+        "distance",
+        X,
+        lambda v, L: not judge(v, L).equal,
+        lambda size: 0 < size < X.n_edges and preconditions.met,
     )
-    fail = local_view_sums(X, lambda v, F: v in unequal(F)) > 0
-    fail &= asserted[subset_sums([1] * X.n_edges, np.uint8)]
-    return _lemma_result("distance", fail, lambda F: {"vertices": unequal(F)}, asserted.any())
 
 
 def _audit_local_views(X: Complex2, ns) -> dict:
     cert = certify_exact(X, max_bits=ns.max_bits)
-    eta = fatness_constant(gap_lambda2(underlying_graph(X), "local-view bounds require", ns.tol))
     eps = cert.epsilon_cosystolic
-    audit = partial(
-        local_view_bounds_audit, X, epsilon=eps, eta=eta, mu=cert.mu, slack=ns.slack, tol=ns.tol
+    preconditions, eta, judge = local_view_bound_judgement(
+        X, eps, mu=cert.mu, slack=ns.slack, tol=ns.tol
     )
 
-    def bad(F: Chain) -> list[int]:
-        return [e.vertex for e in audit(F).entries if not e.ok]
+    def bad(v: int, L: int) -> bool:
+        entry = judge(v, L)
+        return entry is not None and not entry.ok
 
-    # The size preconditions concern X alone: every F is asserted, or none.
-    asserted = audit(Chain.empty(1)).passes is not None
-    fail = (local_view_sums(X, lambda v, F: v in bad(F)) > 0) & asserted
-    return _lemma_result(
-        "local-views", fail, lambda F: {"vertices": bad(F)}, asserted, eta=eta, epsilon=eps
-    )
+    return _view_lemma("local-views", X, bad, lambda size: preconditions.met, eta=eta, epsilon=eps)
 
 
 def _audit_sum(X: Complex2, ns) -> dict:
     eps = certify_exact(X, max_bits=ns.max_bits).epsilon_cosystolic
-    audit = partial(sum_coboundaries_audit, X, epsilon=eps, slack=ns.slack, tol=ns.tol)
-
-    def violation(F: Chain) -> dict:
-        r = audit(F)
-        return {"lhs": r.lhs, "rhs_bound": r.rhs_bound}
-
-    # The bound is stated for |F| <= |E|/2 and depends on |F| alone; larger
-    # sets are not checked, which a bound of -inf expresses.
-    half = X.n_edges // 2
-    bounds = [audit(Chain.of(1, range(s))).rhs_bound - ns.slack for s in range(half + 1)]
-    bounds += [-math.inf] * (X.n_edges - half)
+    _, judge = sum_bound_judgement(X, eps, slack=ns.slack, tol=ns.tol)
+    sums = local_view_sums(X, lambda v, L: coboundary_size(X, L))
     sizes = subset_sums([1] * X.n_edges, np.uint8)
-    fail = ~(_local_coboundary_sums(X) >= np.array(bounds)[sizes])
+    rhs, holds = judge(sums, sizes)
+    # The bound is stated for |F| <= |E|/2; larger sets are not checked.
+    checked = 2 * sizes <= X.n_edges
     return _lemma_result(
         "sum",
-        fail,
-        violation,
-        subsets_checked=int(np.count_nonzero(sizes <= half)),
+        checked & ~holds,
+        lambda m: {"lhs": int(sums[m]), "rhs_bound": float(rhs[m])},
+        subsets_checked=int(np.count_nonzero(checked)),
         epsilon=eps,
     )
 
@@ -371,7 +357,10 @@ def _cmd_walk(ns, out, err) -> int:
     out.write("step,distance,alpha_power,ok\n")
     for i, d in enumerate(dists):
         if ns.alpha is not None:
-            power = ns.alpha**i
+            try:
+                power = ns.alpha**i
+            except OverflowError:
+                power = math.inf
             ok = "true" if d <= power + ns.slack else "false"
             out.write(f"{i},{d!r},{power!r},{ok}\n")
         else:
@@ -403,37 +392,30 @@ def _cmd_verify_theorem(ns, out, err) -> int:
     G0 = underlying_graph(X)
     results["lambda2_g0"] = normalized_spectrum(G0, ns.tol).lambda2
     try:
-        lambda2 = gap_lambda2(G0, "rate bound requires", ns.tol)
+        gap_lambda2(G0, "rate bound requires", ns.tol)
         cert = certify_exact(X, max_bits=ns.max_bits)
     except (DomainError, DegenerateComplexError) as exc:
         results["reason"] = str(exc)
         return finish(NOT_APPLICABLE)
     results["certificate"] = _jsonable(cert)
-    results["rate_bound"] = mixing_rate_bound(cert.epsilon_cosystolic, lambda2)
-
+    # Regularity, triangles and the lambda2 gate are settled, so the audit applies.
     audit = rapid_mixing_audit(X, cert, ns.steps, slack=ns.slack, tol=ns.tol)
+    results["rate_bound"] = audit.rate_bound
     g1 = edge_graph(X)
     results["edge_graph"] = {
         "n": g1.n,
         "k": g1.regular_k,
         "lambda_max_nontrivial": audit.edge_graph_lambda,
     }
-    d0 = audit.max_distances[0] if audit.max_distances else None
-    decay_ok = None
-    if audit.applicable and d0 is not None:
-        lam = audit.edge_graph_lambda
-        decay_ok = all(
-            d <= lam**i * d0 + ns.slack for i, d in enumerate(audit.max_distances)
-        )
+    lam, d0 = audit.edge_graph_lambda, audit.max_distances[0]
     results["walk"] = {
         "steps": ns.steps,
         "max_distances": list(audit.max_distances),
         "bound_ok": list(audit.bound_ok),
-        "spectral_decay_ok": decay_ok,
+        "spectral_decay_ok": all(
+            d <= lam**i * d0 + ns.slack for i, d in enumerate(audit.max_distances)
+        ),
     }
-    if not audit.applicable:
-        results["reason"] = audit.reason
-        return finish(NOT_APPLICABLE)
     return finish(PASS if audit.passes else FAIL)
 
 

@@ -15,6 +15,10 @@ bound: the outgoing-edges identity between edge-graph cuts and local-view
 coboundaries, the local-view distance formula, the per-vertex coboundary
 lower bounds for semi-fat and non-fat vertices, the minimum-cut lower bound,
 the sum-of-coboundaries lower bound, and the closed-form mixing rate.
+Those that see an edge set F only through its local views F_v = F & star(v)
+are each stated once, by a ``*_judgement`` function: past the gates, it returns
+``judge``, the lemma at one view given as an edge mask.  The per-F audits apply
+it to F's views; ``local_view_sums`` tables it over every F.
 """
 
 from __future__ import annotations
@@ -29,12 +33,11 @@ from ._lazy import np
 from ._record import Record
 from .cochain import (
     Chain,
+    _check_members,
     chain_to_mask,
-    coboundary_edges,
     coboundary_space,
     cocycle_space,
     distance_to_space,
-    local_view,
     mask_bits,
     mask_to_chain,
 )
@@ -287,6 +290,21 @@ def fatness_constant(lambda2: float) -> float:
     return eta
 
 
+def _edge_mask(X: Complex2, F: Chain, what: str) -> int:
+    """The mask of F, once F is known to be a 1-chain of X's edges."""
+    if F.dimension != 1:
+        raise ParameterError(f"{what} takes a 1-chain of edges")
+    _check_members(X, F)
+    return chain_to_mask(F)
+
+
+def _categories(k0: int, eta: float) -> Callable[[int], str]:
+    """The category of a local view by its size: above eta*k0, above k0/2, or neither."""
+    if not (0.5 < eta < 1.0):
+        raise DomainError(f"fatness constant must lie in (1/2, 1), got {eta}")
+    return lambda size: "fat" if size > eta * k0 else "semi_fat" if 2 * size > k0 else "non_fat"
+
+
 class FatnessPartition(Record):
     """Vertices split by local-view size: > eta*k0 / (k0/2, eta*k0] / <= k0/2."""
 
@@ -298,35 +316,26 @@ class FatnessPartition(Record):
 
 def fatness_partition(X: Complex2, F: Chain, eta: float) -> FatnessPartition:
     k0, _ = _required_regular(X)
-    if not (0.5 < eta < 1.0):
-        raise DomainError(f"fatness constant must lie in (1/2, 1), got {eta}")
-    if F.dimension != 1:
-        raise ParameterError("fatness partition takes a 1-chain of edges")
-    fmask = chain_to_mask(F)
-    fat, semi, non = [], [], []
-    for v in range(X.n_vertices):
-        size = (X.vertex_edge_masks[v] & fmask).bit_count()
-        if size > eta * k0:
-            fat.append(v)
-        elif 2 * size > k0:
-            semi.append(v)
-        else:
-            non.append(v)
-    return FatnessPartition(eta, tuple(fat), tuple(semi), tuple(non))
+    category = _categories(k0, eta)
+    fmask = _edge_mask(X, F, "fatness partition")
+    parts: dict[str, list[int]] = {"fat": [], "semi_fat": [], "non_fat": []}
+    for v, star in enumerate(X.vertex_edge_masks):
+        parts[category((star & fmask).bit_count())].append(v)
+    return FatnessPartition(eta, *map(tuple, parts.values()))
+
+
+def coboundary_size(X: Complex2, L: int) -> int:
+    """Number of triangles holding an odd number of the edges in mask L."""
+    d = 0
+    for e in mask_bits(L):
+        d ^= X.edge_triangle_masks[e]
+    return d.bit_count()
 
 
 def sum_local_coboundaries(X: Complex2, F: Chain) -> int:
     """Sum over vertices of |coboundary(local view of F at v)|."""
     fmask = chain_to_mask(F)
-    total = 0
-    for star in X.vertex_edge_masks:
-        fv = star & fmask
-        d = 0
-        while fv:
-            d ^= X.edge_triangle_masks[gf2.low_bit(fv)]
-            fv &= fv - 1
-        total += d.bit_count()
-    return total
+    return sum(coboundary_size(X, star & fmask) for star in X.vertex_edge_masks)
 
 
 class OutgoingEdgesIdentity(Record):
@@ -341,17 +350,10 @@ class OutgoingEdgesIdentity(Record):
 
 
 def outgoing_edges_identity(X: Complex2, F: Chain) -> OutgoingEdgesIdentity:
-    if F.dimension != 1:
-        raise ParameterError("outgoing-edges identity takes a 1-chain of edges")
+    fmask = _edge_mask(X, F, "outgoing-edges identity")
     g1 = edge_graph(X)
-    fmask = chain_to_mask(F)
     outside = ((1 << g1.n) - 1) & ~fmask
-    lhs = 0
-    m = fmask
-    while m:
-        a = gf2.low_bit(m)
-        lhs += (g1.neighbor_masks[a] & outside).bit_count()
-        m &= m - 1
+    lhs = sum((g1.neighbor_masks[a] & outside).bit_count() for a in mask_bits(fmask))
     return OutgoingEdgesIdentity(lhs, sum_local_coboundaries(X, F))
 
 
@@ -368,15 +370,19 @@ class SizePreconditions(Record):
         return self.spectral_ok and self.cosystolic_ok
 
 
-def _size_preconditions(n: int, lambda2: float, mu: Fraction) -> SizePreconditions:
+def _size_preconditions(X: Complex2, claim: str, mu: Optional[Fraction], tol: float):
+    """k0, k1, lambda2 and the size preconditions on X, past its regularity and lambda2 gates."""
+    k0, k1 = _required_regular(X)
+    lambda2 = gap_lambda2(underlying_graph(X), claim, tol)
+    mu = certify_exact(X).mu if mu is None else mu
     spectral_bound = 4.0 / (1.0 - 2.0 * lambda2)
-    cosystolic_bound = 3.0 / float(mu)
-    return SizePreconditions(
+    preconditions = SizePreconditions(
         spectral_bound=spectral_bound,
-        cosystolic_bound=cosystolic_bound,
-        spectral_ok=n >= spectral_bound - 1e-12,
-        cosystolic_ok=Fraction(n) * mu >= 3,
+        cosystolic_bound=3.0 / float(mu),
+        spectral_ok=X.n_vertices >= spectral_bound - 1e-12,
+        cosystolic_ok=Fraction(X.n_vertices) * mu >= 3,
     )
+    return k0, k1, lambda2, preconditions
 
 
 class VertexDistanceEntry(Record):
@@ -409,33 +415,28 @@ class DistanceFormulaReport(Record):
         return self.all_equal
 
 
-def distance_formula_audit(
-    X: Complex2,
-    F: Chain,
-    *,
-    mu: Optional[Fraction] = None,
-    tol: float = 1e-9,
-) -> DistanceFormulaReport:
-    k0, _ = _required_regular(X)
-    lambda2 = gap_lambda2(underlying_graph(X), "distance formula requires", tol)
-    if F.dimension != 1:
-        raise ParameterError("distance formula audit takes a 1-chain of edges")
-    if mu is None:
-        mu = certify_exact(X).mu
-    preconditions = _size_preconditions(X.n_vertices, lambda2, mu)
-    note = None
-    applicable = 0 < len(F) < X.n_edges
-    if not applicable:
-        note = "stated for proper nonempty edge subsets; report is informational"
+def distance_judgement(X: Complex2, *, mu: Optional[Fraction] = None, tol: float = 1e-9):
+    """The size preconditions, and judge(v, L): dist(L, Z^1) against min(|L|, k0 - |L|)."""
+    k0, _, _, preconditions = _size_preconditions(X, "distance formula requires", mu, tol)
     z1 = cocycle_space(X, 1)
-    entries = []
-    for v in range(X.n_vertices):
-        fv = local_view(X, F, v)
-        dist, _ = distance_to_space(fv, z1)
-        entries.append(
-            VertexDistanceEntry(v, len(fv), dist, min(len(fv), k0 - len(fv)))
-        )
-    return DistanceFormulaReport(applicable, note, preconditions, tuple(entries))
+
+    def judge(v: int, L: int) -> VertexDistanceEntry:
+        size = L.bit_count()
+        dist, _ = distance_to_space(mask_to_chain(1, L), z1)
+        return VertexDistanceEntry(v, size, dist, min(size, k0 - size))
+
+    return preconditions, judge
+
+
+def distance_formula_audit(
+    X: Complex2, F: Chain, *, mu: Optional[Fraction] = None, tol: float = 1e-9
+) -> DistanceFormulaReport:
+    fmask = _edge_mask(X, F, "distance formula audit")
+    preconditions, judge = distance_judgement(X, mu=mu, tol=tol)
+    applicable = 0 < len(F) < X.n_edges
+    note = "stated for proper nonempty edge subsets; report is informational"
+    entries = tuple(judge(v, star & fmask) for v, star in enumerate(X.vertex_edge_masks))
+    return DistanceFormulaReport(applicable, None if applicable else note, preconditions, entries)
 
 
 class LocalViewBoundEntry(Record):
@@ -464,6 +465,35 @@ class LocalViewBoundsReport(Record):
         return self.all_ok
 
 
+def local_view_bound_judgement(
+    X: Complex2,
+    epsilon: Fraction,
+    eta: Optional[float] = None,
+    *,
+    mu: Optional[Fraction] = None,
+    slack: float = 1e-9,
+    tol: float = 1e-9,
+):
+    """The size preconditions, eta (by default from lambda2), and judge(v, L): |coboundary(L)|
+    against eps*k1*(1 - eta)*k0 if L is semi-fat, eps*k1*|L| if non-fat, and None if fat."""
+    k0, k1, lambda2, preconditions = _size_preconditions(X, "local-view bounds require", mu, tol)
+    if eta is None:
+        eta = fatness_constant(lambda2)
+    category = _categories(k0, eta)
+    eps = float(epsilon)
+
+    def judge(v: int, L: int) -> Optional[LocalViewBoundEntry]:
+        size = L.bit_count()
+        kind = category(size)
+        if kind == "fat":
+            return None
+        d = coboundary_size(X, L)
+        bound = eps * k1 * (1.0 - eta) * k0 if kind == "semi_fat" else eps * k1 * size
+        return LocalViewBoundEntry(v, kind, d, bound, d >= bound - slack)
+
+    return preconditions, eta, judge
+
+
 def local_view_bounds_audit(
     X: Complex2,
     F: Chain,
@@ -474,35 +504,18 @@ def local_view_bounds_audit(
     slack: float = 1e-9,
     tol: float = 1e-9,
 ) -> LocalViewBoundsReport:
-    k0, k1 = _required_regular(X)
-    lambda2 = gap_lambda2(underlying_graph(X), "local-view bounds require", tol)
-    if mu is None:
-        mu = certify_exact(X).mu
-    preconditions = _size_preconditions(X.n_vertices, lambda2, mu)
-    partition = fatness_partition(X, F, eta)
-    eps = float(epsilon)
-    entries = []
-    for v in partition.semi_fat:
-        d = len(coboundary_of_local_view(X, F, v))
-        bound = eps * k1 * (1.0 - eta) * k0
-        entries.append(LocalViewBoundEntry(v, "semi_fat", d, bound, d >= bound - slack))
-    for v in partition.non_fat:
-        fv = local_view(X, F, v)
-        d = len(coboundary_of_local_view(X, F, v))
-        bound = eps * k1 * len(fv)
-        entries.append(LocalViewBoundEntry(v, "non_fat", d, bound, d >= bound - slack))
-    entries.sort(key=lambda e: e.vertex)
-    return LocalViewBoundsReport(preconditions, eta, tuple(entries))
+    fmask = _edge_mask(X, F, "local-view bounds audit")
+    preconditions, eta, judge = local_view_bound_judgement(
+        X, epsilon, eta, mu=mu, slack=slack, tol=tol
+    )
+    views = (judge(v, star & fmask) for v, star in enumerate(X.vertex_edge_masks))
+    return LocalViewBoundsReport(preconditions, eta, tuple(e for e in views if e is not None))
 
 
-def coboundary_of_local_view(X: Complex2, F: Chain, v: int) -> Chain:
-    return coboundary_edges(X, local_view(X, F, v))
-
-
-def local_view_sums(X: Complex2, value: Callable[[int, Chain], int]) -> np.ndarray:
+def local_view_sums(X: Complex2, value: Callable[[int, int], int]) -> np.ndarray:
     """Sum over vertices v of value(v, local view of F at v), for every edge mask F.
 
-    ``value(v, L)`` is called once for each vertex v and each 1-chain L
+    ``value(v, L)`` is called once for each vertex v and each edge mask L
     inside the star of v, and returns a non-negative integer; every F then
     looks its local views up by index.  The result is indexed by F's mask.
     """
@@ -510,7 +523,7 @@ def local_view_sums(X: Complex2, value: Callable[[int, Chain], int]) -> np.ndarr
     stars = [mask_bits(star) for star in X.vertex_edge_masks]
     # A view's index has bit t set when it holds the t-th edge of the star.
     tables = [
-        [value(v, mask_to_chain(1, int(L))) for L in subset_sums([1 << e for e in edges], int)]
+        [value(v, int(L)) for L in subset_sums([1 << e for e in edges], int)]
         for v, edges in enumerate(stars)
     ]
     total = np.zeros(1 << X.n_edges, np.min_scalar_type(sum(map(max, tables))))
@@ -565,26 +578,31 @@ class SumCoboundariesResult(Record):
     passes: bool
 
 
-def sum_coboundaries_audit(
-    X: Complex2,
-    F: Chain,
-    epsilon: Fraction,
-    *,
-    slack: float = 1e-9,
-    tol: float = 1e-9,
-) -> SumCoboundariesResult:
-    """Check sum_v |coboundary(F_v)| >= (eps*k1/4) * bracket(lambda2) * |F|."""
+def sum_bound_judgement(X: Complex2, epsilon: Fraction, *, slack: float = 1e-9, tol: float = 1e-9):
+    """lambda2, and judge(lhs, |F|): the bound (eps*k1/4) * bracket(lambda2) * |F|, stated
+    for |F| <= |E|/2, and whether lhs = sum_v |coboundary(F_v)| reaches it within slack."""
     _, k1 = _required_regular(X)
     lambda2 = gap_lambda2(underlying_graph(X), "sum-of-coboundaries bound requires", tol)
-    if F.dimension != 1:
-        raise ParameterError("sum-of-coboundaries audit takes a 1-chain of edges")
+    scale = float(epsilon) * k1 / 4.0 * _bracket(lambda2)
+
+    def judge(lhs, size):
+        rhs = scale * size
+        return rhs, lhs >= rhs - slack
+
+    return lambda2, judge
+
+
+def sum_coboundaries_audit(
+    X: Complex2, F: Chain, epsilon: Fraction, *, slack: float = 1e-9, tol: float = 1e-9
+) -> SumCoboundariesResult:
+    """Check sum_v |coboundary(F_v)| >= (eps*k1/4) * bracket(lambda2) * |F|."""
+    _edge_mask(X, F, "sum-of-coboundaries audit")
+    lambda2, judge = sum_bound_judgement(X, epsilon, slack=slack, tol=tol)
     if 2 * len(F) > X.n_edges:
-        raise DomainError(
-            f"bound stated for |F| <= |E|/2; got |F|={len(F)}, |E|={X.n_edges}"
-        )
+        raise DomainError(f"bound stated for |F| <= |E|/2; got |F|={len(F)}, |E|={X.n_edges}")
     lhs = sum_local_coboundaries(X, F)
-    rhs = float(epsilon) * k1 / 4.0 * _bracket(lambda2) * len(F)
-    return SumCoboundariesResult(lhs, rhs, lambda2, lhs >= rhs - slack)
+    rhs, ok = judge(lhs, len(F))
+    return SumCoboundariesResult(lhs, rhs, lambda2, ok)
 
 
 def mixing_rate_bound(epsilon, lambda2: float) -> float:

@@ -17,7 +17,7 @@ from typing import Optional
 
 from ._lazy import np
 from ._record import Record
-from .complexes import Complex2
+from .complexes import Complex2, degree_profile
 from .errors import (
     CapacityError,
     DomainError,
@@ -279,8 +279,6 @@ def rapid_mixing_audit(
     yield a not-applicable report rather than a failure.  Negative or
     oversized ``steps`` raise first, whatever the complex.
     """
-    from .complexes import degree_profile
-
     if steps < 0:
         raise ParameterError(f"steps must be non-negative, got {steps}")
     check_walk_capacity(X.n_edges, steps)

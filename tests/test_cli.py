@@ -15,7 +15,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from named_complexes import CUBOCTAHEDRON, HEAWOOD_LINE, relabel
 
-from hdxwalk import cli
+from hdxwalk import cli, expansion
+from hdxwalk._record import Record
 from hdxwalk.cli import run
 from hdxwalk.cochain import mask_bits, mask_to_chain
 from hdxwalk.complexes import build_from_triangles, complete_complex, random_complex, save_complex
@@ -28,7 +29,7 @@ from hdxwalk.expansion import (
     outgoing_edges_identity,
     sum_coboundaries_audit,
 )
-from hdxwalk.graphs import underlying_graph
+from hdxwalk.graphs import edge_graph, underlying_graph
 from hdxwalk.spectral import normalized_spectrum
 
 
@@ -362,43 +363,47 @@ OCTAHEDRON = build_from_triangles(
 RUNNER_INPUTS = {
     "k4": complete_complex(4),
     "octahedron": OCTAHEDRON,
+    "octahedron-relabelled": relabel(OCTAHEDRON, 14),
     "k5": complete_complex(5),
     "random": random_complex(6, 0.5, seed=3),
 }
 
 
-def reference_failures(X, lemma, slack):
-    """Masks on which the per-subset library function reports a failure."""
-    masks = range(1 << X.n_edges)
-    chain = lambda m: mask_to_chain(1, m)  # noqa: E731
-    if lemma == "outgoing":
-        return [m for m in masks if not outgoing_edges_identity(X, chain(m)).holds]
-    cert = certify_exact(X)
-    if lemma == "distance":
-        audit = lambda m: distance_formula_audit(X, chain(m), mu=cert.mu)  # noqa: E731
-        return [m for m in masks if audit(m).passes is False]
+def reference_violations(X, lemma, slack):
+    """(mask, violation entry) for every mask on which the per-subset library function fails."""
+    found = []
+    cert = None if lemma == "outgoing" else certify_exact(X)
     if lemma == "local-views":
         eta = fatness_constant(normalized_spectrum(underlying_graph(X)).lambda2)
-        return [
-            m
-            for m in masks
-            if local_view_bounds_audit(
-                X, chain(m), cert.epsilon_cosystolic, eta, mu=cert.mu, slack=slack
-            ).passes
-            is False
-        ]
-    return [
-        m
-        for m in masks
-        if 2 * m.bit_count() <= X.n_edges
-        and not sum_coboundaries_audit(X, chain(m), cert.epsilon_cosystolic, slack=slack).passes
-    ]
+    for m in range(1 << X.n_edges):
+        F, edges = mask_to_chain(1, m), mask_bits(m)
+        if lemma == "outgoing":
+            r = outgoing_edges_identity(X, F)
+            entry = None if r.holds else {"edges": edges, "lhs": r.lhs, "rhs": r.rhs}
+        elif lemma == "distance":
+            r = distance_formula_audit(X, F, mu=cert.mu)
+            bad = [e.vertex for e in r.entries if not e.equal]
+            entry = {"edges": edges, "vertices": bad} if r.passes is False else None
+        elif lemma == "local-views":
+            r = local_view_bounds_audit(
+                X, F, cert.epsilon_cosystolic, eta, mu=cert.mu, slack=slack
+            )
+            bad = [e.vertex for e in r.entries if not e.ok]
+            entry = {"edges": edges, "vertices": bad} if r.passes is False else None
+        elif 2 * len(F) > X.n_edges:
+            entry = None
+        else:
+            r = sum_coboundaries_audit(X, F, cert.epsilon_cosystolic, slack=slack)
+            entry = None if r.passes else {"edges": edges, "lhs": r.lhs, "rhs_bound": r.rhs_bound}
+        if entry is not None:
+            found.append((m, entry))
+    return found
 
 
 @pytest.mark.parametrize(
     "lemma,slack",
-    # outgoing and distance take no slack
-    [("outgoing", 1e-9), ("distance", 1e-9)]
+    # outgoing and distance take no slack; at -10 the sum bound fails on nonempty sets too
+    [("outgoing", 1e-9), ("distance", 1e-9), ("sum", -10.0)]
     + [(lemma, slack) for lemma in ("local-views", "sum") for slack in (1e-9, -1.0)],
 )
 @pytest.mark.parametrize("name", sorted(RUNNER_INPUTS))
@@ -417,13 +422,51 @@ def test_lemma_tables_match_per_subset_loops(name, lemma, slack, monkeypatch):
         result = cli._LEMMA_RUNNERS[lemma](X, ns)
     except (RegularityError, DomainError) as exc:
         with pytest.raises(type(exc), match=re.escape(str(exc))):
-            reference_failures(X, lemma, slack)
+            reference_violations(X, lemma, slack)
         return
     (fail,) = tables
-    want = reference_failures(X, lemma, slack)
-    assert np.flatnonzero(fail).tolist() == want
-    assert [v["edges"] for v in result["violations"]] == [mask_bits(m) for m in want[:10]]
+    want = reference_violations(X, lemma, slack)
+    assert np.flatnonzero(fail).tolist() == [m for m, _ in want]
+    # Each reported violation, detail and all, is the library's per-subset report.
+    assert result["violations"] == [entry for _, entry in want[:10]]
     assert (result["status"] == "fail") == bool(want)
+
+
+def test_outgoing_violation_reads_both_tables(monkeypatch):
+    # The identity holds on every complex, so break the cut table to see a listing.
+    X = complete_complex(4)
+    cut_sizes = cli.cut_sizes
+    monkeypatch.setattr(cli, "cut_sizes", lambda G: cut_sizes(G) + (np.arange(1 << G.n) == 5))
+    result = cli._audit_outgoing(X, argparse.Namespace(max_bits=24))
+    r = outgoing_edges_identity(X, mask_to_chain(1, 5))
+    assert result["violations"] == [{"edges": [0, 2], "lhs": r.lhs + 1, "rhs": r.rhs}]
+
+
+def test_audit_evaluates_each_local_view_once(tmp_path, monkeypatch):
+    # K6 has 6 stars of 5 edges: 6 * 2**5 = 192 local views, one distance each.
+    path = tmp_path / "k6.complex"
+    save_complex(complete_complex(6), str(path))
+    counts = {"distance": 0, "records": 0}
+    distance, init = expansion.distance_to_space, Record.__init__
+
+    def counted_distance(*args, **kwargs):
+        counts["distance"] += 1
+        return distance(*args, **kwargs)
+
+    def counted_init(self, *args, **kwargs):
+        counts["records"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(expansion, "distance_to_space", counted_distance)
+    monkeypatch.setattr(Record, "__init__", counted_init)
+    for lemma in ("distance", "all"):
+        for cached in (certify_exact, normalized_spectrum, underlying_graph, edge_graph):
+            cached.cache_clear()
+        counts.update(distance=0, records=0)
+        assert invoke("audit", str(path), "--lemma", lemma)[0] == 0
+        if lemma == "distance":
+            assert counts["distance"] == 192
+    assert counts["records"] < 1000
 
 
 # --- walk -------------------------------------------------------------------------
@@ -444,6 +487,18 @@ def test_walk_with_alpha_flags(k4_file):
     )
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
     assert all(row[3] in ("true", "false") for row in rows)
+    assert all(row[3] == "true" for row in rows)
+
+
+def test_walk_alpha_power_overflow_reads_inf(tmp_path):
+    path = tmp_path / "k5.complex"
+    save_complex(complete_complex(5), str(path))
+    code, out, err = invoke("walk", str(path), "--start", "0", "--steps", "1100", "--alpha", "2")
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 1101
+    # 2.0**1024 overflows a double: from there on the power reads inf and every row holds.
+    assert [row[2] for row in rows] == [repr(2.0**i) for i in range(1024)] + ["inf"] * 77
     assert all(row[3] == "true" for row in rows)
 
 

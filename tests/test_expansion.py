@@ -49,10 +49,10 @@ from hdxwalk.errors import (
 )
 from hdxwalk.expansion import (
     certify_exact,
+    coboundary_size,
     distance_formula_audit,
     fatness_constant,
     fatness_partition,
-    coboundary_of_local_view,
     large_cuts_audit,
     local_view_bounds_audit,
     local_view_sums,
@@ -736,7 +736,7 @@ def test_sum_coboundaries_exhaustive_k4_k5():
     [K4, build_from_triangles([(0, 1, 2), (1, 2, 3)], [(3, 4)]), random_complex(6, 0.5, seed=3)],
 )
 def test_local_view_sums_match_per_subset_sums(X):
-    table = local_view_sums(X, lambda v, F: len(coboundary_of_local_view(X, F, v)))
+    table = local_view_sums(X, lambda v, L: coboundary_size(X, L))
     want = [sum_local_coboundaries(X, mask_to_chain(1, m)) for m in range(1 << X.n_edges)]
     assert table.tolist() == want
 
