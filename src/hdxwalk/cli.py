@@ -18,6 +18,7 @@ import math
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, TextIO
 
 from . import __version__
@@ -234,6 +235,12 @@ def _view_lemma(name: str, X: Complex2, bad, asserted, **extra) -> dict:
     return _lemma_result(name, fail, violation, by_size.any(), **extra)
 
 
+@lru_cache(maxsize=1)
+def _coboundary_sums(X: Complex2) -> np.ndarray:
+    """sum_v |coboundary(F_v)| for every edge mask F, one table for the outgoing and sum lemmas."""
+    return local_view_sums(X, lambda v, L: coboundary_size(X, L))
+
+
 def _audit_outgoing(X: Complex2, ns) -> dict:
     # The other edge-subset lemmas certify first, which refuses more than
     # --max-bits faces before this check could.
@@ -244,7 +251,7 @@ def _audit_outgoing(X: Complex2, ns) -> dict:
         )
     # The cut of F in the edge-graph against sum_v |coboundary(F_v)|.
     cut = cut_sizes(edge_graph(X))
-    sums = local_view_sums(X, lambda v, L: coboundary_size(X, L))
+    sums = _coboundary_sums(X)
     return _lemma_result(
         "outgoing", cut != sums, lambda m: {"lhs": int(cut[m]), "rhs": int(sums[m])}
     )
@@ -295,7 +302,7 @@ def _audit_local_views(X: Complex2, ns) -> dict:
 def _audit_sum(X: Complex2, ns) -> dict:
     eps = certify_exact(X, max_bits=ns.max_bits).epsilon_cosystolic
     _, judge = sum_bound_judgement(X, eps, slack=ns.slack, tol=ns.tol)
-    sums = local_view_sums(X, lambda v, L: coboundary_size(X, L))
+    sums = _coboundary_sums(X)
     sizes = subset_sums([1] * X.n_edges, np.uint8)
     rhs, holds = judge(sums, sizes)
     # The bound is stated for |F| <= |E|/2; larger sets are not checked.
@@ -352,8 +359,7 @@ def _cmd_walk(ns, out, err) -> int:
         ]
     else:
         g1 = edge_graph(X)
-        trace = evolve_exact(g1, Distribution.point_mass(g1.n, ns.start), ns.steps)
-        dists = list(trace.distances)
+        dists = evolve_exact(g1, Distribution.point_mass(g1.n, ns.start), ns.steps)
     out.write("step,distance,alpha_power,ok\n")
     for i, d in enumerate(dists):
         if ns.alpha is not None:

@@ -372,6 +372,8 @@ class SizePreconditions(Record):
 
 def _size_preconditions(X: Complex2, claim: str, mu: Optional[Fraction], tol: float):
     """k0, k1, lambda2 and the size preconditions on X, past its regularity and lambda2 gates."""
+    if mu is not None and mu <= 0:
+        raise ParameterError(f"mu must be positive, got {mu}")
     k0, k1 = _required_regular(X)
     lambda2 = gap_lambda2(underlying_graph(X), claim, tol)
     mu = certify_exact(X).mu if mu is None else mu

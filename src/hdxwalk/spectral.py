@@ -69,22 +69,39 @@ def check_tolerance(tol: float) -> None:
         raise ParameterError(f"tolerance must be finite and non-negative, got {tol!r}")
 
 
-@lru_cache(maxsize=256)
-def normalized_spectrum(G: Graph, tol: float = 1e-9) -> SpectralReport:
-    """All eigenvalues of A/k via a dense symmetric eigensolver.
+@lru_cache(maxsize=8)
+def _eigensystem(G: Graph) -> tuple:
+    k = _require_regular(G)
+    A = adjacency_matrix(G)
+    eigvals, eigvecs = np.linalg.eigh(A)
+    R = A @ eigvecs
+    R -= eigvecs * eigvals
+    values = eigvals / k
+    values.flags.writeable = eigvecs.flags.writeable = False
+    return values, eigvecs, float(np.abs(R, out=R).max()) / k
 
-    A normalized residual above ``tol`` raises ToleranceError.
+
+def eigensystem(G: Graph, tol: float = 1e-9) -> tuple:
+    """(values, vectors, residual) of A/k by a dense symmetric eigensolver, run once per graph.
+
+    The values ascend, column i of ``vectors`` is a unit eigenvector for
+    values[i], and both arrays are read-only.  A normalized residual
+    max |A V - V diag(eigenvalues of A)| / k above ``tol`` raises ToleranceError.
     """
     check_tolerance(tol)
     if G.n < 1:
         raise ParameterError("spectrum of the empty graph is undefined")
-    k = _require_regular(G)
-    A = adjacency_matrix(G)
-    eigvals, eigvecs = np.linalg.eigh(A)
-    residual = float(np.abs(A @ eigvecs - eigvecs * eigvals).max()) / k
+    values, vectors, residual = _eigensystem(G)
     if residual > tol:
         raise ToleranceError(f"eigensolver residual {residual:.3e} exceeds tolerance {tol:.3e}")
-    normalized = tuple(float(v) / k for v in eigvals[::-1])
+    return values, vectors, residual
+
+
+@lru_cache(maxsize=256)
+def normalized_spectrum(G: Graph, tol: float = 1e-9) -> SpectralReport:
+    """All eigenvalues of A/k, descending, from ``eigensystem(G, tol)``."""
+    values, _, residual = eigensystem(G, tol)
+    normalized = tuple(values[::-1].tolist())
     lambda2 = normalized[1] if G.n > 1 else normalized[0]
     lambda_n = normalized[-1]
     return SpectralReport(

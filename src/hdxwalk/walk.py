@@ -1,18 +1,17 @@
-"""Random-walk engines: exact distribution evolution and seeded simulation.
+"""Random-walk engines: exact distances to uniform and seeded simulation.
 
 The walk steps to a uniformly random neighbor (no laziness, no self-loops),
 both on graph vertices and on complex edges, where two edges neighbor each
-other when they span a triangle.  Exact evolution tracks the full probability
-vector and its l2 distance to uniform; simulation uses SplitMix64 so paths
-are reproducible from the seed alone.  Bipartite non-convergence is expected
-behavior and is surfaced by the distances, not patched.
+other when they span a triangle.  Exact evolution gives the l2 distance of
+M^t p to uniform in closed form from one eigendecomposition of M = A/k;
+simulation uses SplitMix64 so paths are reproducible from the seed alone.
+Bipartite non-convergence is expected behavior and is surfaced by the
+distances, not patched.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional
 
 from ._lazy import np
@@ -28,15 +27,17 @@ from .errors import (
 from .expansion import ExpansionCertificate, gap_lambda2, mixing_rate_bound
 from .graphs import Graph, edge_graph, underlying_graph
 from .rng import _GAMMA, SplitMix64, derive_seeds, mix_array
-from .spectral import adjacency_matrix, normalized_spectrum
+from .spectral import eigensystem, normalized_spectrum
 
-#: Most cells, (steps + 1) per vertex or edge, in a walk's output table.
+#: Most cells, (steps + 1) per vertex or edge, a walk computes.
 WALK_CELL_LIMIT = 2**21
 #: Most edge visits, (steps + 1) per path, in a path ensemble.
 WALK_VISIT_LIMIT = 2**27
 
 # Paths advanced together by the ensemble engine.
 _BLOCK = 2**16
+# Eigenvalue powers, (steps in a block) x n, held at once by the distance kernel.
+_POWER_CELLS = 2**16
 
 
 class Distribution(Record):
@@ -67,48 +68,8 @@ class Distribution(Record):
         return cls((1.0 / n,) * n)
 
 
-class WalkTrace(Record):
-    """Distribution evolution with per-step l2 distances to uniform.
-
-    ``table`` is read-only, one row per step: row t is the distribution
-    after t steps.  ``distributions`` gives the same rows as tuples of floats,
-    built on first read.  The repr and the hash leave the table out, and
-    equality compares it by value.
-    """
-
-    table: np.ndarray
-    distances: tuple[float, ...]
-
-    def __eq__(self, other):
-        if not isinstance(other, WalkTrace):
-            return NotImplemented
-        return self.distances == other.distances and np.array_equal(self.table, other.table)
-
-    def __hash__(self):
-        return hash(self.distances)
-
-    def __repr__(self):
-        return f"{self.__class__.__qualname__}(distances={self.distances!r})"
-
-    @cached_property
-    def distributions(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(map(tuple, self.table.tolist()))
-
-
-def transition_matrix(G: Graph) -> np.ndarray:
-    """Uniform-neighbor transition matrix of a regular graph: A / k (A is symmetric)."""
-    k = G.regular_k
-    if k is None:
-        raise RegularityError("exact evolution requires a regular graph")
-    if k == 0:
-        raise UndefinedTransitionError("every vertex has zero degree; walk undefined")
-    M = adjacency_matrix(G)
-    M /= k
-    return M
-
-
 def check_walk_capacity(width: int, steps: int, paths: int = 0) -> None:
-    """Refuse a walk table of (steps + 1) x width cells, or (steps + 1) * paths
+    """Refuse a walk of (steps + 1) x width cells, or (steps + 1) * paths
     edge visits, above the limits, before allocating."""
     cells = (steps + 1) * width
     if cells > WALK_CELL_LIMIT:
@@ -124,12 +85,29 @@ def check_walk_capacity(width: int, steps: int, paths: int = 0) -> None:
         )
 
 
-def evolve_exact(G: Graph, p0: Distribution, steps: int) -> WalkTrace:
-    """Evolve p0 for the given number of steps, recording distances to uniform.
+def _distance_blocks(values: np.ndarray, coefficients: np.ndarray, steps: int):
+    """Yield ||M^t p_j - u|| for t = 0..steps, one matrix product per block of steps.
 
-    Row t + 1 of one preallocated (steps + 1, n) table is M times row t; each
-    distance is ``sqrt(diff.dot(diff))`` for diff = row - uniform, the form
-    ``np.linalg.norm`` takes for a 1-D float64 vector.
+    Column j of ``coefficients`` is p_j - u in the orthonormal eigenbasis of
+    the symmetric M, so the squared distance is the sum over i of
+    |values[i]|**(2t) * coefficients[i, j]**2: non-negative terms, whose sum
+    over an eigenspace does not depend on its basis.  M is stochastic, so a
+    |value| rounded above 1 is taken as 1 and its powers cannot grow.
+    """
+    magnitudes = np.minimum(np.abs(values), 1.0)
+    weights = coefficients * coefficients
+    block = max(1, min(steps + 1, _POWER_CELLS // values.size))
+    table = magnitudes ** (2 * np.arange(block))[:, None]
+    for lo in range(0, steps + 1, block):
+        scaled = (magnitudes ** (2 * lo))[:, None] * weights
+        yield np.sqrt(table[: steps + 1 - lo] @ scaled)
+
+
+def evolve_exact(G: Graph, p0: Distribution, steps: int) -> tuple[float, ...]:
+    """Distances ||M^t p0 - u|| to uniform for t = 0..steps, M = A/k, in closed form.
+
+    One eigendecomposition of M, cached per graph; a normalized residual
+    above the default tolerance of ``eigensystem`` raises ToleranceError.
     """
     if steps < 0:
         raise ParameterError(f"steps must be non-negative, got {steps}")
@@ -138,19 +116,14 @@ def evolve_exact(G: Graph, p0: Distribution, steps: int) -> WalkTrace:
             f"distribution has {len(p0.probabilities)} entries for a graph on {G.n} vertices"
         )
     check_walk_capacity(G.n, steps)
-    M = transition_matrix(G)
-    u = np.full(G.n, 1.0 / G.n)
-    diff = np.empty(G.n)
-    P = np.empty((steps + 1, G.n))
-    P[0] = p0.probabilities
-    for t in range(steps):
-        np.matmul(M, P[t], out=P[t + 1])
-    P.flags.writeable = False
-    distances = []
-    for row in P:
-        np.subtract(row, u, out=diff)
-        distances.append(math.sqrt(diff.dot(diff)))
-    return WalkTrace(P, tuple(distances))
+    if G.regular_k is None:
+        raise RegularityError("exact evolution requires a regular graph")
+    if G.regular_k == 0:
+        raise UndefinedTransitionError("every vertex has zero degree; walk undefined")
+    values, vectors, _ = eigensystem(G)
+    diff = np.array(p0.probabilities) - 1.0 / G.n
+    blocks = _distance_blocks(values, (diff @ vectors)[:, None], steps)
+    return tuple(np.concatenate(list(blocks))[:, 0].tolist())
 
 
 def high_order_neighbors(X: Complex2, e: int) -> tuple[int, ...]:
@@ -273,7 +246,8 @@ def rapid_mixing_audit(
     slack: float = 1e-9,
     tol: float = 1e-9,
 ) -> RapidMixingReport:
-    """Exact edge-walk evolution from every point-mass start vs. the rate bound.
+    """Worst point-mass start's distance to uniform, per step, vs. the rate bound,
+    in closed form from the edge walk's eigensystem, which ``edge_graph_lambda`` reads.
 
     Hypothesis failures (irregular complex, lambda2 >= 1/2, no triangles)
     yield a not-applicable report rather than a failure.  Negative or
@@ -297,13 +271,10 @@ def rapid_mixing_audit(
         return not_applicable(str(exc))
     rate = mixing_rate_bound(certificate.epsilon_cosystolic, lambda2)
     g1 = edge_graph(X)
-    M = transition_matrix(g1)
-    u = np.full(g1.n, 1.0 / g1.n)
-    P = np.eye(g1.n)  # column j = point mass at edge j
-    max_distances = []
-    for _ in range(steps + 1):
-        max_distances.append(float(np.linalg.norm(P - u[:, None], axis=0).max()))
-        P = M @ P
+    values, vectors, _ = eigensystem(g1, tol)
+    # Column j is the point mass at edge j minus uniform, in the eigenbasis.
+    blocks = _distance_blocks(values, vectors.T - vectors.mean(axis=0)[:, None], steps)
+    max_distances = [d for block in blocks for d in block.max(axis=1).tolist()]
     bound_ok = tuple(d <= rate**i + slack for i, d in enumerate(max_distances))
     g1_lambda = normalized_spectrum(g1, tol).lambda_max_nontrivial
     return RapidMixingReport(

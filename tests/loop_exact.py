@@ -1,9 +1,11 @@
-"""Loop reference for ``walk.evolve_exact`` and the dense matrices behind it.
+"""Loop reference for ``walk.evolve_exact``, ``walk.rapid_mixing_audit`` and
+the dense matrices behind them.
 
-The matrices are filled one neighbor at a time, and the walk appends a new
-array per step, then converts every step to a tuple of floats and takes
-``np.linalg.norm`` of each.  The library fills one preallocated table and
-one vectorised matrix; tests require its results to equal these.
+The matrices are filled one neighbor at a time, and the walk propagates the
+distribution one matrix-vector product per step, then takes ``np.linalg.norm``
+of each step's difference from uniform.  The library computes the same
+distances in closed form from one eigendecomposition; tests require its
+distances to agree with these within a stated tolerance.
 """
 
 import numpy as np
@@ -50,3 +52,16 @@ def loop_evolve_exact(G, p0, steps, rate_bound=None, *, slack=1e-9):
     if rate_bound is not None:
         bound_ok = tuple(d <= rate_bound**i + slack for i, d in enumerate(distances))
     return distributions, distances, bound_ok
+
+
+def loop_max_distances(G, steps):
+    """Largest distance to uniform over every point-mass start, per step, by propagating
+    all starts at once: column j of P is the distribution started at vertex j."""
+    M = loop_transition_matrix(G)
+    u = np.full(G.n, 1.0 / G.n)
+    P = np.eye(G.n)
+    max_distances = []
+    for _ in range(steps + 1):
+        max_distances.append(float(np.linalg.norm(P - u[:, None], axis=0).max()))
+        P = M @ P
+    return tuple(max_distances)

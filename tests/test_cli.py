@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from loop_exact import loop_evolve_exact
 from named_complexes import CUBOCTAHEDRON, HEAWOOD_LINE, relabel
 
-from hdxwalk import cli, expansion
+from hdxwalk import cli, expansion, spectral
 from hdxwalk._record import Record
 from hdxwalk.cli import run
 from hdxwalk.cochain import mask_bits, mask_to_chain
@@ -31,6 +32,7 @@ from hdxwalk.expansion import (
 )
 from hdxwalk.graphs import edge_graph, underlying_graph
 from hdxwalk.spectral import normalized_spectrum
+from hdxwalk.walk import Distribution
 
 
 def invoke(*args):
@@ -525,14 +527,18 @@ def test_walk_paths_csv_pinned(tmp_path):
 
 
 def test_walk_exact_csv_pinned(tmp_path):
-    # sha256 of this command's stdout from the engine that kept one array per step.
+    # Against the step-by-step propagation, whose stdout this test pinned by sha256:
+    # every non-float byte is the same, and each distance within 1e-12.
     path = tmp_path / "k40.complex"
     assert invoke("gen", "complete", "--n", "40", "-o", str(path))[0] == 0
     code, out, _ = invoke("walk", str(path), "--start", "0", "--steps", "2000")
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "38c4b6e255cd3ca2d348fe9d11162ed73e99389a9e9a03c56cc7fbe02dfe9aa6"
-    )
+    rows = [line.split(",") for line in out.splitlines()]
+    assert rows[0] == ["step", "distance", "alpha_power", "ok"]
+    assert [(r[0], r[2], r[3]) for r in rows[1:]] == [(str(i), "", "") for i in range(2001)]
+    g1 = edge_graph(complete_complex(40))
+    _, want, _ = loop_evolve_exact(g1, Distribution.point_mass(g1.n, 0), 2000)
+    assert max(abs(float(r[1]) - d) for r, d in zip(rows[1:], want)) <= 1e-12
 
 
 @pytest.mark.parametrize("mode", [("--paths", "10"), ("--paths", "0"), ()])
@@ -755,3 +761,43 @@ def test_exit_code_mapping():
     assert _exit_code("fail", strict=True) == 1
     assert _exit_code("not-applicable", strict=False) == 0
     assert _exit_code("not-applicable", strict=True) == 1
+
+
+# --- one solve, one table ------------------------------------------------------------
+
+
+def test_each_graph_is_solved_once_per_command(tmp_path, monkeypatch):
+    path = tmp_path / "k5.complex"
+    save_complex(complete_complex(5), str(path))
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def counted_eigh(a, *args, **kwargs):
+        sizes.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    # g0 of K5 has 5 vertices, g1 has 10.
+    for argv, want in (
+        (["walk", str(path), "--start", "0", "--steps", "50"], [10]),
+        (["verify-theorem", str(path), "--steps", "50"], [5, 10]),
+    ):
+        for cached in (spectral._eigensystem, normalized_spectrum, certify_exact,
+                       underlying_graph, edge_graph):
+            cached.cache_clear()
+        sizes.clear()
+        assert invoke(*argv)[0] == 0
+        assert sorted(sizes) == want
+
+
+def test_audit_builds_one_coboundary_table_per_run(tmp_path, monkeypatch):
+    # K5 has 5 stars of 4 edges: one table takes 5 * 2**4 = 80 local coboundaries.
+    path = tmp_path / "k5.complex"
+    save_complex(complete_complex(5), str(path))
+    views = []
+    size = cli.coboundary_size
+    monkeypatch.setattr(cli, "coboundary_size", lambda X, L: views.append(L) or size(X, L))
+    cli._coboundary_sums.cache_clear()
+    code, out, _ = invoke("audit", str(path), "--lemma", "all")
+    assert code == 0 and json.loads(out)["status"] == "pass"
+    assert len(views) == 80

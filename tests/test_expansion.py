@@ -45,12 +45,14 @@ from hdxwalk.errors import (
     CapacityError,
     DegenerateComplexError,
     DomainError,
+    ParameterError,
     RegularityError,
 )
 from hdxwalk.expansion import (
     certify_exact,
     coboundary_size,
     distance_formula_audit,
+    distance_judgement,
     fatness_constant,
     fatness_partition,
     large_cuts_audit,
@@ -789,3 +791,19 @@ def test_rate_bound_domain_errors():
         mixing_rate_bound(1, 0.5)
     with pytest.raises(DomainError):
         mixing_rate_bound(-0.1, 0.0)
+
+
+@pytest.mark.parametrize("mu", [Fraction(0), Fraction(-1, 3), -2])
+def test_non_positive_mu_is_refused(mu):
+    irregular = build_from_triangles([(0, 1, 2)], [(0, 3)])
+    for X in (K4, irregular):  # before the regularity gate
+        F = Chain.empty(1)
+        calls = (
+            lambda: distance_formula_audit(X, F, mu=mu),
+            lambda: local_view_bounds_audit(X, F, Fraction(1), 0.75, mu=mu),
+            lambda: distance_judgement(X, mu=mu),
+            lambda: expansion.local_view_bound_judgement(X, Fraction(1), mu=mu),
+        )
+        for call in calls:
+            with pytest.raises(ParameterError, match="mu must be positive"):
+                call()

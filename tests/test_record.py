@@ -2,7 +2,6 @@
 
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from hdxwalk.cochain import Chain
@@ -11,7 +10,7 @@ from hdxwalk.errors import ParameterError
 from hdxwalk.expansion import OutgoingEdgesIdentity
 from hdxwalk.graphs import Graph, complete_graph
 from hdxwalk.spectral import CheegerResult
-from hdxwalk.walk import Distribution, WalkTrace, evolve_exact
+from hdxwalk.walk import Distribution
 
 
 def test_equality_and_hash_are_field_wise():
@@ -95,18 +94,6 @@ def test_cached_property_is_stored_once_and_fields_stay_frozen():
     assert G == Graph(4, G.adjacency) and hash(G) == hash(Graph(4, G.adjacency))
     with pytest.raises(AttributeError):
         G.n = 5
-
-
-def test_walk_trace_table_is_out_of_repr_and_hash():
-    G = complete_graph(4)
-    trace = evolve_exact(G, Distribution.point_mass(4, 0), 2)
-    assert repr(trace) == f"WalkTrace(distances={trace.distances!r})"
-    copy = WalkTrace(trace.table.copy(), trace.distances)
-    assert copy == trace and hash(copy) == hash(trace)
-    # Equality compares the table by value, never by identity or elementwise truth.
-    other = WalkTrace(np.zeros_like(trace.table), trace.distances)
-    assert other != trace and hash(other) == hash(trace)
-    assert trace.distributions[0] == (1.0, 0.0, 0.0, 0.0)
 
 
 def test_replace_and_asdict():

@@ -1,27 +1,31 @@
 """Walk engines: the portable RNG, exact evolution, and seeded simulation."""
 
+import math
 import tracemalloc
 from functools import lru_cache
 
 import numpy as np
 import pytest
-from loop_exact import loop_adjacency_matrix, loop_evolve_exact, loop_transition_matrix
-from named_complexes import CUBOCTAHEDRON, RP2_6, relabel
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from loop_exact import loop_adjacency_matrix, loop_evolve_exact, loop_max_distances
+from named_complexes import CUBOCTAHEDRON, RP2_6, TORUS_7, relabel
 from named_complexes import OCTAHEDRON as OCTAHEDRON_COMPLEX
 from scalar_walk import edge_neighbor_table, scalar_step_counts
 
-from hdxwalk import walk
+from hdxwalk import spectral, walk
 from hdxwalk.complexes import build_from_triangles, complete_complex, random_complex
 from hdxwalk.errors import (
     CapacityError,
     ParameterError,
     RegularityError,
+    ToleranceError,
     UndefinedTransitionError,
 )
 from hdxwalk.expansion import certify_exact
 from hdxwalk.graphs import Graph, complete_graph, cycle_graph, edge_graph
 from hdxwalk.rng import _GAMMA, _mix, SplitMix64, derive_seed, derive_seeds, mix_array
-from hdxwalk.spectral import DENSE_VERTEX_LIMIT, adjacency_matrix, normalized_spectrum
+from hdxwalk.spectral import DENSE_VERTEX_LIMIT, adjacency_matrix, eigensystem, normalized_spectrum
 from hdxwalk.walk import (
     WALK_CELL_LIMIT,
     WALK_VISIT_LIMIT,
@@ -32,7 +36,6 @@ from hdxwalk.walk import (
     high_order_step_counts,
     rapid_mixing_audit,
     simulate,
-    transition_matrix,
 )
 
 K4 = complete_complex(4)
@@ -106,23 +109,22 @@ def test_distribution_validation():
 
 
 def test_uniform_is_stationary():
-    trace = evolve_exact(OCTAHEDRON, Distribution.uniform(6), 10)
-    assert all(d <= 1e-12 for d in trace.distances)
+    distances = evolve_exact(OCTAHEDRON, Distribution.uniform(6), 10)
+    assert all(d <= 1e-12 for d in distances)
 
 
 def test_k2_walk_alternates_forever():
     G = complete_graph(2)
-    trace = evolve_exact(G, Distribution.point_mass(2, 0), 6)
-    assert trace.distributions[1] == (0.0, 1.0)
-    assert trace.distributions[2] == (1.0, 0.0)
-    d0 = trace.distances[0]
-    assert all(abs(d - d0) <= 1e-12 for d in trace.distances)
+    distances = evolve_exact(G, Distribution.point_mass(2, 0), 6)
+    d0 = distances[0]
+    assert d0 == pytest.approx(math.sqrt(0.5), abs=1e-15)
+    assert all(abs(d - d0) <= 1e-12 for d in distances)
 
 
 def test_octahedron_spectral_decay():
-    trace = evolve_exact(OCTAHEDRON, Distribution.point_mass(6, 0), 64)
-    d0 = trace.distances[0]
-    for i, d in enumerate(trace.distances):
+    distances = evolve_exact(OCTAHEDRON, Distribution.point_mass(6, 0), 64)
+    d0 = distances[0]
+    for i, d in enumerate(distances):
         assert d <= 0.5**i * d0 + 1e-9
 
 
@@ -131,30 +133,32 @@ def test_spectral_decay_on_nonbipartite_corpus():
     for G in graphs:
         lam = normalized_spectrum(G).lambda_max_nontrivial
         for start in range(G.n):
-            trace = evolve_exact(G, Distribution.point_mass(G.n, start), 40)
-            d0 = trace.distances[0]
-            for i, d in enumerate(trace.distances):
+            distances = evolve_exact(G, Distribution.point_mass(G.n, start), 40)
+            d0 = distances[0]
+            for i, d in enumerate(distances):
                 assert d <= lam**i * d0 + 1e-9
 
 
 def test_trace_steps_recomputable():
-    M = transition_matrix(OCTAHEDRON)
-    trace = evolve_exact(OCTAHEDRON, Distribution.point_mass(6, 2), 12)
-    for a, b in zip(trace.distributions, trace.distributions[1:]):
-        assert np.allclose(M @ np.array(a), np.array(b), atol=1e-14)
+    # Each distance is ||M^t p0 - u|| for the explicit matrix power M^t, M = A/k.
+    M = adjacency_matrix(OCTAHEDRON) / 4
+    p0 = np.array(Distribution.point_mass(6, 2).probabilities)
+    distances = evolve_exact(OCTAHEDRON, Distribution.point_mass(6, 2), 12)
+    for t, d in enumerate(distances):
+        assert abs(np.linalg.norm(np.linalg.matrix_power(M, t) @ p0 - 1 / 6) - d) <= 1e-14
 
 
 def test_trace_preserves_stochasticity():
-    trace = evolve_exact(edge_graph(K5), Distribution.point_mass(10, 3), 50)
-    for p in trace.distributions:
-        assert abs(sum(p) - 1.0) <= 1e-12
-        assert min(p) >= -1e-15
+    # A probability vector p has ||p - u||**2 = ||p||**2 - 1/n, at most 1 - 1/n (a point mass).
+    distances = evolve_exact(edge_graph(K5), Distribution.point_mass(10, 3), 50)
+    assert distances[0] == pytest.approx(math.sqrt(0.9), abs=1e-15)
+    assert all(0.0 <= d <= distances[0] + 1e-15 for d in distances)
 
 
 def test_monotone_contraction_on_connected_regular():
     for G in (complete_graph(4), OCTAHEDRON, edge_graph(K5), cycle_graph(5)):
-        trace = evolve_exact(G, Distribution.point_mass(G.n, 0), 30)
-        for a, b in zip(trace.distances, trace.distances[1:]):
+        distances = evolve_exact(G, Distribution.point_mass(G.n, 0), 30)
+        for a, b in zip(distances, distances[1:]):
             assert b <= a + 1e-12
 
 
@@ -186,15 +190,22 @@ EXACT_GRAPHS = {
     "edge graph of K6": edge_graph(complete_complex(6)),
     "edge graph of the octahedron": edge_graph(OCTAHEDRON_COMPLEX),
     "edge graph of RP2_6": edge_graph(RP2_6),
+    "two triangles (disconnected)": edge_graph(build_from_triangles([(0, 1, 2), (3, 4, 5)])),
+    "edge graph of the cuboctahedron (disconnected)": edge_graph(CUBOCTAHEDRON),
 }
 
+# Largest difference allowed between the closed-form distances and the
+# propagated ones.  The largest measured over these tests is 5.6e-15 (C6, 60 steps).
+DRIFT = 1e-12
 
-def _fields(trace, alpha):
-    """The trace's rows and distances, and the ok column ``walk --alpha`` prints for them."""
-    ok = None
+
+def _assert_matches_loop(distances, want, alpha):
+    """Distances within DRIFT of the reference's, and the same ``walk --alpha`` ok column."""
+    _, want_distances, want_ok = want
+    assert len(distances) == len(want_distances)
+    assert max(abs(a - b) for a, b in zip(distances, want_distances)) <= DRIFT
     if alpha is not None:
-        ok = tuple(d <= alpha**i + 1e-9 for i, d in enumerate(trace.distances))
-    return trace.distributions, trace.distances, ok
+        assert tuple(d <= alpha**i + 1e-9 for i, d in enumerate(distances)) == want_ok
 
 
 @pytest.mark.parametrize("alpha", [None, 0.9])
@@ -205,14 +216,46 @@ def test_evolve_exact_matches_loop_reference(name, alpha):
     for p0 in starts:
         for steps in (0, 1, 60):
             want = loop_evolve_exact(G, p0, steps, alpha)
-            assert _fields(evolve_exact(G, p0, steps), alpha) == want
+            _assert_matches_loop(evolve_exact(G, p0, steps), want, alpha)
 
 
 def test_evolve_exact_matches_loop_reference_on_k40_edges():
     G = k40_edges()
     for p0, steps in ((Distribution.point_mass(G.n, 0), 2000), (Distribution.uniform(G.n), 20)):
         want = loop_evolve_exact(G, p0, steps, 0.99)
-        assert _fields(evolve_exact(G, p0, steps), 0.99) == want
+        _assert_matches_loop(evolve_exact(G, p0, steps), want, 0.99)
+
+
+def test_distance_blocks_do_not_depend_on_block_size(monkeypatch):
+    G = edge_graph(K5)
+    p0 = Distribution.point_mass(G.n, 4)
+    want = evolve_exact(G, p0, 100)
+    for cells in (1, 7, 10, 33, 10**6):
+        monkeypatch.setattr(walk, "_POWER_CELLS", cells)
+        got = evolve_exact(G, p0, 100)
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-15
+
+
+def test_distances_do_not_depend_on_the_basis_of_an_eigenspace():
+    # A/k of K6 has eigenvalue -1/5 five times: rotate that eigenspace's basis.
+    values, vectors, _ = eigensystem(complete_graph(6))
+    assert np.allclose(values[:5], -0.2, atol=1e-12)
+    Q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((5, 5)))
+    rotated = vectors.copy()
+    rotated[:, :5] = rotated[:, :5] @ Q
+    diff = np.eye(6) - 1 / 6
+    blocks = [walk._distance_blocks(values, V.T @ diff, 40) for V in (vectors, rotated)]
+    a, b = (np.concatenate(list(parts)) for parts in blocks)
+    assert np.abs(a - b).max() <= 1e-15
+
+
+def test_evolve_exact_gates_the_eigensolver_residual(monkeypatch):
+    G = k40_edges()
+    values, vectors, residual = eigensystem(G)
+    assert 0 < residual <= 1e-9  # the largest benchmark walk passes the default gate
+    monkeypatch.setattr(spectral, "_eigensystem", lambda G: (values, vectors, 2e-9))
+    with pytest.raises(ToleranceError, match="residual 2.000e-09 exceeds tolerance 1.000e-09"):
+        evolve_exact(G, Distribution.point_mass(G.n, 0), 3)
 
 
 def test_dense_matrices_match_loops():
@@ -226,42 +269,35 @@ def test_dense_matrices_match_loops():
     ]
     for G in list(EXACT_GRAPHS.values()) + [k40_edges()] + irregular:
         assert np.array_equal(adjacency_matrix(G), loop_adjacency_matrix(G))
-        if G.regular_k:
-            assert np.array_equal(transition_matrix(G), loop_transition_matrix(G))
 
 
-def test_trace_table_is_read_only_and_distributions_are_its_rows():
-    trace = evolve_exact(OCTAHEDRON, Distribution.point_mass(6, 2), 12)
-    assert trace.table.shape == (13, 6) and not trace.table.flags.writeable
-    with pytest.raises(ValueError):
-        trace.table[0, 0] = 0.5
-    assert trace.distributions == tuple(tuple(float(x) for x in row) for row in trace.table)
-    assert trace.distributions is trace.distributions
-    assert trace == evolve_exact(OCTAHEDRON, Distribution.point_mass(6, 2), 12)
-    # Point masses on a vertex-transitive graph give equal distances, not equal traces.
-    assert trace != evolve_exact(OCTAHEDRON, Distribution.point_mass(6, 3), 12)
-
-
-def test_evolve_exact_peak_memory_is_one_table():
+def test_evolve_exact_peak_memory_holds_no_table():
     G = k40_edges()
     p0 = Distribution.point_mass(G.n, 0)
     G.regular_k  # cached before tracing
-    tracemalloc.start()
-    try:
-        trace = evolve_exact(G, p0, 2000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    spectral._eigensystem.cache_clear()
     table, matrix = 2001 * G.n * 8, G.n * G.n * 8
-    assert peak < table + matrix + 2**21
-    rows = trace.distributions
-    assert len(rows) == 2001 and rows[0][0] == 1.0 and abs(sum(rows[-1]) - 1.0) < 1e-12
+    for solved in (False, True):
+        tracemalloc.start()
+        try:
+            distances = evolve_exact(G, p0, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if solved:
+            # The eigensystem is cached: the walk holds one block of powers, never a
+            # (steps + 1) x n table (12.5 MB).
+            assert peak < 8 * walk._POWER_CELLS + 2**19 < table / 10
+        else:
+            # The solve: adjacency, eigenvectors and the residual's two temporaries.
+            assert peak < 4 * matrix + 2**20
+    assert len(distances) == 2001 and distances[0] == pytest.approx(math.sqrt(1 - 1 / G.n))
 
 
 def test_dense_matrices_refused_above_limit():
     assert k40_edges().n <= DENSE_VERTEX_LIMIT  # the largest benchmark graph
     big = cycle_graph(DENSE_VERTEX_LIMIT + 1)
-    for build in (adjacency_matrix, transition_matrix, normalized_spectrum):
+    for build in (adjacency_matrix, eigensystem, normalized_spectrum):
         with pytest.raises(CapacityError):
             build(big)
     with pytest.raises(CapacityError):
@@ -381,9 +417,9 @@ def test_step_counts_reproducible():
 def test_ensemble_tracks_exact_distribution():
     paths = 20000
     counts = high_order_step_counts(K4, 0, 5, paths=paths, seed=2024)
-    trace = evolve_exact(edge_graph(K4), Distribution.point_mass(6, 0), 5)
+    distributions, _, _ = loop_evolve_exact(edge_graph(K4), Distribution.point_mass(6, 0), 5)
     empirical = [c / paths for c in counts[5]]
-    tv = 0.5 * sum(abs(a - b) for a, b in zip(empirical, trace.distributions[5]))
+    tv = 0.5 * sum(abs(a - b) for a, b in zip(empirical, distributions[5]))
     assert tv < 0.02
 
 
@@ -552,3 +588,37 @@ def test_step_zero_distance_at_most_one():
     report = rapid_mixing_audit(K4, certify_exact(K4), 0)
     assert report.max_distances[0] <= 1.0
     assert report.bound_ok[0]
+
+
+MIXING_CORPUS = {
+    "K4": K4,
+    "K5": K5,
+    "K6": complete_complex(6),
+    "K7": complete_complex(7),
+    "octahedron": OCTAHEDRON_COMPLEX,
+    "RP2_6": RP2_6,
+    "torus": TORUS_7,
+}
+
+
+@pytest.mark.parametrize("name", list(MIXING_CORPUS))
+def test_rapid_mixing_audit_matches_propagation(name):
+    X = MIXING_CORPUS[name]
+    report = rapid_mixing_audit(X, certify_exact(X), 60)
+    want = loop_max_distances(edge_graph(X), 60)
+    assert report.applicable
+    assert max(abs(a - b) for a, b in zip(report.max_distances, want)) <= DRIFT
+    assert report.bound_ok == tuple(d <= report.rate_bound**i + 1e-9 for i, d in enumerate(want))
+
+
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from(sorted(MIXING_CORPUS)), seed=st.integers(0, 2**32 - 1))
+def test_rapid_mixing_audit_is_invariant_under_relabelling(name, seed):
+    X = MIXING_CORPUS[name]
+    Y = relabel(X, seed)
+    a = rapid_mixing_audit(X, certify_exact(X), 40)
+    b = rapid_mixing_audit(Y, certify_exact(Y), 40)
+    assert (a.applicable, a.reason, a.bound_ok, a.rate_bound) == (
+        b.applicable, b.reason, b.bound_ok, b.rate_bound
+    )
+    assert max(abs(x - y) for x, y in zip(a.max_distances, b.max_distances)) <= 1e-12
