@@ -12,54 +12,22 @@ from .cochain import (
     cocycle_space,
     distance_to_space,
     local_view,
-    set_distance,
 )
 from .complexes import (
     Complex2,
     DegreeProfile,
     ValidationReport,
-    build_from_triangles,
     complete_complex,
     degree_profile,
     dumps_complex,
     load_complex,
-    loads_complex,
     random_complex,
-    save_complex,
     validate,
 )
-from .expansion import (
-    ExpansionCertificate,
-    FatnessPartition,
-    certify_exact,
-    distance_formula_audit,
-    fatness_constant,
-    fatness_partition,
-    large_cuts_audit,
-    local_view_bounds_audit,
-    mixing_rate_bound,
-    outgoing_edges_identity,
-    sum_coboundaries_audit,
-    sum_local_coboundaries,
-)
-from .graphs import Graph, complete_graph, cycle_graph, edge_graph, underlying_graph
-from .spectral import (
-    SpectralReport,
-    cheeger_exhaustive,
-    cheeger_inequality_audit,
-    edge_graph_floor_audit,
-    mixing_lemma_audit,
-    normalized_spectrum,
-)
-from .walk import (
-    Distribution,
-    evolve_exact,
-    high_order_neighbors,
-    high_order_simulate,
-    high_order_step_counts,
-    rapid_mixing_audit,
-    simulate,
-)
+from .expansion import ExpansionCertificate, certify_exact, large_cuts_audit, mixing_rate_bound
+from .graphs import Graph, edge_graph, underlying_graph
+from .spectral import SpectralReport, cheeger_exhaustive, normalized_spectrum
+from .walk import Distribution, evolve_exact, high_order_step_counts, rapid_mixing_audit
 
 __all__ = [
     "Chain",
@@ -68,50 +36,30 @@ __all__ = [
     "DegreeProfile",
     "Distribution",
     "ExpansionCertificate",
-    "FatnessPartition",
     "Graph",
     "SpectralReport",
     "ValidationReport",
-    "build_from_triangles",
     "certify_exact",
     "cheeger_exhaustive",
-    "cheeger_inequality_audit",
     "coboundary",
     "coboundary_edges",
     "coboundary_space",
     "coboundary_vertices",
     "cocycle_space",
     "complete_complex",
-    "complete_graph",
-    "cycle_graph",
     "degree_profile",
-    "distance_formula_audit",
     "distance_to_space",
     "dumps_complex",
     "edge_graph",
-    "edge_graph_floor_audit",
     "evolve_exact",
-    "fatness_constant",
-    "fatness_partition",
-    "high_order_neighbors",
-    "high_order_simulate",
     "high_order_step_counts",
     "large_cuts_audit",
     "load_complex",
-    "loads_complex",
     "local_view",
-    "local_view_bounds_audit",
-    "mixing_lemma_audit",
     "mixing_rate_bound",
     "normalized_spectrum",
-    "outgoing_edges_identity",
     "random_complex",
     "rapid_mixing_audit",
-    "save_complex",
-    "set_distance",
-    "simulate",
-    "sum_coboundaries_audit",
-    "sum_local_coboundaries",
     "underlying_graph",
     "validate",
 ]

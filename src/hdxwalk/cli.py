@@ -51,6 +51,7 @@ from .expansion import (
     large_cuts_audit,
     local_view_bound_judgement,
     local_view_sums,
+    mixing_rate_bound,
     sum_bound_judgement,
 )
 from .graphs import edge_graph, underlying_graph
@@ -223,14 +224,14 @@ def _lemma_result(name: str, fail: np.ndarray, violation, asserted=True, **extra
     }
 
 
-def _view_lemma(name: str, X: Complex2, bad, asserted, **extra) -> dict:
-    """A lemma failing at F where ``asserted(|F|)`` and ``bad(v, F_v)`` at some vertex v."""
-    fail = local_view_sums(X, bad) > 0
+def _view_lemma(name: str, X: Complex2, judge, asserted, **extra) -> dict:
+    """A lemma failing at F where ``asserted(|F|)`` and not ``judge(F_v)`` at some vertex v."""
+    fail = local_view_sums(X, lambda L: not judge(L)) > 0
     by_size = np.array([asserted(s) for s in range(X.n_edges + 1)])
     fail &= by_size[subset_sums([1] * X.n_edges, np.uint8)]
 
     def violation(m: int) -> dict:
-        return {"vertices": [v for v, star in enumerate(X.vertex_edge_masks) if bad(v, m & star)]}
+        return {"vertices": [v for v, star in enumerate(X.vertex_edge_masks) if not judge(m & star)]}
 
     return _lemma_result(name, fail, violation, by_size.any(), **extra)
 
@@ -238,7 +239,7 @@ def _view_lemma(name: str, X: Complex2, bad, asserted, **extra) -> dict:
 @lru_cache(maxsize=1)
 def _coboundary_sums(X: Complex2) -> np.ndarray:
     """sum_v |coboundary(F_v)| for every edge mask F, one table for the outgoing and sum lemmas."""
-    return local_view_sums(X, lambda v, L: coboundary_size(X, L))
+    return local_view_sums(X, lambda L: coboundary_size(X, L))
 
 
 def _audit_outgoing(X: Complex2, ns) -> dict:
@@ -276,32 +277,20 @@ def _audit_large_cuts(X: Complex2, ns) -> dict:
 
 def _audit_distance(X: Complex2, ns) -> dict:
     mu = certify_exact(X, max_bits=ns.max_bits).mu
-    preconditions, judge = distance_judgement(X, mu=mu, tol=ns.tol)
-    return _view_lemma(
-        "distance",
-        X,
-        lambda v, L: not judge(v, L).equal,
-        lambda size: 0 < size < X.n_edges and preconditions.met,
-    )
+    met, judge = distance_judgement(X, mu=mu, tol=ns.tol)
+    return _view_lemma("distance", X, judge, lambda size: 0 < size < X.n_edges and met)
 
 
 def _audit_local_views(X: Complex2, ns) -> dict:
     cert = certify_exact(X, max_bits=ns.max_bits)
     eps = cert.epsilon_cosystolic
-    preconditions, eta, judge = local_view_bound_judgement(
-        X, eps, mu=cert.mu, slack=ns.slack, tol=ns.tol
-    )
-
-    def bad(v: int, L: int) -> bool:
-        entry = judge(v, L)
-        return entry is not None and not entry.ok
-
-    return _view_lemma("local-views", X, bad, lambda size: preconditions.met, eta=eta, epsilon=eps)
+    met, eta, judge = local_view_bound_judgement(X, eps, mu=cert.mu, slack=ns.slack, tol=ns.tol)
+    return _view_lemma("local-views", X, judge, lambda size: met, eta=eta, epsilon=eps)
 
 
 def _audit_sum(X: Complex2, ns) -> dict:
     eps = certify_exact(X, max_bits=ns.max_bits).epsilon_cosystolic
-    _, judge = sum_bound_judgement(X, eps, slack=ns.slack, tol=ns.tol)
+    judge = sum_bound_judgement(X, eps, slack=ns.slack, tol=ns.tol)
     sums = _coboundary_sums(X)
     sizes = subset_sums([1] * X.n_edges, np.uint8)
     rhs, holds = judge(sums, sizes)
@@ -398,15 +387,16 @@ def _cmd_verify_theorem(ns, out, err) -> int:
     G0 = underlying_graph(X)
     results["lambda2_g0"] = normalized_spectrum(G0, ns.tol).lambda2
     try:
-        gap_lambda2(G0, "rate bound requires", ns.tol)
+        lambda2 = gap_lambda2(G0, "rate bound requires", ns.tol)
         cert = certify_exact(X, max_bits=ns.max_bits)
     except (DomainError, DegenerateComplexError) as exc:
         results["reason"] = str(exc)
         return finish(NOT_APPLICABLE)
     results["certificate"] = _jsonable(cert)
     # Regularity, triangles and the lambda2 gate are settled, so the audit applies.
-    audit = rapid_mixing_audit(X, cert, ns.steps, slack=ns.slack, tol=ns.tol)
-    results["rate_bound"] = audit.rate_bound
+    rate = mixing_rate_bound(cert.epsilon_cosystolic, lambda2)
+    audit = rapid_mixing_audit(X, rate, ns.steps, slack=ns.slack, tol=ns.tol)
+    results["rate_bound"] = rate
     g1 = edge_graph(X)
     results["edge_graph"] = {
         "n": g1.n,

@@ -185,15 +185,6 @@ def coboundary_space(X: Complex2, i: int) -> CodeSpace:
     raise ParameterError(f"cochain dimension must be 0 or 1, got {i}")
 
 
-def set_distance(S: Chain, T: Chain) -> int:
-    """Hamming distance: size of the symmetric difference."""
-    if S.dimension != T.dimension:
-        raise DimensionMismatchError(
-            f"cannot compare chains of dimensions {S.dimension} and {T.dimension}"
-        )
-    return len(S.members ^ T.members)
-
-
 def distance_to_space(F: Chain, C: CodeSpace) -> tuple[int, Chain]:
     """Minimum Hamming distance from F to the span of C, with a nearest codeword.
 

@@ -62,10 +62,6 @@ class Complex2(Record):
         return {e: i for i, e in enumerate(self.edges)}
 
     @cached_property
-    def triangle_ids(self) -> dict:
-        return {t: i for i, t in enumerate(self.triangles)}
-
-    @cached_property
     def triangle_edge_ids(self) -> tuple[tuple[int, int, int], ...]:
         """For each triangle, the ids of its three edges."""
         ids = self.edge_ids
@@ -95,9 +91,6 @@ class Complex2(Record):
                 m |= 1 << t
             masks[e] = m
         return tuple(masks)
-
-    def edge_id(self, u: int, v: int) -> int:
-        return self.edge_ids[(u, v) if u < v else (v, u)]
 
 
 def _canonical_edge(pair) -> tuple[int, int]:
@@ -388,11 +381,6 @@ def loads_complex(text: str) -> Complex2:
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ParameterError(f"not a valid complex document: {exc}") from exc
     return from_document(doc)
-
-
-def save_complex(X: Complex2, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_complex(X))
 
 
 def load_complex(path: str) -> Complex2:

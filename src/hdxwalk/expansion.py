@@ -10,15 +10,14 @@ before any is built.  The least witnesses come from the same tables:
 a greedy pass over the faces for the two ratios, and a scan of the cocycles
 for mu.
 
-The audits check, on concrete inputs, the chain of facts behind the mixing
-bound: the outgoing-edges identity between edge-graph cuts and local-view
-coboundaries, the local-view distance formula, the per-vertex coboundary
-lower bounds for semi-fat and non-fat vertices, the minimum-cut lower bound,
-the sum-of-coboundaries lower bound, and the closed-form mixing rate.
-Those that see an edge set F only through its local views F_v = F & star(v)
-are each stated once, by a ``*_judgement`` function: past the gates, it returns
-``judge``, the lemma at one view given as an edge mask.  The per-F audits apply
-it to F's views; ``local_view_sums`` tables it over every F.
+The rest states the facts behind the mixing bound that ``hdx audit`` checks:
+the local-view distance formula, the per-vertex coboundary lower bounds for
+semi-fat and non-fat vertices, the minimum-cut lower bound, the
+sum-of-coboundaries lower bound, and the closed-form mixing rate.  Each
+``*_judgement`` function passes a lemma's regularity and lambda2 gates once
+per complex and returns ``judge``, the lemma at one local view
+F_v = F & star(v) given as an edge mask; ``local_view_sums`` tables it over
+every edge set F.
 """
 
 from __future__ import annotations
@@ -33,8 +32,6 @@ from ._lazy import np
 from ._record import Record
 from .cochain import (
     Chain,
-    _check_members,
-    chain_to_mask,
     coboundary_space,
     cocycle_space,
     distance_to_space,
@@ -49,7 +46,7 @@ from .errors import (
     ParameterError,
     RegularityError,
 )
-from .graphs import Graph, edge_graph, underlying_graph
+from .graphs import Graph, underlying_graph
 from .spectral import (
     check_table_bits,
     cut_sizes,
@@ -290,40 +287,6 @@ def fatness_constant(lambda2: float) -> float:
     return eta
 
 
-def _edge_mask(X: Complex2, F: Chain, what: str) -> int:
-    """The mask of F, once F is known to be a 1-chain of X's edges."""
-    if F.dimension != 1:
-        raise ParameterError(f"{what} takes a 1-chain of edges")
-    _check_members(X, F)
-    return chain_to_mask(F)
-
-
-def _categories(k0: int, eta: float) -> Callable[[int], str]:
-    """The category of a local view by its size: above eta*k0, above k0/2, or neither."""
-    if not (0.5 < eta < 1.0):
-        raise DomainError(f"fatness constant must lie in (1/2, 1), got {eta}")
-    return lambda size: "fat" if size > eta * k0 else "semi_fat" if 2 * size > k0 else "non_fat"
-
-
-class FatnessPartition(Record):
-    """Vertices split by local-view size: > eta*k0 / (k0/2, eta*k0] / <= k0/2."""
-
-    eta: float
-    fat: tuple[int, ...]
-    semi_fat: tuple[int, ...]
-    non_fat: tuple[int, ...]
-
-
-def fatness_partition(X: Complex2, F: Chain, eta: float) -> FatnessPartition:
-    k0, _ = _required_regular(X)
-    category = _categories(k0, eta)
-    fmask = _edge_mask(X, F, "fatness partition")
-    parts: dict[str, list[int]] = {"fat": [], "semi_fat": [], "non_fat": []}
-    for v, star in enumerate(X.vertex_edge_masks):
-        parts[category((star & fmask).bit_count())].append(v)
-    return FatnessPartition(eta, *map(tuple, parts.values()))
-
-
 def coboundary_size(X: Complex2, L: int) -> int:
     """Number of triangles holding an odd number of the edges in mask L."""
     d = 0
@@ -332,202 +295,61 @@ def coboundary_size(X: Complex2, L: int) -> int:
     return d.bit_count()
 
 
-def sum_local_coboundaries(X: Complex2, F: Chain) -> int:
-    """Sum over vertices of |coboundary(local view of F at v)|."""
-    fmask = chain_to_mask(F)
-    return sum(coboundary_size(X, star & fmask) for star in X.vertex_edge_masks)
-
-
-class OutgoingEdgesIdentity(Record):
-    """Cut size in the edge-graph vs. the local-view coboundary sum."""
-
-    lhs: int
-    rhs: int
-
-    @property
-    def holds(self) -> bool:
-        return self.lhs == self.rhs
-
-
-def outgoing_edges_identity(X: Complex2, F: Chain) -> OutgoingEdgesIdentity:
-    fmask = _edge_mask(X, F, "outgoing-edges identity")
-    g1 = edge_graph(X)
-    outside = ((1 << g1.n) - 1) & ~fmask
-    lhs = sum((g1.neighbor_masks[a] & outside).bit_count() for a in mask_bits(fmask))
-    return OutgoingEdgesIdentity(lhs, sum_local_coboundaries(X, F))
-
-
-class SizePreconditions(Record):
-    """Minimum-size hypotheses under which the asymptotic statements are asserted."""
-
-    spectral_bound: float  # |V| >= 4 / (1 - 2*lambda2)
-    cosystolic_bound: float  # |V| >= 3 / mu
-    spectral_ok: bool
-    cosystolic_ok: bool
-
-    @property
-    def met(self) -> bool:
-        return self.spectral_ok and self.cosystolic_ok
-
-
-def _size_preconditions(X: Complex2, claim: str, mu: Optional[Fraction], tol: float):
-    """k0, k1, lambda2 and the size preconditions on X, past its regularity and lambda2 gates."""
-    if mu is not None and mu <= 0:
+def _size_preconditions(X: Complex2, claim: str, mu: Fraction, tol: float):
+    """k0, k1, lambda2, and whether the size preconditions |V| >= 4 / (1 - 2*lambda2)
+    and |V| >= 3 / mu hold, past X's regularity and lambda2 gates."""
+    if mu <= 0:
         raise ParameterError(f"mu must be positive, got {mu}")
     k0, k1 = _required_regular(X)
     lambda2 = gap_lambda2(underlying_graph(X), claim, tol)
-    mu = certify_exact(X).mu if mu is None else mu
-    spectral_bound = 4.0 / (1.0 - 2.0 * lambda2)
-    preconditions = SizePreconditions(
-        spectral_bound=spectral_bound,
-        cosystolic_bound=3.0 / float(mu),
-        spectral_ok=X.n_vertices >= spectral_bound - 1e-12,
-        cosystolic_ok=Fraction(X.n_vertices) * mu >= 3,
-    )
-    return k0, k1, lambda2, preconditions
+    met = X.n_vertices >= 4.0 / (1.0 - 2.0 * lambda2) - 1e-12 and X.n_vertices * mu >= 3
+    return k0, k1, lambda2, met
 
 
-class VertexDistanceEntry(Record):
-    vertex: int
-    local_view_size: int
-    distance: int
-    formula_value: int
-
-    @property
-    def equal(self) -> bool:
-        return self.distance == self.formula_value
-
-
-class DistanceFormulaReport(Record):
-    """Per-vertex comparison of dist(F_v, Z^1) against min(|F_v|, k0 - |F_v|)."""
-
-    applicable: bool
-    note: Optional[str]
-    preconditions: SizePreconditions
-    entries: tuple[VertexDistanceEntry, ...]
-
-    @property
-    def all_equal(self) -> bool:
-        return all(e.equal for e in self.entries)
-
-    @property
-    def passes(self) -> Optional[bool]:
-        if not self.applicable or not self.preconditions.met:
-            return None
-        return self.all_equal
-
-
-def distance_judgement(X: Complex2, *, mu: Optional[Fraction] = None, tol: float = 1e-9):
-    """The size preconditions, and judge(v, L): dist(L, Z^1) against min(|L|, k0 - |L|)."""
-    k0, _, _, preconditions = _size_preconditions(X, "distance formula requires", mu, tol)
+def distance_judgement(X: Complex2, *, mu: Fraction, tol: float = 1e-9):
+    """Whether the size preconditions hold, and judge(L): whether the view L has
+    dist(L, Z^1) = min(|L|, k0 - |L|)."""
+    k0, _, _, met = _size_preconditions(X, "distance formula requires", mu, tol)
     z1 = cocycle_space(X, 1)
 
-    def judge(v: int, L: int) -> VertexDistanceEntry:
+    def judge(L: int) -> bool:
         size = L.bit_count()
-        dist, _ = distance_to_space(mask_to_chain(1, L), z1)
-        return VertexDistanceEntry(v, size, dist, min(size, k0 - size))
+        return distance_to_space(mask_to_chain(1, L), z1)[0] == min(size, k0 - size)
 
-    return preconditions, judge
-
-
-def distance_formula_audit(
-    X: Complex2, F: Chain, *, mu: Optional[Fraction] = None, tol: float = 1e-9
-) -> DistanceFormulaReport:
-    fmask = _edge_mask(X, F, "distance formula audit")
-    preconditions, judge = distance_judgement(X, mu=mu, tol=tol)
-    applicable = 0 < len(F) < X.n_edges
-    note = "stated for proper nonempty edge subsets; report is informational"
-    entries = tuple(judge(v, star & fmask) for v, star in enumerate(X.vertex_edge_masks))
-    return DistanceFormulaReport(applicable, None if applicable else note, preconditions, entries)
-
-
-class LocalViewBoundEntry(Record):
-    vertex: int
-    category: str  # "semi_fat" or "non_fat"
-    coboundary_size: int
-    bound: float
-    ok: bool
-
-
-class LocalViewBoundsReport(Record):
-    """Coboundary lower bounds for semi-fat and non-fat local views."""
-
-    preconditions: SizePreconditions
-    eta: float
-    entries: tuple[LocalViewBoundEntry, ...]
-
-    @property
-    def all_ok(self) -> bool:
-        return all(e.ok for e in self.entries)
-
-    @property
-    def passes(self) -> Optional[bool]:
-        if not self.preconditions.met:
-            return None
-        return self.all_ok
+    return met, judge
 
 
 def local_view_bound_judgement(
-    X: Complex2,
-    epsilon: Fraction,
-    eta: Optional[float] = None,
-    *,
-    mu: Optional[Fraction] = None,
-    slack: float = 1e-9,
-    tol: float = 1e-9,
+    X: Complex2, epsilon: Fraction, *, mu: Fraction, slack: float = 1e-9, tol: float = 1e-9
 ):
-    """The size preconditions, eta (by default from lambda2), and judge(v, L): |coboundary(L)|
-    against eps*k1*(1 - eta)*k0 if L is semi-fat, eps*k1*|L| if non-fat, and None if fat."""
-    k0, k1, lambda2, preconditions = _size_preconditions(X, "local-view bounds require", mu, tol)
-    if eta is None:
-        eta = fatness_constant(lambda2)
-    category = _categories(k0, eta)
+    """Whether the size preconditions hold, eta from lambda2, and judge(L): whether
+    |coboundary(L)| reaches, within slack, eps*k1*(1 - eta)*k0 if L is semi-fat
+    (k0/2 < |L| <= eta*k0) and eps*k1*|L| if non-fat; a fat view always holds."""
+    k0, k1, lambda2, met = _size_preconditions(X, "local-view bounds require", mu, tol)
+    eta = fatness_constant(lambda2)
     eps = float(epsilon)
 
-    def judge(v: int, L: int) -> Optional[LocalViewBoundEntry]:
+    def judge(L: int) -> bool:
         size = L.bit_count()
-        kind = category(size)
-        if kind == "fat":
-            return None
-        d = coboundary_size(X, L)
-        bound = eps * k1 * (1.0 - eta) * k0 if kind == "semi_fat" else eps * k1 * size
-        return LocalViewBoundEntry(v, kind, d, bound, d >= bound - slack)
+        if size > eta * k0:
+            return True
+        bound = eps * k1 * (1.0 - eta) * k0 if 2 * size > k0 else eps * k1 * size
+        return coboundary_size(X, L) >= bound - slack
 
-    return preconditions, eta, judge
+    return met, eta, judge
 
 
-def local_view_bounds_audit(
-    X: Complex2,
-    F: Chain,
-    epsilon: Fraction,
-    eta: float,
-    *,
-    mu: Optional[Fraction] = None,
-    slack: float = 1e-9,
-    tol: float = 1e-9,
-) -> LocalViewBoundsReport:
-    fmask = _edge_mask(X, F, "local-view bounds audit")
-    preconditions, eta, judge = local_view_bound_judgement(
-        X, epsilon, eta, mu=mu, slack=slack, tol=tol
-    )
-    views = (judge(v, star & fmask) for v, star in enumerate(X.vertex_edge_masks))
-    return LocalViewBoundsReport(preconditions, eta, tuple(e for e in views if e is not None))
+def local_view_sums(X: Complex2, value: Callable[[int], int]) -> np.ndarray:
+    """Sum over vertices v of value(local view of F at v), for every edge mask F.
 
-
-def local_view_sums(X: Complex2, value: Callable[[int, int], int]) -> np.ndarray:
-    """Sum over vertices v of value(v, local view of F at v), for every edge mask F.
-
-    ``value(v, L)`` is called once for each vertex v and each edge mask L
+    ``value(L)`` is called once for each vertex v and each edge mask L
     inside the star of v, and returns a non-negative integer; every F then
     looks its local views up by index.  The result is indexed by F's mask.
     """
     check_table_bits(X.n_edges)
     stars = [mask_bits(star) for star in X.vertex_edge_masks]
     # A view's index has bit t set when it holds the t-th edge of the star.
-    tables = [
-        [value(v, int(L)) for L in subset_sums([1 << e for e in edges], int)]
-        for v, edges in enumerate(stars)
-    ]
+    tables = [[value(int(L)) for L in subset_sums([1 << e for e in edges], int)] for edges in stars]
     total = np.zeros(1 << X.n_edges, np.min_scalar_type(sum(map(max, tables))))
     for edges, table in zip(stars, tables):
         weights = [0] * X.n_edges
@@ -545,10 +367,6 @@ class LargeCutsResult(Record):
     lambda2: float
     precondition_met: bool
     passes: bool
-
-    @property
-    def asserted(self) -> Optional[bool]:
-        return self.passes if self.precondition_met else None
 
 
 def large_cuts_audit(G0: Graph, *, tol: float = 1e-9) -> LargeCutsResult:
@@ -573,16 +391,9 @@ def large_cuts_audit(G0: Graph, *, tol: float = 1e-9) -> LargeCutsResult:
     )
 
 
-class SumCoboundariesResult(Record):
-    lhs: int
-    rhs_bound: float
-    lambda2: float
-    passes: bool
-
-
 def sum_bound_judgement(X: Complex2, epsilon: Fraction, *, slack: float = 1e-9, tol: float = 1e-9):
-    """lambda2, and judge(lhs, |F|): the bound (eps*k1/4) * bracket(lambda2) * |F|, stated
-    for |F| <= |E|/2, and whether lhs = sum_v |coboundary(F_v)| reaches it within slack."""
+    """judge(lhs, |F|): the bound (eps*k1/4) * bracket(lambda2) * |F|, stated for
+    |F| <= |E|/2, and whether lhs = sum_v |coboundary(F_v)| reaches it within slack."""
     _, k1 = _required_regular(X)
     lambda2 = gap_lambda2(underlying_graph(X), "sum-of-coboundaries bound requires", tol)
     scale = float(epsilon) * k1 / 4.0 * _bracket(lambda2)
@@ -591,20 +402,7 @@ def sum_bound_judgement(X: Complex2, epsilon: Fraction, *, slack: float = 1e-9, 
         rhs = scale * size
         return rhs, lhs >= rhs - slack
 
-    return lambda2, judge
-
-
-def sum_coboundaries_audit(
-    X: Complex2, F: Chain, epsilon: Fraction, *, slack: float = 1e-9, tol: float = 1e-9
-) -> SumCoboundariesResult:
-    """Check sum_v |coboundary(F_v)| >= (eps*k1/4) * bracket(lambda2) * |F|."""
-    _edge_mask(X, F, "sum-of-coboundaries audit")
-    lambda2, judge = sum_bound_judgement(X, epsilon, slack=slack, tol=tol)
-    if 2 * len(F) > X.n_edges:
-        raise DomainError(f"bound stated for |F| <= |E|/2; got |F|={len(F)}, |E|={X.n_edges}")
-    lhs = sum_local_coboundaries(X, F)
-    rhs, ok = judge(lhs, len(F))
-    return SumCoboundariesResult(lhs, rhs, lambda2, ok)
+    return judge
 
 
 def mixing_rate_bound(epsilon, lambda2: float) -> float:

@@ -31,10 +31,6 @@ def row_reduce(rows: Iterable[int]) -> list[int]:
     return [basis[p] for p in sorted(basis)]
 
 
-def rank(rows: Iterable[int]) -> int:
-    return len(row_reduce(rows))
-
-
 def in_span(vec: int, reduced: Sequence[int]) -> bool:
     """Membership test against a basis produced by :func:`row_reduce`."""
     for r in reduced:

@@ -48,15 +48,6 @@ class Graph(Record):
         return None
 
     @cached_property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        out = []
-        for u, nbrs in enumerate(self.adjacency):
-            for v in nbrs:
-                if u < v:
-                    out.append((u, v))
-        return tuple(out)
-
-    @cached_property
     def neighbor_masks(self) -> tuple[int, ...]:
         masks = []
         for nbrs in self.adjacency:
@@ -65,20 +56,6 @@ class Graph(Record):
                 m |= 1 << v
             masks.append(m)
         return tuple(masks)
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
-
-def complete_graph(n: int) -> Graph:
-    return Graph.from_edges(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ParameterError(f"cycle needs at least 3 vertices, got {n}")
-    return Graph.from_edges(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 @lru_cache(maxsize=128)

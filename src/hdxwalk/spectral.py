@@ -1,9 +1,8 @@
-"""Normalized adjacency spectra, exact Cheeger constants, and spectral audits.
+"""Normalized adjacency spectra, exact Cheeger constants, and subset tables.
 
 Eigenvalues of a k-regular graph are reported normalized by k, sorted
 descending.  Cheeger constants are exact rationals from exhaustive subset
-enumeration.  The audits check, with explicit slack, the inequalities
-relating cuts, eigenvalues, and the edge-graph spectral floor of -17/18.
+enumeration; the same tables of cut sizes serve the minimum-cut audit.
 """
 
 from __future__ import annotations
@@ -16,16 +15,15 @@ from itertools import chain
 from ._lazy import np
 from ._record import Record
 from .cochain import mask_bits
-from .complexes import Complex2, degree_profile
 from .errors import CapacityError, DomainError, ParameterError, RegularityError, ToleranceError
-from .graphs import Graph, edge_graph
+from .graphs import Graph
 
 #: Largest subset table (2**bits entries) the enumeration kernels build.
 TABLE_BIT_LIMIT = 26
 #: Most vertices of a graph whose dense n x n matrices are built.
 DENSE_VERTEX_LIMIT = 2**11
-#: Normalized floor for the smallest edge-graph eigenvalue.
-EDGE_GRAPH_FLOOR = Fraction(-17, 18)
+#: Most integer additions, n**3 * k, of the exact lambda2 decision's characteristic polynomial.
+CHARPOLY_WORK_LIMIT = 2**24
 
 
 class SpectralReport(Record):
@@ -122,11 +120,19 @@ def lambda2_below_half(G: Graph, report: SpectralReport) -> bool:
     exactly when A has one eigenvalue at or above k/2.  Those are the roots
     y >= 0 of det(yI - (2A - kI)), an integer polynomial with only real
     roots: Descartes' rule of signs counts its positive roots exactly, and
-    its trailing zero coefficients count the root at 0.
+    its trailing zero coefficients count the root at 0.  That polynomial
+    takes n**3 * k additions of growing integers; above CHARPOLY_WORK_LIMIT
+    the decision is refused with CapacityError before any is made.
     """
     if abs(report.lambda2 - 0.5) > max(G.n * report.tolerance, 1e-9):
         return report.lambda2 < 0.5
     k = G.regular_k
+    work = G.n**3 * k
+    if work > CHARPOLY_WORK_LIMIT:
+        raise CapacityError(
+            f"lambda2 lies within the eigensolver's error of 1/2, and deciding it exactly "
+            f"takes {work} additions ({G.n}**3 * {k}); limit is {CHARPOLY_WORK_LIMIT}"
+        )
     # Horner's rule for 2**n * p((y + k) / 2), p = det(xI - A), highest power first.
     q: list[int] = []
     for j, c in enumerate(characteristic_polynomial(G)):
@@ -221,72 +227,6 @@ def cheeger_exhaustive(G: Graph) -> CheegerResult:
         if Fraction(c, k * m) == best:
             ties |= side & (size == m) & (cut == c)
     return CheegerResult(best, lex_first(np.flatnonzero(ties)))
-
-
-class MixingLemmaAudit(Record):
-    residual: float
-    witness: tuple[int, ...]
-    lambda2: float
-    passes: bool
-
-
-def mixing_lemma_audit(G: Graph, *, slack: float = 1e-6) -> MixingLemmaAudit:
-    """Worst residual of the one-sided expander mixing bound over all subsets.
-
-    Audits 2|E(S)| <= k|S|(|S|/n + lambda2*(1 - |S|/n)), the exact Rayleigh
-    form, which holds for every regular graph with the signed lambda2 (with
-    equality on complete graphs).  Dropping the (1 - |S|/n) factor is only
-    sound when lambda2 >= 0, and this bound implies that simpler one there.
-    """
-    k = _require_regular(G)
-    check_table_bits(G.n)  # before the eigensolver runs
-    lambda2 = normalized_spectrum(G).lambda2
-    n = G.n
-    cut = cut_sizes(G)
-    size = subset_sums([1] * n, np.uint8)
-    # 2|E(S)| = k|S| - cut(S): at each size the least cut gives the worst residual.
-    least = [int(cut[size == s].min()) for s in range(n + 1)]
-    residuals = [
-        (k * s - c) - k * s * (s / n + lambda2 * (1.0 - s / n)) for s, c in enumerate(least)
-    ]
-    worst = max(residuals)
-    first = min(
-        int(np.argmax((size == s) & (cut == c)))
-        for s, (c, r) in enumerate(zip(least, residuals))
-        if r == worst
-    )
-    return MixingLemmaAudit(worst, tuple(mask_bits(first)), lambda2, worst <= slack)
-
-
-class CheegerInequalityAudit(Record):
-    slack: float
-    h_normalized: Fraction
-    lambda2: float
-    passes: bool
-
-
-def cheeger_inequality_audit(G: Graph, *, slack: float = 1e-9) -> CheegerInequalityAudit:
-    """Slack of lambda2 <= 1 - h^2/2 (nonnegative when the inequality holds)."""
-    h = cheeger_exhaustive(G).h_normalized
-    lambda2 = normalized_spectrum(G).lambda2
-    value = (1.0 - float(h) ** 2 / 2.0) - lambda2
-    return CheegerInequalityAudit(value, h, lambda2, value >= -slack)
-
-
-class EdgeGraphFloorAudit(Record):
-    lambda_n: float
-    slack: float
-    passes: bool
-
-
-def edge_graph_floor_audit(X: Complex2, *, slack: float = 1e-9) -> EdgeGraphFloorAudit:
-    """Slack of lambda_n(edge-graph) >= -17/18 for an edge-regular complex."""
-    profile = degree_profile(X)
-    if not profile.edge_triangle_degrees or len(set(profile.edge_triangle_degrees)) != 1:
-        raise RegularityError("complex is not edge-regular; edge-graph floor undefined")
-    report = normalized_spectrum(edge_graph(X))
-    value = report.lambda_n - float(EDGE_GRAPH_FLOOR)
-    return EdgeGraphFloorAudit(report.lambda_n, value, value >= -slack)
 
 
 def characteristic_polynomial(G: Graph) -> tuple[int, ...]:

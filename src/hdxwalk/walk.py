@@ -1,32 +1,22 @@
-"""Random-walk engines: exact distances to uniform and seeded simulation.
+"""Random-walk engines: exact distances to uniform and seeded path ensembles.
 
 The walk steps to a uniformly random neighbor (no laziness, no self-loops),
 both on graph vertices and on complex edges, where two edges neighbor each
 other when they span a triangle.  Exact evolution gives the l2 distance of
 M^t p to uniform in closed form from one eigendecomposition of M = A/k;
-simulation uses SplitMix64 so paths are reproducible from the seed alone.
+ensembles use SplitMix64 so paths are reproducible from the seed alone.
 Bipartite non-convergence is expected behavior and is surfaced by the
 distances, not patched.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Optional
-
 from ._lazy import np
 from ._record import Record
-from .complexes import Complex2, degree_profile
-from .errors import (
-    CapacityError,
-    DomainError,
-    ParameterError,
-    RegularityError,
-    UndefinedTransitionError,
-)
-from .expansion import ExpansionCertificate, gap_lambda2, mixing_rate_bound
-from .graphs import Graph, edge_graph, underlying_graph
-from .rng import _GAMMA, SplitMix64, derive_seeds, mix_array
+from .complexes import Complex2
+from .errors import CapacityError, ParameterError, RegularityError, UndefinedTransitionError
+from .graphs import Graph, edge_graph
+from .rng import _GAMMA, derive_seeds, mix_array
 from .spectral import eigensystem, normalized_spectrum
 
 #: Most cells, (steps + 1) per vertex or edge, a walk computes.
@@ -60,12 +50,6 @@ class Distribution(Record):
         if not (0 <= index < n):
             raise ParameterError(f"point mass index {index} out of range for n={n}")
         return cls(tuple(1.0 if i == index else 0.0 for i in range(n)))
-
-    @classmethod
-    def uniform(cls, n: int) -> "Distribution":
-        if n < 1:
-            raise ParameterError("uniform distribution needs at least one entry")
-        return cls((1.0 / n,) * n)
 
 
 def check_walk_capacity(width: int, steps: int, paths: int = 0) -> None:
@@ -126,43 +110,6 @@ def evolve_exact(G: Graph, p0: Distribution, steps: int) -> tuple[float, ...]:
     return tuple(np.concatenate(list(blocks))[:, 0].tolist())
 
 
-def high_order_neighbors(X: Complex2, e: int) -> tuple[int, ...]:
-    """Edges sharing a triangle with edge e, as sorted edge ids."""
-    if not (0 <= e < X.n_edges):
-        raise ParameterError(f"edge index {e} out of range")
-    return edge_graph(X).adjacency[e]
-
-
-def simulate(G: Graph, v0: int, steps: int, seed: int) -> tuple[int, ...]:
-    """Seeded uniform-neighbor walk on graph vertices."""
-    if not (0 <= v0 < G.n):
-        raise ParameterError(f"start vertex {v0} out of range")
-    if steps < 0:
-        raise ParameterError(f"steps must be non-negative, got {steps}")
-    rng = SplitMix64(seed)
-    path = [v0]
-    v = v0
-    for _ in range(steps):
-        nbrs = G.adjacency[v]
-        if not nbrs:
-            raise UndefinedTransitionError(f"vertex {v} has no neighbors")
-        v = nbrs[rng.randrange(len(nbrs))]
-        path.append(v)
-    return tuple(path)
-
-
-def high_order_simulate(X: Complex2, e0: int, steps: int, seed: int) -> tuple[int, ...]:
-    """Seeded walk on the edges of X; each step is uniform over triangle-neighbors."""
-    if not (0 <= e0 < X.n_edges):
-        raise ParameterError(f"start edge {e0} out of range")
-    if steps < 0:
-        raise ParameterError(f"steps must be non-negative, got {steps}")
-    g1 = edge_graph(X)
-    if steps and not g1.adjacency[e0]:
-        raise UndefinedTransitionError(f"edge {e0} belongs to no triangle; walk undefined")
-    return simulate(g1, e0, steps, seed)
-
-
 def _padded_neighbors(adjacency: tuple[tuple[int, ...], ...]):
     """Neighbor lists as one (n, max degree) array, the degrees, and the largest
     accepted 64-bit draw per vertex, ``(2**64 // d) * d - 1`` (below 2**64
@@ -220,70 +167,39 @@ def high_order_step_counts(
 
 
 class RapidMixingReport(Record):
-    """Worst-start decay of the edge walk against the certified rate bound."""
+    """Worst-start decay of the edge walk against a rate bound."""
 
-    applicable: bool
-    reason: Optional[str]
-    epsilon: Optional[Fraction]
-    lambda2: Optional[float]
-    rate_bound: Optional[float]
-    edge_graph_lambda: Optional[float]
+    rate_bound: float
+    edge_graph_lambda: float
     max_distances: tuple[float, ...]
     bound_ok: tuple[bool, ...]
 
     @property
-    def passes(self) -> Optional[bool]:
-        if not self.applicable:
-            return None
+    def passes(self) -> bool:
         return all(self.bound_ok)
 
 
 def rapid_mixing_audit(
-    X: Complex2,
-    certificate: ExpansionCertificate,
-    steps: int,
-    *,
-    slack: float = 1e-9,
-    tol: float = 1e-9,
+    X: Complex2, rate: float, steps: int, *, slack: float = 1e-9, tol: float = 1e-9
 ) -> RapidMixingReport:
-    """Worst point-mass start's distance to uniform, per step, vs. the rate bound,
+    """Worst point-mass start's distance to uniform, per step, against rate**t + slack,
     in closed form from the edge walk's eigensystem, which ``edge_graph_lambda`` reads.
 
-    Hypothesis failures (irregular complex, lambda2 >= 1/2, no triangles)
-    yield a not-applicable report rather than a failure.  Negative or
-    oversized ``steps`` raise first, whatever the complex.
+    The caller has decided the theorem's hypotheses (a (k0, k1)-regular
+    complex with triangles, lambda2 < 1/2) and the certified ``rate``.
+    Negative or oversized ``steps`` raise first.
     """
     if steps < 0:
         raise ParameterError(f"steps must be non-negative, got {steps}")
     check_walk_capacity(X.n_edges, steps)
-
-    def not_applicable(reason: str) -> RapidMixingReport:
-        return RapidMixingReport(False, reason, None, None, None, None, (), ())
-
-    profile = degree_profile(X)
-    if profile.regular is None:
-        return not_applicable("complex is not (k0, k1)-regular")
-    if profile.regular[1] == 0:
-        return not_applicable("no triangles; the edge walk has no moves")
-    try:
-        lambda2 = gap_lambda2(underlying_graph(X), "rate bound requires", tol)
-    except DomainError as exc:
-        return not_applicable(str(exc))
-    rate = mixing_rate_bound(certificate.epsilon_cosystolic, lambda2)
     g1 = edge_graph(X)
     values, vectors, _ = eigensystem(g1, tol)
     # Column j is the point mass at edge j minus uniform, in the eigenbasis.
     blocks = _distance_blocks(values, vectors.T - vectors.mean(axis=0)[:, None], steps)
-    max_distances = [d for block in blocks for d in block.max(axis=1).tolist()]
-    bound_ok = tuple(d <= rate**i + slack for i, d in enumerate(max_distances))
-    g1_lambda = normalized_spectrum(g1, tol).lambda_max_nontrivial
+    max_distances = tuple(d for block in blocks for d in block.max(axis=1).tolist())
     return RapidMixingReport(
-        applicable=True,
-        reason=None,
-        epsilon=certificate.epsilon_cosystolic,
-        lambda2=lambda2,
         rate_bound=rate,
-        edge_graph_lambda=g1_lambda,
-        max_distances=tuple(max_distances),
-        bound_ok=bound_ok,
+        edge_graph_lambda=normalized_spectrum(g1, tol).lambda_max_nontrivial,
+        max_distances=max_distances,
+        bound_ok=tuple(d <= rate**i + slack for i, d in enumerate(max_distances)),
     )

@@ -1,9 +1,25 @@
-"""Named complexes shared by several test modules, and seeded relabelling."""
+"""Named complexes and graphs shared by several test modules, seeded relabelling,
+and writing a complex document."""
 
 import random
 from itertools import combinations
 
-from hdxwalk.complexes import build_from_triangles
+from hdxwalk.complexes import build_from_triangles, dumps_complex
+from hdxwalk.graphs import Graph
+
+
+def complete_graph(n):
+    return Graph.from_edges(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
+
+
+def cycle_graph(n):
+    return Graph.from_edges(n, ((i, (i + 1) % n) for i in range(n)))
+
+
+def save_complex(X, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(dumps_complex(X))
+
 
 # Opposite pairs (0, 1), (2, 3), (4, 5); a face takes one vertex of each.
 OCTAHEDRON = build_from_triangles([(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)])

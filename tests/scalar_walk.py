@@ -1,4 +1,4 @@
-"""Scalar reference for ``walk.high_order_step_counts``.
+"""Scalar references for ``walk.high_order_step_counts``, and seeded single paths.
 
 One path at a time, one ``SplitMix64.randrange`` call per step, with the
 neighbor table built straight from the triangle incidences.  The library
@@ -7,6 +7,7 @@ counts to equal these.
 """
 
 from hdxwalk.errors import ParameterError, UndefinedTransitionError
+from hdxwalk.graphs import Graph
 from hdxwalk.rng import SplitMix64, derive_seed
 
 
@@ -20,23 +21,43 @@ def edge_neighbor_table(X):
     return tuple(tuple(sorted(s)) for s in nbrs)
 
 
-def scalar_step_counts(X, e0, steps, paths, seed):
-    if paths < 0:
-        raise ParameterError(f"path count must be non-negative, got {paths}")
+def simulate(G, v0, steps, seed):
+    """Seeded uniform-neighbor walk on the vertices of G."""
+    if not (0 <= v0 < G.n):
+        raise ParameterError(f"start vertex {v0} out of range")
+    if steps < 0:
+        raise ParameterError(f"steps must be non-negative, got {steps}")
+    rng, path = SplitMix64(seed), [v0]
+    for _ in range(steps):
+        nbrs = G.adjacency[path[-1]]
+        if not nbrs:
+            raise UndefinedTransitionError(f"vertex {path[-1]} has no neighbors")
+        path.append(nbrs[rng.randrange(len(nbrs))])
+    return tuple(path)
+
+
+def _edge_walk(X, e0, steps):
+    """The graph the edge walk of X moves on, once its start edge can move."""
     if not (0 <= e0 < X.n_edges):
         raise ParameterError(f"start edge {e0} out of range")
     table = edge_neighbor_table(X)
+    if steps and not table[e0]:
+        # Every other edge a walk reaches has the edge it came from as a neighbor.
+        raise UndefinedTransitionError(f"edge {e0} belongs to no triangle; walk undefined")
+    return Graph(X.n_edges, table)
+
+
+def high_order_simulate(X, e0, steps, seed):
+    """Seeded walk on the edges of X; each step is uniform over triangle-neighbors."""
+    return simulate(_edge_walk(X, e0, steps), e0, steps, seed)
+
+
+def scalar_step_counts(X, e0, steps, paths, seed):
+    if paths < 0:
+        raise ParameterError(f"path count must be non-negative, got {paths}")
+    G = _edge_walk(X, e0, steps if paths else 0)
     counts = [[0] * X.n_edges for _ in range(steps + 1)]
     for i in range(paths):
-        rng = SplitMix64(derive_seed(seed, i))
-        e = e0
-        counts[0][e] += 1
-        for t in range(1, steps + 1):
-            nbrs = table[e]
-            if not nbrs:
-                raise UndefinedTransitionError(
-                    f"edge {e} belongs to no triangle; walk undefined"
-                )
-            e = nbrs[rng.randrange(len(nbrs))]
+        for t, e in enumerate(simulate(G, e0, steps, derive_seed(seed, i))):
             counts[t][e] += 1
     return tuple(tuple(row) for row in counts)

@@ -1,4 +1,4 @@
-"""Expansion certificates, fatness machinery, and the inequality audits.
+"""Expansion certificates, the lemma judgements, and the mixing rate bound.
 
 The oracle here is a from-scratch reference certifier: coboundaries by
 literal definition loops, cocycle sets by filtering the full power set,
@@ -6,6 +6,7 @@ distances by direct minima.  The production certifier must reproduce its
 exact rational constants.
 """
 
+import argparse
 import functools
 import math
 import operator
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from lemma_loops import distance, fatness_partition, local_views, outgoing, sum_bound
 from named_complexes import (
     CUBOCTAHEDRON,
     HEAWOOD_LINE,
@@ -28,11 +30,13 @@ from named_complexes import (
     RP2_6,
     T5,
     TORUS_7,
+    complete_graph,
+    cycle_graph,
     relabel,
 )
 from scan_certifier import scan_certify_dimension
 
-from hdxwalk import expansion
+from hdxwalk import cli, expansion
 from hdxwalk.cochain import (
     Chain,
     coboundary_space,
@@ -51,28 +55,25 @@ from hdxwalk.errors import (
 from hdxwalk.expansion import (
     certify_exact,
     coboundary_size,
-    distance_formula_audit,
     distance_judgement,
     fatness_constant,
-    fatness_partition,
+    gap_lambda2,
     large_cuts_audit,
-    local_view_bounds_audit,
+    local_view_bound_judgement,
     local_view_sums,
     mixing_rate_bound,
-    outgoing_edges_identity,
-    sum_coboundaries_audit,
-    sum_local_coboundaries,
+    sum_bound_judgement,
 )
-from hdxwalk.graphs import complete_graph, edge_graph, underlying_graph
+from hdxwalk.graphs import edge_graph, underlying_graph
 from hdxwalk.rng import SplitMix64
-from hdxwalk.spectral import normalized_spectrum
+from hdxwalk.spectral import cut_sizes, normalized_spectrum
 
 K4 = complete_complex(4)
 K5 = complete_complex(5)
 
 
 def edge_chain(X, *pairs):
-    return Chain.of(1, [X.edge_id(u, v) for (u, v) in pairs])
+    return Chain.of(1, [X.edge_ids[(u, v)] for (u, v) in pairs])
 
 
 # --- reference certifier (independent oracle) -------------------------------
@@ -432,19 +433,16 @@ def test_certificate_invariant_under_relabelling():
 
 @pytest.mark.parametrize("seed", [14, 24, 25])
 def test_gap_gates_exact_on_relabelled_cuboctahedron(seed):
-    from hdxwalk.walk import rapid_mixing_audit
-
     X = relabel(CUBOCTAHEDRON, seed)
-    F = Chain.empty(1)
-    with pytest.raises(DomainError):
-        large_cuts_audit(underlying_graph(X))
-    with pytest.raises(DomainError):
-        distance_formula_audit(X, F, mu=Fraction(1))
-    with pytest.raises(DomainError):
-        local_view_bounds_audit(X, F, Fraction(1), 0.9, mu=Fraction(1))
-    with pytest.raises(DomainError):
-        sum_coboundaries_audit(X, F, Fraction(1))
-    assert not rapid_mixing_audit(X, certify_exact(CUBOCTAHEDRON), 1).applicable
+    for gate in (
+        lambda: large_cuts_audit(underlying_graph(X)),
+        lambda: distance_judgement(X, mu=Fraction(1)),
+        lambda: local_view_bound_judgement(X, Fraction(1), mu=Fraction(1)),
+        lambda: sum_bound_judgement(X, Fraction(1)),
+        lambda: gap_lambda2(underlying_graph(X), "rate bound requires"),  # verify-theorem's
+    ):
+        with pytest.raises(DomainError, match="decided exactly"):
+            gate()
 
 
 def test_cuboctahedron_dimension_1():
@@ -482,156 +480,125 @@ def test_fatness_constant_identity():
 
 def test_fatness_partition_empty_chain():
     part = fatness_partition(K4, Chain.empty(1), 0.843)
-    assert part.non_fat == (0, 1, 2, 3)
-    assert part.fat == () and part.semi_fat == ()
+    assert part == {"fat": [], "semi_fat": [], "non_fat": [0, 1, 2, 3]}
 
 
 def test_fatness_partition_full_edge_set():
-    F = Chain.of(1, range(K4.n_edges))
-    part = fatness_partition(K4, F, 0.843)
-    assert part.fat == (0, 1, 2, 3)
+    part = fatness_partition(K4, Chain.of(1, range(K4.n_edges)), 0.843)
+    assert part["fat"] == [0, 1, 2, 3]
 
 
 def test_fatness_partition_star():
     F = edge_chain(K4, (0, 1), (0, 2), (0, 3))
-    part = fatness_partition(K4, F, 0.843)
-    assert part.fat == (0,)
-    assert part.semi_fat == ()
-    assert part.non_fat == (1, 2, 3)
+    assert fatness_partition(K4, F, 0.843) == {"fat": [0], "semi_fat": [], "non_fat": [1, 2, 3]}
 
 
 def test_fatness_partition_semi_fat_case():
     # k0 = 4 on K5: a vertex with 3 of its 4 edges is semi-fat for eta ~ 0.772
     eta = fatness_constant(normalized_spectrum(complete_graph(5)).lambda2)
     F = edge_chain(K5, (0, 1), (0, 2), (0, 3))
-    part = fatness_partition(K5, F, eta)
-    assert 0 in part.semi_fat
+    assert 0 in fatness_partition(K5, F, eta)["semi_fat"]
 
 
 def test_fatness_partition_is_partition_and_recomputable():
-    from hdxwalk.cochain import local_view
-
+    # The judgement's categories, by view size, against the reference's, by local view.
+    _, eta, _ = local_view_bound_judgement(K5, Fraction(1), mu=Fraction(1))
     rng = SplitMix64(5)
     for _ in range(50):
         F = mask_to_chain(1, rng.randrange(1 << K5.n_edges))
-        part = fatness_partition(K5, F, 0.8)
-        combined = sorted(part.fat + part.semi_fat + part.non_fat)
-        assert combined == list(range(K5.n_vertices))
-        for v in range(K5.n_vertices):
-            size = len(local_view(K5, F, v))
-            if size > part.eta * 4:
-                assert v in part.fat
-            elif 2 * size > 4:
-                assert v in part.semi_fat
-            else:
-                assert v in part.non_fat
-
-
-def test_fatness_partition_rejects_bad_eta():
-    with pytest.raises(DomainError):
-        fatness_partition(K4, Chain.empty(1), 0.5)
-    with pytest.raises(DomainError):
-        fatness_partition(K4, Chain.empty(1), 1.0)
+        part = fatness_partition(K5, F, eta)
+        assert sorted(sum(part.values(), [])) == list(range(K5.n_vertices))
+        for v, star in enumerate(K5.vertex_edge_masks):
+            size = (star & sum(1 << e for e in F.members)).bit_count()
+            kind = "fat" if size > eta * 4 else "semi_fat" if 2 * size > 4 else "non_fat"
+            assert v in part[kind]
 
 
 # --- outgoing-edges identity -------------------------------------------------
 
 
 def test_outgoing_identity_empty():
-    r = outgoing_edges_identity(K4, Chain.empty(1))
-    assert (r.lhs, r.rhs) == (0, 0)
+    assert outgoing(K4, Chain.empty(1)) == (0, 0)
 
 
 def test_outgoing_identity_single_edge():
-    r = outgoing_edges_identity(K4, edge_chain(K4, (0, 1)))
-    assert (r.lhs, r.rhs) == (4, 4)
+    assert outgoing(K4, edge_chain(K4, (0, 1))) == (4, 4)
 
 
 def test_outgoing_identity_full_edge_set():
-    r = outgoing_edges_identity(K4, Chain.of(1, range(K4.n_edges)))
-    assert (r.lhs, r.rhs) == (0, 0)
+    assert outgoing(K4, Chain.of(1, range(K4.n_edges))) == (0, 0)
 
 
 def test_outgoing_identity_exhaustive():
+    # The two tables audit --lemma outgoing compares, on every edge set.
     for X in (K4, K5):
-        for mask in range(1 << X.n_edges):
-            r = outgoing_edges_identity(X, mask_to_chain(1, mask))
-            assert r.lhs == r.rhs
+        assert np.array_equal(cut_sizes(edge_graph(X)), cli._coboundary_sums(X))
 
 
 def test_outgoing_identity_on_random_complexes():
     for seed in range(3):
         X = random_complex(6, 0.5, seed=seed)
+        cut, sums = cut_sizes(edge_graph(X)), cli._coboundary_sums(X)
         rng = SplitMix64(seed)
         for _ in range(200):
-            F = mask_to_chain(1, rng.randrange(1 << X.n_edges))
-            r = outgoing_edges_identity(X, F)
-            assert r.lhs == r.rhs
+            mask = rng.randrange(1 << X.n_edges)
+            assert outgoing(X, mask_to_chain(1, mask)) == (cut[mask], sums[mask])
 
 
 # --- distance formula --------------------------------------------------------
 
 
 def test_distance_formula_single_edge():
-    report = distance_formula_audit(K4, edge_chain(K4, (0, 1)))
-    assert report.applicable and report.preconditions.met
-    assert report.passes is True
-    entry = report.entries[0]
-    assert (entry.local_view_size, entry.distance, entry.formula_value) == (1, 1, 1)
+    assert distance(K4, edge_chain(K4, (0, 1)), certify_exact(K4).mu) == (True, [])
+    met, judge = distance_judgement(K4, mu=certify_exact(K4).mu)
+    assert met and judge(1)
 
 
 def test_distance_formula_broken_star():
-    report = distance_formula_audit(K4, edge_chain(K4, (0, 2), (0, 3)))
-    assert report.passes is True
-    assert report.entries[0].distance == 1
-    assert report.entries[0].formula_value == 1  # min(2, 3 - 2)
+    # dist({02, 03}, Z^1) = 1 = min(2, 3 - 2) at vertex 0
+    F = edge_chain(K4, (0, 2), (0, 3))
+    assert distance(K4, F, Fraction(1)) == (True, [])
+    assert distance_judgement(K4, mu=Fraction(1))[1](sum(1 << e for e in F.members))
 
 
 def test_distance_formula_empty_is_informational():
-    report = distance_formula_audit(K4, Chain.empty(1))
-    assert not report.applicable
-    assert report.passes is None
-    assert all(e.distance == 0 and e.formula_value == 0 for e in report.entries)
+    assert distance(K4, Chain.empty(1), Fraction(1)) == (False, [])
 
 
 def test_distance_formula_exhaustive_k4_k5():
+    # Every local view of every vertex, as audit --lemma distance judges them.
     for X in (K4, K5):
-        mu = certify_exact(X).mu
-        for mask in range(1, (1 << X.n_edges) - 1):
-            report = distance_formula_audit(X, mask_to_chain(1, mask), mu=mu)
-            assert report.passes is True, mask
+        met, judge = distance_judgement(X, mu=certify_exact(X).mu)
+        assert met
+        for star in X.vertex_edge_masks:
+            assert all(judge(L) for L in range(star + 1) if L & ~star == 0)
 
 
 # --- local-view bounds --------------------------------------------------------
 
 
 def test_local_view_bounds_empty_chain():
-    cert = certify_exact(K4)
-    eta = fatness_constant(-1 / 3)
-    report = local_view_bounds_audit(K4, Chain.empty(1), cert.epsilon_cosystolic, eta)
-    assert report.passes is True  # every vertex non-fat with zero view, 0 >= 0
+    # every vertex non-fat with an empty view, 0 >= 0
+    eps = certify_exact(K4).epsilon_cosystolic
+    assert local_view_bound_judgement(K4, eps, mu=Fraction(1))[2](0)
+    assert local_views(K4, Chain.empty(1), eps, Fraction(1)) == (True, [])
 
 
 def test_local_view_bounds_single_edge():
-    cert = certify_exact(K4)
-    eta = fatness_constant(-1 / 3)
-    report = local_view_bounds_audit(K4, edge_chain(K4, (0, 1)), cert.epsilon_cosystolic, eta)
-    assert report.passes is True
-    by_vertex = {e.vertex: e for e in report.entries}
-    assert by_vertex[0].category == "non_fat"
-    assert by_vertex[0].coboundary_size == 2
+    eps = certify_exact(K4).epsilon_cosystolic
+    F = edge_chain(K4, (0, 1))
+    assert local_views(K4, F, eps, Fraction(1)) == (True, [])
+    assert 0 in fatness_partition(K4, F, fatness_constant(-1 / 3))["non_fat"]
+    assert coboundary_size(K4, 1 << K4.edge_ids[(0, 1)]) == 2
 
 
 def test_local_view_bounds_exhaustive():
     for X in (K4, K5):
         cert = certify_exact(X)
-        lam = normalized_spectrum(underlying_graph(X)).lambda2
-        eta = fatness_constant(lam)
-        for mask in range(1 << X.n_edges):
-            report = local_view_bounds_audit(
-                X, mask_to_chain(1, mask), cert.epsilon_cosystolic, eta, mu=cert.mu
-            )
-            assert report.passes is True, mask
+        met, _, judge = local_view_bound_judgement(X, cert.epsilon_cosystolic, mu=cert.mu)
+        assert met
+        for star in X.vertex_edge_masks:
+            assert all(judge(L) for L in range(star + 1) if L & ~star == 0)
 
 
 # --- large cuts ---------------------------------------------------------------
@@ -676,25 +643,18 @@ def test_large_cuts_single_vertex_cut_is_k():
 
 
 def test_large_cuts_rejects_half_gap():
-    from hdxwalk.graphs import cycle_graph
-
     with pytest.raises(DomainError):
         large_cuts_audit(cycle_graph(6))  # lambda2 = 1/2
 
 
 def test_large_cuts_downgrades_when_too_small():
     # C5: lambda2 = cos(72 deg) ~ 0.309, so the size bound is ~10.5 > 5
-    from hdxwalk.graphs import cycle_graph
-
     result = large_cuts_audit(cycle_graph(5))
     assert not result.precondition_met
-    assert result.asserted is None
     assert result.min_cut == 2 and result.passes  # holds anyway, informationally
 
 
 def test_large_cuts_capacity():
-    from hdxwalk.graphs import cycle_graph
-
     with pytest.raises(CapacityError, match=r"got 2\*\*27"):
         large_cuts_audit(cycle_graph(27))
 
@@ -703,34 +663,29 @@ def test_large_cuts_capacity():
 
 
 def test_sum_coboundaries_empty():
-    cert = certify_exact(K4)
-    result = sum_coboundaries_audit(K4, Chain.empty(1), cert.epsilon_cosystolic)
-    assert result.lhs == 0 and result.rhs_bound == 0 and result.passes
+    judge = sum_bound_judgement(K4, certify_exact(K4).epsilon_cosystolic)
+    assert judge(0, 0) == (0, True)
 
 
 def test_sum_coboundaries_single_edge_value():
     # lambda2 = -1/3 makes the bracket exactly 2/3, so the bound is eps/3
-    cert = certify_exact(K4)
-    result = sum_coboundaries_audit(K4, edge_chain(K4, (0, 1)), cert.epsilon_cosystolic)
-    assert result.lhs == 4
-    assert result.rhs_bound == pytest.approx(float(cert.epsilon_cosystolic) / 3, abs=1e-12)
-    assert result.passes
+    eps = certify_exact(K4).epsilon_cosystolic
+    lhs, rhs, ok = sum_bound(K4, edge_chain(K4, (0, 1)), eps)
+    assert lhs == 4 and ok
+    assert rhs == pytest.approx(float(eps) / 3, abs=1e-12)
+    assert sum_bound_judgement(K4, eps)(lhs, 1) == (rhs, True)
 
 
 def test_sum_coboundaries_rejects_large_sets():
-    cert = certify_exact(K4)
-    with pytest.raises(DomainError):
-        sum_coboundaries_audit(K4, Chain.of(1, range(4)), cert.epsilon_cosystolic)
+    # The bound is stated for |F| <= |E|/2: audit checks the 42 edge sets of K4 with |F| <= 3.
+    result = cli._audit_sum(K4, argparse.Namespace(max_bits=24, slack=1e-9, tol=1e-9))
+    assert result["subsets_checked"] == sum(math.comb(6, r) for r in range(4)) == 42
 
 
 def test_sum_coboundaries_exhaustive_k4_k5():
     for X in (K4, K5):
-        eps = certify_exact(X).epsilon_cosystolic
-        for mask in range(1 << X.n_edges):
-            if 2 * mask.bit_count() > X.n_edges:
-                continue
-            result = sum_coboundaries_audit(X, mask_to_chain(1, mask), eps)
-            assert result.passes, mask
+        result = cli._audit_sum(X, argparse.Namespace(max_bits=24, slack=1e-9, tol=1e-9))
+        assert (result["status"], result["violations"]) == ("pass", [])
 
 
 @pytest.mark.parametrize(
@@ -738,9 +693,8 @@ def test_sum_coboundaries_exhaustive_k4_k5():
     [K4, build_from_triangles([(0, 1, 2), (1, 2, 3)], [(3, 4)]), random_complex(6, 0.5, seed=3)],
 )
 def test_local_view_sums_match_per_subset_sums(X):
-    table = local_view_sums(X, lambda v, L: coboundary_size(X, L))
-    want = [sum_local_coboundaries(X, mask_to_chain(1, m)) for m in range(1 << X.n_edges)]
-    assert table.tolist() == want
+    table = local_view_sums(X, lambda L: coboundary_size(X, L))
+    assert table.tolist() == [outgoing(X, mask_to_chain(1, m))[1] for m in range(1 << X.n_edges)]
 
 
 def test_sum_local_coboundaries_matches_direct():
@@ -748,11 +702,12 @@ def test_sum_local_coboundaries_matches_direct():
 
     rng = SplitMix64(17)
     for _ in range(100):
-        F = mask_to_chain(1, rng.randrange(1 << K5.n_edges))
+        mask = rng.randrange(1 << K5.n_edges)
+        F = mask_to_chain(1, mask)
         direct = sum(
             len(coboundary_edges(K5, local_view(K5, F, v))) for v in range(K5.n_vertices)
         )
-        assert sum_local_coboundaries(K5, F) == direct
+        assert cli._coboundary_sums(K5)[mask] == direct
 
 
 # --- mixing rate bound ----------------------------------------------------------
@@ -797,12 +752,9 @@ def test_rate_bound_domain_errors():
 def test_non_positive_mu_is_refused(mu):
     irregular = build_from_triangles([(0, 1, 2)], [(0, 3)])
     for X in (K4, irregular):  # before the regularity gate
-        F = Chain.empty(1)
         calls = (
-            lambda: distance_formula_audit(X, F, mu=mu),
-            lambda: local_view_bounds_audit(X, F, Fraction(1), 0.75, mu=mu),
             lambda: distance_judgement(X, mu=mu),
-            lambda: expansion.local_view_bound_judgement(X, Fraction(1), mu=mu),
+            lambda: local_view_bound_judgement(X, Fraction(1), mu=mu),
         )
         for call in calls:
             with pytest.raises(ParameterError, match="mu must be positive"):

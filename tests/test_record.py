@@ -7,8 +7,9 @@ import pytest
 from hdxwalk.cochain import Chain
 from hdxwalk.complexes import Complex2, complete_complex
 from hdxwalk.errors import ParameterError
-from hdxwalk.expansion import OutgoingEdgesIdentity
-from hdxwalk.graphs import Graph, complete_graph
+from named_complexes import complete_graph
+
+from hdxwalk.graphs import Graph
 from hdxwalk.spectral import CheegerResult
 from hdxwalk.walk import Distribution
 
@@ -24,14 +25,14 @@ def test_equality_and_hash_are_field_wise():
 
 
 def test_equality_needs_the_same_class():
-    assert OutgoingEdgesIdentity(1, 1) != CheegerResult(1, 1)
-    assert OutgoingEdgesIdentity(1, 1) != (1, 1)
-    assert OutgoingEdgesIdentity(1, 1).__eq__((1, 1)) is NotImplemented
+    assert Graph(1, 1) != CheegerResult(1, 1)
+    assert Graph(1, 1) != (1, 1)
+    assert Graph(1, 1).__eq__((1, 1)) is NotImplemented
 
 
 def test_repr_names_every_field_in_order():
     assert repr(Chain(1, frozenset({3}))) == "Chain(dimension=1, members=frozenset({3}))"
-    assert repr(OutgoingEdgesIdentity(3, 4)) == "OutgoingEdgesIdentity(lhs=3, rhs=4)"
+    assert repr(Graph(3, 4)) == "Graph(n=3, adjacency=4)"
     assert repr(CheegerResult(Fraction(1, 2), (0,))) == (
         "CheegerResult(h_normalized=Fraction(1, 2), witness=(0,))"
     )
@@ -107,7 +108,7 @@ def test_replace_and_asdict():
         c.replace(dimension=5)  # __post_init__ runs again
     with pytest.raises(TypeError, match="unexpected keyword argument 'size'"):
         c.replace(size=1)
-    assert OutgoingEdgesIdentity(1, 2).asdict() == {"lhs": 1, "rhs": 2}
+    assert Graph(1, 2).asdict() == {"n": 1, "adjacency": 2}
     assert list(X.asdict()) == [
         "n_vertices", "edges", "triangles", "vertex_edges", "edge_triangles", "labels"
     ]

@@ -1,4 +1,4 @@
-"""Spectra, Cheeger constants, and the three spectral audits.
+"""Spectra, Cheeger constants, cut tables, and three spectral inequalities.
 
 Expected spectra are frozen analytic values: complete graphs have
 {1, -1/(n-1) (n-1 times)}, cycles have {2cos(2*pi*j/n)/2}, the octahedron
@@ -13,20 +13,19 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from named_complexes import CUBOCTAHEDRON, relabel
+from lemma_loops import cheeger_inequality_slack, edge_graph_floor_slack, mixing_lemma_residual
+from named_complexes import CUBOCTAHEDRON, complete_graph, cycle_graph, relabel
 
+from hdxwalk import spectral
 from hdxwalk.complexes import build_from_triangles, complete_complex, random_complex
 from hdxwalk.errors import CapacityError, RegularityError
-from hdxwalk.graphs import Graph, complete_graph, cycle_graph, edge_graph, underlying_graph
+from hdxwalk.graphs import Graph, edge_graph, underlying_graph
 from hdxwalk.rng import SplitMix64
 from hdxwalk.spectral import (
     characteristic_polynomial,
     cheeger_exhaustive,
     cut_sizes,
-    cheeger_inequality_audit,
-    edge_graph_floor_audit,
     lambda2_below_half,
-    mixing_lemma_audit,
     normalized_spectrum,
     subset_xors,
 )
@@ -258,6 +257,22 @@ def test_lambda2_below_half_exact_count_matches_float(name):
     assert lambda2_below_half(G, pinned) == (report.lambda2 < 0.5)
 
 
+def test_lambda2_decision_refuses_work_above_the_limit(monkeypatch):
+    # The cuboctahedron graph tensored with K_20: 240 vertices of degree 76 and
+    # lambda2 = 1/2 exactly, so the float lands in the band.  The characteristic
+    # polynomial would take 240**3 * 76 additions (about 45 s); it is never begun.
+    cubo, m = underlying_graph(CUBOCTAHEDRON), 20
+    G = Graph.from_edges(cubo.n * m, [
+        (v * m + i, w * m + j)
+        for v in range(cubo.n) for w in cubo.adjacency[v] for i in range(m) for j in range(m) if i != j
+    ])
+    report = normalized_spectrum(G)
+    assert G.regular_k == 76 and abs(report.lambda2 - 0.5) <= 1e-9
+    monkeypatch.setattr(spectral, "characteristic_polynomial", lambda G: pytest.fail("computed"))
+    with pytest.raises(CapacityError, match=f"240\\*\\*3 \\* 76\\); limit is {spectral.CHARPOLY_WORK_LIMIT}"):
+        lambda2_below_half(G, report)
+
+
 # --- cut tables ------------------------------------------------------------
 
 
@@ -294,7 +309,7 @@ CUT_GRAPHS = {
 def test_cut_sizes_match_per_mask_cut(name):
     G = CUT_GRAPHS[name]
     want = [
-        sum(1 for u, v in G.edges if (mask >> u & 1) != (mask >> v & 1))
+        sum(1 for u in range(G.n) for v in G.adjacency[u] if u < v and (mask >> u & 1) != (mask >> v & 1))
         for mask in range(1 << G.n)
     ]
     assert cut_sizes(G).tolist() == want
@@ -380,42 +395,39 @@ def brute_mixing_residual(G):
 
 def test_mixing_lemma_audit_corpus():
     for name, G in CORPUS.items():
-        audit = mixing_lemma_audit(G)
-        assert audit.passes, name
-        assert audit.residual <= 1e-6
+        assert mixing_lemma_residual(G)[0] <= 1e-6, name
 
 
 def test_mixing_lemma_residual_matches_brute():
     for G in (K4, C4, C6, OCTAHEDRON, T5):
-        audit = mixing_lemma_audit(G)
-        worst, witness = brute_mixing_residual(G)
-        assert abs(audit.residual - worst) <= 1e-9
-        assert audit.witness == witness
+        residual, witness, _ = mixing_lemma_residual(G)
+        worst, want = brute_mixing_residual(G)
+        assert abs(residual - worst) <= 1e-9
+        assert witness == want
 
 
 def test_mixing_lemma_nonpositive_on_complete_and_octahedron():
-    assert mixing_lemma_audit(K4).residual <= 1e-12
-    assert mixing_lemma_audit(OCTAHEDRON).residual <= 1e-12
+    assert mixing_lemma_residual(K4)[0] <= 1e-12
+    assert mixing_lemma_residual(OCTAHEDRON)[0] <= 1e-12
 
 
 def test_mixing_lemma_capacity(monkeypatch):
-    # Refused by the subset-table limit before the eigensolver runs.
+    # The cut table refuses the graph before the eigensolver runs.
     monkeypatch.setattr(np.linalg, "eigh", None)
     with pytest.raises(CapacityError, match=r"got 2\*\*27"):
-        mixing_lemma_audit(cycle_graph(27))
+        mixing_lemma_residual(cycle_graph(27))
 
 
 def test_mixing_lemma_on_23_vertices():
     # On a cycle the least cut of 0 < s < n vertices is an arc's 2, so the
     # worst residual has a closed form.
     n = 23
-    audit = mixing_lemma_audit(cycle_graph(n))
-    lam = audit.lambda2
+    residual, _, lam = mixing_lemma_residual(cycle_graph(n))
     want = max(
         2 * s - (2 if 0 < s < n else 0) - 2 * s * (s / n + lam * (1 - s / n))
         for s in range(n + 1)
     )
-    assert audit.residual == pytest.approx(want, abs=1e-12) and audit.passes
+    assert residual == pytest.approx(want, abs=1e-12) and residual <= 1e-6
 
 
 # --- Cheeger inequality ----------------------------------------------------
@@ -426,32 +438,28 @@ def test_mixing_lemma_on_23_vertices():
     [("K4", 10 / 9), ("octahedron", 7 / 8), ("C4", 7 / 8)],
 )
 def test_cheeger_inequality_known_slack(name, expected):
-    audit = cheeger_inequality_audit(CORPUS[name])
-    assert audit.passes
-    assert abs(audit.slack - expected) <= 1e-9
+    assert abs(cheeger_inequality_slack(CORPUS[name]) - expected) <= 1e-9
 
 
 def test_cheeger_inequality_corpus():
     for G in CORPUS.values():
-        assert cheeger_inequality_audit(G).slack >= -1e-9
+        assert cheeger_inequality_slack(G) >= -1e-9
 
 
 # --- edge-graph floor ------------------------------------------------------
 
 
 def test_floor_known_values():
-    a4 = edge_graph_floor_audit(complete_complex(4))
-    assert a4.passes and abs(a4.slack - 4 / 9) <= 1e-9
-    a5 = edge_graph_floor_audit(complete_complex(5))
-    assert a5.passes and abs(a5.slack - 11 / 18) <= 1e-9
+    assert abs(edge_graph_floor_slack(complete_complex(4)) - 4 / 9) <= 1e-9
+    assert abs(edge_graph_floor_slack(complete_complex(5)) - 11 / 18) <= 1e-9
 
 
 def test_floor_k6_k7():
     for n in (6, 7):
-        assert edge_graph_floor_audit(complete_complex(n)).slack >= -1e-9
+        assert edge_graph_floor_slack(complete_complex(n)) >= -1e-9
 
 
 def test_floor_requires_edge_regularity():
     lopsided = build_from_triangles([(0, 1, 2)], [(0, 3)])
     with pytest.raises(RegularityError):
-        edge_graph_floor_audit(lopsided)
+        edge_graph_floor_slack(lopsided)

@@ -1,5 +1,7 @@
-"""Walk engines: the portable RNG, exact evolution, and seeded simulation."""
+"""Walk engines: the portable RNG, exact evolution, and seeded ensembles."""
 
+import io
+import json
 import math
 import tracemalloc
 from functools import lru_cache
@@ -9,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from loop_exact import loop_adjacency_matrix, loop_evolve_exact, loop_max_distances
-from named_complexes import CUBOCTAHEDRON, RP2_6, TORUS_7, relabel
+from named_complexes import CUBOCTAHEDRON, RP2_6, TORUS_7, complete_graph, cycle_graph, relabel, save_complex
 from named_complexes import OCTAHEDRON as OCTAHEDRON_COMPLEX
-from scalar_walk import edge_neighbor_table, scalar_step_counts
+from scalar_walk import edge_neighbor_table, high_order_simulate, scalar_step_counts, simulate
 
-from hdxwalk import spectral, walk
+from hdxwalk import cli, spectral, walk
 from hdxwalk.complexes import build_from_triangles, complete_complex, random_complex
 from hdxwalk.errors import (
     CapacityError,
@@ -22,8 +24,8 @@ from hdxwalk.errors import (
     ToleranceError,
     UndefinedTransitionError,
 )
-from hdxwalk.expansion import certify_exact
-from hdxwalk.graphs import Graph, complete_graph, cycle_graph, edge_graph
+from hdxwalk.expansion import certify_exact, gap_lambda2, mixing_rate_bound
+from hdxwalk.graphs import Graph, edge_graph, underlying_graph
 from hdxwalk.rng import _GAMMA, _mix, SplitMix64, derive_seed, derive_seeds, mix_array
 from hdxwalk.spectral import DENSE_VERTEX_LIMIT, adjacency_matrix, eigensystem, normalized_spectrum
 from hdxwalk.walk import (
@@ -31,16 +33,17 @@ from hdxwalk.walk import (
     WALK_VISIT_LIMIT,
     Distribution,
     evolve_exact,
-    high_order_neighbors,
-    high_order_simulate,
     high_order_step_counts,
     rapid_mixing_audit,
-    simulate,
 )
 
 K4 = complete_complex(4)
 K5 = complete_complex(5)
 OCTAHEDRON = edge_graph(K4)
+
+
+def uniform(n):
+    return Distribution((1.0 / n,) * n)
 
 
 # --- RNG ---------------------------------------------------------------------
@@ -99,8 +102,7 @@ def test_distribution_validation():
         Distribution((0.5, 0.4))
     with pytest.raises(ParameterError):
         Distribution((1.5, -0.5))
-    u = Distribution.uniform(4)
-    assert sum(u.probabilities) == pytest.approx(1.0, abs=1e-15)
+    assert Distribution((0.1,) * 10).probabilities == (0.1,) * 10  # sums to 1 within 1e-12
     p = Distribution.point_mass(3, 1)
     assert p.probabilities == (0.0, 1.0, 0.0)
 
@@ -109,7 +111,7 @@ def test_distribution_validation():
 
 
 def test_uniform_is_stationary():
-    distances = evolve_exact(OCTAHEDRON, Distribution.uniform(6), 10)
+    distances = evolve_exact(OCTAHEDRON, uniform(6), 10)
     assert all(d <= 1e-12 for d in distances)
 
 
@@ -164,9 +166,9 @@ def test_monotone_contraction_on_connected_regular():
 
 def test_evolve_rejects_irregular_and_isolated():
     with pytest.raises(RegularityError):
-        evolve_exact(Graph.from_edges(3, [(0, 1), (1, 2)]), Distribution.uniform(3), 2)
+        evolve_exact(Graph.from_edges(3, [(0, 1), (1, 2)]), uniform(3), 2)
     with pytest.raises(UndefinedTransitionError):
-        evolve_exact(Graph.from_edges(2, []), Distribution.uniform(2), 1)
+        evolve_exact(Graph.from_edges(2, []), uniform(2), 1)
 
 
 # --- exact evolution against the loop reference ------------------------------------
@@ -212,7 +214,7 @@ def _assert_matches_loop(distances, want, alpha):
 @pytest.mark.parametrize("name", list(EXACT_GRAPHS))
 def test_evolve_exact_matches_loop_reference(name, alpha):
     G = EXACT_GRAPHS[name]
-    starts = [Distribution.uniform(G.n)] + [Distribution.point_mass(G.n, v) for v in range(G.n)]
+    starts = [uniform(G.n)] + [Distribution.point_mass(G.n, v) for v in range(G.n)]
     for p0 in starts:
         for steps in (0, 1, 60):
             want = loop_evolve_exact(G, p0, steps, alpha)
@@ -221,7 +223,7 @@ def test_evolve_exact_matches_loop_reference(name, alpha):
 
 def test_evolve_exact_matches_loop_reference_on_k40_edges():
     G = k40_edges()
-    for p0, steps in ((Distribution.point_mass(G.n, 0), 2000), (Distribution.uniform(G.n), 20)):
+    for p0, steps in ((Distribution.point_mass(G.n, 0), 2000), (uniform(G.n), 20)):
         want = loop_evolve_exact(G, p0, steps, 0.99)
         _assert_matches_loop(evolve_exact(G, p0, steps), want, 0.99)
 
@@ -301,10 +303,10 @@ def test_dense_matrices_refused_above_limit():
         with pytest.raises(CapacityError):
             build(big)
     with pytest.raises(CapacityError):
-        evolve_exact(big, Distribution.uniform(big.n), 0)
+        evolve_exact(big, uniform(big.n), 0)
     X = complete_complex(65)  # 2080 edges
     with pytest.raises(CapacityError):
-        rapid_mixing_audit(X, certify_exact(K4), 0)
+        rapid_mixing_audit(X, 0.5, 0)
 
 
 # --- neighbor rule ---------------------------------------------------------------
@@ -313,23 +315,23 @@ def test_dense_matrices_refused_above_limit():
 def test_high_order_neighbors_k4():
     e = K4.edge_ids[(0, 1)]
     want = {K4.edge_ids[p] for p in ((0, 2), (1, 2), (0, 3), (1, 3))}
-    assert set(high_order_neighbors(K4, e)) == want
+    assert set(edge_graph(K4).adjacency[e]) == want
 
 
 def test_high_order_neighbors_regular_size():
     for e in range(K5.n_edges):
-        assert len(high_order_neighbors(K5, e)) == 6  # 2 * k1
+        assert len(edge_graph(K5).adjacency[e]) == 6  # 2 * k1
 
 
 def test_high_order_neighbors_are_the_triangle_incidences():
     for X in (K4, K5, OCTAHEDRON_COMPLEX, RP2_6, random_complex(7, 0.5, 3)):
         table = edge_neighbor_table(X)
-        assert tuple(high_order_neighbors(X, e) for e in range(X.n_edges)) == table
+        assert edge_graph(X).adjacency == table
 
 
 def test_high_order_neighbors_triangle_free_edge():
     X = build_from_triangles([(0, 1, 2)], [(0, 3)])
-    assert high_order_neighbors(X, X.edge_ids[(0, 3)]) == ()
+    assert edge_graph(X).adjacency[X.edge_ids[(0, 3)]] == ()
 
 
 # --- simulation ------------------------------------------------------------------
@@ -356,7 +358,7 @@ def test_high_order_simulate_determinism_and_validity():
     a = high_order_simulate(K4, 0, 40, seed=5)
     assert a == high_order_simulate(K4, 0, 40, seed=5)
     for prev, cur in zip(a, a[1:]):
-        assert cur in high_order_neighbors(K4, prev)
+        assert cur in edge_graph(K4).adjacency[prev]
 
 
 def test_walk_engines_agree_through_edge_graph():
@@ -520,55 +522,60 @@ def test_step_counts_are_sums_of_simulated_paths():
 # --- end-to-end mixing audit --------------------------------------------------------
 
 
+def certified_audit(X, steps):
+    """rapid_mixing_audit at the rate that verify-theorem certifies for X."""
+    lambda2 = gap_lambda2(underlying_graph(X), "rate bound requires")
+    return rapid_mixing_audit(X, mixing_rate_bound(certify_exact(X).epsilon_cosystolic, lambda2), steps)
+
+
+def not_applicable_reason(X, tmp_path):
+    """verify-theorem's reason on X, where the audit is never run."""
+    path = str(tmp_path / "x.complex")
+    save_complex(X, path)
+    out = io.StringIO()
+    assert cli.run(["verify-theorem", path, "--steps", "10"], out, io.StringIO()) == 0
+    results = json.loads(out.getvalue())["results"]
+    assert "walk" not in results
+    return results["reason"]
+
+
 def test_rapid_mixing_audit_k4():
-    cert = certify_exact(K4)
-    report = rapid_mixing_audit(K4, cert, 100)
-    assert report.applicable and report.passes
+    report = certified_audit(K4, 100)
+    assert report.passes
     assert 0 < report.rate_bound < 1
     assert report.edge_graph_lambda == pytest.approx(0.5, abs=1e-9)
     assert len(report.max_distances) == 101
 
 
 def test_rapid_mixing_audit_k5():
-    cert = certify_exact(K5)
-    report = rapid_mixing_audit(K5, cert, 100)
+    report = certified_audit(K5, 100)
     assert report.passes
     assert report.edge_graph_lambda == pytest.approx(1 / 3, abs=1e-9)
 
 
-def test_rapid_mixing_not_applicable_irregular():
+def test_rapid_mixing_not_applicable_irregular(tmp_path):
     X = build_from_triangles([(0, 1, 2)], [(0, 3)])
-    cert = certify_exact(K4)  # any certificate; hypothesis check comes first
-    report = rapid_mixing_audit(X, cert, 10)
-    assert not report.applicable and report.passes is None
-    assert "regular" in report.reason
+    assert "regular" in not_applicable_reason(X, tmp_path)
 
 
-def test_rapid_mixing_not_applicable_no_triangles():
+def test_rapid_mixing_not_applicable_no_triangles(tmp_path):
     X = build_from_triangles([], [(0, 1), (1, 2), (2, 0)])
-    cert = certify_exact(K4)
-    report = rapid_mixing_audit(X, cert, 10)
-    assert not report.applicable
-    assert "triangle" in report.reason
+    assert "triangle" in not_applicable_reason(X, tmp_path)
 
 
-def test_rapid_mixing_not_applicable_small_gap():
+def test_rapid_mixing_not_applicable_small_gap(tmp_path):
     # two disjoint complete complexes: regular, but lambda2 = 1
     tetra = list(complete_complex(4).triangles)
     shifted = [(u + 4, v + 4, w + 4) for (u, v, w) in tetra]
     X = build_from_triangles(tetra + shifted)
+    assert "1/2" in not_applicable_reason(X, tmp_path)
     cert = certify_exact(X)
-    report = rapid_mixing_audit(X, cert, 10)
-    assert not report.applicable
-    assert "1/2" in report.reason
     assert not cert.connected and not cert.mu_vacuous
 
 
-def test_rapid_mixing_not_applicable_reason_states_exact_decision():
+def test_rapid_mixing_not_applicable_reason_states_exact_decision(tmp_path):
     # The float lambda2 reads 0.49999999999999956 on this relabelling.
-    report = rapid_mixing_audit(relabel(CUBOCTAHEDRON, 14), certify_exact(K4), 10)
-    assert not report.applicable
-    assert report.reason.startswith(
+    assert not_applicable_reason(relabel(CUBOCTAHEDRON, 14), tmp_path).startswith(
         "rate bound requires lambda2 < 1/2; it is at least 1/2, decided exactly "
         "(eigensolver value 0.4999"
     )
@@ -576,16 +583,15 @@ def test_rapid_mixing_not_applicable_reason_states_exact_decision():
 
 def test_rapid_mixing_audit_validates_steps_first():
     irregular = build_from_triangles([(0, 1, 2)], [(0, 3)])
-    cert = certify_exact(K4)
     for X in (K4, irregular):
         with pytest.raises(ParameterError):
-            rapid_mixing_audit(X, cert, -1)
+            rapid_mixing_audit(X, 0.5, -1)
         with pytest.raises(CapacityError):
-            rapid_mixing_audit(X, cert, WALK_CELL_LIMIT // X.n_edges)
+            rapid_mixing_audit(X, 0.5, WALK_CELL_LIMIT // X.n_edges)
 
 
 def test_step_zero_distance_at_most_one():
-    report = rapid_mixing_audit(K4, certify_exact(K4), 0)
+    report = certified_audit(K4, 0)
     assert report.max_distances[0] <= 1.0
     assert report.bound_ok[0]
 
@@ -604,9 +610,8 @@ MIXING_CORPUS = {
 @pytest.mark.parametrize("name", list(MIXING_CORPUS))
 def test_rapid_mixing_audit_matches_propagation(name):
     X = MIXING_CORPUS[name]
-    report = rapid_mixing_audit(X, certify_exact(X), 60)
+    report = certified_audit(X, 60)
     want = loop_max_distances(edge_graph(X), 60)
-    assert report.applicable
     assert max(abs(a - b) for a, b in zip(report.max_distances, want)) <= DRIFT
     assert report.bound_ok == tuple(d <= report.rate_bound**i + 1e-9 for i, d in enumerate(want))
 
@@ -616,9 +621,6 @@ def test_rapid_mixing_audit_matches_propagation(name):
 def test_rapid_mixing_audit_is_invariant_under_relabelling(name, seed):
     X = MIXING_CORPUS[name]
     Y = relabel(X, seed)
-    a = rapid_mixing_audit(X, certify_exact(X), 40)
-    b = rapid_mixing_audit(Y, certify_exact(Y), 40)
-    assert (a.applicable, a.reason, a.bound_ok, a.rate_bound) == (
-        b.applicable, b.reason, b.bound_ok, b.rate_bound
-    )
+    a, b = certified_audit(X, 40), certified_audit(Y, 40)
+    assert (a.bound_ok, a.rate_bound) == (b.bound_ok, b.rate_bound)
     assert max(abs(x - y) for x, y in zip(a.max_distances, b.max_distances)) <= 1e-12
