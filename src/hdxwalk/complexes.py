@@ -106,17 +106,53 @@ def _canonical_edge(pair) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def _canonical_triangle(triple) -> tuple[int, int, int]:
-    vs = tuple(triple)
-    if len(vs) != 3:
-        raise InvalidFaceError(f"triangle must have 3 vertices, got {vs!r}")
-    for x in vs:
-        if not isinstance(x, int) or x < 0:
-            raise InvalidFaceError(f"vertex ids must be non-negative integers, got {x!r}")
-    if len(set(vs)) != 3:
-        raise InvalidFaceError(f"degenerate triangle with repeated vertex: {vs!r}")
-    u, v, w = sorted(vs)
-    return (u, v, w)
+def _canonical_triangles(triples: Iterable, ids_checked: bool) -> list[tuple[int, int, int]]:
+    """The sorted triple of each triangle, in input order; the first bad or repeated one raises.
+
+    With ``ids_checked`` the caller has already made every vertex id a
+    non-negative int.
+    """
+    out: dict[tuple[int, int, int], None] = {}  # an ordered set
+    for triple in triples:
+        vs = tuple(triple)
+        if len(vs) != 3:
+            raise InvalidFaceError(f"triangle must have 3 vertices, got {vs!r}")
+        if not ids_checked:
+            for x in vs:
+                if not isinstance(x, int) or x < 0:
+                    raise InvalidFaceError(f"vertex ids must be non-negative integers, got {x!r}")
+        u, v, w = vs
+        if not u < v < w:
+            u, v, w = sorted(vs)
+            if u == v or v == w:
+                raise InvalidFaceError(f"degenerate triangle with repeated vertex: {vs!r}")
+        t = (u, v, w)
+        if t in out:
+            raise DuplicateFaceError(f"duplicate triangle {t!r}")
+        out[t] = None
+    return list(out)
+
+
+def _incidence(n: int, edges: Sequence, triangles: Sequence) -> tuple:
+    """vertex->edges, edge->triangles and triangle->edge ids, in one pass over each list."""
+    vertex_edges: list[list[int]] = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(edges):
+        vertex_edges[u].append(i)
+        vertex_edges[v].append(i)
+    edge_ids = {e: i for i, e in enumerate(edges)}
+    edge_triangles: list[list[int]] = [[] for _ in range(len(edges))]
+    triangle_edge_ids = []
+    for j, (u, v, w) in enumerate(triangles):
+        a, b, c = edge_ids[u, v], edge_ids[u, w], edge_ids[v, w]
+        edge_triangles[a].append(j)
+        edge_triangles[b].append(j)
+        edge_triangles[c].append(j)
+        triangle_edge_ids.append((a, b, c))
+    return (
+        tuple(map(tuple, vertex_edges)),
+        tuple(map(tuple, edge_triangles)),
+        tuple(triangle_edge_ids),
+    )
 
 
 def build_incidence(
@@ -125,19 +161,29 @@ def build_incidence(
     triangles: Sequence[tuple[int, int, int]],
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """Rebuild vertex->edges and edge->triangles maps from the face lists."""
-    vertex_edges: list[list[int]] = [[] for _ in range(n)]
-    for i, (u, v) in enumerate(edges):
-        vertex_edges[u].append(i)
-        vertex_edges[v].append(i)
-    edge_ids = {e: i for i, e in enumerate(edges)}
-    edge_triangles: list[list[int]] = [[] for _ in range(len(edges))]
-    for j, (u, v, w) in enumerate(triangles):
-        for pair in ((u, v), (u, w), (v, w)):
-            edge_triangles[edge_ids[pair]].append(j)
-    return (
-        tuple(tuple(x) for x in vertex_edges),
-        tuple(tuple(x) for x in edge_triangles),
-    )
+    return _incidence(n, edges, triangles)[:2]
+
+
+def _assemble(n: int, edges: tuple, triangles: tuple, labels: Optional[tuple] = None) -> Complex2:
+    """The complex on sorted, closed face lists, with its incidence maps."""
+    vertex_edges, edge_triangles, triangle_edge_ids = _incidence(n, edges, triangles)
+    X = Complex2(n, edges, triangles, vertex_edges, edge_triangles, labels)
+    # Computed in the same pass; stored where the cached property keeps its value.
+    X.__dict__["triangle_edge_ids"] = triangle_edge_ids
+    return X
+
+
+def _build(triangles: list, extra_edges: Iterable, n: int, labels=None) -> Complex2:
+    """The complex on distinct sorted triangles, their edges and ``extra_edges``, padded to n vertices."""
+    edge_set = set(map(_canonical_edge, extra_edges))
+    if n < 0:
+        raise ParameterError(f"n_vertices must be non-negative, got {n}")
+    if triangles:
+        a, b, c = zip(*triangles)
+        edge_set.update(zip(a, b), zip(a, c), zip(b, c))
+    edges = tuple(sorted(edge_set))
+    n = max(n, max((v + 1 for _, v in edges), default=0))
+    return _assemble(n, edges, tuple(sorted(triangles)), labels)
 
 
 def build_from_triangles(
@@ -153,33 +199,8 @@ def build_from_triangles(
     is 0..max_id, optionally padded to ``n_vertices`` to represent isolated
     vertices.
     """
-    triangle_set: set[tuple[int, int, int]] = set()
-    for t in triples:
-        ct = _canonical_triangle(t)
-        if ct in triangle_set:
-            raise DuplicateFaceError(f"duplicate triangle {ct!r}")
-        triangle_set.add(ct)
-
-    edge_set: set[tuple[int, int]] = set()
-    for (u, v, w) in triangle_set:
-        edge_set.update(((u, v), (u, w), (v, w)))
-    for pair in extra_edges:
-        edge_set.add(_canonical_edge(pair))
-
-    n = 0
-    for (u, v, w) in triangle_set:
-        n = max(n, w + 1)
-    for (u, v) in edge_set:
-        n = max(n, v + 1)
-    if n_vertices is not None:
-        if n_vertices < 0:
-            raise ParameterError(f"n_vertices must be non-negative, got {n_vertices}")
-        n = max(n, n_vertices)
-
-    edges = tuple(sorted(edge_set))
-    triangles = tuple(sorted(triangle_set))
-    vertex_edges, edge_triangles = build_incidence(n, edges, triangles)
-    return Complex2(n, edges, triangles, vertex_edges, edge_triangles)
+    triangles = _canonical_triangles(triples, ids_checked=False)
+    return _build(triangles, extra_edges, 0 if n_vertices is None else n_vertices)
 
 
 def _check_triangle_budget(n: int) -> None:
@@ -194,10 +215,7 @@ def complete_complex(n: int) -> Complex2:
     if n < 0:
         raise ParameterError(f"vertex count must be non-negative, got {n}")
     _check_triangle_budget(n)
-    edges = tuple(combinations(range(n), 2))
-    triangles = tuple(combinations(range(n), 3))
-    vertex_edges, edge_triangles = build_incidence(n, edges, triangles)
-    return Complex2(n, edges, triangles, vertex_edges, edge_triangles)
+    return _assemble(n, tuple(combinations(range(n), 2)), tuple(combinations(range(n), 3)))
 
 
 def random_complex(n: int, p: float, seed: int) -> Complex2:
@@ -215,8 +233,7 @@ def random_complex(n: int, p: float, seed: int) -> Complex2:
     threshold = int(p * 2.0**64)
     edges = tuple(combinations(range(n), 2))
     triangles = tuple(t for t in combinations(range(n), 3) if rng.next_u64() < threshold)
-    vertex_edges, edge_triangles = build_incidence(n, edges, triangles)
-    return Complex2(n, edges, triangles, vertex_edges, edge_triangles)
+    return _assemble(n, edges, triangles)
 
 
 class DegreeProfile(Record):
@@ -316,13 +333,34 @@ def _check_vertex_count(n: int) -> None:
         raise CapacityError(f"complex documents are limited to {VERTEX_LIMIT} vertices; got {n}")
 
 
+def _label_key_count(labels_map: dict) -> int:
+    """1 + the largest vertex id among the keys of a labels map; each key must be ``str(id)``."""
+    n = 0
+    for key in labels_map:
+        if not (
+            isinstance(key, str)
+            and key.isascii()
+            and key.isdecimal()
+            and (key == "0" or key[0] != "0")
+        ):
+            raise ParameterError(f"labels keys must be vertex ids in decimal, got {key!r}")
+        if len(key) > len(str(VERTEX_LIMIT)):  # more digits, so a larger id; int() may refuse it
+            raise CapacityError(
+                f"complex documents are limited to {VERTEX_LIMIT} vertices; "
+                f"got a label key of {len(key)} digits"
+            )
+        n = max(n, int(key) + 1)
+    return n
+
+
 def from_document(doc: dict) -> Complex2:
     """Parse the text-format document into a complex.
 
     Plain non-negative integer labels are taken literally as vertex ids
     (gaps become isolated vertices).  Other integers and strings are treated
     as arbitrary labels, remapped to dense ids in sorted order with the
-    mapping retained.  Any other shape raises ParameterError, and more than
+    mapping retained.  A labels map names vertices by their ids, as
+    ``str(id)``.  Any other shape raises ParameterError, and more than
     VERTEX_LIMIT vertices raise CapacityError.
     """
     if not isinstance(doc, dict):
@@ -336,39 +374,41 @@ def from_document(doc: dict) -> Complex2:
         and all(not isinstance(v, (list, dict)) for v in labels_map.values())
     ):
         raise ParameterError("labels must be an object mapping vertex ids to scalar labels")
+    n_labelled = 0 if labels_map is None else _label_key_count(labels_map)
 
     universe = list(explicit)
     for face in raw_edges + raw_triangles:
         if not isinstance(face, list):
             raise ParameterError(f"faces must be lists of vertex ids, got {type(face).__name__}")
         universe.extend(face)
-    for x in universe:
-        # bool is an int subclass: true would alias vertex 1.
-        if isinstance(x, bool) or not isinstance(x, (int, str)):
-            raise ParameterError(f"vertex ids must be integers or strings, got {type(x).__name__}")
+    if set(map(type, universe)) <= {int}:  # plain ints, no bool: every id is one already
+        ints_only = min(universe, default=0) >= 0
+    else:
+        for x in universe:
+            # bool is an int subclass: true would alias vertex 1.
+            if isinstance(x, bool) or not isinstance(x, (int, str)):
+                raise ParameterError(
+                    f"vertex ids must be integers or strings, got {type(x).__name__}"
+                )
+        ints_only = all(isinstance(x, int) and x >= 0 for x in universe)
 
-    ints_only = all(isinstance(x, int) and x >= 0 for x in universe)
     if labels_map is not None and not ints_only:
         raise ParameterError("faces must use dense integer ids when a labels map is present")
     if ints_only:
         # faces already carry integer ids
-        n = max((x + 1 for x in universe), default=0)
-        if labels_map is not None:
-            n = max(n, len(labels_map))
+        n = max(max(universe, default=-1) + 1, n_labelled)
         _check_vertex_count(n)
-        X = build_from_triangles(raw_triangles, raw_edges, n_vertices=n)
+        labels = None
         if labels_map is not None:
-            labels = tuple(labels_map.get(str(i), i) for i in range(X.n_vertices))
-            X = X.replace(labels=labels)
-        return X
+            labels = tuple(labels_map.get(str(i), i) for i in range(n))
+        return _build(_canonical_triangles(raw_triangles, ids_checked=True), raw_edges, n, labels)
 
     labels = tuple(sorted(set(universe), key=_label_sort_key))
     _check_vertex_count(len(labels))
     to_id = {label: i for i, label in enumerate(labels)}
     edges = [[to_id[x] for x in e] for e in raw_edges]
     triangles = [[to_id[x] for x in t] for t in raw_triangles]
-    X = build_from_triangles(triangles, edges, n_vertices=len(labels))
-    return X.replace(labels=labels)
+    return _build(_canonical_triangles(triangles, ids_checked=True), edges, len(labels), labels)
 
 
 def dumps_complex(X: Complex2) -> str:

@@ -66,8 +66,14 @@ def underlying_graph(X: Complex2) -> Graph:
 
 @lru_cache(maxsize=128)
 def edge_graph(X: Complex2) -> Graph:
-    """Graph on the edge ids of X (vertex i is edge i); adjacent iff the union is a triangle."""
-    pairs = []
+    """Graph on the edge ids of X (vertex i is edge i); adjacent iff the union is a triangle.
+
+    Two edges lie in at most one common triangle, so the lists gathered per
+    triangle hold no repeats.
+    """
+    nbrs: list[list[int]] = [[] for _ in range(X.n_edges)]
     for (a, b, c) in X.triangle_edge_ids:
-        pairs.extend(((a, b), (a, c), (b, c)))
-    return Graph.from_edges(X.n_edges, pairs)
+        nbrs[a] += (b, c)
+        nbrs[b] += (a, c)
+        nbrs[c] += (a, b)
+    return Graph(X.n_edges, tuple(tuple(sorted(s)) for s in nbrs))

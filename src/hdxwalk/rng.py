@@ -64,10 +64,6 @@ class SplitMix64:
             if u < limit:
                 return u % n
 
-    def random(self) -> float:
-        """Uniform float in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
 
 def derive_seed(seed: int, index: int) -> int:
     """Seed for the index-th substream: the index-th output of the root stream."""

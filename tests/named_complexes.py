@@ -1,5 +1,5 @@
 """Named complexes and graphs shared by several test modules, seeded relabelling,
-and writing a complex document."""
+the reference edge graph, and writing a complex document."""
 
 import random
 from itertools import combinations
@@ -14,6 +14,15 @@ def complete_graph(n):
 
 def cycle_graph(n):
     return Graph.from_edges(n, ((i, (i + 1) % n) for i in range(n)))
+
+
+def reference_edge_graph(X):
+    """The edge graph through ``Graph.from_edges``: one pair per two edges of a triangle."""
+    pairs = []
+    for (u, v, w) in X.triangles:
+        a, b, c = X.edge_ids[(u, v)], X.edge_ids[(u, w)], X.edge_ids[(v, w)]
+        pairs.extend(((a, b), (a, c), (b, c)))
+    return Graph.from_edges(X.n_edges, pairs)
 
 
 def save_complex(X, path):

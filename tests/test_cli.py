@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import gc
 import hashlib
 import io
 import json
@@ -10,6 +11,7 @@ import re
 import sys
 import tempfile
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +112,20 @@ def test_validate_rejects_degenerate_face(tmp_path):
     code, _, err = invoke("validate", str(path))
     assert code == 2
     assert "degenerate" in err
+
+
+@pytest.mark.parametrize("command", ["validate", "spectrum --graph g0", "verify-theorem"])
+def test_labels_key_that_is_not_a_vertex_id_exits_2(command, tmp_path):
+    triangles = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
+    labels = {"0": "a", "1": "b", "2": "c", "3": "d"}
+    path = tmp_path / "tetrahedron.complex"
+    name, *flags = command.split()
+    path.write_text(json.dumps({"triangles": triangles, "labels": labels}))
+    assert invoke(name, str(path), *flags)[0] == 0
+    path.write_text(json.dumps({"triangles": triangles, "labels": {**labels, "note": "x"}}))
+    code, out, err = invoke(name, str(path), *flags)
+    assert (code, out) == (2, "")
+    assert err == "hdx: labels keys must be vertex ids in decimal, got 'note'\n"
 
 
 # --- analysis commands -------------------------------------------------------------
@@ -751,6 +767,40 @@ def test_exit_code_mapping():
     assert _exit_code("fail", strict=True) == 1
     assert _exit_code("not-applicable", strict=False) == 0
     assert _exit_code("not-applicable", strict=True) == 1
+
+
+# One run of each subcommand; {k4}, {out} and {missing} are paths.
+ONE_RUN_PER_SUBCOMMAND = [
+    "--version",
+    "gen complete --n 4 -o {out}",
+    "gen random --n 6 --p 0.5 --seed 7 -o {out}",
+    "validate {k4}",
+    "validate {missing}",
+    "spectrum {k4} --graph g1",
+    "cheeger {k4} --graph g0",
+    "cocycles {k4} --dim 1",
+    "certify {k4}",
+    "audit {k4} --lemma all",
+    "walk {k4} --start 0 --steps 5",
+    "walk {k4} --start 0 --steps 5 --paths 20",
+    "verify-theorem {k4}",
+]
+
+
+@pytest.mark.parametrize("command", ONE_RUN_PER_SUBCOMMAND)
+def test_run_freezes_nothing_and_leaves_no_file_open(command, k4_file, tmp_path, monkeypatch):
+    # The process entry point freezes the heap for shut-down; `run` must not.
+    # A file left open warns when it is collected, which a freeze would delay.
+    argv = command.format(k4=k4_file, out=tmp_path / "out.complex", missing=tmp_path / "no")
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    frozen = gc.get_freeze_count()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        invoke(*argv.split())
+        gc.collect()
+    assert gc.get_freeze_count() == frozen
+    assert [u.exc_value for u in unraisable] == []
 
 
 # --- one solve, one table ------------------------------------------------------------

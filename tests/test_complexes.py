@@ -1,6 +1,7 @@
 """Construction, generation, validation, and serialization of complexes."""
 
 import json
+import re
 from math import comb
 
 import pytest
@@ -19,7 +20,13 @@ from hdxwalk.complexes import (
     to_document,
     validate,
 )
-from hdxwalk.errors import CapacityError, DuplicateFaceError, InvalidFaceError, ParameterError
+from hdxwalk.errors import (
+    CapacityError,
+    DuplicateFaceError,
+    HdxError,
+    InvalidFaceError,
+    ParameterError,
+)
 
 
 def test_build_empty():
@@ -51,6 +58,32 @@ def test_build_rejects_degenerate_faces():
         build_from_triangles([], [(3, 3)])
     with pytest.raises(InvalidFaceError):
         build_from_triangles([(-1, 0, 1)])
+
+
+BAD_FACES = [
+    # (triangles, extra edges, the error found first)
+    ([(0, 1, 2), (2, 1, 0), (0, 0, 3)], [], "duplicate triangle (0, 1, 2)"),
+    ([(0, 1, 2), (3, 3, 1), (0, 1, 2)], [], "degenerate triangle with repeated vertex: (3, 3, 1)"),
+    ([(0, 1, 2), (0, 1)], [(4, 4)], "triangle must have 3 vertices, got (0, 1)"),
+    ([(0, 1, 2), (0, 1, 2, 3), (2, 0, 1)], [], "triangle must have 3 vertices, got (0, 1, 2, 3)"),
+    ([(0, 1, 2), (0, 2, 1), (0, 1)], [], "duplicate triangle (0, 1, 2)"),
+    ([(0, 1, 3)], [(1,), (2, 2)], "edge must have 2 vertices, got (1,)"),
+    ([(0, 1, 3)], [(0, 1), (2, 2)], "degenerate edge with repeated vertex 2"),
+]
+
+
+@pytest.mark.parametrize("triangles, edges, message", BAD_FACES, ids=[m for *_, m in BAD_FACES])
+def test_first_bad_face_in_input_order_is_reported(triangles, edges, message):
+    # Every triangle is checked before any extra edge, each list in input order.
+    with pytest.raises(HdxError) as built:
+        build_from_triangles(triangles, edges)
+    with pytest.raises(HdxError) as loaded:
+        from_document({"triangles": [list(t) for t in triangles], "edges": [list(e) for e in edges]})
+    assert str(built.value) == str(loaded.value) == message
+    with pytest.raises(type(built.value)):
+        build_from_triangles(triangles, edges, n_vertices=-1)
+    with pytest.raises(ParameterError, match="n_vertices must be non-negative"):
+        build_from_triangles([(0, 1, 2)], [(1, 3)], n_vertices=-1)
 
 
 def test_build_extra_edges_and_isolated_vertices():
@@ -184,6 +217,32 @@ def test_mixed_labels_sorted_ints_first():
 def test_labels_map_with_string_faces_rejected():
     with pytest.raises(ParameterError):
         from_document({"triangles": [["a", "b", "c"]], "labels": {"0": "a"}})
+
+
+TETRAHEDRON = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
+
+
+def test_labels_map_keys_set_the_vertex_count():
+    X = from_document({"triangles": TETRAHEDRON, "labels": {"9": "z"}})
+    assert X.n_vertices == 10
+    assert X.labels == (*range(9), "z")
+    X = from_document({"triangles": TETRAHEDRON, "labels": {"0": "a", "2": "c"}})
+    assert X.n_vertices == 4
+    assert X.labels == ("a", 1, "c", 3)
+
+
+@pytest.mark.parametrize("key", ["note", "01", "-1", "+1", " 1", "1.0", "", "\u0661", "1_0"])
+def test_labels_map_key_that_is_not_a_vertex_id_is_refused(key):
+    labels = {"0": "a", "1": "b", "2": "c", "3": "d", key: "x"}
+    with pytest.raises(ParameterError, match=re.escape(repr(key))):
+        from_document({"triangles": TETRAHEDRON, "labels": labels})
+
+
+def test_labels_map_key_above_the_vertex_limit_is_refused():
+    with pytest.raises(CapacityError):
+        from_document({"triangles": TETRAHEDRON, "labels": {str(VERTEX_LIMIT): "x"}})
+    with pytest.raises(CapacityError):
+        from_document({"labels": {"1" + "0" * 5000: "x"}})
 
 
 def test_explicit_vertices_allow_gaps_as_isolated():

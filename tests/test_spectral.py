@@ -8,16 +8,34 @@ floating eigensolver is cross-checked against exact characteristic-polynomial
 signs, and Cheeger values against a direct subset loop written here.
 """
 
+import io
+import os
+import sys
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
 from lemma_loops import cheeger_inequality_slack, edge_graph_floor_slack, mixing_lemma_residual
-from named_complexes import CUBOCTAHEDRON, complete_graph, cycle_graph, relabel
+from named_complexes import (
+    CUBOCTAHEDRON,
+    complete_graph,
+    cycle_graph,
+    reference_edge_graph,
+    relabel,
+)
 
-from hdxwalk import spectral
-from hdxwalk.complexes import build_from_triangles, complete_complex, random_complex
+from hdxwalk import cli, spectral
+from hdxwalk.complexes import (
+    Complex2,
+    build_from_triangles,
+    complete_complex,
+    from_document,
+    load_complex,
+    loads_complex,
+    random_complex,
+    validate,
+)
 from hdxwalk.errors import CapacityError, RegularityError
 from hdxwalk.graphs import Graph, edge_graph, underlying_graph
 from hdxwalk.rng import SplitMix64
@@ -29,6 +47,11 @@ from hdxwalk.spectral import (
     normalized_spectrum,
     subset_xors,
 )
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+sys.path.insert(0, PERFBENCH)
+
+import corpus  # noqa: E402
 
 K4 = complete_graph(4)
 K5 = complete_graph(5)
@@ -113,6 +136,33 @@ def test_edge_graph_bijection():
     for e in range(X.n_edges):
         want = {f for t in X.triangle_edge_ids if e in t for f in t if f != e}
         assert set(g1.adjacency[e]) == want
+
+
+def _edge_graph_cases(directory):
+    """The benchmark corpus, `gen random` documents, a string-labelled one, and relabellings."""
+    corpus.write_fixed(str(directory), 0)
+    cases = {name: load_complex(str(directory / name)) for name in sorted(os.listdir(directory))}
+    for seed in range(4):
+        for p in ("0.3", "0.7"):
+            out = io.StringIO()
+            argv = ["gen", "random", "--n", "8", "--p", p, "--seed", str(seed)]
+            assert cli.run(argv, out, io.StringIO()) == 0
+            cases[" ".join(argv)] = loads_complex(out.getvalue())
+    cases["string labels"] = from_document(
+        {"triangles": [["a", "b", "c"], ["b", "c", "d"], ["c", "d", 7]], "edges": [[7, "e"]]}
+    )
+    for name, X in list(cases.items()):
+        for seed in (1, 2):
+            cases[f"{name}, relabelled by seed {seed}"] = relabel(X, seed)
+    return cases
+
+
+def test_edge_graph_matches_reference(tmp_path):
+    for name, X in _edge_graph_cases(tmp_path).items():
+        assert edge_graph(X) == reference_edge_graph(X), name
+        # Stored while the complex was built; the lookup the property would make otherwise.
+        assert X.triangle_edge_ids == Complex2.triangle_edge_ids.func(X), name
+        assert validate(X).ok, name
 
 
 # --- spectra ---------------------------------------------------------------

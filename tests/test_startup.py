@@ -1,4 +1,5 @@
-"""Start-up contract: numpy is loaded on first use, never at import.
+"""Start-up and exit contract: numpy is loaded on first use, never at import,
+and the process freezes its heap before it exits, whatever the exit code.
 
 Every case runs in a fresh interpreter, because this test process has
 already imported numpy.  The benchmark's tracer (``perfbench/tracer.py``)
@@ -27,9 +28,12 @@ import corpus  # noqa: E402
 import tracer  # noqa: E402
 
 # Runs `python -m hdxwalk.cli ARG...` and reports on stderr, last, whether
-# numpy's compiled core was ever imported.
+# numpy's compiled core was ever imported and, from an exit handler registered
+# before the run (so it runs after every handler the run registers), whether
+# the heap was frozen for shut-down.
 PROBE = """
-import runpy, sys
+import atexit, gc, runpy, sys
+atexit.register(lambda: sys.stderr.write(f"\\nheap frozen: {gc.get_freeze_count() > 0}\\n"))
 try:
     runpy.run_module("hdxwalk.cli", run_name="__main__", alter_sys=True)
 finally:
@@ -46,11 +50,19 @@ def python(*args, cwd=None):
 
 
 def hdx(directory, *args):
-    """(exit code, stdout, stderr, whether numpy._core was loaded) of one fresh process."""
+    """(exit code, stdout, stderr, numpy._core loaded, heap frozen at exit) of one fresh process."""
     done = python("-c", PROBE, *args, cwd=directory)
-    err, _, flag = done.stderr.rstrip("\n").rpartition("\nnumpy._core loaded: ")
-    assert flag in ("True", "False"), done.stderr
-    return done.returncode, done.stdout, err, flag == "True"
+    rest, _, frozen = done.stderr.rstrip("\n").rpartition("\nheap frozen: ")
+    err, _, loaded = rest.rstrip("\n").rpartition("\nnumpy._core loaded: ")
+    assert loaded in ("True", "False") and frozen in ("True", "False"), done.stderr
+    return done.returncode, done.stdout, err, loaded == "True", frozen == "True"
+
+
+def in_process(directory, args, monkeypatch):
+    """(exit code, stdout) of ``cli.run`` in this process, in ``directory``."""
+    monkeypatch.chdir(directory)
+    out = io.StringIO()
+    return cli.run(args, out, io.StringIO()), out.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -74,21 +86,40 @@ WITHOUT_NUMPY = [
 
 
 @pytest.mark.parametrize("command, code", WITHOUT_NUMPY, ids=[c for c, _ in WITHOUT_NUMPY])
-def test_command_never_loads_numpy(fixed, command, code):
+def test_command_never_loads_numpy(fixed, command, code, monkeypatch):
     args = command.split()
-    got, out, err, loaded = hdx(fixed, *args)
-    assert (got, loaded) == (code, False), err
+    got, out, err, loaded, frozen = hdx(fixed, *args)
+    assert (got, loaded, frozen) == (code, False, True), err
+    assert (got, out) == in_process(fixed, args, monkeypatch)
     if args == ["--version"]:
         assert out == f"hdx {cli.__version__}\n"
 
 
 def test_certify_loads_numpy_and_output_is_unchanged(fixed, monkeypatch):
-    code, out, err, loaded = hdx(fixed, "certify", "k5.complex")
-    assert (code, loaded) == (0, True), err
-    monkeypatch.chdir(fixed)
-    want = io.StringIO()
-    assert cli.run(["certify", "k5.complex"], want, io.StringIO()) == 0
-    assert out == want.getvalue()
+    code, out, err, loaded, frozen = hdx(fixed, "certify", "k5.complex")
+    assert (code, loaded, frozen) == (0, True, True), err
+    assert (code, out) == in_process(fixed, ["certify", "k5.complex"], monkeypatch)
+
+
+# (command, exit code): a capacity error and a --strict not-applicable verdict.
+FAILING = [("certify k8.complex", 3), ("verify-theorem cubo.complex --strict", 1)]
+
+
+@pytest.mark.parametrize("command, code", FAILING, ids=[c for c, _ in FAILING])
+def test_failing_command_exits_with_its_code_and_frozen_heap(fixed, command, code, monkeypatch):
+    args = command.split()
+    got, out, err, _, frozen = hdx(fixed, *args)
+    assert (got, frozen) == (code, True), err
+    assert (got, out) == in_process(fixed, args, monkeypatch)
+
+
+def test_gen_output_file_holds_the_stdout_bytes(tmp_path):
+    args = ["gen", "random", "--n", "7", "--p", "0.5", "--seed", "3"]
+    code, out, err, _, frozen = hdx(str(tmp_path), *args, "-o", "out.complex")
+    assert (code, out, frozen) == (0, "", True), err
+    code, out, err, _, _ = hdx(str(tmp_path), *args)
+    assert code == 0, err
+    assert (tmp_path / "out.complex").read_bytes() == out.encode("utf-8")
 
 
 def test_package_import_loads_no_numpy():

@@ -88,12 +88,6 @@ def test_randrange_bounds_and_determinism():
         assert 100 <= draws.count(v) <= 250
 
 
-def test_random_unit_interval():
-    r = SplitMix64(3)
-    xs = [r.random() for _ in range(100)]
-    assert all(0.0 <= x < 1.0 for x in xs)
-
-
 # --- distributions -------------------------------------------------------------
 
 
