@@ -117,11 +117,7 @@ def _emit(doc: dict, out: TextIO) -> None:
 
 
 def _exit_code(status: str, strict: bool) -> int:
-    if status == FAIL:
-        return 1
-    if status == NOT_APPLICABLE and strict:
-        return 1
-    return 0
+    return int(status == FAIL or (status == NOT_APPLICABLE and strict))
 
 
 def _load(ns: argparse.Namespace) -> tuple[Complex2, dict]:
@@ -325,12 +321,7 @@ def _cmd_audit(ns, out, err) -> int:
         except (RegularityError, DomainError, DegenerateComplexError) as exc:
             results.append({"lemma": name, "status": NOT_APPLICABLE, "reason": str(exc)})
     statuses = {r["status"] for r in results}
-    if FAIL in statuses:
-        overall = FAIL
-    elif NOT_APPLICABLE in statuses:
-        overall = NOT_APPLICABLE
-    else:
-        overall = PASS
+    overall = next((s for s in (FAIL, NOT_APPLICABLE) if s in statuses), PASS)
     _emit(_report(ns, inputs, {"lemmas": results}, overall), out)
     return _exit_code(overall, ns.strict)
 
@@ -523,6 +514,8 @@ def run(argv=None, stdout: Optional[TextIO] = None, stderr: Optional[TextIO] = N
             check_tolerance(ns.tol)
         if "slack" in ns and not math.isfinite(ns.slack):
             raise ParameterError(f"slack must be finite, got {ns.slack!r}")
+        if getattr(ns, "max_bits", 0) < 0:
+            raise ParameterError(f"max-bits must be non-negative, got {ns.max_bits}")
         alpha = getattr(ns, "alpha", None)
         if alpha is not None and not (math.isfinite(alpha) and alpha >= 0):
             raise ParameterError(f"alpha must be finite and non-negative, got {alpha!r}")

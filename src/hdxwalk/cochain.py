@@ -180,7 +180,7 @@ def coboundary_space(X: Complex2, i: int) -> CodeSpace:
         basis = () if X.n_vertices == 0 else (Chain(0, frozenset(range(X.n_vertices))),)
         return CodeSpace(0, X.n_vertices, "B", basis)
     if i == 1:
-        masks = gf2.image_basis(X.vertex_edge_masks)
+        masks = gf2.row_reduce(X.vertex_edge_masks)
         return CodeSpace(1, X.n_edges, "B", tuple(mask_to_chain(1, m) for m in masks))
     raise ParameterError(f"cochain dimension must be 0 or 1, got {i}")
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from functools import cached_property
 from itertools import combinations
-from math import comb
+from math import comb, isfinite
 from typing import Iterable, Optional, Sequence
 
 from ._record import Record
@@ -37,6 +37,14 @@ VERTEX_LIMIT = 4096
 
 #: Most candidate triangles, C(n, 3), the generators may build or draw.
 TRIANGLE_LIMIT = 2**17
+
+
+def _mask(ids: Iterable[int]) -> int:
+    """The bit mask with bit i set for each i in ids."""
+    m = 0
+    for i in ids:
+        m |= 1 << i
+    return m
 
 
 class Complex2(Record):
@@ -73,24 +81,12 @@ class Complex2(Record):
     @cached_property
     def vertex_edge_masks(self) -> tuple[int, ...]:
         """Per vertex, the incident edges as a bit mask over edge ids."""
-        masks = [0] * self.n_vertices
-        for v, incident in enumerate(self.vertex_edges):
-            m = 0
-            for e in incident:
-                m |= 1 << e
-            masks[v] = m
-        return tuple(masks)
+        return tuple(map(_mask, self.vertex_edges))
 
     @cached_property
     def edge_triangle_masks(self) -> tuple[int, ...]:
         """Per edge, the incident triangles as a bit mask over triangle ids."""
-        masks = [0] * self.n_edges
-        for e, incident in enumerate(self.edge_triangles):
-            m = 0
-            for t in incident:
-                m |= 1 << t
-            masks[e] = m
-        return tuple(masks)
+        return tuple(map(_mask, self.edge_triangles))
 
 
 def _canonical_edge(pair) -> tuple[int, int]:
@@ -415,10 +411,30 @@ def dumps_complex(X: Complex2) -> str:
     return json.dumps(to_document(X), indent=2, sort_keys=True) + "\n"
 
 
+def _finite(token: str) -> float:
+    """A JSON float or NaN/Infinity token as a float; a non-finite one (1e999 too) raises."""
+    x = float(token)
+    if not isfinite(x):
+        raise ParameterError(f"not a valid complex document: non-finite number {token}")
+    return x
+
+
+def _unique_keys(pairs: list) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ParameterError(f"not a valid complex document: duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def loads_complex(text: str) -> Complex2:
+    """Parse a complex document; NaN, infinite numbers and repeated keys are refused."""
     try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+        doc = json.loads(
+            text, parse_float=_finite, parse_constant=_finite, object_pairs_hook=_unique_keys
+        )
+    except (ValueError, RecursionError) as exc:  # ValueError: also an int of over 4300 digits
         raise ParameterError(f"not a valid complex document: {exc}") from exc
     return from_document(doc)
 

@@ -77,11 +77,6 @@ def syndrome_columns(basis: Sequence[int], length: int) -> list[int]:
     return [sum((h >> j & 1) << r for r, h in enumerate(checks)) for j in range(length)]
 
 
-def image_basis(generators: Iterable[int]) -> list[int]:
-    """Reduced basis of the span of ``generators``."""
-    return row_reduce(generators)
-
-
 def span_iter(basis: Sequence[int]) -> Iterator[int]:
     """All 2**len(basis) span elements, in Gray-code order starting at 0."""
     x = 0

@@ -1,8 +1,9 @@
 """Normalized adjacency spectra, exact Cheeger constants, and subset tables.
 
 Eigenvalues of a k-regular graph are reported normalized by k, sorted
-descending.  Cheeger constants are exact rationals from exhaustive subset
-enumeration; the same tables of cut sizes serve the minimum-cut audit.
+descending; whether lambda2 < 1/2 is decided exactly, near 1/2 by Sylvester's
+criterion in integers.  Cheeger constants are exact rationals from exhaustive
+subset enumeration; the same tables of cut sizes serve the minimum-cut audit.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .graphs import Graph
 TABLE_BIT_LIMIT = 26
 #: Most vertices of a graph whose dense n x n matrices are built.
 DENSE_VERTEX_LIMIT = 2**11
-#: Most integer additions, n**3 * k, of the exact lambda2 decision's characteristic polynomial.
-CHARPOLY_WORK_LIMIT = 2**24
+#: Most multiplications, bounded by n**3, of the exact lambda2 decision's elimination.
+ELIMINATION_WORK_LIMIT = 2**22
 
 
 class SpectralReport(Record):
@@ -117,31 +118,45 @@ def lambda2_below_half(G: Graph, report: SpectralReport) -> bool:
     ``report`` is G's normalized spectrum.  Its float lambda2 decides when it
     lies farther from 1/2 than n times the eigensolver's normalized residual
     (at least 1e-9), which bounds its error.  Inside that band, lambda2 < 1/2
-    exactly when A has one eigenvalue at or above k/2.  Those are the roots
-    y >= 0 of det(yI - (2A - kI)), an integer polynomial with only real
-    roots: Descartes' rule of signs counts its positive roots exactly, and
-    its trailing zero coefficients count the root at 0.  That polynomial
-    takes n**3 * k additions of growing integers; above CHARPOLY_WORK_LIMIT
-    the decision is refused with CapacityError before any is made.
+    exactly when B = kI - 2A + kJ is positive definite: B has eigenvalue
+    k(n - 1) on the all-ones vector and k - 2*mu for each other eigenvalue mu
+    of A.  Testing that takes fewer than n**3 multiplications; above
+    ELIMINATION_WORK_LIMIT CapacityError is raised before the first.
     """
     if abs(report.lambda2 - 0.5) > max(G.n * report.tolerance, 1e-9):
         return report.lambda2 < 0.5
-    k = G.regular_k
-    work = G.n**3 * k
-    if work > CHARPOLY_WORK_LIMIT:
+    if G.n**3 > ELIMINATION_WORK_LIMIT:
         raise CapacityError(
             f"lambda2 lies within the eigensolver's error of 1/2, and deciding it exactly "
-            f"takes {work} additions ({G.n}**3 * {k}); limit is {CHARPOLY_WORK_LIMIT}"
+            f"takes up to {G.n}**3 multiplications; limit is {ELIMINATION_WORK_LIMIT}"
         )
-    # Horner's rule for 2**n * p((y + k) / 2), p = det(xI - A), highest power first.
-    q: list[int] = []
-    for j, c in enumerate(characteristic_polynomial(G)):
-        q = [a + k * b for a, b in zip(q + [0], [0] + q)]
-        q[-1] += c * 2**j
-    at_zero = next(j for j, a in enumerate(reversed(q)) if a)
-    signs = [a > 0 for a in q if a]
-    positive = sum(a != b for a, b in zip(signs, signs[1:]))
-    return at_zero + positive == 1
+    k = G.regular_k
+    # Row v of B from its diagonal on: 2k, then k - 2 at a neighbor and k elsewhere.
+    return _positive_definite([
+        [2 * k] + [k - 2 * (nbrs >> w & 1) for w in range(v + 1, G.n)]
+        for v, nbrs in enumerate(G.neighbor_masks)
+    ])
+
+
+def _positive_definite(rows: list[list[int]]) -> bool:
+    """Whether a symmetric integer matrix, given as row i from column i on, is positive definite.
+
+    Sylvester's criterion: the pivots of fraction-free (Bareiss) elimination
+    without pivoting, each divided exactly by the previous one, are the
+    leading principal minors.
+    """
+    prev = 1
+    while rows:
+        top = rows[0]
+        pivot = top[0]
+        if pivot <= 0:
+            return False
+        rows = [
+            [(x * pivot - a * y) // prev for x, y in zip(row, top[t:])]
+            for t, (row, a) in enumerate(zip(rows[1:], top[1:]), 1)
+        ]
+        prev = pivot
+    return True
 
 
 def check_table_bits(bits: int) -> None:
@@ -227,25 +242,3 @@ def cheeger_exhaustive(G: Graph) -> CheegerResult:
         if Fraction(c, k * m) == best:
             ties |= side & (size == m) & (cut == c)
     return CheegerResult(best, lex_first(np.flatnonzero(ties)))
-
-
-def characteristic_polynomial(G: Graph) -> tuple[int, ...]:
-    """Exact integer coefficients of det(xI - A), highest power first.
-
-    Faddeev-LeVerrier in integers (each coefficient is an integer, so its
-    division by k is exact); independent of the floating eigensolver, so it
-    can cross-check reported spectra.
-    """
-    n = G.n
-    coeffs = [1]
-    M = [[0] * n for _ in range(n)]
-    for k in range(1, n + 1):
-        # M <- A @ (M + c_{k-1} I)
-        for i in range(n):
-            M[i][i] += coeffs[-1]
-        M = [[sum(M[t][j] for t in G.adjacency[i]) for j in range(n)] for i in range(n)]
-        trace = sum(M[i][i] for i in range(n))
-        if trace % k:
-            raise AssertionError("characteristic polynomial must have integer coefficients")
-        coeffs.append(-trace // k)
-    return tuple(coeffs)

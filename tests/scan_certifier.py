@@ -42,7 +42,7 @@ def scan_certify_dimension(X, i: int, k_i: int) -> DimensionReport:
     else:
         count = X.n_edges
         gens = X.edge_triangle_masks
-        b_masks = gf2.image_basis(X.vertex_edge_masks)
+        b_masks = gf2.row_reduce(X.vertex_edge_masks)
     z_basis = gf2.kernel_basis(gens)
     z_words = list(gf2.span_iter(z_basis))
     b_words = list(gf2.span_iter(b_masks))

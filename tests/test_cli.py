@@ -229,6 +229,43 @@ def test_oversized_vertex_id_exits_3_quickly(tmp_path):
     assert err.startswith("hdx: capacity error: ")
 
 
+
+def test_integer_literal_over_the_digit_limit_exits_2(tmp_path):
+    # json.loads refuses an int of more than 4300 digits with a plain ValueError.
+    path = tmp_path / "long.complex"
+    path.write_text('{"edges": [[0, 1' + "0" * 5000 + "]]}")
+    code, out, err = invoke("validate", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("hdx: not a valid complex document: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"labels": {"0": %s}, "triangles": [[0, 1, 2]]}' % token, f"non-finite number {token}")
+        for token in ("NaN", "Infinity", "-Infinity", "1e999", "-1e999")
+    ]
+    + [
+        ('{"triangles": [[0, 1, 2]], "triangles": [[0, 1, 3]]}', "duplicate key 'triangles'"),
+        ('{"labels": {"0": "a", "0": "b"}, "triangles": [[0, 1, 2]]}', "duplicate key '0'"),
+    ],
+)
+def test_non_finite_numbers_and_repeated_keys_exit_2(text, message, tmp_path):
+    path = tmp_path / "bad.complex"
+    path.write_text(text)
+    code, out, err = invoke("validate", str(path))
+    assert (code, out, err) == (2, "", f"hdx: not a valid complex document: {message}\n")
+    path.write_text('{"labels": {"0": 1.5, "1": -1e300}, "triangles": [[0, 1, 2]]}')
+    assert invoke("validate", str(path))[0] == 0
+
+
+@pytest.mark.parametrize("command", ["certify", "audit --lemma sum", "verify-theorem"])
+def test_negative_max_bits_is_a_usage_error(k4_file, command, monkeypatch):
+    # Refused before any work: the complex file is never read.
+    monkeypatch.setattr(cli, "_load", None)
+    code, out, err = invoke(*command.split(), k4_file, "--max-bits", "-1")
+    assert (code, out, err) == (2, "", "hdx: max-bits must be non-negative, got -1\n")
+
 _scalars = st.none() | st.booleans() | st.integers(-3, 10**7) | st.floats() | st.text(max_size=3)
 _json = st.recursive(
     _scalars,

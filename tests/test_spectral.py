@@ -11,11 +11,14 @@ signs, and Cheeger values against a direct subset loop written here.
 import io
 import os
 import sys
+import time
 from fractions import Fraction
 from itertools import combinations
 
+import named_complexes
 import numpy as np
 import pytest
+from charpoly import characteristic_polynomial, lambda2_below_half_by_descartes
 from lemma_loops import cheeger_inequality_slack, edge_graph_floor_slack, mixing_lemma_residual
 from named_complexes import (
     CUBOCTAHEDRON,
@@ -40,7 +43,6 @@ from hdxwalk.errors import CapacityError, RegularityError
 from hdxwalk.graphs import Graph, edge_graph, underlying_graph
 from hdxwalk.rng import SplitMix64
 from hdxwalk.spectral import (
-    characteristic_polynomial,
     cheeger_exhaustive,
     cut_sizes,
     lambda2_below_half,
@@ -295,31 +297,78 @@ GAP_GRAPHS = {
 }
 
 
+def decided_in_the_band(G):
+    """lambda2_below_half(G) with its report pinned at 1/2, so the exact test decides."""
+    return lambda2_below_half(G, normalized_spectrum(G).replace(lambda2=0.5))
+
+
+def cuboctahedron_tensor(m):
+    """The cuboctahedron graph tensored with K_m: 12m vertices, degree 4(m - 1), lambda2 = 1/2."""
+    cubo = underlying_graph(CUBOCTAHEDRON)
+    return Graph.from_edges(cubo.n * m, [
+        (v * m + i, w * m + j)
+        for v in range(cubo.n) for w in cubo.adjacency[v] for i in range(m) for j in range(m) if i != j
+    ])
+
+
 @pytest.mark.parametrize("name", sorted(GAP_GRAPHS))
 def test_lambda2_below_half_exact_count_matches_float(name):
     # Away from 1/2 the float decides; a report pinned at 1/2 forces the
-    # exact count of eigenvalues at or above k/2, which must agree.
+    # exact test, which must agree.
     G = GAP_GRAPHS[name]
     report = normalized_spectrum(G)
     assert abs(report.lambda2 - 0.5) > 0.05
     assert lambda2_below_half(G, report) == (report.lambda2 < 0.5)
-    pinned = report.replace(lambda2=0.5)
-    assert lambda2_below_half(G, pinned) == (report.lambda2 < 0.5)
+    assert decided_in_the_band(G) == (report.lambda2 < 0.5)
+
+
+_REGULAR_COMPLEXES = [
+    "OCTAHEDRON", "RP2_6", "CUBOCTAHEDRON", "TORUS_7", "K333", "ICOSAHEDRON", "T5",
+    "PETERSEN_LINE", "HEAWOOD_LINE",
+]
+
+
+def _reference_graphs():
+    yield from GAP_GRAPHS.items()
+    yield from ((f"C{n}", cycle_graph(n)) for n in range(3, 16))
+    for name in _REGULAR_COMPLEXES:
+        for seed in range(8):
+            X = relabel(getattr(named_complexes, name), seed)
+            yield f"{name} g0 seed {seed}", underlying_graph(X)
+            yield f"{name} g1 seed {seed}", edge_graph(X)
+    yield from ((f"cuboctahedron x K{m}", cuboctahedron_tensor(m)) for m in range(2, 8))
+
+
+def test_lambda2_exact_test_matches_the_characteristic_polynomial():
+    answers = {}
+    for name, G in _reference_graphs():
+        if G.regular_k:
+            answers[name] = lambda2_below_half_by_descartes(G)
+            assert decided_in_the_band(G) == answers[name], name
+    # Both answers occur, on connected and on disconnected graphs.
+    assert len(answers) >= 170 and answers["C5"] and answers["ICOSAHEDRON g0 seed 0"]
+    assert not (answers["C6"] or answers["two triangles"] or answers["cuboctahedron x K7"])
+
+
+def test_lambda2_decision_at_120_vertices_is_quick():
+    # 120 vertices of degree 36 at exact lambda2 = 1/2: the elimination runs to its last pivot.
+    G = cuboctahedron_tensor(10)
+    report = normalized_spectrum(G)
+    assert G.n == 120 and abs(report.lambda2 - 0.5) <= 1e-9
+    start = time.perf_counter()
+    assert not lambda2_below_half(G, report)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_lambda2_decision_refuses_work_above_the_limit(monkeypatch):
-    # The cuboctahedron graph tensored with K_20: 240 vertices of degree 76 and
-    # lambda2 = 1/2 exactly, so the float lands in the band.  The characteristic
-    # polynomial would take 240**3 * 76 additions (about 45 s); it is never begun.
-    cubo, m = underlying_graph(CUBOCTAHEDRON), 20
-    G = Graph.from_edges(cubo.n * m, [
-        (v * m + i, w * m + j)
-        for v in range(cubo.n) for w in cubo.adjacency[v] for i in range(m) for j in range(m) if i != j
-    ])
+    # 240 vertices of degree 76 and lambda2 = 1/2 exactly, so the float lands
+    # in the band.  The elimination would take up to 240**3 multiplications
+    # (seconds); it is never begun.
+    G = cuboctahedron_tensor(20)
     report = normalized_spectrum(G)
     assert G.regular_k == 76 and abs(report.lambda2 - 0.5) <= 1e-9
-    monkeypatch.setattr(spectral, "characteristic_polynomial", lambda G: pytest.fail("computed"))
-    with pytest.raises(CapacityError, match=f"240\\*\\*3 \\* 76\\); limit is {spectral.CHARPOLY_WORK_LIMIT}"):
+    monkeypatch.setattr(spectral, "_positive_definite", lambda rows: pytest.fail("computed"))
+    with pytest.raises(CapacityError, match=f"240\\*\\*3 multiplications; limit is {spectral.ELIMINATION_WORK_LIMIT}$"):
         lambda2_below_half(G, report)
 
 
