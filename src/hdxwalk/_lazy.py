@@ -1,11 +1,13 @@
-"""numpy, imported on first attribute access rather than at package import.
+"""Modules imported on first attribute access rather than at package import.
 
-Commands that never compute with arrays (``--version``, ``validate``, ``gen``,
-``cocycles``, usage and input errors) then start without paying for numpy.
-Every module takes ``np`` from here; nothing may read an ``np.`` attribute at
-import time, which annotations under ``from __future__ import annotations``
-do not.  This is the ``importlib.util.LazyLoader`` recipe of the importlib
-documentation ("Implementing lazy imports").
+numpy is one: commands that never compute with arrays (``--version``,
+``validate``, ``gen``, ``cocycles``, usage and input errors) start without
+paying for it.  Every module takes ``np`` from here; nothing may read an
+``np.`` attribute at import time, which annotations under ``from __future__
+import annotations`` do not.  ``hdxwalk.cli`` loads its seven layer modules
+the same way, so each command executes only the layers it calls.  This is the
+``importlib.util.LazyLoader`` recipe of the importlib documentation
+("Implementing lazy imports").
 """
 
 import importlib.util
@@ -13,7 +15,10 @@ import sys
 
 
 def lazy_import(name: str):
-    """The module ``name``, executed when one of its attributes is first read."""
+    """The module ``name``, executed when one of its attributes is first read.
+
+    A submodule is also bound on its package, as an import statement binds it.
+    """
     if name in sys.modules:
         return sys.modules[name]
     spec = importlib.util.find_spec(name)
@@ -24,6 +29,9 @@ def lazy_import(name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     loader.exec_module(module)
+    package, _, child = name.rpartition(".")
+    if package:
+        setattr(sys.modules[package], child, module)
     return module
 
 

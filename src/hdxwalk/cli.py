@@ -13,28 +13,15 @@ from __future__ import annotations
 
 import argparse
 import gc
-import hashlib
-import json
 import math
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, TextIO
 
 from . import __version__
-from ._lazy import np
+from ._lazy import lazy_import, np
 from ._record import Record
-from .cochain import Chain, cocycle_space, coboundary_space, mask_bits
-from .complexes import (
-    Complex2,
-    complete_complex,
-    degree_profile,
-    dumps_complex,
-    load_complex,
-    random_complex,
-    validate,
-)
 from .errors import (
     CapacityError,
     DegenerateComplexError,
@@ -43,32 +30,13 @@ from .errors import (
     ParameterError,
     RegularityError,
 )
-from .expansion import (
-    CERTIFY_BIT_LIMIT,
-    certify_exact,
-    coboundary_size,
-    distance_judgement,
-    gap_lambda2,
-    large_cuts_audit,
-    local_view_bound_judgement,
-    local_view_sums,
-    mixing_rate_bound,
-    sum_bound_judgement,
-)
-from .graphs import edge_graph, underlying_graph
-from .spectral import (
-    check_tolerance,
-    cheeger_exhaustive,
-    cut_sizes,
-    normalized_spectrum,
-    subset_sums,
-)
-from .walk import (
-    Distribution,
-    check_walk_capacity,
-    evolve_exact,
-    high_order_step_counts,
-    rapid_mixing_audit,
+
+# Registered now, executed on first attribute access: a command runs only the
+# layers it calls (``gen`` and ``validate`` only complexes).  All seven are
+# registered, because perfbench/tracer.py wraps each one from sys.modules.
+complexes, gf2, cochain, graphs, spectral, expansion, walk = (
+    lazy_import(f"{__package__}.{layer}")
+    for layer in ("complexes", "gf2", "cochain", "graphs", "spectral", "expansion", "walk")
 )
 
 PASS = "pass"
@@ -77,23 +45,31 @@ NOT_APPLICABLE = "not-applicable"
 ERROR = "error"
 
 
+# The leaf types json writes as they are; a report's leaves are these or Fractions.
+_JSON_LEAVES = frozenset({str, int, float, bool, type(None)})
+
+
 def _jsonable(obj):
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, Chain):
-        return obj.to_list()
-    if isinstance(obj, Record):
-        return {name: _jsonable(value) for name, value in obj.asdict().items()}
+    if type(obj) in _JSON_LEAVES:
+        return obj
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(x) for x in obj]
+    if isinstance(obj, Record):
+        if isinstance(obj, cochain.Chain):
+            return obj.to_list()
+        return {name: _jsonable(value) for name, value in obj.asdict().items()}
     if isinstance(obj, (frozenset, set)):
         return sorted(obj)
-    return obj
+    from fractions import Fraction
+
+    return str(obj) if isinstance(obj, Fraction) else obj
 
 
 def _digest(path: str) -> str:
+    import hashlib
+
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
 
@@ -113,6 +89,8 @@ def _report(ns: argparse.Namespace, inputs: dict, results, status: str) -> dict:
 
 
 def _emit(doc: dict, out: TextIO) -> None:
+    import json
+
     out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
@@ -120,12 +98,12 @@ def _exit_code(status: str, strict: bool) -> int:
     return int(status == FAIL or (status == NOT_APPLICABLE and strict))
 
 
-def _load(ns: argparse.Namespace) -> tuple[Complex2, dict]:
-    return load_complex(ns.file), {"file": ns.file, "sha256": _digest(ns.file)}
+def _load(ns: argparse.Namespace) -> tuple[complexes.Complex2, dict]:
+    return complexes.load_complex(ns.file), {"file": ns.file, "sha256": _digest(ns.file)}
 
 
-def _pick_graph(X: Complex2, which: str):
-    return underlying_graph(X) if which == "g0" else edge_graph(X)
+def _pick_graph(X: complexes.Complex2, which: str):
+    return graphs.underlying_graph(X) if which == "g0" else graphs.edge_graph(X)
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +112,10 @@ def _pick_graph(X: Complex2, which: str):
 
 def _cmd_gen(ns, out, err) -> int:
     if ns.kind == "complete":
-        X = complete_complex(ns.n)
+        X = complexes.complete_complex(ns.n)
     else:
-        X = random_complex(ns.n, ns.p, ns.seed)
-    text = dumps_complex(X)
+        X = complexes.random_complex(ns.n, ns.p, ns.seed)
+    text = complexes.dumps_complex(X)
     if ns.output:
         with open(ns.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -148,7 +126,7 @@ def _cmd_gen(ns, out, err) -> int:
 
 def _cmd_validate(ns, out, err) -> int:
     X, inputs = _load(ns)
-    report = validate(X)
+    report = complexes.validate(X)
     status = PASS if report.ok else ERROR
     _emit(_report(ns, inputs, {"findings": list(report.findings)}, status), out)
     if not report.ok:
@@ -160,7 +138,7 @@ def _cmd_validate(ns, out, err) -> int:
 def _cmd_spectrum(ns, out, err) -> int:
     X, inputs = _load(ns)
     G = _pick_graph(X, ns.graph)
-    report = normalized_spectrum(G, ns.tol)
+    report = spectral.normalized_spectrum(G, ns.tol)
     results = {
         "graph": ns.graph,
         "n": G.n,
@@ -178,7 +156,7 @@ def _cmd_spectrum(ns, out, err) -> int:
 def _cmd_cheeger(ns, out, err) -> int:
     X, inputs = _load(ns)
     G = _pick_graph(X, ns.graph)
-    result = cheeger_exhaustive(G)
+    result = spectral.cheeger_exhaustive(G)
     results = {
         "graph": ns.graph,
         "h_normalized": result.h_normalized,
@@ -190,8 +168,8 @@ def _cmd_cheeger(ns, out, err) -> int:
 
 def _cmd_cocycles(ns, out, err) -> int:
     X, inputs = _load(ns)
-    z = cocycle_space(X, ns.dim)
-    b = coboundary_space(X, ns.dim)
+    z = cochain.cocycle_space(X, ns.dim)
+    b = cochain.coboundary_space(X, ns.dim)
     results = {
         "dimension": ns.dim,
         "cocycles": {"dim": z.dim, "basis": [c.to_list() for c in z.basis]},
@@ -203,7 +181,7 @@ def _cmd_cocycles(ns, out, err) -> int:
 
 def _cmd_certify(ns, out, err) -> int:
     X, inputs = _load(ns)
-    cert = certify_exact(X, max_bits=ns.max_bits)
+    cert = expansion.certify_exact(X, max_bits=ns.max_bits)
     _emit(_report(ns, inputs, cert, PASS), out)
     return 0
 
@@ -211,7 +189,7 @@ def _cmd_certify(ns, out, err) -> int:
 def _lemma_result(name: str, fail: np.ndarray, violation, asserted=True, **extra) -> dict:
     """A lemma's report; ``violation(m)`` describes each of the first 10 failing edge masks."""
     first = np.flatnonzero(fail)[:10].tolist()
-    violations = [{"edges": mask_bits(m), **violation(m)} for m in first]
+    violations = [{"edges": cochain.mask_bits(m), **violation(m)} for m in first]
     return {
         "lemma": name,
         "subsets_checked": fail.size,
@@ -221,11 +199,11 @@ def _lemma_result(name: str, fail: np.ndarray, violation, asserted=True, **extra
     }
 
 
-def _view_lemma(name: str, X: Complex2, judge, asserted, **extra) -> dict:
+def _view_lemma(name: str, X: complexes.Complex2, judge, asserted, **extra) -> dict:
     """A lemma failing at F where ``asserted(|F|)`` and not ``judge(F_v)`` at some vertex v."""
-    fail = local_view_sums(X, lambda L: not judge(L)) > 0
+    fail = expansion.local_view_sums(X, lambda L: not judge(L)) > 0
     by_size = np.array([asserted(s) for s in range(X.n_edges + 1)])
-    fail &= by_size[subset_sums([1] * X.n_edges, np.uint8)]
+    fail &= by_size[spectral.subset_sums([1] * X.n_edges, np.uint8)]
 
     def violation(m: int) -> dict:
         return {"vertices": [v for v, star in enumerate(X.vertex_edge_masks) if not judge(m & star)]}
@@ -234,12 +212,12 @@ def _view_lemma(name: str, X: Complex2, judge, asserted, **extra) -> dict:
 
 
 @lru_cache(maxsize=1)
-def _coboundary_sums(X: Complex2) -> np.ndarray:
+def _coboundary_sums(X: complexes.Complex2) -> np.ndarray:
     """sum_v |coboundary(F_v)| for every edge mask F, one table for the outgoing and sum lemmas."""
-    return local_view_sums(X, lambda L: coboundary_size(X, L))
+    return expansion.local_view_sums(X, lambda L: expansion.coboundary_size(X, L))
 
 
-def _audit_outgoing(X: Complex2, ns) -> dict:
+def _audit_outgoing(X: complexes.Complex2, ns) -> dict:
     # The other edge-subset lemmas certify first, which refuses more than
     # --max-bits faces before this check could.
     if X.n_edges > ns.max_bits:
@@ -248,15 +226,15 @@ def _audit_outgoing(X: Complex2, ns) -> dict:
             f"{ns.max_bits} edges; got {X.n_edges}"
         )
     # The cut of F in the edge-graph against sum_v |coboundary(F_v)|.
-    cut = cut_sizes(edge_graph(X))
+    cut = spectral.cut_sizes(graphs.edge_graph(X))
     sums = _coboundary_sums(X)
     return _lemma_result(
         "outgoing", cut != sums, lambda m: {"lhs": int(cut[m]), "rhs": int(sums[m])}
     )
 
 
-def _audit_large_cuts(X: Complex2, ns) -> dict:
-    result = large_cuts_audit(underlying_graph(X), tol=ns.tol)
+def _audit_large_cuts(X: complexes.Complex2, ns) -> dict:
+    result = expansion.large_cuts_audit(graphs.underlying_graph(X), tol=ns.tol)
     if not result.precondition_met:
         status = NOT_APPLICABLE
     else:
@@ -272,24 +250,26 @@ def _audit_large_cuts(X: Complex2, ns) -> dict:
     }
 
 
-def _audit_distance(X: Complex2, ns) -> dict:
-    mu = certify_exact(X, max_bits=ns.max_bits).mu
-    met, judge = distance_judgement(X, mu=mu, tol=ns.tol)
+def _audit_distance(X: complexes.Complex2, ns) -> dict:
+    mu = expansion.certify_exact(X, max_bits=ns.max_bits).mu
+    met, judge = expansion.distance_judgement(X, mu=mu, tol=ns.tol)
     return _view_lemma("distance", X, judge, lambda size: 0 < size < X.n_edges and met)
 
 
-def _audit_local_views(X: Complex2, ns) -> dict:
-    cert = certify_exact(X, max_bits=ns.max_bits)
+def _audit_local_views(X: complexes.Complex2, ns) -> dict:
+    cert = expansion.certify_exact(X, max_bits=ns.max_bits)
     eps = cert.epsilon_cosystolic
-    met, eta, judge = local_view_bound_judgement(X, eps, mu=cert.mu, slack=ns.slack, tol=ns.tol)
+    met, eta, judge = expansion.local_view_bound_judgement(
+        X, eps, mu=cert.mu, slack=ns.slack, tol=ns.tol
+    )
     return _view_lemma("local-views", X, judge, lambda size: met, eta=eta, epsilon=eps)
 
 
-def _audit_sum(X: Complex2, ns) -> dict:
-    eps = certify_exact(X, max_bits=ns.max_bits).epsilon_cosystolic
-    judge = sum_bound_judgement(X, eps, slack=ns.slack, tol=ns.tol)
+def _audit_sum(X: complexes.Complex2, ns) -> dict:
+    eps = expansion.certify_exact(X, max_bits=ns.max_bits).epsilon_cosystolic
+    judge = expansion.sum_bound_judgement(X, eps, slack=ns.slack, tol=ns.tol)
     sums = _coboundary_sums(X)
-    sizes = subset_sums([1] * X.n_edges, np.uint8)
+    sizes = spectral.subset_sums([1] * X.n_edges, np.uint8)
     rhs, holds = judge(sums, sizes)
     # The bound is stated for |F| <= |E|/2; larger sets are not checked.
     checked = 2 * sizes <= X.n_edges
@@ -327,11 +307,11 @@ def _cmd_audit(ns, out, err) -> int:
 
 
 def _cmd_walk(ns, out, err) -> int:
-    X, _ = _load(ns)
+    X = complexes.load_complex(ns.file)
     if not (0 <= ns.start < X.n_edges):
         raise DomainError(f"start edge {ns.start} out of range (complex has {X.n_edges})")
     if ns.paths is not None:
-        counts = high_order_step_counts(X, ns.start, ns.steps, ns.paths, ns.seed)
+        counts = walk.high_order_step_counts(X, ns.start, ns.steps, ns.paths, ns.seed)
         total = ns.paths
         uniform = 1.0 / X.n_edges
         dists = [
@@ -339,8 +319,8 @@ def _cmd_walk(ns, out, err) -> int:
             for row in counts
         ]
     else:
-        g1 = edge_graph(X)
-        dists = evolve_exact(g1, Distribution.point_mass(g1.n, ns.start), ns.steps)
+        g1 = graphs.edge_graph(X)
+        dists = walk.evolve_exact(g1, walk.Distribution.point_mass(g1.n, ns.start), ns.steps)
     out.write("step,distance,alpha_power,ok\n")
     for i, d in enumerate(dists):
         if ns.alpha is not None:
@@ -359,14 +339,14 @@ def _cmd_verify_theorem(ns, out, err) -> int:
     X, inputs = _load(ns)
     if ns.steps < 0:
         raise ParameterError(f"steps must be non-negative, got {ns.steps}")
-    check_walk_capacity(X.n_edges, ns.steps)
+    walk.check_walk_capacity(X.n_edges, ns.steps)
     results: dict = {}
 
     def finish(status: str) -> int:
         _emit(_report(ns, inputs, results, status), out)
         return _exit_code(status, ns.strict)
 
-    profile = degree_profile(X)
+    profile = complexes.degree_profile(X)
     if profile.regular is None:
         results["reason"] = "complex is not (k0, k1)-regular"
         return finish(NOT_APPLICABLE)
@@ -376,20 +356,20 @@ def _cmd_verify_theorem(ns, out, err) -> int:
         results["reason"] = "no triangles; the edge walk has no moves"
         return finish(NOT_APPLICABLE)
 
-    G0 = underlying_graph(X)
-    results["lambda2_g0"] = normalized_spectrum(G0, ns.tol).lambda2
+    G0 = graphs.underlying_graph(X)
+    results["lambda2_g0"] = spectral.normalized_spectrum(G0, ns.tol).lambda2
     try:
-        lambda2 = gap_lambda2(G0, "rate bound requires", ns.tol)
-        cert = certify_exact(X, max_bits=ns.max_bits)
+        lambda2 = expansion.gap_lambda2(G0, "rate bound requires", ns.tol)
+        cert = expansion.certify_exact(X, max_bits=ns.max_bits)
     except (DomainError, DegenerateComplexError) as exc:
         results["reason"] = str(exc)
         return finish(NOT_APPLICABLE)
     results["certificate"] = _jsonable(cert)
     # Regularity, triangles and the lambda2 gate are settled, so the audit applies.
-    rate = mixing_rate_bound(cert.epsilon_cosystolic, lambda2)
-    audit = rapid_mixing_audit(X, rate, ns.steps, slack=ns.slack, tol=ns.tol)
+    rate = expansion.mixing_rate_bound(cert.epsilon_cosystolic, lambda2)
+    audit = walk.rapid_mixing_audit(X, rate, ns.steps, slack=ns.slack, tol=ns.tol)
     results["rate_bound"] = rate
-    g1 = edge_graph(X)
+    g1 = graphs.edge_graph(X)
     results["edge_graph"] = {
         "n": g1.n,
         "k": g1.regular_k,
@@ -455,7 +435,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="exact expansion certificate")
     p.add_argument("file")
-    p.add_argument("--max-bits", type=int, default=CERTIFY_BIT_LIMIT)
+    p.add_argument("--max-bits", type=int)
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("audit", help="check the supporting inequalities on one complex")
@@ -465,7 +445,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("outgoing", "large-cuts", "distance", "local-views", "sum", "all"),
         required=True,
     )
-    p.add_argument("--max-bits", type=int, default=CERTIFY_BIT_LIMIT)
+    p.add_argument("--max-bits", type=int)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--slack", type=float, default=1e-9)
     p.add_argument("--strict", action="store_true")
@@ -487,7 +467,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("file")
     p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--max-bits", type=int, default=CERTIFY_BIT_LIMIT)
+    p.add_argument("--max-bits", type=int)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--slack", type=float, default=1e-9)
     p.add_argument("--strict", action="store_true")
@@ -511,9 +491,12 @@ def run(argv=None, stdout: Optional[TextIO] = None, stderr: Optional[TextIO] = N
         # Before any work: audit and some verify-theorem runs never use these.
         # NaN or infinity would turn each comparison they enter into a constant.
         if "tol" in ns:
-            check_tolerance(ns.tol)
+            spectral.check_tolerance(ns.tol)
         if "slack" in ns and not math.isfinite(ns.slack):
             raise ParameterError(f"slack must be finite, got {ns.slack!r}")
+        if "max_bits" in ns and ns.max_bits is None:
+            # The default is read here, so that building the parser executes no layer.
+            ns.max_bits = expansion.CERTIFY_BIT_LIMIT
         if getattr(ns, "max_bits", 0) < 0:
             raise ParameterError(f"max-bits must be non-negative, got {ns.max_bits}")
         alpha = getattr(ns, "alpha", None)

@@ -16,19 +16,33 @@ def low_bit(x: int) -> int:
 
 
 def row_reduce(rows: Iterable[int]) -> list[int]:
-    """Reduced basis of the span of ``rows``, sorted by pivot position."""
+    """Reduced basis of the span of ``rows``, sorted by pivot position.
+
+    Each row is reduced into an echelon basis keyed by pivot, meeting only the
+    rows whose pivots it holds; one back-substitution pass, from the highest
+    pivot down, then clears every other pivot bit.  That reduced basis is the
+    unique one of the span.
+    """
     basis: dict[int, int] = {}
     for r in rows:
-        for p, s in basis.items():
-            if r >> p & 1:
-                r ^= s
-        if r:
+        while r:
             p = low_bit(r)
-            for q in basis:
-                if basis[q] >> p & 1:
-                    basis[q] ^= r
-            basis[p] = r
-    return [basis[p] for p in sorted(basis)]
+            if p not in basis:
+                basis[p] = r
+                break
+            r ^= basis[p]
+    pivots = sorted(basis)
+    pivot_mask = sum(1 << p for p in pivots)
+    for p in reversed(pivots):
+        # Rows above p are reduced already, so each clears one pivot bit and sets none.
+        r = basis[p]
+        hits = r & pivot_mask & ~(1 << p)
+        while hits:
+            low = hits & -hits
+            r ^= basis[low.bit_length() - 1]
+            hits ^= low
+        basis[p] = r
+    return [basis[p] for p in pivots]
 
 
 def in_span(vec: int, reduced: Sequence[int]) -> bool:

@@ -15,7 +15,6 @@ from itertools import chain
 
 from ._lazy import np
 from ._record import Record
-from .cochain import mask_bits
 from .errors import CapacityError, DomainError, ParameterError, RegularityError, ToleranceError
 from .graphs import Graph
 
@@ -212,7 +211,8 @@ def lex_first(masks: np.ndarray) -> tuple[int, ...]:
         low = rest & -rest  # each mask's next vertex; 0 marks a prefix of all the others
         keep = low == low.min()
         masks, rest = masks[keep], rest[keep] ^ low[keep]
-    return tuple(mask_bits(int(masks[0])))
+    first = int(masks[0])
+    return tuple(v for v in range(first.bit_length()) if first >> v & 1)
 
 
 class CheegerResult(Record):

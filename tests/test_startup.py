@@ -1,10 +1,12 @@
-"""Start-up and exit contract: numpy is loaded on first use, never at import,
-and the process freezes its heap before it exits, whatever the exit code.
+"""Start-up and exit contract: numpy and each layer module are executed on
+first use, never at import, and the process freezes its heap before it exits,
+whatever the exit code.
 
 Every case runs in a fresh interpreter, because this test process has
-already imported numpy.  The benchmark's tracer (``perfbench/tracer.py``)
-relies on ``import hdxwalk.cli`` loading every layer module eagerly; that
-contract is pinned here too, without changing anything under ``perfbench/``.
+already imported numpy and every layer.  The benchmark's tracer
+(``perfbench/tracer.py``) relies on ``import hdxwalk.cli`` registering every
+layer module in ``sys.modules``; that contract is pinned here too, without
+changing anything under ``perfbench/``.
 """
 
 import ast
@@ -113,6 +115,50 @@ def test_failing_command_exits_with_its_code_and_frozen_heap(fixed, command, cod
     assert (got, out) == in_process(fixed, args, monkeypatch)
 
 
+# Runs `python -m hdxwalk.cli ARG...` and reports on stderr, last, the layer
+# modules executed and whether hashlib was imported.  A module registered by
+# lazy_import keeps the LazyLoader's own module type until it is first read.
+EXECUTED_PROBE = """
+import runpy, sys, types
+try:
+    runpy.run_module("hdxwalk.cli", run_name="__main__", alter_sys=True)
+finally:
+    layers = sorted(n[8:] for n, m in sys.modules.items()
+                    if n.startswith("hdxwalk.") and type(m) is types.ModuleType)
+    sys.stderr.write(f"\\nexecuted: {layers} {'hashlib' in sys.modules}\\n")
+"""
+
+CHAIN_LAYERS = {"cochain", "gf2"}
+GRAPH_LAYERS = {"complexes", "graphs", "spectral"}
+# (command, exit code, layers executed, hashlib imported).  Only a JSON report's
+# input digest needs hashlib; certify and audit never run the walk layer.
+EXECUTED = [
+    ("--version", 0, set(), False),
+    ("spectrum k4.complex --graph g2", 2, set(), False),  # usage error
+    ("gen complete --n 4", 0, {"complexes"}, False),
+    ("gen random --n 6 --p 0.5 --seed 7", 0, {"complexes"}, False),
+    ("validate k5.complex", 0, {"complexes"}, True),
+    ("walk k5.complex --start 0 --steps 20", 0, GRAPH_LAYERS | {"walk"}, False),
+    ("walk k5.complex --start 0 --steps 5 --paths 10", 0, GRAPH_LAYERS | {"walk"}, False),
+    ("spectrum k5.complex --graph g1", 0, GRAPH_LAYERS, True),
+    ("cheeger k5.complex --graph g0", 0, GRAPH_LAYERS, True),
+    ("cocycles k5.complex --dim 1", 0, {"complexes"} | CHAIN_LAYERS, True),
+    ("certify k5.complex", 0, GRAPH_LAYERS | CHAIN_LAYERS | {"expansion"}, True),
+    ("audit k4.complex --lemma all", 0, GRAPH_LAYERS | CHAIN_LAYERS | {"expansion"}, True),
+    ("verify-theorem k5.complex --steps 5", 0, set(tracer.LAYERS), True),
+]
+
+
+@pytest.mark.parametrize("command, code, layers, digest", EXECUTED, ids=[c[0] for c in EXECUTED])
+def test_command_executes_only_the_layers_it_runs(fixed, command, code, layers, digest):
+    done = python("-c", EXECUTED_PROBE, *command.split(), cwd=fixed)
+    _, _, line = done.stderr.rstrip("\n").rpartition("\nexecuted: ")
+    executed, _, hashed = line.rpartition(" ")
+    assert done.returncode == code, done.stderr
+    assert set(ast.literal_eval(executed)) & set(tracer.LAYERS) == layers
+    assert hashed == str(digest)
+
+
 def test_gen_output_file_holds_the_stdout_bytes(tmp_path):
     args = ["gen", "random", "--n", "7", "--p", "0.5", "--seed", "3"]
     code, out, err, _, frozen = hdx(str(tmp_path), *args, "-o", "out.complex")
@@ -159,6 +205,8 @@ def test_version_loads_no_inspect(fixed):
 
 
 def test_cli_import_loads_every_layer():
+    """``import hdxwalk.cli`` registers every layer module, executed on first use:
+    the tracer's ``install`` reads each one from ``sys.modules``."""
     done = python(
         "-c",
         "import sys, hdxwalk.cli\n"
@@ -180,6 +228,21 @@ def test_tracer_output_matches_untraced_run(fixed, tmp_path):
         doc = json.load(fh)
     assert doc["layers"]["expansion"]["calls"] > 0
     assert doc["layers"]["expansion"]["errors"] == 0
+
+
+def test_tracer_wraps_the_layers_walk_executes(fixed, tmp_path):
+    # walk registers the chain layers without executing them; install reads them all.
+    trace_path = str(tmp_path / "trace.json")
+    args = ["walk", "k5.complex", "--start", "0", "--steps", "50", "--paths", "20"]
+    traced = python(os.path.join(PERFBENCH, "tracer.py"), trace_path, *args, cwd=fixed)
+    plain = python("-m", "hdxwalk.cli", *args, cwd=fixed)
+    assert traced.returncode == plain.returncode == 0, traced.stderr
+    assert traced.stdout == plain.stdout
+    with open(trace_path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    assert doc["layers"]["walk"]["calls"] > 0
+    assert doc["counters"]["walk.path_steps"] == 50 * 20
+    assert sum(layer["errors"] for layer in doc["layers"].values()) == 0
 
 
 # --- lint guard -------------------------------------------------------------------
