@@ -10,8 +10,7 @@ import importlib
 __version__ = "0.1.0"
 
 _LAYER_NAMES = {
-    "cochain": "Chain CodeSpace coboundary coboundary_edges coboundary_space "
-    "coboundary_vertices cocycle_space distance_to_space local_view",
+    "cochain": "coboundary_space cocycle_space",
     "complexes": "Complex2 DegreeProfile ValidationReport complete_complex degree_profile "
     "dumps_complex load_complex random_complex validate",
     "expansion": "ExpansionCertificate certify_exact large_cuts_audit mixing_rate_bound",

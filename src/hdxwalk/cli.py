@@ -57,11 +57,7 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(x) for x in obj]
     if isinstance(obj, Record):
-        if isinstance(obj, cochain.Chain):
-            return obj.to_list()
         return {name: _jsonable(value) for name, value in obj.asdict().items()}
-    if isinstance(obj, (frozenset, set)):
-        return sorted(obj)
     from fractions import Fraction
 
     return str(obj) if isinstance(obj, Fraction) else obj
@@ -172,8 +168,8 @@ def _cmd_cocycles(ns, out, err) -> int:
     b = cochain.coboundary_space(X, ns.dim)
     results = {
         "dimension": ns.dim,
-        "cocycles": {"dim": z.dim, "basis": [c.to_list() for c in z.basis]},
-        "coboundaries": {"dim": b.dim, "basis": [c.to_list() for c in b.basis]},
+        "cocycles": {"dim": len(z), "basis": [cochain.mask_bits(m) for m in z]},
+        "coboundaries": {"dim": len(b), "basis": [cochain.mask_bits(m) for m in b]},
     }
     _emit(_report(ns, inputs, results, PASS), out)
     return 0

@@ -17,10 +17,6 @@ class ParameterError(HdxError):
     """An argument is outside its documented range or malformed."""
 
 
-class DimensionMismatchError(HdxError):
-    """Chains of different face dimensions were combined or compared."""
-
-
 class CapacityError(HdxError):
     """An exhaustive enumeration exceeds its configured threshold."""
 

@@ -17,7 +17,8 @@ sum-of-coboundaries lower bound, and the closed-form mixing rate.  Each
 ``*_judgement`` function passes a lemma's regularity and lambda2 gates once
 per complex and returns ``judge``, the lemma at one local view
 F_v = F & star(v) given as an edge mask; ``local_view_sums`` tables it over
-every edge set F.
+every edge set F.  The distance formula reads dist(F_v, Z^1) off a Z^1 coset
+table, as certification does.
 """
 
 from __future__ import annotations
@@ -30,14 +31,7 @@ from typing import Callable, Optional
 from . import gf2
 from ._lazy import np
 from ._record import Record
-from .cochain import (
-    Chain,
-    coboundary_space,
-    cocycle_space,
-    distance_to_space,
-    mask_bits,
-    mask_to_chain,
-)
+from .cochain import coboundary_space, cocycle_space, mask_bits
 from .complexes import Complex2, degree_profile
 from .errors import (
     CapacityError,
@@ -68,11 +62,11 @@ class DimensionReport(Record):
 
     dimension: int
     epsilon_cosystolic: Fraction
-    cosystolic_witness: Chain
+    cosystolic_witness: tuple[int, ...]
     epsilon_coboundary: Fraction
-    coboundary_witness: Chain
+    coboundary_witness: tuple[int, ...]
     mu: Optional[Fraction]
-    mu_witness: Optional[Chain]
+    mu_witness: Optional[tuple[int, ...]]
 
 
 class ExpansionCertificate(Record):
@@ -196,40 +190,51 @@ def _codes(X: Complex2, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     2**dim Z, needed.
     """
     z, b = cocycle_space(X, i), coboundary_space(X, i)
-    if z.dim == z.ambient:
+    count = (X.n_vertices, X.n_edges)[i]
+    if len(z) == count:
         raise DegenerateComplexError(
             f"every subset at dimension {i} is a cocycle; expansion ratio undefined"
         )
-    check_table_bits(z.ambient - z.dim)
-    if b.dim < z.dim:
-        check_table_bits(z.ambient - b.dim)
-        check_table_bits(z.dim)
-    return z.basis_masks, b.basis_masks
+    check_table_bits(count - len(z))
+    if len(b) < len(z):
+        check_table_bits(count - len(b))
+        check_table_bits(len(z))
+    return z, b
+
+
+def _coset_table(
+    X: Complex2, i: int, basis: tuple[int, ...]
+) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The dimension-i faces' syndrome columns for span(basis), a subspace of
+    Z^i, and ``_coset_leaders``' weight and coboundary size per syndrome.
+
+    The weight at the syndrome of S is dist(S, span(basis)); it and
+    |coboundary(S)| depend only on the coset of S.
+    """
+    count, width = (X.n_vertices, X.n_edges, X.n_triangles)[i : i + 2]
+    columns = gf2.syndrome_columns(basis, count)
+    gens = (X.vertex_edge_masks, X.edge_triangle_masks)[i]
+    return columns, *_coset_leaders(columns, count - len(basis), gens, width)
 
 
 def _certify_dimension(
     X: Complex2, i: int, k_i: int, z_basis: tuple[int, ...], b_basis: tuple[int, ...]
 ) -> DimensionReport:
     """One dimension's report from the bases ``_codes`` returned."""
-    count, width = (X.n_vertices, X.n_edges, X.n_triangles)[i : i + 2]
-    gens = (X.vertex_edge_masks, X.edge_triangle_masks)[i]
-
-    def coset_table(basis):
-        # Distances, and |coboundary(S)|, depend only on the coset of S.
-        columns = gf2.syndrome_columns(basis, count)
-        weight, size = _coset_leaders(columns, count - len(basis), gens, width)
-        eps, ties = _least_ratio(weight, size, k_i)
-        return eps, Chain.of(i, _lex_least(columns, ties)), columns, weight, size
-
-    eps_z, z_witness, *_ = coset_table(z_basis)
+    z_columns, z_weight, z_size = _coset_table(X, i, z_basis)
+    eps_z, ties = _least_ratio(z_weight, z_size, k_i)
+    z_witness = _lex_least(z_columns, ties)
     if len(b_basis) == len(z_basis):
         # B = Z: one code, so one table, and no cocycle outside B.
         return DimensionReport(i, eps_z, z_witness, eps_z, z_witness, None, None)
-    eps_b, b_witness, b_columns, b_weight, b_size = coset_table(b_basis)
+    b_columns, b_weight, b_size = _coset_table(X, i, b_basis)
+    eps_b, ties = _least_ratio(b_weight, b_size, k_i)
+    b_witness = _lex_least(b_columns, ties)
     # Cocycles outside B: the nonzero cosets of B with an empty coboundary.
     mu_size = int(b_weight[1:][b_size[1:] == 0].min())
     # The least weight is not found greedily: scan every cocycle, with its
     # B-syndrome by the same doubling from the basis vectors' own.
+    count = len(b_columns)  # one column per face
     cocycles = subset_xors(z_basis, np.min_scalar_type((1 << count) - 1))
     columns = np.array(b_columns, np.int64)
     b_syndromes = subset_xors(
@@ -237,9 +242,8 @@ def _certify_dimension(
         np.min_scalar_type(len(b_weight) - 1),
     )
     fits = (np.bitwise_count(cocycles) == mu_size) & (b_syndromes != 0)
-    mu_witness = Chain.of(i, lex_first(cocycles[fits]))
     return DimensionReport(
-        i, eps_z, z_witness, eps_b, b_witness, Fraction(mu_size, count), mu_witness
+        i, eps_z, z_witness, eps_b, b_witness, Fraction(mu_size, count), lex_first(cocycles[fits])
     )
 
 
@@ -308,13 +312,16 @@ def _size_preconditions(X: Complex2, claim: str, mu: Fraction, tol: float):
 
 def distance_judgement(X: Complex2, *, mu: Fraction, tol: float = 1e-9):
     """Whether the size preconditions hold, and judge(L): whether the view L has
-    dist(L, Z^1) = min(|L|, k0 - |L|)."""
+    dist(L, Z^1) = min(|L|, k0 - |L|), the distance read off the Z^1 coset table."""
     k0, _, _, met = _size_preconditions(X, "distance formula requires", mu, tol)
-    z1 = cocycle_space(X, 1)
+    columns, weight, _ = _coset_table(X, 1, cocycle_space(X, 1))
 
     def judge(L: int) -> bool:
+        syndrome = 0
+        for e in mask_bits(L):
+            syndrome ^= columns[e]
         size = L.bit_count()
-        return distance_to_space(mask_to_chain(1, L), z1)[0] == min(size, k0 - size)
+        return int(weight[syndrome]) == min(size, k0 - size)
 
     return met, judge
 

@@ -7,7 +7,7 @@ row per pivot and no pivot bit appears in any other row.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 def low_bit(x: int) -> int:
@@ -43,14 +43,6 @@ def row_reduce(rows: Iterable[int]) -> list[int]:
             hits ^= low
         basis[p] = r
     return [basis[p] for p in pivots]
-
-
-def in_span(vec: int, reduced: Sequence[int]) -> bool:
-    """Membership test against a basis produced by :func:`row_reduce`."""
-    for r in reduced:
-        if vec >> low_bit(r) & 1:
-            vec ^= r
-    return vec == 0
 
 
 def kernel_basis(generators: Sequence[int]) -> list[int]:
@@ -89,12 +81,3 @@ def syndrome_columns(basis: Sequence[int], length: int) -> list[int]:
     transposed = [sum((b >> j & 1) << t for t, b in enumerate(basis)) for j in range(length)]
     checks = kernel_basis(transposed)
     return [sum((h >> j & 1) << r for r, h in enumerate(checks)) for j in range(length)]
-
-
-def span_iter(basis: Sequence[int]) -> Iterator[int]:
-    """All 2**len(basis) span elements, in Gray-code order starting at 0."""
-    x = 0
-    yield x
-    for i in range(1, 1 << len(basis)):
-        x ^= basis[low_bit(i)]
-        yield x

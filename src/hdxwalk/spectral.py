@@ -9,14 +9,17 @@ subset enumeration; the same tables of cut sizes serve the minimum-cut audit.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
+from typing import TYPE_CHECKING
 
 from ._lazy import np
 from ._record import Record
 from .errors import CapacityError, DomainError, ParameterError, RegularityError, ToleranceError
 from .graphs import Graph
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 #: Largest subset table (2**bits entries) the enumeration kernels build.
 TABLE_BIT_LIMIT = 26
@@ -226,6 +229,8 @@ def cheeger_exhaustive(G: Graph) -> CheegerResult:
     Ties are broken by the lexicographically smallest witness (as a sorted
     vertex tuple).
     """
+    from fractions import Fraction  # its one user here: walk and spectrum skip it and decimal
+
     k = _require_regular(G)
     if G.n < 2:
         raise DomainError("Cheeger constant needs at least 2 vertices")

@@ -3,8 +3,8 @@ graph inequalities the edge walk's analysis rests on.
 
 Each lemma is restated for one edge set F, a ``Chain``, from the definitions:
 the local views ``local_view(X, F, v)``, their coboundaries
-``coboundary_edges``, the distances ``distance_to_space`` and the fatness
-constant.  No ``*_judgement`` of ``hdxwalk.expansion`` is called, so the
+``coboundary_edges``, the distances ``distance_to_space`` (all from
+``chains``, by codeword enumeration) and the fatness constant.  No ``*_judgement`` of ``hdxwalk.expansion`` is called, so the
 ``audit`` tables, which apply those judgements once per local view, are
 checked against an independent statement.  Only the regularity and exact
 ``lambda2 < 1/2`` gates are shared, so that both refuse a complex alike.
@@ -15,7 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from hdxwalk.cochain import coboundary_edges, cocycle_space, distance_to_space, local_view, mask_bits
+from chains import coboundary_edges, distance_to_space, local_view
+from hdxwalk.cochain import cocycle_space, mask_bits
 from hdxwalk.complexes import degree_profile
 from hdxwalk.errors import RegularityError
 from hdxwalk.expansion import fatness_constant, gap_lambda2

@@ -9,8 +9,9 @@ require every field of its reports to equal this scan's.
 from fractions import Fraction
 from typing import Optional
 
+from chains import span_iter
 from hdxwalk import gf2
-from hdxwalk.cochain import mask_bits, mask_to_chain
+from hdxwalk.cochain import mask_bits
 from hdxwalk.errors import DegenerateComplexError
 from hdxwalk.expansion import DimensionReport
 
@@ -44,8 +45,9 @@ def scan_certify_dimension(X, i: int, k_i: int) -> DimensionReport:
         gens = X.edge_triangle_masks
         b_masks = gf2.row_reduce(X.vertex_edge_masks)
     z_basis = gf2.kernel_basis(gens)
-    z_words = list(gf2.span_iter(z_basis))
-    b_words = list(gf2.span_iter(b_masks))
+    z_words = list(span_iter(z_basis))
+    b_words = list(span_iter(b_masks))
+    b_set = set(b_words)
 
     best_z = _Best()
     best_b = _Best()
@@ -57,7 +59,7 @@ def scan_certify_dimension(X, i: int, k_i: int) -> DimensionReport:
         cur ^= 1 << bit
         delta ^= gens[bit]
         if delta == 0:
-            if not gf2.in_span(cur, b_masks):
+            if cur not in b_set:
                 best_mu.offer(Fraction(cur.bit_count(), count), cur)
             continue
         dsize = delta.bit_count()
@@ -73,9 +75,9 @@ def scan_certify_dimension(X, i: int, k_i: int) -> DimensionReport:
     return DimensionReport(
         dimension=i,
         epsilon_cosystolic=best_z.value,
-        cosystolic_witness=mask_to_chain(i, best_z.mask),
+        cosystolic_witness=tuple(mask_bits(best_z.mask)),
         epsilon_coboundary=best_b.value,
-        coboundary_witness=mask_to_chain(i, best_b.mask),
+        coboundary_witness=tuple(mask_bits(best_b.mask)),
         mu=best_mu.value,
-        mu_witness=mask_to_chain(i, best_mu.mask) if best_mu.value is not None else None,
+        mu_witness=tuple(mask_bits(best_mu.mask)) if best_mu.value is not None else None,
     )

@@ -9,6 +9,7 @@ import json
 import time
 from fractions import Fraction
 
+from chains import Chain, coboundary, coboundary_edges, coboundary_vertices, distance_to_space
 from lemma_loops import (
     cheeger_inequality_slack,
     edge_graph_floor_slack,
@@ -21,15 +22,7 @@ from named_complexes import complete_graph, cycle_graph
 from scalar_walk import high_order_simulate
 
 from hdxwalk.cli import run as cli_run
-from hdxwalk.cochain import (
-    coboundary,
-    coboundary_edges,
-    coboundary_space,
-    coboundary_vertices,
-    cocycle_space,
-    distance_to_space,
-    mask_to_chain,
-)
+from hdxwalk.cochain import coboundary_space, cocycle_space
 from hdxwalk.complexes import build_from_triangles, complete_complex, random_complex
 from hdxwalk.expansion import certify_exact
 from hdxwalk.graphs import edge_graph
@@ -76,7 +69,7 @@ def test_criterion_02_outgoing_edges_identity():
     ok = True
     for X, bits in ((K4, 6), (K5, 10)):
         for mask in range(1 << bits):
-            lhs, rhs = outgoing(X, mask_to_chain(1, mask))
+            lhs, rhs = outgoing(X, Chain.from_mask(1, mask))
             if lhs != rhs:
                 ok = False
     report(2, ok, "edge-graph cut equals local-view coboundary sum on all 64 + 1024 subsets",
@@ -141,13 +134,13 @@ def test_criterion_06_certification_ground_truth():
     dim1 = cert.dimensions[1]
     z1 = cocycle_space(K4, 1)
     b1 = coboundary_space(K4, 1)
-    w = dim1.cosystolic_witness
+    w = Chain.of(1, dim1.cosystolic_witness)
     dist, _ = distance_to_space(w, z1)
     ok &= Fraction(len(coboundary_edges(K4, w)), 2 * dist) == dim1.epsilon_cosystolic
-    wb = dim1.coboundary_witness
+    wb = Chain.of(1, dim1.coboundary_witness)
     dist_b, _ = distance_to_space(wb, b1)
     ok &= Fraction(len(coboundary_edges(K4, wb)), 2 * dist_b) == dim1.epsilon_coboundary
-    w0 = cert.dimensions[0].cosystolic_witness
+    w0 = Chain.of(0, cert.dimensions[0].cosystolic_witness)
     dist0, _ = distance_to_space(w0, cocycle_space(K4, 0))
     ok &= Fraction(len(coboundary_vertices(K4, w0)), 3 * dist0) == Fraction(2, 3)
 
@@ -163,14 +156,14 @@ def test_criterion_07_sum_of_coboundaries():
     for mask in range(1 << 6):
         if mask.bit_count() > 3:
             continue
-        if not sum_bound(K4, mask_to_chain(1, mask), eps4)[2]:
+        if not sum_bound(K4, Chain.from_mask(1, mask), eps4)[2]:
             ok = False
 
     eps5 = certify_exact(K5).epsilon_cosystolic
     for mask in range(1 << 10):
         if mask.bit_count() > 3:
             continue
-        if not sum_bound(K5, mask_to_chain(1, mask), eps5)[2]:
+        if not sum_bound(K5, Chain.from_mask(1, mask), eps5)[2]:
             ok = False
 
     rng = SplitMix64(20240607)
@@ -180,7 +173,7 @@ def test_criterion_07_sum_of_coboundaries():
         if mask.bit_count() > 5:
             continue
         audited += 1
-        if not sum_bound(K5, mask_to_chain(1, mask), eps5)[2]:
+        if not sum_bound(K5, Chain.from_mask(1, mask), eps5)[2]:
             ok = False
 
     report(7, ok, "sum-of-coboundaries bound on all small subsets plus 10^4 seeded subsets",
@@ -253,12 +246,12 @@ def test_criterion_10_gf2_calculus():
         chosen = [all_triangles[i] for i in range(10) if mask >> i & 1]
         X = build_from_triangles(chosen, skeleton, n_vertices=5)
         for smask in range(1 << 5):
-            S = mask_to_chain(0, smask)
+            S = Chain.from_mask(0, smask)
             if coboundary(X, coboundary(X, S)).members:
                 ok = False
 
-    ok &= cocycle_space(K4, 1).dim == 3
-    ok &= coboundary_space(K4, 1).dim == 3
+    ok &= len(cocycle_space(K4, 1)) == 3
+    ok &= len(coboundary_space(K4, 1)) == 3
     report(10, ok, "coboundary-of-coboundary vanishes on 500 sampled complexes; Z1/B1 dims are 3",
            time.perf_counter() - start, 30.0)
 
@@ -280,7 +273,7 @@ def test_criterion_11_certification_at_k7(tmp_path):
     X = complete_complex(7)
     dim1 = results["dimensions"][1]
     for key, space in (("cosystolic", cocycle_space(X, 1)), ("coboundary", coboundary_space(X, 1))):
-        w = mask_to_chain(1, sum(1 << e for e in dim1[f"{key}_witness"]))
+        w = Chain.of(1, dim1[f"{key}_witness"])
         dist, _ = distance_to_space(w, space)
         ok &= str(Fraction(len(coboundary_edges(X, w)), 5 * dist)) == dim1[f"epsilon_{key}"]
     report(11, ok, "certify on K7 (21 edges): 7/15 at both dimensions, witnesses re-evaluate",

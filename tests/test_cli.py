@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from chains import Chain
 from lemma_loops import distance, local_views, outgoing, sum_bound
 from loop_exact import loop_evolve_exact
 from named_complexes import CUBOCTAHEDRON, HEAWOOD_LINE, OCTAHEDRON, RP2_6, relabel, save_complex
@@ -26,7 +27,7 @@ import hdxwalk
 from hdxwalk import cli, expansion, spectral
 from hdxwalk._record import Record
 from hdxwalk.cli import run
-from hdxwalk.cochain import mask_bits, mask_to_chain
+from hdxwalk.cochain import mask_bits
 from hdxwalk.complexes import complete_complex, random_complex
 from hdxwalk.errors import DomainError, ParameterError, RegularityError
 from hdxwalk.expansion import certify_exact
@@ -438,7 +439,7 @@ def reference_violations(X, lemma, slack):
     found = []
     cert = None if lemma == "outgoing" else certify_exact(X)
     for m in range(1 << X.n_edges):
-        F, edges = mask_to_chain(1, m), mask_bits(m)
+        F, edges = Chain.from_mask(1, m), mask_bits(m)
         if lemma == "outgoing":
             lhs, rhs = outgoing(X, F)
             entry = None if lhs == rhs else {"edges": edges, "lhs": lhs, "rhs": rhs}
@@ -496,37 +497,49 @@ def test_outgoing_violation_reads_both_tables(monkeypatch):
     cut_sizes = spectral.cut_sizes
     monkeypatch.setattr(spectral, "cut_sizes", lambda G: cut_sizes(G) + (np.arange(1 << G.n) == 5))
     result = cli._audit_outgoing(X, argparse.Namespace(max_bits=24))
-    lhs, rhs = outgoing(X, mask_to_chain(1, 5))
+    lhs, rhs = outgoing(X, Chain.from_mask(1, 5))
     assert result["violations"] == [{"edges": [0, 2], "lhs": lhs + 1, "rhs": rhs}]
 
 
 def test_audit_evaluates_each_local_view_once(tmp_path, monkeypatch):
-    # K6 has 6 stars of 5 edges: 6 * 2**5 = 192 local views, one distance each.
-    # The judgements return bools, so --lemma all builds 420 value objects, 384 of
-    # them the argument and nearest codeword of each distance.
+    # K6 has 6 stars of 5 edges: 6 * 2**5 = 192 local views, one judgement each,
+    # each a lookup in the one Z^1 coset table the judgement builds.  Views are
+    # masks and judgements bools, so --lemma all builds 12 value objects: the
+    # complex, its degree profiles, graphs, spectrum, cut result and certificate.
     path = tmp_path / "k6.complex"
     save_complex(complete_complex(6), str(path))
-    counts = {"distance": 0, "records": 0}
-    distance, init = expansion.distance_to_space, Record.__init__
+    counts = {"judged": 0, "tables": 0, "judgement_tables": 0, "records": 0}
+    judgement, leaders, init = expansion.distance_judgement, expansion._coset_leaders, Record.__init__
 
-    def counted_distance(*args, **kwargs):
-        counts["distance"] += 1
-        return distance(*args, **kwargs)
+    def counted_judgement(*args, **kwargs):
+        tables = counts["tables"]
+        met, judge = judgement(*args, **kwargs)
+        counts["judgement_tables"] += counts["tables"] - tables
+
+        def counted_judge(L):
+            counts["judged"] += 1
+            return judge(L)
+
+        return met, counted_judge
+
+    def counted_leaders(*args, **kwargs):
+        counts["tables"] += 1
+        return leaders(*args, **kwargs)
 
     def counted_init(self, *args, **kwargs):
         counts["records"] += 1
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(expansion, "distance_to_space", counted_distance)
+    monkeypatch.setattr(expansion, "distance_judgement", counted_judgement)
+    monkeypatch.setattr(expansion, "_coset_leaders", counted_leaders)
     monkeypatch.setattr(Record, "__init__", counted_init)
     for lemma in ("distance", "all"):
         for cached in (certify_exact, normalized_spectrum, underlying_graph, edge_graph):
             cached.cache_clear()
-        counts.update(distance=0, records=0)
+        counts.update(judged=0, tables=0, judgement_tables=0, records=0)
         assert invoke("audit", str(path), "--lemma", lemma)[0] == 0
-        if lemma == "distance":
-            assert counts["distance"] == 192
-    assert counts["records"] <= 420
+        assert (counts["judged"], counts["judgement_tables"]) == (192, 1)
+    assert counts["records"] <= 12
 
 
 # --- walk -------------------------------------------------------------------------
@@ -939,19 +952,15 @@ def test_audit_builds_one_coboundary_table_per_run(tmp_path, monkeypatch):
 # --- the public surface ---------------------------------------------------------------
 
 PUBLIC = set(
-    "Chain CodeSpace Complex2 DegreeProfile Distribution ExpansionCertificate Graph SpectralReport "
-    "ValidationReport certify_exact cheeger_exhaustive coboundary coboundary_edges coboundary_space "
-    "coboundary_vertices cocycle_space complete_complex degree_profile distance_to_space "
+    "Complex2 DegreeProfile Distribution ExpansionCertificate Graph SpectralReport ValidationReport "
+    "certify_exact cheeger_exhaustive coboundary_space cocycle_space complete_complex degree_profile "
     "dumps_complex edge_graph evolve_exact high_order_step_counts large_cuts_audit load_complex "
-    "local_view mixing_rate_bound normalized_spectrum random_complex rapid_mixing_audit "
-    "underlying_graph validate".split()
+    "mixing_rate_bound normalized_spectrum random_complex rapid_mixing_audit underlying_graph "
+    "validate".split()
 )
 # The chain-level definitions that tests use as the reference for certificate witnesses.
-COCHAIN_DEFINITIONS = set(
-    "Chain CodeSpace coboundary coboundary_edges coboundary_vertices coboundary_space "
-    "cocycle_space distance_to_space local_view".split()
-)
-# Moved into tests/ (lemma_loops, scalar_walk, named_complexes) or deleted.
+COCHAIN_DEFINITIONS = {"cocycle_space", "coboundary_space"}
+# Moved into tests/ (lemma_loops, scalar_walk, named_complexes, chains) or deleted.
 GONE = (
     "mixing_lemma_audit cheeger_inequality_audit edge_graph_floor_audit MixingLemmaAudit "
     "CheegerInequalityAudit EdgeGraphFloorAudit EDGE_GRAPH_FLOOR simulate high_order_simulate "
@@ -959,7 +968,9 @@ GONE = (
     "distance_formula_audit local_view_bounds_audit sum_coboundaries_audit outgoing_edges_identity "
     "sum_local_coboundaries fatness_partition FatnessPartition OutgoingEdgesIdentity "
     "DistanceFormulaReport LocalViewBoundsReport SumCoboundariesResult VertexDistanceEntry "
-    "LocalViewBoundEntry SizePreconditions"
+    "LocalViewBoundEntry SizePreconditions "
+    "Chain CodeSpace coboundary coboundary_edges coboundary_vertices distance_to_space local_view "
+    "span_iter in_span chain_to_mask mask_to_chain DISTANCE_ENUMERATION_LIMIT DimensionMismatchError"
 ).split()
 
 

@@ -1,10 +1,10 @@
-"""The value-class base, checked on the package's own classes."""
+"""The value-class base, checked on the package's own classes and the tests' ``Chain``."""
 
 from fractions import Fraction
 
 import pytest
 
-from hdxwalk.cochain import Chain
+from chains import Chain
 from hdxwalk.complexes import Complex2, complete_complex
 from hdxwalk.errors import ParameterError
 from named_complexes import complete_graph
