@@ -195,14 +195,16 @@ def _lemma_result(name: str, fail: np.ndarray, violation, asserted=True, **extra
     }
 
 
-def _view_lemma(name: str, X: complexes.Complex2, judge, asserted, **extra) -> dict:
-    """A lemma failing at F where ``asserted(|F|)`` and not ``judge(F_v)`` at some vertex v."""
-    fail = expansion.local_view_sums(X, lambda L: not judge(L)) > 0
+def _view_lemma(name: str, X: complexes.Complex2, holds, asserted, **extra) -> dict:
+    """A lemma failing at F where ``asserted(|F|)`` and, at some vertex v, ``holds[v]``
+    is false at the view F_v (indexed as in ``expansion.local_views``)."""
+    fail = expansion.local_view_sums(X, [~h for h in holds]) > 0
     by_size = np.array([asserted(s) for s in range(X.n_edges + 1)])
     fail &= by_size[spectral.subset_sums([1] * X.n_edges, np.uint8)]
 
     def violation(m: int) -> dict:
-        return {"vertices": [v for v, star in enumerate(X.vertex_edge_masks) if not judge(m & star)]}
+        views = [sum((m >> e & 1) << t for t, e in enumerate(edges)) for edges in X.vertex_edges]
+        return {"vertices": [v for v, (h, L) in enumerate(zip(holds, views)) if not h[L]]}
 
     return _lemma_result(name, fail, violation, by_size.any(), **extra)
 
@@ -210,7 +212,7 @@ def _view_lemma(name: str, X: complexes.Complex2, judge, asserted, **extra) -> d
 @lru_cache(maxsize=1)
 def _coboundary_sums(X: complexes.Complex2) -> np.ndarray:
     """sum_v |coboundary(F_v)| for every edge mask F, one table for the outgoing and sum lemmas."""
-    return expansion.local_view_sums(X, lambda L: expansion.coboundary_size(X, L))
+    return expansion.local_view_sums(X, expansion.local_views(X)[1])
 
 
 def _audit_outgoing(X: complexes.Complex2, ns) -> dict:
@@ -222,7 +224,7 @@ def _audit_outgoing(X: complexes.Complex2, ns) -> dict:
             f"{ns.max_bits} edges; got {X.n_edges}"
         )
     # The cut of F in the edge-graph against sum_v |coboundary(F_v)|.
-    cut = spectral.cut_sizes(graphs.edge_graph(X))
+    cut = spectral.cut_sizes(graphs.edge_graph(X).neighbor_masks)
     sums = _coboundary_sums(X)
     return _lemma_result(
         "outgoing", cut != sums, lambda m: {"lhs": int(cut[m]), "rhs": int(sums[m])}
@@ -248,30 +250,30 @@ def _audit_large_cuts(X: complexes.Complex2, ns) -> dict:
 
 def _audit_distance(X: complexes.Complex2, ns) -> dict:
     mu = expansion.certify_exact(X, max_bits=ns.max_bits).mu
-    met, judge = expansion.distance_judgement(X, mu=mu, tol=ns.tol)
-    return _view_lemma("distance", X, judge, lambda size: 0 < size < X.n_edges and met)
+    met, holds = expansion.distance_judgement(X, mu=mu, tol=ns.tol)
+    return _view_lemma("distance", X, holds, lambda size: 0 < size < X.n_edges and met)
 
 
 def _audit_local_views(X: complexes.Complex2, ns) -> dict:
     cert = expansion.certify_exact(X, max_bits=ns.max_bits)
     eps = cert.epsilon_cosystolic
-    met, eta, judge = expansion.local_view_bound_judgement(
+    met, eta, holds = expansion.local_view_bound_judgement(
         X, eps, mu=cert.mu, slack=ns.slack, tol=ns.tol
     )
-    return _view_lemma("local-views", X, judge, lambda size: met, eta=eta, epsilon=eps)
+    return _view_lemma("local-views", X, holds, lambda size: met, eta=eta, epsilon=eps)
 
 
 def _audit_sum(X: complexes.Complex2, ns) -> dict:
     eps = expansion.certify_exact(X, max_bits=ns.max_bits).epsilon_cosystolic
-    judge = expansion.sum_bound_judgement(X, eps, slack=ns.slack, tol=ns.tol)
+    scale = expansion.sum_bound_judgement(X, eps, tol=ns.tol)
     sums = _coboundary_sums(X)
     sizes = spectral.subset_sums([1] * X.n_edges, np.uint8)
-    rhs, holds = judge(sums, sizes)
+    rhs = scale * sizes
     # The bound is stated for |F| <= |E|/2; larger sets are not checked.
     checked = 2 * sizes <= X.n_edges
     return _lemma_result(
         "sum",
-        checked & ~holds,
+        checked & ~(sums >= rhs - ns.slack),
         lambda m: {"lhs": int(sums[m]), "rhs_bound": float(rhs[m])},
         subsets_checked=int(np.count_nonzero(checked)),
         epsilon=eps,

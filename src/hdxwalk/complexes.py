@@ -151,15 +151,6 @@ def _incidence(n: int, edges: Sequence, triangles: Sequence) -> tuple:
     )
 
 
-def build_incidence(
-    n: int,
-    edges: Sequence[tuple[int, int]],
-    triangles: Sequence[tuple[int, int, int]],
-) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """Rebuild vertex->edges and edge->triangles maps from the face lists."""
-    return _incidence(n, edges, triangles)[:2]
-
-
 def _assemble(n: int, edges: tuple, triangles: tuple, labels: Optional[tuple] = None) -> Complex2:
     """The complex on sorted, closed face lists, with its incidence maps."""
     vertex_edges, edge_triangles, triangle_edge_ids = _incidence(n, edges, triangles)
@@ -291,7 +282,7 @@ def validate(X: Complex2) -> ValidationReport:
                 findings.append(f"closure violation: triangle {t!r} missing edge {pair!r}")
 
     if not findings:
-        rebuilt = build_incidence(n, X.edges, X.triangles)
+        rebuilt = _incidence(n, X.edges, X.triangles)[:2]
         if (X.vertex_edges, X.edge_triangles) != rebuilt:
             findings.append("incidence maps inconsistent with face lists")
 

@@ -13,12 +13,14 @@ for mu.
 The rest states the facts behind the mixing bound that ``hdx audit`` checks:
 the local-view distance formula, the per-vertex coboundary lower bounds for
 semi-fat and non-fat vertices, the minimum-cut lower bound, the
-sum-of-coboundaries lower bound, and the closed-form mixing rate.  Each
+sum-of-coboundaries lower bound, and the closed-form mixing rate.
+``local_views`` tables, per vertex v, the size and coboundary size of every
+local view F_v = F & star(v) with the subset-sum and cut kernels.  Each
 ``*_judgement`` function passes a lemma's regularity and lambda2 gates once
-per complex and returns ``judge``, the lemma at one local view
-F_v = F & star(v) given as an edge mask; ``local_view_sums`` tables it over
-every edge set F.  The distance formula reads dist(F_v, Z^1) off a Z^1 coset
-table, as certification does.
+per complex and returns the lemma's verdict per vertex and view as arrays
+over those tables (the sum bound, its scale); ``local_view_sums`` spreads
+per-view tables over every edge set F.  The distance formula reads
+dist(F_v, Z^1) off a Z^1 coset table, as certification does.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 from . import gf2
 from ._lazy import np
@@ -40,11 +42,12 @@ from .errors import (
     ParameterError,
     RegularityError,
 )
-from .graphs import Graph, underlying_graph
+from .graphs import Graph, edge_graph, underlying_graph
 from .spectral import (
     check_table_bits,
     cut_sizes,
     lambda2_below_half,
+    least_ratio,
     lex_first,
     normalized_spectrum,
     subset_sums,
@@ -137,27 +140,6 @@ def _coset_leaders(
     return weight, size
 
 
-def _least_ratio(weight: np.ndarray, size: np.ndarray, k: int) -> tuple[Fraction, np.ndarray]:
-    """Least size / (k * weight) over the cosets off the cocycles, and the cosets attaining it.
-
-    For each weight only the least size can attain it, so at most one exact
-    fraction per weight is compared.  Weight 0 is the code itself, whose
-    coboundary is empty.
-    """
-    live = size > 0
-    least = {}
-    for d in range(1, int(weight.max()) + 1):
-        sizes = size[live & (weight == d)]
-        if sizes.size:
-            least[d] = int(sizes.min())
-    best = min(Fraction(c, k * d) for d, c in least.items())
-    ties = np.zeros_like(live)
-    for d, c in least.items():
-        if Fraction(c, k * d) == best:
-            ties |= (weight == d) & (size == c)
-    return best, ties
-
-
 def _lex_least(columns: list[int], flags: np.ndarray) -> tuple[int, ...]:
     """The lexicographically least subset of range(len(columns)) whose syndrome is flagged.
 
@@ -222,13 +204,13 @@ def _certify_dimension(
 ) -> DimensionReport:
     """One dimension's report from the bases ``_codes`` returned."""
     z_columns, z_weight, z_size = _coset_table(X, i, z_basis)
-    eps_z, ties = _least_ratio(z_weight, z_size, k_i)
+    eps_z, ties = least_ratio(z_size, z_weight, z_size > 0, k_i)
     z_witness = _lex_least(z_columns, ties)
     if len(b_basis) == len(z_basis):
         # B = Z: one code, so one table, and no cocycle outside B.
         return DimensionReport(i, eps_z, z_witness, eps_z, z_witness, None, None)
     b_columns, b_weight, b_size = _coset_table(X, i, b_basis)
-    eps_b, ties = _least_ratio(b_weight, b_size, k_i)
+    eps_b, ties = least_ratio(b_size, b_weight, b_size > 0, k_i)
     b_witness = _lex_least(b_columns, ties)
     # Cocycles outside B: the nonzero cosets of B with an empty coboundary.
     mu_size = int(b_weight[1:][b_size[1:] == 0].min())
@@ -291,14 +273,6 @@ def fatness_constant(lambda2: float) -> float:
     return eta
 
 
-def coboundary_size(X: Complex2, L: int) -> int:
-    """Number of triangles holding an odd number of the edges in mask L."""
-    d = 0
-    for e in mask_bits(L):
-        d ^= X.edge_triangle_masks[e]
-    return d.bit_count()
-
-
 def _size_preconditions(X: Complex2, claim: str, mu: Fraction, tol: float):
     """k0, k1, lambda2, and whether the size preconditions |V| >= 4 / (1 - 2*lambda2)
     and |V| >= 3 / mu hold, past X's regularity and lambda2 gates."""
@@ -310,60 +284,69 @@ def _size_preconditions(X: Complex2, claim: str, mu: Fraction, tol: float):
     return k0, k1, lambda2, met
 
 
+def local_views(X: Complex2) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per vertex v, the size and |coboundary| of every local view L inside star(v).
+
+    A view's index has bit t set when it holds the t-th edge of
+    ``X.vertex_edges[v]``.  Every triangle meeting star(v) holds v and exactly
+    two star edges, which are neighbors in the edge graph; so |coboundary(L)|
+    is the cut of L in the edge graph restricted to the star, the link of v.
+    """
+    neighbors = edge_graph(X).neighbor_masks
+    sizes, cuts = [], []
+    for edges in X.vertex_edges:
+        sizes.append(subset_sums([1] * len(edges), np.uint8))
+        link = [sum((neighbors[e] >> f & 1) << t for t, f in enumerate(edges)) for e in edges]
+        cuts.append(cut_sizes(link))
+    return sizes, cuts
+
+
 def distance_judgement(X: Complex2, *, mu: Fraction, tol: float = 1e-9):
-    """Whether the size preconditions hold, and judge(L): whether the view L has
-    dist(L, Z^1) = min(|L|, k0 - |L|), the distance read off the Z^1 coset table."""
+    """Whether the size preconditions hold, and per vertex v whether each view L of
+    star(v) has dist(L, Z^1) = min(|L|, k0 - |L|), read off the Z^1 coset table."""
     k0, _, _, met = _size_preconditions(X, "distance formula requires", mu, tol)
     columns, weight, _ = _coset_table(X, 1, cocycle_space(X, 1))
-
-    def judge(L: int) -> bool:
-        syndrome = 0
-        for e in mask_bits(L):
-            syndrome ^= columns[e]
-        size = L.bit_count()
-        return int(weight[syndrome]) == min(size, k0 - size)
-
-    return met, judge
+    dtype = np.min_scalar_type(len(weight) - 1)
+    holds = [
+        weight[subset_xors([columns[e] for e in edges], dtype)] == np.minimum(size, k0 - size)
+        for edges, size in zip(X.vertex_edges, local_views(X)[0])
+    ]
+    return met, holds
 
 
 def local_view_bound_judgement(
     X: Complex2, epsilon: Fraction, *, mu: Fraction, slack: float = 1e-9, tol: float = 1e-9
 ):
-    """Whether the size preconditions hold, eta from lambda2, and judge(L): whether
-    |coboundary(L)| reaches, within slack, eps*k1*(1 - eta)*k0 if L is semi-fat
-    (k0/2 < |L| <= eta*k0) and eps*k1*|L| if non-fat; a fat view always holds."""
+    """Whether the size preconditions hold, eta from lambda2, and per vertex v whether
+    each view L of star(v) has |coboundary(L)| reaching, within slack,
+    eps*k1*(1 - eta)*k0 if L is semi-fat (k0/2 < |L| <= eta*k0) and eps*k1*|L|
+    if non-fat; a fat view always holds."""
     k0, k1, lambda2, met = _size_preconditions(X, "local-view bounds require", mu, tol)
     eta = fatness_constant(lambda2)
     eps = float(epsilon)
-
-    def judge(L: int) -> bool:
-        size = L.bit_count()
-        if size > eta * k0:
-            return True
-        bound = eps * k1 * (1.0 - eta) * k0 if 2 * size > k0 else eps * k1 * size
-        return coboundary_size(X, L) >= bound - slack
-
-    return met, eta, judge
+    semi_fat = eps * k1 * (1.0 - eta) * k0
+    holds = [
+        (size > eta * k0) | (cut >= np.where(2 * size > k0, semi_fat, eps * k1 * size) - slack)
+        for size, cut in zip(*local_views(X))
+    ]
+    return met, eta, holds
 
 
-def local_view_sums(X: Complex2, value: Callable[[int], int]) -> np.ndarray:
-    """Sum over vertices v of value(local view of F at v), for every edge mask F.
+def local_view_sums(X: Complex2, tables: list[np.ndarray]) -> np.ndarray:
+    """Sum over vertices v of tables[v] at the local view of F at v, for every edge mask F.
 
-    ``value(L)`` is called once for each vertex v and each edge mask L
-    inside the star of v, and returns a non-negative integer; every F then
-    looks its local views up by index.  The result is indexed by F's mask.
+    ``tables[v]`` holds a non-negative integer or bool per view of star(v),
+    indexed as in ``local_views``; every F looks its local views up by index.
+    The result is indexed by F's mask.
     """
     check_table_bits(X.n_edges)
-    stars = [mask_bits(star) for star in X.vertex_edge_masks]
-    # A view's index has bit t set when it holds the t-th edge of the star.
-    tables = [[value(int(L)) for L in subset_sums([1 << e for e in edges], int)] for edges in stars]
-    total = np.zeros(1 << X.n_edges, np.min_scalar_type(sum(map(max, tables))))
-    for edges, table in zip(stars, tables):
+    total = np.zeros(1 << X.n_edges, np.min_scalar_type(sum(int(t.max()) for t in tables)))
+    for edges, table in zip(X.vertex_edges, tables):
         weights = [0] * X.n_edges
         for t, e in enumerate(edges):
             weights[e] = 1 << t
         index = subset_sums(weights, np.min_scalar_type(len(table) - 1))
-        total += np.asarray(table, total.dtype)[index]
+        total += table.astype(total.dtype)[index]
     return total
 
 
@@ -385,7 +368,8 @@ def large_cuts_audit(G0: Graph, *, tol: float = 1e-9) -> LargeCutsResult:
     if G0.n < 2:
         raise DomainError("minimum cut needs at least 2 vertices")
     lambda2 = gap_lambda2(G0, "minimum-cut bound requires", tol)
-    cut = cut_sizes(G0)[1:-1:2]  # masks 1, 3, ...: proper subsets containing vertex 0
+    # Masks 1, 3, ...: the proper subsets containing vertex 0.
+    cut = cut_sizes(G0.neighbor_masks)[1:-1:2]
     min_cut = int(cut.min())
     precondition = G0.n >= 4.0 / (1.0 - 2.0 * lambda2) - 1e-12
     return LargeCutsResult(
@@ -398,18 +382,12 @@ def large_cuts_audit(G0: Graph, *, tol: float = 1e-9) -> LargeCutsResult:
     )
 
 
-def sum_bound_judgement(X: Complex2, epsilon: Fraction, *, slack: float = 1e-9, tol: float = 1e-9):
-    """judge(lhs, |F|): the bound (eps*k1/4) * bracket(lambda2) * |F|, stated for
-    |F| <= |E|/2, and whether lhs = sum_v |coboundary(F_v)| reaches it within slack."""
+def sum_bound_judgement(X: Complex2, epsilon: Fraction, *, tol: float = 1e-9) -> float:
+    """The scale (eps*k1/4) * bracket(lambda2) of the bound sum_v |coboundary(F_v)| >=
+    scale * |F|, stated for |F| <= |E|/2."""
     _, k1 = _required_regular(X)
     lambda2 = gap_lambda2(underlying_graph(X), "sum-of-coboundaries bound requires", tol)
-    scale = float(epsilon) * k1 / 4.0 * _bracket(lambda2)
-
-    def judge(lhs, size):
-        rhs = scale * size
-        return rhs, lhs >= rhs - slack
-
-    return judge
+    return float(epsilon) * k1 / 4.0 * _bracket(lambda2)
 
 
 def mixing_rate_bound(epsilon, lambda2: float) -> float:

@@ -13,7 +13,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
 from ._record import Record
-from .complexes import Complex2
+from .complexes import Complex2, _mask
 from .errors import ParameterError
 
 
@@ -49,13 +49,7 @@ class Graph(Record):
 
     @cached_property
     def neighbor_masks(self) -> tuple[int, ...]:
-        masks = []
-        for nbrs in self.adjacency:
-            m = 0
-            for v in nbrs:
-                m |= 1 << v
-            masks.append(m)
-        return tuple(masks)
+        return tuple(map(_mask, self.adjacency))
 
 
 @lru_cache(maxsize=128)

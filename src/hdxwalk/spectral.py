@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import chain
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from ._lazy import np
 from ._record import Record
@@ -192,17 +192,18 @@ def subset_xors(columns: list[int], dtype) -> np.ndarray:
     return _doubled(np.bitwise_xor, columns, dtype)
 
 
-def cut_sizes(G: Graph) -> np.ndarray:
-    """Cut size |E(S, V - S)| of every vertex subset S, indexed by its bit mask.
+def cut_sizes(neighbor_masks: Sequence[int]) -> np.ndarray:
+    """Cut size |E(S, V - S)| of every vertex subset S of the graph with these
+    neighbor masks (``Graph.neighbor_masks``), indexed by S's bit mask.
 
     Built by doubling: cut(S + j) = cut(S) + deg(j) - 2|N(j) & S| for S below
     2**j.  Each vertex uses its own degree, so irregular graphs work too.
     """
-    check_table_bits(G.n)
-    cut = np.zeros(1 << G.n, np.int16)
-    for j, nbrs in enumerate(G.neighbor_masks):
+    check_table_bits(len(neighbor_masks))
+    cut = np.zeros(1 << len(neighbor_masks), np.int16)
+    for j, nbrs in enumerate(neighbor_masks):
         top = cut[1 << j : 2 << j]
-        np.add(cut[: 1 << j], G.degrees[j], out=top)
+        np.add(cut[: 1 << j], nbrs.bit_count(), out=top)
         top -= 2 * subset_sums([nbrs >> i & 1 for i in range(j)], np.uint8)
     return cut
 
@@ -223,27 +224,44 @@ class CheegerResult(Record):
     witness: tuple[int, ...]
 
 
+def least_ratio(
+    num: np.ndarray, denom: np.ndarray, live: np.ndarray, k: int
+) -> tuple[Fraction, np.ndarray]:
+    """Least num / (k * denom) over the live entries, as an exact fraction, and
+    the live entries attaining it.
+
+    Per denominator d >= 1 only the least numerator can attain it, so at most
+    one exact fraction per d is compared; entries with denominator 0 are skipped.
+    """
+    from fractions import Fraction  # its users here: walk and spectrum skip it and decimal
+
+    least = {}
+    for d in range(1, int(denom.max()) + 1):
+        nums = num[live & (denom == d)]
+        if nums.size:
+            least[d] = int(nums.min())
+    best = min(Fraction(c, k * d) for d, c in least.items())
+    ties = np.zeros_like(live)
+    for d, c in least.items():
+        if Fraction(c, k * d) == best:
+            ties |= live & (denom == d) & (num == c)
+    return best, ties
+
+
 def cheeger_exhaustive(G: Graph) -> CheegerResult:
     """Exact normalized Cheeger constant by enumerating every vertex subset.
 
     Ties are broken by the lexicographically smallest witness (as a sorted
     vertex tuple).
     """
-    from fractions import Fraction  # its one user here: walk and spectrum skip it and decimal
-
     k = _require_regular(G)
     if G.n < 2:
         raise DomainError("Cheeger constant needs at least 2 vertices")
     n = G.n
-    cut = cut_sizes(G)
     size = subset_sums([1] * n, np.uint8)
-    # Each cut once, from its smaller side; of two equal sides, the one with vertex 0.
+    # Each cut once, from its smaller nonempty side; of two equal sides, the one with vertex 0.
     side = 2 * size < n
     side[1::2] |= 2 * size[1::2] == n
-    least = {m: int(cut[side & (size == m)].min()) for m in range(1, n // 2 + 1)}
-    best = min(Fraction(c, k * m) for m, c in least.items())
-    ties = np.zeros_like(side)
-    for m, c in least.items():
-        if Fraction(c, k * m) == best:
-            ties |= side & (size == m) & (cut == c)
+    side[0] = False
+    best, ties = least_ratio(cut_sizes(G.neighbor_masks), size, side, k)
     return CheegerResult(best, lex_first(np.flatnonzero(ties)))

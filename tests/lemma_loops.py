@@ -4,9 +4,10 @@ graph inequalities the edge walk's analysis rests on.
 Each lemma is restated for one edge set F, a ``Chain``, from the definitions:
 the local views ``local_view(X, F, v)``, their coboundaries
 ``coboundary_edges``, the distances ``distance_to_space`` (all from
-``chains``, by codeword enumeration) and the fatness constant.  No ``*_judgement`` of ``hdxwalk.expansion`` is called, so the
-``audit`` tables, which apply those judgements once per local view, are
-checked against an independent statement.  Only the regularity and exact
+``chains``, by codeword enumeration) and the fatness constant.  Neither
+``hdxwalk.expansion.local_views`` nor any ``*_judgement`` is called, so the
+``audit`` tables, built from per-vertex tables of local views, are checked
+against an independent statement.  Only the regularity and exact
 ``lambda2 < 1/2`` gates are shared, so that both refuse a complex alike.
 """
 
@@ -101,7 +102,7 @@ def mixing_lemma_residual(G):
 
     This exact Rayleigh form holds on every regular graph with the signed
     lambda2, with equality on complete graphs."""
-    cut = cut_sizes(G)  # refuses a graph over the table limit before the eigensolver runs
+    cut = cut_sizes(G.neighbor_masks)  # refuses a graph over the table limit before the eigensolver runs
     k, n, lambda2 = G.regular_k, G.n, normalized_spectrum(G).lambda2
     size = subset_sums([1] * n, np.uint8)
     # 2|E(S)| = k|S| - cut(S): at each size the least cut gives the worst residual.

@@ -495,32 +495,37 @@ def test_outgoing_violation_reads_both_tables(monkeypatch):
     # The identity holds on every complex, so break the cut table to see a listing.
     X = complete_complex(4)
     cut_sizes = spectral.cut_sizes
-    monkeypatch.setattr(spectral, "cut_sizes", lambda G: cut_sizes(G) + (np.arange(1 << G.n) == 5))
+    monkeypatch.setattr(
+        spectral, "cut_sizes", lambda masks: cut_sizes(masks) + (np.arange(1 << len(masks)) == 5)
+    )
     result = cli._audit_outgoing(X, argparse.Namespace(max_bits=24))
     lhs, rhs = outgoing(X, Chain.from_mask(1, 5))
     assert result["violations"] == [{"edges": [0, 2], "lhs": lhs + 1, "rhs": rhs}]
 
 
 def test_audit_evaluates_each_local_view_once(tmp_path, monkeypatch):
-    # K6 has 6 stars of 5 edges: 6 * 2**5 = 192 local views, one judgement each,
-    # each a lookup in the one Z^1 coset table the judgement builds.  Views are
-    # masks and judgements bools, so --lemma all builds 12 value objects: the
-    # complex, its degree profiles, graphs, spectrum, cut result and certificate.
+    # K6 has 6 stars of 5 edges: the per-vertex tables hold 6 * 2**5 = 192 local
+    # views, built once for each lemma that reads them (distance, local-views and
+    # the sum of local coboundaries).  The distance lemma reads its distances off
+    # the one Z^1 coset table its judgement builds.  Views are table entries, so
+    # --lemma all builds 12 value objects: the complex, its degree profiles,
+    # graphs, spectrum, cut result and certificate.
     path = tmp_path / "k6.complex"
     save_complex(complete_complex(6), str(path))
-    counts = {"judged": 0, "tables": 0, "judgement_tables": 0, "records": 0}
-    judgement, leaders, init = expansion.distance_judgement, expansion._coset_leaders, Record.__init__
+    counts = {"views": [], "tables": 0, "judgement_tables": 0, "records": 0}
+    judgement, views = expansion.distance_judgement, expansion.local_views
+    leaders, init = expansion._coset_leaders, Record.__init__
 
     def counted_judgement(*args, **kwargs):
         tables = counts["tables"]
-        met, judge = judgement(*args, **kwargs)
+        result = judgement(*args, **kwargs)
         counts["judgement_tables"] += counts["tables"] - tables
+        return result
 
-        def counted_judge(L):
-            counts["judged"] += 1
-            return judge(L)
-
-        return met, counted_judge
+    def counted_views(X):
+        sizes, cuts = views(X)
+        counts["views"].append((sum(t.size for t in sizes), sum(t.size for t in cuts)))
+        return sizes, cuts
 
     def counted_leaders(*args, **kwargs):
         counts["tables"] += 1
@@ -531,14 +536,17 @@ def test_audit_evaluates_each_local_view_once(tmp_path, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(expansion, "distance_judgement", counted_judgement)
+    monkeypatch.setattr(expansion, "local_views", counted_views)
     monkeypatch.setattr(expansion, "_coset_leaders", counted_leaders)
     monkeypatch.setattr(Record, "__init__", counted_init)
-    for lemma in ("distance", "all"):
+    for lemma, builds in (("distance", 1), ("all", 3)):
         for cached in (certify_exact, normalized_spectrum, underlying_graph, edge_graph):
             cached.cache_clear()
-        counts.update(judged=0, tables=0, judgement_tables=0, records=0)
+        cli._coboundary_sums.cache_clear()
+        counts.update(views=[], tables=0, judgement_tables=0, records=0)
         assert invoke("audit", str(path), "--lemma", lemma)[0] == 0
-        assert (counts["judged"], counts["judgement_tables"]) == (192, 1)
+        assert counts["views"] == [(192, 192)] * builds
+        assert counts["judgement_tables"] == 1
     assert counts["records"] <= 12
 
 
@@ -930,23 +938,25 @@ def test_audit_verdicts_are_invariant_under_relabelling(name, tmp_path):
 
 
 def test_audit_builds_one_coboundary_table_per_run(tmp_path, monkeypatch):
-    # K5 has 5 stars of 4 edges: one table takes 5 * 2**4 = 80 local coboundaries.
+    # The outgoing and sum lemmas read one table of sum_v |coboundary(F_v)|,
+    # spread from K5's 5 stars of 4 edges: 5 * 2**4 = 80 local coboundaries.
     path = tmp_path / "k5.complex"
     save_complex(complete_complex(5), str(path))
-    views = []
-    size = expansion.coboundary_size
+    built = []
+    sums = expansion.local_view_sums
 
-    def counted(X, L):
-        # Only the table's calls: the local-views judgement calls it too.
-        if sys._getframe(1).f_globals is vars(cli):
-            views.append(L)
-        return size(X, L)
+    def counted(X, tables):
+        table = sums(X, tables)
+        # Only the coboundary table's builds: the view lemmas spread their verdicts too.
+        if sys._getframe(1).f_code is cli._coboundary_sums.__wrapped__.__code__:
+            built.append(sum(t.size for t in tables))
+        return table
 
-    monkeypatch.setattr(expansion, "coboundary_size", counted)
+    monkeypatch.setattr(expansion, "local_view_sums", counted)
     cli._coboundary_sums.cache_clear()
     code, out, _ = invoke("audit", str(path), "--lemma", "all")
     assert code == 0 and json.loads(out)["status"] == "pass"
-    assert len(views) == 80
+    assert built == [80]
 
 
 # --- the public surface ---------------------------------------------------------------
@@ -970,7 +980,8 @@ GONE = (
     "DistanceFormulaReport LocalViewBoundsReport SumCoboundariesResult VertexDistanceEntry "
     "LocalViewBoundEntry SizePreconditions "
     "Chain CodeSpace coboundary coboundary_edges coboundary_vertices distance_to_space local_view "
-    "span_iter in_span chain_to_mask mask_to_chain DISTANCE_ENUMERATION_LIMIT DimensionMismatchError"
+    "span_iter in_span chain_to_mask mask_to_chain DISTANCE_ENUMERATION_LIMIT DimensionMismatchError "
+    "coboundary_size build_incidence _least_ratio"
 ).split()
 
 

@@ -9,8 +9,8 @@ import pytest
 from hdxwalk.complexes import (
     TRIANGLE_LIMIT,
     VERTEX_LIMIT,
+    _incidence,
     build_from_triangles,
-    build_incidence,
     complete_complex,
     degree_profile,
     dumps_complex,
@@ -150,7 +150,7 @@ def test_random_rejects_bad_probability():
 
 def test_incidence_rebuild_matches():
     for X in (complete_complex(5), random_complex(6, 0.4, seed=5), build_from_triangles([])):
-        assert build_incidence(X.n_vertices, X.edges, X.triangles) == (
+        assert _incidence(X.n_vertices, X.edges, X.triangles)[:2] == (
             X.vertex_edges,
             X.edge_triangles,
         )

@@ -49,7 +49,6 @@ from hdxwalk.errors import (
 )
 from hdxwalk.expansion import (
     certify_exact,
-    coboundary_size,
     distance_judgement,
     fatness_constant,
     gap_lambda2,
@@ -69,6 +68,17 @@ K5 = complete_complex(5)
 
 def edge_chain(X, *pairs):
     return Chain.of(1, [X.edge_ids[(u, v)] for (u, v) in pairs])
+
+
+def view_index(X, v, mask):
+    """Index of the local view mask & star(v) in v's tables: bit t for the t-th star edge."""
+    return sum((mask >> e & 1) << t for t, e in enumerate(X.vertex_edges[v]))
+
+
+# A hexagon wheel with one more triangle: vertex degrees 6, 4, 4, 3, 4, 3, 3.
+IRREGULAR_HEXAGON = build_from_triangles(
+    [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 6), (0, 1, 6), (1, 2, 4)]
+)
 
 
 # --- reference certifier (independent oracle) -------------------------------
@@ -517,13 +527,13 @@ def test_outgoing_identity_full_edge_set():
 def test_outgoing_identity_exhaustive():
     # The two tables audit --lemma outgoing compares, on every edge set.
     for X in (K4, K5):
-        assert np.array_equal(cut_sizes(edge_graph(X)), cli._coboundary_sums(X))
+        assert np.array_equal(cut_sizes(edge_graph(X).neighbor_masks), cli._coboundary_sums(X))
 
 
 def test_outgoing_identity_on_random_complexes():
     for seed in range(3):
         X = random_complex(6, 0.5, seed=seed)
-        cut, sums = cut_sizes(edge_graph(X)), cli._coboundary_sums(X)
+        cut, sums = cut_sizes(edge_graph(X).neighbor_masks), cli._coboundary_sums(X)
         rng = SplitMix64(seed)
         for _ in range(200):
             mask = rng.randrange(1 << X.n_edges)
@@ -535,15 +545,16 @@ def test_outgoing_identity_on_random_complexes():
 
 def test_distance_formula_single_edge():
     assert distance(K4, edge_chain(K4, (0, 1)), certify_exact(K4).mu) == (True, [])
-    met, judge = distance_judgement(K4, mu=certify_exact(K4).mu)
-    assert met and judge(1)
+    met, holds = distance_judgement(K4, mu=certify_exact(K4).mu)
+    assert met and holds[0][view_index(K4, 0, 1)]
 
 
 def test_distance_formula_broken_star():
     # dist({02, 03}, Z^1) = 1 = min(2, 3 - 2) at vertex 0
     F = edge_chain(K4, (0, 2), (0, 3))
     assert distance(K4, F, Fraction(1)) == (True, [])
-    assert distance_judgement(K4, mu=Fraction(1))[1](F.mask)
+    holds = distance_judgement(K4, mu=Fraction(1))[1]
+    assert all(h[view_index(K4, v, F.mask)] for v, h in enumerate(holds))
 
 
 def test_distance_formula_empty_is_informational():
@@ -553,10 +564,10 @@ def test_distance_formula_empty_is_informational():
 def test_distance_formula_exhaustive_k4_k5():
     # Every local view of every vertex, as audit --lemma distance judges them.
     for X in (K4, K5):
-        met, judge = distance_judgement(X, mu=certify_exact(X).mu)
+        met, holds = distance_judgement(X, mu=certify_exact(X).mu)
         assert met
-        for star in X.vertex_edge_masks:
-            assert all(judge(L) for L in range(star + 1) if L & ~star == 0)
+        assert [h.size for h in holds] == [2 ** len(star) for star in X.vertex_edges]
+        assert all(h.all() for h in holds)
 
 
 AGREEMENT_INPUTS = [
@@ -574,15 +585,32 @@ def test_distance_table_agrees_with_codeword_enumeration(X):
     # it, against the nearest of all 2**dim Z^1 codewords.
     z1 = cocycle_space(X, 1)
     columns, weight, _ = expansion._coset_table(X, 1, z1)
-    _, judge = distance_judgement(X, mu=Fraction(1))
+    _, holds = distance_judgement(X, mu=Fraction(1))
     k0 = len(X.vertex_edges[0])
-    for star in X.vertex_edge_masks:
-        edges = Chain.from_mask(1, star).to_list()
+    for v, edges in enumerate(X.vertex_edges):
         for r in range(len(edges) + 1):
             for view in combinations(edges, r):
                 want, _ = distance_to_space(Chain.of(1, view), z1)
                 assert weight[functools.reduce(operator.xor, (columns[e] for e in view), 0)] == want
-                assert judge(sum(1 << e for e in view)) == (want == min(r, k0 - r))
+                mask = sum(1 << e for e in view)
+                assert holds[v][view_index(X, v, mask)] == (want == min(r, k0 - r))
+
+
+@pytest.mark.parametrize(
+    "X",
+    [X for _, X in AGREEMENT_INPUTS] + [random_complex(6, 0.5, seed=3), IRREGULAR_HEXAGON],
+    ids=[n for n, _ in AGREEMENT_INPUTS] + ["random 6 0.5 3", "irregular hexagon"],
+)
+def test_local_view_tables_agree_with_coboundary_definition(X):
+    # Every view of every star: its size, and its |coboundary| as a cut of the
+    # link, against the triangles holding an odd number of its edges.
+    sizes, cuts = expansion.local_views(X)
+    for v, edges in enumerate(X.vertex_edges):
+        assert sizes[v].size == cuts[v].size == 2 ** len(edges)
+        for index in range(2 ** len(edges)):
+            view = Chain.of(1, [e for t, e in enumerate(edges) if index >> t & 1])
+            assert sizes[v][index] == len(view)
+            assert cuts[v][index] == len(coboundary_edges(X, view))
 
 
 # --- local-view bounds --------------------------------------------------------
@@ -591,7 +619,7 @@ def test_distance_table_agrees_with_codeword_enumeration(X):
 def test_local_view_bounds_empty_chain():
     # every vertex non-fat with an empty view, 0 >= 0
     eps = certify_exact(K4).epsilon_cosystolic
-    assert local_view_bound_judgement(K4, eps, mu=Fraction(1))[2](0)
+    assert all(h[0] for h in local_view_bound_judgement(K4, eps, mu=Fraction(1))[2])
     assert local_views(K4, Chain.empty(1), eps, Fraction(1)) == (True, [])
 
 
@@ -600,16 +628,16 @@ def test_local_view_bounds_single_edge():
     F = edge_chain(K4, (0, 1))
     assert local_views(K4, F, eps, Fraction(1)) == (True, [])
     assert 0 in fatness_partition(K4, F, fatness_constant(-1 / 3))["non_fat"]
-    assert coboundary_size(K4, 1 << K4.edge_ids[(0, 1)]) == 2
+    assert expansion.local_views(K4)[1][0][view_index(K4, 0, F.mask)] == 2
 
 
 def test_local_view_bounds_exhaustive():
     for X in (K4, K5):
         cert = certify_exact(X)
-        met, _, judge = local_view_bound_judgement(X, cert.epsilon_cosystolic, mu=cert.mu)
+        met, _, holds = local_view_bound_judgement(X, cert.epsilon_cosystolic, mu=cert.mu)
         assert met
-        for star in X.vertex_edge_masks:
-            assert all(judge(L) for L in range(star + 1) if L & ~star == 0)
+        assert [h.size for h in holds] == [2 ** len(star) for star in X.vertex_edges]
+        assert all(h.all() for h in holds)
 
 
 # --- large cuts ---------------------------------------------------------------
@@ -674,8 +702,9 @@ def test_large_cuts_capacity():
 
 
 def test_sum_coboundaries_empty():
-    judge = sum_bound_judgement(K4, certify_exact(K4).epsilon_cosystolic)
-    assert judge(0, 0) == (0, True)
+    # lhs 0 against the bound scale * 0 = 0
+    scale = sum_bound_judgement(K4, certify_exact(K4).epsilon_cosystolic)
+    assert cli._coboundary_sums(K4)[0] == 0 == scale * 0
 
 
 def test_sum_coboundaries_single_edge_value():
@@ -684,7 +713,7 @@ def test_sum_coboundaries_single_edge_value():
     lhs, rhs, ok = sum_bound(K4, edge_chain(K4, (0, 1)), eps)
     assert lhs == 4 and ok
     assert rhs == pytest.approx(float(eps) / 3, abs=1e-12)
-    assert sum_bound_judgement(K4, eps)(lhs, 1) == (rhs, True)
+    assert sum_bound_judgement(K4, eps) * 1 == rhs
 
 
 def test_sum_coboundaries_rejects_large_sets():
@@ -704,7 +733,7 @@ def test_sum_coboundaries_exhaustive_k4_k5():
     [K4, build_from_triangles([(0, 1, 2), (1, 2, 3)], [(3, 4)]), random_complex(6, 0.5, seed=3)],
 )
 def test_local_view_sums_match_per_subset_sums(X):
-    table = local_view_sums(X, lambda L: coboundary_size(X, L))
+    table = local_view_sums(X, expansion.local_views(X)[1])
     assert table.tolist() == [outgoing(X, Chain.from_mask(1, m))[1] for m in range(1 << X.n_edges)]
 
 

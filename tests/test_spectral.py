@@ -411,7 +411,7 @@ def test_cut_sizes_match_per_mask_cut(name):
         sum(1 for u in range(G.n) for v in G.adjacency[u] if u < v and (mask >> u & 1) != (mask >> v & 1))
         for mask in range(1 << G.n)
     ]
-    assert cut_sizes(G).tolist() == want
+    assert cut_sizes(G.neighbor_masks).tolist() == want
 
 
 # --- Cheeger ---------------------------------------------------------------

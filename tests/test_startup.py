@@ -116,9 +116,9 @@ def test_failing_command_exits_with_its_code_and_frozen_heap(fixed, command, cod
 
 
 # Runs `python -m hdxwalk.cli ARG...` and reports on stderr, last, the layer
-# modules executed and whether hashlib and fractions were imported.  A module
-# registered by lazy_import keeps the LazyLoader's own module type until it is
-# first read.
+# modules executed and whether hashlib, fractions and numpy.ma were imported.
+# A module registered by lazy_import keeps the LazyLoader's own module type
+# until it is first read.
 EXECUTED_PROBE = """
 import runpy, sys, types
 try:
@@ -126,7 +126,7 @@ try:
 finally:
     layers = sorted(n[8:] for n, m in sys.modules.items()
                     if n.startswith("hdxwalk.") and type(m) is types.ModuleType)
-    imported = [name in sys.modules for name in ("hashlib", "fractions")]
+    imported = [name in sys.modules for name in ("hashlib", "fractions", "numpy.ma")]
     sys.stderr.write(f"\\nexecuted: {(layers, imported)!r}\\n")
 """
 
@@ -135,6 +135,7 @@ GRAPH_LAYERS = {"complexes", "graphs", "spectral"}
 # (command, exit code, layers executed, hashlib imported, fractions imported).
 # Only a JSON report's input digest needs hashlib; certify and audit never run
 # the walk layer.  Only exact constants need fractions (and with it decimal).
+# No command needs numpy.ma, which np.unique, for one, imports: about 20 ms.
 EXECUTED = [
     ("--version", 0, set(), False, False),
     ("spectrum k4.complex --graph g2", 2, set(), False, False),  # usage error
@@ -161,7 +162,7 @@ def test_command_executes_only_the_layers_it_runs(fixed, command, code, layers, 
     executed, imported = ast.literal_eval(line)
     assert done.returncode == code, done.stderr
     assert set(executed) & set(tracer.LAYERS) == layers
-    assert imported == [digest, exact]
+    assert imported == [digest, exact, False]
 
 
 def test_gen_output_file_holds_the_stdout_bytes(tmp_path):
