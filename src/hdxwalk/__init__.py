@@ -11,12 +11,12 @@ __version__ = "0.1.0"
 
 _LAYER_NAMES = {
     "cochain": "coboundary_space cocycle_space",
-    "complexes": "Complex2 DegreeProfile ValidationReport complete_complex degree_profile "
-    "dumps_complex load_complex random_complex validate",
+    "complexes": "Complex2 ValidationReport complete_complex dumps_complex load_complex "
+    "random_complex validate",
     "expansion": "ExpansionCertificate certify_exact large_cuts_audit mixing_rate_bound",
     "graphs": "Graph edge_graph underlying_graph",
     "spectral": "SpectralReport cheeger_exhaustive normalized_spectrum",
-    "walk": "Distribution evolve_exact high_order_step_counts rapid_mixing_audit",
+    "walk": "high_order_step_counts max_distances",
 }
 _LAYER_OF = {name: layer for layer, names in _LAYER_NAMES.items() for name in names.split()}
 

@@ -66,6 +66,14 @@ class Complex2(Record):
         return len(self.triangles)
 
     @cached_property
+    def regular(self) -> Optional[tuple[int, int]]:
+        """(k0, k1) when every vertex lies on k0 edges and every edge on k1 triangles,
+        with at least one vertex and one edge; otherwise None."""
+        k0 = {len(es) for es in self.vertex_edges}
+        k1 = {len(ts) for ts in self.edge_triangles}
+        return (*k0, *k1) if len(k0) == len(k1) == 1 else None
+
+    @cached_property
     def edge_ids(self) -> dict:
         return {e: i for i, e in enumerate(self.edges)}
 
@@ -221,23 +229,6 @@ def random_complex(n: int, p: float, seed: int) -> Complex2:
     edges = tuple(combinations(range(n), 2))
     triangles = tuple(t for t in combinations(range(n), 3) if rng.next_u64() < threshold)
     return _assemble(n, edges, triangles)
-
-
-class DegreeProfile(Record):
-    """Per-face degree counts; ``regular`` is (k0, k1) when both are constant."""
-
-    vertex_edge_degrees: tuple[int, ...]
-    edge_triangle_degrees: tuple[int, ...]
-    regular: Optional[tuple[int, int]]
-
-
-def degree_profile(X: Complex2) -> DegreeProfile:
-    v_deg = tuple(len(es) for es in X.vertex_edges)
-    e_deg = tuple(len(ts) for ts in X.edge_triangles)
-    regular = None
-    if v_deg and e_deg and len(set(v_deg)) == 1 and len(set(e_deg)) == 1:
-        regular = (v_deg[0], e_deg[0])
-    return DegreeProfile(v_deg, e_deg, regular)
 
 
 class ValidationReport(Record):

@@ -34,7 +34,7 @@ from . import gf2
 from ._lazy import np
 from ._record import Record
 from .cochain import coboundary_space, cocycle_space, mask_bits
-from .complexes import Complex2, degree_profile
+from .complexes import Complex2
 from .errors import (
     CapacityError,
     DegenerateComplexError,
@@ -84,10 +84,9 @@ class ExpansionCertificate(Record):
 
 
 def _required_regular(X: Complex2) -> tuple[int, int]:
-    regular = degree_profile(X).regular
-    if regular is None:
+    if X.regular is None:
         raise RegularityError("complex is not (k0, k1)-regular")
-    return regular
+    return X.regular
 
 
 def gap_lambda2(G: Graph, claim: str, tol: float = 1e-9) -> float:

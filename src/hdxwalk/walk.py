@@ -2,9 +2,11 @@
 
 The walk steps to a uniformly random neighbor (no laziness, no self-loops),
 both on graph vertices and on complex edges, where two edges neighbor each
-other when they span a triangle.  Exact evolution gives the l2 distance of
-M^t p to uniform in closed form from one eigendecomposition of M = A/k;
-ensembles use SplitMix64 so paths are reproducible from the seed alone.
+other when they span a triangle.  One exact kernel, ``max_distances``, gives
+the l2 distance of M^t e_j to uniform, largest over a set of start vertices j,
+in closed form from one eigendecomposition of M = A/k: ``hdx walk`` asks it
+for one start edge, ``hdx verify-theorem`` for every edge.  Ensembles use
+SplitMix64 so paths are reproducible from the seed alone.
 Bipartite non-convergence is expected behavior and is surfaced by the
 distances, not patched.
 """
@@ -12,12 +14,11 @@ distances, not patched.
 from __future__ import annotations
 
 from ._lazy import np
-from ._record import Record
 from .complexes import Complex2
 from .errors import CapacityError, ParameterError, RegularityError, UndefinedTransitionError
 from .graphs import Graph, edge_graph
 from .rng import _GAMMA, derive_seeds, mix_array
-from .spectral import eigensystem, normalized_spectrum
+from .spectral import eigensystem
 
 #: Most cells, (steps + 1) per vertex or edge, a walk computes.
 WALK_CELL_LIMIT = 2**21
@@ -28,28 +29,6 @@ WALK_VISIT_LIMIT = 2**27
 _BLOCK = 2**16
 # Eigenvalue powers, (steps in a block) x n, held at once by the distance kernel.
 _POWER_CELLS = 2**16
-
-
-class Distribution(Record):
-    """Probability vector over the vertices of a bound graph."""
-
-    probabilities: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "probabilities", tuple(float(p) for p in self.probabilities))
-        if not self.probabilities:
-            raise ParameterError("distribution must have at least one entry")
-        if min(self.probabilities) < -1e-15:
-            raise ParameterError("distribution entries must be non-negative")
-        total = sum(self.probabilities)
-        if abs(total - 1.0) > 1e-12:
-            raise ParameterError(f"distribution must sum to 1, got {total!r}")
-
-    @classmethod
-    def point_mass(cls, n: int, index: int) -> "Distribution":
-        if not (0 <= index < n):
-            raise ParameterError(f"point mass index {index} out of range for n={n}")
-        return cls(tuple(1.0 if i == index else 0.0 for i in range(n)))
 
 
 def check_walk_capacity(width: int, steps: int, paths: int = 0) -> None:
@@ -82,32 +61,37 @@ def _distance_blocks(values: np.ndarray, coefficients: np.ndarray, steps: int):
     weights = coefficients * coefficients
     block = max(1, min(steps + 1, _POWER_CELLS // values.size))
     table = magnitudes ** (2 * np.arange(block))[:, None]
+    # One buffer for every block, so that two never live at once.
+    scaled = np.empty_like(weights)
     for lo in range(0, steps + 1, block):
-        scaled = (magnitudes ** (2 * lo))[:, None] * weights
+        np.multiply((magnitudes ** (2 * lo))[:, None], weights, out=scaled)
         yield np.sqrt(table[: steps + 1 - lo] @ scaled)
 
 
-def evolve_exact(G: Graph, p0: Distribution, steps: int) -> tuple[float, ...]:
-    """Distances ||M^t p0 - u|| to uniform for t = 0..steps, M = A/k, in closed form.
+def max_distances(G: Graph, starts, steps: int, tol: float = 1e-9) -> tuple[float, ...]:
+    """Largest distance ||M^t e_j - u|| to uniform over the start vertices j, for
+    t = 0..steps, M = A/k, in closed form; with one start, that start's distances.
 
     One eigendecomposition of M, cached per graph; a normalized residual
-    above the default tolerance of ``eigensystem`` raises ToleranceError.
+    above ``tol`` raises ToleranceError.
     """
     if steps < 0:
         raise ParameterError(f"steps must be non-negative, got {steps}")
-    if len(p0.probabilities) != G.n:
-        raise ParameterError(
-            f"distribution has {len(p0.probabilities)} entries for a graph on {G.n} vertices"
-        )
+    starts = list(starts)
+    if not starts:
+        raise ParameterError("at least one start vertex is required")
+    for j in starts:
+        if not 0 <= j < G.n:
+            raise ParameterError(f"start vertex {j} out of range for n={G.n}")
     check_walk_capacity(G.n, steps)
     if G.regular_k is None:
         raise RegularityError("exact evolution requires a regular graph")
     if G.regular_k == 0:
         raise UndefinedTransitionError("every vertex has zero degree; walk undefined")
-    values, vectors, _ = eigensystem(G)
-    diff = np.array(p0.probabilities) - 1.0 / G.n
-    blocks = _distance_blocks(values, (diff @ vectors)[:, None], steps)
-    return tuple(np.concatenate(list(blocks))[:, 0].tolist())
+    values, vectors, _ = eigensystem(G, tol)
+    # Column j is the point mass at starts[j] minus uniform, in the eigenbasis.
+    blocks = _distance_blocks(values, vectors[starts].T - vectors.mean(axis=0)[:, None], steps)
+    return tuple(d for block in blocks for d in block.max(axis=1).tolist())
 
 
 def _padded_neighbors(adjacency: tuple[tuple[int, ...], ...]):
@@ -164,42 +148,3 @@ def high_order_step_counts(
             e = table[e, draw % degree[e]]
             row += np.bincount(e, minlength=X.n_edges)
     return tuple(map(tuple, counts.tolist()))
-
-
-class RapidMixingReport(Record):
-    """Worst-start decay of the edge walk against a rate bound."""
-
-    rate_bound: float
-    edge_graph_lambda: float
-    max_distances: tuple[float, ...]
-    bound_ok: tuple[bool, ...]
-
-    @property
-    def passes(self) -> bool:
-        return all(self.bound_ok)
-
-
-def rapid_mixing_audit(
-    X: Complex2, rate: float, steps: int, *, slack: float = 1e-9, tol: float = 1e-9
-) -> RapidMixingReport:
-    """Worst point-mass start's distance to uniform, per step, against rate**t + slack,
-    in closed form from the edge walk's eigensystem, which ``edge_graph_lambda`` reads.
-
-    The caller has decided the theorem's hypotheses (a (k0, k1)-regular
-    complex with triangles, lambda2 < 1/2) and the certified ``rate``.
-    Negative or oversized ``steps`` raise first.
-    """
-    if steps < 0:
-        raise ParameterError(f"steps must be non-negative, got {steps}")
-    check_walk_capacity(X.n_edges, steps)
-    g1 = edge_graph(X)
-    values, vectors, _ = eigensystem(g1, tol)
-    # Column j is the point mass at edge j minus uniform, in the eigenbasis.
-    blocks = _distance_blocks(values, vectors.T - vectors.mean(axis=0)[:, None], steps)
-    max_distances = tuple(d for block in blocks for d in block.max(axis=1).tolist())
-    return RapidMixingReport(
-        rate_bound=rate,
-        edge_graph_lambda=normalized_spectrum(g1, tol).lambda_max_nontrivial,
-        max_distances=max_distances,
-        bound_ok=tuple(d <= rate**i + slack for i, d in enumerate(max_distances)),
-    )

@@ -18,7 +18,6 @@ import numpy as np
 
 from chains import coboundary_edges, distance_to_space, local_view
 from hdxwalk.cochain import cocycle_space, mask_bits
-from hdxwalk.complexes import degree_profile
 from hdxwalk.errors import RegularityError
 from hdxwalk.expansion import fatness_constant, gap_lambda2
 from hdxwalk.graphs import edge_graph, underlying_graph
@@ -33,10 +32,9 @@ def _views(X, F):
 
 def _hypotheses(X, claim):
     """k0, k1 and lambda2, past the regularity and lambda2 < 1/2 gates."""
-    regular = degree_profile(X).regular
-    if regular is None:
+    if X.regular is None:
         raise RegularityError("complex is not (k0, k1)-regular")
-    return (*regular, gap_lambda2(underlying_graph(X), claim))
+    return (*X.regular, gap_lambda2(underlying_graph(X), claim))
 
 
 def _sizes_met(X, lambda2, mu):
@@ -64,7 +62,7 @@ def distance(X, F, mu):
 
 def fatness_partition(X, F, eta):
     """Vertices by local-view size: above eta*k0 (fat), above k0/2 (semi-fat), or neither."""
-    k0 = degree_profile(X).regular[0]
+    k0 = X.regular[0]
     parts = {"fat": [], "semi_fat": [], "non_fat": []}
     for v, L in enumerate(_views(X, F)):
         parts["fat" if len(L) > eta * k0 else "semi_fat" if 2 * len(L) > k0 else "non_fat"].append(v)

@@ -1,5 +1,4 @@
-"""Loop reference for ``walk.evolve_exact``, ``walk.rapid_mixing_audit`` and
-the dense matrices behind them.
+"""Loop reference for ``walk.max_distances`` and the dense matrices behind it.
 
 The matrices are filled one neighbor at a time, and the walk propagates the
 distribution one matrix-vector product per step, then takes ``np.linalg.norm``
@@ -35,13 +34,15 @@ def loop_transition_matrix(G):
     return M
 
 
-def loop_evolve_exact(G, p0, steps, rate_bound=None, *, slack=1e-9):
-    """(distributions, distances, bound_ok) of p0 evolved for the given number of steps."""
+def loop_evolve_exact(G, start, steps, rate_bound=None, *, slack=1e-9):
+    """(distributions, distances, bound_ok) of the point mass at vertex ``start``
+    evolved for the given number of steps."""
     if steps < 0:
         raise ParameterError(f"steps must be non-negative, got {steps}")
     M = loop_transition_matrix(G)
     u = np.full(G.n, 1.0 / G.n)
-    p = np.array(p0.probabilities)
+    p = np.zeros(G.n)
+    p[start] = 1.0
     dists = [p]
     for _ in range(steps):
         p = M @ p

@@ -33,7 +33,6 @@ from hdxwalk.errors import DomainError, ParameterError, RegularityError
 from hdxwalk.expansion import certify_exact
 from hdxwalk.graphs import edge_graph, underlying_graph
 from hdxwalk.spectral import normalized_spectrum
-from hdxwalk.walk import Distribution
 
 
 def invoke(*args):
@@ -508,8 +507,8 @@ def test_audit_evaluates_each_local_view_once(tmp_path, monkeypatch):
     # views, built once for each lemma that reads them (distance, local-views and
     # the sum of local coboundaries).  The distance lemma reads its distances off
     # the one Z^1 coset table its judgement builds.  Views are table entries, so
-    # --lemma all builds 12 value objects: the complex, its degree profiles,
-    # graphs, spectrum, cut result and certificate.
+    # --lemma all builds 8 value objects: the complex, its two graphs, the
+    # spectrum, the cut result and the certificate with its two dimension reports.
     path = tmp_path / "k6.complex"
     save_complex(complete_complex(6), str(path))
     counts = {"views": [], "tables": 0, "judgement_tables": 0, "records": 0}
@@ -547,7 +546,7 @@ def test_audit_evaluates_each_local_view_once(tmp_path, monkeypatch):
         assert invoke("audit", str(path), "--lemma", lemma)[0] == 0
         assert counts["views"] == [(192, 192)] * builds
         assert counts["judgement_tables"] == 1
-    assert counts["records"] <= 12
+    assert counts["records"] == 8
 
 
 # --- walk -------------------------------------------------------------------------
@@ -616,7 +615,7 @@ def test_walk_exact_csv_pinned(tmp_path):
     assert rows[0] == ["step", "distance", "alpha_power", "ok"]
     assert [(r[0], r[2], r[3]) for r in rows[1:]] == [(str(i), "", "") for i in range(2001)]
     g1 = edge_graph(complete_complex(40))
-    _, want, _ = loop_evolve_exact(g1, Distribution.point_mass(g1.n, 0), 2000)
+    _, want, _ = loop_evolve_exact(g1, 0, 2000)
     assert max(abs(float(r[1]) - d) for r, d in zip(rows[1:], want)) <= 1e-12
 
 
@@ -962,11 +961,10 @@ def test_audit_builds_one_coboundary_table_per_run(tmp_path, monkeypatch):
 # --- the public surface ---------------------------------------------------------------
 
 PUBLIC = set(
-    "Complex2 DegreeProfile Distribution ExpansionCertificate Graph SpectralReport ValidationReport "
-    "certify_exact cheeger_exhaustive coboundary_space cocycle_space complete_complex degree_profile "
-    "dumps_complex edge_graph evolve_exact high_order_step_counts large_cuts_audit load_complex "
-    "mixing_rate_bound normalized_spectrum random_complex rapid_mixing_audit underlying_graph "
-    "validate".split()
+    "Complex2 ExpansionCertificate Graph SpectralReport ValidationReport certify_exact "
+    "cheeger_exhaustive coboundary_space cocycle_space complete_complex dumps_complex edge_graph "
+    "high_order_step_counts large_cuts_audit load_complex max_distances mixing_rate_bound "
+    "normalized_spectrum random_complex underlying_graph validate".split()
 )
 # The chain-level definitions that tests use as the reference for certificate witnesses.
 COCHAIN_DEFINITIONS = {"cocycle_space", "coboundary_space"}
@@ -981,7 +979,9 @@ GONE = (
     "LocalViewBoundEntry SizePreconditions "
     "Chain CodeSpace coboundary coboundary_edges coboundary_vertices distance_to_space local_view "
     "span_iter in_span chain_to_mask mask_to_chain DISTANCE_ENUMERATION_LIMIT DimensionMismatchError "
-    "coboundary_size build_incidence _least_ratio"
+    "coboundary_size build_incidence _least_ratio "
+    "Distribution point_mass evolve_exact RapidMixingReport rapid_mixing_audit DegreeProfile "
+    "degree_profile"
 ).split()
 
 

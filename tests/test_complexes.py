@@ -12,7 +12,6 @@ from hdxwalk.complexes import (
     _incidence,
     build_from_triangles,
     complete_complex,
-    degree_profile,
     dumps_complex,
     from_document,
     loads_complex,
@@ -102,25 +101,30 @@ def test_complete_counts(n, expect):
 
 @pytest.mark.parametrize("n,k", [(3, (2, 1)), (4, (3, 2)), (5, (4, 3))])
 def test_complete_regularity(n, k):
-    assert degree_profile(complete_complex(n)).regular == k
+    assert complete_complex(n).regular == k
 
 
 def test_degree_profile_single_triangle():
-    assert degree_profile(build_from_triangles([(0, 1, 2)])).regular == (2, 1)
+    X = build_from_triangles([(0, 1, 2)])
+    assert X.regular == (2, 1) and X.regular is X.regular
+    # Regular needs at least one vertex and one edge, and both degrees constant.
+    assert build_from_triangles([], n_vertices=3).regular is None
+    assert build_from_triangles([], [(0, 1)]).regular == (1, 0)
+    assert build_from_triangles([(0, 1, 2)], [(0, 3)]).regular is None
+    assert build_from_triangles([], [(0, 1)], n_vertices=3).regular is None
 
 
 def test_degree_sums():
     X = random_complex(6, 0.5, seed=3)
-    profile = degree_profile(X)
-    assert sum(profile.vertex_edge_degrees) == 2 * X.n_edges
-    assert sum(profile.edge_triangle_degrees) == 3 * X.n_triangles
+    assert sum(len(es) for es in X.vertex_edges) == 2 * X.n_edges
+    assert sum(len(ts) for ts in X.edge_triangles) == 3 * X.n_triangles
 
 
 def test_complete_edge_count_identity():
     # |E| = k0 * |V| / 2 whenever the complex is regular
     for n in range(2, 13):
         X = complete_complex(n)
-        k0, _ = degree_profile(X).regular
+        k0, _ = X.regular
         assert 2 * X.n_edges == k0 * X.n_vertices
         assert X.n_edges == comb(n, 2) and X.n_triangles == comb(n, 3)
 

@@ -11,7 +11,6 @@ from named_complexes import complete_graph
 
 from hdxwalk.graphs import Graph
 from hdxwalk.spectral import CheegerResult
-from hdxwalk.walk import Distribution
 
 
 def test_equality_and_hash_are_field_wise():
@@ -75,12 +74,11 @@ def test_post_init_checks_and_normalises():
         Chain(3, frozenset())
     with pytest.raises(ParameterError, match="non-negative integers"):
         Chain(1, frozenset({-1}))
-    p = Distribution([1])
-    assert p.probabilities == (1.0,) and type(p.probabilities[0]) is float
-    with pytest.raises(ParameterError, match="must sum to 1"):
-        Distribution((0.5, 0.6))
-    with pytest.raises(ParameterError, match="at least one entry"):
-        Distribution(())
+    assert type(Chain(0, [1]).members) is frozenset
+    with pytest.raises(ParameterError, match="non-negative integers, got 1.0"):
+        Chain(0, [1.0])
+    with pytest.raises(ParameterError, match="non-negative integers, got 'a'"):
+        Chain(0, "a")
 
 
 def test_cached_property_is_stored_once_and_fields_stay_frozen():

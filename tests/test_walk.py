@@ -28,22 +28,11 @@ from hdxwalk.expansion import certify_exact, gap_lambda2, mixing_rate_bound
 from hdxwalk.graphs import Graph, edge_graph, underlying_graph
 from hdxwalk.rng import _GAMMA, _mix, SplitMix64, derive_seed, derive_seeds, mix_array
 from hdxwalk.spectral import DENSE_VERTEX_LIMIT, adjacency_matrix, eigensystem, normalized_spectrum
-from hdxwalk.walk import (
-    WALK_CELL_LIMIT,
-    WALK_VISIT_LIMIT,
-    Distribution,
-    evolve_exact,
-    high_order_step_counts,
-    rapid_mixing_audit,
-)
+from hdxwalk.walk import WALK_CELL_LIMIT, WALK_VISIT_LIMIT, high_order_step_counts, max_distances
 
 K4 = complete_complex(4)
 K5 = complete_complex(5)
 OCTAHEDRON = edge_graph(K4)
-
-
-def uniform(n):
-    return Distribution((1.0 / n,) * n)
 
 
 # --- RNG ---------------------------------------------------------------------
@@ -88,37 +77,19 @@ def test_randrange_bounds_and_determinism():
         assert 100 <= draws.count(v) <= 250
 
 
-# --- distributions -------------------------------------------------------------
-
-
-def test_distribution_validation():
-    with pytest.raises(ParameterError):
-        Distribution((0.5, 0.4))
-    with pytest.raises(ParameterError):
-        Distribution((1.5, -0.5))
-    assert Distribution((0.1,) * 10).probabilities == (0.1,) * 10  # sums to 1 within 1e-12
-    p = Distribution.point_mass(3, 1)
-    assert p.probabilities == (0.0, 1.0, 0.0)
-
-
 # --- exact evolution -------------------------------------------------------------
-
-
-def test_uniform_is_stationary():
-    distances = evolve_exact(OCTAHEDRON, uniform(6), 10)
-    assert all(d <= 1e-12 for d in distances)
 
 
 def test_k2_walk_alternates_forever():
     G = complete_graph(2)
-    distances = evolve_exact(G, Distribution.point_mass(2, 0), 6)
+    distances = max_distances(G, [0], 6)
     d0 = distances[0]
     assert d0 == pytest.approx(math.sqrt(0.5), abs=1e-15)
     assert all(abs(d - d0) <= 1e-12 for d in distances)
 
 
 def test_octahedron_spectral_decay():
-    distances = evolve_exact(OCTAHEDRON, Distribution.point_mass(6, 0), 64)
+    distances = max_distances(OCTAHEDRON, [0], 64)
     d0 = distances[0]
     for i, d in enumerate(distances):
         assert d <= 0.5**i * d0 + 1e-9
@@ -129,7 +100,7 @@ def test_spectral_decay_on_nonbipartite_corpus():
     for G in graphs:
         lam = normalized_spectrum(G).lambda_max_nontrivial
         for start in range(G.n):
-            distances = evolve_exact(G, Distribution.point_mass(G.n, start), 40)
+            distances = max_distances(G, [start], 40)
             d0 = distances[0]
             for i, d in enumerate(distances):
                 assert d <= lam**i * d0 + 1e-9
@@ -138,31 +109,31 @@ def test_spectral_decay_on_nonbipartite_corpus():
 def test_trace_steps_recomputable():
     # Each distance is ||M^t p0 - u|| for the explicit matrix power M^t, M = A/k.
     M = adjacency_matrix(OCTAHEDRON) / 4
-    p0 = np.array(Distribution.point_mass(6, 2).probabilities)
-    distances = evolve_exact(OCTAHEDRON, Distribution.point_mass(6, 2), 12)
+    p0 = np.eye(6)[2]
+    distances = max_distances(OCTAHEDRON, [2], 12)
     for t, d in enumerate(distances):
         assert abs(np.linalg.norm(np.linalg.matrix_power(M, t) @ p0 - 1 / 6) - d) <= 1e-14
 
 
 def test_trace_preserves_stochasticity():
     # A probability vector p has ||p - u||**2 = ||p||**2 - 1/n, at most 1 - 1/n (a point mass).
-    distances = evolve_exact(edge_graph(K5), Distribution.point_mass(10, 3), 50)
+    distances = max_distances(edge_graph(K5), [3], 50)
     assert distances[0] == pytest.approx(math.sqrt(0.9), abs=1e-15)
     assert all(0.0 <= d <= distances[0] + 1e-15 for d in distances)
 
 
 def test_monotone_contraction_on_connected_regular():
     for G in (complete_graph(4), OCTAHEDRON, edge_graph(K5), cycle_graph(5)):
-        distances = evolve_exact(G, Distribution.point_mass(G.n, 0), 30)
+        distances = max_distances(G, [0], 30)
         for a, b in zip(distances, distances[1:]):
             assert b <= a + 1e-12
 
 
 def test_evolve_rejects_irregular_and_isolated():
-    with pytest.raises(RegularityError):
-        evolve_exact(Graph.from_edges(3, [(0, 1), (1, 2)]), uniform(3), 2)
+    with pytest.raises(RegularityError, match="exact evolution requires a regular graph"):
+        max_distances(Graph.from_edges(3, [(0, 1), (1, 2)]), [0], 2)
     with pytest.raises(UndefinedTransitionError):
-        evolve_exact(Graph.from_edges(2, []), uniform(2), 1)
+        max_distances(Graph.from_edges(2, []), range(2), 1)
 
 
 # --- exact evolution against the loop reference ------------------------------------
@@ -208,28 +179,27 @@ def _assert_matches_loop(distances, want, alpha):
 @pytest.mark.parametrize("name", list(EXACT_GRAPHS))
 def test_evolve_exact_matches_loop_reference(name, alpha):
     G = EXACT_GRAPHS[name]
-    starts = [uniform(G.n)] + [Distribution.point_mass(G.n, v) for v in range(G.n)]
-    for p0 in starts:
+    for start in range(G.n):
         for steps in (0, 1, 60):
-            want = loop_evolve_exact(G, p0, steps, alpha)
-            _assert_matches_loop(evolve_exact(G, p0, steps), want, alpha)
+            want = loop_evolve_exact(G, start, steps, alpha)
+            _assert_matches_loop(max_distances(G, [start], steps), want, alpha)
 
 
 def test_evolve_exact_matches_loop_reference_on_k40_edges():
     G = k40_edges()
-    for p0, steps in ((Distribution.point_mass(G.n, 0), 2000), (uniform(G.n), 20)):
-        want = loop_evolve_exact(G, p0, steps, 0.99)
-        _assert_matches_loop(evolve_exact(G, p0, steps), want, 0.99)
+    for start in (0, 777):
+        want = loop_evolve_exact(G, start, 2000, 0.99)
+        _assert_matches_loop(max_distances(G, [start], 2000), want, 0.99)
 
 
 def test_distance_blocks_do_not_depend_on_block_size(monkeypatch):
     G = edge_graph(K5)
-    p0 = Distribution.point_mass(G.n, 4)
-    want = evolve_exact(G, p0, 100)
+    want = [max_distances(G, starts, 100) for starts in ([4], range(G.n))]
     for cells in (1, 7, 10, 33, 10**6):
         monkeypatch.setattr(walk, "_POWER_CELLS", cells)
-        got = evolve_exact(G, p0, 100)
-        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-15
+        for starts, distances in zip(([4], range(G.n)), want):
+            got = max_distances(G, starts, 100)
+            assert max(abs(a - b) for a, b in zip(got, distances)) <= 1e-15
 
 
 def test_distances_do_not_depend_on_the_basis_of_an_eigenspace():
@@ -251,7 +221,7 @@ def test_evolve_exact_gates_the_eigensolver_residual(monkeypatch):
     assert 0 < residual <= 1e-9  # the largest benchmark walk passes the default gate
     monkeypatch.setattr(spectral, "_eigensystem", lambda G: (values, vectors, 2e-9))
     with pytest.raises(ToleranceError, match="residual 2.000e-09 exceeds tolerance 1.000e-09"):
-        evolve_exact(G, Distribution.point_mass(G.n, 0), 3)
+        max_distances(G, [0], 3)
 
 
 def test_dense_matrices_match_loops():
@@ -267,26 +237,34 @@ def test_dense_matrices_match_loops():
         assert np.array_equal(adjacency_matrix(G), loop_adjacency_matrix(G))
 
 
+def _traced_peak(G, starts, steps):
+    """(distances, peak bytes traced) of one ``max_distances`` call."""
+    tracemalloc.start()
+    try:
+        distances = max_distances(G, starts, steps)
+        return distances, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_evolve_exact_peak_memory_holds_no_table():
     G = k40_edges()
-    p0 = Distribution.point_mass(G.n, 0)
     G.regular_k  # cached before tracing
     spectral._eigensystem.cache_clear()
     table, matrix = 2001 * G.n * 8, G.n * G.n * 8
-    for solved in (False, True):
-        tracemalloc.start()
-        try:
-            distances = evolve_exact(G, p0, 2000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        if solved:
-            # The eigensystem is cached: the walk holds one block of powers, never a
-            # (steps + 1) x n table (12.5 MB).
-            assert peak < 8 * walk._POWER_CELLS + 2**19 < table / 10
-        else:
-            # The solve: adjacency, eigenvectors and the residual's two temporaries.
-            assert peak < 4 * matrix + 2**20
+    # The solve: adjacency, eigenvectors and the residual's two temporaries.
+    distances, peak = _traced_peak(G, [0], 2000)
+    assert peak < 4 * matrix + 2**20
+    assert len(distances) == 2001 and distances[0] == pytest.approx(math.sqrt(1 - 1 / G.n))
+    # The eigensystem is cached: one start holds one block of powers, never a
+    # (steps + 1) x n table (12.5 MB).
+    assert _traced_peak(G, [0], 2000)[1] < 8 * walk._POWER_CELLS + 2**19 < table / 10
+    # Every start: the coefficients, their squares and one scaled copy (n x n each),
+    # and one block of powers and of distances, whatever the number of steps.
+    _, peak0 = _traced_peak(G, range(G.n), 0)
+    distances, peak = _traced_peak(G, range(G.n), 2000)
+    assert peak0 < 3 * matrix + 2**19
+    assert peak < peak0 + 4 * 8 * walk._POWER_CELLS + 2**19 < peak0 + table / 4
     assert len(distances) == 2001 and distances[0] == pytest.approx(math.sqrt(1 - 1 / G.n))
 
 
@@ -297,10 +275,10 @@ def test_dense_matrices_refused_above_limit():
         with pytest.raises(CapacityError):
             build(big)
     with pytest.raises(CapacityError):
-        evolve_exact(big, uniform(big.n), 0)
-    X = complete_complex(65)  # 2080 edges
+        max_distances(big, [0], 0)
+    g1 = edge_graph(complete_complex(65))  # 2080 edges
     with pytest.raises(CapacityError):
-        rapid_mixing_audit(X, 0.5, 0)
+        max_distances(g1, range(g1.n), 0)
 
 
 # --- neighbor rule ---------------------------------------------------------------
@@ -399,7 +377,7 @@ def test_walk_capacity_refused_before_allocating():
     with pytest.raises(CapacityError):
         high_order_step_counts(K5, 0, 0, paths=10**30, seed=0)
     with pytest.raises(CapacityError):
-        evolve_exact(edge_graph(K5), Distribution.point_mass(10, 0), 10**8)
+        max_distances(edge_graph(K5), range(10), 10**8)
     steps = WALK_CELL_LIMIT // 10 - 1
     assert len(high_order_step_counts(K5, 0, steps, paths=0, seed=0)) == steps + 1
 
@@ -413,7 +391,7 @@ def test_step_counts_reproducible():
 def test_ensemble_tracks_exact_distribution():
     paths = 20000
     counts = high_order_step_counts(K4, 0, 5, paths=paths, seed=2024)
-    distributions, _, _ = loop_evolve_exact(edge_graph(K4), Distribution.point_mass(6, 0), 5)
+    distributions, _, _ = loop_evolve_exact(edge_graph(K4), 0, 5)
     empirical = [c / paths for c in counts[5]]
     tv = 0.5 * sum(abs(a - b) for a, b in zip(empirical, distributions[5]))
     assert tv < 0.02
@@ -517,34 +495,48 @@ def test_step_counts_are_sums_of_simulated_paths():
 
 
 def certified_audit(X, steps):
-    """rapid_mixing_audit at the rate that verify-theorem certifies for X."""
+    """verify-theorem's walk audit on X, from the library: the rate it certifies, the
+    largest distance to uniform over every start edge per step, and each step's
+    check against rate**t + slack."""
     lambda2 = gap_lambda2(underlying_graph(X), "rate bound requires")
-    return rapid_mixing_audit(X, mixing_rate_bound(certify_exact(X).epsilon_cosystolic, lambda2), steps)
+    rate = mixing_rate_bound(certify_exact(X).epsilon_cosystolic, lambda2)
+    g1 = edge_graph(X)
+    distances = max_distances(g1, range(g1.n), steps)
+    return rate, distances, tuple(d <= rate**i + 1e-9 for i, d in enumerate(distances))
+
+
+def verify_theorem(X, tmp_path, *args):
+    """verify-theorem's exit code and report on X."""
+    path = str(tmp_path / "x.complex")
+    save_complex(X, path)
+    out = io.StringIO()
+    code = cli.run(["verify-theorem", path, *args], out, io.StringIO())
+    return code, json.loads(out.getvalue()) if out.getvalue() else None
 
 
 def not_applicable_reason(X, tmp_path):
     """verify-theorem's reason on X, where the audit is never run."""
-    path = str(tmp_path / "x.complex")
-    save_complex(X, path)
-    out = io.StringIO()
-    assert cli.run(["verify-theorem", path, "--steps", "10"], out, io.StringIO()) == 0
-    results = json.loads(out.getvalue())["results"]
-    assert "walk" not in results
-    return results["reason"]
+    code, doc = verify_theorem(X, tmp_path, "--steps", "10")
+    assert code == 0 and "walk" not in doc["results"]
+    return doc["results"]["reason"]
 
 
-def test_rapid_mixing_audit_k4():
-    report = certified_audit(K4, 100)
-    assert report.passes
-    assert 0 < report.rate_bound < 1
-    assert report.edge_graph_lambda == pytest.approx(0.5, abs=1e-9)
-    assert len(report.max_distances) == 101
+def test_rapid_mixing_audit_k4(tmp_path):
+    code, doc = verify_theorem(K4, tmp_path, "--steps", "100")
+    results = doc["results"]
+    assert code == 0 and doc["status"] == "pass" and all(results["walk"]["bound_ok"])
+    assert 0 < results["rate_bound"] < 1
+    assert results["edge_graph"]["lambda_max_nontrivial"] == pytest.approx(0.5, abs=1e-9)
+    rate, distances, bound_ok = certified_audit(K4, 100)
+    assert (results["rate_bound"], results["walk"]["max_distances"]) == (rate, list(distances))
+    assert len(distances) == 101 and all(bound_ok)
 
 
-def test_rapid_mixing_audit_k5():
-    report = certified_audit(K5, 100)
-    assert report.passes
-    assert report.edge_graph_lambda == pytest.approx(1 / 3, abs=1e-9)
+def test_rapid_mixing_audit_k5(tmp_path):
+    code, doc = verify_theorem(K5, tmp_path, "--steps", "100")
+    assert code == 0 and doc["status"] == "pass"
+    assert doc["results"]["edge_graph"]["lambda_max_nontrivial"] == pytest.approx(1 / 3, abs=1e-9)
+    assert all(certified_audit(K5, 100)[2])
 
 
 def test_rapid_mixing_not_applicable_irregular(tmp_path):
@@ -575,19 +567,22 @@ def test_rapid_mixing_not_applicable_reason_states_exact_decision(tmp_path):
     )
 
 
-def test_rapid_mixing_audit_validates_steps_first():
+def test_rapid_mixing_audit_validates_steps_first(tmp_path):
     irregular = build_from_triangles([(0, 1, 2)], [(0, 3)])
     for X in (K4, irregular):
+        g1 = edge_graph(X)
         with pytest.raises(ParameterError):
-            rapid_mixing_audit(X, 0.5, -1)
+            max_distances(g1, range(g1.n), -1)
         with pytest.raises(CapacityError):
-            rapid_mixing_audit(X, 0.5, WALK_CELL_LIMIT // X.n_edges)
+            max_distances(g1, range(g1.n), WALK_CELL_LIMIT // X.n_edges)
+        assert verify_theorem(X, tmp_path, "--steps", "-1") == (2, None)
+        assert verify_theorem(X, tmp_path, "--steps", str(WALK_CELL_LIMIT // X.n_edges)) == (3, None)
 
 
 def test_step_zero_distance_at_most_one():
-    report = certified_audit(K4, 0)
-    assert report.max_distances[0] <= 1.0
-    assert report.bound_ok[0]
+    _, distances, bound_ok = certified_audit(K4, 0)
+    assert distances[0] <= 1.0
+    assert bound_ok[0]
 
 
 MIXING_CORPUS = {
@@ -604,10 +599,10 @@ MIXING_CORPUS = {
 @pytest.mark.parametrize("name", list(MIXING_CORPUS))
 def test_rapid_mixing_audit_matches_propagation(name):
     X = MIXING_CORPUS[name]
-    report = certified_audit(X, 60)
+    rate, distances, bound_ok = certified_audit(X, 60)
     want = loop_max_distances(edge_graph(X), 60)
-    assert max(abs(a - b) for a, b in zip(report.max_distances, want)) <= DRIFT
-    assert report.bound_ok == tuple(d <= report.rate_bound**i + 1e-9 for i, d in enumerate(want))
+    assert max(abs(a - b) for a, b in zip(distances, want)) <= DRIFT
+    assert bound_ok == tuple(d <= rate**i + 1e-9 for i, d in enumerate(want))
 
 
 @settings(max_examples=20, deadline=None)
@@ -615,6 +610,42 @@ def test_rapid_mixing_audit_matches_propagation(name):
 def test_rapid_mixing_audit_is_invariant_under_relabelling(name, seed):
     X = MIXING_CORPUS[name]
     Y = relabel(X, seed)
-    a, b = certified_audit(X, 40), certified_audit(Y, 40)
-    assert (a.bound_ok, a.rate_bound) == (b.bound_ok, b.rate_bound)
-    assert max(abs(x - y) for x, y in zip(a.max_distances, b.max_distances)) <= 1e-12
+    (rate_a, a, ok_a), (rate_b, b, ok_b) = certified_audit(X, 40), certified_audit(Y, 40)
+    assert (ok_a, rate_a) == (ok_b, rate_b)
+    assert max(abs(x - y) for x, y in zip(a, b)) <= 1e-12
+
+
+# --- one kernel for one start and for every start --------------------------------------
+
+def _k4_and_k33():
+    """K4 beside K3,3: 3-regular, and not vertex-transitive, so the largest distance
+    is not every start's (a K3,3 start never converges; K3,3 is bipartite)."""
+    k33 = [(u, v) for u in range(4, 7) for v in range(7, 10)]
+    return Graph.from_edges(10, [(u, v) for u in range(4) for v in range(u + 1, 4)] + k33)
+
+
+KERNEL_GRAPHS = {
+    "K4": edge_graph(K4),
+    "K5": edge_graph(K5),
+    "K6": edge_graph(complete_complex(6)),
+    "octahedron": edge_graph(OCTAHEDRON_COMPLEX),
+    "RP2_6": edge_graph(RP2_6),
+    "torus": edge_graph(TORUS_7),
+    "cuboctahedron (disconnected edge graph)": edge_graph(CUBOCTAHEDRON),
+    "RP2_6 relabelled": edge_graph(relabel(RP2_6, 7)),
+    "K4 beside K3,3": _k4_and_k33(),
+}
+
+
+@pytest.mark.parametrize("name", list(KERNEL_GRAPHS))
+def test_max_distances_over_every_start_is_the_largest_single_start(name):
+    G = KERNEL_GRAPHS[name]
+    steps = 60
+    every = max_distances(G, range(G.n), steps)
+    singles = np.array([max_distances(G, [j], steps) for j in range(G.n)])
+    assert len(every) == steps + 1
+    assert np.abs(np.array(every) - singles.max(axis=0)).max() <= 1e-15
+    assert max(abs(a - b) for a, b in zip(every, loop_max_distances(G, steps))) <= DRIFT
+    for starts in ([G.n], [-1], [0, G.n], []):
+        with pytest.raises(ParameterError):
+            max_distances(G, starts, steps)
