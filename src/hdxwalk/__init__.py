@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 
 _LAYER_NAMES = {
     "cochain": "coboundary_space cocycle_space",
-    "complexes": "Complex2 ValidationReport complete_complex dumps_complex load_complex "
-    "random_complex validate",
+    "complexes": "Complex2 complete_complex dumps_complex load_complex random_complex",
     "expansion": "ExpansionCertificate certify_exact large_cuts_audit mixing_rate_bound",
     "graphs": "Graph edge_graph underlying_graph",
     "spectral": "SpectralReport cheeger_exhaustive normalized_spectrum",

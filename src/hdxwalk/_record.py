@@ -5,7 +5,7 @@ in order, each with an optional class-level default.  The base reads them
 once, when the subclass is created, and serves every subclass with the same
 ``__init__`` (positional or keyword arguments, then ``__post_init__``),
 field-wise ``__eq__`` (within one class) and ``__hash__``, a
-``Name(field=value, ...)`` repr, ``replace`` and ``asdict``.  Fields cannot
+``Name(field=value, ...)`` repr and ``asdict``.  Fields cannot
 be assigned or deleted; ``functools.cached_property`` still works, because it
 writes the instance ``__dict__`` directly.  This is what
 ``@dataclass(frozen=True)`` gave these classes, without compiling methods per
@@ -80,7 +80,3 @@ class Record:
     def asdict(self) -> dict:
         """The fields by name, in order; values are not copied or converted."""
         return dict(zip(self._fields, self._values()))
-
-    def replace(self, **changes):
-        """A new instance with ``changes`` applied; ``__post_init__`` runs again."""
-        return self.__class__(**{**self.asdict(), **changes})

@@ -74,17 +74,9 @@ class Complex2(Record):
         return (*k0, *k1) if len(k0) == len(k1) == 1 else None
 
     @cached_property
-    def edge_ids(self) -> dict:
-        return {e: i for i, e in enumerate(self.edges)}
-
-    @cached_property
     def triangle_edge_ids(self) -> tuple[tuple[int, int, int], ...]:
         """For each triangle, the ids of its three edges."""
-        ids = self.edge_ids
-        out = []
-        for (u, v, w) in self.triangles:
-            out.append((ids[(u, v)], ids[(u, w)], ids[(v, w)]))
-        return tuple(out)
+        return _incidence(self.n_vertices, self.edges, self.triangles)[2]
 
     @cached_property
     def vertex_edge_masks(self) -> tuple[int, ...]:
@@ -110,21 +102,14 @@ def _canonical_edge(pair) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def _canonical_triangles(triples: Iterable, ids_checked: bool) -> list[tuple[int, int, int]]:
-    """The sorted triple of each triangle, in input order; the first bad or repeated one raises.
-
-    With ``ids_checked`` the caller has already made every vertex id a
-    non-negative int.
-    """
+def _canonical_triangles(triples: Iterable) -> list[tuple[int, int, int]]:
+    """The sorted triple of each triangle of non-negative int ids, in input order;
+    the first bad or repeated one raises."""
     out: dict[tuple[int, int, int], None] = {}  # an ordered set
     for triple in triples:
         vs = tuple(triple)
         if len(vs) != 3:
             raise InvalidFaceError(f"triangle must have 3 vertices, got {vs!r}")
-        if not ids_checked:
-            for x in vs:
-                if not isinstance(x, int) or x < 0:
-                    raise InvalidFaceError(f"vertex ids must be non-negative integers, got {x!r}")
         u, v, w = vs
         if not u < v < w:
             u, v, w = sorted(vs)
@@ -181,23 +166,6 @@ def _build(triangles: list, extra_edges: Iterable, n: int, labels=None) -> Compl
     return _assemble(n, edges, tuple(sorted(triangles)), labels)
 
 
-def build_from_triangles(
-    triples: Iterable,
-    extra_edges: Iterable = (),
-    *,
-    n_vertices: Optional[int] = None,
-) -> Complex2:
-    """Build a complex from triangles plus optional extra edges.
-
-    The edge set is the union of the triangles' induced edges and
-    ``extra_edges`` (duplicates between the two are merged).  The vertex set
-    is 0..max_id, optionally padded to ``n_vertices`` to represent isolated
-    vertices.
-    """
-    triangles = _canonical_triangles(triples, ids_checked=False)
-    return _build(triangles, extra_edges, 0 if n_vertices is None else n_vertices)
-
-
 def _check_triangle_budget(n: int) -> None:
     if comb(n, 3) > TRIANGLE_LIMIT:
         raise CapacityError(
@@ -229,55 +197,6 @@ def random_complex(n: int, p: float, seed: int) -> Complex2:
     edges = tuple(combinations(range(n), 2))
     triangles = tuple(t for t in combinations(range(n), 3) if rng.next_u64() < threshold)
     return _assemble(n, edges, triangles)
-
-
-class ValidationReport(Record):
-    findings: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
-
-
-def validate(X: Complex2) -> ValidationReport:
-    """Check closure, face canonicalization, and incidence consistency."""
-    findings: list[str] = []
-    n = X.n_vertices
-    if n < 0:
-        findings.append(f"negative vertex count {n}")
-
-    seen_edges = set()
-    for i, e in enumerate(X.edges):
-        if len(e) != 2 or e[0] >= e[1]:
-            findings.append(f"edge {i} not a sorted pair of distinct vertices: {e!r}")
-            continue
-        if not all(0 <= v < n for v in e):
-            findings.append(f"edge {i} has vertex id out of range: {e!r}")
-        if e in seen_edges:
-            findings.append(f"duplicate edge {e!r}")
-        seen_edges.add(e)
-
-    seen_triangles = set()
-    for j, t in enumerate(X.triangles):
-        if len(t) != 3 or not (t[0] < t[1] < t[2]):
-            findings.append(f"triangle {j} not a sorted triple of distinct vertices: {t!r}")
-            continue
-        if not all(0 <= v < n for v in t):
-            findings.append(f"triangle {j} has vertex id out of range: {t!r}")
-        if t in seen_triangles:
-            findings.append(f"duplicate triangle {t!r}")
-        seen_triangles.add(t)
-        u, v, w = t
-        for pair in ((u, v), (u, w), (v, w)):
-            if pair not in seen_edges:
-                findings.append(f"closure violation: triangle {t!r} missing edge {pair!r}")
-
-    if not findings:
-        rebuilt = _incidence(n, X.edges, X.triangles)[:2]
-        if (X.vertex_edges, X.edge_triangles) != rebuilt:
-            findings.append("incidence maps inconsistent with face lists")
-
-    return ValidationReport(tuple(findings))
 
 
 def to_document(X: Complex2) -> dict:
@@ -379,14 +298,14 @@ def from_document(doc: dict) -> Complex2:
         labels = None
         if labels_map is not None:
             labels = tuple(labels_map.get(str(i), i) for i in range(n))
-        return _build(_canonical_triangles(raw_triangles, ids_checked=True), raw_edges, n, labels)
+        return _build(_canonical_triangles(raw_triangles), raw_edges, n, labels)
 
     labels = tuple(sorted(set(universe), key=_label_sort_key))
     _check_vertex_count(len(labels))
     to_id = {label: i for i, label in enumerate(labels)}
     edges = [[to_id[x] for x in e] for e in raw_edges]
     triangles = [[to_id[x] for x in t] for t in raw_triangles]
-    return _build(_canonical_triangles(triangles, ids_checked=True), edges, len(labels), labels)
+    return _build(_canonical_triangles(triangles), edges, len(labels), labels)
 
 
 def dumps_complex(X: Complex2) -> str:

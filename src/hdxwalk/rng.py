@@ -11,10 +11,11 @@ State transition and output, all arithmetic modulo 2**64:
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB
     output = z ^ (z >> 31)
 
-Bounded draws use rejection sampling on the top of the 64-bit range, so
-``randrange(n)`` is exactly uniform for every n.  ``mix_array`` and
-``derive_seeds`` are the same functions on numpy ``uint64`` arrays, whose
-arithmetic wraps modulo 2**64, for engines that advance many streams at once.
+``mix_array`` and ``derive_seeds`` are the output function and the
+substream seeds on numpy ``uint64`` arrays, whose arithmetic wraps modulo
+2**64, for engines that advance many streams at once.  Their scalar
+references, ``derive_seed`` and the rejection-sampled ``randrange``, are in
+``tests/scalar_walk.py``.
 """
 
 from __future__ import annotations
@@ -48,30 +49,15 @@ class SplitMix64:
 
     def __init__(self, seed: int):
         self._state = seed & _MASK64
-        self.seed = seed & _MASK64
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK64
         return _mix(self._state)
 
-    def randrange(self, n: int) -> int:
-        """Uniform integer in [0, n), unbiased via rejection."""
-        if n <= 0:
-            raise ValueError("randrange bound must be positive")
-        limit = ((1 << 64) // n) * n
-        while True:
-            u = self.next_u64()
-            if u < limit:
-                return u % n
-
-
-def derive_seed(seed: int, index: int) -> int:
-    """Seed for the index-th substream: the index-th output of the root stream."""
-    return _mix((seed + (index + 1) * _GAMMA) & _MASK64)
-
 
 def derive_seeds(seed: int, start: int, stop: int) -> np.ndarray:
-    """``derive_seed(seed, i)`` for i in range(start, stop), as a uint64 array."""
+    """Seeds of substreams start..stop-1 of the root stream ``SplitMix64(seed)``,
+    as a uint64 array: substream i is seeded with output i of the root, counting from 0."""
     z = np.arange(start + 1, stop + 1, dtype=np.uint64)
     z *= np.uint64(_GAMMA)
     z += np.uint64(seed & _MASK64)

@@ -56,9 +56,10 @@ def _distance_blocks(values: np.ndarray, coefficients: np.ndarray, steps: int):
     |values[i]|**(2t) * coefficients[i, j]**2: non-negative terms, whose sum
     over an eigenspace does not depend on its basis.  M is stochastic, so a
     |value| rounded above 1 is taken as 1 and its powers cannot grow.
+    Consumes ``coefficients``: it is squared in place, so pass a fresh array.
     """
     magnitudes = np.minimum(np.abs(values), 1.0)
-    weights = coefficients * coefficients
+    weights = np.multiply(coefficients, coefficients, out=coefficients)
     block = max(1, min(steps + 1, _POWER_CELLS // values.size))
     table = magnitudes ** (2 * np.arange(block))[:, None]
     # One buffer for every block, so that two never live at once.
@@ -111,12 +112,14 @@ def high_order_step_counts(
 ) -> tuple[tuple[int, ...], ...]:
     """Occupancy counts per step over ``paths`` independent seeded walks.
 
-    Path i draws from SplitMix64(derive_seed(seed, i)), so the ensemble is
-    reproducible and independent of evaluation order.  All paths of a block
-    advance together on uint64 state arrays; a draw above the largest
-    multiple of the degree is redrawn from the same path's stream, exactly as
-    ``SplitMix64.randrange`` does.  Blocks have a fixed size and their counts
-    add exactly, so memory does not grow with ``paths``.
+    Path i draws from the SplitMix64 stream seeded with ``derive_seeds(seed, i,
+    i + 1)``, so the ensemble is reproducible and independent of evaluation
+    order.  All paths of a block advance together on uint64 state arrays; a
+    draw above the largest multiple of the degree is redrawn from the same
+    path's stream.  The scalar references in ``tests/scalar_walk.py`` walk one
+    path at a time with ``derive_seed`` and a rejection-sampled ``randrange``.
+    Blocks have a fixed size and their counts add exactly, so memory does not
+    grow with ``paths``.
     """
     if paths < 0:
         raise ParameterError(f"path count must be non-negative, got {paths}")

@@ -1,11 +1,62 @@
-"""Named complexes and graphs shared by several test modules, seeded relabelling,
-the reference edge graph, and writing a complex document."""
+"""Named complexes and graphs shared by several test modules, building a complex
+from triangles through the loader, seeded relabelling, the reference checks of a
+complex and of its edge graph, and writing a complex document."""
 
 import random
 from itertools import combinations
 
-from hdxwalk.complexes import build_from_triangles, dumps_complex
+from hdxwalk.complexes import _incidence, dumps_complex, from_document
 from hdxwalk.graphs import Graph
+
+
+def build_from_triangles(triples, extra_edges=(), *, n_vertices=0):
+    """The complex that the loader builds from these triangles and extra edges,
+    on at least ``n_vertices`` vertices."""
+    return from_document(
+        {
+            "vertices": list(range(n_vertices)),
+            "edges": [list(e) for e in extra_edges],
+            "triangles": [list(t) for t in triples],
+        }
+    )
+
+
+def edge_id(X, u, v):
+    """The id of the edge {u, v} of X."""
+    return X.edges.index((min(u, v), max(u, v)))
+
+
+def findings(X):
+    """What makes X other than a complex the loader builds; [] when nothing does.
+
+    Each face is a sorted tuple of distinct vertex ids in range, each face list
+    is sorted and repeats no face, every edge of a triangle is an edge, and the
+    incidence maps are ``_incidence``'s.
+    """
+    out = []
+    n = X.n_vertices
+    if n < 0:
+        out.append(f"negative vertex count {n}")
+    for kind, faces, size in (("edge", X.edges, 2), ("triangle", X.triangles, 3)):
+        for i, face in enumerate(faces):
+            if len(face) != size or list(face) != sorted(set(face)):
+                out.append(f"{kind} {i} not a sorted {size}-tuple of distinct vertices: {face!r}")
+            elif not all(0 <= v < n for v in face):
+                out.append(f"{kind} {i} has vertex id out of range: {face!r}")
+        if list(faces) != sorted(set(faces)):
+            out.append(f"{kind}s not listed once each in sorted order")
+    edges = set(X.edges)
+    for t in X.triangles:
+        out.extend(
+            f"closure violation: triangle {t!r} missing edge {pair!r}"
+            for pair in combinations(t, 2)
+            if pair not in edges
+        )
+    if not out:
+        maps = (X.vertex_edges, X.edge_triangles, X.triangle_edge_ids)
+        if maps != _incidence(n, X.edges, X.triangles):
+            out.append("incidence maps inconsistent with face lists")
+    return out
 
 
 def complete_graph(n):
@@ -18,9 +69,10 @@ def cycle_graph(n):
 
 def reference_edge_graph(X):
     """The edge graph through ``Graph.from_edges``: one pair per two edges of a triangle."""
+    ids = {e: i for i, e in enumerate(X.edges)}
     pairs = []
     for (u, v, w) in X.triangles:
-        a, b, c = X.edge_ids[(u, v)], X.edge_ids[(u, w)], X.edge_ids[(v, w)]
+        a, b, c = ids[(u, v)], ids[(u, w)], ids[(v, w)]
         pairs.extend(((a, b), (a, c), (b, c)))
     return Graph.from_edges(X.n_edges, pairs)
 

@@ -1,14 +1,32 @@
 """Scalar references for ``walk.high_order_step_counts``, and seeded single paths.
 
-One path at a time, one ``SplitMix64.randrange`` call per step, with the
-neighbor table built straight from the triangle incidences.  The library
-advances all paths of a block together on uint64 arrays; tests require its
-counts to equal these.
+One path at a time, seeded by ``derive_seed``, one ``randrange`` draw per
+step, with the neighbor table built straight from the triangle incidences.
+The library advances all paths of a block together on uint64 arrays, seeded
+by ``rng.derive_seeds``; tests require its seeds to equal ``derive_seed``'s
+and its counts to equal these.
 """
 
 from hdxwalk.errors import ParameterError, UndefinedTransitionError
 from hdxwalk.graphs import Graph
-from hdxwalk.rng import SplitMix64, derive_seed
+from hdxwalk.rng import _GAMMA, _MASK64, SplitMix64, _mix
+
+
+def derive_seed(seed, index):
+    """Seed of substream ``index``: output ``index`` (from 0) of the root stream SplitMix64(seed)."""
+    return _mix((seed + (index + 1) * _GAMMA) & _MASK64)
+
+
+def randrange(rng, n):
+    """Uniform integer in [0, n) from the SplitMix64 stream rng, unbiased: a draw
+    at or above the largest multiple of n below 2**64 is redrawn."""
+    if n <= 0:
+        raise ValueError("randrange bound must be positive")
+    limit = ((1 << 64) // n) * n
+    while True:
+        u = rng.next_u64()
+        if u < limit:
+            return u % n
 
 
 def edge_neighbor_table(X):
@@ -32,7 +50,7 @@ def simulate(G, v0, steps, seed):
         nbrs = G.adjacency[path[-1]]
         if not nbrs:
             raise UndefinedTransitionError(f"vertex {path[-1]} has no neighbors")
-        path.append(nbrs[rng.randrange(len(nbrs))])
+        path.append(nbrs[randrange(rng, len(nbrs))])
     return tuple(path)
 
 

@@ -18,12 +18,12 @@ from lemma_loops import (
     sum_bound,
 )
 from loop_exact import loop_evolve_exact
-from named_complexes import complete_graph, cycle_graph
-from scalar_walk import high_order_simulate
+from named_complexes import build_from_triangles, complete_graph, cycle_graph
+from scalar_walk import high_order_simulate, randrange
 
 from hdxwalk.cli import run as cli_run
 from hdxwalk.cochain import coboundary_space, cocycle_space
-from hdxwalk.complexes import build_from_triangles, complete_complex, random_complex
+from hdxwalk.complexes import complete_complex, random_complex
 from hdxwalk.expansion import certify_exact
 from hdxwalk.graphs import edge_graph
 from hdxwalk.rng import SplitMix64
@@ -169,7 +169,7 @@ def test_criterion_07_sum_of_coboundaries():
     rng = SplitMix64(20240607)
     audited = 0
     while audited < 10_000:
-        mask = rng.randrange(1 << 10)
+        mask = randrange(rng, 1 << 10)
         if mask.bit_count() > 5:
             continue
         audited += 1
@@ -239,7 +239,7 @@ def test_criterion_10_gf2_calculus():
     rng = SplitMix64(555)
     sampled = 0
     while sampled < 500:
-        mask = rng.randrange(1 << 10)
+        mask = randrange(rng, 1 << 10)
         if mask.bit_count() > 4:
             continue
         sampled += 1

@@ -4,20 +4,22 @@ import json
 import re
 from math import comb
 
+import named_complexes
 import pytest
+from named_complexes import build_from_triangles, findings
 
 from hdxwalk.complexes import (
     TRIANGLE_LIMIT,
     VERTEX_LIMIT,
+    Complex2,
+    _build,
     _incidence,
-    build_from_triangles,
     complete_complex,
     dumps_complex,
     from_document,
     loads_complex,
     random_complex,
     to_document,
-    validate,
 )
 from hdxwalk.errors import (
     CapacityError,
@@ -55,8 +57,6 @@ def test_build_rejects_degenerate_faces():
         build_from_triangles([(0, 1, 1)])
     with pytest.raises(InvalidFaceError):
         build_from_triangles([], [(3, 3)])
-    with pytest.raises(InvalidFaceError):
-        build_from_triangles([(-1, 0, 1)])
 
 
 BAD_FACES = [
@@ -74,15 +74,14 @@ BAD_FACES = [
 @pytest.mark.parametrize("triangles, edges, message", BAD_FACES, ids=[m for *_, m in BAD_FACES])
 def test_first_bad_face_in_input_order_is_reported(triangles, edges, message):
     # Every triangle is checked before any extra edge, each list in input order.
-    with pytest.raises(HdxError) as built:
-        build_from_triangles(triangles, edges)
     with pytest.raises(HdxError) as loaded:
         from_document({"triangles": [list(t) for t in triangles], "edges": [list(e) for e in edges]})
-    assert str(built.value) == str(loaded.value) == message
-    with pytest.raises(type(built.value)):
-        build_from_triangles(triangles, edges, n_vertices=-1)
+    assert str(loaded.value) == message
+
+
+def test_build_refuses_a_negative_vertex_count():
     with pytest.raises(ParameterError, match="n_vertices must be non-negative"):
-        build_from_triangles([(0, 1, 2)], [(1, 3)], n_vertices=-1)
+        _build([(0, 1, 2)], [(1, 3)], -1)
 
 
 def test_build_extra_edges_and_isolated_vertices():
@@ -161,23 +160,41 @@ def test_incidence_rebuild_matches():
 
 
 def test_validate_accepts_valid():
-    assert validate(complete_complex(4)).ok
-    assert validate(build_from_triangles([])).ok
+    # The reference check finds nothing in what the builders and the loader make.
+    assert findings(complete_complex(4)) == []
+    assert findings(build_from_triangles([])) == []
+    named = [X for X in vars(named_complexes).values() if isinstance(X, Complex2)]
+    assert len(named) == 9
+    for X in named:
+        assert findings(X) == [] and findings(named_complexes.relabel(X, 3)) == []
 
 
 def test_validate_detects_missing_edge():
     X = complete_complex(3)
-    damaged = X.replace(edges=X.edges[1:])
-    report = validate(damaged)
-    assert not report.ok
-    assert any("closure" in f for f in report.findings)
+    damaged = Complex2(X.n_vertices, X.edges[1:], X.triangles, X.vertex_edges, X.edge_triangles)
+    assert findings(damaged) == ["closure violation: triangle (0, 1, 2) missing edge (0, 1)"]
 
 
 def test_validate_detects_stale_incidence():
     X = complete_complex(4)
     Y = build_from_triangles([(0, 1, 2)], [(0, 3), (1, 3), (2, 3)])
-    damaged = X.replace(triangles=Y.triangles)
-    assert not validate(damaged).ok
+    damaged = Complex2(X.n_vertices, X.edges, Y.triangles, X.vertex_edges, X.edge_triangles)
+    assert findings(damaged) == ["incidence maps inconsistent with face lists"]
+
+
+def test_findings_name_each_kind_of_damage():
+    X = complete_complex(3)
+    maps = (X.vertex_edges, X.edge_triangles)
+    cases = [
+        (Complex2(2, X.edges, X.triangles, *maps), "edge 1 has vertex id out of range: (0, 2)"),
+        (Complex2(3, ((1, 0),) + X.edges[1:], X.triangles, *maps), "edge 0 not a sorted 2-tuple"),
+        (Complex2(3, X.edges[::-1], X.triangles, *maps), "edges not listed once each"),
+        (Complex2(3, X.edges, X.triangles * 2, *maps), "triangles not listed once each"),
+        (Complex2(3, X.edges, ((0, 2, 1),), *maps), "triangle 0 not a sorted 3-tuple"),
+        (Complex2(-1, (), (), (), ()), "negative vertex count -1"),
+    ]
+    for damaged, finding in cases:
+        assert any(f.startswith(finding) for f in findings(damaged)), (damaged, findings(damaged))
 
 
 def test_roundtrip_is_facewise_identity():

@@ -31,15 +31,18 @@ from named_complexes import (
     RP2_6,
     T5,
     TORUS_7,
+    build_from_triangles,
     complete_graph,
     cycle_graph,
+    edge_id,
     relabel,
 )
+from scalar_walk import randrange
 from scan_certifier import scan_certify_dimension
 
 from hdxwalk import cli, expansion
 from hdxwalk.cochain import coboundary_space, cocycle_space
-from hdxwalk.complexes import build_from_triangles, complete_complex, random_complex
+from hdxwalk.complexes import complete_complex, random_complex
 from hdxwalk.errors import (
     CapacityError,
     DegenerateComplexError,
@@ -67,7 +70,7 @@ K5 = complete_complex(5)
 
 
 def edge_chain(X, *pairs):
-    return Chain.of(1, [X.edge_ids[(u, v)] for (u, v) in pairs])
+    return Chain.of(1, [edge_id(X, u, v) for (u, v) in pairs])
 
 
 def view_index(X, v, mask):
@@ -209,7 +212,7 @@ def test_certificate_soundness_on_random_subsets():
         k_i = (4, 3)[i]
         z = cocycle_space(K5, i)
         for _ in range(1000):
-            S = Chain.from_mask(i, rng.randrange(1 << count))
+            S = Chain.from_mask(i, randrange(rng, 1 << count))
             d = coboundary(K5, S)
             if not d.members:
                 continue
@@ -500,7 +503,7 @@ def test_fatness_partition_is_partition_and_recomputable():
     _, eta, _ = local_view_bound_judgement(K5, Fraction(1), mu=Fraction(1))
     rng = SplitMix64(5)
     for _ in range(50):
-        F = Chain.from_mask(1, rng.randrange(1 << K5.n_edges))
+        F = Chain.from_mask(1, randrange(rng, 1 << K5.n_edges))
         part = fatness_partition(K5, F, eta)
         assert sorted(sum(part.values(), [])) == list(range(K5.n_vertices))
         for v, star in enumerate(K5.vertex_edge_masks):
@@ -536,7 +539,7 @@ def test_outgoing_identity_on_random_complexes():
         cut, sums = cut_sizes(edge_graph(X).neighbor_masks), cli._coboundary_sums(X)
         rng = SplitMix64(seed)
         for _ in range(200):
-            mask = rng.randrange(1 << X.n_edges)
+            mask = randrange(rng, 1 << X.n_edges)
             assert outgoing(X, Chain.from_mask(1, mask)) == (cut[mask], sums[mask])
 
 
@@ -740,7 +743,7 @@ def test_local_view_sums_match_per_subset_sums(X):
 def test_sum_local_coboundaries_matches_direct():
     rng = SplitMix64(17)
     for _ in range(100):
-        mask = rng.randrange(1 << K5.n_edges)
+        mask = randrange(rng, 1 << K5.n_edges)
         F = Chain.from_mask(1, mask)
         direct = sum(
             len(coboundary_edges(K5, local_view(K5, F, v))) for v in range(K5.n_vertices)

@@ -22,22 +22,24 @@ from charpoly import characteristic_polynomial, lambda2_below_half_by_descartes
 from lemma_loops import cheeger_inequality_slack, edge_graph_floor_slack, mixing_lemma_residual
 from named_complexes import (
     CUBOCTAHEDRON,
+    build_from_triangles,
     complete_graph,
     cycle_graph,
+    edge_id,
+    findings,
     reference_edge_graph,
     relabel,
 )
+from scalar_walk import randrange
 
 from hdxwalk import cli, spectral
 from hdxwalk.complexes import (
     Complex2,
-    build_from_triangles,
     complete_complex,
     from_document,
     load_complex,
     loads_complex,
     random_complex,
-    validate,
 )
 from hdxwalk.errors import CapacityError, RegularityError
 from hdxwalk.graphs import Graph, edge_graph, underlying_graph
@@ -95,9 +97,9 @@ def test_edge_graph_is_octahedron():
     assert OCTAHEDRON.n == 6
     assert OCTAHEDRON.regular_k == 4
     X = complete_complex(4)
-    a, b = X.edge_ids[(0, 1)], X.edge_ids[(2, 3)]
+    a, b = edge_id(X, 0, 1), edge_id(X, 2, 3)
     assert b not in OCTAHEDRON.adjacency[a]  # disjoint edges never span a triangle
-    c = X.edge_ids[(0, 2)]
+    c = edge_id(X, 0, 2)
     assert c in OCTAHEDRON.adjacency[a]
 
 
@@ -127,7 +129,7 @@ def test_edge_graph_degree_identity():
 def test_edge_graph_isolated_vertex_for_triangle_free_edge():
     X = build_from_triangles([(0, 1, 2)], [(0, 3)])
     g1 = edge_graph(X)
-    assert g1.adjacency[X.edge_ids[(0, 3)]] == ()
+    assert g1.adjacency[edge_id(X, 0, 3)] == ()
 
 
 def test_edge_graph_bijection():
@@ -164,7 +166,7 @@ def test_edge_graph_matches_reference(tmp_path):
         assert edge_graph(X) == reference_edge_graph(X), name
         # Stored while the complex was built; the lookup the property would make otherwise.
         assert X.triangle_edge_ids == Complex2.triangle_edge_ids.func(X), name
-        assert validate(X).ok, name
+        assert findings(X) == [], name
 
 
 # --- spectra ---------------------------------------------------------------
@@ -299,7 +301,8 @@ GAP_GRAPHS = {
 
 def decided_in_the_band(G):
     """lambda2_below_half(G) with its report pinned at 1/2, so the exact test decides."""
-    return lambda2_below_half(G, normalized_spectrum(G).replace(lambda2=0.5))
+    report = normalized_spectrum(G)
+    return lambda2_below_half(G, type(report)(**{**report.asdict(), "lambda2": 0.5}))
 
 
 def cuboctahedron_tensor(m):
@@ -377,7 +380,7 @@ def test_lambda2_decision_refuses_work_above_the_limit(monkeypatch):
 
 def test_subset_xors_match_per_mask_xor():
     rng = SplitMix64(8)
-    columns = [rng.randrange(1 << 20) for _ in range(9)]
+    columns = [randrange(rng, 1 << 20) for _ in range(9)]
     want = []
     for mask in range(1 << len(columns)):
         acc = 0
@@ -391,7 +394,7 @@ def test_subset_xors_match_per_mask_xor():
 def seeded_graph(n, seed):
     """Irregular graph: each pair is an edge with probability 1/2."""
     rng = SplitMix64(seed)
-    return Graph.from_edges(n, [(u, v) for u, v in combinations(range(n), 2) if rng.randrange(2)])
+    return Graph.from_edges(n, [(u, v) for u, v in combinations(range(n), 2) if randrange(rng, 2)])
 
 
 CUT_GRAPHS = {
