@@ -94,9 +94,6 @@ def _canonical_edge(pair) -> tuple[int, int]:
     if len(vs) != 2:
         raise InvalidFaceError(f"edge must have 2 vertices, got {vs!r}")
     u, v = vs
-    for x in (u, v):
-        if not isinstance(x, int) or x < 0:
-            raise InvalidFaceError(f"vertex ids must be non-negative integers, got {x!r}")
     if u == v:
         raise InvalidFaceError(f"degenerate edge with repeated vertex {u}")
     return (u, v) if u < v else (v, u)
@@ -154,10 +151,12 @@ def _assemble(n: int, edges: tuple, triangles: tuple, labels: Optional[tuple] = 
 
 
 def _build(triangles: list, extra_edges: Iterable, n: int, labels=None) -> Complex2:
-    """The complex on distinct sorted triangles, their edges and ``extra_edges``, padded to n vertices."""
+    """The complex on distinct sorted triangles, their edges and ``extra_edges``, padded to n vertices.
+
+    Its one caller, ``from_document``, has already checked that n >= 0 and that
+    every id is a non-negative int.
+    """
     edge_set = set(map(_canonical_edge, extra_edges))
-    if n < 0:
-        raise ParameterError(f"n_vertices must be non-negative, got {n}")
     if triangles:
         a, b, c = zip(*triangles)
         edge_set.update(zip(a, b), zip(a, c), zip(b, c))

@@ -28,6 +28,11 @@ DENSE_VERTEX_LIMIT = 2**11
 #: Most multiplications, bounded by n**3, of the exact lambda2 decision's elimination.
 ELIMINATION_WORK_LIMIT = 2**22
 
+# Lanczos breakdown: a next vector of at most this norm.  Where exact arithmetic
+# leaves 0, rounding leaves 7e-13 to 8e-11 on triangulated tori; the dropped
+# remainder counts in the residual, so it stays below the default tolerance.
+_BREAKDOWN = 1e-10
+
 
 class SpectralReport(Record):
     """Normalized spectrum of a regular graph, sorted descending."""
@@ -96,6 +101,101 @@ def eigensystem(G: Graph, tol: float = 1e-9) -> tuple:
     if residual > tol:
         raise ToleranceError(f"eigensolver residual {residual:.3e} exceeds tolerance {tol:.3e}")
     return values, vectors, residual
+
+
+def _split_start(table: np.ndarray, j: int) -> tuple:
+    """(r, weights): e_j - u split into r, orthogonal to the eigenvalues 1 and -1
+    of M, and the exact squared weights of e_j - u on those two eigenvalues.
+
+    On j's component C, of a regular graph, the eigenvalue 1 has eigenvector the
+    indicator 1_C, and -1 the sides' signs s_C when C is bipartite (both sides
+    have the same size); breadth-first levels from j give both.  The weights are
+    1/|C| - 1/n and, on a bipartite C, 1/|C|.
+    """
+    n = len(table)
+    level = np.full(n, -1)
+    level[j] = 0
+    frontier, d = [j], 0
+    while len(frontier):
+        d += 1
+        reached = np.zeros(n, bool)
+        reached[table[frontier]] = True
+        frontier = np.flatnonzero(reached & (level < 0))
+        level[frontier] = d
+    component = level >= 0
+    even = level % 2 == 0
+    bipartite = not (even[table] == even[:, None])[component].any()
+    size = int(component.sum())
+    r = np.zeros(n)
+    # e_j - 1_C/|C|, less s_C/|C| on a bipartite C: -2/|C| on j's side, 0 on the other.
+    if bipartite:
+        r[component & even] = -2 / size
+    else:
+        r[component] = -1 / size
+    r[j] += 1
+    return r, np.array([1 / size - 1 / n, bipartite / size])
+
+
+def start_measure(G: Graph, j: int, steps: int, tol: float = 1e-9) -> tuple:
+    """(values, coefficients, residual): a measure of e_j - u under M = A/k with
+    ||M^t (e_j - u)||**2 = sum_i values[i]**(2t) * coefficients[i]**2 for t = 0..steps.
+
+    The eigenvalues 1 and -1 come first, with the exact weights of
+    ``_split_start``, so that their powers stay exact over a long walk.  The
+    rest is Lanczos on M from the remainder r, with mat-vecs over the neighbor
+    table and two-pass full reorthogonalisation.  It stops at breakdown or after
+    m = min(n, steps + 1) vectors, and the eigenvalues of its m x m tridiagonal T,
+    weighted by ||r|| times their eigenvectors' first entries, reproduce every
+    moment r.M^(2t).r up to 2t = 2m - 1.  The residual is the largest entry of
+    M V - V T (less the Lanczos remainder when m = steps + 1) plus that of
+    V V^T - I; above ``tol`` it raises ToleranceError.  Memory is the basis,
+    (m, n) at most doubled, and a few (n, k) gathers: no n x n matrix is built.
+    """
+    check_tolerance(tol)
+    k = _require_regular(G)
+    table = np.fromiter(chain.from_iterable(G.adjacency), np.intp, G.n * k).reshape(G.n, k)
+    r, split = _split_start(table, j)
+    norm = math.sqrt(r @ r)
+    limit = min(G.n, steps + 1)
+    V = np.empty((min(limit, 8), G.n))
+    alpha, beta = [], []
+    relation, w, b = 0.0, r, norm
+    for i in range(limit):
+        if b <= _BREAKDOWN:
+            break
+        if i == len(V):  # the basis doubles, up to the limit
+            V = np.concatenate((V, np.empty((min(i, limit - i), G.n))))
+        V[i] = w / b
+        basis = V[: i + 1]
+        Mv = basis[i][table].sum(axis=1)
+        Mv /= k
+        h = basis @ Mv
+        w = Mv - h @ basis
+        h2 = basis @ w
+        w -= h2 @ basis
+        alpha.append(h[i] + h2[i])
+        # Column i of M V - V T is what the two passes removed beyond T, and rounding.
+        Mv -= alpha[i] * basis[i] + w
+        if i:
+            Mv -= beta[i - 1] * basis[i - 1]
+        relation = max(relation, float(np.abs(Mv).max()))
+        b = math.sqrt(w @ w)
+        beta.append(b)
+    m = len(alpha)
+    if m <= steps:  # stopped at breakdown or with n vectors: the remainder is an error
+        relation = max(relation, float(np.abs(w).max()))
+    gram = V[:m] @ V[:m].T
+    gram.flat[:: m + 1] -= 1.0
+    residual = relation + float(np.abs(gram, out=gram).max(initial=0.0))
+    if residual > tol:
+        raise ToleranceError(f"Lanczos residual {residual:.3e} exceeds tolerance {tol:.3e}")
+    del V, gram  # freed before the eigensolver's m x m workspace
+    T = np.diag(alpha)
+    np.fill_diagonal(T[1:], beta[: m - 1])
+    np.fill_diagonal(T[:, 1:], beta[: m - 1])
+    ritz, S = np.linalg.eigh(T)
+    values = np.concatenate(([1.0, -1.0], ritz))
+    return values, np.concatenate((np.sqrt(split), norm * S[:1].ravel())), residual
 
 
 @lru_cache(maxsize=256)

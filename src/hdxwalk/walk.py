@@ -4,8 +4,9 @@ The walk steps to a uniformly random neighbor (no laziness, no self-loops),
 both on graph vertices and on complex edges, where two edges neighbor each
 other when they span a triangle.  One exact kernel, ``max_distances``, gives
 the l2 distance of M^t e_j to uniform, largest over a set of start vertices j,
-in closed form from one eigendecomposition of M = A/k: ``hdx walk`` asks it
-for one start edge, ``hdx verify-theorem`` for every edge.  Ensembles use
+in closed form from a spectral measure of M = A/k: for one start (``hdx
+walk``) the Krylov measure of ``spectral.start_measure``, for several (``hdx
+verify-theorem``, every edge) the cached eigendecomposition.  Ensembles use
 SplitMix64 so paths are reproducible from the seed alone.
 Bipartite non-convergence is expected behavior and is surfaced by the
 distances, not patched.
@@ -18,7 +19,7 @@ from .complexes import Complex2
 from .errors import CapacityError, ParameterError, RegularityError, UndefinedTransitionError
 from .graphs import Graph, edge_graph
 from .rng import _GAMMA, derive_seeds, mix_array
-from .spectral import eigensystem
+from .spectral import eigensystem, start_measure
 
 #: Most cells, (steps + 1) per vertex or edge, a walk computes.
 WALK_CELL_LIMIT = 2**21
@@ -52,7 +53,8 @@ def _distance_blocks(values: np.ndarray, coefficients: np.ndarray, steps: int):
     """Yield ||M^t p_j - u|| for t = 0..steps, one matrix product per block of steps.
 
     Column j of ``coefficients`` is p_j - u in the orthonormal eigenbasis of
-    the symmetric M, so the squared distance is the sum over i of
+    the symmetric M, or the weights of a measure with the same moments
+    (``spectral.start_measure``), so the squared distance is the sum over i of
     |values[i]|**(2t) * coefficients[i, j]**2: non-negative terms, whose sum
     over an eigenspace does not depend on its basis.  M is stochastic, so a
     |value| rounded above 1 is taken as 1 and its powers cannot grow.
@@ -73,8 +75,9 @@ def max_distances(G: Graph, starts, steps: int, tol: float = 1e-9) -> tuple[floa
     """Largest distance ||M^t e_j - u|| to uniform over the start vertices j, for
     t = 0..steps, M = A/k, in closed form; with one start, that start's distances.
 
-    One eigendecomposition of M, cached per graph; a normalized residual
-    above ``tol`` raises ToleranceError.
+    One start reads the measure of ``spectral.start_measure`` (Lanczos, no
+    n x n matrix); several read the eigendecomposition of M, cached per graph.
+    A residual above ``tol`` raises ToleranceError.
     """
     if steps < 0:
         raise ParameterError(f"steps must be non-negative, got {steps}")
@@ -89,9 +92,14 @@ def max_distances(G: Graph, starts, steps: int, tol: float = 1e-9) -> tuple[floa
         raise RegularityError("exact evolution requires a regular graph")
     if G.regular_k == 0:
         raise UndefinedTransitionError("every vertex has zero degree; walk undefined")
-    values, vectors, _ = eigensystem(G, tol)
-    # Column j is the point mass at starts[j] minus uniform, in the eigenbasis.
-    blocks = _distance_blocks(values, vectors[starts].T - vectors.mean(axis=0)[:, None], steps)
+    if len(starts) == 1:
+        values, coefficients, _ = start_measure(G, starts[0], steps, tol)
+        coefficients = coefficients[:, None]
+    else:
+        values, vectors, _ = eigensystem(G, tol)
+        # Column j is the point mass at starts[j] minus uniform, in the eigenbasis.
+        coefficients = vectors[starts].T - vectors.mean(axis=0)[:, None]
+    blocks = _distance_blocks(values, coefficients, steps)
     return tuple(d for block in blocks for d in block.max(axis=1).tolist())
 
 

@@ -2,9 +2,11 @@
 
 The matrices are filled one neighbor at a time, and the walk propagates the
 distribution one matrix-vector product per step, then takes ``np.linalg.norm``
-of each step's difference from uniform.  The library computes the same
-distances in closed form from one eigendecomposition; tests require its
-distances to agree with these within a stated tolerance.
+of each step's difference from uniform; ``propagated_distances`` propagates
+over the neighbor lists instead, for graphs too large for a dense matrix.
+The library computes the same distances in closed form from a spectral
+measure; tests require its distances to agree with these within a stated
+tolerance.
 """
 
 import numpy as np
@@ -66,3 +68,16 @@ def loop_max_distances(G, steps):
         max_distances.append(float(np.linalg.norm(P - u[:, None], axis=0).max()))
         P = M @ P
     return tuple(max_distances)
+
+
+def propagated_distances(G, start, steps):
+    """Distances to uniform of the point mass at vertex ``start`` for 0..steps steps of
+    the walk on a regular graph, each step one gather over the (n, k) neighbor lists."""
+    table = np.array(G.adjacency, dtype=np.intp)
+    p = np.zeros(G.n)
+    p[start] = 1.0
+    distances = []
+    for _ in range(steps + 1):
+        distances.append(float(np.linalg.norm(p - 1.0 / G.n)))
+        p = p[table].sum(axis=1) / table.shape[1]
+    return tuple(distances)

@@ -121,6 +121,21 @@ TORUS_7 = build_from_triangles(
     + [(i, (i + 2) % 7, (i + 3) % 7) for i in range(7)]
 )
 
+
+def triangulated_torus(a, b):
+    """The a x b grid on the torus, each square cut along its diagonal: vertex
+    (i, j) is i * b + j, and the triangles are {(i, j), (i + 1, j), (i + 1, j + 1)}
+    and {(i, j), (i, j + 1), (i + 1, j + 1)} mod (a, b).  (6, 2)-regular on 3ab
+    edges for a, b >= 3."""
+    def v(i, j):
+        return i % a * b + j % b
+
+    return build_from_triangles(
+        [(v(i, j), v(i + 1, j), v(i + 1, j + 1)) for i in range(a) for j in range(b)]
+        + [(v(i, j), v(i, j + 1), v(i + 1, j + 1)) for i in range(a) for j in range(b)]
+    )
+
+
 # Clique complex of the complete tripartite graph on parts {0,1,2}, {3,4,5},
 # {6,7,8}: a face takes one vertex of each part, (6, 3)-regular.
 K333 = build_from_triangles([(a, b, c) for a in (0, 1, 2) for b in (3, 4, 5) for c in (6, 7, 8)])

@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from chains import Chain
 from lemma_loops import distance, local_views, outgoing, sum_bound
-from loop_exact import loop_evolve_exact
+from loop_exact import loop_evolve_exact, propagated_distances
 from named_complexes import CUBOCTAHEDRON, HEAWOOD_LINE, OCTAHEDRON, RP2_6, findings, relabel, save_complex
 
 import hdxwalk
@@ -645,6 +645,22 @@ def test_walk_bad_start(k4_file):
     assert code == 2
 
 
+def test_walk_is_not_limited_by_the_dense_solve(tmp_path):
+    # K65's edge graph has 2080 vertices, above DENSE_VERTEX_LIMIT: its spectrum
+    # is refused, but the walk from one start builds no n x n matrix.
+    path = tmp_path / "k65.complex"
+    save_complex(complete_complex(65), str(path))
+    code, out, err = invoke("walk", str(path), "--start", "0", "--steps", "100")
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [r[0] for r in rows] == [str(i) for i in range(101)]
+    want = propagated_distances(edge_graph(complete_complex(65)), 0, 100)
+    assert max(abs(float(r[1]) - d) for r, d in zip(rows, want)) <= 1e-12
+    code, out, err = invoke("spectrum", str(path), "--graph", "g1")
+    assert (code, out) == (3, "")
+    assert err == "hdx: capacity error: dense matrices are limited to 2048 vertices, got 2080\n"
+
+
 def test_walk_has_no_exact_flag(k4_file):
     # Exact evolution is what walk does without --paths; there is no flag for it.
     code, out, err = invoke("walk", k4_file, "--start", "0", "--steps", "2", "--exact")
@@ -895,9 +911,10 @@ def test_each_graph_is_solved_once_per_command(tmp_path, monkeypatch):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
-    # g0 of K5 has 5 vertices, g1 has 10.
+    # g0 of K5 has 5 vertices, g1 has 10.  walk solves only the 2 x 2 tridiagonal
+    # of its Krylov measure: e_0 - u sees two eigenvalues of g1.
     for argv, want in (
-        (["walk", str(path), "--start", "0", "--steps", "50"], [10]),
+        (["walk", str(path), "--start", "0", "--steps", "50"], [2]),
         (["verify-theorem", str(path), "--steps", "50"], [5, 10]),
     ):
         for cached in (spectral._eigensystem, normalized_spectrum, certify_exact,

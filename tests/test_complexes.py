@@ -1,5 +1,6 @@
 """Construction, generation, validation, and serialization of complexes."""
 
+import io
 import json
 import re
 from math import comb
@@ -8,11 +9,11 @@ import named_complexes
 import pytest
 from named_complexes import build_from_triangles, findings
 
+from hdxwalk.cli import run
 from hdxwalk.complexes import (
     TRIANGLE_LIMIT,
     VERTEX_LIMIT,
     Complex2,
-    _build,
     _incidence,
     complete_complex,
     dumps_complex,
@@ -79,9 +80,30 @@ def test_first_bad_face_in_input_order_is_reported(triangles, edges, message):
     assert str(loaded.value) == message
 
 
-def test_build_refuses_a_negative_vertex_count():
-    with pytest.raises(ParameterError, match="n_vertices must be non-negative"):
-        _build([(0, 1, 2)], [(1, 3)], -1)
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"edges": [[True, 2]]}, "vertex ids must be integers or strings, got bool"),
+        ({"triangles": [[0, False, 2]]}, "vertex ids must be integers or strings, got bool"),
+        ({"vertices": [-1], "labels": {"0": "a"}}, "faces must use dense integer ids when a labels map is present"),
+        ({"edges": [[-2, 0]], "labels": {}}, "faces must use dense integer ids when a labels map is present"),
+    ],
+    ids=["bool edge id", "bool triangle id", "negative vertex id", "negative edge id"],
+)
+def test_negative_and_bool_ids_exit_2(doc, message, tmp_path):
+    # The loader vets every id before it builds: no bool, and no negative id
+    # beside a labels map, reaches the builder.
+    path = tmp_path / "bad.complex"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["validate", str(path)], out, err) == 2
+    assert (out.getvalue(), err.getvalue()) == ("", f"hdx: {message}\n")
+
+
+def test_negative_ids_without_labels_are_labels():
+    # Without a labels map a negative id is a label, and the builder sees dense ids.
+    X = from_document({"edges": [[-1, 0], [0, 5]]})
+    assert (X.n_vertices, X.edges, X.labels) == (3, ((0, 1), (1, 2)), (-1, 0, 5))
 
 
 def test_build_extra_edges_and_isolated_vertices():

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from loop_exact import loop_adjacency_matrix, loop_evolve_exact, loop_max_distances
+import named_complexes
+from loop_exact import loop_adjacency_matrix, loop_evolve_exact, loop_max_distances, propagated_distances
 from named_complexes import (
     CUBOCTAHEDRON,
     RP2_6,
@@ -21,6 +22,7 @@ from named_complexes import (
     edge_id,
     relabel,
     save_complex,
+    triangulated_torus,
 )
 from named_complexes import OCTAHEDRON as OCTAHEDRON_COMPLEX
 from scalar_walk import (
@@ -33,7 +35,7 @@ from scalar_walk import (
 )
 
 from hdxwalk import cli, spectral, walk
-from hdxwalk.complexes import complete_complex, random_complex
+from hdxwalk.complexes import Complex2, complete_complex, random_complex
 from hdxwalk.errors import (
     CapacityError,
     ParameterError,
@@ -233,12 +235,13 @@ def test_distances_do_not_depend_on_the_basis_of_an_eigenspace():
 
 
 def test_evolve_exact_gates_the_eigensolver_residual(monkeypatch):
+    # Every start reads the eigensystem; one start reads the Krylov measure (below).
     G = k40_edges()
     values, vectors, residual = eigensystem(G)
-    assert 0 < residual <= 1e-9  # the largest benchmark walk passes the default gate
+    assert 0 < residual <= 1e-9  # the largest benchmark graph passes the default gate
     monkeypatch.setattr(spectral, "_eigensystem", lambda G: (values, vectors, 2e-9))
     with pytest.raises(ToleranceError, match="residual 2.000e-09 exceeds tolerance 1.000e-09"):
-        max_distances(G, [0], 3)
+        max_distances(G, range(G.n), 3)
 
 
 def test_dense_matrices_match_loops():
@@ -268,14 +271,15 @@ def test_evolve_exact_peak_memory_holds_no_table():
     G = k40_edges()
     G.regular_k  # cached before tracing
     spectral._eigensystem.cache_clear()
-    table, matrix = 2001 * G.n * 8, G.n * G.n * 8
-    # The solve: adjacency, eigenvectors and the residual's two temporaries.
+    table, matrix, gather = 2001 * G.n * 8, G.n * G.n * 8, G.n * G.regular_k * 8
+    # One start solves nothing of size n x n: a Krylov basis of 2 vectors (in room
+    # for 8) and a few (n, k) gathers; never a (steps + 1) x n table (12.5 MB).
     distances, peak = _traced_peak(G, [0], 2000)
-    assert peak < 4 * matrix + 2**20
+    assert peak < 8 * G.n * 8 + 3 * gather + 2**19 < table / 4
+    assert spectral._eigensystem.cache_info().currsize == 0
     assert len(distances) == 2001 and distances[0] == pytest.approx(math.sqrt(1 - 1 / G.n))
-    # The eigensystem is cached: one start holds one block of powers, never a
-    # (steps + 1) x n table (12.5 MB).
-    assert _traced_peak(G, [0], 2000)[1] < 8 * walk._POWER_CELLS + 2**19 < table / 10
+    # The solve: adjacency, eigenvectors and the residual's two temporaries.
+    assert _traced_peak(G, range(G.n), 0)[1] < 4 * matrix + 2**20
     # Every start: the coefficients, squared in place, and one scaled copy (n x n
     # each), and one block of powers and of distances, whatever the number of steps.
     # A separate array of squares would make it 3.44 n x n arrays.
@@ -292,11 +296,97 @@ def test_dense_matrices_refused_above_limit():
     for build in (adjacency_matrix, eigensystem, normalized_spectrum):
         with pytest.raises(CapacityError):
             build(big)
+    # Every start reads the dense solve; one start is not limited by it (below).
     with pytest.raises(CapacityError):
-        max_distances(big, [0], 0)
+        max_distances(big, [0, 1], 0)
     g1 = edge_graph(complete_complex(65))  # 2080 edges
     with pytest.raises(CapacityError):
         max_distances(g1, range(g1.n), 0)
+
+
+# --- one start: the Krylov measure --------------------------------------------------
+
+NAMED_REGULAR = {
+    name: X for name, X in vars(named_complexes).items() if isinstance(X, Complex2) and X.regular
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_REGULAR))
+def test_one_start_matches_the_loop_reference_on_every_named_complex(name):
+    # steps + 1 caps the Krylov basis, so short walks stop it before breakdown.
+    G = edge_graph(NAMED_REGULAR[name])
+    for start in range(G.n):
+        for steps in (0, 1, 3, 2000):
+            _assert_matches_loop(max_distances(G, [start], steps), loop_evolve_exact(G, start, steps), None)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    name=st.sampled_from(sorted(NAMED_REGULAR)),
+    seed=st.integers(0, 2**32 - 1),
+    start=st.integers(0, 41),
+    steps=st.integers(0, 2000),
+)
+def test_one_start_matches_the_loop_reference_under_relabelling(name, seed, start, steps):
+    G = edge_graph(relabel(NAMED_REGULAR[name], seed))
+    start %= G.n
+    _assert_matches_loop(max_distances(G, [start], steps), loop_evolve_exact(G, start, steps), None)
+
+
+def test_one_start_on_an_even_cycle_keeps_the_eigenvalue_minus_one():
+    # C12 is bipartite: e_j - u keeps weight 1/12 on the eigenvalue -1 for ever.
+    G = cycle_graph(12)
+    for start in range(G.n):
+        distances = max_distances(G, [start], 2000)
+        _assert_matches_loop(distances, loop_evolve_exact(G, start, 2000), None)
+        assert abs(distances[-1] - math.sqrt(1 / 12)) <= 1e-15
+
+
+def test_one_start_on_a_disconnected_edge_graph_does_not_drift():
+    # The cuboctahedron's edge graph is 8 disjoint triangles: the eigenvalue 1 has
+    # weight 1/3 - 1/24 from every start, split off exactly, so 20,000 powers of a
+    # value rounded just below 1 cannot drift.
+    G = edge_graph(CUBOCTAHEDRON)
+    values, coefficients, _ = spectral.start_measure(G, 0, 20000)
+    assert (values[0], coefficients[0]) == (1.0, math.sqrt(1 / 3 - 1 / 24))
+    for start in (0, 13, 23):
+        _, want, _ = loop_evolve_exact(G, start, 20000)
+        got = max_distances(G, [start], 20000)
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-13
+
+
+def test_one_start_above_the_dense_limit_matches_propagation():
+    G = edge_graph(triangulated_torus(30, 30))
+    assert G.n == 2700 > DENSE_VERTEX_LIMIT
+    steps = WALK_CELL_LIMIT // G.n - 1  # 775, the longest walk allowed on it
+    spectral._eigensystem.cache_clear()
+    got = max_distances(G, [0], steps)
+    assert spectral._eigensystem.cache_info().currsize == 0
+    assert max(abs(a - b) for a, b in zip(got, propagated_distances(G, 0, steps))) <= DRIFT
+
+
+def test_one_start_gates_the_lanczos_residual():
+    G = k40_edges()
+    # K40's edge graph is strongly regular: e_0 - u sees two eigenvalues, after 1 and -1.
+    values, coefficients, residual = spectral.start_measure(G, 0, 2000)
+    assert values.size == coefficients.size == 4
+    assert 0 < residual <= 1e-9
+    with pytest.raises(ToleranceError, match=r"Lanczos residual .* exceeds tolerance 1\.000e-17"):
+        max_distances(G, [0], 3, tol=1e-17)
+
+
+def test_one_start_peak_memory_is_the_krylov_basis():
+    # K65's edge graph: 2080 vertices, 126-regular, above DENSE_VERTEX_LIMIT.
+    G = edge_graph(complete_complex(65))
+    G.regular_k  # cached before tracing
+    spectral._eigensystem.cache_clear()
+    gather = G.n * G.regular_k * 8
+    distances, peak = _traced_peak(G, [0], 100)
+    # A basis of 2 vectors (in room for 8) and a few (n, k) gathers; one dense
+    # n x n matrix would take 34.6 MB.
+    assert peak < 8 * G.n * 8 + 3 * gather + 2**19 < G.n * G.n * 8 / 4
+    assert spectral._eigensystem.cache_info().currsize == 0
+    assert max(abs(a - b) for a, b in zip(distances, propagated_distances(G, 0, 100))) <= DRIFT
 
 
 # --- neighbor rule ---------------------------------------------------------------
