@@ -328,6 +328,14 @@ def _unique_keys(pairs: list) -> dict:
     return doc
 
 
+def decode_document(data: bytes) -> str:
+    """``data`` as a file opened in text mode reads it: UTF-8, universal newlines."""
+    try:
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"not a valid complex document: {exc}") from exc
+
+
 def loads_complex(text: str) -> Complex2:
     """Parse a complex document; NaN, infinite numbers and repeated keys are refused."""
     try:
@@ -340,9 +348,6 @@ def loads_complex(text: str) -> Complex2:
 
 
 def load_complex(path: str) -> Complex2:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ParameterError(f"not a valid complex document: {exc}") from exc
+    with open(path, "rb") as fh:
+        text = decode_document(fh.read())
     return loads_complex(text)

@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import builtins
 import gc
 import hashlib
 import io
@@ -24,7 +25,7 @@ from loop_exact import loop_evolve_exact, propagated_distances
 from named_complexes import CUBOCTAHEDRON, HEAWOOD_LINE, OCTAHEDRON, RP2_6, findings, relabel, save_complex
 
 import hdxwalk
-from hdxwalk import cli, expansion, spectral
+from hdxwalk import cli, commands, expansion, graphs, spectral
 from hdxwalk._record import Record
 from hdxwalk.cli import run
 from hdxwalk.cochain import mask_bits
@@ -33,6 +34,7 @@ from hdxwalk.errors import DomainError, ParameterError, RegularityError
 from hdxwalk.expansion import certify_exact
 from hdxwalk.graphs import edge_graph, underlying_graph
 from hdxwalk.spectral import normalized_spectrum
+from hdxwalk.walk import WALK_CELL_LIMIT
 
 
 def invoke(*args):
@@ -235,6 +237,48 @@ def test_malformed_document_exits_2(text, tmp_path):
     assert err.startswith("hdx: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (b'{"x": "\xe2\x82', "'utf-8' codec can't decode bytes in position 7-8: unexpected end of data"),
+        # Lines are counted as in a file read as text: CRLF and CR are one newline each.
+        (b'{\r\n"edges":\r\n [x]}', "Expecting value: line 3 column 3 (char 13)"),
+        (b'{\r"edges":\r [x]}', "Expecting value: line 3 column 3 (char 13)"),
+    ],
+)
+@pytest.mark.parametrize("command", ["validate", "certify", "walk --start 0 --steps 1"])
+def test_undecodable_or_unparsable_bytes_exit_2(data, message, command, tmp_path):
+    path = tmp_path / "bad.complex"
+    path.write_bytes(data)
+    name, *rest = command.split()
+    code, out, err = invoke(name, str(path), *rest)
+    assert (code, out, err) == (2, "", f"hdx: not a valid complex document: {message}\n")
+
+
+def test_report_digest_is_of_the_bytes_parsed(k4_file, monkeypatch):
+    # One read: a file replaced between a parse and a second read for the digest
+    # would be reported under the other document's sha256.
+    opened, parsed = [], []
+    real_open, decode = builtins.open, commands.complexes.decode_document
+
+    def counted_open(file, *args, **kwargs):
+        opened.extend([file] if str(file) == k4_file else [])
+        return real_open(file, *args, **kwargs)
+
+    def recorded_decode(data):
+        parsed.append(data)
+        return decode(data)
+
+    monkeypatch.setattr(builtins, "open", counted_open)
+    monkeypatch.setattr(commands.complexes, "decode_document", recorded_decode)
+    code, out, _ = invoke("certify", k4_file)
+    assert (code, len(opened), len(parsed)) == (0, 1, 1)
+    with real_open(k4_file, "rb") as fh:
+        assert parsed == [fh.read()]
+    assert json.loads(out)["inputs"]["sha256"] == hashlib.sha256(parsed[0]).hexdigest()
+
+
 def test_oversized_vertex_id_exits_3_quickly(tmp_path):
     path = tmp_path / "far.complex"
     path.write_text('{"edges": [[0, 3000000]]}')
@@ -278,7 +322,7 @@ def test_non_finite_numbers_and_repeated_keys_exit_2(text, message, tmp_path):
 @pytest.mark.parametrize("command", ["certify", "audit --lemma sum", "verify-theorem"])
 def test_negative_max_bits_is_a_usage_error(k4_file, command, monkeypatch):
     # Refused before any work: the complex file is never read.
-    monkeypatch.setattr(cli, "_load", None)
+    monkeypatch.setattr(commands, "_load", None)
     code, out, err = invoke(*command.split(), k4_file, "--max-bits", "-1")
     assert (code, out, err) == (2, "", "hdx: max-bits must be non-negative, got -1\n")
 
@@ -473,16 +517,16 @@ def reference_violations(X, lemma, slack):
 def test_lemma_tables_match_per_subset_loops(name, lemma, slack, monkeypatch):
     X = RUNNER_INPUTS[name]
     tables = []
-    lemma_result = cli._lemma_result
+    lemma_result = commands._lemma_result
 
     def recording(name, fail, *args, **kwargs):
         tables.append(fail)
         return lemma_result(name, fail, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "_lemma_result", recording)
+    monkeypatch.setattr(commands, "_lemma_result", recording)
     ns = argparse.Namespace(max_bits=24, slack=slack, tol=1e-9)
     try:
-        result = cli._LEMMA_RUNNERS[lemma](X, ns)
+        result = commands._LEMMA_RUNNERS[lemma](X, ns)
     except (RegularityError, DomainError) as exc:
         with pytest.raises(type(exc), match=re.escape(str(exc))):
             reference_violations(X, lemma, slack)
@@ -502,7 +546,7 @@ def test_outgoing_violation_reads_both_tables(monkeypatch):
     monkeypatch.setattr(
         spectral, "cut_sizes", lambda masks: cut_sizes(masks) + (np.arange(1 << len(masks)) == 5)
     )
-    result = cli._audit_outgoing(X, argparse.Namespace(max_bits=24))
+    result = commands._audit_outgoing(X, argparse.Namespace(max_bits=24))
     lhs, rhs = outgoing(X, Chain.from_mask(1, 5))
     assert result["violations"] == [{"edges": [0, 2], "lhs": lhs + 1, "rhs": rhs}]
 
@@ -546,7 +590,7 @@ def test_audit_evaluates_each_local_view_once(tmp_path, monkeypatch):
     for lemma, builds in (("distance", 1), ("all", 3)):
         for cached in (certify_exact, normalized_spectrum, underlying_graph, edge_graph):
             cached.cache_clear()
-        cli._coboundary_sums.cache_clear()
+        commands._coboundary_sums.cache_clear()
         counts.update(views=[], tables=0, judgement_tables=0, records=0)
         assert invoke("audit", str(path), "--lemma", lemma)[0] == 0
         assert counts["views"] == [(192, 192)] * builds
@@ -638,6 +682,21 @@ def test_walk_capacity_exit_3_quickly(k4_file, mode):
     assert time.perf_counter() - start < 0.5
     assert code == 3 and out == ""
     assert err.startswith("hdx: capacity error: ")
+
+
+def test_walk_capacity_is_checked_before_the_edge_graph(k4_file, monkeypatch):
+    # K4 has 6 edges, so this many steps make a table just over the cell limit.
+    def refused(X):
+        raise AssertionError("the edge graph was built")
+
+    monkeypatch.setattr(graphs, "edge_graph", refused)
+    steps = WALK_CELL_LIMIT // 6
+    code, out, err = invoke("walk", k4_file, "--start", "0", "--steps", str(steps))
+    assert (code, out) == (3, "")
+    assert err == (
+        f"hdx: capacity error: a walk table of {steps + 1} rows x 6 columns has "
+        f"{6 * (steps + 1)} cells; limit is {WALK_CELL_LIMIT}\n"
+    )
 
 
 def test_walk_bad_start(k4_file):
@@ -824,8 +883,8 @@ def test_tolerance_must_be_finite_and_non_negative(k4_file, hexagon_file, comman
 def test_slack_and_alpha_must_be_finite(k4_file, command, option, value, message, monkeypatch):
     # Refused before any work: the complex file is never read.  A negative
     # slack stays allowed; it tightens the bounds, as the violation listings use.
-    monkeypatch.setattr(cli, "_load", None)
-    monkeypatch.setattr(cli.complexes, "load_complex", None)  # walk reads without _load
+    monkeypatch.setattr(commands, "_load", None)
+    monkeypatch.setattr(commands.complexes, "load_complex", None)  # walk reads without _load
     code, out, err = invoke(*command.split(), k4_file, f"{option}={value}")
     assert (code, out) == (2, "")
     assert err == f"hdx: {message}, got {float(value)!r}\n"
@@ -854,7 +913,7 @@ def test_normalized_spectrum_refuses_bad_tolerance():
 
 
 def test_exit_code_mapping():
-    from hdxwalk.cli import _exit_code
+    from hdxwalk.commands import _exit_code
 
     assert _exit_code("pass", strict=False) == 0
     assert _exit_code("fail", strict=False) == 1
@@ -969,12 +1028,12 @@ def test_audit_builds_one_coboundary_table_per_run(tmp_path, monkeypatch):
     def counted(X, tables):
         table = sums(X, tables)
         # Only the coboundary table's builds: the view lemmas spread their verdicts too.
-        if sys._getframe(1).f_code is cli._coboundary_sums.__wrapped__.__code__:
+        if sys._getframe(1).f_code is commands._coboundary_sums.__wrapped__.__code__:
             built.append(sum(t.size for t in tables))
         return table
 
     monkeypatch.setattr(expansion, "local_view_sums", counted)
-    cli._coboundary_sums.cache_clear()
+    commands._coboundary_sums.cache_clear()
     code, out, _ = invoke("audit", str(path), "--lemma", "all")
     assert code == 0 and json.loads(out)["status"] == "pass"
     assert built == [80]
@@ -1009,16 +1068,19 @@ GONE = (
 
 def test_public_surface_is_what_a_subcommand_runs():
     assert set(hdxwalk.__all__) == PUBLIC
-    with open(cli.__file__, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
-    # Bare names, and module.name for the layer modules cli.py calls through.
-    referenced = {n.id: getattr(cli, n.id) for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id in vars(cli)}
-    layers = {name for name, obj in referenced.items()
-              if isinstance(obj, types.ModuleType) and obj.__name__.startswith("hdxwalk.")}
-    for n in ast.walk(tree):
-        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id in layers:
-            referenced[n.attr] = getattr(referenced[n.value.id], n.attr)
-    # Record types that the functions cli.py calls return, and the Record types those carry.
+    referenced = {}
+    for module in (cli, commands):
+        with open(module.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        # Bare names, and module.name for the layer modules the module calls through.
+        names = {n.id: getattr(module, n.id) for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id in vars(module)}
+        layers = {name for name, obj in names.items()
+                  if isinstance(obj, types.ModuleType) and obj.__name__.startswith("hdxwalk.")}
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id in layers:
+                names[n.attr] = getattr(names[n.value.id], n.attr)
+        referenced.update(names)
+    # Record types that the functions cli.py and commands.py call return, and the Record types those carry.
     text = " ".join(str(getattr(obj, "__annotations__", {}).get("return")) for obj in referenced.values())
     records = {n for n in PUBLIC if isinstance(getattr(hdxwalk, n), type) and issubclass(getattr(hdxwalk, n), Record)}
     carried, found = set(), {None}

@@ -40,7 +40,7 @@ from named_complexes import (
 from scalar_walk import randrange
 from scan_certifier import scan_certify_dimension
 
-from hdxwalk import cli, expansion
+from hdxwalk import commands, expansion
 from hdxwalk.cochain import coboundary_space, cocycle_space
 from hdxwalk.complexes import complete_complex, random_complex
 from hdxwalk.errors import (
@@ -530,13 +530,13 @@ def test_outgoing_identity_full_edge_set():
 def test_outgoing_identity_exhaustive():
     # The two tables audit --lemma outgoing compares, on every edge set.
     for X in (K4, K5):
-        assert np.array_equal(cut_sizes(edge_graph(X).neighbor_masks), cli._coboundary_sums(X))
+        assert np.array_equal(cut_sizes(edge_graph(X).neighbor_masks), commands._coboundary_sums(X))
 
 
 def test_outgoing_identity_on_random_complexes():
     for seed in range(3):
         X = random_complex(6, 0.5, seed=seed)
-        cut, sums = cut_sizes(edge_graph(X).neighbor_masks), cli._coboundary_sums(X)
+        cut, sums = cut_sizes(edge_graph(X).neighbor_masks), commands._coboundary_sums(X)
         rng = SplitMix64(seed)
         for _ in range(200):
             mask = randrange(rng, 1 << X.n_edges)
@@ -707,7 +707,7 @@ def test_large_cuts_capacity():
 def test_sum_coboundaries_empty():
     # lhs 0 against the bound scale * 0 = 0
     scale = sum_bound_judgement(K4, certify_exact(K4).epsilon_cosystolic)
-    assert cli._coboundary_sums(K4)[0] == 0 == scale * 0
+    assert commands._coboundary_sums(K4)[0] == 0 == scale * 0
 
 
 def test_sum_coboundaries_single_edge_value():
@@ -721,13 +721,13 @@ def test_sum_coboundaries_single_edge_value():
 
 def test_sum_coboundaries_rejects_large_sets():
     # The bound is stated for |F| <= |E|/2: audit checks the 42 edge sets of K4 with |F| <= 3.
-    result = cli._audit_sum(K4, argparse.Namespace(max_bits=24, slack=1e-9, tol=1e-9))
+    result = commands._audit_sum(K4, argparse.Namespace(max_bits=24, slack=1e-9, tol=1e-9))
     assert result["subsets_checked"] == sum(math.comb(6, r) for r in range(4)) == 42
 
 
 def test_sum_coboundaries_exhaustive_k4_k5():
     for X in (K4, K5):
-        result = cli._audit_sum(X, argparse.Namespace(max_bits=24, slack=1e-9, tol=1e-9))
+        result = commands._audit_sum(X, argparse.Namespace(max_bits=24, slack=1e-9, tol=1e-9))
         assert (result["status"], result["violations"]) == ("pass", [])
 
 
@@ -748,7 +748,7 @@ def test_sum_local_coboundaries_matches_direct():
         direct = sum(
             len(coboundary_edges(K5, local_view(K5, F, v))) for v in range(K5.n_vertices)
         )
-        assert cli._coboundary_sums(K5)[mask] == direct
+        assert commands._coboundary_sums(K5)[mask] == direct
 
 
 # --- mixing rate bound ----------------------------------------------------------

@@ -116,9 +116,9 @@ def test_failing_command_exits_with_its_code_and_frozen_heap(fixed, command, cod
 
 
 # Runs `python -m hdxwalk.cli ARG...` and reports on stderr, last, the layer
-# modules executed and whether hashlib, fractions and numpy.ma were imported.
-# A module registered by lazy_import keeps the LazyLoader's own module type
-# until it is first read.
+# modules executed and whether the handlers module (hdxwalk.commands), hashlib,
+# fractions and numpy.ma were imported.  A module registered by lazy_import
+# keeps the LazyLoader's own module type until it is first read.
 EXECUTED_PROBE = """
 import runpy, sys, types
 try:
@@ -126,43 +126,48 @@ try:
 finally:
     layers = sorted(n[8:] for n, m in sys.modules.items()
                     if n.startswith("hdxwalk.") and type(m) is types.ModuleType)
-    imported = [name in sys.modules for name in ("hashlib", "fractions", "numpy.ma")]
+    imported = [name in sys.modules
+                for name in ("hdxwalk.commands", "hashlib", "fractions", "numpy.ma")]
     sys.stderr.write(f"\\nexecuted: {(layers, imported)!r}\\n")
 """
 
 CHAIN_LAYERS = {"cochain", "gf2"}
 GRAPH_LAYERS = {"complexes", "graphs", "spectral"}
-# (command, exit code, layers executed, hashlib imported, fractions imported).
+# (command, exit code, layers executed, handlers executed, hashlib imported,
+# fractions imported).  The handlers are compiled only once the arguments parse.
 # Only a JSON report's input digest needs hashlib; certify and audit never run
 # the walk layer.  Only exact constants need fractions (and with it decimal).
 # No command needs numpy.ma, which np.unique, for one, imports: about 20 ms.
 EXECUTED = [
-    ("--version", 0, set(), False, False),
-    ("spectrum k4.complex --graph g2", 2, set(), False, False),  # usage error
-    ("gen complete --n 4", 0, {"complexes"}, False, False),
-    ("gen random --n 6 --p 0.5 --seed 7", 0, {"complexes"}, False, False),
-    ("validate k5.complex", 0, {"complexes"}, True, False),
-    ("walk k5.complex --start 0 --steps 20", 0, GRAPH_LAYERS | {"walk"}, False, False),
-    ("walk k5.complex --start 0 --steps 5 --paths 10", 0, GRAPH_LAYERS | {"walk"}, False, False),
-    ("spectrum k5.complex --graph g1", 0, GRAPH_LAYERS, True, False),
-    ("cheeger k5.complex --graph g0", 0, GRAPH_LAYERS, True, True),
-    ("cocycles k5.complex --dim 1", 0, {"complexes"} | CHAIN_LAYERS, True, False),
-    ("certify k5.complex", 0, GRAPH_LAYERS | CHAIN_LAYERS | {"expansion"}, True, True),
-    ("audit k4.complex --lemma all", 0, GRAPH_LAYERS | CHAIN_LAYERS | {"expansion"}, True, True),
-    ("verify-theorem k5.complex --steps 5", 0, set(tracer.LAYERS), True, True),
+    ("--version", 0, set(), False, False, False),
+    ("--help", 0, set(), False, False, False),
+    ("spectrum k4.complex --graph g2", 2, set(), False, False, False),  # usage error
+    ("gen complete --n 4", 0, {"complexes"}, True, False, False),
+    ("gen random --n 6 --p 0.5 --seed 7", 0, {"complexes"}, True, False, False),
+    ("validate k5.complex", 0, {"complexes"}, True, True, False),
+    ("walk k5.complex --start 0 --steps 20", 0, GRAPH_LAYERS | {"walk"}, True, False, False),
+    ("walk k5.complex --start 0 --steps 5 --paths 10", 0, GRAPH_LAYERS | {"walk"}, True, False, False),
+    ("spectrum k5.complex --graph g1", 0, GRAPH_LAYERS, True, True, False),
+    ("cheeger k5.complex --graph g0", 0, GRAPH_LAYERS, True, True, True),
+    ("cocycles k5.complex --dim 1", 0, {"complexes"} | CHAIN_LAYERS, True, True, False),
+    ("certify k5.complex", 0, GRAPH_LAYERS | CHAIN_LAYERS | {"expansion"}, True, True, True),
+    ("audit k4.complex --lemma all", 0, GRAPH_LAYERS | CHAIN_LAYERS | {"expansion"}, True, True, True),
+    ("verify-theorem k5.complex --steps 5", 0, set(tracer.LAYERS), True, True, True),
 ]
 
 
 @pytest.mark.parametrize(
-    "command, code, layers, digest, exact", EXECUTED, ids=[c[0] for c in EXECUTED]
+    "command, code, layers, handlers, digest, exact", EXECUTED, ids=[c[0] for c in EXECUTED]
 )
-def test_command_executes_only_the_layers_it_runs(fixed, command, code, layers, digest, exact):
+def test_command_executes_only_the_layers_it_runs(
+    fixed, command, code, layers, handlers, digest, exact
+):
     done = python("-c", EXECUTED_PROBE, *command.split(), cwd=fixed)
     _, _, line = done.stderr.rstrip("\n").rpartition("\nexecuted: ")
     executed, imported = ast.literal_eval(line)
     assert done.returncode == code, done.stderr
     assert set(executed) & set(tracer.LAYERS) == layers
-    assert imported == [digest, exact, False]
+    assert imported == [handlers, digest, exact, False]
 
 
 def test_gen_output_file_holds_the_stdout_bytes(tmp_path):
