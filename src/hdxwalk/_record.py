@@ -3,11 +3,11 @@
 A subclass of :class:`Record` lists its fields as its own class annotations,
 in order, each with an optional class-level default.  The base reads them
 once, when the subclass is created, and serves every subclass with the same
-``__init__`` (positional or keyword arguments, then ``__post_init__``),
-field-wise ``__eq__`` (within one class) and ``__hash__``, a
-``Name(field=value, ...)`` repr and ``asdict``.  Fields cannot
-be assigned or deleted; ``functools.cached_property`` still works, because it
-writes the instance ``__dict__`` directly.  This is what
+``__init__`` (positional or keyword arguments), field-wise ``__eq__`` (within
+one class) and ``__hash__``, a ``Name(field=value, ...)`` repr and
+``asdict``.  The base checks no field values.  Fields cannot be assigned or
+deleted; ``functools.cached_property`` still works, because it writes the
+instance ``__dict__`` directly.  This is what
 ``@dataclass(frozen=True)`` gave these classes, without compiling methods per
 class or importing the dataclass module and ``inspect`` at every start-up.
 """
@@ -34,7 +34,6 @@ class Record:
         if kwargs or len(args) != len(fields):
             args = self._bind(args, kwargs)
         self.__dict__.update(zip(fields, args))
-        self.__post_init__()
 
     @classmethod
     def _bind(cls, args: tuple, kwargs: dict) -> list:
@@ -52,9 +51,6 @@ class Record:
         if missing:
             raise TypeError(f"{name}() missing required arguments: {', '.join(missing)}")
         return [values[f] for f in fields]
-
-    def __post_init__(self) -> None:
-        """Validate or normalise the fields; may set them with ``object.__setattr__``."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

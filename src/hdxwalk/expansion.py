@@ -4,11 +4,13 @@
 |coboundary(S)| / (k_i * dist(S, Z^i)) over all non-cocycle subsets S (the
 cosystolic constant; the coboundary constant takes distances to B^i instead),
 together with the smallest relative size mu of a nontrivial cocycle.  Each
-quantity depends only on the coset of S, so it is read off tables of coset
-leaders indexed by syndrome: one table per distinct code, all of them sized
-before any is built.  The least witnesses come from the same tables:
-a greedy pass over the faces for the two ratios, and a scan of the cocycles
-for mu.
+quantity depends only on the coset of S, so it is read off tables indexed by
+syndrome: one table per distinct code, all of them sized before any is built.
+A breadth-first search over syndromes gives each coset's least weight.  The
+faces whose syndrome columns are unit vectors form an information set, so
+the coboundary sizes are popcounts of one ``subset_xors`` table over their
+coboundaries.  The least witnesses come from the same tables: a greedy pass
+over the faces for the two ratios, and a scan of the cocycles for mu.
 
 The rest states the facts behind the mixing bound that ``hdx audit`` checks:
 the local-view distance formula, the per-vertex coboundary lower bounds for
@@ -19,8 +21,8 @@ local view F_v = F & star(v) with the subset-sum and cut kernels.  Each
 ``*_judgement`` function passes a lemma's regularity and lambda2 gates once
 per complex and returns the lemma's verdict per vertex and view as arrays
 over those tables (the sum bound, its scale); ``local_view_sums`` spreads
-per-view tables over every edge set F.  The distance formula reads
-dist(F_v, Z^1) off a Z^1 coset table, as certification does.
+per-view tables over every edge set F by broadcasting.  The distance formula
+reads dist(F_v, Z^1) off a Z^1 coset table, as certification does.
 """
 
 from __future__ import annotations
@@ -103,42 +105,6 @@ def gap_lambda2(G: Graph, claim: str, tol: float = 1e-9) -> float:
     return report.lambda2
 
 
-def _coset_leaders(
-    columns: list[int], bits: int, gens: tuple[int, ...], width: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Least weight and coboundary size of every coset, indexed by syndrome.
-
-    ``columns`` are the faces' syndrome columns of ``bits`` bits, ``gens``
-    their coboundary masks of ``width`` bits.  Breadth first from syndrome 0:
-    a coset first reached at step d has least weight d, and the subset that
-    reaches it has its parent's coboundary XOR one face's.  The coboundary
-    is the same across a coset, since the code lies in the cocycles.
-    """
-    check_table_bits(bits)
-    chunks = -(-width // 64)
-    faces = np.array(
-        [[g >> (64 * c) & (2**64 - 1) for c in range(chunks)] for g in gens], np.uint64
-    ).reshape(len(gens), chunks)
-    weight = np.full(1 << bits, _UNREACHED, np.uint8)
-    size = np.zeros(1 << bits, np.min_scalar_type(width))
-    weight[0] = 0
-    frontier, deltas = np.zeros(1, np.int64), np.zeros((1, chunks), np.uint64)
-    step = 0
-    while len(frontier):
-        step += 1
-        reached, reached_deltas = [], []
-        for column, face in zip(columns, faces):
-            found = frontier ^ column
-            new = weight[found] == _UNREACHED
-            found, delta = found[new], deltas[new] ^ face
-            weight[found] = step
-            size[found] = np.bitwise_count(delta).sum(axis=1)
-            reached.append(found)
-            reached_deltas.append(delta)
-        frontier, deltas = np.concatenate(reached), np.concatenate(reached_deltas)
-    return weight, size
-
-
 def _lex_least(columns: list[int], flags: np.ndarray) -> tuple[int, ...]:
     """The lexicographically least subset of range(len(columns)) whose syndrome is flagged.
 
@@ -183,32 +149,65 @@ def _codes(X: Complex2, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return z, b
 
 
-def _coset_table(
-    X: Complex2, i: int, basis: tuple[int, ...]
-) -> tuple[list[int], np.ndarray, np.ndarray]:
+def _coset_table(X: Complex2, i: int, basis: tuple[int, ...]) -> tuple[list[int], np.ndarray]:
     """The dimension-i faces' syndrome columns for span(basis), a subspace of
-    Z^i, and ``_coset_leaders``' weight and coboundary size per syndrome.
+    Z^i, and the least weight of every coset, indexed by syndrome.
 
-    The weight at the syndrome of S is dist(S, span(basis)); it and
-    |coboundary(S)| depend only on the coset of S.
+    The weight at the syndrome of S is dist(S, span(basis)).  Breadth first
+    from syndrome 0: a coset first reached at step d has least weight d.
     """
-    count, width = (X.n_vertices, X.n_edges, X.n_triangles)[i : i + 2]
+    count = (X.n_vertices, X.n_edges)[i]
     columns = gf2.syndrome_columns(basis, count)
+    bits = count - len(basis)
+    check_table_bits(bits)
+    weight = np.full(1 << bits, _UNREACHED, np.uint8)
+    weight[0] = 0
+    frontier, step = np.zeros(1, np.int64), 0
+    while len(frontier):
+        step += 1
+        reached = []
+        for column in columns:
+            found = frontier ^ column
+            found = found[weight[found] == _UNREACHED]
+            weight[found] = step
+            reached.append(found)
+        frontier = np.concatenate(reached)
+    return columns, weight
+
+
+def _coset_sizes(X: Complex2, i: int, columns: list[int]) -> np.ndarray:
+    """|coboundary(S)| at the syndrome of every S, for ``_coset_table``'s columns.
+
+    The size is the same across a coset, since the code lies in the cocycles.
+    The syndrome checks are reduced, so for each syndrome bit r some face's
+    column is 1 << r, and those faces for the bits of s form a member of
+    coset s.  Its coboundary is the XOR of their coboundary masks, counted
+    in 64-bit chunks.
+    """
+    width = (X.n_edges, X.n_triangles)[i]
     gens = (X.vertex_edge_masks, X.edge_triangle_masks)[i]
-    return columns, *_coset_leaders(columns, count - len(basis), gens, width)
+    bits = max(columns, default=0).bit_length()
+    pivot_masks = [gens[columns.index(1 << r)] for r in range(bits)]
+    size = np.zeros(1 << bits, np.min_scalar_type(width))
+    for low in range(0, width, 64):
+        chunk = [g >> low & (2**64 - 1) for g in pivot_masks]
+        size += np.bitwise_count(subset_xors(chunk, np.min_scalar_type(max(chunk, default=0))))
+    return size
 
 
 def _certify_dimension(
     X: Complex2, i: int, k_i: int, z_basis: tuple[int, ...], b_basis: tuple[int, ...]
 ) -> DimensionReport:
     """One dimension's report from the bases ``_codes`` returned."""
-    z_columns, z_weight, z_size = _coset_table(X, i, z_basis)
+    z_columns, z_weight = _coset_table(X, i, z_basis)
+    z_size = _coset_sizes(X, i, z_columns)
     eps_z, ties = least_ratio(z_size, z_weight, z_size > 0, k_i)
     z_witness = _lex_least(z_columns, ties)
     if len(b_basis) == len(z_basis):
         # B = Z: one code, so one table, and no cocycle outside B.
         return DimensionReport(i, eps_z, z_witness, eps_z, z_witness, None, None)
-    b_columns, b_weight, b_size = _coset_table(X, i, b_basis)
+    b_columns, b_weight = _coset_table(X, i, b_basis)
+    b_size = _coset_sizes(X, i, b_columns)
     eps_b, ties = least_ratio(b_size, b_weight, b_size > 0, k_i)
     b_witness = _lex_least(b_columns, ties)
     # Cocycles outside B: the nonzero cosets of B with an empty coboundary.
@@ -304,7 +303,7 @@ def distance_judgement(X: Complex2, *, mu: Fraction, tol: float = 1e-9):
     """Whether the size preconditions hold, and per vertex v whether each view L of
     star(v) has dist(L, Z^1) = min(|L|, k0 - |L|), read off the Z^1 coset table."""
     k0, _, _, met = _size_preconditions(X, "distance formula requires", mu, tol)
-    columns, weight, _ = _coset_table(X, 1, cocycle_space(X, 1))
+    columns, weight = _coset_table(X, 1, cocycle_space(X, 1))
     dtype = np.min_scalar_type(len(weight) - 1)
     holds = [
         weight[subset_xors([columns[e] for e in edges], dtype)] == np.minimum(size, k0 - size)
@@ -335,18 +334,19 @@ def local_view_sums(X: Complex2, tables: list[np.ndarray]) -> np.ndarray:
     """Sum over vertices v of tables[v] at the local view of F at v, for every edge mask F.
 
     ``tables[v]`` holds a non-negative integer or bool per view of star(v),
-    indexed as in ``local_views``; every F looks its local views up by index.
-    The result is indexed by F's mask.
+    indexed as in ``local_views``.  The result, indexed by F's mask, is built
+    as a (2,) * |E| array whose axis a is edge |E| - 1 - a: the star's edges
+    are ascending, so its table, given 2 on their axes and 1 elsewhere, adds
+    in by broadcasting.
     """
     check_table_bits(X.n_edges)
-    total = np.zeros(1 << X.n_edges, np.min_scalar_type(sum(int(t.max()) for t in tables)))
+    total = np.zeros((2,) * X.n_edges, np.min_scalar_type(sum(int(t.max()) for t in tables)))
     for edges, table in zip(X.vertex_edges, tables):
-        weights = [0] * X.n_edges
-        for t, e in enumerate(edges):
-            weights[e] = 1 << t
-        index = subset_sums(weights, np.min_scalar_type(len(table) - 1))
-        total += table.astype(total.dtype)[index]
-    return total
+        shape = [1] * X.n_edges
+        for e in edges:
+            shape[X.n_edges - 1 - e] = 2
+        total += table.astype(total.dtype).reshape(shape)
+    return total.reshape(-1)
 
 
 class LargeCutsResult(Record):

@@ -23,7 +23,8 @@ class Chain(Record):
     dimension: int
     members: frozenset[int]
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if self.dimension not in (0, 1, 2):
             raise ParameterError(f"chain dimension must be 0, 1 or 2, got {self.dimension}")
         object.__setattr__(self, "members", frozenset(self.members))

@@ -562,7 +562,7 @@ def test_audit_evaluates_each_local_view_once(tmp_path, monkeypatch):
     save_complex(complete_complex(6), str(path))
     counts = {"views": [], "tables": 0, "judgement_tables": 0, "records": 0}
     judgement, views = expansion.distance_judgement, expansion.local_views
-    leaders, init = expansion._coset_leaders, Record.__init__
+    table, init = expansion._coset_table, Record.__init__
 
     def counted_judgement(*args, **kwargs):
         tables = counts["tables"]
@@ -575,9 +575,9 @@ def test_audit_evaluates_each_local_view_once(tmp_path, monkeypatch):
         counts["views"].append((sum(t.size for t in sizes), sum(t.size for t in cuts)))
         return sizes, cuts
 
-    def counted_leaders(*args, **kwargs):
+    def counted_table(*args, **kwargs):
         counts["tables"] += 1
-        return leaders(*args, **kwargs)
+        return table(*args, **kwargs)
 
     def counted_init(self, *args, **kwargs):
         counts["records"] += 1
@@ -585,7 +585,7 @@ def test_audit_evaluates_each_local_view_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(expansion, "distance_judgement", counted_judgement)
     monkeypatch.setattr(expansion, "local_views", counted_views)
-    monkeypatch.setattr(expansion, "_coset_leaders", counted_leaders)
+    monkeypatch.setattr(expansion, "_coset_table", counted_table)
     monkeypatch.setattr(Record, "__init__", counted_init)
     for lemma, builds in (("distance", 1), ("all", 3)):
         for cached in (certify_exact, normalized_spectrum, underlying_graph, edge_graph):

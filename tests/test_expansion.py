@@ -12,6 +12,7 @@ import math
 import operator
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -385,13 +386,14 @@ def test_certificates_past_the_default_face_limit(X):
 def coset_table_bits(monkeypatch):
     """The bits of every coset table built, in order; certify_exact's cache is bypassed."""
     built = []
-    leaders = expansion._coset_leaders
+    table = expansion._coset_table
 
-    def spy(columns, bits, gens, width):
-        built.append(bits)
-        return leaders(columns, bits, gens, width)
+    def spy(X, i, basis):
+        columns, weight = table(X, i, basis)
+        built.append(len(weight).bit_length() - 1)
+        return columns, weight
 
-    monkeypatch.setattr(expansion, "_coset_leaders", spy)
+    monkeypatch.setattr(expansion, "_coset_table", spy)
     return built
 
 
@@ -415,6 +417,66 @@ def test_every_table_is_sized_before_any_is_built(coset_table_bits):
         certify_exact.__wrapped__(HEAWOOD_LINE, max_bits=64)
     assert time.perf_counter() - start < 0.1
     assert coset_table_bits == []
+
+
+def traced_peak(f, *args, **kwargs):
+    """The tracemalloc peak in bytes of one call of f."""
+    tracemalloc.start()
+    try:
+        f(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+COSET_TABLE_INPUTS = [
+    ("K5", K5, (0, 1)),
+    ("K6", complete_complex(6), (0, 1)),
+    ("octahedron", OCTAHEDRON, (0, 1)),
+    ("RP2_6", RP2_6, (0, 1)),
+    ("RP2_6 relabelled 1", relabel(RP2_6, 1), (0, 1)),
+    ("K12", complete_complex(12), (0,)),  # 66 edges: coboundaries span two 64-bit chunks
+]
+
+
+@pytest.mark.parametrize(
+    "X, dimensions",
+    [(X, d) for _, X, d in COSET_TABLE_INPUTS],
+    ids=[n for n, *_ in COSET_TABLE_INPUTS],
+)
+def test_coset_tables_match_every_face_subset(X, dimensions):
+    # For every subset S of the faces, built up one face at a time: the least
+    # weight at syn(S) is at most |S|, reached in every coset, and the size
+    # at syn(S) is |coboundary(S)|.  Z^i and B^i differ on RP2_6 at dimension 1.
+    for i in dimensions:
+        gens = (X.vertex_edge_masks, X.edge_triangle_masks)[i]
+        for basis in (cocycle_space(X, i), coboundary_space(X, i)):
+            columns, weight = expansion._coset_table(X, i, basis)
+            size = expansion._coset_sizes(X, i, columns)
+            least = [len(gens)] * len(weight)
+            syndromes, deltas = [0], [0]
+            for S in range(1, 1 << len(gens)):
+                j = (S & -S).bit_length() - 1
+                syndromes.append(syndromes[S ^ 1 << j] ^ columns[j])
+                deltas.append(deltas[S ^ 1 << j] ^ gens[j])
+            for S, (syndrome, delta) in enumerate(zip(syndromes, deltas)):
+                least[syndrome] = min(least[syndrome], S.bit_count())
+                assert size[syndrome] == delta.bit_count()
+            assert weight.tolist() == least
+
+
+def test_coset_tables_hold_no_coboundary_masks():
+    # T(5)'s largest table has 2**21 entries.  The search holds a uint8 weight
+    # per entry and its int64 frontiers, no coboundaries; the sizes are counted
+    # afterwards from one uint32 table of the pivot faces' subset XORs.
+    certify_exact.__wrapped__(T5, max_bits=30)
+    assert traced_peak(certify_exact.__wrapped__, T5, max_bits=30) <= 12 * 2**21
+
+
+def test_local_view_sums_hold_only_the_result():
+    # The cuboctahedron's 24 edges: one uint8 per edge set, with no index array per star.
+    views = expansion.local_views(CUBOCTAHEDRON)[1]
+    assert traced_peak(local_view_sums, CUBOCTAHEDRON, views) <= 1.25 * 2**24
 
 
 def test_certificate_invariant_under_relabelling():
@@ -587,7 +649,7 @@ def test_distance_table_agrees_with_codeword_enumeration(X):
     # Every local view: the Z^1 coset table's weight, and the judgement read off
     # it, against the nearest of all 2**dim Z^1 codewords.
     z1 = cocycle_space(X, 1)
-    columns, weight, _ = expansion._coset_table(X, 1, z1)
+    columns, weight = expansion._coset_table(X, 1, z1)
     _, holds = distance_judgement(X, mu=Fraction(1))
     k0 = len(X.vertex_edges[0])
     for v, edges in enumerate(X.vertex_edges):

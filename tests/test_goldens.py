@@ -7,7 +7,8 @@ The corpus is written by the benchmark's own ``corpus.write_fixed``; nothing
 under ``perfbench/`` is changed.  ``walk`` and ``verify-theorem`` floats are
 held to 1e-12, tighter than the benchmark's 1e-9: their distances come in
 closed form from an eigendecomposition, and agree with the propagated
-ones the goldens hold to about 1e-15.
+ones the goldens hold to about 1e-15.  ``large_audits.json`` holds larger
+audits and certificates, replayed the same way.
 """
 
 import io
@@ -20,8 +21,10 @@ sys.path.insert(0, PERFBENCH)
 
 import checks  # noqa: E402
 import corpus  # noqa: E402
+from named_complexes import CUBOCTAHEDRON, T5, TORUS_7, save_complex  # noqa: E402
 
 from hdxwalk import cli  # noqa: E402
+from hdxwalk.complexes import complete_complex  # noqa: E402
 
 WALK_TOL = 1e-12
 
@@ -41,4 +44,28 @@ def test_goldens_replay_in_process(tmp_path, monkeypatch):
         if found:
             differences[key] = found
     assert len(goldens) > 80
+    assert differences == {}
+
+
+def test_large_audits_replay_in_process(tmp_path, monkeypatch):
+    # Audits and certificates past the goldens' sizes: the cuboctahedron's
+    # lemmas spread over 2**24 edge sets, T(5)'s largest coset table has
+    # 2**21 entries.  ``large_audits.json`` was recorded from these commands.
+    complexes = {"k7": complete_complex(7), "torus7": TORUS_7, "cubo": CUBOCTAHEDRON,
+                 "t5": T5, "k8": complete_complex(8)}
+    for name, X in complexes.items():
+        save_complex(X, str(tmp_path / f"{name}.complex"))
+    with open(os.path.join(os.path.dirname(__file__), "large_audits.json"), encoding="utf-8") as fh:
+        goldens = json.load(fh)
+    monkeypatch.chdir(tmp_path)
+    differences = {}
+    for key, golden in goldens.items():
+        out = io.StringIO()
+        found = checks.diff_golden(golden, cli.run(key.split(), out, io.StringIO()), out.getvalue())
+        if found:
+            differences[key] = found
+    assert sorted(goldens) == sorted(
+        [f"audit {n}.complex --lemma all" for n in ("k7", "torus7", "cubo")]
+        + [f"certify {n}.complex --max-bits 40" for n in ("t5", "k8")]
+    )
     assert differences == {}

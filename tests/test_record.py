@@ -98,7 +98,7 @@ def test_cached_property_is_stored_once_and_fields_stay_frozen():
 
 def test_asdict():
     X = complete_complex(3)
-    # A copy with some fields changed, through __init__, so __post_init__ runs again.
+    # A copy with some fields changed, through __init__, so Chain's checks run again.
     Y = type(X)(**{**X.asdict(), "labels": ("a", "b", "c")})
     assert Y.labels == ("a", "b", "c") and X.labels is None
     assert type(Y)(**{**Y.asdict(), "labels": None}) == X
