@@ -176,7 +176,7 @@ def _view_lemma(name: str, X: complexes.Complex2, holds, asserted, **extra) -> d
     is false at the view F_v (indexed as in ``expansion.local_views``)."""
     fail = expansion.local_view_sums(X, [~h for h in holds]) > 0
     by_size = np.array([asserted(s) for s in range(X.n_edges + 1)])
-    fail &= by_size[spectral.subset_sums([1] * X.n_edges, np.uint8)]
+    fail &= by_size[spectral.subset_sums([1] * X.n_edges)]
 
     def violation(m: int) -> dict:
         views = [sum((m >> e & 1) << t for t, e in enumerate(edges)) for edges in X.vertex_edges]
@@ -243,7 +243,7 @@ def _audit_sum(X: complexes.Complex2, ns) -> dict:
     eps = expansion.certify_exact(X, max_bits=ns.max_bits).epsilon_cosystolic
     scale = expansion.sum_bound_judgement(X, eps, tol=ns.tol)
     sums = _coboundary_sums(X)
-    sizes = spectral.subset_sums([1] * X.n_edges, np.uint8)
+    sizes = spectral.subset_sums([1] * X.n_edges)
     rhs = scale * sizes
     # The bound is stated for |F| <= |E|/2; larger sets are not checked.
     checked = 2 * sizes <= X.n_edges

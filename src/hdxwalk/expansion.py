@@ -6,9 +6,9 @@ cosystolic constant; the coboundary constant takes distances to B^i instead),
 together with the smallest relative size mu of a nontrivial cocycle.  Each
 quantity depends only on the coset of S, so it is read off tables indexed by
 syndrome: one table per distinct code, all of them sized before any is built.
-A breadth-first search over syndromes gives each coset's least weight.  The
-faces whose syndrome columns are unit vectors form an information set, so
-the coboundary sizes are popcounts of one ``subset_xors`` table over their
+Over the faces with unit syndrome columns, an information set, a syndrome
+weighs its popcount; one relaxation per other face lowers that to the least.
+The coboundary sizes are popcounts of one ``subset_xors`` table over their
 coboundaries.  The least witnesses come from the same tables: a greedy pass
 over the faces for the two ratios, and a scan of the cocycles for mu.
 
@@ -22,7 +22,7 @@ local view F_v = F & star(v) with the subset-sum and cut kernels.  Each
 per complex and returns the lemma's verdict per vertex and view as arrays
 over those tables (the sum bound, its scale); ``local_view_sums`` spreads
 per-view tables over every edge set F by broadcasting.  The distance formula
-reads dist(F_v, Z^1) off a Z^1 coset table, as certification does.
+reads dist(F_v, Z^1) off the Z^1 coset table, cached from certification.
 """
 
 from __future__ import annotations
@@ -58,8 +58,6 @@ from .spectral import (
 
 #: Default certification bound: faces per dimension.
 CERTIFY_BIT_LIMIT = 24
-#: Coset-leader weight of a syndrome not reached yet.
-_UNREACHED = 255
 
 
 class DimensionReport(Record):
@@ -105,7 +103,7 @@ def gap_lambda2(G: Graph, claim: str, tol: float = 1e-9) -> float:
     return report.lambda2
 
 
-def _lex_least(columns: list[int], flags: np.ndarray) -> tuple[int, ...]:
+def _lex_least(columns: tuple[int, ...], flags: np.ndarray) -> tuple[int, ...]:
     """The lexicographically least subset of range(len(columns)) whose syndrome is flagged.
 
     Greedy, one index at a time: stop once the syndrome of the subset chosen
@@ -149,40 +147,41 @@ def _codes(X: Complex2, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return z, b
 
 
-def _coset_table(X: Complex2, i: int, basis: tuple[int, ...]) -> tuple[list[int], np.ndarray]:
+@lru_cache(maxsize=4)
+def _coset_table(X: Complex2, i: int, basis: tuple[int, ...]) -> tuple[tuple[int, ...], np.ndarray]:
     """The dimension-i faces' syndrome columns for span(basis), a subspace of
-    Z^i, and the least weight of every coset, indexed by syndrome.
+    Z^i, and the least weight of every coset, indexed by syndrome, read-only:
+    dist(S, span(basis)) at the syndrome of S.  Cached for the distance lemma.
 
-    The weight at the syndrome of S is dist(S, span(basis)).  Breadth first
-    from syndrome 0: a coset first reached at step d has least weight d.
+    The checks are reduced: bit r is the column of one pivot face, so those
+    give syndrome s the weight popcount(s).  Each other face, column c, relaxes
+    w[s] to w[s ^ c] + 1 (a 0/1 knapsack), the XOR permuting a 2-D view.
     """
     count = (X.n_vertices, X.n_edges)[i]
-    columns = gf2.syndrome_columns(basis, count)
+    columns = tuple(gf2.syndrome_columns(basis, count))
     bits = count - len(basis)
-    check_table_bits(bits)
-    weight = np.full(1 << bits, _UNREACHED, np.uint8)
-    weight[0] = 0
-    frontier, step = np.zeros(1, np.int64), 0
-    while len(frontier):
-        step += 1
-        reached = []
-        for column in columns:
-            found = frontier ^ column
-            found = found[weight[found] == _UNREACHED]
-            weight[found] = step
-            reached.append(found)
-        frontier = np.concatenate(reached)
+    weight = subset_sums([1] * bits)  # at most TABLE_BIT_LIMIT: the + 1 below fits a uint8
+    lo = bits // 2
+    grid = weight.reshape(-1, 1 << lo)
+    rows, cols = np.arange(len(grid)), np.arange(1 << lo)
+    moved, shifted = np.empty_like(grid), np.empty_like(grid)
+    for column in columns:
+        if column & (column - 1):  # zero and unit columns lower no weight
+            # mode="wrap" writes into out directly; the default would buffer it.
+            np.take(grid, rows ^ (column >> lo), axis=0, out=moved, mode="wrap")
+            np.take(moved, cols ^ (column & ((1 << lo) - 1)), axis=1, out=shifted, mode="wrap")
+            shifted += 1
+            np.minimum(grid, shifted, out=grid)
+    weight.flags.writeable = False
     return columns, weight
 
 
-def _coset_sizes(X: Complex2, i: int, columns: list[int]) -> np.ndarray:
+def _coset_sizes(X: Complex2, i: int, columns: tuple[int, ...]) -> np.ndarray:
     """|coboundary(S)| at the syndrome of every S, for ``_coset_table``'s columns.
 
     The size is the same across a coset, since the code lies in the cocycles.
-    The syndrome checks are reduced, so for each syndrome bit r some face's
-    column is 1 << r, and those faces for the bits of s form a member of
-    coset s.  Its coboundary is the XOR of their coboundary masks, counted
-    in 64-bit chunks.
+    The pivot faces for the bits of s form a member of coset s, whose
+    coboundary is the XOR of their masks, counted in 64-bit chunks.
     """
     width = (X.n_edges, X.n_triangles)[i]
     gens = (X.vertex_edge_masks, X.edge_triangle_masks)[i]
@@ -293,7 +292,7 @@ def local_views(X: Complex2) -> tuple[list[np.ndarray], list[np.ndarray]]:
     neighbors = edge_graph(X).neighbor_masks
     sizes, cuts = [], []
     for edges in X.vertex_edges:
-        sizes.append(subset_sums([1] * len(edges), np.uint8))
+        sizes.append(subset_sums([1] * len(edges)))
         link = [sum((neighbors[e] >> f & 1) << t for t, f in enumerate(edges)) for e in edges]
         cuts.append(cut_sizes(link))
     return sizes, cuts

@@ -282,9 +282,9 @@ def _doubled(combine, weights: list[int], dtype) -> np.ndarray:
     return out
 
 
-def subset_sums(weights: list[int], dtype) -> np.ndarray:
-    """Sum of weights[j] over the set bits j of every mask below 2**len(weights)."""
-    return _doubled(np.add, weights, dtype)
+def subset_sums(weights: list[int]) -> np.ndarray:
+    """Sum of 0/1 weights[j] over the set bits j of every mask below 2**len(weights), in uint8."""
+    return _doubled(np.add, weights, np.uint8)
 
 
 def subset_xors(columns: list[int], dtype) -> np.ndarray:
@@ -304,7 +304,7 @@ def cut_sizes(neighbor_masks: Sequence[int]) -> np.ndarray:
     for j, nbrs in enumerate(neighbor_masks):
         top = cut[1 << j : 2 << j]
         np.add(cut[: 1 << j], nbrs.bit_count(), out=top)
-        top -= 2 * subset_sums([nbrs >> i & 1 for i in range(j)], np.uint8)
+        top -= 2 * subset_sums([nbrs >> i & 1 for i in range(j)])
     return cut
 
 
@@ -358,7 +358,7 @@ def cheeger_exhaustive(G: Graph) -> CheegerResult:
     if G.n < 2:
         raise DomainError("Cheeger constant needs at least 2 vertices")
     n = G.n
-    size = subset_sums([1] * n, np.uint8)
+    size = subset_sums([1] * n)
     # Each cut once, from its smaller nonempty side; of two equal sides, the one with vertex 0.
     side = 2 * size < n
     side[1::2] |= 2 * size[1::2] == n

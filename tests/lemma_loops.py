@@ -102,7 +102,7 @@ def mixing_lemma_residual(G):
     lambda2, with equality on complete graphs."""
     cut = cut_sizes(G.neighbor_masks)  # refuses a graph over the table limit before the eigensolver runs
     k, n, lambda2 = G.regular_k, G.n, normalized_spectrum(G).lambda2
-    size = subset_sums([1] * n, np.uint8)
+    size = subset_sums([1] * n)
     # 2|E(S)| = k|S| - cut(S): at each size the least cut gives the worst residual.
     least = [int(cut[size == s].min()) for s in range(n + 1)]
     residuals = [(k * s - c) - k * s * (s / n + lambda2 * (1.0 - s / n)) for s, c in enumerate(least)]

@@ -554,10 +554,11 @@ def test_outgoing_violation_reads_both_tables(monkeypatch):
 def test_audit_evaluates_each_local_view_once(tmp_path, monkeypatch):
     # K6 has 6 stars of 5 edges: the per-vertex tables hold 6 * 2**5 = 192 local
     # views, built once for each lemma that reads them (distance, local-views and
-    # the sum of local coboundaries).  The distance lemma reads its distances off
-    # the one Z^1 coset table its judgement builds.  Views are table entries, so
-    # --lemma all builds 8 value objects: the complex, its two graphs, the
-    # spectrum, the cut result and the certificate with its two dimension reports.
+    # the sum of local coboundaries).  The distance judgement reads its distances
+    # off the Z^1 coset table that certification built, from the table cache.
+    # Views are table entries, so --lemma all builds 8 value objects: the
+    # complex, its two graphs, the spectrum, the cut result and the certificate
+    # with its two dimension reports.
     path = tmp_path / "k6.complex"
     save_complex(complete_complex(6), str(path))
     counts = {"views": [], "tables": 0, "judgement_tables": 0, "records": 0}
@@ -591,6 +592,7 @@ def test_audit_evaluates_each_local_view_once(tmp_path, monkeypatch):
         for cached in (certify_exact, normalized_spectrum, underlying_graph, edge_graph):
             cached.cache_clear()
         commands._coboundary_sums.cache_clear()
+        table.cache_clear()
         counts.update(views=[], tables=0, judgement_tables=0, records=0)
         assert invoke("audit", str(path), "--lemma", lemma)[0] == 0
         assert counts["views"] == [(192, 192)] * builds

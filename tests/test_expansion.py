@@ -8,6 +8,7 @@ exact rational constants.
 
 import argparse
 import functools
+import io
 import math
 import operator
 import random
@@ -37,11 +38,13 @@ from named_complexes import (
     cycle_graph,
     edge_id,
     relabel,
+    save_complex,
 )
 from scalar_walk import randrange
 from scan_certifier import scan_certify_dimension
 
 from hdxwalk import commands, expansion
+from hdxwalk.cli import run
 from hdxwalk.cochain import coboundary_space, cocycle_space
 from hdxwalk.complexes import complete_complex, random_complex
 from hdxwalk.errors import (
@@ -384,13 +387,17 @@ def test_certificates_past_the_default_face_limit(X):
 
 @pytest.fixture
 def coset_table_bits(monkeypatch):
-    """The bits of every coset table built, in order; certify_exact's cache is bypassed."""
+    """The bits of every coset table built, in order, from an empty table cache;
+    a table read from the cache is not built again."""
     built = []
     table = expansion._coset_table
+    table.cache_clear()
 
     def spy(X, i, basis):
+        misses = table.cache_info().misses
         columns, weight = table(X, i, basis)
-        built.append(len(weight).bit_length() - 1)
+        if table.cache_info().misses > misses:
+            built.append(len(weight).bit_length() - 1)
         return columns, weight
 
     monkeypatch.setattr(expansion, "_coset_table", spy)
@@ -407,6 +414,17 @@ def test_one_coset_table_per_distinct_code(coset_table_bits, X, max_bits, bits):
     # of K5 and T(5): one table serves both distances.
     certify_exact.__wrapped__(X, max_bits=max_bits)
     assert coset_table_bits == bits
+
+
+@pytest.mark.parametrize("lemma", ["distance", "all"])
+def test_audit_builds_the_z1_table_once(coset_table_bits, tmp_path, lemma):
+    # Certification, which gives mu, builds K7's Z^0 and Z^1 tables (B = Z at
+    # both dimensions); the distance judgement reads the same Z^1 table.
+    path = tmp_path / "k7.complex"
+    save_complex(complete_complex(7), str(path))
+    certify_exact.cache_clear()
+    assert run(["audit", str(path), "--lemma", lemma], io.StringIO(), io.StringIO()) == 0
+    assert coset_table_bits == [6, 15]
 
 
 def test_every_table_is_sized_before_any_is_built(coset_table_bits):
@@ -436,6 +454,9 @@ COSET_TABLE_INPUTS = [
     ("RP2_6", RP2_6, (0, 1)),
     ("RP2_6 relabelled 1", relabel(RP2_6, 1), (0, 1)),
     ("K12", complete_complex(12), (0,)),  # 66 edges: coboundaries span two 64-bit chunks
+    # An edge in no triangle has a zero Z^1 column, and 9 unit columns over 8 bits
+    # give a non-pivot face a unit column: the two kinds the relaxation skips.
+    ("random 6 0.5 3", random_complex(6, 0.5, seed=3), (0, 1)),
 ]
 
 
@@ -465,12 +486,22 @@ def test_coset_tables_match_every_face_subset(X, dimensions):
             assert weight.tolist() == least
 
 
+def test_coset_weights_hold_three_bytes_per_entry():
+    # T(5)'s Z^1 table has 2**21 entries: the uint8 weights and two uint8
+    # buffers for the permuted copy, with no frontier and no index per entry.
+    z1 = cocycle_space(T5, 1)
+    expansion._coset_table(T5, 1, z1)
+    expansion._coset_table.cache_clear()
+    assert traced_peak(expansion._coset_table, T5, 1, z1) <= 4.5 * 2**21
+
+
 def test_coset_tables_hold_no_coboundary_masks():
-    # T(5)'s largest table has 2**21 entries.  The search holds a uint8 weight
-    # per entry and its int64 frontiers, no coboundaries; the sizes are counted
-    # afterwards from one uint32 table of the pivot faces' subset XORs.
+    # T(5)'s largest table has 2**21 entries.  Certification holds a uint8
+    # weight per entry, no coboundaries; the sizes are counted afterwards from
+    # one uint32 table of the pivot faces' subset XORs, which is the peak.
     certify_exact.__wrapped__(T5, max_bits=30)
-    assert traced_peak(certify_exact.__wrapped__, T5, max_bits=30) <= 12 * 2**21
+    expansion._coset_table.cache_clear()
+    assert traced_peak(certify_exact.__wrapped__, T5, max_bits=30) <= 8 * 2**21
 
 
 def test_local_view_sums_hold_only_the_result():
