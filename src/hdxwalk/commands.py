@@ -66,13 +66,24 @@ def _exit_code(status: str, strict: bool) -> int:
     return int(status == FAIL or (status == NOT_APPLICABLE and strict))
 
 
+def _sha256(data: bytes) -> str:
+    """Hex SHA-256 digest of data by CPython's built-in module, as ``random`` takes
+    its SHA-512: hashlib, tried last, maps OpenSSL's libcrypto into the process."""
+    try:
+        from _sha2 import sha256  # Python 3.12 on
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data).hexdigest()
+
+
 def _load(ns: argparse.Namespace) -> tuple[complexes.Complex2, dict]:
     """The complex and its input entry, parsed and hashed from one read of the file."""
-    import hashlib
-
     with open(ns.file, "rb") as fh:
         data = fh.read()
-    digest = hashlib.sha256(data).hexdigest()
+    digest = _sha256(data)
     text = complexes.decode_document(data)
     del data  # not held beside the text while the parse, several times its size, runs
     return complexes.loads_complex(text), {"file": ns.file, "sha256": digest}

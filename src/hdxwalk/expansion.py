@@ -8,9 +8,10 @@ quantity depends only on the coset of S, so it is read off tables indexed by
 syndrome: one table per distinct code, all of them sized before any is built.
 Over the faces with unit syndrome columns, an information set, a syndrome
 weighs its popcount; one relaxation per other face lowers that to the least.
-The coboundary sizes are popcounts of one ``subset_xors`` table over their
-coboundaries.  The least witnesses come from the same tables: a greedy pass
-over the faces for the two ratios, and a scan of the cocycles for mu.
+The coboundary sizes are counted a row block at a time, and the least ratio
+is taken over those blocks, so the weights are the only table per code.  The
+least witnesses come from the tied syndromes by a greedy pass over the faces,
+and mu's from a scan of the cocycles.
 
 The rest states the facts behind the mixing bound that ``hdx audit`` checks:
 the local-view distance formula, the per-vertex coboundary lower bounds for
@@ -51,7 +52,9 @@ from .spectral import (
     lambda2_below_half,
     least_ratio,
     lex_first,
+    lex_min,
     normalized_spectrum,
+    row_bits,
     subset_sums,
     subset_xors,
 )
@@ -103,22 +106,23 @@ def gap_lambda2(G: Graph, claim: str, tol: float = 1e-9) -> float:
     return report.lambda2
 
 
-def _lex_least(columns: tuple[int, ...], flags: np.ndarray) -> tuple[int, ...]:
-    """The lexicographically least subset of range(len(columns)) whose syndrome is flagged.
+def _lex_least(columns: tuple[int, ...], tied: np.ndarray) -> tuple[int, ...]:
+    """The lexicographically least subset of range(len(columns)) whose syndrome
+    is in ``tied``, an array of distinct syndromes.
 
     Greedy, one index at a time: stop once the syndrome of the subset chosen
-    so far is flagged; otherwise take index j exactly when some flagged
-    syndrome lies in syndrome ^ columns[j] ^ span(columns[j + 1:]).  Two
-    syndromes differ by a member of that span exactly when they reduce alike
-    against its reduced basis, so one pass over the flagged syndromes tests
-    them all.  Some flagged syndrome must be reachable from the start.
+    so far is tied; otherwise take index j exactly when some tied syndrome
+    lies in syndrome ^ columns[j] ^ span(columns[j + 1:]).  Two syndromes
+    differ by a member of that span exactly when they reduce alike against
+    its reduced basis, so one pass over the tied syndromes tests them all.
+    Some tied syndrome must be reachable from the start.
     """
-    flagged = np.flatnonzero(flags)
+    members = set(tied.tolist())
     chosen, syndrome = [], 0
     for j, column in enumerate(columns):
-        if flags[syndrome]:
+        if syndrome in members:
             break
-        offsets = flagged ^ (syndrome ^ column)
+        offsets = tied ^ (syndrome ^ column)
         for row in gf2.row_reduce(columns[j + 1 :]):
             offsets ^= (offsets >> gf2.low_bit(row) & 1) * row
         if not offsets.all():
@@ -176,53 +180,69 @@ def _coset_table(X: Complex2, i: int, basis: tuple[int, ...]) -> tuple[tuple[int
     return columns, weight
 
 
-def _coset_sizes(X: Complex2, i: int, columns: tuple[int, ...]) -> np.ndarray:
-    """|coboundary(S)| at the syndrome of every S, for ``_coset_table``'s columns.
+def _coset_sizes(X: Complex2, i: int, columns: tuple[int, ...]):
+    """Row blocks of |coboundary(S)| at the syndrome of every S, for
+    ``_coset_table``'s columns: row r holds the syndromes r * 2**lo + t for
+    t below 2**lo, lo = ``row_bits`` of the syndrome bits.
 
     The size is the same across a coset, since the code lies in the cocycles.
     The pivot faces for the bits of s form a member of coset s, whose
-    coboundary is the XOR of their masks, counted in 64-bit chunks.
+    coboundary is the XOR of their masks: per 64-bit chunk, the XOR of one
+    entry of a table over the row bits with a whole table over the low bits,
+    popcounted.
     """
     width = (X.n_edges, X.n_triangles)[i]
     gens = (X.vertex_edge_masks, X.edge_triangle_masks)[i]
     bits = max(columns, default=0).bit_length()
+    lo = row_bits(bits)
     pivot_masks = [gens[columns.index(1 << r)] for r in range(bits)]
-    size = np.zeros(1 << bits, np.min_scalar_type(width))
-    for low in range(0, width, 64):
-        chunk = [g >> low & (2**64 - 1) for g in pivot_masks]
-        size += np.bitwise_count(subset_xors(chunk, np.min_scalar_type(max(chunk, default=0))))
-    return size
+    halves = []
+    for start in range(0, width, 64):
+        chunk = [g >> start & (2**64 - 1) for g in pivot_masks]
+        dtype = np.min_scalar_type(max(chunk, default=0))
+        halves.append((subset_xors(chunk[lo:], dtype), subset_xors(chunk[:lo], dtype)))
+    for r in range(1 << (bits - lo)):
+        size = np.zeros(1 << lo, np.min_scalar_type(width))
+        for high, low in halves:
+            size += np.bitwise_count(low ^ high[r])
+        yield size
+
+
+def _least_coset(X: Complex2, i: int, k_i: int, basis: tuple[int, ...]):
+    """The least |coboundary(S)| / (k_i * dist(S, span(basis))) over S outside the
+    cocycles, and its lexicographically least witness."""
+    columns, weight = _coset_table(X, i, basis)
+    rows = weight.reshape(-1, 1 << row_bits(len(weight).bit_length() - 1))
+    blocks = ((size, w, size > 0) for size, w in zip(_coset_sizes(X, i, columns), rows))
+    eps, ties = least_ratio(blocks, k_i)
+    return eps, _lex_least(columns, ties)
 
 
 def _certify_dimension(
     X: Complex2, i: int, k_i: int, z_basis: tuple[int, ...], b_basis: tuple[int, ...]
 ) -> DimensionReport:
     """One dimension's report from the bases ``_codes`` returned."""
-    z_columns, z_weight = _coset_table(X, i, z_basis)
-    z_size = _coset_sizes(X, i, z_columns)
-    eps_z, ties = least_ratio(z_size, z_weight, z_size > 0, k_i)
-    z_witness = _lex_least(z_columns, ties)
+    eps_z, z_witness = _least_coset(X, i, k_i, z_basis)
     if len(b_basis) == len(z_basis):
         # B = Z: one code, so one table, and no cocycle outside B.
         return DimensionReport(i, eps_z, z_witness, eps_z, z_witness, None, None)
-    b_columns, b_weight = _coset_table(X, i, b_basis)
-    b_size = _coset_sizes(X, i, b_columns)
-    eps_b, ties = least_ratio(b_size, b_weight, b_size > 0, k_i)
-    b_witness = _lex_least(b_columns, ties)
-    # Cocycles outside B: the nonzero cosets of B with an empty coboundary.
-    mu_size = int(b_weight[1:][b_size[1:] == 0].min())
-    # The least weight is not found greedily: scan every cocycle, with its
+    eps_b, b_witness = _least_coset(X, i, k_i, b_basis)
+    # Cocycles outside B, the nonzero cosets of B with an empty coboundary: the
+    # least weight is not found greedily, so scan every cocycle, with its
     # B-syndrome by the same doubling from the basis vectors' own.
-    count = len(b_columns)  # one column per face
+    count = (X.n_vertices, X.n_edges)[i]
     cocycles = subset_xors(z_basis, np.min_scalar_type((1 << count) - 1))
-    columns = np.array(b_columns, np.int64)
+    columns = np.array(_coset_table(X, i, b_basis)[0], np.int64)  # cached
     b_syndromes = subset_xors(
         [int(np.bitwise_xor.reduce(columns[mask_bits(z)])) for z in z_basis],
-        np.min_scalar_type(len(b_weight) - 1),
+        np.min_scalar_type((1 << (count - len(b_basis))) - 1),
     )
-    fits = (np.bitwise_count(cocycles) == mu_size) & (b_syndromes != 0)
+    weight = np.bitwise_count(cocycles)
+    outside = b_syndromes != 0
+    mu_size = int(weight[outside].min())
     return DimensionReport(
-        i, eps_z, z_witness, eps_b, b_witness, Fraction(mu_size, count), lex_first(cocycles[fits])
+        i, eps_z, z_witness, eps_b, b_witness, Fraction(mu_size, count),
+        lex_first(cocycles[outside & (weight == mu_size)]),
     )
 
 
@@ -366,13 +386,20 @@ def large_cuts_audit(G0: Graph, *, tol: float = 1e-9) -> LargeCutsResult:
     if G0.n < 2:
         raise DomainError("minimum cut needs at least 2 vertices")
     lambda2 = gap_lambda2(G0, "minimum-cut bound requires", tol)
-    # Masks 1, 3, ...: the proper subsets containing vertex 0.
-    cut = cut_sizes(G0.neighbor_masks)[1:-1:2]
-    min_cut = int(cut.min())
+    # Entry t of the rows is mask 2t + 1: the subsets containing vertex 0, of
+    # which the last, every vertex, is not proper.
+    rows = cut_sizes(G0.neighbor_masks)[1::2].reshape(-1, 1 << row_bits(G0.n - 1))
+    ones = np.ones(rows.shape[1], np.uint8)
+    proper = ones.astype(bool)
+    last = proper.copy()
+    last[-1] = False
+    blocks = ((cut, ones, proper if r < len(rows) - 1 else last) for r, cut in enumerate(rows))
+    least, winners = least_ratio(blocks, 1, keep=lambda t: lex_min(2 * t + 1))
+    min_cut = least.numerator
     precondition = G0.n >= 4.0 / (1.0 - 2.0 * lambda2) - 1e-12
     return LargeCutsResult(
         min_cut=min_cut,
-        witness=lex_first(2 * np.flatnonzero(cut == min_cut) + 1),
+        witness=lex_first(winners),
         k=k,
         lambda2=lambda2,
         precondition_met=precondition,

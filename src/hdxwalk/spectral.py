@@ -28,6 +28,10 @@ DENSE_VERTEX_LIMIT = 2**11
 #: Most multiplications, bounded by n**3, of the exact lambda2 decision's elimination.
 ELIMINATION_WORK_LIMIT = 2**22
 
+# Index bits of one row block of a subset table: the least-ratio kernel reads
+# tables a row at a time, so none of its temporaries spans more.
+_BLOCK_BITS = 14
+
 # Lanczos breakdown: a next vector of at most this norm.  Where exact arithmetic
 # leaves 0, rounding leaves 7e-13 to 8e-11 on triangulated tori; the dropped
 # remainder counts in the residual, so it stays below the default tolerance.
@@ -269,27 +273,37 @@ def check_table_bits(bits: int) -> None:
         )
 
 
-def _doubled(combine, weights: list[int], dtype) -> np.ndarray:
-    """combine() of weights[j] over the set bits j of every mask below 2**len(weights).
+def row_bits(bits: int) -> int:
+    """Index bits within one row block of a table of 2**bits entries."""
+    return min(bits, _BLOCK_BITS)
+
+
+def _doubled(combine, weights: list[int], out: np.ndarray) -> np.ndarray:
+    """combine() of weights[j] over the set bits j of every mask below 2**len(weights),
+    into ``out``, whose entry 0 holds the empty combination.
 
     Built by doubling: the masks with top bit j take the values of the masks
     below 2**j, combined with weights[j].
     """
-    check_table_bits(len(weights))
-    out = np.zeros(1 << len(weights), dtype)
     for j, w in enumerate(weights):
         combine(out[: 1 << j], w, out=out[1 << j : 2 << j])
     return out
 
 
+def _zeros(bits: int, dtype) -> np.ndarray:
+    """A zeroed table of 2**bits entries, refused above the limit before allocating."""
+    check_table_bits(bits)
+    return np.zeros(1 << bits, dtype)
+
+
 def subset_sums(weights: list[int]) -> np.ndarray:
     """Sum of 0/1 weights[j] over the set bits j of every mask below 2**len(weights), in uint8."""
-    return _doubled(np.add, weights, np.uint8)
+    return _doubled(np.add, weights, _zeros(len(weights), np.uint8))
 
 
 def subset_xors(columns: list[int], dtype) -> np.ndarray:
     """XOR of columns[j] over the set bits j of every mask below 2**len(columns)."""
-    return _doubled(np.bitwise_xor, columns, dtype)
+    return _doubled(np.bitwise_xor, columns, _zeros(len(columns), dtype))
 
 
 def cut_sizes(neighbor_masks: Sequence[int]) -> np.ndarray:
@@ -297,25 +311,32 @@ def cut_sizes(neighbor_masks: Sequence[int]) -> np.ndarray:
     neighbor masks (``Graph.neighbor_masks``), indexed by S's bit mask.
 
     Built by doubling: cut(S + j) = cut(S) + deg(j) - 2|N(j) & S| for S below
-    2**j.  Each vertex uses its own degree, so irregular graphs work too.
+    2**j, the last two terms doubled in place into the top half before cut(S)
+    is added, so the int16 table is the only one.  Each vertex uses its own
+    degree, so irregular graphs work too.
     """
-    check_table_bits(len(neighbor_masks))
-    cut = np.zeros(1 << len(neighbor_masks), np.int16)
+    cut = _zeros(len(neighbor_masks), np.int16)
     for j, nbrs in enumerate(neighbor_masks):
         top = cut[1 << j : 2 << j]
-        np.add(cut[: 1 << j], nbrs.bit_count(), out=top)
-        top -= 2 * subset_sums([nbrs >> i & 1 for i in range(j)])
+        top[0] = nbrs.bit_count()
+        _doubled(np.subtract, [2 * (nbrs >> i & 1) for i in range(j)], top)
+        top += cut[: 1 << j]
     return cut
 
 
-def lex_first(masks: np.ndarray) -> tuple[int, ...]:
-    """The least of distinct masks, compared as sorted vertex tuples."""
+def lex_min(masks: np.ndarray) -> np.ndarray:
+    """The least of distinct masks, compared as sorted vertex tuples, as a one-entry array."""
     rest = masks
     while len(masks) > 1:
         low = rest & -rest  # each mask's next vertex; 0 marks a prefix of all the others
         keep = low == low.min()
         masks, rest = masks[keep], rest[keep] ^ low[keep]
-    first = int(masks[0])
+    return masks
+
+
+def lex_first(masks: np.ndarray) -> tuple[int, ...]:
+    """The least of distinct masks, compared as sorted vertex tuples."""
+    first = int(lex_min(masks)[0])
     return tuple(v for v in range(first.bit_length()) if first >> v & 1)
 
 
@@ -324,44 +345,63 @@ class CheegerResult(Record):
     witness: tuple[int, ...]
 
 
-def least_ratio(
-    num: np.ndarray, denom: np.ndarray, live: np.ndarray, k: int
-) -> tuple[Fraction, np.ndarray]:
+def least_ratio(blocks, k: int, keep=None) -> tuple[Fraction, np.ndarray]:
     """Least num / (k * denom) over the live entries, as an exact fraction, and
-    the live entries attaining it.
+    the indices of the entries attaining it.
 
-    Per denominator d >= 1 only the least numerator can attain it, so at most
-    one exact fraction per d is compared; entries with denominator 0 are skipped.
+    ``blocks`` yields (num, denom, live) arrays for consecutive blocks of the
+    entries, indexed from 0, so no temporary here spans more than one block.
+    Each block's quotients are compared in float64: division is correctly
+    rounded, so equal fractions give equal floats, and with numerators below
+    2**16 and denominators below 2**8 two distinct fractions differ by more
+    than their rounding.  An entry that is not live, or has denominator 0, is
+    divided by 0, to inf or NaN, and ``np.fmin`` passes over NaN, so no masked
+    operation runs.  ``keep`` maps a block's attaining indices, ascending, to
+    the ones returned (all of them by default).
     """
     from fractions import Fraction  # its users here: walk and spectrum skip it and decimal
 
-    least = {}
-    for d in range(1, int(denom.max()) + 1):
-        nums = num[live & (denom == d)]
-        if nums.size:
-            least[d] = int(nums.min())
-    best = min(Fraction(c, k * d) for d, c in least.items())
-    ties = np.zeros_like(live)
-    for d, c in least.items():
-        if Fraction(c, k * d) == best:
-            ties |= live & (denom == d) & (num == c)
-    return best, ties
+    best, least, kept, offset = None, math.inf, [], 0
+    for num, denom, live in blocks:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.divide(num, denom * live, dtype=np.float64)
+        low = np.fmin.reduce(ratio)
+        if low <= least and low < math.inf:  # false for a NaN low: nothing live
+            ties = np.flatnonzero(ratio == low)
+            if low < least:
+                j = ties[0]
+                least, kept, best = low, [], Fraction(int(num[j]), k * int(denom[j]))
+            ties += offset
+            kept.append(keep(ties) if keep else ties)
+        offset += len(num)
+    return best, np.concatenate(kept)
 
 
 def cheeger_exhaustive(G: Graph) -> CheegerResult:
     """Exact normalized Cheeger constant by enumerating every vertex subset.
 
     Ties are broken by the lexicographically smallest witness (as a sorted
-    vertex tuple).
+    vertex tuple).  Only the cut table spans every subset: the sizes and sides
+    of a row block come from its row's popcount and one row of low popcounts.
     """
     k = _require_regular(G)
     if G.n < 2:
         raise DomainError("Cheeger constant needs at least 2 vertices")
     n = G.n
-    size = subset_sums([1] * n)
-    # Each cut once, from its smaller nonempty side; of two equal sides, the one with vertex 0.
-    side = 2 * size < n
-    side[1::2] |= 2 * size[1::2] == n
-    side[0] = False
-    best, ties = least_ratio(cut_sizes(G.neighbor_masks), size, side, k)
-    return CheegerResult(best, lex_first(np.flatnonzero(ties)))
+    cuts = cut_sizes(G.neighbor_masks)
+    lo = row_bits(n)
+    low = subset_sums([1] * lo)
+    odd = np.arange(1 << lo) % 2 == 1  # the masks with vertex 0
+
+    def blocks():
+        for r, cut in enumerate(cuts.reshape(-1, 1 << lo)):
+            size = low + r.bit_count()
+            # Each cut once, from its smaller nonempty side; of two equal sides, the one with vertex 0.
+            side = 2 * size < n
+            side |= (2 * size == n) & odd
+            if r == 0:
+                side[0] = False
+            yield cut, size, side
+
+    best, winners = least_ratio(blocks(), k, keep=lex_min)
+    return CheegerResult(best, lex_first(winners))

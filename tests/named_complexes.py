@@ -1,6 +1,7 @@
 """Named complexes and graphs shared by several test modules, building a complex
-from triangles through the loader, seeded relabelling, the reference checks of a
-complex and of its edge graph, and writing a complex document."""
+from triangles through the loader, seeded relabelling and random regular graphs,
+the reference checks of a complex and of its edge graph, and writing a complex
+document."""
 
 import random
 from itertools import combinations
@@ -65,6 +66,24 @@ def complete_graph(n):
 
 def cycle_graph(n):
     return Graph.from_edges(n, ((i, (i + 1) % n) for i in range(n)))
+
+
+def relabel_graph(G, seed: int):
+    """G with vertex v renamed perm[v], perm = range(n) shuffled by random.Random(seed)."""
+    perm = list(range(G.n))
+    random.Random(seed).shuffle(perm)
+    return Graph.from_edges(G.n, [(perm[u], perm[v]) for u in range(G.n) for v in G.adjacency[u] if u < v])
+
+
+def random_regular_graph(n, d, seed: int):
+    """A simple d-regular graph on n vertices: the first simple pairing of d points
+    per vertex, shuffled by random.Random(seed)."""
+    rng, points = random.Random(seed), [v for v in range(n) for _ in range(d)]
+    while True:
+        rng.shuffle(points)
+        edges = {(min(u, v), max(u, v)) for u, v in zip(points[::2], points[1::2]) if u != v}
+        if len(edges) == n * d // 2:
+            return Graph.from_edges(n, sorted(edges))
 
 
 def reference_edge_graph(X):

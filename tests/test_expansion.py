@@ -17,6 +17,7 @@ import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
+import full_tables
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -67,7 +68,7 @@ from hdxwalk.expansion import (
 )
 from hdxwalk.graphs import edge_graph, underlying_graph
 from hdxwalk.rng import SplitMix64
-from hdxwalk.spectral import cut_sizes, normalized_spectrum
+from hdxwalk.spectral import cut_sizes, normalized_spectrum, row_bits
 
 K4 = complete_complex(4)
 K5 = complete_complex(5)
@@ -323,17 +324,18 @@ def test_lex_least_matches_brute_force(data):
     flags = np.array(data.draw(st.lists(st.booleans(), min_size=2**bits, max_size=2**bits)))
     want = _brute_lex_least(columns, flags)
     assume(want is not None)
-    assert expansion._lex_least(columns, flags) == want
+    assert expansion._lex_least(columns, np.flatnonzero(flags)) == want
 
 
 @pytest.mark.parametrize("columns", [[1, 2, 4, 8], [3, 1, 2, 3, 6, 5], [1, 1, 1]])
 def test_lex_least_at_the_ends(columns):
     flags = np.zeros(8 if max(columns) < 8 else 16, bool)
-    flags[0] = True  # a flagged empty prefix: the empty subset is least
-    assert expansion._lex_least(columns, flags) == () == _brute_lex_least(columns, flags)
+    flags[0] = True  # a tied empty prefix: the empty subset is least
+    assert expansion._lex_least(columns, np.array([0])) == () == _brute_lex_least(columns, flags)
     flags[:] = False
-    flags[functools.reduce(operator.xor, columns)] = True  # flagged only at the full set
-    assert expansion._lex_least(columns, flags) == _brute_lex_least(columns, flags)
+    full = functools.reduce(operator.xor, columns)
+    flags[full] = True  # tied only at the full set
+    assert expansion._lex_least(columns, np.array([full])) == _brute_lex_least(columns, flags)
 
 
 # Captured from the earlier witness scan over all 2**faces subsets.
@@ -473,7 +475,7 @@ def test_coset_tables_match_every_face_subset(X, dimensions):
         gens = (X.vertex_edge_masks, X.edge_triangle_masks)[i]
         for basis in (cocycle_space(X, i), coboundary_space(X, i)):
             columns, weight = expansion._coset_table(X, i, basis)
-            size = expansion._coset_sizes(X, i, columns)
+            size = np.concatenate(list(expansion._coset_sizes(X, i, columns)))
             least = [len(gens)] * len(weight)
             syndromes, deltas = [0], [0]
             for S in range(1, 1 << len(gens)):
@@ -496,12 +498,31 @@ def test_coset_weights_hold_three_bytes_per_entry():
 
 
 def test_coset_tables_hold_no_coboundary_masks():
-    # T(5)'s largest table has 2**21 entries.  Certification holds a uint8
-    # weight per entry, no coboundaries; the sizes are counted afterwards from
-    # one uint32 table of the pivot faces' subset XORs, which is the peak.
-    certify_exact.__wrapped__(T5, max_bits=30)
-    expansion._coset_table.cache_clear()
-    assert traced_peak(certify_exact.__wrapped__, T5, max_bits=30) <= 8 * 2**21
+    # The largest table of T(5) and of K8 has 2**21 entries.  Certification
+    # holds a uint8 weight per entry, and no coboundaries: the peak is the
+    # weights' relaxation, 3 bytes per entry.  The sizes are counted a row
+    # block at a time, from subset XORs over the low and the high syndrome bits.
+    for X in (T5, complete_complex(8)):
+        certify_exact.__wrapped__(X, max_bits=30)
+        expansion._coset_table.cache_clear()
+        assert traced_peak(certify_exact.__wrapped__, X, max_bits=30) <= 3.5 * 2**21
+
+
+@pytest.mark.parametrize("X, ties", [(T5, 12), (complete_complex(8), 2520)], ids=["T5", "K8"])
+def test_coset_row_blocks_match_the_full_table(X, ties, monkeypatch):
+    # Z^1 = B^1 on both: the tied syndromes of the 2**21 cosets, found over
+    # row blocks, against one pass over whole tables.
+    passed = []
+    lex_least = expansion._lex_least
+    monkeypatch.setattr(
+        expansion, "_lex_least", lambda columns, tied: passed.append(tied) or lex_least(columns, tied)
+    )
+    report = certify_exact.__wrapped__(X, max_bits=30).dimensions[1]
+    eps, want = full_tables.least_coset(X, 1, X.regular[1], cocycle_space(X, 1))
+    columns = expansion._coset_table(X, 1, cocycle_space(X, 1))[0]
+    assert (report.epsilon_cosystolic, report.cosystolic_witness) == (eps, lex_least(columns, want))
+    assert passed[-1].tolist() == want.tolist()
+    assert len(want) == ties and len(np.unique(want >> row_bits(21))) > 1
 
 
 def test_local_view_sums_hold_only_the_result():
@@ -792,6 +813,24 @@ def test_large_cuts_downgrades_when_too_small():
 def test_large_cuts_capacity():
     with pytest.raises(CapacityError, match=r"got 2\*\*27"):
         large_cuts_audit(cycle_graph(27))
+
+
+@pytest.mark.parametrize("name, seed", full_tables.BLOCKED_CASES, ids=full_tables.BLOCKED_IDS)
+def test_large_cuts_row_blocks_match_the_full_table(name, seed, monkeypatch):
+    # The lambda2 gate is passed for every graph, so the cycle's cuts are compared too.
+    monkeypatch.setattr(expansion, "gap_lambda2", lambda G, claim, tol: 0.0)
+    G = full_tables.blocked_graph(name, seed)
+    least, witness, ties = full_tables.min_cut(G)
+    result = large_cuts_audit(G)
+    assert (result.min_cut, result.witness) == (least, witness)
+    assert len(np.unique(ties >> 1 + row_bits(G.n - 1))) > 1  # ties in more than one block of t
+
+
+def test_large_cuts_hold_one_int16_table():
+    # n = 22: 2 bytes per subset for the cut table, and the row blocks' temporaries.
+    G = complete_graph(22)
+    large_cuts_audit(G)
+    assert traced_peak(large_cuts_audit, G) <= 2.5 * 2**22
 
 
 # --- sum of coboundaries -------------------------------------------------------

@@ -12,9 +12,11 @@ import io
 import os
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
+import full_tables
 import named_complexes
 import numpy as np
 import pytest
@@ -475,6 +477,52 @@ def test_cheeger_octahedron_witness_is_triangle():
 def test_cheeger_capacity_error():
     with pytest.raises(CapacityError, match=r"got 2\*\*27"):
         cheeger_exhaustive(cycle_graph(27))
+
+
+@pytest.mark.parametrize("name, seed", full_tables.BLOCKED_CASES, ids=full_tables.BLOCKED_IDS)
+def test_cheeger_row_blocks_match_the_full_table(name, seed):
+    G = full_tables.blocked_graph(name, seed)
+    h, witness, ties = full_tables.cheeger(G)
+    result = cheeger_exhaustive(G)
+    assert (result.h_normalized, result.witness) == (h, witness)
+    if name != "random 3-regular 20":
+        assert len(np.unique(ties >> spectral.row_bits(G.n))) > 1  # ties in more than one block
+
+
+def test_least_ratio_keeps_every_tie_in_order():
+    # Three blocks of a table with ties in the first and last; the second
+    # has a larger ratio, and the dead and zero-denominator entries none.
+    num = np.array([2, 1, 3, 0, 5, 1, 2, 4, 0])
+    denom = np.array([4, 2, 1, 0, 1, 1, 4, 4, 0])
+    live = np.array([True, True, True, True, True, True, True, True, False])
+    blocks = [(num[i : i + 3], denom[i : i + 3], live[i : i + 3]) for i in range(0, 9, 3)]
+    best, ties = spectral.least_ratio(iter(blocks), 3)
+    assert best == Fraction(1, 6)
+    assert ties.tolist() == [0, 1, 6]
+    best, ties = spectral.least_ratio(iter(blocks), 3, keep=lambda t: t[-1:])
+    assert (best, ties.tolist()) == (Fraction(1, 6), [1, 6])
+    assert full_tables.least_ratio(num, denom, live, 3)[1].nonzero()[0].tolist() == [0, 1, 6]
+
+
+def traced_peak(f, *args):
+    """The tracemalloc peak in bytes of a call of f, after one untraced warm-up call."""
+    f(*args)
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cheeger_holds_one_int16_table():
+    # K22: 2 bytes per subset for the cut table, and the row blocks' temporaries.
+    assert traced_peak(cheeger_exhaustive, complete_graph(22)) <= 2.75 * 2**22
+
+
+def test_cut_sizes_hold_only_the_table():
+    # The top half of each doubling is built in place: no table of |N(j) & S|.
+    assert traced_peak(cut_sizes, complete_graph(22).neighbor_masks) <= 2.5 * 2**22
 
 
 # --- expander mixing lemma -------------------------------------------------

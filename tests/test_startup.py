@@ -10,6 +10,8 @@ changing anything under ``perfbench/``.
 """
 
 import ast
+import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -116,9 +118,10 @@ def test_failing_command_exits_with_its_code_and_frozen_heap(fixed, command, cod
 
 
 # Runs `python -m hdxwalk.cli ARG...` and reports on stderr, last, the layer
-# modules executed and whether the handlers module (hdxwalk.commands), hashlib,
-# fractions and numpy.ma were imported.  A module registered by lazy_import
-# keeps the LazyLoader's own module type until it is first read.
+# modules executed and whether the handlers module (hdxwalk.commands),
+# fractions, numpy.ma, hashlib and OpenSSL's _hashlib were imported.  A module
+# registered by lazy_import keeps the LazyLoader's own module type until it is
+# first read.
 EXECUTED_PROBE = """
 import runpy, sys, types
 try:
@@ -127,47 +130,80 @@ finally:
     layers = sorted(n[8:] for n, m in sys.modules.items()
                     if n.startswith("hdxwalk.") and type(m) is types.ModuleType)
     imported = [name in sys.modules
-                for name in ("hdxwalk.commands", "hashlib", "fractions", "numpy.ma")]
+                for name in ("hdxwalk.commands", "fractions", "numpy.ma", "hashlib", "_hashlib")]
     sys.stderr.write(f"\\nexecuted: {(layers, imported)!r}\\n")
 """
 
 CHAIN_LAYERS = {"cochain", "gf2"}
 GRAPH_LAYERS = {"complexes", "graphs", "spectral"}
-# (command, exit code, layers executed, handlers executed, hashlib imported,
-# fractions imported).  The handlers are compiled only once the arguments parse.
-# Only a JSON report's input digest needs hashlib; certify and audit never run
-# the walk layer.  Only exact constants need fractions (and with it decimal).
-# No command needs numpy.ma, which np.unique, for one, imports: about 20 ms.
+# (command, exit code, layers executed, handlers executed, fractions imported).
+# The handlers are compiled only once the arguments parse.  Certify and audit
+# never run the walk layer.  Only exact constants need fractions (and with it
+# decimal).  No command needs numpy.ma, which np.unique, for one, imports:
+# about 20 ms.  A JSON report's input digest is taken with CPython's built-in
+# SHA-256, so no command imports hashlib, nor maps OpenSSL's libcrypto.
 EXECUTED = [
-    ("--version", 0, set(), False, False, False),
-    ("--help", 0, set(), False, False, False),
-    ("spectrum k4.complex --graph g2", 2, set(), False, False, False),  # usage error
-    ("gen complete --n 4", 0, {"complexes"}, True, False, False),
-    ("gen random --n 6 --p 0.5 --seed 7", 0, {"complexes"}, True, False, False),
-    ("validate k5.complex", 0, {"complexes"}, True, True, False),
-    ("walk k5.complex --start 0 --steps 20", 0, GRAPH_LAYERS | {"walk"}, True, False, False),
-    ("walk k5.complex --start 0 --steps 5 --paths 10", 0, GRAPH_LAYERS | {"walk"}, True, False, False),
-    ("spectrum k5.complex --graph g1", 0, GRAPH_LAYERS, True, True, False),
-    ("cheeger k5.complex --graph g0", 0, GRAPH_LAYERS, True, True, True),
-    ("cocycles k5.complex --dim 1", 0, {"complexes"} | CHAIN_LAYERS, True, True, False),
-    ("certify k5.complex", 0, GRAPH_LAYERS | CHAIN_LAYERS | {"expansion"}, True, True, True),
-    ("audit k4.complex --lemma all", 0, GRAPH_LAYERS | CHAIN_LAYERS | {"expansion"}, True, True, True),
-    ("verify-theorem k5.complex --steps 5", 0, set(tracer.LAYERS), True, True, True),
+    ("--version", 0, set(), False, False),
+    ("--help", 0, set(), False, False),
+    ("spectrum k4.complex --graph g2", 2, set(), False, False),  # usage error
+    ("gen complete --n 4", 0, {"complexes"}, True, False),
+    ("gen random --n 6 --p 0.5 --seed 7", 0, {"complexes"}, True, False),
+    ("validate k5.complex", 0, {"complexes"}, True, False),
+    ("walk k5.complex --start 0 --steps 20", 0, GRAPH_LAYERS | {"walk"}, True, False),
+    ("walk k5.complex --start 0 --steps 5 --paths 10", 0, GRAPH_LAYERS | {"walk"}, True, False),
+    ("spectrum k5.complex --graph g1", 0, GRAPH_LAYERS, True, False),
+    ("cheeger k5.complex --graph g0", 0, GRAPH_LAYERS, True, True),
+    ("cocycles k5.complex --dim 1", 0, {"complexes"} | CHAIN_LAYERS, True, False),
+    ("certify k5.complex", 0, GRAPH_LAYERS | CHAIN_LAYERS | {"expansion"}, True, True),
+    ("audit k4.complex --lemma all", 0, GRAPH_LAYERS | CHAIN_LAYERS | {"expansion"}, True, True),
+    ("verify-theorem k5.complex --steps 5", 0, set(tracer.LAYERS), True, True),
 ]
 
 
-@pytest.mark.parametrize(
-    "command, code, layers, handlers, digest, exact", EXECUTED, ids=[c[0] for c in EXECUTED]
-)
-def test_command_executes_only_the_layers_it_runs(
-    fixed, command, code, layers, handlers, digest, exact
-):
-    done = python("-c", EXECUTED_PROBE, *command.split(), cwd=fixed)
+def executed(directory, command, prelude=""):
+    """(the finished process, layers executed, [handlers, fractions, numpy.ma,
+    hashlib, _hashlib imported]) of one fresh process running ``prelude`` first."""
+    done = python("-c", prelude + EXECUTED_PROBE, *command.split(), cwd=directory)
     _, _, line = done.stderr.rstrip("\n").rpartition("\nexecuted: ")
-    executed, imported = ast.literal_eval(line)
+    return (done, *ast.literal_eval(line))
+
+
+@pytest.mark.parametrize(
+    "command, code, layers, handlers, exact", EXECUTED, ids=[c[0] for c in EXECUTED]
+)
+def test_command_executes_only_the_layers_it_runs(fixed, command, code, layers, handlers, exact):
+    done, executed_layers, imported = executed(fixed, command)
     assert done.returncode == code, done.stderr
-    assert set(executed) & set(tracer.LAYERS) == layers
-    assert imported == [handlers, digest, exact, False]
+    assert set(executed_layers) & set(tracer.LAYERS) == layers
+    assert imported == [handlers, exact, False, False, False]
+
+
+def test_digest_is_sha256_of_every_corpus_file(fixed):
+    from hdxwalk import commands
+
+    names = sorted(os.listdir(fixed))
+    assert len(names) > 5
+    for name in names:
+        with open(os.path.join(fixed, name), "rb") as fh:
+            data = fh.read()
+        assert commands._sha256(data) == hashlib.sha256(data).hexdigest(), name
+
+
+# The built-in modules the digest falls back past: _sha2 is Python 3.12's on,
+# _sha256 that of 3.10 and 3.11; with neither, hashlib gives the digest.
+BLOCKED = [("_sha2",), ("_sha2", "_sha256")]
+
+
+@pytest.mark.parametrize("blocked", BLOCKED, ids=["+".join(b) for b in BLOCKED])
+def test_digest_fallbacks_agree(fixed, blocked):
+    with open(os.path.join(fixed, "k5.complex"), "rb") as fh:
+        want = hashlib.sha256(fh.read()).hexdigest()
+    prelude = "import sys\n" + "".join(f"sys.modules[{name!r}] = None\n" for name in blocked)
+    done, _, imported = executed(fixed, "validate k5.complex", prelude)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["inputs"]["sha256"] == want
+    builtin = "_sha256" not in blocked and importlib.util.find_spec("_sha256") is not None
+    assert imported[3:] == [not builtin, not builtin]
 
 
 def test_gen_output_file_holds_the_stdout_bytes(tmp_path):
