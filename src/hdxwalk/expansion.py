@@ -11,7 +11,7 @@ weighs its popcount; one relaxation per other face lowers that to the least.
 The coboundary sizes are counted a row block at a time, and the least ratio
 is taken over those blocks, so the weights are the only table per code.  The
 least witnesses come from the tied syndromes by a greedy pass over the faces,
-and mu's from a scan of the cocycles.
+and mu's from a scan of the cocycles outside B^i.
 
 The rest states the facts behind the mixing bound that ``hdx audit`` checks:
 the local-view distance formula, the per-vertex coboundary lower bounds for
@@ -36,7 +36,7 @@ from typing import Optional
 from . import gf2
 from ._lazy import np
 from ._record import Record
-from .cochain import coboundary_space, cocycle_space, mask_bits
+from .cochain import coboundary_space, cocycle_space
 from .complexes import Complex2
 from .errors import (
     CapacityError,
@@ -159,23 +159,24 @@ def _coset_table(X: Complex2, i: int, basis: tuple[int, ...]) -> tuple[tuple[int
 
     The checks are reduced: bit r is the column of one pivot face, so those
     give syndrome s the weight popcount(s).  Each other face, column c, relaxes
-    w[s] to w[s ^ c] + 1 (a 0/1 knapsack), the XOR permuting a 2-D view.
+    w[s] to w[s ^ c] + 1 (a 0/1 knapsack): on a view with one axis of length 2
+    per high bit, XOR with c gathers the low bits and flips c's high axes.
     """
     count = (X.n_vertices, X.n_edges)[i]
     columns = tuple(gf2.syndrome_columns(basis, count))
     bits = count - len(basis)
     weight = subset_sums([1] * bits)  # at most TABLE_BIT_LIMIT: the + 1 below fits a uint8
     lo = bits // 2
-    grid = weight.reshape(-1, 1 << lo)
-    rows, cols = np.arange(len(grid)), np.arange(1 << lo)
-    moved, shifted = np.empty_like(grid), np.empty_like(grid)
+    cube = weight.reshape((2,) * (bits - lo) + (1 << lo,))  # axis a < bits - lo is bit bits - 1 - a
+    cols, shifted = np.arange(1 << lo), np.empty_like(cube)
     for column in columns:
         if column & (column - 1):  # zero and unit columns lower no weight
             # mode="wrap" writes into out directly; the default would buffer it.
-            np.take(grid, rows ^ (column >> lo), axis=0, out=moved, mode="wrap")
-            np.take(moved, cols ^ (column & ((1 << lo) - 1)), axis=1, out=shifted, mode="wrap")
+            np.take(cube, cols ^ (column & ((1 << lo) - 1)), axis=-1, out=shifted, mode="wrap")
             shifted += 1
-            np.minimum(grid, shifted, out=grid)
+            # An empty axis list flips nothing; axis=None would flip every axis.
+            high_axes = [bits - 1 - r for r in range(lo, bits) if column >> r & 1]
+            np.minimum(cube, np.flip(shifted, high_axes), out=cube)
     weight.flags.writeable = False
     return columns, weight
 
@@ -228,21 +229,18 @@ def _certify_dimension(
         return DimensionReport(i, eps_z, z_witness, eps_z, z_witness, None, None)
     eps_b, b_witness = _least_coset(X, i, k_i, b_basis)
     # Cocycles outside B, the nonzero cosets of B with an empty coboundary: the
-    # least weight is not found greedily, so scan every cocycle, with its
-    # B-syndrome by the same doubling from the basis vectors' own.
+    # least weight is not found greedily, so scan them.  Both bases are reduced
+    # and B lies in Z, so the Z rows at pivots B lacks extend B's basis to Z's,
+    # and the cocycles outside B are the combinations using one of those rows.
+    pivots = {gf2.low_bit(b) for b in b_basis}
+    basis = [*b_basis, *(z for z in z_basis if gf2.low_bit(z) not in pivots)]
     count = (X.n_vertices, X.n_edges)[i]
-    cocycles = subset_xors(z_basis, np.min_scalar_type((1 << count) - 1))
-    columns = np.array(_coset_table(X, i, b_basis)[0], np.int64)  # cached
-    b_syndromes = subset_xors(
-        [int(np.bitwise_xor.reduce(columns[mask_bits(z)])) for z in z_basis],
-        np.min_scalar_type((1 << (count - len(b_basis))) - 1),
-    )
-    weight = np.bitwise_count(cocycles)
-    outside = b_syndromes != 0
-    mu_size = int(weight[outside].min())
+    outside = subset_xors(basis, np.min_scalar_type((1 << count) - 1))[1 << len(b_basis) :]
+    weight = np.bitwise_count(outside)
+    mu_size = int(weight.min())
     return DimensionReport(
         i, eps_z, z_witness, eps_b, b_witness, Fraction(mu_size, count),
-        lex_first(cocycles[outside & (weight == mu_size)]),
+        lex_first(outside[weight == mu_size]),
     )
 
 
@@ -383,8 +381,6 @@ def large_cuts_audit(G0: Graph, *, tol: float = 1e-9) -> LargeCutsResult:
     if k is None or k == 0:
         raise RegularityError("minimum-cut bound needs a regular graph of positive degree")
     check_table_bits(G0.n)  # before the eigensolver runs
-    if G0.n < 2:
-        raise DomainError("minimum cut needs at least 2 vertices")
     lambda2 = gap_lambda2(G0, "minimum-cut bound requires", tol)
     # Entry t of the rows is mask 2t + 1: the subsets containing vertex 0, of
     # which the last, every vertex, is not proper.

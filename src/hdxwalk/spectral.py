@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from ._lazy import np
 from ._record import Record
-from .errors import CapacityError, DomainError, ParameterError, RegularityError, ToleranceError
+from .errors import CapacityError, ParameterError, RegularityError, ToleranceError
 from .graphs import Graph
 
 if TYPE_CHECKING:
@@ -207,7 +207,7 @@ def normalized_spectrum(G: Graph, tol: float = 1e-9) -> SpectralReport:
     """All eigenvalues of A/k, descending, from ``eigensystem(G, tol)``."""
     values, _, residual = eigensystem(G, tol)
     normalized = tuple(values[::-1].tolist())
-    lambda2 = normalized[1] if G.n > 1 else normalized[0]
+    lambda2 = normalized[1]
     lambda_n = normalized[-1]
     return SpectralReport(
         normalized_eigenvalues=normalized,
@@ -385,8 +385,6 @@ def cheeger_exhaustive(G: Graph) -> CheegerResult:
     of a row block come from its row's popcount and one row of low popcounts.
     """
     k = _require_regular(G)
-    if G.n < 2:
-        raise DomainError("Cheeger constant needs at least 2 vertices")
     n = G.n
     cuts = cut_sizes(G.neighbor_masks)
     lo = row_bits(n)

@@ -66,9 +66,9 @@ from hdxwalk.expansion import (
     mixing_rate_bound,
     sum_bound_judgement,
 )
-from hdxwalk.graphs import edge_graph, underlying_graph
+from hdxwalk.graphs import Graph, edge_graph, underlying_graph
 from hdxwalk.rng import SplitMix64
-from hdxwalk.spectral import cut_sizes, normalized_spectrum, row_bits
+from hdxwalk.spectral import cheeger_exhaustive, cut_sizes, normalized_spectrum, row_bits
 
 K4 = complete_complex(4)
 K5 = complete_complex(5)
@@ -459,6 +459,9 @@ COSET_TABLE_INPUTS = [
     # An edge in no triangle has a zero Z^1 column, and 9 unit columns over 8 bits
     # give a non-pivot face a unit column: the two kinds the relaxation skips.
     ("random 6 0.5 3", random_complex(6, 0.5, seed=3), (0, 1)),
+    # Ten edges each, with non-unit columns of both halves of the relaxation's XOR.
+    ("random 5 0.3 0", random_complex(5, 0.3, seed=0), (0, 1)),
+    ("random 5 0.5 2", random_complex(5, 0.5, seed=2), (0, 1)),
 ]
 
 
@@ -488,24 +491,51 @@ def test_coset_tables_match_every_face_subset(X, dimensions):
             assert weight.tolist() == least
 
 
-def test_coset_weights_hold_three_bytes_per_entry():
-    # T(5)'s Z^1 table has 2**21 entries: the uint8 weights and two uint8
-    # buffers for the permuted copy, with no frontier and no index per entry.
+def test_coset_table_inputs_reach_both_halves_of_the_xor():
+    # The relaxation splits a column c at lo = bits // 2: the low part is
+    # gathered, the high part flips axes.  Some non-unit column has no low
+    # part (a flip only) and some has no high part (a gather only, with an
+    # empty list of axes to flip).
+    kinds = set()
+    for _, X, dimensions in COSET_TABLE_INPUTS:
+        for i in dimensions:
+            for basis in (cocycle_space(X, i), coboundary_space(X, i)):
+                columns, weight = expansion._coset_table(X, i, basis)
+                lo = (len(weight).bit_length() - 1) // 2
+                for c in columns:
+                    if c & (c - 1):
+                        kinds.add((c >> lo > 0, c & ((1 << lo) - 1) > 0))
+    assert {(True, False), (False, True)} <= kinds
+
+
+def test_coset_weights_hold_two_bytes_per_entry():
+    # T(5)'s Z^1 table has 2**21 entries: the uint8 weights and one uint8
+    # buffer for the shifted copy, with no frontier and no index per entry.
     z1 = cocycle_space(T5, 1)
     expansion._coset_table(T5, 1, z1)
     expansion._coset_table.cache_clear()
-    assert traced_peak(expansion._coset_table, T5, 1, z1) <= 4.5 * 2**21
+    assert traced_peak(expansion._coset_table, T5, 1, z1) <= 2.5 * 2**21
 
 
 def test_coset_tables_hold_no_coboundary_masks():
     # The largest table of T(5) and of K8 has 2**21 entries.  Certification
     # holds a uint8 weight per entry, and no coboundaries: the peak is the
-    # weights' relaxation, 3 bytes per entry.  The sizes are counted a row
-    # block at a time, from subset XORs over the low and the high syndrome bits.
+    # weights' relaxation, the weights and one shifted copy, 2 bytes per
+    # entry.  The sizes are counted a row block at a time, from subset XORs
+    # over the low and the high syndrome bits.
     for X in (T5, complete_complex(8)):
         certify_exact.__wrapped__(X, max_bits=30)
         expansion._coset_table.cache_clear()
-        assert traced_peak(certify_exact.__wrapped__, X, max_bits=30) <= 3.5 * 2**21
+        assert traced_peak(certify_exact.__wrapped__, X, max_bits=30) <= 2.5 * 2**21
+
+
+def test_mu_scans_one_table_of_cocycles():
+    # The Petersen line complex has 2**20 cocycles at dimension 1, 2**6 cosets
+    # of B among them.  mu is read from one uint32 table of the cocycles, over
+    # a basis of B extended to one of Z, with no table of their B-syndromes.
+    certify_exact.__wrapped__(PETERSEN_LINE, max_bits=30)
+    expansion._coset_table.cache_clear()
+    assert traced_peak(certify_exact.__wrapped__, PETERSEN_LINE, max_bits=30) <= 7 * 2**20
 
 
 @pytest.mark.parametrize("X, ties", [(T5, 12), (complete_complex(8), 2520)], ids=["T5", "K8"])
@@ -808,6 +838,15 @@ def test_large_cuts_downgrades_when_too_small():
     result = large_cuts_audit(cycle_graph(5))
     assert not result.precondition_met
     assert result.min_cut == 2 and result.passes  # holds anyway, informationally
+
+
+@pytest.mark.parametrize("f", [cheeger_exhaustive, large_cuts_audit], ids=["cheeger", "large-cuts"])
+@pytest.mark.parametrize("n", [0, 1])
+def test_cut_minima_refuse_graphs_below_two_vertices(f, n):
+    # No vertices is not regular, and one vertex is 0-regular: both are
+    # refused by the regularity check.
+    with pytest.raises(RegularityError):
+        f(Graph.from_edges(n, []))
 
 
 def test_large_cuts_capacity():
