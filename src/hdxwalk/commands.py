@@ -89,8 +89,11 @@ def _load(ns: argparse.Namespace) -> tuple[complexes.Complex2, dict]:
     return complexes.loads_complex(text), {"file": ns.file, "sha256": digest}
 
 
-def _pick_graph(X: complexes.Complex2, which: str):
-    return graphs.underlying_graph(X) if which == "g0" else graphs.edge_graph(X)
+def _load_graph(ns: argparse.Namespace) -> tuple[graphs.Graph, dict]:
+    """The graph ``--graph`` names and the input entry; the complex is dropped on return,
+    before the caller's eigensolve or cut table."""
+    X, inputs = _load(ns)
+    return (graphs.underlying_graph(X) if ns.graph == "g0" else graphs.edge_graph(X)), inputs
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +122,7 @@ def _cmd_validate(ns, out, err) -> int:
 
 
 def _cmd_spectrum(ns, out, err) -> int:
-    X, inputs = _load(ns)
-    G = _pick_graph(X, ns.graph)
+    G, inputs = _load_graph(ns)
     report = spectral.normalized_spectrum(G, ns.tol)
     results = {
         "graph": ns.graph,
@@ -137,8 +139,7 @@ def _cmd_spectrum(ns, out, err) -> int:
 
 
 def _cmd_cheeger(ns, out, err) -> int:
-    X, inputs = _load(ns)
-    G = _pick_graph(X, ns.graph)
+    G, inputs = _load_graph(ns)
     result = spectral.cheeger_exhaustive(G)
     results = {
         "graph": ns.graph,
@@ -254,15 +255,22 @@ def _audit_sum(X: complexes.Complex2, ns) -> dict:
     eps = expansion.certify_exact(X, max_bits=ns.max_bits).epsilon_cosystolic
     scale = expansion.sum_bound_judgement(X, eps, tol=ns.tol)
     sums = _coboundary_sums(X)
-    sizes = spectral.subset_sums([1] * X.n_edges)
-    rhs = scale * sizes
-    # The bound is stated for |F| <= |E|/2; larger sets are not checked.
-    checked = 2 * sizes <= X.n_edges
+    n = X.n_edges
+    bound = [scale * size for size in range(n + 1)]
+    # The sums are integers, so sum >= bound - slack exactly when sum >= its ceiling,
+    # clipped to the table's range.  The bound is stated for |F| <= |E|/2; a
+    # threshold of 0 passes the larger sets unchecked.
+    top = int(sums.max()) + 1
+    need = [
+        min(max(math.ceil(b - ns.slack), 0), top) if 2 * s <= n else 0
+        for s, b in enumerate(bound)
+    ]
+    sizes = spectral.subset_sums([1] * n)
     return _lemma_result(
         "sum",
-        checked & ~(sums >= rhs - ns.slack),
-        lambda m: {"lhs": int(sums[m]), "rhs_bound": float(rhs[m])},
-        subsets_checked=int(np.count_nonzero(checked)),
+        sums < np.array(need, np.min_scalar_type(top))[sizes],
+        lambda m: {"lhs": int(sums[m]), "rhs_bound": bound[sizes[m]]},
+        subsets_checked=sum(math.comb(n, s) for s in range(n // 2 + 1)),
         epsilon=eps,
     )
 
@@ -305,7 +313,9 @@ def _cmd_walk(ns, out, err) -> int:
         ]
     else:
         walk.check_walk_capacity(X.n_edges, ns.steps)  # before the edge graph is built
-        dists = walk.max_distances(graphs.edge_graph(X), [ns.start], ns.steps)
+        G = graphs.edge_graph(X)
+        del X  # not held beside the Lanczos run
+        dists = walk.max_distances(G, [ns.start], ns.steps)
     out.write("step,distance,alpha_power,ok\n")
     for i, d in enumerate(dists):
         if ns.alpha is not None:

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb, isfinite
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from ._record import Record
@@ -150,6 +151,10 @@ def _assemble(n: int, edges: tuple, triangles: tuple, labels: Optional[tuple] = 
     return X
 
 
+# The edges (u, v), (u, w) and (v, w) of a sorted triangle (u, v, w).
+_TRIANGLE_EDGES = (itemgetter(0, 1), itemgetter(0, 2), itemgetter(1, 2))
+
+
 def _build(triangles: list, extra_edges: Iterable, n: int, labels=None) -> Complex2:
     """The complex on distinct sorted triangles, their edges and ``extra_edges``, padded to n vertices.
 
@@ -157,9 +162,8 @@ def _build(triangles: list, extra_edges: Iterable, n: int, labels=None) -> Compl
     every id is a non-negative int.
     """
     edge_set = set(map(_canonical_edge, extra_edges))
-    if triangles:
-        a, b, c = zip(*triangles)
-        edge_set.update(zip(a, b), zip(a, c), zip(b, c))
+    for pair in _TRIANGLE_EDGES:  # each triangle's three edges, with no copy of the triangles
+        edge_set.update(map(pair, triangles))
     edges = tuple(sorted(edge_set))
     n = max(n, max((v + 1 for _, v in edges), default=0))
     return _assemble(n, edges, tuple(sorted(triangles)), labels)
@@ -272,34 +276,37 @@ def from_document(doc: dict) -> Complex2:
         raise ParameterError("labels must be an object mapping vertex ids to scalar labels")
     n_labelled = 0 if labels_map is None else _label_key_count(labels_map)
 
-    universe = list(explicit)
-    for face in raw_edges + raw_triangles:
+    for face in chain(raw_edges, raw_triangles):
         if not isinstance(face, list):
             raise ParameterError(f"faces must be lists of vertex ids, got {type(face).__name__}")
-        universe.extend(face)
-    if set(map(type, universe)) <= {int}:  # plain ints, no bool: every id is one already
-        ints_only = min(universe, default=0) >= 0
+
+    def ids():
+        """Every vertex id of the document, the explicit ones first, read in place."""
+        return chain(explicit, chain.from_iterable(raw_edges), chain.from_iterable(raw_triangles))
+
+    if set(map(type, ids())) <= {int}:  # plain ints, no bool: every id is one already
+        ints_only = min(ids(), default=0) >= 0
     else:
-        for x in universe:
+        for x in ids():
             # bool is an int subclass: true would alias vertex 1.
             if isinstance(x, bool) or not isinstance(x, (int, str)):
                 raise ParameterError(
                     f"vertex ids must be integers or strings, got {type(x).__name__}"
                 )
-        ints_only = all(isinstance(x, int) and x >= 0 for x in universe)
+        ints_only = all(isinstance(x, int) and x >= 0 for x in ids())
 
     if labels_map is not None and not ints_only:
         raise ParameterError("faces must use dense integer ids when a labels map is present")
     if ints_only:
         # faces already carry integer ids
-        n = max(max(universe, default=-1) + 1, n_labelled)
+        n = max(max(ids(), default=-1) + 1, n_labelled)
         _check_vertex_count(n)
         labels = None
         if labels_map is not None:
             labels = tuple(labels_map.get(str(i), i) for i in range(n))
         return _build(_canonical_triangles(raw_triangles), raw_edges, n, labels)
 
-    labels = tuple(sorted(set(universe), key=_label_sort_key))
+    labels = tuple(sorted(set(ids()), key=_label_sort_key))
     _check_vertex_count(len(labels))
     to_id = {label: i for i, label in enumerate(labels)}
     edges = [[to_id[x] for x in e] for e in raw_edges]

@@ -4,13 +4,14 @@ The underlying graph of a complex keeps its vertices and edges and forgets
 the triangles.  The edge-graph has one vertex per edge of the complex, with
 two of them adjacent exactly when the union of the corresponding edges is a
 triangle of the complex; for an edge-regular complex with k1 triangles per
-edge it is 2*k1-regular.
+edge it is 2*k1-regular.  Both graphs are built once per complex and kept on it,
+so a graph lives as long as its complex, or longer, and never keeps it alive.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
-from typing import Iterable, Optional
+from functools import cached_property, wraps
+from typing import Callable, Iterable, Optional
 
 from ._record import Record
 from .complexes import Complex2, _mask
@@ -52,13 +53,30 @@ class Graph(Record):
         return tuple(map(_mask, self.adjacency))
 
 
-@lru_cache(maxsize=128)
+def _kept_on_complex(build: Callable[[Complex2], Graph]) -> Callable[[Complex2], Graph]:
+    """``build(X)`` computed once per complex and stored in its ``__dict__``, where
+    ``complexes._assemble`` keeps ``triangle_edge_ids``: no module-level cache
+    holds the complex, so a command can drop it once its graph is built."""
+    key = f"_{build.__name__}"
+
+    @wraps(build)
+    def kept(X: Complex2) -> Graph:
+        try:
+            return X.__dict__[key]
+        except KeyError:
+            G = X.__dict__[key] = build(X)
+            return G
+
+    return kept
+
+
+@_kept_on_complex
 def underlying_graph(X: Complex2) -> Graph:
     """The 1-skeleton: same vertices and edges, triangles ignored."""
     return Graph.from_edges(X.n_vertices, X.edges)
 
 
-@lru_cache(maxsize=128)
+@_kept_on_complex
 def edge_graph(X: Complex2) -> Graph:
     """Graph on the edge ids of X (vertex i is edge i); adjacent iff the union is a triangle.
 

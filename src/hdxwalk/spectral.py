@@ -383,6 +383,9 @@ def cheeger_exhaustive(G: Graph) -> CheegerResult:
     Ties are broken by the lexicographically smallest witness (as a sorted
     vertex tuple).  Only the cut table spans every subset: the sizes and sides
     of a row block come from its row's popcount and one row of low popcounts.
+    Past row 0, a block's masks share the same nonempty high vertices, so none
+    is a prefix of another, and the least is the one holding the lowest vertex
+    where two differ: the largest low bits read in reverse.
     """
     k = _require_regular(G)
     n = G.n
@@ -390,6 +393,13 @@ def cheeger_exhaustive(G: Graph) -> CheegerResult:
     lo = row_bits(n)
     low = subset_sums([1] * lo)
     odd = np.arange(1 << lo) % 2 == 1  # the masks with vertex 0
+    reversed_low = subset_xors([1 << (lo - 1 - j) for j in range(lo)], np.uint16)
+
+    def least(ties: np.ndarray) -> np.ndarray:
+        if ties[0] >> lo == 0:  # row 0: the empty high part lets a mask be a prefix
+            return lex_min(ties)
+        i = np.argmax(reversed_low[ties & ((1 << lo) - 1)])
+        return ties[[i]]  # a copy: a view would keep the whole block of ties
 
     def blocks():
         for r, cut in enumerate(cuts.reshape(-1, 1 << lo)):
@@ -401,5 +411,5 @@ def cheeger_exhaustive(G: Graph) -> CheegerResult:
                 side[0] = False
             yield cut, size, side
 
-    best, winners = least_ratio(blocks(), k, keep=lex_min)
+    best, winners = least_ratio(blocks(), k, keep=least)
     return CheegerResult(best, lex_first(winners))

@@ -14,6 +14,7 @@ import tempfile
 import time
 import types
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from loop_exact import loop_evolve_exact, propagated_distances
 from named_complexes import CUBOCTAHEDRON, HEAWOOD_LINE, OCTAHEDRON, RP2_6, findings, relabel, save_complex
 
 import hdxwalk
-from hdxwalk import cli, commands, expansion, graphs, spectral
+from hdxwalk import cli, commands, complexes, expansion, graphs, spectral, walk
 from hdxwalk._record import Record
 from hdxwalk.cli import run
 from hdxwalk.cochain import mask_bits
@@ -589,7 +590,7 @@ def test_audit_evaluates_each_local_view_once(tmp_path, monkeypatch):
     monkeypatch.setattr(expansion, "_coset_table", counted_table)
     monkeypatch.setattr(Record, "__init__", counted_init)
     for lemma, builds in (("distance", 1), ("all", 3)):
-        for cached in (certify_exact, normalized_spectrum, underlying_graph, edge_graph):
+        for cached in (certify_exact, normalized_spectrum):
             cached.cache_clear()
         commands._coboundary_sums.cache_clear()
         table.cache_clear()
@@ -684,6 +685,43 @@ def test_walk_capacity_exit_3_quickly(k4_file, mode):
     assert time.perf_counter() - start < 0.5
     assert code == 3 and out == ""
     assert err.startswith("hdx: capacity error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, heavy",
+    [
+        (["spectrum", "--graph", "g0"], (spectral, "adjacency_matrix")),
+        (["spectrum", "--graph", "g1"], (spectral, "adjacency_matrix")),
+        (["cheeger", "--graph", "g0"], (spectral, "cut_sizes")),
+        (["cheeger", "--graph", "g1"], (spectral, "cut_sizes")),
+        (["walk", "--start", "0", "--steps", "5"], (walk, "start_measure")),
+    ],
+    ids=["spectrum-g0", "spectrum-g1", "cheeger-g0", "cheeger-g1", "walk"],
+)
+def test_graph_commands_drop_the_complex_before_the_heavy_step(tmp_path, monkeypatch, argv, heavy):
+    # The dense solve, the cut table and the Lanczos run start once the loaded
+    # complex is freed: its graphs are kept on it, and nothing else holds it.
+    path = tmp_path / "k5.complex"
+    save_complex(complete_complex(5), path)
+    loaded, alive = [], []
+    loads, (module, name) = complexes.loads_complex, heavy
+    step = getattr(module, name)
+
+    def spy_loads(text):
+        X = loads(text)
+        loaded.append(weakref.ref(X))
+        return X
+
+    def spy_step(*args, **kwargs):
+        alive.extend(ref() is not None for ref in loaded)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(complexes, "loads_complex", spy_loads)
+    monkeypatch.setattr(module, name, spy_step)
+    spectral._eigensystem.cache_clear()
+    normalized_spectrum.cache_clear()
+    assert invoke(argv[0], str(path), *argv[1:])[0] == 0
+    assert len(loaded) == 1 and alive == [False]
 
 
 def test_walk_capacity_is_checked_before_the_edge_graph(k4_file, monkeypatch):
@@ -978,8 +1016,7 @@ def test_each_graph_is_solved_once_per_command(tmp_path, monkeypatch):
         (["walk", str(path), "--start", "0", "--steps", "50"], [2]),
         (["verify-theorem", str(path), "--steps", "50"], [5, 10]),
     ):
-        for cached in (spectral._eigensystem, normalized_spectrum, certify_exact,
-                       underlying_graph, edge_graph):
+        for cached in (spectral._eigensystem, normalized_spectrum, certify_exact):
             cached.cache_clear()
         sizes.clear()
         assert invoke(*argv)[0] == 0

@@ -8,6 +8,7 @@ from math import comb
 import named_complexes
 import pytest
 from named_complexes import build_from_triangles, findings
+from traced import traced_peak
 
 from hdxwalk.cli import run
 from hdxwalk.complexes import (
@@ -338,6 +339,14 @@ def test_generators_refuse_above_triangle_limit():
 def test_complete_complex_k40_loads():
     X = complete_complex(40)
     assert loads_complex(dumps_complex(X)) == X
+
+
+def test_loader_makes_no_per_triangle_copies():
+    # K40's 9880 triangles: the parsed document and the complex, with no list of
+    # every vertex id and no triangles unzipped into columns beside them.
+    text = dumps_complex(complete_complex(40))
+    loads_complex(text)  # an untraced warm-up call
+    assert traced_peak(loads_complex, text) <= 380 * comb(40, 3)
 
 
 def test_loads_rejects_deep_nesting():

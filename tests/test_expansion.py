@@ -13,7 +13,6 @@ import math
 import operator
 import random
 import time
-import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -43,6 +42,7 @@ from named_complexes import (
 )
 from scalar_walk import randrange
 from scan_certifier import scan_certify_dimension
+from traced import traced_peak
 
 from hdxwalk import commands, expansion
 from hdxwalk.cli import run
@@ -437,16 +437,6 @@ def test_every_table_is_sized_before_any_is_built(coset_table_bits):
         certify_exact.__wrapped__(HEAWOOD_LINE, max_bits=64)
     assert time.perf_counter() - start < 0.1
     assert coset_table_bits == []
-
-
-def traced_peak(f, *args, **kwargs):
-    """The tracemalloc peak in bytes of one call of f."""
-    tracemalloc.start()
-    try:
-        f(*args, **kwargs)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 COSET_TABLE_INPUTS = [
@@ -894,6 +884,16 @@ def test_sum_coboundaries_rejects_large_sets():
     # The bound is stated for |F| <= |E|/2: audit checks the 42 edge sets of K4 with |F| <= 3.
     result = commands._audit_sum(K4, argparse.Namespace(max_bits=24, slack=1e-9, tol=1e-9))
     assert result["subsets_checked"] == sum(math.comb(6, r) for r in range(4)) == 42
+
+
+def test_sum_lemma_holds_no_float_table():
+    # K7's 2**21 edge sets, after the coboundary sums and the certificate are cached:
+    # the uint8 sizes, the per-size thresholds gathered by size and the failures,
+    # with no float64 bound per edge set.
+    X = complete_complex(7)
+    ns = argparse.Namespace(max_bits=24, slack=1e-9, tol=1e-9)
+    assert commands._audit_sum(X, ns)["status"] == "pass"
+    assert traced_peak(commands._audit_sum, X, ns) <= 6 * 2**21
 
 
 def test_sum_coboundaries_exhaustive_k4_k5():

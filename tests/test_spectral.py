@@ -12,7 +12,7 @@ import io
 import os
 import sys
 import time
-import tracemalloc
+import weakref
 from fractions import Fraction
 from itertools import combinations
 
@@ -33,6 +33,7 @@ from named_complexes import (
     relabel,
 )
 from scalar_walk import randrange
+from traced import traced_peak
 
 from hdxwalk import cli, spectral
 from hdxwalk.complexes import (
@@ -142,6 +143,21 @@ def test_edge_graph_bijection():
     for e in range(X.n_edges):
         want = {f for t in X.triangle_edge_ids if e in t for f in t if f != e}
         assert set(g1.adjacency[e]) == want
+
+
+def test_graphs_are_kept_on_their_complex():
+    # Built once per complex and stored on it: no module cache keeps the complex
+    # alive, and the graphs hold no reference to it.
+    X = random_complex(8, 0.5, seed=28)
+    g0, g1 = underlying_graph(X), edge_graph(X)
+    assert underlying_graph(X) is g0 and edge_graph(X) is g1
+    complex_ref = weakref.ref(X)
+    del X
+    assert complex_ref() is None
+    # The graphs live on, equal to those an equal complex builds for itself.
+    Y = random_complex(8, 0.5, seed=28)
+    assert (underlying_graph(Y), edge_graph(Y)) == (g0, g1)
+    assert underlying_graph(Y) is not g0 and edge_graph(Y) is not g1
 
 
 def _edge_graph_cases(directory):
@@ -504,25 +520,18 @@ def test_least_ratio_keeps_every_tie_in_order():
     assert full_tables.least_ratio(num, denom, live, 3)[1].nonzero()[0].tolist() == [0, 1, 6]
 
 
-def traced_peak(f, *args):
-    """The tracemalloc peak in bytes of a call of f, after one untraced warm-up call."""
-    f(*args)
-    tracemalloc.start()
-    try:
-        f(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_cheeger_holds_one_int16_table():
     # K22: 2 bytes per subset for the cut table, and the row blocks' temporaries.
-    assert traced_peak(cheeger_exhaustive, complete_graph(22)) <= 2.75 * 2**22
+    G = complete_graph(22)
+    cheeger_exhaustive(G)  # an untraced warm-up call
+    assert traced_peak(cheeger_exhaustive, G) <= 2.75 * 2**22
 
 
 def test_cut_sizes_hold_only_the_table():
     # The top half of each doubling is built in place: no table of |N(j) & S|.
-    assert traced_peak(cut_sizes, complete_graph(22).neighbor_masks) <= 2.5 * 2**22
+    masks = complete_graph(22).neighbor_masks
+    cut_sizes(masks)  # an untraced warm-up call
+    assert traced_peak(cut_sizes, masks) <= 2.5 * 2**22
 
 
 # --- expander mixing lemma -------------------------------------------------

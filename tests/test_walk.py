@@ -3,7 +3,6 @@
 import io
 import json
 import math
-import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -33,6 +32,7 @@ from scalar_walk import (
     scalar_step_counts,
     simulate,
 )
+from traced import traced_call
 
 from hdxwalk import cli, spectral, walk
 from hdxwalk.complexes import Complex2, complete_complex, random_complex
@@ -257,16 +257,6 @@ def test_dense_matrices_match_loops():
         assert np.array_equal(adjacency_matrix(G), loop_adjacency_matrix(G))
 
 
-def _traced_peak(G, starts, steps):
-    """(distances, peak bytes traced) of one ``max_distances`` call."""
-    tracemalloc.start()
-    try:
-        distances = max_distances(G, starts, steps)
-        return distances, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_evolve_exact_peak_memory_holds_no_table():
     G = k40_edges()
     G.regular_k  # cached before tracing
@@ -274,17 +264,17 @@ def test_evolve_exact_peak_memory_holds_no_table():
     table, matrix, gather = 2001 * G.n * 8, G.n * G.n * 8, G.n * G.regular_k * 8
     # One start solves nothing of size n x n: a Krylov basis of 2 vectors (in room
     # for 8) and a few (n, k) gathers; never a (steps + 1) x n table (12.5 MB).
-    distances, peak = _traced_peak(G, [0], 2000)
+    distances, peak = traced_call(max_distances, G, [0], 2000)
     assert peak < 8 * G.n * 8 + 3 * gather + 2**19 < table / 4
     assert spectral._eigensystem.cache_info().currsize == 0
     assert len(distances) == 2001 and distances[0] == pytest.approx(math.sqrt(1 - 1 / G.n))
     # The solve: adjacency, eigenvectors and the residual's two temporaries.
-    assert _traced_peak(G, range(G.n), 0)[1] < 4 * matrix + 2**20
+    assert traced_call(max_distances, G, range(G.n), 0)[1] < 4 * matrix + 2**20
     # Every start: the coefficients, squared in place, and one scaled copy (n x n
     # each), and one block of powers and of distances, whatever the number of steps.
     # A separate array of squares would make it 3.44 n x n arrays.
-    _, peak0 = _traced_peak(G, range(G.n), 0)
-    distances, peak = _traced_peak(G, range(G.n), 2000)
+    _, peak0 = traced_call(max_distances, G, range(G.n), 0)
+    distances, peak = traced_call(max_distances, G, range(G.n), 2000)
     assert peak0 < 2 * matrix + 2**19 and peak <= 2.75 * matrix
     assert peak < peak0 + 4 * 8 * walk._POWER_CELLS + 2**19 < peak0 + table / 4
     assert len(distances) == 2001 and distances[0] == pytest.approx(math.sqrt(1 - 1 / G.n))
@@ -381,7 +371,7 @@ def test_one_start_peak_memory_is_the_krylov_basis():
     G.regular_k  # cached before tracing
     spectral._eigensystem.cache_clear()
     gather = G.n * G.regular_k * 8
-    distances, peak = _traced_peak(G, [0], 100)
+    distances, peak = traced_call(max_distances, G, [0], 100)
     # A basis of 2 vectors (in room for 8) and a few (n, k) gathers; one dense
     # n x n matrix would take 34.6 MB.
     assert peak < 8 * G.n * 8 + 3 * gather + 2**19 < G.n * G.n * 8 / 4
