@@ -12,15 +12,12 @@ import math
 from functools import lru_cache
 from typing import TextIO
 
-from ._lazy import lazy_import, np
+# The layer modules as ``hdxwalk.cli`` registered them, not yet executed.
+from . import cochain, complexes, expansion, graphs, spectral, walk
+from ._lazy import np
 from ._record import Record
 from .errors import (
     CapacityError, DegenerateComplexError, DomainError, ParameterError, RegularityError
-)
-
-complexes, cochain, graphs, spectral, expansion, walk = (
-    lazy_import(f"{__package__}.{layer}")
-    for layer in ("complexes", "cochain", "graphs", "spectral", "expansion", "walk")
 )
 
 PASS = "pass"
@@ -171,8 +168,14 @@ def _cmd_certify(ns, out, err) -> int:
 
 
 def _lemma_result(name: str, fail: np.ndarray, violation, asserted=True, **extra) -> dict:
-    """A lemma's report; ``violation(m)`` describes each of the first 10 failing edge masks."""
-    first = np.flatnonzero(fail)[:10].tolist()
+    """A lemma's report; ``violation(m)`` describes each of the first 10 failing edge masks,
+    found one row block at a time, so no index of every failing mask is built."""
+    lo = spectral.row_bits(fail.size.bit_length() - 1)
+    first: list[int] = []
+    for r, row in enumerate(fail.reshape(-1, 1 << lo)):
+        first += [r << lo | m for m in np.flatnonzero(row)[: 10 - len(first)].tolist()]
+        if len(first) == 10:
+            break
     violations = [{"edges": cochain.mask_bits(m), **violation(m)} for m in first]
     return {
         "lemma": name,

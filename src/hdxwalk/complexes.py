@@ -1,7 +1,8 @@
 """Two-dimensional simplicial complexes.
 
-A complex holds dense vertex ids 0..n-1, lexicographically sorted edges
-(pairs) and triangles (triples), and downward incidence maps.  Closure is
+A complex is dense vertex ids 0..n-1, lexicographically sorted edges
+(pairs) and triangles (triples); its downward incidence maps are derived
+from those faces on first read, each from what it depends on.  Closure is
 enforced by the builders: every edge of a stored triangle is stored, and
 every endpoint of a stored edge is a vertex.  Isolated vertices are allowed.
 
@@ -26,7 +27,7 @@ from functools import cached_property
 from itertools import chain, combinations
 from math import comb, isfinite
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from ._record import Record
 from .errors import CapacityError, DuplicateFaceError, InvalidFaceError, ParameterError
@@ -49,13 +50,12 @@ def _mask(ids: Iterable[int]) -> int:
 
 
 class Complex2(Record):
-    """Immutable 2-dimensional simplicial complex with incidence maps."""
+    """Immutable 2-dimensional simplicial complex: its faces and labels.  The
+    incidence maps are derived from the faces on first read."""
 
     n_vertices: int
     edges: tuple[tuple[int, int], ...]
     triangles: tuple[tuple[int, int, int], ...]
-    vertex_edges: tuple[tuple[int, ...], ...]
-    edge_triangles: tuple[tuple[int, ...], ...]
     labels: Optional[tuple] = None
 
     @property
@@ -67,17 +67,37 @@ class Complex2(Record):
         return len(self.triangles)
 
     @cached_property
+    def vertex_edges(self) -> tuple[tuple[int, ...], ...]:
+        """For each vertex, the ids of its edges, ascending."""
+        out: list[list[int]] = [[] for _ in range(self.n_vertices)]
+        for i, (u, v) in enumerate(self.edges):
+            out[u].append(i)
+            out[v].append(i)
+        return tuple(map(tuple, out))
+
+    @cached_property
+    def triangle_edge_ids(self) -> tuple[tuple[int, int, int], ...]:
+        """For each triangle, the ids of its three edges."""
+        ids = {e: i for i, e in enumerate(self.edges)}
+        return tuple((ids[u, v], ids[u, w], ids[v, w]) for u, v, w in self.triangles)
+
+    @cached_property
+    def edge_triangles(self) -> tuple[tuple[int, ...], ...]:
+        """For each edge, the ids of its triangles, ascending."""
+        out: list[list[int]] = [[] for _ in range(self.n_edges)]
+        for j, (a, b, c) in enumerate(self.triangle_edge_ids):
+            out[a].append(j)
+            out[b].append(j)
+            out[c].append(j)
+        return tuple(map(tuple, out))
+
+    @cached_property
     def regular(self) -> Optional[tuple[int, int]]:
         """(k0, k1) when every vertex lies on k0 edges and every edge on k1 triangles,
         with at least one vertex and one edge; otherwise None."""
         k0 = {len(es) for es in self.vertex_edges}
         k1 = {len(ts) for ts in self.edge_triangles}
         return (*k0, *k1) if len(k0) == len(k1) == 1 else None
-
-    @cached_property
-    def triangle_edge_ids(self) -> tuple[tuple[int, int, int], ...]:
-        """For each triangle, the ids of its three edges."""
-        return _incidence(self.n_vertices, self.edges, self.triangles)[2]
 
     @cached_property
     def vertex_edge_masks(self) -> tuple[int, ...]:
@@ -120,37 +140,6 @@ def _canonical_triangles(triples: Iterable) -> list[tuple[int, int, int]]:
     return list(out)
 
 
-def _incidence(n: int, edges: Sequence, triangles: Sequence) -> tuple:
-    """vertex->edges, edge->triangles and triangle->edge ids, in one pass over each list."""
-    vertex_edges: list[list[int]] = [[] for _ in range(n)]
-    for i, (u, v) in enumerate(edges):
-        vertex_edges[u].append(i)
-        vertex_edges[v].append(i)
-    edge_ids = {e: i for i, e in enumerate(edges)}
-    edge_triangles: list[list[int]] = [[] for _ in range(len(edges))]
-    triangle_edge_ids = []
-    for j, (u, v, w) in enumerate(triangles):
-        a, b, c = edge_ids[u, v], edge_ids[u, w], edge_ids[v, w]
-        edge_triangles[a].append(j)
-        edge_triangles[b].append(j)
-        edge_triangles[c].append(j)
-        triangle_edge_ids.append((a, b, c))
-    return (
-        tuple(map(tuple, vertex_edges)),
-        tuple(map(tuple, edge_triangles)),
-        tuple(triangle_edge_ids),
-    )
-
-
-def _assemble(n: int, edges: tuple, triangles: tuple, labels: Optional[tuple] = None) -> Complex2:
-    """The complex on sorted, closed face lists, with its incidence maps."""
-    vertex_edges, edge_triangles, triangle_edge_ids = _incidence(n, edges, triangles)
-    X = Complex2(n, edges, triangles, vertex_edges, edge_triangles, labels)
-    # Computed in the same pass; stored where the cached property keeps its value.
-    X.__dict__["triangle_edge_ids"] = triangle_edge_ids
-    return X
-
-
 # The edges (u, v), (u, w) and (v, w) of a sorted triangle (u, v, w).
 _TRIANGLE_EDGES = (itemgetter(0, 1), itemgetter(0, 2), itemgetter(1, 2))
 
@@ -166,7 +155,7 @@ def _build(triangles: list, extra_edges: Iterable, n: int, labels=None) -> Compl
         edge_set.update(map(pair, triangles))
     edges = tuple(sorted(edge_set))
     n = max(n, max((v + 1 for _, v in edges), default=0))
-    return _assemble(n, edges, tuple(sorted(triangles)), labels)
+    return Complex2(n, edges, tuple(sorted(triangles)), labels)
 
 
 def _check_triangle_budget(n: int) -> None:
@@ -181,7 +170,7 @@ def complete_complex(n: int) -> Complex2:
     if n < 0:
         raise ParameterError(f"vertex count must be non-negative, got {n}")
     _check_triangle_budget(n)
-    return _assemble(n, tuple(combinations(range(n), 2)), tuple(combinations(range(n), 3)))
+    return Complex2(n, tuple(combinations(range(n), 2)), tuple(combinations(range(n), 3)))
 
 
 def random_complex(n: int, p: float, seed: int) -> Complex2:
@@ -199,7 +188,7 @@ def random_complex(n: int, p: float, seed: int) -> Complex2:
     threshold = int(p * 2.0**64)
     edges = tuple(combinations(range(n), 2))
     triangles = tuple(t for t in combinations(range(n), 3) if rng.next_u64() < threshold)
-    return _assemble(n, edges, triangles)
+    return Complex2(n, edges, triangles)
 
 
 def to_document(X: Complex2) -> dict:

@@ -152,17 +152,17 @@ def _codes(X: Complex2, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 @lru_cache(maxsize=4)
-def _coset_table(X: Complex2, i: int, basis: tuple[int, ...]) -> tuple[tuple[int, ...], np.ndarray]:
-    """The dimension-i faces' syndrome columns for span(basis), a subspace of
-    Z^i, and the least weight of every coset, indexed by syndrome, read-only:
-    dist(S, span(basis)) at the syndrome of S.  Cached for the distance lemma.
+def _coset_table(count: int, basis: tuple[int, ...]) -> tuple[tuple[int, ...], np.ndarray]:
+    """The syndrome columns of ``count`` faces for span(basis), a subspace of
+    their cocycles, and the least weight of every coset, indexed by syndrome,
+    read-only: dist(S, span(basis)) at the syndrome of S.  Cached for the
+    distance lemma, keyed by the face count and the code, so it holds no complex.
 
     The checks are reduced: bit r is the column of one pivot face, so those
     give syndrome s the weight popcount(s).  Each other face, column c, relaxes
     w[s] to w[s ^ c] + 1 (a 0/1 knapsack): on a view with one axis of length 2
     per high bit, XOR with c gathers the low bits and flips c's high axes.
     """
-    count = (X.n_vertices, X.n_edges)[i]
     columns = tuple(gf2.syndrome_columns(basis, count))
     bits = count - len(basis)
     weight = subset_sums([1] * bits)  # at most TABLE_BIT_LIMIT: the + 1 below fits a uint8
@@ -212,7 +212,7 @@ def _coset_sizes(X: Complex2, i: int, columns: tuple[int, ...]):
 def _least_coset(X: Complex2, i: int, k_i: int, basis: tuple[int, ...]):
     """The least |coboundary(S)| / (k_i * dist(S, span(basis))) over S outside the
     cocycles, and its lexicographically least witness."""
-    columns, weight = _coset_table(X, i, basis)
+    columns, weight = _coset_table((X.n_vertices, X.n_edges)[i], basis)
     rows = weight.reshape(-1, 1 << row_bits(len(weight).bit_length() - 1))
     blocks = ((size, w, size > 0) for size, w in zip(_coset_sizes(X, i, columns), rows))
     eps, ties = least_ratio(blocks, k_i)
@@ -320,7 +320,7 @@ def distance_judgement(X: Complex2, *, mu: Fraction, tol: float = 1e-9):
     """Whether the size preconditions hold, and per vertex v whether each view L of
     star(v) has dist(L, Z^1) = min(|L|, k0 - |L|), read off the Z^1 coset table."""
     k0, _, _, met = _size_preconditions(X, "distance formula requires", mu, tol)
-    columns, weight = _coset_table(X, 1, cocycle_space(X, 1))
+    columns, weight = _coset_table(X.n_edges, cocycle_space(X, 1))
     dtype = np.min_scalar_type(len(weight) - 1)
     holds = [
         weight[subset_xors([columns[e] for e in edges], dtype)] == np.minimum(size, k0 - size)

@@ -54,9 +54,9 @@ class Graph(Record):
 
 
 def _kept_on_complex(build: Callable[[Complex2], Graph]) -> Callable[[Complex2], Graph]:
-    """``build(X)`` computed once per complex and stored in its ``__dict__``, where
-    ``complexes._assemble`` keeps ``triangle_edge_ids``: no module-level cache
-    holds the complex, so a command can drop it once its graph is built."""
+    """``build(X)`` computed once per complex and stored in its ``__dict__``, as a
+    cached property is: no module-level cache holds the complex, so a command
+    can drop it once its graph is built."""
     key = f"_{build.__name__}"
 
     @wraps(build)

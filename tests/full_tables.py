@@ -92,7 +92,7 @@ def coset_sizes(X, i, columns):
 
 def least_coset(X, i, k_i, basis):
     """(least |coboundary(S)| / (k_i * dist(S, span(basis))), every tied syndrome)."""
-    columns, weight = _coset_table(X, i, basis)
+    columns, weight = _coset_table((X.n_vertices, X.n_edges)[i], basis)
     size = coset_sizes(X, i, columns)
     best, ties = least_ratio(size, weight, size > 0, k_i)
     return best, np.flatnonzero(ties)

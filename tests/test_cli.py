@@ -724,6 +724,48 @@ def test_graph_commands_drop_the_complex_before_the_heavy_step(tmp_path, monkeyp
     assert len(loaded) == 1 and alive == [False]
 
 
+INCIDENCE_MAPS = {"vertex_edges", "edge_triangles", "triangle_edge_ids"}
+
+# (command, the incidence maps of the loaded complex it derives): the edge graph
+# reads triangle_edge_ids alone, and the underlying graph reads no map.
+DERIVED_MAPS = [
+    (("validate",), set()),
+    (("spectrum", "--graph", "g0"), set()),
+    (("cheeger", "--graph", "g0"), set()),
+    (("spectrum", "--graph", "g1"), {"triangle_edge_ids"}),
+    (("walk", "--start", "0", "--steps", "5"), {"triangle_edge_ids"}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, derived", DERIVED_MAPS, ids=[" ".join(argv) for argv, _ in DERIVED_MAPS]
+)
+def test_commands_derive_only_the_incidence_maps_they_read(tmp_path, monkeypatch, argv, derived):
+    path = tmp_path / "k5.complex"
+    save_complex(complete_complex(5), path)
+    loaded, loads = [], complexes.loads_complex
+
+    def spy_loads(text):
+        loaded.append(loads(text))
+        return loaded[-1]
+
+    monkeypatch.setattr(complexes, "loads_complex", spy_loads)
+    assert invoke(argv[0], str(path), *argv[1:])[0] == 0
+    assert len(loaded) == 1 and INCIDENCE_MAPS & set(vars(loaded[0])) == derived
+
+
+def test_gen_derives_no_incidence_map(monkeypatch):
+    made, complete = [], complexes.complete_complex
+
+    def spy_complete(n):
+        made.append(complete(n))
+        return made[-1]
+
+    monkeypatch.setattr(complexes, "complete_complex", spy_complete)
+    assert invoke("gen", "complete", "--n", "5")[0] == 0
+    assert len(made) == 1 and not INCIDENCE_MAPS & set(vars(made[0]))
+
+
 def test_walk_capacity_is_checked_before_the_edge_graph(k4_file, monkeypatch):
     # K4 has 6 edges, so this many steps make a table just over the cell limit.
     def refused(X):

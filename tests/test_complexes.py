@@ -15,7 +15,6 @@ from hdxwalk.complexes import (
     TRIANGLE_LIMIT,
     VERTEX_LIMIT,
     Complex2,
-    _incidence,
     complete_complex,
     dumps_complex,
     from_document,
@@ -175,10 +174,17 @@ def test_random_rejects_bad_probability():
 
 
 def test_incidence_rebuild_matches():
+    # Each derived map against its definition, read off the face lists.
     for X in (complete_complex(5), random_complex(6, 0.4, seed=5), build_from_triangles([])):
-        assert _incidence(X.n_vertices, X.edges, X.triangles)[:2] == (
-            X.vertex_edges,
-            X.edge_triangles,
+        E, T = X.edges, X.triangles
+        assert X.vertex_edges == tuple(
+            tuple(i for i, e in enumerate(E) if v in e) for v in range(X.n_vertices)
+        )
+        assert X.edge_triangles == tuple(
+            tuple(j for j, t in enumerate(T) if set(e) <= set(t)) for e in E
+        )
+        assert X.triangle_edge_ids == tuple(
+            tuple(i for i, e in enumerate(E) if set(e) <= set(t)) for t in T
         )
 
 
@@ -194,27 +200,19 @@ def test_validate_accepts_valid():
 
 def test_validate_detects_missing_edge():
     X = complete_complex(3)
-    damaged = Complex2(X.n_vertices, X.edges[1:], X.triangles, X.vertex_edges, X.edge_triangles)
+    damaged = Complex2(X.n_vertices, X.edges[1:], X.triangles)
     assert findings(damaged) == ["closure violation: triangle (0, 1, 2) missing edge (0, 1)"]
-
-
-def test_validate_detects_stale_incidence():
-    X = complete_complex(4)
-    Y = build_from_triangles([(0, 1, 2)], [(0, 3), (1, 3), (2, 3)])
-    damaged = Complex2(X.n_vertices, X.edges, Y.triangles, X.vertex_edges, X.edge_triangles)
-    assert findings(damaged) == ["incidence maps inconsistent with face lists"]
 
 
 def test_findings_name_each_kind_of_damage():
     X = complete_complex(3)
-    maps = (X.vertex_edges, X.edge_triangles)
     cases = [
-        (Complex2(2, X.edges, X.triangles, *maps), "edge 1 has vertex id out of range: (0, 2)"),
-        (Complex2(3, ((1, 0),) + X.edges[1:], X.triangles, *maps), "edge 0 not a sorted 2-tuple"),
-        (Complex2(3, X.edges[::-1], X.triangles, *maps), "edges not listed once each"),
-        (Complex2(3, X.edges, X.triangles * 2, *maps), "triangles not listed once each"),
-        (Complex2(3, X.edges, ((0, 2, 1),), *maps), "triangle 0 not a sorted 3-tuple"),
-        (Complex2(-1, (), (), (), ()), "negative vertex count -1"),
+        (Complex2(2, X.edges, X.triangles), "edge 1 has vertex id out of range: (0, 2)"),
+        (Complex2(3, ((1, 0),) + X.edges[1:], X.triangles), "edge 0 not a sorted 2-tuple"),
+        (Complex2(3, X.edges[::-1], X.triangles), "edges not listed once each"),
+        (Complex2(3, X.edges, X.triangles * 2), "triangles not listed once each"),
+        (Complex2(3, X.edges, ((0, 2, 1),)), "triangle 0 not a sorted 3-tuple"),
+        (Complex2(-1, (), ()), "negative vertex count -1"),
     ]
     for damaged, finding in cases:
         assert any(f.startswith(finding) for f in findings(damaged)), (damaged, findings(damaged))
@@ -342,11 +340,12 @@ def test_complete_complex_k40_loads():
 
 
 def test_loader_makes_no_per_triangle_copies():
-    # K40's 9880 triangles: the parsed document and the complex, with no list of
-    # every vertex id and no triangles unzipped into columns beside them.
+    # K40's 9880 triangles: the parsed document and the faces, with no list of
+    # every vertex id, no triangles unzipped into columns and no incidence map
+    # beside them (about 193 bytes per triangle).
     text = dumps_complex(complete_complex(40))
     loads_complex(text)  # an untraced warm-up call
-    assert traced_peak(loads_complex, text) <= 380 * comb(40, 3)
+    assert traced_peak(loads_complex, text) <= 230 * comb(40, 3)
 
 
 def test_loads_rejects_deep_nesting():

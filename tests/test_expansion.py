@@ -13,6 +13,7 @@ import math
 import operator
 import random
 import time
+import weakref
 from fractions import Fraction
 from itertools import combinations
 
@@ -395,9 +396,9 @@ def coset_table_bits(monkeypatch):
     table = expansion._coset_table
     table.cache_clear()
 
-    def spy(X, i, basis):
+    def spy(count, basis):
         misses = table.cache_info().misses
-        columns, weight = table(X, i, basis)
+        columns, weight = table(count, basis)
         if table.cache_info().misses > misses:
             built.append(len(weight).bit_length() - 1)
         return columns, weight
@@ -467,7 +468,7 @@ def test_coset_tables_match_every_face_subset(X, dimensions):
     for i in dimensions:
         gens = (X.vertex_edge_masks, X.edge_triangle_masks)[i]
         for basis in (cocycle_space(X, i), coboundary_space(X, i)):
-            columns, weight = expansion._coset_table(X, i, basis)
+            columns, weight = expansion._coset_table(len(gens), basis)
             size = np.concatenate(list(expansion._coset_sizes(X, i, columns)))
             least = [len(gens)] * len(weight)
             syndromes, deltas = [0], [0]
@@ -490,7 +491,7 @@ def test_coset_table_inputs_reach_both_halves_of_the_xor():
     for _, X, dimensions in COSET_TABLE_INPUTS:
         for i in dimensions:
             for basis in (cocycle_space(X, i), coboundary_space(X, i)):
-                columns, weight = expansion._coset_table(X, i, basis)
+                columns, weight = expansion._coset_table((X.n_vertices, X.n_edges)[i], basis)
                 lo = (len(weight).bit_length() - 1) // 2
                 for c in columns:
                     if c & (c - 1):
@@ -498,13 +499,24 @@ def test_coset_table_inputs_reach_both_halves_of_the_xor():
     assert {(True, False), (False, True)} <= kinds
 
 
+def test_coset_tables_keep_no_complex_alive():
+    # The coset table cache is keyed by the face count and the code, so once
+    # the certificate cache lets it go, a certified complex is freed.
+    X = complete_complex(6)
+    ref = weakref.ref(X)
+    certify_exact(X)
+    certify_exact.cache_clear()
+    del X
+    assert ref() is None
+
+
 def test_coset_weights_hold_two_bytes_per_entry():
     # T(5)'s Z^1 table has 2**21 entries: the uint8 weights and one uint8
     # buffer for the shifted copy, with no frontier and no index per entry.
     z1 = cocycle_space(T5, 1)
-    expansion._coset_table(T5, 1, z1)
+    expansion._coset_table(T5.n_edges, z1)
     expansion._coset_table.cache_clear()
-    assert traced_peak(expansion._coset_table, T5, 1, z1) <= 2.5 * 2**21
+    assert traced_peak(expansion._coset_table, T5.n_edges, z1) <= 2.5 * 2**21
 
 
 def test_coset_tables_hold_no_coboundary_masks():
@@ -539,7 +551,7 @@ def test_coset_row_blocks_match_the_full_table(X, ties, monkeypatch):
     )
     report = certify_exact.__wrapped__(X, max_bits=30).dimensions[1]
     eps, want = full_tables.least_coset(X, 1, X.regular[1], cocycle_space(X, 1))
-    columns = expansion._coset_table(X, 1, cocycle_space(X, 1))[0]
+    columns = expansion._coset_table(X.n_edges, cocycle_space(X, 1))[0]
     assert (report.epsilon_cosystolic, report.cosystolic_witness) == (eps, lex_least(columns, want))
     assert passed[-1].tolist() == want.tolist()
     assert len(want) == ties and len(np.unique(want >> row_bits(21))) > 1
@@ -721,7 +733,7 @@ def test_distance_table_agrees_with_codeword_enumeration(X):
     # Every local view: the Z^1 coset table's weight, and the judgement read off
     # it, against the nearest of all 2**dim Z^1 codewords.
     z1 = cocycle_space(X, 1)
-    columns, weight = expansion._coset_table(X, 1, z1)
+    columns, weight = expansion._coset_table(X.n_edges, z1)
     _, holds = distance_judgement(X, mu=Fraction(1))
     k0 = len(X.vertex_edges[0])
     for v, edges in enumerate(X.vertex_edges):
@@ -894,6 +906,31 @@ def test_sum_lemma_holds_no_float_table():
     ns = argparse.Namespace(max_bits=24, slack=1e-9, tol=1e-9)
     assert commands._audit_sum(X, ns)["status"] == "pass"
     assert traced_peak(commands._audit_sum, X, ns) <= 6 * 2**21
+
+
+def test_sum_lemma_lists_violations_without_an_index_per_failure():
+    # With this slack every edge set of at most |E|/2 edges fails; the first ten
+    # are listed, and no index of the failing sets is built beside the table.
+    X = complete_complex(7)
+    ns = argparse.Namespace(max_bits=24, slack=-1e6, tol=1e-9)
+    result = commands._audit_sum(X, ns)
+    assert [v["edges"] for v in result["violations"]] == [
+        [e for e in range(21) if m >> e & 1] for m in range(10)
+    ]
+    assert traced_peak(commands._audit_sum, X, ns) <= 3.5 * 2**21
+
+
+@pytest.mark.parametrize("bits, seed", [(0, 0), (3, 1), (14, 2), (17, 3), (17, 4), (20, 5)])
+def test_lemma_result_lists_the_first_ten_failures(bits, seed):
+    # Sparse failures, some straddling row blocks of 2**14 entries, and some
+    # tables with fewer than ten failures in all.
+    rng = np.random.default_rng(seed)
+    fail = rng.random(1 << bits) < 12 / (1 << bits)
+    fail[rng.integers(0, 1 << bits, 3)] = True
+    result = commands._lemma_result("sum", fail, lambda m: {"m": m})
+    want = np.flatnonzero(fail)[:10].tolist()
+    assert [v["m"] for v in result["violations"]] == want
+    assert (result["status"], result["subsets_checked"]) == ("fail" if want else "pass", fail.size)
 
 
 def test_sum_coboundaries_exhaustive_k4_k5():

@@ -23,6 +23,20 @@ def test_equality_and_hash_are_field_wise():
     assert complete_complex(5) != complete_complex(4)
 
 
+def test_complexes_with_the_same_faces_and_labels_are_equal():
+    # The incidence maps are derived, not fields: a complex whose maps have been
+    # read equals and hashes as one whose maps have not.
+    X, Y = complete_complex(5), complete_complex(5)
+    X.regular, X.vertex_edge_masks, X.edge_triangle_masks, X.triangle_edge_ids
+    assert "edge_triangles" in vars(X) and "edge_triangles" not in vars(Y)
+    assert X == Y and hash(X) == hash(Y)
+    labelled = Complex2(**{**X.asdict(), "labels": tuple("abcde")})
+    assert labelled != X and labelled == Complex2(5, Y.edges, Y.triangles, tuple("abcde"))
+    assert X.asdict() == {
+        "n_vertices": 5, "edges": Y.edges, "triangles": Y.triangles, "labels": None
+    }
+
+
 def test_equality_needs_the_same_class():
     assert Graph(1, 1) != CheegerResult(1, 1)
     assert Graph(1, 1) != (1, 1)
@@ -51,11 +65,10 @@ def test_fields_cannot_be_assigned_or_deleted():
 def test_positional_keyword_and_default_arguments():
     X = complete_complex(3)
     assert X.labels is None
-    args = (X.n_vertices, X.edges, X.triangles, X.vertex_edges, X.edge_triangles)
+    args = (X.n_vertices, X.edges, X.triangles)
     Y = Complex2(*args)
     assert Y == X and Y.labels is None
-    Z = Complex2(*args[:2], triangles=X.triangles, vertex_edges=X.vertex_edges,
-                 edge_triangles=X.edge_triangles, labels=("a", "b", "c"))
+    Z = Complex2(*args[:2], triangles=X.triangles, labels=("a", "b", "c"))
     assert Z.labels == ("a", "b", "c") and Z != X
     with pytest.raises(TypeError, match="missing required arguments: 'members'"):
         Chain(1)
@@ -82,8 +95,8 @@ def test_post_init_checks_and_normalises():
 
 
 def test_cached_property_is_stored_once_and_fields_stay_frozen():
-    # Built from its fields, so the builders' precomputed value is not stored yet.
-    X = Complex2(*complete_complex(4).asdict().values())
+    # Derived on first read and stored where the cached property keeps it.
+    X = complete_complex(4)
     assert "triangle_edge_ids" not in vars(X)
     ids = X.triangle_edge_ids
     assert X.triangle_edge_ids is ids and vars(X)["triangle_edge_ids"] is ids
@@ -106,6 +119,4 @@ def test_asdict():
     with pytest.raises(ParameterError):
         Chain(**{**c.asdict(), "dimension": 5})
     assert Graph(1, 2).asdict() == {"n": 1, "adjacency": 2}
-    assert list(X.asdict()) == [
-        "n_vertices", "edges", "triangles", "vertex_edges", "edge_triangles", "labels"
-    ]
+    assert list(X.asdict()) == ["n_vertices", "edges", "triangles", "labels"]
