@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import math
-from functools import lru_cache
 from typing import TextIO
 
 # The layer modules as ``hdxwalk.cli`` registered them, not yet executed.
@@ -167,19 +166,21 @@ def _cmd_certify(ns, out, err) -> int:
     return 0
 
 
-def _lemma_result(name: str, fail: np.ndarray, violation, asserted=True, **extra) -> dict:
-    """A lemma's report; ``violation(m)`` describes each of the first 10 failing edge masks,
-    found one row block at a time, so no index of every failing mask is built."""
-    lo = spectral.row_bits(fail.size.bit_length() - 1)
-    first: list[int] = []
-    for r, row in enumerate(fail.reshape(-1, 1 << lo)):
-        first += [r << lo | m for m in np.flatnonzero(row)[: 10 - len(first)].tolist()]
+def _lemma_result(name: str, X, tables, failing, violation, asserted=True, **extra) -> dict:
+    """A lemma's report over every edge mask F, read from the row blocks of
+    ``expansion.local_view_sums(X, tables)``: ``failing(r, sums, sizes)`` flags
+    the failing masks of block r, and ``violation(m, total)`` describes each of
+    the first 10, with total the sum at m; the scan stops at the tenth."""
+    first: list[tuple[int, int]] = []
+    for r, (sums, sizes) in enumerate(expansion.local_view_sums(X, tables)):
+        ts = np.flatnonzero(failing(r, sums, sizes))[: 10 - len(first)].tolist()
+        first += [(r * sums.size + t, int(sums[t])) for t in ts]
         if len(first) == 10:
             break
-    violations = [{"edges": cochain.mask_bits(m), **violation(m)} for m in first]
+    violations = [{"edges": cochain.mask_bits(m), **violation(m, total)} for m, total in first]
     return {
         "lemma": name,
-        "subsets_checked": fail.size,
+        "subsets_checked": 1 << X.n_edges,
         **extra,
         "violations": violations,
         "status": FAIL if violations else (PASS if asserted else NOT_APPLICABLE),
@@ -189,21 +190,16 @@ def _lemma_result(name: str, fail: np.ndarray, violation, asserted=True, **extra
 def _view_lemma(name: str, X: complexes.Complex2, holds, asserted, **extra) -> dict:
     """A lemma failing at F where ``asserted(|F|)`` and, at some vertex v, ``holds[v]``
     is false at the view F_v (indexed as in ``expansion.local_views``)."""
-    fail = expansion.local_view_sums(X, [~h for h in holds]) > 0
     by_size = np.array([asserted(s) for s in range(X.n_edges + 1)])
-    fail &= by_size[spectral.subset_sums([1] * X.n_edges)]
 
-    def violation(m: int) -> dict:
+    def violation(m: int, total: int) -> dict:
         views = [sum((m >> e & 1) << t for t, e in enumerate(edges)) for edges in X.vertex_edges]
         return {"vertices": [v for v, (h, L) in enumerate(zip(holds, views)) if not h[L]]}
 
-    return _lemma_result(name, fail, violation, by_size.any(), **extra)
-
-
-@lru_cache(maxsize=1)
-def _coboundary_sums(X: complexes.Complex2) -> np.ndarray:
-    """sum_v |coboundary(F_v)| for every edge mask F, one table for the outgoing and sum lemmas."""
-    return expansion.local_view_sums(X, expansion.local_views(X)[1])
+    return _lemma_result(
+        name, X, [~h for h in holds], lambda r, sums, sizes: (sums > 0) & by_size[sizes],
+        violation, by_size.any(), **extra,
+    )
 
 
 def _audit_outgoing(X: complexes.Complex2, ns) -> dict:
@@ -216,9 +212,10 @@ def _audit_outgoing(X: complexes.Complex2, ns) -> dict:
         )
     # The cut of F in the edge-graph against sum_v |coboundary(F_v)|.
     cut = spectral.cut_sizes(graphs.edge_graph(X).neighbor_masks)
-    sums = _coboundary_sums(X)
+    rows = cut.reshape(-1, 1 << spectral.row_bits(X.n_edges))
     return _lemma_result(
-        "outgoing", cut != sums, lambda m: {"lhs": int(cut[m]), "rhs": int(sums[m])}
+        "outgoing", X, expansion.local_views(X)[1], lambda r, sums, sizes: rows[r] != sums,
+        lambda m, total: {"lhs": int(cut[m]), "rhs": total},
     )
 
 
@@ -257,22 +254,13 @@ def _audit_local_views(X: complexes.Complex2, ns) -> dict:
 def _audit_sum(X: complexes.Complex2, ns) -> dict:
     eps = expansion.certify_exact(X, max_bits=ns.max_bits).epsilon_cosystolic
     scale = expansion.sum_bound_judgement(X, eps, tol=ns.tol)
-    sums = _coboundary_sums(X)
     n = X.n_edges
     bound = [scale * size for size in range(n + 1)]
-    # The sums are integers, so sum >= bound - slack exactly when sum >= its ceiling,
-    # clipped to the table's range.  The bound is stated for |F| <= |E|/2; a
-    # threshold of 0 passes the larger sets unchecked.
-    top = int(sums.max()) + 1
-    need = [
-        min(max(math.ceil(b - ns.slack), 0), top) if 2 * s <= n else 0
-        for s, b in enumerate(bound)
-    ]
-    sizes = spectral.subset_sums([1] * n)
+    # The bound is stated for |F| <= |E|/2; the larger sets pass unchecked.
+    least = np.array([b - ns.slack if 2 * s <= n else -math.inf for s, b in enumerate(bound)])
     return _lemma_result(
-        "sum",
-        sums < np.array(need, np.min_scalar_type(top))[sizes],
-        lambda m: {"lhs": int(sums[m]), "rhs_bound": bound[sizes[m]]},
+        "sum", X, expansion.local_views(X)[1], lambda r, sums, sizes: sums < least[sizes],
+        lambda m, total: {"lhs": total, "rhs_bound": bound[m.bit_count()]},
         subsets_checked=sum(math.comb(n, s) for s in range(n // 2 + 1)),
         epsilon=eps,
     )

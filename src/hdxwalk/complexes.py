@@ -23,7 +23,7 @@ that round-trips are loss-free face-for-face.
 from __future__ import annotations
 
 import json
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import chain, combinations
 from math import comb, isfinite
 from operator import itemgetter
@@ -108,6 +108,21 @@ class Complex2(Record):
     def edge_triangle_masks(self) -> tuple[int, ...]:
         """Per edge, the incident triangles as a bit mask over triangle ids."""
         return tuple(map(_mask, self.edge_triangles))
+
+
+def kept_on_complex(build):
+    """``build(X)`` computed once per complex and stored in its ``__dict__``, as a
+    cached property is: no module-level cache holds the complex, so a command
+    can drop it once what it needs is built."""
+    key = f"_{build.__name__}"
+
+    @wraps(build)
+    def kept(X: Complex2):
+        if key not in X.__dict__:
+            X.__dict__[key] = build(X)
+        return X.__dict__[key]
+
+    return kept
 
 
 def _canonical_edge(pair) -> tuple[int, int]:

@@ -17,13 +17,13 @@ The rest states the facts behind the mixing bound that ``hdx audit`` checks:
 the local-view distance formula, the per-vertex coboundary lower bounds for
 semi-fat and non-fat vertices, the minimum-cut lower bound, the
 sum-of-coboundaries lower bound, and the closed-form mixing rate.
-``local_views`` tables, per vertex v, the size and coboundary size of every
-local view F_v = F & star(v) with the subset-sum and cut kernels.  Each
-``*_judgement`` function passes a lemma's regularity and lambda2 gates once
-per complex and returns the lemma's verdict per vertex and view as arrays
-over those tables (the sum bound, its scale); ``local_view_sums`` spreads
-per-view tables over every edge set F by broadcasting.  The distance formula
-reads dist(F_v, Z^1) off the Z^1 coset table, cached from certification.
+``local_views`` tables, once per complex and vertex v, the size and coboundary
+size of every local view F_v = F & star(v) with the subset-sum and cut kernels.
+Each ``*_judgement`` function passes a lemma's regularity and lambda2 gates
+once per complex and returns the lemma's verdict per vertex and view as arrays
+over those tables (the sum bound, its scale); ``local_view_sums`` sums per-view
+tables over every edge set F, one row block of edge sets at a time.  The
+distance formula reads dist(F_v, Z^1) off the Z^1 coset table, cached.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from . import gf2
 from ._lazy import np
 from ._record import Record
 from .cochain import coboundary_space, cocycle_space
-from .complexes import Complex2
+from .complexes import Complex2, kept_on_complex
 from .errors import (
     CapacityError,
     DegenerateComplexError,
@@ -295,12 +295,17 @@ def _size_preconditions(X: Complex2, claim: str, mu: Fraction, tol: float):
         raise ParameterError(f"mu must be positive, got {mu}")
     k0, k1 = _required_regular(X)
     lambda2 = gap_lambda2(underlying_graph(X), claim, tol)
-    met = X.n_vertices >= 4.0 / (1.0 - 2.0 * lambda2) - 1e-12 and X.n_vertices * mu >= 3
-    return k0, k1, lambda2, met
+    return k0, k1, lambda2, _enough_vertices(X.n_vertices, lambda2) and X.n_vertices * mu >= 3
 
 
+def _enough_vertices(n: int, lambda2: float) -> bool:
+    """The size precondition |V| >= 4 / (1 - 2*lambda2) of the cut and local-view lemmas."""
+    return n >= 4.0 / (1.0 - 2.0 * lambda2) - 1e-12
+
+
+@kept_on_complex
 def local_views(X: Complex2) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per vertex v, the size and |coboundary| of every local view L inside star(v).
+    """Per vertex v, the size and |coboundary| of every local view L inside star(v), kept on X.
 
     A view's index has bit t set when it holds the t-th edge of
     ``X.vertex_edges[v]``.  Every triangle meeting star(v) holds v and exactly
@@ -347,23 +352,33 @@ def local_view_bound_judgement(
     return met, eta, holds
 
 
-def local_view_sums(X: Complex2, tables: list[np.ndarray]) -> np.ndarray:
-    """Sum over vertices v of tables[v] at the local view of F at v, for every edge mask F.
+def local_view_sums(X: Complex2, tables: list[np.ndarray]):
+    """Row blocks of the sum over vertices v of tables[v] at the local view of F
+    at v, over every edge mask F, each with its masks' sizes |F|.
 
     ``tables[v]`` holds a non-negative integer or bool per view of star(v),
-    indexed as in ``local_views``.  The result, indexed by F's mask, is built
-    as a (2,) * |E| array whose axis a is edge |E| - 1 - a: the star's edges
-    are ascending, so its table, given 2 on their axes and 1 elsewhere, adds
-    in by broadcasting.
+    indexed as in ``local_views``.  Block r holds the masks r * 2**lo + t for
+    t below 2**lo, lo = ``row_bits(|E|)``, which share the edges from lo up.
+    The star's edges ascend, so its low edges index a row of its table and
+    its high edges pick the row; each block is a (2,) * lo array whose axis a
+    is edge lo - 1 - a, to which each star's row adds by broadcasting.
     """
-    check_table_bits(X.n_edges)
-    total = np.zeros((2,) * X.n_edges, np.min_scalar_type(sum(int(t.max()) for t in tables)))
+    n = X.n_edges
+    check_table_bits(n)
+    lo = row_bits(n)
+    dtype = np.min_scalar_type(sum(int(t.max()) for t in tables))
+    stars = []
     for edges, table in zip(X.vertex_edges, tables):
-        shape = [1] * X.n_edges
-        for e in edges:
-            shape[X.n_edges - 1 - e] = 2
-        total += table.astype(total.dtype).reshape(shape)
-    return total.reshape(-1)
+        if not table.any():  # adds nothing, as for a view lemma's star where every view holds
+            continue
+        shape = [2 if lo - 1 - a in edges else 1 for a in range(lo)]
+        stars.append(([e - lo for e in edges if e >= lo], table.astype(dtype).reshape(-1, *shape)))
+    low = subset_sums([1] * lo)
+    for r in range(1 << (n - lo)):
+        total = np.zeros((2,) * lo, dtype)
+        for high, rows in stars:
+            total += rows[sum((r >> e & 1) << j for j, e in enumerate(high))]
+        yield total.reshape(-1), low + r.bit_count()
 
 
 class LargeCutsResult(Record):
@@ -382,23 +397,21 @@ def large_cuts_audit(G0: Graph, *, tol: float = 1e-9) -> LargeCutsResult:
         raise RegularityError("minimum-cut bound needs a regular graph of positive degree")
     check_table_bits(G0.n)  # before the eigensolver runs
     lambda2 = gap_lambda2(G0, "minimum-cut bound requires", tol)
-    # Entry t of the rows is mask 2t + 1: the subsets containing vertex 0, of
-    # which the last, every vertex, is not proper.
-    rows = cut_sizes(G0.neighbor_masks)[1::2].reshape(-1, 1 << row_bits(G0.n - 1))
-    ones = np.ones(rows.shape[1], np.uint8)
-    proper = ones.astype(bool)
-    last = proper.copy()
-    last[-1] = False
-    blocks = ((cut, ones, proper if r < len(rows) - 1 else last) for r, cut in enumerate(rows))
-    least, winners = least_ratio(blocks, 1, keep=lambda t: lex_min(2 * t + 1))
-    min_cut = least.numerator
-    precondition = G0.n >= 4.0 / (1.0 - 2.0 * lambda2) - 1e-12
+    # Entry t is mask 2t + 1: the subsets containing vertex 0, of which the
+    # last, every vertex, is not proper.
+    cut = cut_sizes(G0.neighbor_masks)[1::2]
+    min_cut = int(cut[:-1].min())
+    lo = row_bits(G0.n - 1)
+    winners = []
+    for r, row in enumerate(cut.reshape(-1, 1 << lo)):
+        ties = (r << lo) + np.flatnonzero(row == min_cut)
+        winners.append(lex_min(2 * ties[ties < len(cut) - 1] + 1))
     return LargeCutsResult(
         min_cut=min_cut,
-        witness=lex_first(winners),
+        witness=lex_first(np.concatenate(winners)),
         k=k,
         lambda2=lambda2,
-        precondition_met=precondition,
+        precondition_met=_enough_vertices(G0.n, lambda2),
         passes=min_cut >= k,
     )
 

@@ -10,11 +10,11 @@ so a graph lives as long as its complex, or longer, and never keeps it alive.
 
 from __future__ import annotations
 
-from functools import cached_property, wraps
-from typing import Callable, Iterable, Optional
+from functools import cached_property
+from typing import Iterable, Optional
 
 from ._record import Record
-from .complexes import Complex2, _mask
+from .complexes import Complex2, _mask, kept_on_complex
 from .errors import ParameterError
 
 
@@ -53,30 +53,13 @@ class Graph(Record):
         return tuple(map(_mask, self.adjacency))
 
 
-def _kept_on_complex(build: Callable[[Complex2], Graph]) -> Callable[[Complex2], Graph]:
-    """``build(X)`` computed once per complex and stored in its ``__dict__``, as a
-    cached property is: no module-level cache holds the complex, so a command
-    can drop it once its graph is built."""
-    key = f"_{build.__name__}"
-
-    @wraps(build)
-    def kept(X: Complex2) -> Graph:
-        try:
-            return X.__dict__[key]
-        except KeyError:
-            G = X.__dict__[key] = build(X)
-            return G
-
-    return kept
-
-
-@_kept_on_complex
+@kept_on_complex
 def underlying_graph(X: Complex2) -> Graph:
     """The 1-skeleton: same vertices and edges, triangles ignored."""
     return Graph.from_edges(X.n_vertices, X.edges)
 
 
-@_kept_on_complex
+@kept_on_complex
 def edge_graph(X: Complex2) -> Graph:
     """Graph on the edge ids of X (vertex i is edge i); adjacent iff the union is a triangle.
 

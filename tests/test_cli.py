@@ -517,12 +517,12 @@ def reference_violations(X, lemma, slack):
 @pytest.mark.parametrize("name", sorted(RUNNER_INPUTS))
 def test_lemma_tables_match_per_subset_loops(name, lemma, slack, monkeypatch):
     X = RUNNER_INPUTS[name]
-    tables = []
+    scans = []
     lemma_result = commands._lemma_result
 
-    def recording(name, fail, *args, **kwargs):
-        tables.append(fail)
-        return lemma_result(name, fail, *args, **kwargs)
+    def recording(name, X, tables, failing, *args, **kwargs):
+        scans.append((tables, failing))
+        return lemma_result(name, X, tables, failing, *args, **kwargs)
 
     monkeypatch.setattr(commands, "_lemma_result", recording)
     ns = argparse.Namespace(max_bits=24, slack=slack, tol=1e-9)
@@ -532,7 +532,10 @@ def test_lemma_tables_match_per_subset_loops(name, lemma, slack, monkeypatch):
         with pytest.raises(type(exc), match=re.escape(str(exc))):
             reference_violations(X, lemma, slack)
         return
-    (fail,) = tables
+    ((tables, failing),) = scans
+    # The runner's scan stops at the tenth failure; its predicate, over every row block, flags all.
+    blocks = enumerate(expansion.local_view_sums(X, tables))
+    fail = np.concatenate([failing(r, sums, sizes) for r, (sums, sizes) in blocks])
     want = reference_violations(X, lemma, slack)
     assert np.flatnonzero(fail).tolist() == [m for m, _ in want]
     # Each reported violation, detail and all, is the library's per-subset report.
@@ -554,12 +557,12 @@ def test_outgoing_violation_reads_both_tables(monkeypatch):
 
 def test_audit_evaluates_each_local_view_once(tmp_path, monkeypatch):
     # K6 has 6 stars of 5 edges: the per-vertex tables hold 6 * 2**5 = 192 local
-    # views, built once for each lemma that reads them (distance, local-views and
-    # the sum of local coboundaries).  The distance judgement reads its distances
-    # off the Z^1 coset table that certification built, from the table cache.
-    # Views are table entries, so --lemma all builds 8 value objects: the
-    # complex, its two graphs, the spectrum, the cut result and the certificate
-    # with its two dimension reports.
+    # views, built once per complex and kept on it for every lemma that reads
+    # them (outgoing, distance, local-views and sum).  The distance judgement
+    # reads its distances off the Z^1 coset table that certification built,
+    # from the table cache.  Views are table entries, so --lemma all builds 8
+    # value objects: the complex, its two graphs, the spectrum, the cut result
+    # and the certificate with its two dimension reports.
     path = tmp_path / "k6.complex"
     save_complex(complete_complex(6), str(path))
     counts = {"views": [], "tables": 0, "judgement_tables": 0, "records": 0}
@@ -573,9 +576,11 @@ def test_audit_evaluates_each_local_view_once(tmp_path, monkeypatch):
         return result
 
     def counted_views(X):
-        sizes, cuts = views(X)
-        counts["views"].append((sum(t.size for t in sizes), sum(t.size for t in cuts)))
-        return sizes, cuts
+        # A build returns a new pair of lists; a kept one is returned again.
+        result = views(X)
+        if all(result is not seen for seen in counts["views"]):
+            counts["views"].append(result)
+        return result
 
     def counted_table(*args, **kwargs):
         counts["tables"] += 1
@@ -589,14 +594,14 @@ def test_audit_evaluates_each_local_view_once(tmp_path, monkeypatch):
     monkeypatch.setattr(expansion, "local_views", counted_views)
     monkeypatch.setattr(expansion, "_coset_table", counted_table)
     monkeypatch.setattr(Record, "__init__", counted_init)
-    for lemma, builds in (("distance", 1), ("all", 3)):
+    for lemma in ("distance", "all"):
         for cached in (certify_exact, normalized_spectrum):
             cached.cache_clear()
-        commands._coboundary_sums.cache_clear()
         table.cache_clear()
         counts.update(views=[], tables=0, judgement_tables=0, records=0)
         assert invoke("audit", str(path), "--lemma", lemma)[0] == 0
-        assert counts["views"] == [(192, 192)] * builds
+        sizes = [(sum(t.size for t in s), sum(t.size for t in c)) for s, c in counts["views"]]
+        assert sizes == [(192, 192)]
         assert counts["judgement_tables"] == 1
     assert counts["records"] == 8
 
@@ -1098,26 +1103,23 @@ def test_audit_verdicts_are_invariant_under_relabelling(name, tmp_path):
         assert verdicts(relabel(X, seed)) == want, seed
 
 
-def test_audit_builds_one_coboundary_table_per_run(tmp_path, monkeypatch):
-    # The outgoing and sum lemmas read one table of sum_v |coboundary(F_v)|,
-    # spread from K5's 5 stars of 4 edges: 5 * 2**4 = 80 local coboundaries.
+def test_audit_keeps_no_complex_alive(tmp_path, monkeypatch):
+    # The lemma scans keep their tables on the complex, in no module cache, so
+    # once the certificate cache lets it go the loaded complex is freed.
     path = tmp_path / "k5.complex"
     save_complex(complete_complex(5), str(path))
-    built = []
-    sums = expansion.local_view_sums
+    loaded, loads = [], complexes.loads_complex
 
-    def counted(X, tables):
-        table = sums(X, tables)
-        # Only the coboundary table's builds: the view lemmas spread their verdicts too.
-        if sys._getframe(1).f_code is commands._coboundary_sums.__wrapped__.__code__:
-            built.append(sum(t.size for t in tables))
-        return table
+    def spy_loads(text):
+        X = loads(text)
+        loaded.append(weakref.ref(X))
+        return X
 
-    monkeypatch.setattr(expansion, "local_view_sums", counted)
-    commands._coboundary_sums.cache_clear()
+    monkeypatch.setattr(complexes, "loads_complex", spy_loads)
     code, out, _ = invoke("audit", str(path), "--lemma", "all")
     assert code == 0 and json.loads(out)["status"] == "pass"
-    assert built == [80]
+    certify_exact.cache_clear()
+    assert len(loaded) == 1 and loaded[0]() is None
 
 
 # --- the public surface ---------------------------------------------------------------

@@ -79,6 +79,11 @@ def edge_chain(X, *pairs):
     return Chain.of(1, [edge_id(X, u, v) for (u, v) in pairs])
 
 
+def coboundary_sums(X):
+    """sum_v |coboundary(F_v)| for every edge mask F: ``local_view_sums``' row blocks, joined."""
+    return np.concatenate([sums for sums, _ in local_view_sums(X, expansion.local_views(X)[1])])
+
+
 def view_index(X, v, mask):
     """Index of the local view mask & star(v) in v's tables: bit t for the t-th star edge."""
     return sum((mask >> e & 1) << t for t, e in enumerate(X.vertex_edges[v]))
@@ -557,10 +562,16 @@ def test_coset_row_blocks_match_the_full_table(X, ties, monkeypatch):
     assert len(want) == ties and len(np.unique(want >> row_bits(21))) > 1
 
 
-def test_local_view_sums_hold_only_the_result():
-    # The cuboctahedron's 24 edges: one uint8 per edge set, with no index array per star.
+def test_local_view_sums_hold_one_row_block():
+    # The cuboctahedron's 24 edges: a full pass holds one row block of 2**14
+    # sums and sizes at a time, and each star's table, never a table per edge set.
     views = expansion.local_views(CUBOCTAHEDRON)[1]
-    assert traced_peak(local_view_sums, CUBOCTAHEDRON, views) <= 1.25 * 2**24
+
+    def full_pass():
+        for _ in local_view_sums(CUBOCTAHEDRON, views):
+            pass
+
+    assert traced_peak(full_pass) < 2**20
 
 
 def test_certificate_invariant_under_relabelling():
@@ -676,13 +687,13 @@ def test_outgoing_identity_full_edge_set():
 def test_outgoing_identity_exhaustive():
     # The two tables audit --lemma outgoing compares, on every edge set.
     for X in (K4, K5):
-        assert np.array_equal(cut_sizes(edge_graph(X).neighbor_masks), commands._coboundary_sums(X))
+        assert np.array_equal(cut_sizes(edge_graph(X).neighbor_masks), coboundary_sums(X))
 
 
 def test_outgoing_identity_on_random_complexes():
     for seed in range(3):
         X = random_complex(6, 0.5, seed=seed)
-        cut, sums = cut_sizes(edge_graph(X).neighbor_masks), commands._coboundary_sums(X)
+        cut, sums = cut_sizes(edge_graph(X).neighbor_masks), coboundary_sums(X)
         rng = SplitMix64(seed)
         for _ in range(200):
             mask = randrange(rng, 1 << X.n_edges)
@@ -880,7 +891,7 @@ def test_large_cuts_hold_one_int16_table():
 def test_sum_coboundaries_empty():
     # lhs 0 against the bound scale * 0 = 0
     scale = sum_bound_judgement(K4, certify_exact(K4).epsilon_cosystolic)
-    assert commands._coboundary_sums(K4)[0] == 0 == scale * 0
+    assert coboundary_sums(K4)[0] == 0 == scale * 0
 
 
 def test_sum_coboundaries_single_edge_value():
@@ -898,39 +909,60 @@ def test_sum_coboundaries_rejects_large_sets():
     assert result["subsets_checked"] == sum(math.comb(6, r) for r in range(4)) == 42
 
 
-def test_sum_lemma_holds_no_float_table():
-    # K7's 2**21 edge sets, after the coboundary sums and the certificate are cached:
-    # the uint8 sizes, the per-size thresholds gathered by size and the failures,
-    # with no float64 bound per edge set.
+@pytest.mark.parametrize(
+    "lemma, slack, per_set",
+    [("distance", 1e-9, 0.25), ("local-views", 1e-9, 0.25), ("sum", 1e-9, 0.25)]
+    + [("outgoing", 1e-9, 2.25)],
+)
+def test_lemma_scans_hold_no_table_per_edge_set(lemma, slack, per_set):
+    # K7's 2**21 edge sets, once the certificate, the graphs and the local views
+    # are kept: the lemmas read one row block of sums, sizes and flags at a
+    # time.  Outgoing also holds the edge graph's int16 cut table, 2 bytes per set.
     X = complete_complex(7)
-    ns = argparse.Namespace(max_bits=24, slack=1e-9, tol=1e-9)
-    assert commands._audit_sum(X, ns)["status"] == "pass"
-    assert traced_peak(commands._audit_sum, X, ns) <= 6 * 2**21
+    ns = argparse.Namespace(max_bits=24, slack=slack, tol=1e-9)
+    run = commands._LEMMA_RUNNERS[lemma]
+    assert run(X, ns)["status"] == "pass"
+    assert traced_peak(run, X, ns) <= per_set * 2**21
 
 
 def test_sum_lemma_lists_violations_without_an_index_per_failure():
     # With this slack every edge set of at most |E|/2 edges fails; the first ten
-    # are listed, and no index of the failing sets is built beside the table.
+    # are listed from the first row block, and no table per edge set is built.
     X = complete_complex(7)
     ns = argparse.Namespace(max_bits=24, slack=-1e6, tol=1e-9)
     result = commands._audit_sum(X, ns)
     assert [v["edges"] for v in result["violations"]] == [
         [e for e in range(21) if m >> e & 1] for m in range(10)
     ]
-    assert traced_peak(commands._audit_sum, X, ns) <= 3.5 * 2**21
+    assert traced_peak(commands._audit_sum, X, ns) <= 0.25 * 2**21
 
 
 @pytest.mark.parametrize("bits, seed", [(0, 0), (3, 1), (14, 2), (17, 3), (17, 4), (20, 5)])
-def test_lemma_result_lists_the_first_ten_failures(bits, seed):
+def test_lemma_result_lists_the_first_ten_failures(bits, seed, monkeypatch):
     # Sparse failures, some straddling row blocks of 2**14 entries, and some
-    # tables with fewer than ten failures in all.
+    # tables with fewer than ten failures in all.  Each violation reads its sum
+    # from its block, and the scan stops at the block of the tenth.
     rng = np.random.default_rng(seed)
     fail = rng.random(1 << bits) < 12 / (1 << bits)
     fail[rng.integers(0, 1 << bits, 3)] = True
-    result = commands._lemma_result("sum", fail, lambda m: {"m": m})
+    sums = rng.integers(0, 200, 1 << bits)
+    lo = row_bits(bits)
+    read = []
+
+    def blocks(X, tables):
+        for row in sums.reshape(-1, 1 << lo):
+            read.append(row)
+            yield row, None
+
+    monkeypatch.setattr(expansion, "local_view_sums", blocks)
+    result = commands._lemma_result(
+        "sum", argparse.Namespace(n_edges=bits), [],
+        lambda r, row, sizes: fail[r << lo : r + 1 << lo], lambda m, total: {"m": m, "total": total},
+    )
     want = np.flatnonzero(fail)[:10].tolist()
-    assert [v["m"] for v in result["violations"]] == want
+    assert [(v["m"], v["total"]) for v in result["violations"]] == [(m, sums[m]) for m in want]
     assert (result["status"], result["subsets_checked"]) == ("fail" if want else "pass", fail.size)
+    assert len(read) == ((want[-1] >> lo) + 1 if len(want) == 10 else 1 << bits - lo)
 
 
 def test_sum_coboundaries_exhaustive_k4_k5():
@@ -944,8 +976,11 @@ def test_sum_coboundaries_exhaustive_k4_k5():
     [K4, build_from_triangles([(0, 1, 2), (1, 2, 3)], [(3, 4)]), random_complex(6, 0.5, seed=3)],
 )
 def test_local_view_sums_match_per_subset_sums(X):
-    table = local_view_sums(X, expansion.local_views(X)[1])
-    assert table.tolist() == [outgoing(X, Chain.from_mask(1, m))[1] for m in range(1 << X.n_edges)]
+    sizes = np.concatenate([size for _, size in local_view_sums(X, expansion.local_views(X)[1])])
+    assert coboundary_sums(X).tolist() == [
+        outgoing(X, Chain.from_mask(1, m))[1] for m in range(1 << X.n_edges)
+    ]
+    assert sizes.tolist() == [m.bit_count() for m in range(1 << X.n_edges)]
 
 
 def test_sum_local_coboundaries_matches_direct():
@@ -956,7 +991,7 @@ def test_sum_local_coboundaries_matches_direct():
         direct = sum(
             len(coboundary_edges(K5, local_view(K5, F, v))) for v in range(K5.n_vertices)
         )
-        assert commands._coboundary_sums(K5)[mask] == direct
+        assert coboundary_sums(K5)[mask] == direct
 
 
 # --- mixing rate bound ----------------------------------------------------------
