@@ -196,8 +196,10 @@ def _view_lemma(name: str, X: complexes.Complex2, holds, asserted, **extra) -> d
         views = [sum((m >> e & 1) << t for t, e in enumerate(edges)) for edges in X.vertex_edges]
         return {"vertices": [v for v, (h, L) in enumerate(zip(holds, views)) if not h[L]]}
 
+    # Once some size is asserted, each failing view lies in a violation: only failures scan.
+    tables = [~h for h in holds] if by_size.any() else []
     return _lemma_result(
-        name, X, [~h for h in holds], lambda r, sums, sizes: (sums > 0) & by_size[sizes],
+        name, X, tables, lambda r, sums, sizes: (sums > 0) & by_size[sizes],
         violation, by_size.any(), **extra,
     )
 

@@ -22,8 +22,8 @@ size of every local view F_v = F & star(v) with the subset-sum and cut kernels.
 Each ``*_judgement`` function passes a lemma's regularity and lambda2 gates
 once per complex and returns the lemma's verdict per vertex and view as arrays
 over those tables (the sum bound, its scale); ``local_view_sums`` sums per-view
-tables over every edge set F, one row block of edge sets at a time.  The
-distance formula reads dist(F_v, Z^1) off the Z^1 coset table, cached.
+tables over every edge set F a row block at a time, and yields nothing when
+every table is zero.  dist(F_v, Z^1) is read off the cached Z^1 coset table.
 """
 
 from __future__ import annotations
@@ -353,8 +353,8 @@ def local_view_bound_judgement(
 
 
 def local_view_sums(X: Complex2, tables: list[np.ndarray]):
-    """Row blocks of the sum over vertices v of tables[v] at the local view of F
-    at v, over every edge mask F, each with its masks' sizes |F|.
+    """Row blocks of the sums over v of tables[v] at F's local view at v, over
+    every edge mask F, with the masks' sizes |F|; no block if every table is 0.
 
     ``tables[v]`` holds a non-negative integer or bool per view of star(v),
     indexed as in ``local_views``.  Block r holds the masks r * 2**lo + t for
@@ -364,7 +364,6 @@ def local_view_sums(X: Complex2, tables: list[np.ndarray]):
     is edge lo - 1 - a, to which each star's row adds by broadcasting.
     """
     n = X.n_edges
-    check_table_bits(n)
     lo = row_bits(n)
     dtype = np.min_scalar_type(sum(int(t.max()) for t in tables))
     stars = []
@@ -373,6 +372,9 @@ def local_view_sums(X: Complex2, tables: list[np.ndarray]):
             continue
         shape = [2 if lo - 1 - a in edges else 1 for a in range(lo)]
         stars.append(([e - lo for e in edges if e >= lo], table.astype(dtype).reshape(-1, *shape)))
+    if not stars:  # every sum is 0
+        return
+    check_table_bits(n)
     low = subset_sums([1] * lo)
     for r in range(1 << (n - lo)):
         total = np.zeros((2,) * lo, dtype)

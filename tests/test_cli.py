@@ -23,7 +23,19 @@ from hypothesis import strategies as st
 from chains import Chain
 from lemma_loops import distance, local_views, outgoing, sum_bound
 from loop_exact import loop_evolve_exact, propagated_distances
-from named_complexes import CUBOCTAHEDRON, HEAWOOD_LINE, OCTAHEDRON, RP2_6, findings, relabel, save_complex
+from named_complexes import (
+    CUBOCTAHEDRON,
+    HEAWOOD_LINE,
+    ICOSAHEDRON,
+    K333,
+    OCTAHEDRON,
+    RP2_6,
+    T5,
+    TORUS_7,
+    findings,
+    relabel,
+    save_complex,
+)
 
 import hdxwalk
 from hdxwalk import cli, commands, complexes, expansion, graphs, spectral, walk
@@ -472,6 +484,42 @@ def test_audit_table_capacity_exit_3(tmp_path):
     assert err.startswith("hdx: capacity error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "name, statuses, bits",
+    [
+        ("k333", ("pass", "pass"), 27),
+        ("k8", ("pass", "pass"), 28),
+        # the size preconditions fail, so neither lemma is asserted at any size
+        ("icosahedron", ("not-applicable", "not-applicable"), 30),
+        ("t5", ("pass", "pass"), 30),
+    ],
+)
+def test_view_lemmas_decide_past_the_table_limit(name, statuses, bits, tmp_path):
+    # 2**27 to 2**30 edge sets, past the 2**26-entry tables: no view fails at an
+    # asserted size, so no violation exists and no edge set is enumerated.
+    X = {"k333": K333, "k8": complete_complex(8), "icosahedron": ICOSAHEDRON, "t5": T5}[name]
+    path = str(tmp_path / f"{name}.complex")
+    save_complex(X, path)
+    for lemma, status in zip(("distance", "local-views"), statuses):
+        start = time.perf_counter()
+        code, out, err = invoke("audit", path, "--lemma", lemma, "--max-bits", "40")
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        (result,) = json.loads(out)["results"]["lemmas"]
+        assert (result["status"], result["subsets_checked"]) == (status, 1 << bits)
+        assert result["violations"] == []
+
+
+def test_failing_view_lemma_past_the_table_limit_exit_3(tmp_path):
+    # At this slack a view of K8 fails, and listing the failures needs the scan
+    # over 2**28 edge sets, which the table limit refuses.
+    path = str(tmp_path / "k8.complex")
+    save_complex(complete_complex(8), path)
+    code, out, err = invoke("audit", path, "--lemma", "local-views", "--slack=-1", "--max-bits", "40")
+    assert (code, out) == (3, "")
+    assert err == "hdx: capacity error: subset tables are limited to 2**26 entries; got 2**28\n"
+
+
 # --- lemma runners against per-subset loops ---------------------------------------
 
 RUNNER_INPUTS = {
@@ -534,13 +582,85 @@ def test_lemma_tables_match_per_subset_loops(name, lemma, slack, monkeypatch):
         return
     ((tables, failing),) = scans
     # The runner's scan stops at the tenth failure; its predicate, over every row block, flags all.
+    # No block means every sum is 0: a view lemma with every view holding flags nothing.
     blocks = enumerate(expansion.local_view_sums(X, tables))
-    fail = np.concatenate([failing(r, sums, sizes) for r, (sums, sizes) in blocks])
+    flags = [failing(r, sums, sizes) for r, (sums, sizes) in blocks]
+    fail = np.concatenate(flags) if flags else np.zeros(0, bool)
     want = reference_violations(X, lemma, slack)
     assert np.flatnonzero(fail).tolist() == [m for m, _ in want]
+    if lemma in ("distance", "local-views"):
+        # The view lemmas scan exactly when a violation exists, as the reduction below states.
+        assert bool(flags) == bool(want) == violation_exists(X, lemma, slack)
     # Each reported violation, detail and all, is the library's per-subset report.
     assert result["violations"] == [entry for _, entry in want[:10]]
     assert (result["status"] == "fail") == bool(want)
+
+
+def violation_exists(X, lemma, slack):
+    """Whether some edge set violates the distance or local-view lemma, by the
+    per-subset statements of ``lemma_loops`` at one edge set per vertex v, view L
+    of star(v) and size.  The statement at v reads F only through F & star(v), so
+    L with the first j edges outside star(v) stands for every F of size |L| + j
+    whose view at v is L, and a view that holds at v holds at every size."""
+    cert = certify_exact(X)
+
+    def statement(F):
+        if lemma == "distance":
+            return distance(X, F, cert.mu)
+        return local_views(X, F, cert.epsilon_cosystolic, cert.mu, slack)
+
+    for v, star in enumerate(X.vertex_edges):
+        rest = [1 << e for e in range(X.n_edges) if e not in star]
+        for m in range(1 << len(star)):
+            view = sum(1 << e for t, e in enumerate(star) if m >> t & 1)
+            for j in range(len(rest) + 1):
+                asserted, bad = statement(Chain.from_mask(1, view + sum(rest[:j])))
+                if v not in bad:
+                    break
+                if asserted:
+                    return True
+    return False
+
+
+VIEW_LEMMA_INPUTS = {
+    **RUNNER_INPUTS,
+    "torus": TORUS_7,
+    "torus-relabelled": relabel(TORUS_7, 5),
+    "rp2": RP2_6,
+    "rp2-relabelled": relabel(RP2_6, 9),
+    "k6": complete_complex(6),
+    "k7": complete_complex(7),
+    "k7-relabelled": relabel(complete_complex(7), 11),
+}
+
+
+@pytest.mark.parametrize(
+    "lemma,slack",
+    # distance takes no slack
+    [("distance", 1e-9)] + [("local-views", slack) for slack in (1e-9, -0.5, -1.0, -3.0, -1e6)],
+)
+@pytest.mark.parametrize("name", sorted(VIEW_LEMMA_INPUTS))
+def test_view_lemmas_scan_exactly_when_a_violation_exists(name, lemma, slack, monkeypatch):
+    # Up to 2**21 edge sets, too many for ``reference_violations``: its statements
+    # are checked at one edge set per vertex, view and size instead.
+    X = VIEW_LEMMA_INPUTS[name]
+    blocks, local_view_sums = [], expansion.local_view_sums
+
+    def counting(X, tables):
+        for block in local_view_sums(X, tables):
+            blocks.append(len(block[0]))
+            yield block
+
+    monkeypatch.setattr(expansion, "local_view_sums", counting)
+    ns = argparse.Namespace(max_bits=24, slack=slack, tol=1e-9)
+    try:
+        result = commands._LEMMA_RUNNERS[lemma](X, ns)
+    except (RegularityError, DomainError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            violation_exists(X, lemma, slack)
+        return
+    exists = violation_exists(X, lemma, slack)
+    assert bool(blocks) == exists == (result["status"] == "fail")
 
 
 def test_outgoing_violation_reads_both_tables(monkeypatch):

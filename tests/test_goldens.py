@@ -21,7 +21,7 @@ sys.path.insert(0, PERFBENCH)
 
 import checks  # noqa: E402
 import corpus  # noqa: E402
-from named_complexes import CUBOCTAHEDRON, T5, TORUS_7, save_complex  # noqa: E402
+from named_complexes import CUBOCTAHEDRON, ICOSAHEDRON, K333, T5, TORUS_7, save_complex  # noqa: E402
 
 from hdxwalk import cli  # noqa: E402
 from hdxwalk.complexes import complete_complex  # noqa: E402
@@ -50,9 +50,11 @@ def test_goldens_replay_in_process(tmp_path, monkeypatch):
 def test_large_audits_replay_in_process(tmp_path, monkeypatch):
     # Audits and certificates past the goldens' sizes: the cuboctahedron's
     # lemmas spread over 2**24 edge sets, T(5)'s largest coset table has
-    # 2**21 entries.  ``large_audits.json`` was recorded from these commands.
+    # 2**21 entries, and the view lemmas of K3,3,3, K8, the icosahedron and
+    # T(5) cover 2**27 to 2**30 edge sets.  ``large_audits.json`` was recorded
+    # from these commands.
     complexes = {"k7": complete_complex(7), "torus7": TORUS_7, "cubo": CUBOCTAHEDRON,
-                 "t5": T5, "k8": complete_complex(8)}
+                 "t5": T5, "k8": complete_complex(8), "k333": K333, "icosahedron": ICOSAHEDRON}
     for name, X in complexes.items():
         save_complex(X, str(tmp_path / f"{name}.complex"))
     with open(os.path.join(os.path.dirname(__file__), "large_audits.json"), encoding="utf-8") as fh:
@@ -67,5 +69,10 @@ def test_large_audits_replay_in_process(tmp_path, monkeypatch):
     assert sorted(goldens) == sorted(
         [f"audit {n}.complex --lemma all" for n in ("k7", "torus7", "cubo")]
         + [f"certify {n}.complex --max-bits 40" for n in ("t5", "k8")]
+        + [
+            f"audit {n}.complex --lemma {lemma} --max-bits 40"
+            for n in ("k333", "k8", "icosahedron", "t5")
+            for lemma in ("distance", "local-views")
+        ]
     )
     assert differences == {}
