@@ -1,13 +1,13 @@
 """Modules imported on first attribute access rather than at package import.
 
 numpy is one: commands that never compute with arrays (``--version``,
-``validate``, ``gen``, ``cocycles``, usage and input errors) start without
-paying for it.  Every module takes ``np`` from here; nothing may read an
-``np.`` attribute at import time, which annotations under ``from __future__
-import annotations`` do not.  ``hdxwalk.cli`` loads its seven layer modules
-the same way, so each command executes only the layers it calls.  This is the
-``importlib.util.LazyLoader`` recipe of the importlib documentation
-("Implementing lazy imports").
+``validate``, ``gen``, ``cocycles``, ``audit --lemma outgoing`` where the
+identity holds, usage and input errors) start without paying for it.  Every
+module takes ``np`` from here; nothing may read an ``np.`` attribute at import
+time, which annotations under ``from __future__ import annotations`` do not.
+``hdxwalk.cli`` loads its seven layer modules the same way, so each command
+executes only the layers it calls.  This is the ``importlib.util.LazyLoader``
+recipe of the importlib documentation ("Implementing lazy imports").
 """
 
 import importlib.util

@@ -6,6 +6,7 @@ import builtins
 import gc
 import hashlib
 import io
+import itertools
 import json
 import os
 import re
@@ -43,7 +44,7 @@ from hdxwalk._record import Record
 from hdxwalk.cli import run
 from hdxwalk.cochain import mask_bits
 from hdxwalk.complexes import complete_complex, load_complex, random_complex
-from hdxwalk.errors import DomainError, ParameterError, RegularityError
+from hdxwalk.errors import CapacityError, DomainError, ParameterError, RegularityError
 from hdxwalk.expansion import certify_exact
 from hdxwalk.graphs import edge_graph, underlying_graph
 from hdxwalk.spectral import normalized_spectrum
@@ -473,37 +474,61 @@ def test_audit_sum_violation_listing_k5(tmp_path):
 
 
 def test_audit_table_capacity_exit_3(tmp_path):
-    # 28 edges pass a raised --max-bits but not the 2**26-entry table limit
+    # 28 edges pass a raised --max-bits but not the 2**26-entry table limit of the sum scan
     path = tmp_path / "k8.complex"
     assert invoke("gen", "complete", "--n", "8", "-o", str(path))[0] == 0
     start = time.perf_counter()
-    code, out, err = invoke("audit", str(path), "--lemma", "outgoing", "--max-bits", "40")
+    code, out, err = invoke("audit", str(path), "--lemma", "sum", "--max-bits", "40")
     assert time.perf_counter() - start < 1.0
     assert code == 3
     assert out == ""
     assert err.startswith("hdx: capacity error: ") and "Traceback" not in err
 
 
+def test_outgoing_report_past_the_int_digit_limit_exit_3(tmp_path):
+    # K200's 1-skeleton, 19,900 edges and no triangles, passes a raised --max-bits, but
+    # json cannot write subsets_checked = 2**19900: CPython converts at most 4300 digits.
+    path = str(tmp_path / "k200.complex")
+    save_complex(complexes.Complex2(200, tuple(itertools.combinations(range(200), 2)), ()), path)
+    code, out, err = invoke("audit", path, "--lemma", "outgoing", "--max-bits", "20000")
+    assert (code, out) == (3, "")
+    assert err == "hdx: capacity error: a lemma report cannot write 2**19900 in decimal\n"
+
+
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+    reason="needs CPython's default limit of 4300 digits on int-to-str conversions",
+)
+def test_outgoing_refuses_exactly_the_reports_json_cannot_write():
+    # 2**14284 has 4300 digits and 2**14285 has 4301.
+    ns, pairs = argparse.Namespace(max_bits=20000), tuple(itertools.combinations(range(170), 2))
+    result = commands._audit_outgoing(complexes.Complex2(170, pairs[:14284], ()), ns)
+    assert json.loads(json.dumps(result))["subsets_checked"] == 1 << 14284
+    with pytest.raises(CapacityError, match=re.escape("cannot write 2**14285 in decimal")):
+        commands._audit_outgoing(complexes.Complex2(170, pairs[:14285], ()), ns)
+
+
 @pytest.mark.parametrize(
     "name, statuses, bits",
     [
-        ("k333", ("pass", "pass"), 27),
-        ("k8", ("pass", "pass"), 28),
-        # the size preconditions fail, so neither lemma is asserted at any size
-        ("icosahedron", ("not-applicable", "not-applicable"), 30),
-        ("t5", ("pass", "pass"), 30),
+        ("k333", ("pass", "pass", "pass"), 27),
+        ("k8", ("pass", "pass", "pass"), 28),
+        # the size preconditions fail, so neither view lemma is asserted at any size
+        ("icosahedron", ("not-applicable", "not-applicable", "pass"), 30),
+        ("t5", ("pass", "pass", "pass"), 30),
     ],
 )
 def test_view_lemmas_decide_past_the_table_limit(name, statuses, bits, tmp_path):
     # 2**27 to 2**30 edge sets, past the 2**26-entry tables: no view fails at an
-    # asserted size, so no violation exists and no edge set is enumerated.
+    # asserted size and every edge-graph pair shares a vertex, so no violation
+    # exists and no edge set is enumerated.  Outgoing reads only the edge graph.
     X = {"k333": K333, "k8": complete_complex(8), "icosahedron": ICOSAHEDRON, "t5": T5}[name]
     path = str(tmp_path / f"{name}.complex")
     save_complex(X, path)
-    for lemma, status in zip(("distance", "local-views"), statuses):
+    for lemma, status in zip(("distance", "local-views", "outgoing"), statuses):
         start = time.perf_counter()
         code, out, err = invoke("audit", path, "--lemma", lemma, "--max-bits", "40")
-        assert time.perf_counter() - start < 1.0
+        assert time.perf_counter() - start < (0.1 if lemma == "outgoing" else 1.0)
         assert (code, err) == (0, "")
         (result,) = json.loads(out)["results"]["lemmas"]
         assert (result["status"], result["subsets_checked"]) == (status, 1 << bits)
@@ -580,13 +605,18 @@ def test_lemma_tables_match_per_subset_loops(name, lemma, slack, monkeypatch):
         with pytest.raises(type(exc), match=re.escape(str(exc))):
             reference_violations(X, lemma, slack)
         return
-    ((tables, failing),) = scans
+    want = reference_violations(X, lemma, slack)
+    # Outgoing is decided from the edge graph's pairs and scans exactly when a violation
+    # exists; each other runner hands its tables to one scan.
+    assert len(scans) == (bool(want) if lemma == "outgoing" else 1)
     # The runner's scan stops at the tenth failure; its predicate, over every row block, flags all.
     # No block means every sum is 0: a view lemma with every view holding flags nothing.
-    blocks = enumerate(expansion.local_view_sums(X, tables))
-    flags = [failing(r, sums, sizes) for r, (sums, sizes) in blocks]
+    flags = [
+        failing(r, sums, sizes)
+        for tables, failing in scans
+        for r, (sums, sizes) in enumerate(expansion.local_view_sums(X, tables))
+    ]
     fail = np.concatenate(flags) if flags else np.zeros(0, bool)
-    want = reference_violations(X, lemma, slack)
     assert np.flatnonzero(fail).tolist() == [m for m, _ in want]
     if lemma in ("distance", "local-views"):
         # The view lemmas scan exactly when a violation exists, as the reduction below states.
@@ -663,24 +693,49 @@ def test_view_lemmas_scan_exactly_when_a_violation_exists(name, lemma, slack, mo
     assert bool(blocks) == exists == (result["status"] == "fail")
 
 
-def test_outgoing_violation_reads_both_tables(monkeypatch):
-    # The identity holds on every complex, so break the cut table to see a listing.
+def test_outgoing_violation_reads_both_tables():
+    # The identity holds on every complex, so break its kept edge graph to see a listing:
+    # edges 01 and 23 of K4 share no vertex, so no star's link holds the added pair, and
+    # the edge graph's cut exceeds the sum of local coboundaries by 1 where F holds one.
     X = complete_complex(4)
-    cut_sizes = spectral.cut_sizes
-    monkeypatch.setattr(
-        spectral, "cut_sizes", lambda masks: cut_sizes(masks) + (np.arange(1 << len(masks)) == 5)
-    )
+    adjacency = [list(fs) for fs in edge_graph(X).adjacency]
+    adjacency[0].append(5)
+    adjacency[5].insert(0, 0)
+    X.__dict__["_edge_graph"] = graphs.Graph(X.n_edges, tuple(map(tuple, adjacency)))
     result = commands._audit_outgoing(X, argparse.Namespace(max_bits=24))
-    lhs, rhs = outgoing(X, Chain.from_mask(1, 5))
-    assert result["violations"] == [{"edges": [0, 2], "lhs": lhs + 1, "rhs": rhs}]
+    assert result["violations"][0] == {"edges": [0], "lhs": 5, "rhs": 4}
+    assert result["violations"] == [entry for _, entry in reference_violations(X, "outgoing", 0)[:10]]
+    assert [v["edges"] for v in result["violations"]] == [
+        mask_bits(m) for m in range(1, 20, 2)  # edge 0 without edge 5, in mask order
+    ]
+    assert result["status"] == "fail"
+
+
+def test_audit_all_enumerates_edge_sets_only_for_the_sum_lemma(tmp_path, monkeypatch):
+    # On K7 every lemma holds.  Outgoing, distance and local-views are decided from
+    # the edge graph's pairs and the star tables; the sum lemma alone scans the 2**21
+    # edge sets, in 128 row blocks of 2**14.
+    path = str(tmp_path / "k7.complex")
+    save_complex(complete_complex(7), path)
+    blocks, local_view_sums = [], expansion.local_view_sums
+
+    def counting(X, tables):
+        for block in local_view_sums(X, tables):
+            blocks.append(len(block[0]))
+            yield block
+
+    monkeypatch.setattr(expansion, "local_view_sums", counting)
+    code, out, _ = invoke("audit", path, "--lemma", "all")
+    assert (code, json.loads(out)["status"]) == (0, "pass")
+    assert blocks == [2**14] * 128
 
 
 def test_audit_evaluates_each_local_view_once(tmp_path, monkeypatch):
     # K6 has 6 stars of 5 edges: the per-vertex tables hold 6 * 2**5 = 192 local
     # views, built once per complex and kept on it for every lemma that reads
-    # them (outgoing, distance, local-views and sum).  The distance judgement
-    # reads its distances off the Z^1 coset table that certification built,
-    # from the table cache.  Views are table entries, so --lemma all builds 8
+    # them (distance, local-views and sum; outgoing only to list a failure).  The
+    # distance judgement reads its distances off the Z^1 coset table that
+    # certification built, from the table cache.  Views are table entries, so --lemma all builds 8
     # value objects: the complex, its two graphs, the spectrum, the cut result
     # and the certificate with its two dimension reports.
     path = tmp_path / "k6.complex"

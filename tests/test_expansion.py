@@ -45,10 +45,10 @@ from scalar_walk import randrange
 from scan_certifier import scan_certify_dimension
 from traced import traced_peak
 
-from hdxwalk import commands, expansion
+from hdxwalk import commands, expansion, spectral
 from hdxwalk.cli import run
-from hdxwalk.cochain import coboundary_space, cocycle_space
-from hdxwalk.complexes import complete_complex, random_complex
+from hdxwalk.cochain import coboundary_space, cocycle_space, mask_bits
+from hdxwalk.complexes import Complex2, complete_complex, random_complex
 from hdxwalk.errors import (
     CapacityError,
     DegenerateComplexError,
@@ -685,7 +685,7 @@ def test_outgoing_identity_full_edge_set():
 
 
 def test_outgoing_identity_exhaustive():
-    # The two tables audit --lemma outgoing compares, on every edge set.
+    # The two tables whose agreement audit --lemma outgoing decides, on every edge set.
     for X in (K4, K5):
         assert np.array_equal(cut_sizes(edge_graph(X).neighbor_masks), coboundary_sums(X))
 
@@ -698,6 +698,86 @@ def test_outgoing_identity_on_random_complexes():
         for _ in range(200):
             mask = randrange(rng, 1 << X.n_edges)
             assert outgoing(X, Chain.from_mask(1, mask)) == (cut[mask], sums[mask])
+
+
+def with_edge_graph(X, pair, add):
+    """A new copy of X whose kept edge graph has the pair (e, f) added or dropped; the
+    local views, built from the kept graph, see the same pairs."""
+    nbrs = [set(fs) for fs in edge_graph(X).adjacency]
+    e, f = pair
+    for a, b in ((e, f), (f, e)):
+        (nbrs[a].add if add else nbrs[a].discard)(b)
+    Y = Complex2(X.n_vertices, X.edges, X.triangles)
+    Y.__dict__["_edge_graph"] = Graph(X.n_edges, tuple(tuple(sorted(s)) for s in nbrs))
+    return Y
+
+
+def outgoing_cases(X):
+    """(label, complex, whether the identity holds): X as built, then its edge graph
+    with a pair of disjoint edges added, with a pair sharing a vertex but no triangle
+    added, and with one triangle's pair dropped, each where X has such a pair."""
+    adjacency, edges = edge_graph(X).adjacency, X.edges
+    pairs = list(combinations(range(X.n_edges), 2))
+    disjoint = [(e, f) for e, f in pairs if not set(edges[e]) & set(edges[f])]
+    sharing = [(e, f) for e, f in pairs if set(edges[e]) & set(edges[f]) and f not in adjacency[e]]
+    in_triangle = [(e, f) for e, f in pairs if f in adjacency[e]]
+    cases = [("as built", Complex2(X.n_vertices, X.edges, X.triangles), True)]
+    cases += [("disjoint pair added", with_edge_graph(X, p, add=True), False) for p in disjoint[:1]]
+    cases += [("sharing pair added", with_edge_graph(X, p, add=True), True) for p in sharing[:1]]
+    cases += [("triangle pair dropped", with_edge_graph(X, p, add=False), True) for p in in_triangle[:1]]
+    return cases
+
+
+OUTGOING_INPUTS = {
+    "k4": K4,
+    "k5": K5,
+    "octahedron": OCTAHEDRON,
+    "rp2": RP2_6,
+    "irregular-hexagon": IRREGULAR_HEXAGON,
+    "k5-relabelled": relabel(K5, 2),
+    "octahedron-relabelled": relabel(OCTAHEDRON, 3),
+    "rp2-relabelled": relabel(RP2_6, 8),
+    **{f"random-{p}-{s}": random_complex(6, p, s) for p, s in [(0.2, 1), (0.5, 3), (0.8, 4)]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUTGOING_INPUTS))
+def test_outgoing_decision_is_the_exhaustive_comparison(name, monkeypatch):
+    # audit --lemma outgoing decides from the edge graph's pairs alone.  Its verdict must
+    # be the comparison of the edge graph's cut table with the sums of local coboundaries
+    # on every edge set, also on edge graphs that are not the complex's.
+    calls = []
+
+    def spy(module, attr):
+        original = getattr(module, attr)
+
+        def spying(*args, **kwargs):
+            calls.append(attr)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, spying)
+
+    spy(spectral, "cut_sizes")
+    spy(expansion, "local_views")
+    spy(commands, "_lemma_result")
+    ns = argparse.Namespace(max_bits=24)
+    assert OUTGOING_INPUTS[name].n_edges <= 15
+    for label, X, holds in outgoing_cases(OUTGOING_INPUTS[name]):
+        calls.clear()
+        result = commands._audit_outgoing(X, ns)
+        scanned = calls[:]
+        cut, sums = cut_sizes(edge_graph(X).neighbor_masks), coboundary_sums(X)
+        assert np.array_equal(cut, sums) == holds, label
+        assert (result["status"], result["subsets_checked"]) == (
+            "pass" if holds else "fail", 1 << X.n_edges
+        ), label
+        # A holding identity builds no table and scans nothing; a failing one lists the
+        # first ten edge sets where the two tables differ.
+        assert scanned == ([] if holds else ["cut_sizes", "local_views", "_lemma_result"]), label
+        first = np.flatnonzero(cut != sums)[:10].tolist()
+        assert result["violations"] == [
+            {"edges": mask_bits(m), "lhs": int(cut[m]), "rhs": int(sums[m])} for m in first
+        ], label
 
 
 # --- distance formula --------------------------------------------------------
@@ -909,11 +989,10 @@ def test_sum_coboundaries_rejects_large_sets():
     assert result["subsets_checked"] == sum(math.comb(6, r) for r in range(4)) == 42
 
 
-@pytest.mark.parametrize("lemma, slack, per_set", [("sum", 1e-9, 0.25), ("outgoing", 1e-9, 2.25)])
+@pytest.mark.parametrize("lemma, slack, per_set", [("sum", 1e-9, 0.25)])
 def test_lemma_scans_hold_no_table_per_edge_set(lemma, slack, per_set):
     # K7's 2**21 edge sets, once the certificate, the graphs and the local views
-    # are kept: the lemmas read one row block of sums, sizes and flags at a
-    # time.  Outgoing also holds the edge graph's int16 cut table, 2 bytes per set.
+    # are kept: the lemma reads one row block of sums, sizes and flags at a time.
     X = complete_complex(7)
     ns = argparse.Namespace(max_bits=24, slack=slack, tol=1e-9)
     run = commands._LEMMA_RUNNERS[lemma]
@@ -921,11 +1000,12 @@ def test_lemma_scans_hold_no_table_per_edge_set(lemma, slack, per_set):
     assert traced_peak(run, X, ns) <= per_set * 2**21
 
 
-@pytest.mark.parametrize("lemma", ["distance", "local-views"])
+@pytest.mark.parametrize("lemma", ["distance", "local-views", "outgoing"])
 def test_view_lemmas_that_hold_scan_nothing(lemma):
     # On K7, with the certificate, the graphs and the local views kept, every
-    # view holds, so none of the 2**21 edge sets is enumerated: the lemma holds
-    # a few KiB, a figure that does not grow with the number of edge sets.
+    # view holds and every edge-graph pair shares a vertex, so none of the 2**21
+    # edge sets is enumerated: the lemma holds a few KiB, a figure that does not
+    # grow with the number of edge sets.
     X = complete_complex(7)
     ns = argparse.Namespace(max_bits=24, slack=1e-9, tol=1e-9)
     run = commands._LEMMA_RUNNERS[lemma]

@@ -50,9 +50,9 @@ def test_goldens_replay_in_process(tmp_path, monkeypatch):
 def test_large_audits_replay_in_process(tmp_path, monkeypatch):
     # Audits and certificates past the goldens' sizes: the cuboctahedron's
     # lemmas spread over 2**24 edge sets, T(5)'s largest coset table has
-    # 2**21 entries, and the view lemmas of K3,3,3, K8, the icosahedron and
-    # T(5) cover 2**27 to 2**30 edge sets.  ``large_audits.json`` was recorded
-    # from these commands.
+    # 2**21 entries, and the view lemmas and the outgoing identity of K3,3,3,
+    # K8, the icosahedron and T(5) cover 2**27 to 2**30 edge sets.
+    # ``large_audits.json`` was recorded from these commands.
     complexes = {"k7": complete_complex(7), "torus7": TORUS_7, "cubo": CUBOCTAHEDRON,
                  "t5": T5, "k8": complete_complex(8), "k333": K333, "icosahedron": ICOSAHEDRON}
     for name, X in complexes.items():
@@ -72,7 +72,7 @@ def test_large_audits_replay_in_process(tmp_path, monkeypatch):
         + [
             f"audit {n}.complex --lemma {lemma} --max-bits 40"
             for n in ("k333", "k8", "icosahedron", "t5")
-            for lemma in ("distance", "local-views")
+            for lemma in ("distance", "local-views", "outgoing")
         ]
     )
     assert differences == {}

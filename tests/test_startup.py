@@ -84,6 +84,7 @@ WITHOUT_NUMPY = [
     ("gen random --n 6 --p 0.5 --seed 7", 0),
     ("cocycles k5.complex --dim 0", 0),
     ("cocycles k5.complex --dim 1", 0),
+    ("audit k5.complex --lemma outgoing", 0),  # the identity holds, so nothing is scanned
     ("spectrum k4.complex --graph g2", 2),  # usage error
     ("validate missing.complex", 2),
 ]
@@ -155,6 +156,8 @@ EXECUTED = [
     ("cheeger k5.complex --graph g0", 0, GRAPH_LAYERS, True, True),
     ("cocycles k5.complex --dim 1", 0, {"complexes"} | CHAIN_LAYERS, True, False),
     ("certify k5.complex", 0, GRAPH_LAYERS | CHAIN_LAYERS | {"expansion"}, True, True),
+    # --max-bits's default is read from expansion; the identity holds, so gf2 never runs.
+    ("audit k5.complex --lemma outgoing", 0, GRAPH_LAYERS | {"cochain", "expansion"}, True, True),
     ("audit k4.complex --lemma all", 0, GRAPH_LAYERS | CHAIN_LAYERS | {"expansion"}, True, True),
     ("verify-theorem k5.complex --steps 5", 0, set(tracer.LAYERS), True, True),
 ]
