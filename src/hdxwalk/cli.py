@@ -24,7 +24,7 @@ from typing import Optional, TextIO
 
 from . import __version__
 from ._lazy import lazy_import
-from .errors import CapacityError, HdxError, ParameterError
+from .errors import CERTIFY_BIT_LIMIT, CapacityError, HdxError, ParameterError, check_tolerance
 
 # Registered now, executed on first attribute access: a command runs only the
 # layers it calls (``gen`` and ``validate`` only complexes).  All seven are
@@ -82,7 +82,7 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
 
     if p := add("certify", "exact expansion certificate"):
         p.add_argument("file")
-        p.add_argument("--max-bits", type=int)
+        p.add_argument("--max-bits", type=int, default=CERTIFY_BIT_LIMIT)
 
     if p := add("audit", "check the supporting inequalities on one complex"):
         p.add_argument("file")
@@ -91,7 +91,7 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
             choices=("outgoing", "large-cuts", "distance", "local-views", "sum", "all"),
             required=True,
         )
-        p.add_argument("--max-bits", type=int)
+        p.add_argument("--max-bits", type=int, default=CERTIFY_BIT_LIMIT)
         p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--slack", type=float, default=1e-9)
         p.add_argument("--strict", action="store_true")
@@ -110,7 +110,7 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     ):
         p.add_argument("file")
         p.add_argument("--steps", type=int, default=100)
-        p.add_argument("--max-bits", type=int)
+        p.add_argument("--max-bits", type=int, default=CERTIFY_BIT_LIMIT)
         p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--slack", type=float, default=1e-9)
         p.add_argument("--strict", action="store_true")
@@ -133,12 +133,9 @@ def run(argv=None, stdout: Optional[TextIO] = None, stderr: Optional[TextIO] = N
         # Before any work: audit and some verify-theorem runs never use these.
         # NaN or infinity would turn each comparison they enter into a constant.
         if "tol" in ns:
-            spectral.check_tolerance(ns.tol)
+            check_tolerance(ns.tol)
         if "slack" in ns and not math.isfinite(ns.slack):
             raise ParameterError(f"slack must be finite, got {ns.slack!r}")
-        if "max_bits" in ns and ns.max_bits is None:
-            # The default is read here, so that building the parser executes no layer.
-            ns.max_bits = expansion.CERTIFY_BIT_LIMIT
         if getattr(ns, "max_bits", 0) < 0:
             raise ParameterError(f"max-bits must be non-negative, got {ns.max_bits}")
         alpha = getattr(ns, "alpha", None)

@@ -3,12 +3,14 @@
 ``cli.run`` imports this module once the arguments are parsed, so ``--version``,
 ``--help`` and usage errors never compile it.  Each ``_cmd_<subcommand>`` takes
 the parsed namespace and the output streams and returns the exit code.
+``audit`` draws each lemma's first ten failing edge sets from an ascending stream.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+from itertools import groupby, islice
 from typing import TextIO
 
 # The layer modules as ``hdxwalk.cli`` registered them, not yet executed.
@@ -166,18 +168,10 @@ def _cmd_certify(ns, out, err) -> int:
     return 0
 
 
-def _lemma_result(name: str, X, tables, failing, violation, asserted=True, **extra) -> dict:
-    """A lemma's report over every edge mask F, read from the row blocks of
-    ``expansion.local_view_sums(X, tables)``: ``failing(r, sums, sizes)`` flags
-    the failing masks of block r, and ``violation(m, total)`` describes each of
-    the first 10, with total the sum at m; the scan stops at the tenth."""
-    first: list[tuple[int, int]] = []
-    for r, (sums, sizes) in enumerate(expansion.local_view_sums(X, tables)):
-        ts = np.flatnonzero(failing(r, sums, sizes))[: 10 - len(first)].tolist()
-        first += [(r * sums.size + t, int(sums[t])) for t in ts]
-        if len(first) == 10:
-            break
-    violations = [{"edges": cochain.mask_bits(m), **violation(m, total)} for m, total in first]
+def _lemma_result(name: str, X, failing, violation, asserted=True, **extra) -> dict:
+    """A lemma's report over every edge mask: ``violation(m)`` describes each of the
+    first 10 masks m of ``failing``, which yields the failing ones ascending."""
+    violations = [{"edges": cochain.mask_bits(m), **violation(m)} for m in islice(failing, 10)]
     return {
         "lemma": name,
         "subsets_checked": 1 << X.n_edges,
@@ -187,21 +181,39 @@ def _lemma_result(name: str, X, tables, failing, violation, asserted=True, **ext
     }
 
 
+def _flagged(flags):
+    """The masks flagged in consecutive row blocks of bool ``flags``, ascending."""
+    for r, flag in enumerate(flags):
+        yield from map(int, np.flatnonzero(flag) + r * flag.size)
+
+
+def _supersets(view: int, star: int, full: int):
+    """The masks m up to ``full`` with m & star = view, ascending, by adding 1 to m | star."""
+    m = view
+    while m <= full:
+        yield m
+        m = (m | star) + 1 & ~star | view
+
+
 def _view_lemma(name: str, X: complexes.Complex2, holds, asserted, **extra) -> dict:
     """A lemma failing at F where ``asserted(|F|)`` and, at some vertex v, ``holds[v]``
-    is false at the view F_v (indexed as in ``expansion.local_views``)."""
-    by_size = np.array([asserted(s) for s in range(X.n_edges + 1)])
+    is false at the view F_v (indexed as in ``expansion.local_views``): the failing
+    masks merge one ascending stream per failing view L of star(v), repeats dropped."""
+    from heapq import merge
 
-    def violation(m: int, total: int) -> dict:
+    by_size = [asserted(s) for s in range(X.n_edges + 1)]
+    streams = [
+        _supersets(sum((L >> t & 1) << e for t, e in enumerate(edges)), star, (1 << X.n_edges) - 1)
+        for edges, star, h in zip(X.vertex_edges, X.vertex_edge_masks, holds)
+        for L in np.flatnonzero(~h).tolist()
+    ] if any(by_size) else []
+    failing = (m for m, _ in groupby(merge(*streams)) if by_size[m.bit_count()])
+
+    def violation(m: int) -> dict:
         views = [sum((m >> e & 1) << t for t, e in enumerate(edges)) for edges in X.vertex_edges]
         return {"vertices": [v for v, (h, L) in enumerate(zip(holds, views)) if not h[L]]}
 
-    # Once some size is asserted, each failing view lies in a violation: only failures scan.
-    tables = [~h for h in holds] if by_size.any() else []
-    return _lemma_result(
-        name, X, tables, lambda r, sums, sizes: (sums > 0) & by_size[sizes],
-        violation, by_size.any(), **extra,
-    )
+    return _lemma_result(name, X, failing, violation, any(by_size), **extra)
 
 
 def _audit_outgoing(X: complexes.Complex2, ns) -> dict:
@@ -215,26 +227,17 @@ def _audit_outgoing(X: complexes.Complex2, ns) -> dict:
         str(1 << X.n_edges)
     except ValueError:
         raise CapacityError(f"a lemma report cannot write 2**{X.n_edges} in decimal") from None
-    # sum_v |coboundary(F_v)| cuts F by the edge-graph pairs that share a vertex, each in one
-    # star; a cut function fixes its graph, so it is F's edge-graph cut on every F iff all do.
-    G1, edges = graphs.edge_graph(X), X.edges
-    if all(u in edges[f] or v in edges[f] for (u, v), fs in zip(edges, G1.adjacency) for f in fs):
-        return {"lemma": "outgoing", "subsets_checked": 1 << len(edges), "violations": [],
-                "status": PASS}
-    cut = spectral.cut_sizes(G1.neighbor_masks)
-    rows = cut.reshape(-1, 1 << spectral.row_bits(X.n_edges))
-    return _lemma_result(
-        "outgoing", X, expansion.local_views(X)[1], lambda r, sums, sizes: rows[r] != sums,
-        lambda m, total: {"lhs": int(cut[m]), "rhs": total},
-    )
+    # sum_v |coboundary(F_v)| is F's cut in the union of the links; a cut function fixes
+    # its graph, so it is F's edge-graph cut on every F iff the two graphs are one.
+    G1, H = graphs.edge_graph(X), graphs.link_union(X)
+    rows = () if G1 == H else zip(*(spectral.cut_rows(G.neighbor_masks) for G in (G1, H)))
+    flags = _flagged(a != b for a, b in rows)
+    return _lemma_result("outgoing", X, flags, lambda m: {"lhs": G1.cut(m), "rhs": H.cut(m)})
 
 
 def _audit_large_cuts(X: complexes.Complex2, ns) -> dict:
     result = expansion.large_cuts_audit(graphs.underlying_graph(X), tol=ns.tol)
-    if not result.precondition_met:
-        status = NOT_APPLICABLE
-    else:
-        status = PASS if result.passes else FAIL
+    status = (PASS if result.passes else FAIL) if result.precondition_met else NOT_APPLICABLE
     return {
         "lemma": "large-cuts",
         "min_cut": result.min_cut,
@@ -264,13 +267,15 @@ def _audit_local_views(X: complexes.Complex2, ns) -> dict:
 def _audit_sum(X: complexes.Complex2, ns) -> dict:
     eps = expansion.certify_exact(X, max_bits=ns.max_bits).epsilon_cosystolic
     scale = expansion.sum_bound_judgement(X, eps, tol=ns.tol)
-    n = X.n_edges
+    n, H = X.n_edges, graphs.link_union(X)
     bound = [scale * size for size in range(n + 1)]
     # The bound is stated for |F| <= |E|/2; the larger sets pass unchecked.
     least = np.array([b - ns.slack if 2 * s <= n else -math.inf for s, b in enumerate(bound)])
+    low = spectral.subset_sums([1] * spectral.row_bits(n))  # |t| in row r's masks r * 2**lo + t
+    rows = enumerate(spectral.cut_rows(H.neighbor_masks))
     return _lemma_result(
-        "sum", X, expansion.local_views(X)[1], lambda r, sums, sizes: sums < least[sizes],
-        lambda m, total: {"lhs": total, "rhs_bound": bound[m.bit_count()]},
+        "sum", X, _flagged(cut < least[low + r.bit_count()] for r, cut in rows),
+        lambda m: {"lhs": H.cut(m), "rhs_bound": bound[m.bit_count()]},
         subsets_checked=sum(math.comb(n, s) for s in range(n // 2 + 1)),
         epsilon=eps,
     )

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks ``hdxwalk.cli`` runs first."""
+
+import math
+
+#: Default certification bound: faces per dimension.
+CERTIFY_BIT_LIMIT = 24
 
 
 class HdxError(Exception):
@@ -43,3 +48,11 @@ class DegenerateComplexError(HdxError):
 
 class UndefinedTransitionError(HdxError):
     """A walk reached a vertex or edge with no neighbors to step to."""
+
+
+def check_tolerance(tol: float) -> None:
+    """Refuse an eigensolver tolerance that is not a finite number >= 0: ``residual >
+    tol`` is never true for a NaN or infinite ``tol``, which would turn the residual
+    guard off, and always true for a negative one."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ParameterError(f"tolerance must be finite and non-negative, got {tol!r}")

@@ -21,9 +21,8 @@ sum-of-coboundaries lower bound, and the closed-form mixing rate.
 size of every local view F_v = F & star(v) with the subset-sum and cut kernels.
 Each ``*_judgement`` function passes a lemma's regularity and lambda2 gates
 once per complex and returns the lemma's verdict per vertex and view as arrays
-over those tables (the sum bound, its scale); ``local_view_sums`` sums per-view
-tables over every edge set F a row block at a time, and yields nothing when
-every table is zero.  dist(F_v, Z^1) is read off the cached Z^1 coset table.
+over those tables (the sum bound, its scale); none spans the edge sets.
+dist(F_v, Z^1) is read off the cached Z^1 coset table.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ from ._record import Record
 from .cochain import coboundary_space, cocycle_space
 from .complexes import Complex2, kept_on_complex
 from .errors import (
+    CERTIFY_BIT_LIMIT,
     CapacityError,
     DegenerateComplexError,
     DomainError,
@@ -48,7 +48,7 @@ from .errors import (
 from .graphs import Graph, edge_graph, underlying_graph
 from .spectral import (
     check_table_bits,
-    cut_sizes,
+    cut_rows,
     lambda2_below_half,
     least_ratio,
     lex_first,
@@ -58,10 +58,6 @@ from .spectral import (
     subset_sums,
     subset_xors,
 )
-
-#: Default certification bound: faces per dimension.
-CERTIFY_BIT_LIMIT = 24
-
 
 class DimensionReport(Record):
     """Exact expansion data for one face dimension."""
@@ -317,7 +313,7 @@ def local_views(X: Complex2) -> tuple[list[np.ndarray], list[np.ndarray]]:
     for edges in X.vertex_edges:
         sizes.append(subset_sums([1] * len(edges)))
         link = [sum((neighbors[e] >> f & 1) << t for t, f in enumerate(edges)) for e in edges]
-        cuts.append(cut_sizes(link))
+        cuts.append(np.concatenate([*cut_rows(link)]))
     return sizes, cuts
 
 
@@ -352,37 +348,6 @@ def local_view_bound_judgement(
     return met, eta, holds
 
 
-def local_view_sums(X: Complex2, tables: list[np.ndarray]):
-    """Row blocks of the sums over v of tables[v] at F's local view at v, over
-    every edge mask F, with the masks' sizes |F|; no block if every table is 0.
-
-    ``tables[v]`` holds a non-negative integer or bool per view of star(v),
-    indexed as in ``local_views``.  Block r holds the masks r * 2**lo + t for
-    t below 2**lo, lo = ``row_bits(|E|)``, which share the edges from lo up.
-    The star's edges ascend, so its low edges index a row of its table and
-    its high edges pick the row; each block is a (2,) * lo array whose axis a
-    is edge lo - 1 - a, to which each star's row adds by broadcasting.
-    """
-    n = X.n_edges
-    lo = row_bits(n)
-    dtype = np.min_scalar_type(sum(int(t.max()) for t in tables))
-    stars = []
-    for edges, table in zip(X.vertex_edges, tables):
-        if not table.any():  # adds nothing, as for a view lemma's star where every view holds
-            continue
-        shape = [2 if lo - 1 - a in edges else 1 for a in range(lo)]
-        stars.append(([e - lo for e in edges if e >= lo], table.astype(dtype).reshape(-1, *shape)))
-    if not stars:  # every sum is 0
-        return
-    check_table_bits(n)
-    low = subset_sums([1] * lo)
-    for r in range(1 << (n - lo)):
-        total = np.zeros((2,) * lo, dtype)
-        for high, rows in stars:
-            total += rows[sum((r >> e & 1) << j for j, e in enumerate(high))]
-        yield total.reshape(-1), low + r.bit_count()
-
-
 class LargeCutsResult(Record):
     min_cut: int
     witness: tuple[int, ...]
@@ -397,17 +362,16 @@ def large_cuts_audit(G0: Graph, *, tol: float = 1e-9) -> LargeCutsResult:
     k = G0.regular_k
     if k is None or k == 0:
         raise RegularityError("minimum-cut bound needs a regular graph of positive degree")
-    check_table_bits(G0.n)  # before the eigensolver runs
+    rows = cut_rows(G0.neighbor_masks)  # refused before the eigensolver runs
     lambda2 = gap_lambda2(G0, "minimum-cut bound requires", tol)
-    # Entry t is mask 2t + 1: the subsets containing vertex 0, of which the
-    # last, every vertex, is not proper.
-    cut = cut_sizes(G0.neighbor_masks)[1::2]
-    min_cut = int(cut[:-1].min())
-    lo = row_bits(G0.n - 1)
-    winners = []
-    for r, row in enumerate(cut.reshape(-1, 1 << lo)):
-        ties = (r << lo) + np.flatnonzero(row == min_cut)
-        winners.append(lex_min(2 * ties[ties < len(cut) - 1] + 1))
+    lo, min_cut, winners = row_bits(G0.n), math.inf, []
+    for r, row in enumerate(rows):
+        # The odd entries hold vertex 0; the very last, every vertex, is not proper.
+        cut = row[1 : -1 if r == (1 << G0.n - lo) - 1 else None : 2]
+        if (least := int(cut.min())) < min_cut:
+            min_cut, winners = least, []
+        if least == min_cut:
+            winners.append(lex_min((r << lo) + 2 * np.flatnonzero(cut == least) + 1))
     return LargeCutsResult(
         min_cut=min_cut,
         witness=lex_first(np.concatenate(winners)),

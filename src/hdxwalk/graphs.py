@@ -52,6 +52,10 @@ class Graph(Record):
     def neighbor_masks(self) -> tuple[int, ...]:
         return tuple(map(_mask, self.adjacency))
 
+    def cut(self, s: int) -> int:
+        """|E(S, V - S)| for the vertex set S with bit mask s."""
+        return sum((m & ~s).bit_count() for v, m in enumerate(self.neighbor_masks) if s >> v & 1)
+
 
 @kept_on_complex
 def underlying_graph(X: Complex2) -> Graph:
@@ -72,3 +76,15 @@ def edge_graph(X: Complex2) -> Graph:
         nbrs[b] += (a, c)
         nbrs[c] += (a, b)
     return Graph(X.n_edges, tuple(tuple(sorted(s)) for s in nbrs))
+
+
+@kept_on_complex
+def link_union(X: Complex2) -> Graph:
+    """The union of the vertex links, the edge graph less its pairs of disjoint edges: a
+    pair sharing a vertex lies in that vertex's link alone, so the cut of F here is the sum
+    over v of |coboundary(F & star(v))|.  On a complex this is the edge graph itself."""
+    edges = X.edges
+    return Graph(X.n_edges, tuple(
+        tuple(f for f in fs if u in edges[f] or v in edges[f])
+        for (u, v), fs in zip(edges, edge_graph(X).adjacency)
+    ))

@@ -3,7 +3,7 @@
 Eigenvalues of a k-regular graph are reported normalized by k, sorted
 descending; whether lambda2 < 1/2 is decided exactly, near 1/2 by Sylvester's
 criterion in integers.  Cheeger constants are exact rationals from exhaustive
-subset enumeration; the same tables of cut sizes serve the minimum-cut audit.
+subset enumeration; ``cut_rows``, the one cut kernel, streams every cut a row at a time.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from ._lazy import np
 from ._record import Record
-from .errors import CapacityError, ParameterError, RegularityError, ToleranceError
+from .errors import CapacityError, ParameterError, RegularityError, ToleranceError, check_tolerance
 from .graphs import Graph
 
 if TYPE_CHECKING:
@@ -67,16 +67,6 @@ def adjacency_matrix(G: Graph) -> np.ndarray:
     rows = np.repeat(np.arange(G.n), G.degrees)
     A[rows, np.fromiter(chain.from_iterable(G.adjacency), np.intp, rows.size)] = 1.0
     return A
-
-
-def check_tolerance(tol: float) -> None:
-    """Refuse an eigensolver tolerance that is not a finite number >= 0.
-
-    ``residual > tol`` is never true for a NaN or infinite ``tol``, which
-    would turn the residual guard off, and always true for a negative one.
-    """
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ParameterError(f"tolerance must be finite and non-negative, got {tol!r}")
 
 
 @lru_cache(maxsize=8)
@@ -290,38 +280,51 @@ def _doubled(combine, weights: list[int], out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _zeros(bits: int, dtype) -> np.ndarray:
-    """A zeroed table of 2**bits entries, refused above the limit before allocating."""
-    check_table_bits(bits)
-    return np.zeros(1 << bits, dtype)
-
-
 def subset_sums(weights: list[int]) -> np.ndarray:
     """Sum of 0/1 weights[j] over the set bits j of every mask below 2**len(weights), in uint8."""
-    return _doubled(np.add, weights, _zeros(len(weights), np.uint8))
+    check_table_bits(len(weights))
+    return _doubled(np.add, weights, np.zeros(1 << len(weights), np.uint8))
 
 
 def subset_xors(columns: list[int], dtype) -> np.ndarray:
     """XOR of columns[j] over the set bits j of every mask below 2**len(columns)."""
-    return _doubled(np.bitwise_xor, columns, _zeros(len(columns), dtype))
+    check_table_bits(len(columns))
+    return _doubled(np.bitwise_xor, columns, np.zeros(1 << len(columns), dtype))
 
 
-def cut_sizes(neighbor_masks: Sequence[int]) -> np.ndarray:
-    """Cut size |E(S, V - S)| of every vertex subset S of the graph with these
-    neighbor masks (``Graph.neighbor_masks``), indexed by S's bit mask.
+def cut_rows(neighbor_masks: Sequence[int]):
+    """Row blocks of the cut size |E(S, V - S)| of every vertex subset S of the graph with
+    these neighbor masks (``Graph.neighbor_masks``), by S's bit mask, in int16: row r holds
+    the masks r * 2**lo + t for t below 2**lo, lo = ``row_bits(n)``.  The table size is
+    refused on the call.  A vertex v joining S adds deg(v) - 2|N(v) & S| to its cut: row 0
+    joins the low vertices one at a time, doubled in place, and row r is row r - 1 with
+    the high vertices that differ, two on average, flipped."""
+    n = len(neighbor_masks)
+    check_table_bits(n)
+    lo = row_bits(n)
+    low = np.zeros(1 << lo, np.int16)
+    for j, m in enumerate(neighbor_masks[:lo]):
+        top = low[1 << j : 2 << j]
+        top[0] = m.bit_count()
+        _doubled(np.subtract, [2 * (m >> i & 1) for i in range(j)], top)
+        top += low[: 1 << j]
+    low.flags.writeable = False  # row 0, and the start of every other row
+    twice = [2 * subset_sums([m >> i & 1 for i in range(lo)]) for m in neighbor_masks[lo:]]
 
-    Built by doubling: cut(S + j) = cut(S) + deg(j) - 2|N(j) & S| for S below
-    2**j, the last two terms doubled in place into the top half before cut(S)
-    is added, so the int16 table is the only one.  Each vertex uses its own
-    degree, so irregular graphs work too.
-    """
-    cut = _zeros(len(neighbor_masks), np.int16)
-    for j, nbrs in enumerate(neighbor_masks):
-        top = cut[1 << j : 2 << j]
-        top[0] = nbrs.bit_count()
-        _doubled(np.subtract, [2 * (nbrs >> i & 1) for i in range(j)], top)
-        top += cut[: 1 << j]
-    return cut
+    def gain(v: int, high: int) -> np.ndarray:  # v joining a set with these high vertices
+        m = neighbor_masks[v]
+        outside = m.bit_count() - 2 * (m & high).bit_count()
+        return np.subtract(outside, twice[v - lo], dtype=np.int16)
+
+    def rows(row=low, high=0):
+        yield row
+        for r in range(1, 1 << n - lo):
+            for v in range(lo, lo + (r & -r).bit_length()):  # bits lo + i of r ^ (r - 1)
+                high ^= 1 << v
+                row = row + gain(v, high) if high >> v & 1 else row - gain(v, high)
+            yield row
+
+    return rows()
 
 
 def lex_min(masks: np.ndarray) -> np.ndarray:
@@ -381,15 +384,15 @@ def cheeger_exhaustive(G: Graph) -> CheegerResult:
     """Exact normalized Cheeger constant by enumerating every vertex subset.
 
     Ties are broken by the lexicographically smallest witness (as a sorted
-    vertex tuple).  Only the cut table spans every subset: the sizes and sides
-    of a row block come from its row's popcount and one row of low popcounts.
+    vertex tuple).  The cuts come a row block at a time, and the sizes and sides
+    of a block from its row's popcount and one row of low popcounts.
     Past row 0, a block's masks share the same nonempty high vertices, so none
     is a prefix of another, and the least is the one holding the lowest vertex
     where two differ: the largest low bits read in reverse.
     """
     k = _require_regular(G)
     n = G.n
-    cuts = cut_sizes(G.neighbor_masks)
+    rows = cut_rows(G.neighbor_masks)
     lo = row_bits(n)
     low = subset_sums([1] * lo)
     odd = np.arange(1 << lo) % 2 == 1  # the masks with vertex 0
@@ -402,7 +405,7 @@ def cheeger_exhaustive(G: Graph) -> CheegerResult:
         return ties[[i]]  # a copy: a view would keep the whole block of ties
 
     def blocks():
-        for r, cut in enumerate(cuts.reshape(-1, 1 << lo)):
+        for r, cut in enumerate(rows):
             size = low + r.bit_count()
             # Each cut once, from its smaller nonempty side; of two equal sides, the one with vertex 0.
             side = 2 * size < n

@@ -1,12 +1,16 @@
-"""The least ratios over whole subset tables: the reference for the row-block
-least-ratio kernel, ``hdxwalk.spectral.least_ratio``.
+"""Whole subset tables: the references for the library's row-block kernels.
 
-Each function builds every table over all 2**bits entries at once, with a
-boolean temporary of that size per denominator, and returns every tied
-entry, where the library reads the same tables a row block at a time and
-keeps each block's ties or its lexicographically first.  The tables come
-from the library's doubling kernels (``cut_sizes``, ``subset_sums``,
-``subset_xors``), which are tested against per-mask counts on their own.
+``cut_sizes`` builds a graph's cut table over all 2**n subsets at once, the
+reference for ``hdxwalk.spectral.cut_rows``, and ``local_view_sums`` sums
+per-star tables over every edge set a row block at a time, the scan that
+``audit``'s sum and view lemmas replaced by cut rows and merged streams.
+The least ratios below build every table at once too, with a boolean
+temporary of that size per denominator, and return every tied entry, where
+``hdxwalk.spectral.least_ratio`` reads the tables a row block at a time and
+keeps each block's ties or its lexicographically first.  Besides
+``cut_sizes``, the tables come from the library's doubling kernels
+(``subset_sums``, ``subset_xors``), which are tested against per-mask
+counts on their own.
 """
 
 from fractions import Fraction
@@ -15,7 +19,7 @@ import numpy as np
 from named_complexes import complete_graph, cycle_graph, random_regular_graph, relabel_graph
 
 from hdxwalk.expansion import _coset_table
-from hdxwalk.spectral import cut_sizes, lex_first, subset_sums, subset_xors
+from hdxwalk.spectral import _doubled, check_table_bits, lex_first, row_bits, subset_sums, subset_xors
 
 # Tables of 2**17 to 2**20 entries: 8 to 64 row blocks of the least-ratio kernel.
 BLOCKED_GRAPHS = {
@@ -27,6 +31,56 @@ BLOCKED_GRAPHS = {
 # Each graph as it is and under two relabellings.
 BLOCKED_CASES = [(name, seed) for name in BLOCKED_GRAPHS for seed in (None, 1, 2)]
 BLOCKED_IDS = [f"{name}-{seed}" if seed else name for name, seed in BLOCKED_CASES]
+
+
+def cut_sizes(neighbor_masks):
+    """Cut size |E(S, V - S)| of every vertex subset S of the graph with these
+    neighbor masks, indexed by S's bit mask.
+
+    Built by doubling: cut(S + j) = cut(S) + deg(j) - 2|N(j) & S| for S below
+    2**j, the last two terms doubled in place into the top half before cut(S)
+    is added, so the int16 table is the only one.
+    """
+    check_table_bits(len(neighbor_masks))
+    cut = np.zeros(1 << len(neighbor_masks), np.int16)
+    for j, nbrs in enumerate(neighbor_masks):
+        top = cut[1 << j : 2 << j]
+        top[0] = nbrs.bit_count()
+        _doubled(np.subtract, [2 * (nbrs >> i & 1) for i in range(j)], top)
+        top += cut[: 1 << j]
+    return cut
+
+
+def local_view_sums(X, tables):
+    """Row blocks of the sums over v of tables[v] at F's local view at v, over
+    every edge mask F, with the masks' sizes |F|; no block if every table is 0.
+
+    ``tables[v]`` holds a non-negative integer or bool per view of star(v),
+    indexed as in ``hdxwalk.expansion.local_views``.  Block r holds the masks
+    r * 2**lo + t for t below 2**lo, lo = ``row_bits(|E|)``, which share the
+    edges from lo up.  The star's edges ascend, so its low edges index a row
+    of its table and its high edges pick the row; each block is a (2,) * lo
+    array whose axis a is edge lo - 1 - a, to which each star's row adds by
+    broadcasting.
+    """
+    n = X.n_edges
+    lo = row_bits(n)
+    dtype = np.min_scalar_type(sum(int(t.max()) for t in tables))
+    stars = []
+    for edges, table in zip(X.vertex_edges, tables):
+        if not table.any():  # adds nothing, as for a view lemma's star where every view holds
+            continue
+        shape = [2 if lo - 1 - a in edges else 1 for a in range(lo)]
+        stars.append(([e - lo for e in edges if e >= lo], table.astype(dtype).reshape(-1, *shape)))
+    if not stars:  # every sum is 0
+        return
+    check_table_bits(n)
+    low = subset_sums([1] * lo)
+    for r in range(1 << (n - lo)):
+        total = np.zeros((2,) * lo, dtype)
+        for high, rows in stars:
+            total += rows[sum((r >> e & 1) << j for j, e in enumerate(high))]
+        yield total.reshape(-1), low + r.bit_count()
 
 
 def blocked_graph(name, seed):

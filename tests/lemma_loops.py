@@ -17,11 +17,12 @@ from fractions import Fraction
 import numpy as np
 
 from chains import coboundary_edges, distance_to_space, local_view
+from full_tables import cut_sizes
 from hdxwalk.cochain import cocycle_space, mask_bits
 from hdxwalk.errors import RegularityError
 from hdxwalk.expansion import fatness_constant, gap_lambda2
 from hdxwalk.graphs import edge_graph, underlying_graph
-from hdxwalk.spectral import cheeger_exhaustive, cut_sizes, normalized_spectrum, subset_sums
+from hdxwalk.spectral import cheeger_exhaustive, normalized_spectrum, subset_sums
 
 EDGE_GRAPH_FLOOR = Fraction(-17, 18)
 

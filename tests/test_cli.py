@@ -17,6 +17,7 @@ import types
 import warnings
 import weakref
 
+import full_tables
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -535,14 +536,52 @@ def test_view_lemmas_decide_past_the_table_limit(name, statuses, bits, tmp_path)
         assert result["violations"] == []
 
 
-def test_failing_view_lemma_past_the_table_limit_exit_3(tmp_path):
-    # At this slack a view of K8 fails, and listing the failures needs the scan
-    # over 2**28 edge sets, which the table limit refuses.
+def test_failing_view_lemma_past_the_table_limit_lists_ten_violations(tmp_path, monkeypatch):
+    # At this slack views of K8 fail.  Its 2**28 edge sets are past the table limit,
+    # but the violations are merged from the failing views' streams, so the first
+    # ten are listed with no table over the edge sets and no table size checked.
+    X = complete_complex(8)
     path = str(tmp_path / "k8.complex")
-    save_complex(complete_complex(8), path)
-    code, out, err = invoke("audit", path, "--lemma", "local-views", "--slack=-1", "--max-bits", "40")
-    assert (code, out) == (3, "")
-    assert err == "hdx: capacity error: subset tables are limited to 2**26 entries; got 2**28\n"
+    save_complex(X, path)
+    sized, listing = [], []  # (listing, bits) per table size checked; one flag per listing
+    for module in (spectral, expansion):
+        monkeypatch.setattr(module, "check_table_bits", lambda bits: sized.append((listing[-1], bits)))
+    view_lemma = commands._view_lemma
+
+    def spying(*args, **kwargs):
+        listing.append(True)
+        try:
+            return view_lemma(*args, **kwargs)
+        finally:
+            listing.append(False)
+
+    monkeypatch.setattr(commands, "_view_lemma", spying)
+    for lemma in ("distance", "local-views"):
+        sized.clear()
+        listing[:] = [False]
+        certify_exact.cache_clear()
+        start = time.perf_counter()
+        code, out, err = invoke("audit", path, "--lemma", lemma, "--slack=-1", "--max-bits", "40")
+        assert time.perf_counter() - start < 1.0
+        assert listing == [False, True, False]
+        # Certification and the star tables size theirs before the listing; none spans
+        # the edge sets, and the listing sizes none.
+        assert sized and max(bits for _, bits in sized) < X.n_edges
+        assert not any(during for during, _ in sized)
+        (result,) = json.loads(out)["results"]["lemmas"]
+        if lemma == "distance":  # takes no slack, and holds
+            assert (code, result["status"], result["violations"]) == (0, "pass", [])
+            continue
+        assert (code, err, result["status"]) == (1, "", "fail")
+        assert len(result["violations"]) == 10
+    cert = certify_exact(X, max_bits=40)
+    masks = [sum(1 << e for e in v["edges"]) for v in result["violations"]]
+    for m in range(masks[-1] + 1):
+        asserted, bad = local_views(X, Chain.from_mask(1, m), cert.epsilon_cosystolic, cert.mu, -1.0)
+        if m in masks:
+            assert asserted and result["violations"][masks.index(m)]["vertices"] == bad
+        else:
+            assert not (asserted and bad)
 
 
 # --- lemma runners against per-subset loops ---------------------------------------
@@ -590,14 +629,15 @@ def reference_violations(X, lemma, slack):
 @pytest.mark.parametrize("name", sorted(RUNNER_INPUTS))
 def test_lemma_tables_match_per_subset_loops(name, lemma, slack, monkeypatch):
     X = RUNNER_INPUTS[name]
-    scans = []
-    lemma_result = commands._lemma_result
+    scans, streams = [], []
+    lemma_result, supersets = commands._lemma_result, commands._supersets
 
-    def recording(name, X, tables, failing, *args, **kwargs):
-        scans.append((tables, failing))
-        return lemma_result(name, X, tables, failing, *args, **kwargs)
+    def recording(name, X, failing, *args, **kwargs):
+        scans.append(list(failing))  # drawn to its end, past the tenth failure
+        return lemma_result(name, X, iter(scans[-1]), *args, **kwargs)
 
     monkeypatch.setattr(commands, "_lemma_result", recording)
+    monkeypatch.setattr(commands, "_supersets", lambda *args: streams.append(args) or supersets(*args))
     ns = argparse.Namespace(max_bits=24, slack=slack, tol=1e-9)
     try:
         result = commands._LEMMA_RUNNERS[lemma](X, ns)
@@ -606,21 +646,15 @@ def test_lemma_tables_match_per_subset_loops(name, lemma, slack, monkeypatch):
             reference_violations(X, lemma, slack)
         return
     want = reference_violations(X, lemma, slack)
-    # Outgoing is decided from the edge graph's pairs and scans exactly when a violation
-    # exists; each other runner hands its tables to one scan.
-    assert len(scans) == (bool(want) if lemma == "outgoing" else 1)
-    # The runner's scan stops at the tenth failure; its predicate, over every row block, flags all.
-    # No block means every sum is 0: a view lemma with every view holding flags nothing.
-    flags = [
-        failing(r, sums, sizes)
-        for tables, failing in scans
-        for r, (sums, sizes) in enumerate(expansion.local_view_sums(X, tables))
-    ]
-    fail = np.concatenate(flags) if flags else np.zeros(0, bool)
-    assert np.flatnonzero(fail).tolist() == [m for m, _ in want]
+    # Each runner hands one ascending stream of failing masks to the report; outgoing's
+    # is empty, streaming no cut row, when the edge graph is the union of the links.
+    assert len(scans) == 1
+    # The report draws the first ten; the stream, drawn to its end, holds every failing mask.
+    assert [m for masks in scans for m in masks] == [m for m, _ in want]
     if lemma in ("distance", "local-views"):
-        # The view lemmas scan exactly when a violation exists, as the reduction below states.
-        assert bool(flags) == bool(want) == violation_exists(X, lemma, slack)
+        # The view lemmas merge a stream per failing view exactly when a violation exists,
+        # as the reduction below states.
+        assert bool(streams) == bool(want) == violation_exists(X, lemma, slack)
     # Each reported violation, detail and all, is the library's per-subset report.
     assert result["violations"] == [entry for _, entry in want[:10]]
     assert (result["status"] == "fail") == bool(want)
@@ -672,16 +706,15 @@ VIEW_LEMMA_INPUTS = {
 @pytest.mark.parametrize("name", sorted(VIEW_LEMMA_INPUTS))
 def test_view_lemmas_scan_exactly_when_a_violation_exists(name, lemma, slack, monkeypatch):
     # Up to 2**21 edge sets, too many for ``reference_violations``: its statements
-    # are checked at one edge set per vertex, view and size instead.
+    # are checked at one edge set per vertex, view and size instead, and the merged
+    # listing against the reference scan over the star tables.
     X = VIEW_LEMMA_INPUTS[name]
-    blocks, local_view_sums = [], expansion.local_view_sums
-
-    def counting(X, tables):
-        for block in local_view_sums(X, tables):
-            blocks.append(len(block[0]))
-            yield block
-
-    monkeypatch.setattr(expansion, "local_view_sums", counting)
+    streams, judged = [], []
+    supersets, view_lemma = commands._supersets, commands._view_lemma
+    monkeypatch.setattr(commands, "_supersets", lambda *args: streams.append(args) or supersets(*args))
+    monkeypatch.setattr(
+        commands, "_view_lemma", lambda *args, **kw: judged.append(args) or view_lemma(*args, **kw)
+    )
     ns = argparse.Namespace(max_bits=24, slack=slack, tol=1e-9)
     try:
         result = commands._LEMMA_RUNNERS[lemma](X, ns)
@@ -690,7 +723,25 @@ def test_view_lemmas_scan_exactly_when_a_violation_exists(name, lemma, slack, mo
             violation_exists(X, lemma, slack)
         return
     exists = violation_exists(X, lemma, slack)
-    assert bool(blocks) == exists == (result["status"] == "fail")
+    assert bool(streams) == exists == (result["status"] == "fail")
+    ((_, X, holds, asserted),) = judged
+    assert [v["edges"] for v in result["violations"]] == [
+        mask_bits(m) for m in scanned_view_failures(X, holds, asserted)
+    ]
+
+
+def scanned_view_failures(X, holds, asserted):
+    """The first ten masks failing a view lemma, by the reference scan over the star
+    tables of failing views, ``full_tables.local_view_sums``, a row block at a time."""
+    by_size = np.array([asserted(s) for s in range(X.n_edges + 1)])
+    tables = [~h for h in holds] if by_size.any() else []
+    first = []
+    for r, (sums, sizes) in enumerate(full_tables.local_view_sums(X, tables)):
+        fail = np.flatnonzero((sums > 0) & by_size[sizes])
+        first += (r * sums.size + fail[: 10 - len(first)]).tolist()
+        if len(first) == 10:
+            break
+    return first
 
 
 def test_outgoing_violation_reads_both_tables():
@@ -713,31 +764,43 @@ def test_outgoing_violation_reads_both_tables():
 
 def test_audit_all_enumerates_edge_sets_only_for_the_sum_lemma(tmp_path, monkeypatch):
     # On K7 every lemma holds.  Outgoing, distance and local-views are decided from
-    # the edge graph's pairs and the star tables; the sum lemma alone scans the 2**21
-    # edge sets, in 128 row blocks of 2**14.
+    # two graphs and the star tables; the sum lemma alone scans the 2**21 edge sets,
+    # in 128 cut rows of 2**14.  Large cuts reads the one row of G0's 2**7
+    # vertex sets, and the star tables one row per star.
     path = str(tmp_path / "k7.complex")
     save_complex(complete_complex(7), path)
-    blocks, local_view_sums = [], expansion.local_view_sums
+    blocks, lemma = [], [None]
+    cut_rows = spectral.cut_rows
 
-    def counting(X, tables):
-        for block in local_view_sums(X, tables):
-            blocks.append(len(block[0]))
-            yield block
+    def counting(masks):
+        for row in cut_rows(masks):
+            blocks.append((lemma[0], len(masks), len(row)))
+            yield row
 
-    monkeypatch.setattr(expansion, "local_view_sums", counting)
+    def running(name, run):
+        return lambda *args: lemma.__setitem__(0, name) or run(*args)
+
+    for module in (spectral, expansion):
+        monkeypatch.setattr(module, "cut_rows", counting)
+    for name, run in commands._LEMMA_RUNNERS.items():
+        monkeypatch.setitem(commands._LEMMA_RUNNERS, name, running(name, run))
     code, out, _ = invoke("audit", path, "--lemma", "all")
     assert (code, json.loads(out)["status"]) == (0, "pass")
-    assert blocks == [2**14] * 128
+    assert [block for block in blocks if block[1] == 21] == [("sum", 21, 2**14)] * 128
+    assert [block for block in blocks if block[1] != 21] == [("large-cuts", 7, 2**7)] + [
+        ("distance", 6, 2**6)
+    ] * 7
 
 
 def test_audit_evaluates_each_local_view_once(tmp_path, monkeypatch):
     # K6 has 6 stars of 5 edges: the per-vertex tables hold 6 * 2**5 = 192 local
-    # views, built once per complex and kept on it for every lemma that reads
-    # them (distance, local-views and sum; outgoing only to list a failure).  The
-    # distance judgement reads its distances off the Z^1 coset table that
-    # certification built, from the table cache.  Views are table entries, so --lemma all builds 8
-    # value objects: the complex, its two graphs, the spectrum, the cut result
-    # and the certificate with its two dimension reports.
+    # views, built once per complex and kept on it for the two lemmas that read
+    # them, distance and local-views; outgoing and sum read the union of the links
+    # instead.  The distance judgement reads its distances off the Z^1 coset table
+    # that certification built, from the table cache.  Views are table entries, so
+    # --lemma all builds 9 value objects: the complex, its three graphs (G0, G1 and
+    # the union of the links), the spectrum, the cut result and the certificate
+    # with its two dimension reports.
     path = tmp_path / "k6.complex"
     save_complex(complete_complex(6), str(path))
     counts = {"views": [], "tables": 0, "judgement_tables": 0, "records": 0}
@@ -778,7 +841,7 @@ def test_audit_evaluates_each_local_view_once(tmp_path, monkeypatch):
         sizes = [(sum(t.size for t in s), sum(t.size for t in c)) for s, c in counts["views"]]
         assert sizes == [(192, 192)]
         assert counts["judgement_tables"] == 1
-    assert counts["records"] == 8
+    assert counts["records"] == 9
 
 
 # --- walk -------------------------------------------------------------------------
@@ -872,8 +935,8 @@ def test_walk_capacity_exit_3_quickly(k4_file, mode):
     [
         (["spectrum", "--graph", "g0"], (spectral, "adjacency_matrix")),
         (["spectrum", "--graph", "g1"], (spectral, "adjacency_matrix")),
-        (["cheeger", "--graph", "g0"], (spectral, "cut_sizes")),
-        (["cheeger", "--graph", "g1"], (spectral, "cut_sizes")),
+        (["cheeger", "--graph", "g0"], (spectral, "cut_rows")),
+        (["cheeger", "--graph", "g1"], (spectral, "cut_rows")),
         (["walk", "--start", "0", "--steps", "5"], (walk, "start_measure")),
     ],
     ids=["spectrum-g0", "spectrum-g1", "cheeger-g0", "cheeger-g1", "walk"],

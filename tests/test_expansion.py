@@ -63,13 +63,12 @@ from hdxwalk.expansion import (
     gap_lambda2,
     large_cuts_audit,
     local_view_bound_judgement,
-    local_view_sums,
     mixing_rate_bound,
     sum_bound_judgement,
 )
-from hdxwalk.graphs import Graph, edge_graph, underlying_graph
+from hdxwalk.graphs import Graph, edge_graph, link_union, underlying_graph
 from hdxwalk.rng import SplitMix64
-from hdxwalk.spectral import cheeger_exhaustive, cut_sizes, normalized_spectrum, row_bits
+from hdxwalk.spectral import cheeger_exhaustive, cut_rows, normalized_spectrum, row_bits
 
 K4 = complete_complex(4)
 K5 = complete_complex(5)
@@ -80,8 +79,15 @@ def edge_chain(X, *pairs):
 
 
 def coboundary_sums(X):
-    """sum_v |coboundary(F_v)| for every edge mask F: ``local_view_sums``' row blocks, joined."""
-    return np.concatenate([sums for sums, _ in local_view_sums(X, expansion.local_views(X)[1])])
+    """sum_v |coboundary(F_v)| for every edge mask F: the row blocks of the reference
+    ``full_tables.local_view_sums`` over the star tables, joined."""
+    views = expansion.local_views(X)[1]
+    return np.concatenate([sums for sums, _ in full_tables.local_view_sums(X, views)])
+
+
+def cut_table(G):
+    """G's cut size at every vertex mask: the whole-table reference."""
+    return full_tables.cut_sizes(G.neighbor_masks)
 
 
 def view_index(X, v, mask):
@@ -563,14 +569,15 @@ def test_coset_row_blocks_match_the_full_table(X, ties, monkeypatch):
 
 
 def test_local_view_sums_hold_one_row_block():
-    # The cuboctahedron's 24 edges: a full pass holds one row block of 2**14
-    # sums and sizes at a time, and each star's table, never a table per edge set.
-    views = expansion.local_views(CUBOCTAHEDRON)[1]
+    # The sums of local coboundaries over the cuboctahedron's 2**24 edge sets are the
+    # cuts of the union of the links: the sum lemma's pass over them holds one row
+    # block of 2**14 cuts and flags at a time, never a table per edge set.
+    masks = link_union(CUBOCTAHEDRON).neighbor_masks
 
     def full_pass():
-        for _ in local_view_sums(CUBOCTAHEDRON, views):
-            pass
+        return list(commands._flagged(cut < 0 for cut in cut_rows(masks)))
 
+    assert full_pass() == []
     assert traced_peak(full_pass) < 2**20
 
 
@@ -685,15 +692,18 @@ def test_outgoing_identity_full_edge_set():
 
 
 def test_outgoing_identity_exhaustive():
-    # The two tables whose agreement audit --lemma outgoing decides, on every edge set.
+    # The two tables whose agreement audit --lemma outgoing decides, on every edge set,
+    # and the cut rows of the union of the links, which the sum lemma reads as the sums.
     for X in (K4, K5):
-        assert np.array_equal(cut_sizes(edge_graph(X).neighbor_masks), coboundary_sums(X))
+        assert np.array_equal(cut_table(edge_graph(X)), coboundary_sums(X))
+        assert np.array_equal(np.concatenate([*cut_rows(link_union(X).neighbor_masks)]),
+                              coboundary_sums(X))
 
 
 def test_outgoing_identity_on_random_complexes():
     for seed in range(3):
         X = random_complex(6, 0.5, seed=seed)
-        cut, sums = cut_sizes(edge_graph(X).neighbor_masks), coboundary_sums(X)
+        cut, sums = cut_table(edge_graph(X)), coboundary_sums(X)
         rng = SplitMix64(seed)
         for _ in range(200):
             mask = randrange(rng, 1 << X.n_edges)
@@ -743,9 +753,9 @@ OUTGOING_INPUTS = {
 
 @pytest.mark.parametrize("name", sorted(OUTGOING_INPUTS))
 def test_outgoing_decision_is_the_exhaustive_comparison(name, monkeypatch):
-    # audit --lemma outgoing decides from the edge graph's pairs alone.  Its verdict must
-    # be the comparison of the edge graph's cut table with the sums of local coboundaries
-    # on every edge set, also on edge graphs that are not the complex's.
+    # audit --lemma outgoing compares the edge graph with the union of the links.  Its
+    # verdict must be the comparison of the edge graph's cut table with the sums of local
+    # coboundaries on every edge set, also on edge graphs that are not the complex's.
     calls = []
 
     def spy(module, attr):
@@ -757,7 +767,7 @@ def test_outgoing_decision_is_the_exhaustive_comparison(name, monkeypatch):
 
         monkeypatch.setattr(module, attr, spying)
 
-    spy(spectral, "cut_sizes")
+    spy(spectral, "cut_rows")
     spy(expansion, "local_views")
     spy(commands, "_lemma_result")
     ns = argparse.Namespace(max_bits=24)
@@ -766,14 +776,16 @@ def test_outgoing_decision_is_the_exhaustive_comparison(name, monkeypatch):
         calls.clear()
         result = commands._audit_outgoing(X, ns)
         scanned = calls[:]
-        cut, sums = cut_sizes(edge_graph(X).neighbor_masks), coboundary_sums(X)
+        cut, sums = cut_table(edge_graph(X)), coboundary_sums(X)
         assert np.array_equal(cut, sums) == holds, label
         assert (result["status"], result["subsets_checked"]) == (
             "pass" if holds else "fail", 1 << X.n_edges
         ), label
-        # A holding identity builds no table and scans nothing; a failing one lists the
-        # first ten edge sets where the two tables differ.
-        assert scanned == ([] if holds else ["cut_sizes", "local_views", "_lemma_result"]), label
+        # A holding identity streams no cut row, so its report draws from an empty stream;
+        # a failing one lists the first ten edge sets where the cut rows of the two graphs
+        # differ.  Neither reads the star tables.
+        streamed = [] if holds else ["cut_rows", "cut_rows"]
+        assert scanned == streamed + ["_lemma_result"], label
         first = np.flatnonzero(cut != sums)[:10].tolist()
         assert result["violations"] == [
             {"edges": mask_bits(m), "lhs": int(cut[m]), "rhs": int(sums[m])} for m in first
@@ -1028,8 +1040,8 @@ def test_sum_lemma_lists_violations_without_an_index_per_failure():
 @pytest.mark.parametrize("bits, seed", [(0, 0), (3, 1), (14, 2), (17, 3), (17, 4), (20, 5)])
 def test_lemma_result_lists_the_first_ten_failures(bits, seed, monkeypatch):
     # Sparse failures, some straddling row blocks of 2**14 entries, and some
-    # tables with fewer than ten failures in all.  Each violation reads its sum
-    # from its block, and the scan stops at the block of the tenth.
+    # tables with fewer than ten failures in all.  Each violation is described
+    # from its mask, and the scan stops at the block of the tenth.
     rng = np.random.default_rng(seed)
     fail = rng.random(1 << bits) < 12 / (1 << bits)
     fail[rng.integers(0, 1 << bits, 3)] = True
@@ -1037,15 +1049,14 @@ def test_lemma_result_lists_the_first_ten_failures(bits, seed, monkeypatch):
     lo = row_bits(bits)
     read = []
 
-    def blocks(X, tables):
-        for row in sums.reshape(-1, 1 << lo):
+    def blocks():
+        for row in fail.reshape(-1, 1 << lo):
             read.append(row)
-            yield row, None
+            yield row
 
-    monkeypatch.setattr(expansion, "local_view_sums", blocks)
     result = commands._lemma_result(
-        "sum", argparse.Namespace(n_edges=bits), [],
-        lambda r, row, sizes: fail[r << lo : r + 1 << lo], lambda m, total: {"m": m, "total": total},
+        "sum", argparse.Namespace(n_edges=bits), commands._flagged(blocks()),
+        lambda m: {"m": m, "total": sums[m]},
     )
     want = np.flatnonzero(fail)[:10].tolist()
     assert [(v["m"], v["total"]) for v in result["violations"]] == [(m, sums[m]) for m in want]
@@ -1064,10 +1075,12 @@ def test_sum_coboundaries_exhaustive_k4_k5():
     [K4, build_from_triangles([(0, 1, 2), (1, 2, 3)], [(3, 4)]), random_complex(6, 0.5, seed=3)],
 )
 def test_local_view_sums_match_per_subset_sums(X):
-    sizes = np.concatenate([size for _, size in local_view_sums(X, expansion.local_views(X)[1])])
-    assert coboundary_sums(X).tolist() == [
-        outgoing(X, Chain.from_mask(1, m))[1] for m in range(1 << X.n_edges)
-    ]
+    # The reference scan, and the cut rows of the union of the links that the sum lemma reads.
+    views = expansion.local_views(X)[1]
+    sizes = np.concatenate([size for _, size in full_tables.local_view_sums(X, views)])
+    want = [outgoing(X, Chain.from_mask(1, m))[1] for m in range(1 << X.n_edges)]
+    assert coboundary_sums(X).tolist() == want
+    assert np.concatenate([*cut_rows(link_union(X).neighbor_masks)]).tolist() == want
     assert sizes.tolist() == [m.bit_count() for m in range(1 << X.n_edges)]
 
 

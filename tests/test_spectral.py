@@ -49,7 +49,7 @@ from hdxwalk.graphs import Graph, edge_graph, underlying_graph
 from hdxwalk.rng import SplitMix64
 from hdxwalk.spectral import (
     cheeger_exhaustive,
-    cut_sizes,
+    cut_rows,
     lambda2_below_half,
     normalized_spectrum,
     subset_xors,
@@ -427,12 +427,54 @@ CUT_GRAPHS = {
 
 @pytest.mark.parametrize("name", sorted(CUT_GRAPHS))
 def test_cut_sizes_match_per_mask_cut(name):
+    # The streamed kernel and the whole-table reference.
     G = CUT_GRAPHS[name]
     want = [
         sum(1 for u in range(G.n) for v in G.adjacency[u] if u < v and (mask >> u & 1) != (mask >> v & 1))
         for mask in range(1 << G.n)
     ]
-    assert cut_sizes(G.neighbor_masks).tolist() == want
+    assert full_tables.cut_sizes(G.neighbor_masks).tolist() == want
+    assert joined_rows(G.neighbor_masks).tolist() == want
+
+
+def joined_rows(masks):
+    """``cut_rows``' blocks, each of 2**row_bits(n) entries, joined into one table."""
+    rows = list(cut_rows(masks))
+    assert {len(row) for row in rows} == {1 << spectral.row_bits(len(masks))}
+    return np.concatenate(rows)
+
+
+# The G0 and G1 of every named complex with at most 24 edges: up to 2**10 row blocks.
+NAMED_GRAPHS = {
+    f"{name} {graph.__name__}": graph(X)
+    for name, X in {
+        **{f"K{n}": complete_complex(n) for n in (4, 5, 6, 7)},
+        **{name: getattr(named_complexes, name) for name in named_complexes.__dict__ if name.isupper()},
+    }.items()
+    if isinstance(X, Complex2) and X.n_edges <= 24
+    for graph in (underlying_graph, edge_graph)
+}
+
+
+@pytest.mark.parametrize("name, seed", full_tables.BLOCKED_CASES, ids=full_tables.BLOCKED_IDS)
+def test_cut_rows_match_the_full_table_on_blocked_graphs(name, seed):
+    masks = full_tables.blocked_graph(name, seed).neighbor_masks
+    assert len(masks) > spectral.row_bits(len(masks))  # more than one row block
+    assert np.array_equal(joined_rows(masks), full_tables.cut_sizes(masks))
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_GRAPHS))
+def test_cut_rows_match_the_full_table_on_named_complexes(name):
+    masks = NAMED_GRAPHS[name].neighbor_masks
+    assert np.array_equal(joined_rows(masks), full_tables.cut_sizes(masks))
+    relabelled = named_complexes.relabel_graph(NAMED_GRAPHS[name], 3).neighbor_masks
+    assert np.array_equal(joined_rows(relabelled), full_tables.cut_sizes(relabelled))
+
+
+def test_cut_rows_refuse_the_table_on_the_call():
+    # Before any row is built, as every exit 3 of a cut reader needs.
+    with pytest.raises(CapacityError, match=r"got 2\*\*27"):
+        cut_rows(cycle_graph(27).neighbor_masks)
 
 
 # --- Cheeger ---------------------------------------------------------------
@@ -521,17 +563,26 @@ def test_least_ratio_keeps_every_tie_in_order():
 
 
 def test_cheeger_holds_one_int16_table():
-    # K22: 2 bytes per subset for the cut table, and the row blocks' temporaries.
+    # K22: no more than the 2 bytes per subset of a whole cut table and the row blocks'
+    # temporaries; the streamed rows hold far less (see the K24 pin below).
     G = complete_graph(22)
     cheeger_exhaustive(G)  # an untraced warm-up call
     assert traced_peak(cheeger_exhaustive, G) <= 2.75 * 2**22
 
 
+def test_cheeger_holds_one_row_block_of_cuts():
+    # K24's 2**24 subsets: the cuts come a row block of 2**14 at a time, so the peak is
+    # the blocks' temporaries, where a whole int16 cut table alone takes 32 MiB.
+    G = complete_graph(24)
+    cheeger_exhaustive(complete_graph(16))  # an untraced warm-up call
+    assert traced_peak(cheeger_exhaustive, G) < 2 * 2**20
+
+
 def test_cut_sizes_hold_only_the_table():
-    # The top half of each doubling is built in place: no table of |N(j) & S|.
+    # The reference's top half of each doubling is built in place: no table of |N(j) & S|.
     masks = complete_graph(22).neighbor_masks
-    cut_sizes(masks)  # an untraced warm-up call
-    assert traced_peak(cut_sizes, masks) <= 2.5 * 2**22
+    full_tables.cut_sizes(masks)  # an untraced warm-up call
+    assert traced_peak(full_tables.cut_sizes, masks) <= 2.5 * 2**22
 
 
 # --- expander mixing lemma -------------------------------------------------
