@@ -144,7 +144,7 @@ def run(argv=None, stdout: Optional[TextIO] = None, stderr: Optional[TextIO] = N
         from . import commands
 
         handler = getattr(commands, "_cmd_" + ns.subcommand.replace("-", "_"))
-        return handler(ns, out, err)
+        return handler(ns, out)
     except CapacityError as exc:
         print(f"hdx: capacity error: {exc}", file=err)
         return 3

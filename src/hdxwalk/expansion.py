@@ -7,11 +7,12 @@ together with the smallest relative size mu of a nontrivial cocycle.  Each
 quantity depends only on the coset of S, so it is read off tables indexed by
 syndrome: one table per distinct code, all of them sized before any is built.
 Over the faces with unit syndrome columns, an information set, a syndrome
-weighs its popcount; one relaxation per other face lowers that to the least.
-The coboundary sizes are counted a row block at a time, and the least ratio
-is taken over those blocks, so the weights are the only table per code.  The
-least witnesses come from the tied syndromes by a greedy pass over the faces,
-and mu's from a scan of the cocycles outside B^i.
+weighs its popcount; one relaxation per other face c, w[s] to w[s ^ c] + 1, in
+place, lowers that to the least: w[s ^ c] once lowered is min(w[s ^ c], w[s] + 1),
+and plus 1 lowers w[s] no further.  It, the coboundary sizes and the least ratio
+run over the same row blocks: one byte per syndrome is the only table per code.
+The least witnesses come from the tied syndromes by a greedy pass over the
+faces, and mu's from a scan of the cocycles outside B^i.
 
 The rest states the facts behind the mixing bound that ``hdx audit`` checks:
 the local-view distance formula, the per-vertex coboundary lower bounds for
@@ -156,23 +157,20 @@ def _coset_table(count: int, basis: tuple[int, ...]) -> tuple[tuple[int, ...], n
 
     The checks are reduced: bit r is the column of one pivot face, so those
     give syndrome s the weight popcount(s).  Each other face, column c, relaxes
-    w[s] to w[s ^ c] + 1 (a 0/1 knapsack): on a view with one axis of length 2
-    per high bit, XOR with c gathers the low bits and flips c's high axes.
+    w[s] to w[s ^ c] + 1 (a 0/1 knapsack) in place: row r of ``row_bits`` from
+    row r ^ (c >> lo) gathered at the low bits of c, a copy even of row r.  A
+    row relaxed already holds min(w[s ^ c], w[s] + 1): plus 1, it lowers no w[s].
     """
     columns = tuple(gf2.syndrome_columns(basis, count))
     bits = count - len(basis)
     weight = subset_sums([1] * bits)  # at most TABLE_BIT_LIMIT: the + 1 below fits a uint8
-    lo = bits // 2
-    cube = weight.reshape((2,) * (bits - lo) + (1 << lo,))  # axis a < bits - lo is bit bits - 1 - a
-    cols, shifted = np.arange(1 << lo), np.empty_like(cube)
+    lo = row_bits(bits)
+    rows, cols = weight.reshape(-1, 1 << lo), np.arange(1 << lo)
     for column in columns:
         if column & (column - 1):  # zero and unit columns lower no weight
-            # mode="wrap" writes into out directly; the default would buffer it.
-            np.take(cube, cols ^ (column & ((1 << lo) - 1)), axis=-1, out=shifted, mode="wrap")
-            shifted += 1
-            # An empty axis list flips nothing; axis=None would flip every axis.
-            high_axes = [bits - 1 - r for r in range(lo, bits) if column >> r & 1]
-            np.minimum(cube, np.flip(shifted, high_axes), out=cube)
+            low = cols ^ (column & ((1 << lo) - 1))
+            for r, row in enumerate(rows):
+                np.minimum(row, rows[r ^ (column >> lo)][low] + 1, out=row)
     weight.flags.writeable = False
     return columns, weight
 

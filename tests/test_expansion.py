@@ -45,7 +45,7 @@ from scalar_walk import randrange
 from scan_certifier import scan_certify_dimension
 from traced import traced_peak
 
-from hdxwalk import commands, expansion, spectral
+from hdxwalk import commands, expansion, gf2, spectral
 from hdxwalk.cli import run
 from hdxwalk.cochain import coboundary_space, cocycle_space, mask_bits
 from hdxwalk.complexes import Complex2, complete_complex, random_complex
@@ -472,42 +472,49 @@ COSET_TABLE_INPUTS = [
     [(X, d) for _, X, d in COSET_TABLE_INPUTS],
     ids=[n for n, *_ in COSET_TABLE_INPUTS],
 )
-def test_coset_tables_match_every_face_subset(X, dimensions):
+def test_coset_tables_match_every_face_subset(X, dimensions, monkeypatch):
     # For every subset S of the faces, built up one face at a time: the least
     # weight at syn(S) is at most |S|, reached in every coset, and the size
     # at syn(S) is |coboundary(S)|.  Z^i and B^i differ on RP2_6 at dimension 1.
-    for i in dimensions:
-        gens = (X.vertex_edge_masks, X.edge_triangle_masks)[i]
-        for basis in (cocycle_space(X, i), coboundary_space(X, i)):
-            columns, weight = expansion._coset_table(len(gens), basis)
-            size = np.concatenate(list(expansion._coset_sizes(X, i, columns)))
-            least = [len(gens)] * len(weight)
-            syndromes, deltas = [0], [0]
-            for S in range(1, 1 << len(gens)):
-                j = (S & -S).bit_length() - 1
-                syndromes.append(syndromes[S ^ 1 << j] ^ columns[j])
-                deltas.append(deltas[S ^ 1 << j] ^ gens[j])
-            for S, (syndrome, delta) in enumerate(zip(syndromes, deltas)):
-                least[syndrome] = min(least[syndrome], S.bit_count())
-                assert size[syndrome] == delta.bit_count()
-            assert weight.tolist() == least
+    # Under the real row split each of these tables is one row; rows of 2 bits make
+    # the relaxation read partner rows, some of them relaxed already.
+    for block_bits in (spectral._BLOCK_BITS, 2):
+        monkeypatch.setattr(spectral, "_BLOCK_BITS", block_bits)
+        expansion._coset_table.cache_clear()
+        for i in dimensions:
+            gens = (X.vertex_edge_masks, X.edge_triangle_masks)[i]
+            for basis in (cocycle_space(X, i), coboundary_space(X, i)):
+                columns, weight = expansion._coset_table(len(gens), basis)
+                size = np.concatenate(list(expansion._coset_sizes(X, i, columns)))
+                least = [len(gens)] * len(weight)
+                syndromes, deltas = [0], [0]
+                for S in range(1, 1 << len(gens)):
+                    j = (S & -S).bit_length() - 1
+                    syndromes.append(syndromes[S ^ 1 << j] ^ columns[j])
+                    deltas.append(deltas[S ^ 1 << j] ^ gens[j])
+                for S, (syndrome, delta) in enumerate(zip(syndromes, deltas)):
+                    least[syndrome] = min(least[syndrome], S.bit_count())
+                    assert size[syndrome] == delta.bit_count()
+                assert weight.tolist() == least
+    expansion._coset_table.cache_clear()
 
 
-def test_coset_table_inputs_reach_both_halves_of_the_xor():
-    # The relaxation splits a column c at lo = bits // 2: the low part is
-    # gathered, the high part flips axes.  Some non-unit column has no low
-    # part (a flip only) and some has no high part (a gather only, with an
-    # empty list of axes to flip).
+def test_coset_table_inputs_reach_both_halves_of_the_xor(monkeypatch):
+    # The relaxation splits a column c at lo = row_bits: the row part picks
+    # the partner row, the low part is gathered.  Under rows of 2 bits, some
+    # non-unit column has a row part only (a partner row read whole), some a
+    # low part only (the row is its own partner), and some both.
+    monkeypatch.setattr(spectral, "_BLOCK_BITS", 2)
     kinds = set()
     for _, X, dimensions in COSET_TABLE_INPUTS:
         for i in dimensions:
+            count = (X.n_vertices, X.n_edges)[i]
             for basis in (cocycle_space(X, i), coboundary_space(X, i)):
-                columns, weight = expansion._coset_table((X.n_vertices, X.n_edges)[i], basis)
-                lo = (len(weight).bit_length() - 1) // 2
-                for c in columns:
+                lo = row_bits(count - len(basis))
+                for c in gf2.syndrome_columns(basis, count):
                     if c & (c - 1):
                         kinds.add((c >> lo > 0, c & ((1 << lo) - 1) > 0))
-    assert {(True, False), (False, True)} <= kinds
+    assert {(True, False), (False, True), (True, True)} <= kinds
 
 
 def test_coset_tables_keep_no_complex_alive():
@@ -521,25 +528,24 @@ def test_coset_tables_keep_no_complex_alive():
     assert ref() is None
 
 
-def test_coset_weights_hold_two_bytes_per_entry():
-    # T(5)'s Z^1 table has 2**21 entries: the uint8 weights and one uint8
-    # buffer for the shifted copy, with no frontier and no index per entry.
+def test_coset_weights_hold_one_byte_per_entry():
+    # T(5)'s Z^1 table has 2**21 entries: the uint8 weights, relaxed in place,
+    # and per row block of 2**14 one index and one gathered row.
     z1 = cocycle_space(T5, 1)
     expansion._coset_table(T5.n_edges, z1)
     expansion._coset_table.cache_clear()
-    assert traced_peak(expansion._coset_table, T5.n_edges, z1) <= 2.5 * 2**21
+    assert traced_peak(expansion._coset_table, T5.n_edges, z1) <= 1.25 * 2**21
 
 
 def test_coset_tables_hold_no_coboundary_masks():
     # The largest table of T(5) and of K8 has 2**21 entries.  Certification
-    # holds a uint8 weight per entry, and no coboundaries: the peak is the
-    # weights' relaxation, the weights and one shifted copy, 2 bytes per
-    # entry.  The sizes are counted a row block at a time, from subset XORs
-    # over the low and the high syndrome bits.
+    # holds a uint8 weight per entry, and no coboundaries: the weights are
+    # relaxed in place a row block at a time, and the sizes are counted a row
+    # block at a time, from subset XORs over the low and the high syndrome bits.
     for X in (T5, complete_complex(8)):
         certify_exact.__wrapped__(X, max_bits=30)
         expansion._coset_table.cache_clear()
-        assert traced_peak(certify_exact.__wrapped__, X, max_bits=30) <= 2.5 * 2**21
+        assert traced_peak(certify_exact.__wrapped__, X, max_bits=30) <= 1.5 * 2**21
 
 
 def test_mu_scans_one_table_of_cocycles():

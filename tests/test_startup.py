@@ -182,6 +182,31 @@ def test_command_executes_only_the_layers_it_runs(fixed, command, code, layers, 
     assert imported == [handlers, exact, False, False, False]
 
 
+# Runs `python -m hdxwalk.cli ARG...` and reports on stderr, last, whether
+# numpy's compiled core was imported each time hdxwalk/expansion.py's module
+# code ran, as the audit hook sees the builtin exec that runs it.
+ORDER_PROBE = """
+import os, runpy, sys
+seen = []
+def hook(event, args):
+    if event == "exec" and args[0].co_filename.endswith(os.path.join("hdxwalk", "expansion.py")):
+        seen.append("numpy._core" in sys.modules)
+sys.addaudithook(hook)
+try:
+    runpy.run_module("hdxwalk.cli", run_name="__main__", alter_sys=True)
+finally:
+    sys.stderr.write(f"\\nnumpy loaded at expansion: {seen!r}\\n")
+"""
+
+
+def test_verify_theorem_executes_expansion_before_numpy(fixed):
+    # Executed after numpy has loaded and G0's spectrum is computed, expansion.py,
+    # compiled where no bytecode is written, raises the peak RSS by about 0.7 MB.
+    done = python("-c", ORDER_PROBE, "verify-theorem", "k5.complex", "--steps", "5", cwd=fixed)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.endswith("\nnumpy loaded at expansion: [False]\n")
+
+
 def test_digest_is_sha256_of_every_corpus_file(fixed):
     from hdxwalk import commands
 
