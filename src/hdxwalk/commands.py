@@ -195,19 +195,24 @@ def _supersets(view: int, star: int, full: int):
         m = (m | star) + 1 & ~star | view
 
 
+def _merged(streams):
+    """The masks of the ascending ``streams`` in one ascending stream, repeats dropped."""
+    from heapq import merge
+
+    return (m for m, _ in groupby(merge(*streams)))
+
+
 def _view_lemma(name: str, X: complexes.Complex2, holds, asserted, **extra) -> dict:
     """A lemma failing at F where ``asserted(|F|)`` and, at some vertex v, ``holds[v]``
     is false at the view F_v (indexed as in ``expansion.local_views``): the failing
-    masks merge one ascending stream per failing view L of star(v), repeats dropped."""
-    from heapq import merge
-
+    masks merge one ascending stream per failing view L of star(v)."""
     by_size = [asserted(s) for s in range(X.n_edges + 1)]
     streams = [
         _supersets(sum((L >> t & 1) << e for t, e in enumerate(edges)), star, (1 << X.n_edges) - 1)
         for edges, star, h in zip(X.vertex_edges, X.vertex_edge_masks, holds)
         for L in np.flatnonzero(~h).tolist()
     ] if any(by_size) else []
-    failing = (m for m, _ in groupby(merge(*streams)) if by_size[m.bit_count()])
+    failing = (m for m in _merged(streams) if by_size[m.bit_count()])
 
     def violation(m: int) -> dict:
         views = [sum((m >> e & 1) << t for t, e in enumerate(edges)) for edges in X.vertex_edges]
@@ -219,20 +224,23 @@ def _view_lemma(name: str, X: complexes.Complex2, holds, asserted, **extra) -> d
 def _audit_outgoing(X: complexes.Complex2, ns) -> dict:
     # The other edge-subset lemmas certify first, refusing more than --max-bits faces before this.
     if X.n_edges > ns.max_bits:
-        raise CapacityError(
-            f"lemma audit enumerates 2**edges subsets and is limited to "
-            f"{ns.max_bits} edges; got {X.n_edges}"
-        )
+        raise CapacityError(f"audit is limited to --max-bits={ns.max_bits} edges; got {X.n_edges}")
     try:  # json writes subsets_checked in decimal, and CPython caps an int's digits
         str(1 << X.n_edges)
     except ValueError:
         raise CapacityError(f"a lemma report cannot write 2**{X.n_edges} in decimal") from None
-    # sum_v |coboundary(F_v)| is F's cut in the union of the links; a cut function fixes
-    # its graph, so it is F's edge-graph cut on every F iff the two graphs are one.
-    G1, H = graphs.edge_graph(X), graphs.link_union(X)
-    rows = () if G1 == H else zip(*(spectral.cut_rows(G.neighbor_masks) for G in (G1, H)))
-    flags = _flagged(a != b for a, b in rows)
-    return _lemma_result("outgoing", X, flags, lambda m: {"lhs": G1.cut(m), "rhs": H.cut(m)})
+    # A G1 pair sharing a vertex lies in that vertex's link alone, so sum_v |coboundary(F_v)|
+    # is F's G1 cut less the split pairs, of disjoint edges, that F separates: none on a complex.
+    G1, edges, full = graphs.edge_graph(X), X.edges, (1 << X.n_edges) - 1
+    split = [(e, f) for e, ((u, v), fs) in enumerate(zip(edges, G1.adjacency))
+             for f in fs if e < f and u not in edges[f] and v not in edges[f]]
+    failing = _merged(_supersets(1 << a, 1 << e | 1 << f, full) for e, f in split for a in (e, f))
+
+    def violation(m: int) -> dict:
+        lhs = G1.cut(m)
+        return {"lhs": lhs, "rhs": lhs - sum((m >> e ^ m >> f) & 1 for e, f in split)}
+
+    return _lemma_result("outgoing", X, failing, violation)
 
 
 def _audit_large_cuts(X: complexes.Complex2, ns) -> dict:
@@ -267,15 +275,15 @@ def _audit_local_views(X: complexes.Complex2, ns) -> dict:
 def _audit_sum(X: complexes.Complex2, ns) -> dict:
     eps = expansion.certify_exact(X, max_bits=ns.max_bits).epsilon_cosystolic
     scale = expansion.sum_bound_judgement(X, eps, tol=ns.tol)
-    n, H = X.n_edges, graphs.link_union(X)
+    n, G1 = X.n_edges, graphs.edge_graph(X)  # sum_v |coboundary(F_v)| is F's cut in G1
     bound = [scale * size for size in range(n + 1)]
     # The bound is stated for |F| <= |E|/2; the larger sets pass unchecked.
     least = np.array([b - ns.slack if 2 * s <= n else -math.inf for s, b in enumerate(bound)])
     low = spectral.subset_sums([1] * spectral.row_bits(n))  # |t| in row r's masks r * 2**lo + t
-    rows = enumerate(spectral.cut_rows(H.neighbor_masks))
+    rows = enumerate(spectral.cut_rows(G1.neighbor_masks))
     return _lemma_result(
         "sum", X, _flagged(cut < least[low + r.bit_count()] for r, cut in rows),
-        lambda m: {"lhs": H.cut(m), "rhs_bound": bound[m.bit_count()]},
+        lambda m: {"lhs": G1.cut(m), "rhs_bound": bound[m.bit_count()]},
         subsets_checked=sum(math.comb(n, s) for s in range(n // 2 + 1)),
         epsilon=eps,
     )

@@ -77,14 +77,3 @@ def edge_graph(X: Complex2) -> Graph:
         nbrs[c] += (a, b)
     return Graph(X.n_edges, tuple(tuple(sorted(s)) for s in nbrs))
 
-
-@kept_on_complex
-def link_union(X: Complex2) -> Graph:
-    """The union of the vertex links, the edge graph less its pairs of disjoint edges: a
-    pair sharing a vertex lies in that vertex's link alone, so the cut of F here is the sum
-    over v of |coboundary(F & star(v))|.  On a complex this is the edge graph itself."""
-    edges = X.edges
-    return Graph(X.n_edges, tuple(
-        tuple(f for f in fs if u in edges[f] or v in edges[f])
-        for (u, v), fs in zip(edges, edge_graph(X).adjacency)
-    ))

@@ -377,6 +377,7 @@ def least_ratio(blocks, k: int, keep=None) -> tuple[Fraction, np.ndarray]:
             ties += offset
             kept.append(keep(ties) if keep else ties)
         offset += len(num)
+        del ratio  # not held beside the next block while the generator builds it
     return best, np.concatenate(kept)
 
 

@@ -4,7 +4,8 @@ graph inequalities the edge walk's analysis rests on.
 Each lemma is restated for one edge set F, a ``Chain``, from the definitions:
 the local views ``local_view(X, F, v)``, their coboundaries
 ``coboundary_edges``, the distances ``distance_to_space`` (all from
-``chains``, by codeword enumeration) and the fatness constant.  Neither
+``chains``, by codeword enumeration) and the fatness constant; the union of
+the links is read from the triangles.  Neither
 ``hdxwalk.expansion.local_views`` nor any ``*_judgement`` is called, so the
 ``audit`` tables, built from per-vertex tables of local views, are checked
 against an independent statement.  Only the regularity and exact
@@ -21,7 +22,7 @@ from full_tables import cut_sizes
 from hdxwalk.cochain import cocycle_space, mask_bits
 from hdxwalk.errors import RegularityError
 from hdxwalk.expansion import fatness_constant, gap_lambda2
-from hdxwalk.graphs import edge_graph, underlying_graph
+from hdxwalk.graphs import Graph, edge_graph, underlying_graph
 from hdxwalk.spectral import cheeger_exhaustive, normalized_spectrum, subset_sums
 
 EDGE_GRAPH_FLOOR = Fraction(-17, 18)
@@ -48,6 +49,17 @@ def outgoing(X, F):
     adjacency = edge_graph(X).adjacency
     cut = sum(1 for a in F.members for b in adjacency[a] if b not in F.members)
     return cut, sum(len(coboundary_edges(X, L)) for L in _views(X, F))
+
+
+def link_union(X):
+    """The union of the vertex links, a graph on the edge ids, read per vertex from the
+    triangles: each triangle {v, a, b} at v joins the edges va and vb of star(v)."""
+    ids = {e: i for i, e in enumerate(X.edges)}
+    pairs = [
+        tuple(ids[min(u, v), max(u, v)] for u in t if u != v)
+        for v in range(X.n_vertices) for t in X.triangles if v in t
+    ]
+    return Graph.from_edges(X.n_edges, pairs)
 
 
 def distance(X, F, mu):

@@ -647,8 +647,10 @@ def test_lemma_tables_match_per_subset_loops(name, lemma, slack, monkeypatch):
         return
     want = reference_violations(X, lemma, slack)
     # Each runner hands one ascending stream of failing masks to the report; outgoing's
-    # is empty, streaming no cut row, when the edge graph is the union of the links.
+    # merges no stream on a complex, whose edge graph joins no two disjoint edges.
     assert len(scans) == 1
+    if lemma == "outgoing":
+        assert streams == []
     # The report draws the first ten; the stream, drawn to its end, holds every failing mask.
     assert [m for masks in scans for m in masks] == [m for m, _ in want]
     if lemma in ("distance", "local-views"):
@@ -795,12 +797,11 @@ def test_audit_all_enumerates_edge_sets_only_for_the_sum_lemma(tmp_path, monkeyp
 def test_audit_evaluates_each_local_view_once(tmp_path, monkeypatch):
     # K6 has 6 stars of 5 edges: the per-vertex tables hold 6 * 2**5 = 192 local
     # views, built once per complex and kept on it for the two lemmas that read
-    # them, distance and local-views; outgoing and sum read the union of the links
-    # instead.  The distance judgement reads its distances off the Z^1 coset table
-    # that certification built, from the table cache.  Views are table entries, so
-    # --lemma all builds 9 value objects: the complex, its three graphs (G0, G1 and
-    # the union of the links), the spectrum, the cut result and the certificate
-    # with its two dimension reports.
+    # them, distance and local-views; outgoing and sum read the edge graph instead.
+    # The distance judgement reads its distances off the Z^1 coset table that
+    # certification built, from the table cache.  Views are table entries, so
+    # --lemma all builds 8 value objects: the complex, its two graphs (G0 and G1),
+    # the spectrum, the cut result and the certificate with its two dimension reports.
     path = tmp_path / "k6.complex"
     save_complex(complete_complex(6), str(path))
     counts = {"views": [], "tables": 0, "judgement_tables": 0, "records": 0}
@@ -841,7 +842,7 @@ def test_audit_evaluates_each_local_view_once(tmp_path, monkeypatch):
         sizes = [(sum(t.size for t in s), sum(t.size for t in c)) for s, c in counts["views"]]
         assert sizes == [(192, 192)]
         assert counts["judgement_tables"] == 1
-    assert counts["records"] == 9
+    assert counts["records"] == 8
 
 
 # --- walk -------------------------------------------------------------------------
