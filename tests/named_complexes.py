@@ -137,6 +137,15 @@ TORUS_7 = build_from_triangles(
 )
 
 
+# The Fano plane's lines {i, i+1, i+3} mod 7 as triangles: each pair of points is on
+# one line, so the edges are K7's and each lies in one triangle; (6, 1)-regular.
+FANO = build_from_triangles([(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)])
+
+# Four of the octahedron's eight faces, no two sharing an edge; (4, 1)-regular on its
+# 12 edges.
+HALF_OCTAHEDRON = build_from_triangles([(0, 2, 4), (0, 3, 5), (1, 2, 5), (1, 3, 4)])
+
+
 def triangulated_torus(a, b):
     """The a x b grid on the torus, each square cut along its diagonal: vertex
     (i, j) is i * b + j, and the triangles are {(i, j), (i + 1, j), (i + 1, j + 1)}

@@ -522,7 +522,7 @@ def test_outgoing_refuses_exactly_the_reports_json_cannot_write():
 def test_view_lemmas_decide_past_the_table_limit(name, statuses, bits, tmp_path):
     # 2**27 to 2**30 edge sets, past the 2**26-entry tables: no view fails at an
     # asserted size and every edge-graph pair shares a vertex, so no violation
-    # exists and no edge set is enumerated.  Outgoing reads only the edge graph.
+    # exists and no edge set is enumerated.  Outgoing builds no graph at all.
     X = {"k333": K333, "k8": complete_complex(8), "icosahedron": ICOSAHEDRON, "t5": T5}[name]
     path = str(tmp_path / f"{name}.complex")
     save_complex(X, path)
@@ -646,13 +646,14 @@ def test_lemma_tables_match_per_subset_loops(name, lemma, slack, monkeypatch):
             reference_violations(X, lemma, slack)
         return
     want = reference_violations(X, lemma, slack)
-    # Each runner hands one ascending stream of failing masks to the report; outgoing's
-    # merges no stream on a complex, whose edge graph joins no two disjoint edges.
-    assert len(scans) == 1
     if lemma == "outgoing":
-        assert streams == []
-    # The report draws the first ten; the stream, drawn to its end, holds every failing mask.
-    assert [m for masks in scans for m in masks] == [m for m, _ in want]
+        # Decided by its proof, the identity holds on every edge set: no stream is drawn.
+        assert scans == streams == want == []
+    else:
+        # Each other runner hands one ascending stream of failing masks to the report,
+        # which draws the first ten; drawn to its end, it holds every failing mask.
+        assert len(scans) == 1
+        assert scans[0] == [m for m, _ in want]
     if lemma in ("distance", "local-views"):
         # The view lemmas merge a stream per failing view exactly when a violation exists,
         # as the reduction below states.
@@ -746,27 +747,9 @@ def scanned_view_failures(X, holds, asserted):
     return first
 
 
-def test_outgoing_violation_reads_both_tables():
-    # The identity holds on every complex, so break its kept edge graph to see a listing:
-    # edges 01 and 23 of K4 share no vertex, so no star's link holds the added pair, and
-    # the edge graph's cut exceeds the sum of local coboundaries by 1 where F holds one.
-    X = complete_complex(4)
-    adjacency = [list(fs) for fs in edge_graph(X).adjacency]
-    adjacency[0].append(5)
-    adjacency[5].insert(0, 0)
-    X.__dict__["_edge_graph"] = graphs.Graph(X.n_edges, tuple(map(tuple, adjacency)))
-    result = commands._audit_outgoing(X, argparse.Namespace(max_bits=24))
-    assert result["violations"][0] == {"edges": [0], "lhs": 5, "rhs": 4}
-    assert result["violations"] == [entry for _, entry in reference_violations(X, "outgoing", 0)[:10]]
-    assert [v["edges"] for v in result["violations"]] == [
-        mask_bits(m) for m in range(1, 20, 2)  # edge 0 without edge 5, in mask order
-    ]
-    assert result["status"] == "fail"
-
-
 def test_audit_all_enumerates_edge_sets_only_for_the_sum_lemma(tmp_path, monkeypatch):
-    # On K7 every lemma holds.  Outgoing, distance and local-views are decided from
-    # two graphs and the star tables; the sum lemma alone scans the 2**21 edge sets,
+    # On K7 every lemma holds.  Outgoing is decided by its proof, distance and
+    # local-views from the star tables; the sum lemma alone scans the 2**21 edge sets,
     # in 128 cut rows of 2**14.  Large cuts reads the one row of G0's 2**7
     # vertex sets, and the star tables one row per star.
     path = str(tmp_path / "k7.complex")
@@ -797,7 +780,7 @@ def test_audit_all_enumerates_edge_sets_only_for_the_sum_lemma(tmp_path, monkeyp
 def test_audit_evaluates_each_local_view_once(tmp_path, monkeypatch):
     # K6 has 6 stars of 5 edges: the per-vertex tables hold 6 * 2**5 = 192 local
     # views, built once per complex and kept on it for the two lemmas that read
-    # them, distance and local-views; outgoing and sum read the edge graph instead.
+    # them, distance and local-views; sum reads the edge graph instead, outgoing neither.
     # The distance judgement reads its distances off the Z^1 coset table that
     # certification built, from the table cache.  Views are table entries, so
     # --lemma all builds 8 value objects: the complex, its two graphs (G0 and G1),

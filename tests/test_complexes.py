@@ -193,7 +193,7 @@ def test_validate_accepts_valid():
     assert findings(complete_complex(4)) == []
     assert findings(build_from_triangles([])) == []
     named = [X for X in vars(named_complexes).values() if isinstance(X, Complex2)]
-    assert len(named) == 9
+    assert len(named) == 11
     for X in named:
         assert findings(X) == [] and findings(named_complexes.relabel(X, 3)) == []
 

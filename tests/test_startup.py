@@ -17,6 +17,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -84,7 +85,8 @@ WITHOUT_NUMPY = [
     ("gen random --n 6 --p 0.5 --seed 7", 0),
     ("cocycles k5.complex --dim 0", 0),
     ("cocycles k5.complex --dim 1", 0),
-    ("audit k5.complex --lemma outgoing", 0),  # the identity holds, so nothing is scanned
+    ("audit k5.complex --lemma outgoing", 0),  # decided by its proof: nothing is scanned
+    ("audit octa.complex --lemma outgoing --max-bits 8", 3),  # refused: 12 edges
     ("spectrum k4.complex --graph g2", 2),  # usage error
     ("validate missing.complex", 2),
 ]
@@ -156,9 +158,11 @@ EXECUTED = [
     ("cheeger k5.complex --graph g0", 0, GRAPH_LAYERS, True, True),
     ("cocycles k5.complex --dim 1", 0, {"complexes"} | CHAIN_LAYERS, True, False),
     ("certify k5.complex", 0, GRAPH_LAYERS | CHAIN_LAYERS | {"expansion"}, True, True),
-    # The identity holds, so only the two graphs are compared; --max-bits's default and
-    # the --tol check live in hdxwalk.errors, beside the errors they raise.
-    ("audit k5.complex --lemma outgoing", 0, {"complexes", "graphs"}, True, False),
+    # Decided by its proof, the identity needs only the loaded complex, pass or refusal;
+    # --max-bits's default and the --tol check live in hdxwalk.errors, beside the errors
+    # they raise.
+    ("audit k5.complex --lemma outgoing", 0, {"complexes"}, True, False),
+    ("audit octa.complex --lemma outgoing --max-bits 8", 3, {"complexes"}, True, False),
     ("audit k4.complex --lemma all", 0, GRAPH_LAYERS | CHAIN_LAYERS | {"expansion"}, True, True),
     ("verify-theorem k5.complex --steps 5", 0, set(tracer.LAYERS), True, True),
 ]
@@ -233,6 +237,34 @@ def test_digest_fallbacks_agree(fixed, blocked):
     assert json.loads(done.stdout)["inputs"]["sha256"] == want
     builtin = "_sha256" not in blocked and importlib.util.find_spec("_sha256") is not None
     assert imported[3:] == [not builtin, not builtin]
+
+
+# The module each import branch takes its sha256 from, past the modules blocked.
+BRANCHES = list(zip(("_sha2", "_sha256", "hashlib"), [(), *BLOCKED]))
+
+
+@pytest.mark.parametrize("branch, blocked", BRANCHES, ids=[b for b, _ in BRANCHES])
+def test_digest_takes_each_import_branch(branch, blocked, monkeypatch):
+    # Stand-ins make each branch run whichever built-in modules this Python has.
+    from hdxwalk import commands
+
+    data = b'{"triangles": [[0, 1, 2]]}\n'
+    want, taken, sha256 = hashlib.sha256(data).hexdigest(), [], hashlib.sha256
+
+    def recording(data):
+        taken.append(branch)
+        return sha256(data)
+
+    for name in blocked:
+        monkeypatch.setitem(sys.modules, name, None)
+    if branch == "hashlib":
+        monkeypatch.setattr(hashlib, "sha256", recording)
+    else:
+        stand_in = types.ModuleType(branch)
+        stand_in.sha256 = recording
+        monkeypatch.setitem(sys.modules, branch, stand_in)
+    assert commands._sha256(data) == want
+    assert taken == [branch]
 
 
 def test_gen_output_file_holds_the_stdout_bytes(tmp_path):

@@ -677,6 +677,33 @@ def test_rapid_mixing_audit_validates_steps_first(tmp_path):
         assert verify_theorem(X, tmp_path, "--steps", str(WALK_CELL_LIMIT // X.n_edges)) == (3, None)
 
 
+@pytest.mark.parametrize(
+    "name, steps, code, first_false",
+    [
+        ("FANO", 100, 0, None),
+        ("FANO", 2000, 1, 1016),
+        ("HALF_OCTAHEDRON", 100, 0, None),
+        ("HALF_OCTAHEDRON", 2000, 0, None),
+        ("HALF_OCTAHEDRON", 6500, 1, 6499),
+    ],
+)
+def test_rapid_mixing_audit_fails_where_each_edge_has_one_triangle(
+    name, steps, code, first_false, tmp_path
+):
+    # k1 = 1, so the edge graph is a union of disjoint triangles and a walk never leaves
+    # its start's triangle: the largest distance to uniform tends to sqrt(2/7) on the
+    # Fano complex's 21 edges and to 1/2 on the half-octahedron's 12, while rate**t
+    # decays below it.  Every hypothesis holds, so these verdicts are fail, not
+    # not-applicable; they are pinned as they stand, not as the theorem would have them.
+    X = getattr(named_complexes, name)
+    got, doc = verify_theorem(X, tmp_path, "--steps", str(steps))
+    assert (got, doc["status"]) == (code, "fail" if code else "pass")
+    bound_ok = doc["results"]["walk"]["bound_ok"]
+    assert next((t for t, ok in enumerate(bound_ok) if not ok), None) == first_false
+    limit = math.sqrt(2 / 7) if name == "FANO" else 0.5
+    assert doc["results"]["walk"]["max_distances"][-1] == pytest.approx(limit, abs=1e-9)
+
+
 def test_step_zero_distance_at_most_one():
     _, distances, bound_ok = certified_audit(K4, 0)
     assert distances[0] <= 1.0
