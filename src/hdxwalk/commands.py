@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import math
+from functools import reduce
 from itertools import groupby, islice
+from operator import add
 from typing import TextIO
 
 # The layer modules as ``hdxwalk.cli`` registered them, not yet executed.
@@ -26,38 +28,27 @@ FAIL = "fail"
 NOT_APPLICABLE = "not-applicable"
 
 
-# The leaf types json writes as they are; a report's leaves are these or Fractions.
-_JSON_LEAVES = frozenset({str, int, float, bool, type(None)})
-
-
-def _jsonable(obj):
-    if type(obj) in _JSON_LEAVES:
-        return obj
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
+def _leaf(obj):
+    """A report value json cannot write itself: a record as its fields, a fraction
+    as its ``str``.  Imported here, ``fractions`` loads only for a report holding one."""
     if isinstance(obj, Record):
-        return {name: _jsonable(value) for name, value in obj.asdict().items()}
+        return obj.asdict()
     from fractions import Fraction
 
-    return str(obj) if isinstance(obj, Fraction) else obj
+    if isinstance(obj, Fraction):
+        return str(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _report(ns: argparse.Namespace, inputs: dict, results, status: str) -> dict:
-    args = {k: _jsonable(v) for k, v in sorted(vars(ns).items()) if v is not None}
-    return {
-        "command": args,
-        "inputs": inputs,
-        "results": _jsonable(results),
-        "status": status,
-    }
-
-
-def _emit(doc: dict, out: TextIO) -> None:
+def _write(ns: argparse.Namespace, inputs: dict, results, status: str, out: TextIO) -> int:
+    """Print a run's report, its flags, inputs, results and status, as one JSON
+    document with sorted keys, and return its exit code."""
     import json
 
-    out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    command = {k: v for k, v in vars(ns).items() if v is not None}
+    doc = {"command": command, "inputs": inputs, "results": results, "status": status}
+    out.write(json.dumps(doc, indent=2, sort_keys=True, default=_leaf) + "\n")
+    return _exit_code(status, getattr(ns, "strict", False))
 
 
 def _exit_code(status: str, strict: bool) -> int:
@@ -115,8 +106,7 @@ def _cmd_gen(ns, out) -> int:
 def _cmd_validate(ns, out) -> int:
     # The loader refuses every defect a complex can have, so a loaded one has no findings.
     _, inputs = _load(ns)
-    _emit(_report(ns, inputs, {"findings": []}, PASS), out)
-    return 0
+    return _write(ns, inputs, {"findings": []}, PASS, out)
 
 
 def _cmd_spectrum(ns, out) -> int:
@@ -132,8 +122,7 @@ def _cmd_spectrum(ns, out) -> int:
         "lambda_max_nontrivial": report.lambda_max_nontrivial,
         "tolerance_achieved": report.tolerance,
     }
-    _emit(_report(ns, inputs, results, PASS), out)
-    return 0
+    return _write(ns, inputs, results, PASS, out)
 
 
 def _cmd_cheeger(ns, out) -> int:
@@ -144,8 +133,7 @@ def _cmd_cheeger(ns, out) -> int:
         "h_normalized": result.h_normalized,
         "witness": list(result.witness),
     }
-    _emit(_report(ns, inputs, results, PASS), out)
-    return 0
+    return _write(ns, inputs, results, PASS, out)
 
 
 def _cmd_cocycles(ns, out) -> int:
@@ -157,15 +145,13 @@ def _cmd_cocycles(ns, out) -> int:
         "cocycles": {"dim": len(z), "basis": [cochain.mask_bits(m) for m in z]},
         "coboundaries": {"dim": len(b), "basis": [cochain.mask_bits(m) for m in b]},
     }
-    _emit(_report(ns, inputs, results, PASS), out)
-    return 0
+    return _write(ns, inputs, results, PASS, out)
 
 
 def _cmd_certify(ns, out) -> int:
     X, inputs = _load(ns)
     cert = expansion.certify_exact(X, max_bits=ns.max_bits)
-    _emit(_report(ns, inputs, cert, PASS), out)
-    return 0
+    return _write(ns, inputs, cert, PASS, out)
 
 
 def _lemma_result(name: str, X, failing, violation, asserted=True, **extra) -> dict:
@@ -299,8 +285,7 @@ def _cmd_audit(ns, out) -> int:
             results.append({"lemma": name, "status": NOT_APPLICABLE, "reason": str(exc)})
     statuses = {r["status"] for r in results}
     overall = next((s for s in (FAIL, NOT_APPLICABLE) if s in statuses), PASS)
-    _emit(_report(ns, inputs, {"lemmas": results}, overall), out)
-    return _exit_code(overall, ns.strict)
+    return _write(ns, inputs, {"lemmas": results}, overall, out)
 
 
 def _cmd_walk(ns, out) -> int:
@@ -311,8 +296,10 @@ def _cmd_walk(ns, out) -> int:
         counts = walk.high_order_step_counts(X, ns.start, ns.steps, ns.paths, ns.seed)
         total = ns.paths
         uniform = 1.0 / X.n_edges
+        # Added left to right: sum() compensates float rounding from Python 3.12 on.
         dists = [
-            sum((c / total - uniform) ** 2 for c in row) ** 0.5 if total else float("nan")
+            reduce(add, ((c / total - uniform) ** 2 for c in row), 0.0) ** 0.5
+            if total else float("nan")
             for row in counts
         ]
     else:
@@ -340,19 +327,14 @@ def _cmd_verify_theorem(ns, out) -> int:
         raise ParameterError(f"steps must be non-negative, got {ns.steps}")
     walk.check_walk_capacity(X.n_edges, ns.steps)
     results: dict = {}
-
-    def finish(status: str) -> int:
-        _emit(_report(ns, inputs, results, status), out)
-        return _exit_code(status, ns.strict)
-
     if X.regular is None:
         results["reason"] = "complex is not (k0, k1)-regular"
-        return finish(NOT_APPLICABLE)
+        return _write(ns, inputs, results, NOT_APPLICABLE, out)
     k0, k1 = X.regular
     results["degrees"] = {"k0": k0, "k1": k1}
     if k1 == 0:
         results["reason"] = "no triangles; the edge walk has no moves"
-        return finish(NOT_APPLICABLE)
+        return _write(ns, inputs, results, NOT_APPLICABLE, out)
 
     G0 = graphs.underlying_graph(X)
     # Through expansion: executed before numpy loads, it adds nothing to the peak RSS.
@@ -362,8 +344,8 @@ def _cmd_verify_theorem(ns, out) -> int:
         cert = expansion.certify_exact(X, max_bits=ns.max_bits)
     except (DomainError, DegenerateComplexError) as exc:
         results["reason"] = str(exc)
-        return finish(NOT_APPLICABLE)
-    results["certificate"] = _jsonable(cert)
+        return _write(ns, inputs, results, NOT_APPLICABLE, out)
+    results["certificate"] = cert
     # Regularity, triangles and the lambda2 gate are settled, so the walk audit applies.
     rate = expansion.mixing_rate_bound(cert.epsilon_cosystolic, lambda2)
     g1 = graphs.edge_graph(X)
@@ -380,6 +362,6 @@ def _cmd_verify_theorem(ns, out) -> int:
             d <= lam**i * distances[0] + ns.slack for i, d in enumerate(distances)
         ),
     }
-    return finish(PASS if all(bound_ok) else FAIL)
+    return _write(ns, inputs, results, PASS if all(bound_ok) else FAIL, out)
 
 

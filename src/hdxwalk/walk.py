@@ -14,12 +14,12 @@ distances, not patched.
 
 from __future__ import annotations
 
+from . import spectral  # read at call time: a path ensemble never executes it
 from ._lazy import np
 from .complexes import Complex2
 from .errors import CapacityError, ParameterError, RegularityError, UndefinedTransitionError
 from .graphs import Graph, edge_graph
 from .rng import _GAMMA, derive_seeds, mix_array
-from .spectral import eigensystem, start_measure
 
 #: Most cells, (steps + 1) per vertex or edge, a walk computes.
 WALK_CELL_LIMIT = 2**21
@@ -93,10 +93,10 @@ def max_distances(G: Graph, starts, steps: int, tol: float = 1e-9) -> tuple[floa
     if G.regular_k == 0:
         raise UndefinedTransitionError("every vertex has zero degree; walk undefined")
     if len(starts) == 1:
-        values, coefficients, _ = start_measure(G, starts[0], steps, tol)
+        values, coefficients, _ = spectral.start_measure(G, starts[0], steps, tol)
         coefficients = coefficients[:, None]
     else:
-        values, vectors, _ = eigensystem(G, tol)
+        values, vectors, _ = spectral.eigensystem(G, tol)
         # Column j is the point mass at starts[j] minus uniform, in the eigenbasis.
         coefficients = vectors[starts].T - vectors.mean(axis=0)[:, None]
     blocks = _distance_blocks(values, coefficients, steps)

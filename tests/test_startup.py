@@ -153,7 +153,9 @@ EXECUTED = [
     ("gen random --n 6 --p 0.5 --seed 7", 0, {"complexes"}, True, False),
     ("validate k5.complex", 0, {"complexes"}, True, False),
     ("walk k5.complex --start 0 --steps 20", 0, GRAPH_LAYERS | {"walk"}, True, False),
-    ("walk k5.complex --start 0 --steps 5 --paths 10", 0, GRAPH_LAYERS | {"walk"}, True, False),
+    # A path ensemble steps through the edge graph's neighbor lists; spectral never runs.
+    ("walk k5.complex --start 0 --steps 5 --paths 10", 0, {"complexes", "graphs", "walk"},
+     True, False),
     ("spectrum k5.complex --graph g1", 0, GRAPH_LAYERS, True, False),
     ("cheeger k5.complex --graph g0", 0, GRAPH_LAYERS, True, True),
     ("cocycles k5.complex --dim 1", 0, {"complexes"} | CHAIN_LAYERS, True, False),
