@@ -5,7 +5,8 @@
 cosystolic constant; the coboundary constant takes distances to B^i instead),
 together with the smallest relative size mu of a nontrivial cocycle.  Each
 quantity depends only on the coset of S, so it is read off tables indexed by
-syndrome: one table per distinct code, all of them sized before any is built.
+syndrome: one table per distinct code.  The tables a verdict reads are sized
+before any is built; B^i's, read only by the coboundary constant, is built when it fits.
 Over the faces with unit syndrome columns, an information set, a syndrome
 weighs its popcount; one relaxation per other face c, w[s] to w[s ^ c] + 1, in
 place, lowers that to the least: w[s ^ c] once lowered is min(w[s ^ c], w[s] + 1),
@@ -33,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from . import gf2
+from . import gf2, spectral
 from ._lazy import np
 from ._record import Record
 from .cochain import coboundary_space, cocycle_space
@@ -66,8 +67,8 @@ class DimensionReport(Record):
     dimension: int
     epsilon_cosystolic: Fraction
     cosystolic_witness: tuple[int, ...]
-    epsilon_coboundary: Fraction
-    coboundary_witness: tuple[int, ...]
+    epsilon_coboundary: Optional[Fraction]
+    coboundary_witness: Optional[tuple[int, ...]]
     mu: Optional[Fraction]
     mu_witness: Optional[tuple[int, ...]]
 
@@ -76,7 +77,7 @@ class ExpansionCertificate(Record):
     """Brute-forced expansion constants with minimizing witnesses."""
 
     epsilon_cosystolic: Fraction
-    epsilon_coboundary: Fraction
+    epsilon_coboundary: Optional[Fraction]
     mu: Fraction
     mu_vacuous: bool
     connected: bool
@@ -129,11 +130,11 @@ def _lex_least(columns: tuple[int, ...], tied: np.ndarray) -> tuple[int, ...]:
 
 
 def _codes(X: Complex2, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Bases of Z^i and B^i, once every table certifying dimension i is known to fit.
+    """Bases of Z^i and B^i, once every table a verdict reads at dimension i is known to fit.
 
-    The Z coset table has 2**(faces - dim Z) entries.  Only when B is smaller
-    than Z are the B coset table, 2**(faces - dim B), and the cocycle table,
-    2**dim Z, needed.
+    The Z coset table has 2**(faces - dim Z) entries and, only when B is smaller
+    than Z, the cocycle table 2**dim Z.  The B coset table, 2**(faces - dim B),
+    is not sized here: only epsilon_coboundary reads it, and it is built when it fits.
     """
     z, b = cocycle_space(X, i), coboundary_space(X, i)
     count = (X.n_vertices, X.n_edges)[i]
@@ -143,7 +144,6 @@ def _codes(X: Complex2, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         )
     check_table_bits(count - len(z))
     if len(b) < len(z):
-        check_table_bits(count - len(b))
         check_table_bits(len(z))
     return z, b
 
@@ -221,14 +221,16 @@ def _certify_dimension(
     if len(b_basis) == len(z_basis):
         # B = Z: one code, so one table, and no cocycle outside B.
         return DimensionReport(i, eps_z, z_witness, eps_z, z_witness, None, None)
-    eps_b, b_witness = _least_coset(X, i, k_i, b_basis)
+    count = (X.n_vertices, X.n_edges)[i]
+    eps_b = b_witness = None  # B's table, read by no verdict, only when it fits
+    if count - len(b_basis) <= spectral.TABLE_BIT_LIMIT:
+        eps_b, b_witness = _least_coset(X, i, k_i, b_basis)
     # Cocycles outside B, the nonzero cosets of B with an empty coboundary: the
     # least weight is not found greedily, so scan them.  Both bases are reduced
     # and B lies in Z, so the Z rows at pivots B lacks extend B's basis to Z's,
     # and the cocycles outside B are the combinations using one of those rows.
     pivots = {gf2.low_bit(b) for b in b_basis}
     basis = [*b_basis, *(z for z in z_basis if gf2.low_bit(z) not in pivots)]
-    count = (X.n_vertices, X.n_edges)[i]
     outside = subset_xors(basis, np.min_scalar_type((1 << count) - 1))[1 << len(b_basis) :]
     weight = np.bitwise_count(outside)
     mu_size = int(weight.min())
@@ -247,13 +249,14 @@ def certify_exact(X: Complex2, *, max_bits: int = CERTIFY_BIT_LIMIT) -> Expansio
             f"certification is limited to {max_bits} faces per dimension; "
             f"got {X.n_vertices} vertices, {X.n_edges} edges"
         )
-    codes = [_codes(X, i) for i in (0, 1)]  # every table is sized before any is built
+    codes = [_codes(X, i) for i in (0, 1)]  # a verdict's tables are sized before any is built
     reports = tuple(_certify_dimension(X, i, k, *codes[i]) for i, k in enumerate((k0, k1)))
+    cobs = [r.epsilon_coboundary for r in reports]
     mus = [r.mu for r in reports if r.mu is not None]
     vacuous = not mus
     return ExpansionCertificate(
         epsilon_cosystolic=min(r.epsilon_cosystolic for r in reports),
-        epsilon_coboundary=min(r.epsilon_coboundary for r in reports),
+        epsilon_coboundary=None if None in cobs else min(cobs),
         mu=Fraction(1) if vacuous else min(mus),
         mu_vacuous=vacuous,
         # dim Z^0 counts the components; _codes refuses a complex without vertices.

@@ -188,6 +188,27 @@ T5 = build_from_triangles(
 )
 
 
+# Clique complex of the Paley graph on Z/13, i ~ j when (j - i) mod 13 is a nonzero
+# square: 13 vertices, 39 edges and 26 triangles, (6, 2)-regular, dim H^1 = 2.
+# Its 2**39 edge sets keep it out of every corpus whose tests scan the edge sets.
+_SQUARES_13 = {x * x % 13 for x in range(1, 13)}
+PALEY_13 = build_from_triangles(
+    [t for t in combinations(range(13), 3)
+     if all((b - a) % 13 in _SQUARES_13 for a, b in combinations(t, 2))]
+)
+
+# A twofold triple system on 9 points: every pair in exactly two of its 24 triangles,
+# (8, 2)-regular on K9's 36 edges.  The lines of AG(2, 3), then their image under the
+# vertex permutation (0,1,3,2,4,7,6,8,5), which shares no line with them.  Like
+# PALEY_13, its 2**36 edge sets keep it out of those corpora.
+TTS_9 = build_from_triangles(
+    [tuple(map(int, t)) for t in (
+        "012 013 026 036 045 048 057 078 125 138 147 148 "
+        "156 167 237 238 246 247 258 345 346 357 568 678"
+    ).split()]
+)
+
+
 def line_graph_complex(edges):
     """Clique complex of the line graph of a triangle-free cubic graph.
 

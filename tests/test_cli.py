@@ -31,9 +31,11 @@ from named_complexes import (
     ICOSAHEDRON,
     K333,
     OCTAHEDRON,
+    PALEY_13,
     RP2_6,
     T5,
     TORUS_7,
+    TTS_9,
     findings,
     relabel,
     save_complex,
@@ -534,6 +536,34 @@ def test_view_lemmas_decide_past_the_table_limit(name, statuses, bits, tmp_path)
         (result,) = json.loads(out)["results"]["lemmas"]
         assert (result["status"], result["subsets_checked"]) == (status, 1 << bits)
         assert result["violations"] == []
+
+
+@pytest.mark.parametrize("name, eps, mu, bits", [("paley13", "1/5", "8/39", 25), ("tts9", "1/6", "1/9", 23)])
+def test_certifying_commands_skip_the_b1_table_past_the_limit(name, eps, mu, bits, tmp_path, monkeypatch):
+    # B^1's table, 2**27 on Paley(13) and 2**28 on TTS(9), is read by no verdict: it
+    # is neither sized nor built, and epsilon_coboundary is null.  The largest table
+    # sized is Z^1's.
+    X = {"paley13": PALEY_13, "tts9": TTS_9}[name]
+    path = str(tmp_path / f"{name}.complex")
+    save_complex(X, path)
+    sized, check = [], spectral.check_table_bits
+    for module in (spectral, expansion):
+        monkeypatch.setattr(module, "check_table_bits", lambda b: (sized.append(b), check(b)))
+    for command in ("verify-theorem", "certify"):
+        certify_exact.cache_clear()
+        expansion._coset_table.cache_clear()
+        start = time.perf_counter()
+        code, out, err = invoke(command, path, "--max-bits", "40")
+        assert time.perf_counter() - start < 2.0
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        cert = doc["results"]["certificate"] if command == "verify-theorem" else doc["results"]
+        assert (doc["status"], cert["epsilon_cosystolic"], cert["mu"]) == ("pass", eps, mu)
+        dim1 = cert["dimensions"][1]
+        assert (cert["epsilon_coboundary"], dim1["epsilon_coboundary"], dim1["coboundary_witness"]) == (None,) * 3
+        assert max(sized) == bits
+    certify_exact.cache_clear()
+    expansion._coset_table.cache_clear()
 
 
 def test_failing_view_lemma_past_the_table_limit_lists_ten_violations(tmp_path, monkeypatch):

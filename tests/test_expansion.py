@@ -31,10 +31,12 @@ from named_complexes import (
     ICOSAHEDRON,
     K333,
     OCTAHEDRON,
+    PALEY_13,
     PETERSEN_LINE,
     RP2_6,
     T5,
     TORUS_7,
+    TTS_9,
     build_from_triangles,
     complete_graph,
     cycle_graph,
@@ -44,7 +46,7 @@ from named_complexes import (
 )
 from scalar_walk import randrange
 from scan_certifier import scan_certify_dimension
-from traced import traced_peak
+from traced import traced_call, traced_peak
 
 from hdxwalk import commands, expansion, gf2, graphs, spectral
 from hdxwalk.cli import run
@@ -400,6 +402,33 @@ def test_certificates_past_the_default_face_limit(X):
     assert tuple(fields(r) for r in cert.dimensions) == PINNED_CERTIFICATES[X]
 
 
+def test_coboundary_constant_null_when_its_table_does_not_fit(monkeypatch):
+    # The 7-vertex torus has a 2**15-entry B^1 table and a 2**13-entry Z^1 table.
+    # Past a limit of 2**14, read from spectral as check_table_bits reads it, B^1's
+    # table is not built: epsilon_coboundary is null at dimension 1 and, through
+    # the minimum, at the top level, and nothing else changes.
+    full = certify_exact.__wrapped__(TORUS_7)
+    assert full.dimensions[1].epsilon_coboundary == Fraction(1, 7)
+    monkeypatch.setattr(spectral, "TABLE_BIT_LIMIT", 14)
+    cut = certify_exact.__wrapped__(TORUS_7)
+    dim0, dim1 = full.dimensions
+    dim1 = expansion.DimensionReport(
+        **{**dim1.asdict(), "epsilon_coboundary": None, "coboundary_witness": None}
+    )
+    assert cut == expansion.ExpansionCertificate(
+        **{**full.asdict(), "epsilon_coboundary": None, "dimensions": (dim0, dim1)}
+    )
+
+
+def test_paley13_certified_without_its_b1_table():
+    # Z^1 has 2**25 cosets and B^1 2**27: the traced peak stays below B^1's table alone.
+    expansion._coset_table.cache_clear()
+    cert, peak = traced_call(certify_exact.__wrapped__, PALEY_13, max_bits=40)
+    expansion._coset_table.cache_clear()
+    assert (cert.epsilon_cosystolic, cert.mu, cert.epsilon_coboundary) == (Fraction(1, 5), Fraction(8, 39), None)
+    assert peak < 2**27
+
+
 @pytest.fixture
 def coset_table_bits(monkeypatch):
     """The bits of every coset table built, in order, from an empty table cache;
@@ -598,6 +627,19 @@ def test_certificate_invariant_under_relabelling():
             for a, b in zip(cert.dimensions, other.dimensions):
                 assert (a.epsilon_cosystolic, a.epsilon_coboundary, a.mu) == (
                     b.epsilon_cosystolic, b.epsilon_coboundary, b.mu)
+
+
+def test_tts9_certificate_invariant_under_relabelling():
+    # Past the B^1 table's limit epsilon_coboundary is null; relabelled, it still is.
+    cert = certify_exact(TTS_9, max_bits=40)
+    assert (cert.epsilon_cosystolic, cert.mu, cert.epsilon_coboundary) == (Fraction(1, 6), Fraction(1, 9), None)
+    for seed in (1, 2):
+        other = certify_exact(relabel(TTS_9, seed), max_bits=40)
+        for field in ("epsilon_cosystolic", "epsilon_coboundary", "mu", "mu_vacuous", "connected"):
+            assert getattr(other, field) == getattr(cert, field), (field, seed)
+        for a, b in zip(cert.dimensions, other.dimensions):
+            assert (a.epsilon_cosystolic, a.epsilon_coboundary, a.mu) == (
+                b.epsilon_cosystolic, b.epsilon_coboundary, b.mu)
 
 
 @pytest.mark.parametrize("seed", [14, 24, 25])

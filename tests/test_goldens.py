@@ -21,7 +21,9 @@ sys.path.insert(0, PERFBENCH)
 
 import checks  # noqa: E402
 import corpus  # noqa: E402
-from named_complexes import CUBOCTAHEDRON, ICOSAHEDRON, K333, T5, TORUS_7, save_complex  # noqa: E402
+from named_complexes import (  # noqa: E402
+    CUBOCTAHEDRON, ICOSAHEDRON, K333, PALEY_13, T5, TORUS_7, TTS_9, save_complex,
+)
 
 from hdxwalk import cli  # noqa: E402
 from hdxwalk.complexes import complete_complex  # noqa: E402
@@ -52,10 +54,13 @@ def test_large_audits_replay_in_process(tmp_path, monkeypatch):
     # lemmas spread over 2**24 edge sets, T(5)'s largest coset table has
     # 2**21 entries, and the view lemmas and the outgoing identity of K3,3,3,
     # K8, the icosahedron and T(5) cover 2**27 to 2**30 edge sets, where K8's
-    # local views, at slack -1, list ten violations.
+    # local views, at slack -1, list ten violations.  Paley(13) and TTS(9) are
+    # certified with Z^1 tables of 2**25 and 2**23 entries; their B^1 tables,
+    # 2**27 and 2**28, are past the limit, so epsilon_coboundary is null.
     # ``large_audits.json`` was recorded from these commands.
     complexes = {"k7": complete_complex(7), "torus7": TORUS_7, "cubo": CUBOCTAHEDRON,
-                 "t5": T5, "k8": complete_complex(8), "k333": K333, "icosahedron": ICOSAHEDRON}
+                 "t5": T5, "k8": complete_complex(8), "k333": K333, "icosahedron": ICOSAHEDRON,
+                 "paley13": PALEY_13, "tts9": TTS_9}
     for name, X in complexes.items():
         save_complex(X, str(tmp_path / f"{name}.complex"))
     with open(os.path.join(os.path.dirname(__file__), "large_audits.json"), encoding="utf-8") as fh:
@@ -64,7 +69,8 @@ def test_large_audits_replay_in_process(tmp_path, monkeypatch):
     differences = {}
     for key, golden in goldens.items():
         out = io.StringIO()
-        found = checks.diff_golden(golden, cli.run(key.split(), out, io.StringIO()), out.getvalue())
+        tol = WALK_TOL if key.split()[0] == "verify-theorem" else checks.TOL
+        found = checks.diff_golden(golden, cli.run(key.split(), out, io.StringIO()), out.getvalue(), tol)
         if found:
             differences[key] = found
     assert sorted(goldens) == sorted(
@@ -76,5 +82,6 @@ def test_large_audits_replay_in_process(tmp_path, monkeypatch):
             for lemma in ("distance", "local-views", "outgoing")
         ]
         + ["audit k8.complex --lemma local-views --slack=-1 --max-bits 40"]
+        + [f"{c} {n}.complex --max-bits 40" for c in ("verify-theorem", "certify") for n in ("paley13", "tts9")]
     )
     assert differences == {}
