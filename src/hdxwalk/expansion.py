@@ -15,6 +15,16 @@ run over the same row blocks: one byte per syndrome is the only table per code.
 The least witnesses come from the tied syndromes by a greedy pass over the
 faces, and mu's from a scan of the cocycles outside B^i.
 
+A dimension whose tables all have at most 2**INT_TABLE_BITS entries (B^i's
+coset table, which bounds Z^i's, and the 2**dim Z^i cocycle scan) is computed
+on plain Python ints: lists of weights, relaxed one pass per column, coboundary
+sizes from the XOR table of the pivot masks, and the least ratio compared by
+cross-multiplication.  So ``certify`` on K4-K6, the octahedron or RP^2_6
+never imports numpy, whose import costs more than the whole enumeration (see
+``spectral.INT_TABLE_BITS`` for why 12).  Larger dimensions, K7's and the
+cuboctahedron's first, read the array tables above; both paths give the same
+report, witnesses included.
+
 The rest states the facts behind the mixing bound that ``hdx audit`` checks:
 the local-view distance formula, the per-vertex coboundary lower bounds for
 semi-fat and non-fat vertices, the minimum-cut lower bound, the
@@ -24,7 +34,7 @@ size of every local view F_v = F & star(v) with the subset-sum and cut kernels.
 Each ``*_judgement`` function passes a lemma's regularity and lambda2 gates
 once per complex and returns the lemma's verdict per vertex and view as arrays
 over those tables (the sum bound, its scale); none spans the edge sets.
-dist(F_v, Z^1) is read off the cached Z^1 coset table.
+dist(F_v, Z^1) is read off the cached Z^1 coset table, as an array.
 """
 
 from __future__ import annotations
@@ -52,6 +62,7 @@ from .spectral import (
     check_table_bits,
     cut_rows,
     lambda2_below_half,
+    least_int_ratio,
     least_ratio,
     lex_first,
     lex_min,
@@ -104,9 +115,9 @@ def gap_lambda2(G: Graph, claim: str, tol: float = 1e-9) -> float:
     return report.lambda2
 
 
-def _lex_least(columns: tuple[int, ...], tied: np.ndarray) -> tuple[int, ...]:
+def _lex_least(columns: tuple[int, ...], tied) -> tuple[int, ...]:
     """The lexicographically least subset of range(len(columns)) whose syndrome
-    is in ``tied``, an array of distinct syndromes.
+    is in ``tied``, distinct syndromes (ints or an array of them).
 
     Greedy, one index at a time: stop once the syndrome of the subset chosen
     so far is tied; otherwise take index j exactly when some tied syndrome
@@ -114,16 +125,29 @@ def _lex_least(columns: tuple[int, ...], tied: np.ndarray) -> tuple[int, ...]:
     differ by a member of that span exactly when they reduce alike against
     its reduced basis, so one pass over the tied syndromes tests them all.
     Some tied syndrome must be reachable from the start.
+
+    The tied syndromes are packed into one int, a field of whole bytes each
+    with its top bit spare, so each step acts on all of them at once: XOR with
+    x * ``ones`` applies x to every field, and subtracting ``ones`` borrows
+    into a top bit exactly when some field is zero.
     """
-    members = set(tied.tolist())
+    tied = list(map(int, tied))
+    size = max(*columns, *tied, 0).bit_length() // 8 + 1  # bytes per field
+    ones = int.from_bytes((b"\1" + bytes(size - 1)) * len(tied), "little")
+    packed = int.from_bytes(b"".join(t.to_bytes(size, "little") for t in tied), "little")
+    tops = ones << (8 * size - 1)
+
+    def hit(fields: int) -> bool:  # whether some field is zero
+        return (fields - ones) & tops != 0
+
     chosen, syndrome = [], 0
     for j, column in enumerate(columns):
-        if syndrome in members:
+        if hit(packed ^ syndrome * ones):
             break
-        offsets = tied ^ (syndrome ^ column)
+        offsets = packed ^ (syndrome ^ column) * ones
         for row in gf2.row_reduce(columns[j + 1 :]):
-            offsets ^= (offsets >> gf2.low_bit(row) & 1) * row
-        if not offsets.all():
+            offsets ^= (offsets >> gf2.low_bit(row) & ones) * row
+        if hit(offsets):
             chosen.append(j)
             syndrome ^= column
     return tuple(chosen)
@@ -146,6 +170,18 @@ def _codes(X: Complex2, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     if len(b) < len(z):
         check_table_bits(len(z))
     return z, b
+
+
+def _int_coset_table(count: int, basis: tuple[int, ...]) -> tuple[tuple[int, ...], list[int]]:
+    """``_coset_table`` on plain ints: the columns, and the least weight of every
+    coset as a list, relaxed by one pass per non-unit column over the whole list."""
+    columns = tuple(gf2.syndrome_columns(basis, count))
+    weight = [s.bit_count() for s in range(1 << (count - len(basis)))]
+    for column in columns:
+        if column & (column - 1):  # zero and unit columns lower no weight
+            partner = [weight[s ^ column] for s in range(len(weight))]
+            weight = [w if w <= v else v + 1 for w, v in zip(weight, partner)]  # min(w, v + 1)
+    return columns, weight
 
 
 @lru_cache(maxsize=4)
@@ -175,6 +211,21 @@ def _coset_table(count: int, basis: tuple[int, ...]) -> tuple[tuple[int, ...], n
     return columns, weight
 
 
+def _pivot_masks(X: Complex2, i: int, columns: tuple[int, ...]) -> list[int]:
+    """The coboundary masks of the pivot faces, the one for syndrome bit r at r."""
+    gens = (X.vertex_edge_masks, X.edge_triangle_masks)[i]
+    return [gens[columns.index(1 << r)] for r in range(max(columns, default=0).bit_length())]
+
+
+def _xors(masks: list[int]) -> list[int]:
+    """XOR of masks[j] over the set bits j of every index below 2**len(masks):
+    ``subset_xors`` on plain ints."""
+    table = [0]
+    for m in masks:
+        table += [t ^ m for t in table]
+    return table
+
+
 def _coset_sizes(X: Complex2, i: int, columns: tuple[int, ...]):
     """Row blocks of |coboundary(S)| at the syndrome of every S, for
     ``_coset_table``'s columns: row r holds the syndromes r * 2**lo + t for
@@ -187,10 +238,9 @@ def _coset_sizes(X: Complex2, i: int, columns: tuple[int, ...]):
     popcounted.
     """
     width = (X.n_edges, X.n_triangles)[i]
-    gens = (X.vertex_edge_masks, X.edge_triangle_masks)[i]
-    bits = max(columns, default=0).bit_length()
+    pivot_masks = _pivot_masks(X, i, columns)
+    bits = len(pivot_masks)
     lo = row_bits(bits)
-    pivot_masks = [gens[columns.index(1 << r)] for r in range(bits)]
     halves = []
     for start in range(0, width, 64):
         chunk = [g >> start & (2**64 - 1) for g in pivot_masks]
@@ -203,54 +253,77 @@ def _coset_sizes(X: Complex2, i: int, columns: tuple[int, ...]):
         yield size
 
 
-def _least_coset(X: Complex2, i: int, k_i: int, basis: tuple[int, ...]):
+def _least_coset(X: Complex2, i: int, k_i: int, basis: tuple[int, ...], ints: bool):
     """The least |coboundary(S)| / (k_i * dist(S, span(basis))) over S outside the
-    cocycles, and its lexicographically least witness."""
-    columns, weight = _coset_table((X.n_vertices, X.n_edges)[i], basis)
-    rows = weight.reshape(-1, 1 << row_bits(len(weight).bit_length() - 1))
-    blocks = ((size, w, size > 0) for size, w in zip(_coset_sizes(X, i, columns), rows))
-    eps, ties = least_ratio(blocks, k_i)
+    cocycles, and its lexicographically least witness, on plain ints or on arrays."""
+    count = (X.n_vertices, X.n_edges)[i]
+    if ints:
+        columns, weight = _int_coset_table(count, basis)
+        sizes = (m.bit_count() for m in _xors(_pivot_masks(X, i, columns)))
+        entries = ((s, size, w) for s, (size, w) in enumerate(zip(sizes, weight)) if size)
+        eps, ties = least_int_ratio(entries, k_i)
+    else:
+        columns, weight = _coset_table(count, basis)
+        rows = weight.reshape(-1, 1 << row_bits(len(weight).bit_length() - 1))
+        blocks = ((size, w, size > 0) for size, w in zip(_coset_sizes(X, i, columns), rows))
+        eps, ties = least_ratio(blocks, k_i)
     return eps, _lex_least(columns, ties)
 
 
 def _certify_dimension(
     X: Complex2, i: int, k_i: int, z_basis: tuple[int, ...], b_basis: tuple[int, ...]
 ) -> DimensionReport:
-    """One dimension's report from the bases ``_codes`` returned."""
-    eps_z, z_witness = _least_coset(X, i, k_i, z_basis)
-    if len(b_basis) == len(z_basis):
+    """One dimension's report from the bases ``_codes`` returned, on plain ints
+    when every table it builds has at most 2**INT_TABLE_BITS entries."""
+    count = (X.n_vertices, X.n_edges)[i]
+    # B's coset table bounds Z's, and the cocycles outside B are scanned only when B < Z.
+    scan = len(z_basis) if len(b_basis) < len(z_basis) else 0
+    ints = max(count - len(b_basis), scan) <= spectral.INT_TABLE_BITS
+    eps_z, z_witness = _least_coset(X, i, k_i, z_basis, ints)
+    if not scan:
         # B = Z: one code, so one table, and no cocycle outside B.
         return DimensionReport(i, eps_z, z_witness, eps_z, z_witness, None, None)
-    count = (X.n_vertices, X.n_edges)[i]
     eps_b = b_witness = None  # B's table, read by no verdict, only when it fits
     if count - len(b_basis) <= spectral.TABLE_BIT_LIMIT:
-        eps_b, b_witness = _least_coset(X, i, k_i, b_basis)
+        eps_b, b_witness = _least_coset(X, i, k_i, b_basis, ints)
     # Cocycles outside B, the nonzero cosets of B with an empty coboundary: the
     # least weight is not found greedily, so scan them.  Both bases are reduced
     # and B lies in Z, so the Z rows at pivots B lacks extend B's basis to Z's,
     # and the cocycles outside B are the combinations using one of those rows.
     pivots = {gf2.low_bit(b) for b in b_basis}
     basis = [*b_basis, *(z for z in z_basis if gf2.low_bit(z) not in pivots)]
-    outside = subset_xors(basis, np.min_scalar_type((1 << count) - 1))[1 << len(b_basis) :]
-    weight = np.bitwise_count(outside)
-    mu_size = int(weight.min())
+    if ints:
+        outside = _xors(basis)[1 << len(b_basis) :]
+        mu_size = min(m.bit_count() for m in outside)
+        least = [m for m in outside if m.bit_count() == mu_size]
+    else:
+        outside = subset_xors(basis, np.min_scalar_type((1 << count) - 1))[1 << len(b_basis) :]
+        weight = np.bitwise_count(outside)
+        mu_size = int(weight.min())
+        least = outside[weight == mu_size]
     return DimensionReport(
-        i, eps_z, z_witness, eps_b, b_witness, Fraction(mu_size, count),
-        lex_first(outside[weight == mu_size]),
+        i, eps_z, z_witness, eps_b, b_witness, Fraction(mu_size, count), lex_first(least)
     )
 
 
-@lru_cache(maxsize=32)
-def certify_exact(X: Complex2, *, max_bits: int = CERTIFY_BIT_LIMIT) -> ExpansionCertificate:
-    """Exact expansion certificate at both dimensions, with the least witnesses."""
-    k0, k1 = _required_regular(X)
+def certificate_codes(X: Complex2, *, max_bits: int = CERTIFY_BIT_LIMIT) -> list:
+    """Per dimension, the bases of Z^i and B^i, past every gate ``certify_exact``
+    passes before it builds a table: regularity, the face limit and the size of
+    every table a verdict reads."""
+    _required_regular(X)
     if X.n_vertices > max_bits or X.n_edges > max_bits:
         raise CapacityError(
             f"certification is limited to {max_bits} faces per dimension; "
             f"got {X.n_vertices} vertices, {X.n_edges} edges"
         )
-    codes = [_codes(X, i) for i in (0, 1)]  # a verdict's tables are sized before any is built
-    reports = tuple(_certify_dimension(X, i, k, *codes[i]) for i, k in enumerate((k0, k1)))
+    return [_codes(X, i) for i in (0, 1)]
+
+
+@lru_cache(maxsize=32)
+def certify_exact(X: Complex2, *, max_bits: int = CERTIFY_BIT_LIMIT) -> ExpansionCertificate:
+    """Exact expansion certificate at both dimensions, with the least witnesses."""
+    codes = certificate_codes(X, max_bits=max_bits)  # every table is sized before any is built
+    reports = tuple(_certify_dimension(X, i, k, *codes[i]) for i, k in enumerate(X.regular))
     cobs = [r.epsilon_coboundary for r in reports]
     mus = [r.mu for r in reports if r.mu is not None]
     vacuous = not mus

@@ -4,6 +4,9 @@ Eigenvalues of a k-regular graph are reported normalized by k, sorted
 descending; whether lambda2 < 1/2 is decided exactly, near 1/2 by Sylvester's
 criterion in integers.  Cheeger constants are exact rationals from exhaustive
 subset enumeration; ``cut_rows``, the one cut kernel, streams every cut a row at a time.
+Up to INT_TABLE_BITS vertices a Cheeger constant is found instead by a Gray
+code walk on plain ints, so ``cheeger`` on such a graph never imports numpy;
+its import outweighs every enumeration of at most 2**INT_TABLE_BITS entries.
 """
 
 from __future__ import annotations
@@ -23,6 +26,14 @@ if TYPE_CHECKING:
 
 #: Largest subset table (2**bits entries) the enumeration kernels build.
 TABLE_BIT_LIMIT = 26
+#: Largest subset table (2**bits entries) enumerated on Python ints instead of numpy.
+#: Up to it a process that only certifies or takes a Cheeger constant never imports
+#: numpy, whose import (75-150 ms) outweighs the whole enumeration.  12 because,
+#: with numpy loaded already (2-CPU Xeon VM, Python 3.11.7), the int pass costs at
+#: most 2.1 ms on the certificates of K4-K6, the octahedron and RP^2_6 and 1.2 ms on
+#: the octahedron's edge graph (2**12 cuts), while at 2**15 it costs 9 ms (K6's
+#: edge graph, n = 15) to 37-43 ms (K7's Z^1 table) where numpy takes 0.4-1.6 ms.
+INT_TABLE_BITS = 12
 #: Most vertices of a graph whose dense n x n matrices are built.
 DENSE_VERTEX_LIMIT = 2**11
 #: Most multiplications, bounded by n**3, of the exact lambda2 decision's elimination.
@@ -337,10 +348,10 @@ def lex_min(masks: np.ndarray) -> np.ndarray:
     return masks
 
 
-def lex_first(masks: np.ndarray) -> tuple[int, ...]:
-    """The least of distinct masks, compared as sorted vertex tuples."""
-    first = int(lex_min(masks)[0])
-    return tuple(v for v in range(first.bit_length()) if first >> v & 1)
+def lex_first(masks) -> tuple[int, ...]:
+    """The least of distinct masks, ints or an array of them, as a sorted vertex tuple:
+    the witness tie-break of every exact minimum."""
+    return min(tuple(v for v in range(m.bit_length()) if m >> v & 1) for m in map(int, masks))
 
 
 class CheegerResult(Record):
@@ -381,17 +392,66 @@ def least_ratio(blocks, k: int, keep=None) -> tuple[Fraction, np.ndarray]:
     return best, np.concatenate(kept)
 
 
+def least_int_ratio(entries, k: int) -> tuple[Fraction, list[int]]:
+    """Least num / (k * denom) over the (index, num, denom) ``entries``, denominators
+    positive, as an exact fraction, and the indices attaining it in the order
+    given: ``least_ratio`` on plain ints, compared exactly by cross-multiplication."""
+    from fractions import Fraction
+
+    best_num, best_denom, ties = 1, 0, []  # 1/0 lies above every ratio
+    for index, num, denom in entries:
+        diff = num * best_denom - best_num * denom
+        if diff < 0:
+            best_num, best_denom, ties = num, denom, [index]
+        elif diff == 0:
+            ties.append(index)
+    return Fraction(best_num, k * best_denom), ties
+
+
+def _gray_cuts(G: Graph, k: int):
+    """(mask, cut, size) of every side the Cheeger constant ranges over, in Gray code
+    order: one vertex v joins or leaves S per step, changing the cut by
+    k - 2|N(v) & S|."""
+    n, masks = G.n, G.neighbor_masks
+    S = cut = size = 0
+    for i in range(1, 1 << n):
+        v = (i & -i).bit_length() - 1
+        S ^= 1 << v
+        gain = k - 2 * (masks[v] & S).bit_count()
+        if S >> v & 1:
+            cut, size = cut + gain, size + 1
+        else:
+            cut, size = cut - gain, size - 1
+        if 2 * size < n or 2 * size == n and S & 1:
+            yield S, cut, size
+
+
 def cheeger_exhaustive(G: Graph) -> CheegerResult:
     """Exact normalized Cheeger constant by enumerating every vertex subset.
 
-    Ties are broken by the lexicographically smallest witness (as a sorted
-    vertex tuple).  The cuts come a row block at a time, and the sizes and sides
-    of a block from its row's popcount and one row of low popcounts.
-    Past row 0, a block's masks share the same nonempty high vertices, so none
-    is a prefix of another, and the least is the one holding the lowest vertex
-    where two differ: the largest low bits read in reverse.
+    Each cut counts once, from its smaller nonempty side S, and of two equal
+    sides from the one holding vertex 0; ties are broken by the lexicographically
+    smallest witness (as a sorted vertex tuple).  Up to INT_TABLE_BITS vertices
+    the subsets are walked in Gray code order on plain ints; past that the cuts
+    come from ``cut_rows``.
     """
     k = _require_regular(G)
+    if G.n <= INT_TABLE_BITS:
+        best, winners = least_int_ratio(_gray_cuts(G, k), k)
+    else:
+        best, winners = _cheeger_rows(G, k)
+    return CheegerResult(best, lex_first(winners))
+
+
+def _cheeger_rows(G: Graph, k: int) -> tuple[Fraction, np.ndarray]:
+    """``cheeger_exhaustive``'s least ratio and its tied masks, one per row block.
+
+    The cuts come a row block at a time, and the sizes and sides of a block
+    from its row's popcount and one row of low popcounts.  Past row 0, a
+    block's masks share the same nonempty high vertices, so none is a prefix of
+    another, and the least is the one holding the lowest vertex where two
+    differ: the largest low bits read in reverse.
+    """
     n = G.n
     rows = cut_rows(G.neighbor_masks)
     lo = row_bits(n)
@@ -415,5 +475,4 @@ def cheeger_exhaustive(G: Graph) -> CheegerResult:
                 side[0] = False
             yield cut, size, side
 
-    best, winners = least_ratio(blocks(), k, keep=least)
-    return CheegerResult(best, lex_first(winners))
+    return least_ratio(blocks(), k, keep=least)

@@ -566,6 +566,31 @@ def test_certifying_commands_skip_the_b1_table_past_the_limit(name, eps, mu, bit
     expansion._coset_table.cache_clear()
 
 
+@pytest.mark.parametrize("name, bits", [("paley13", 39), ("tts9", 36)])
+def test_sum_lemma_refuses_its_scan_before_certifying(name, bits, tmp_path, monkeypatch):
+    # Every gate of the sum lemma passes on both, so its scan of the 2**|E| edge sets
+    # is refused, by --lemma sum and by --lemma all, before any certificate is built.
+    X = {"paley13": PALEY_13, "tts9": TTS_9}[name]
+    path = str(tmp_path / f"{name}.complex")
+    save_complex(X, path)
+    certified = []
+    monkeypatch.setattr(expansion, "certify_exact", lambda *a, **kw: certified.append(a))
+    for lemma in ("sum", "all"):
+        code, out, err = invoke("audit", path, "--lemma", lemma, "--max-bits", "40")
+        assert (code, out, certified) == (3, "", [])
+        assert err.endswith(f"got 2**{bits}\n")
+
+
+def test_sum_lemma_keeps_the_face_limit_message(tmp_path):
+    # Past --max-bits the face limits refuse first, as they did before the scan was sized early.
+    path = str(tmp_path / "paley13.complex")
+    save_complex(PALEY_13, path)
+    code, out, err = invoke("audit", path, "--lemma", "sum")
+    assert (code, out) == (3, "") and "certification is limited to 24 faces" in err
+    code, out, err = invoke("audit", path, "--lemma", "all")
+    assert (code, out) == (3, "") and "audit is limited to --max-bits=24 edges" in err
+
+
 def test_failing_view_lemma_past_the_table_limit_lists_ten_violations(tmp_path, monkeypatch):
     # At this slack views of K8 fail.  Its 2**28 edge sets are past the table limit,
     # but the violations are merged from the failing views' streams, so the first
@@ -968,21 +993,22 @@ def test_walk_capacity_exit_3_quickly(k4_file, mode):
 
 
 @pytest.mark.parametrize(
-    "argv, heavy",
+    "argv, heavy, n",
     [
-        (["spectrum", "--graph", "g0"], (spectral, "adjacency_matrix")),
-        (["spectrum", "--graph", "g1"], (spectral, "adjacency_matrix")),
-        (["cheeger", "--graph", "g0"], (spectral, "cut_rows")),
-        (["cheeger", "--graph", "g1"], (spectral, "cut_rows")),
-        (["walk", "--start", "0", "--steps", "5"], (spectral, "start_measure")),
+        (["spectrum", "--graph", "g0"], (spectral, "adjacency_matrix"), 5),
+        (["spectrum", "--graph", "g1"], (spectral, "adjacency_matrix"), 5),
+        (["cheeger", "--graph", "g0"], (spectral, "_gray_cuts"), 5),
+        (["cheeger", "--graph", "g1"], (spectral, "_gray_cuts"), 5),
+        (["cheeger", "--graph", "g1"], (spectral, "cut_rows"), 6),  # 15 vertices: the cut table
+        (["walk", "--start", "0", "--steps", "5"], (spectral, "start_measure"), 5),
     ],
-    ids=["spectrum-g0", "spectrum-g1", "cheeger-g0", "cheeger-g1", "walk"],
+    ids=["spectrum-g0", "spectrum-g1", "cheeger-g0", "cheeger-g1", "cheeger-g1-rows", "walk"],
 )
-def test_graph_commands_drop_the_complex_before_the_heavy_step(tmp_path, monkeypatch, argv, heavy):
-    # The dense solve, the cut table and the Lanczos run start once the loaded
-    # complex is freed: its graphs are kept on it, and nothing else holds it.
-    path = tmp_path / "k5.complex"
-    save_complex(complete_complex(5), path)
+def test_graph_commands_drop_the_complex_before_the_heavy_step(tmp_path, monkeypatch, argv, heavy, n):
+    # The dense solve, the Gray code walk or the cut table, and the Lanczos run start
+    # once the loaded complex is freed: its graphs are kept on it, and nothing else holds it.
+    path = tmp_path / f"k{n}.complex"
+    save_complex(complete_complex(n), path)
     loaded, alive = [], []
     loads, (module, name) = complexes.loads_complex, heavy
     step = getattr(module, name)

@@ -302,22 +302,81 @@ def _library_dimension(X, i, k_i):
     return expansion._certify_dimension(X, i, k_i, *expansion._codes(X, i))
 
 
+def _path_dimension(monkeypatch, X, i, k_i, ints):
+    """``_dimension_or_error`` of the library on plain ints or on arrays, whatever the
+    table sizes: INT_TABLE_BITS is raised to the table limit or lowered below 0."""
+    monkeypatch.setattr(spectral, "INT_TABLE_BITS", spectral.TABLE_BIT_LIMIT if ints else -1)
+    return _dimension_or_error(_library_dimension, X, i, k_i)
+
+
 @functools.cache
 def _scan_reference(j, i, k_i):
     return _dimension_or_error(scan_certify_dimension, SCAN_INPUTS[j][1], i, k_i)
 
 
-def test_certify_dimension_matches_codeword_scan():
-    # Every field, witnesses included, for arbitrary k_i.
+def test_certify_dimension_matches_codeword_scan(monkeypatch):
+    # Every field, witnesses included, for arbitrary k_i, on plain ints and on arrays.
     nontrivial_h1 = 0
     for j, (name, X) in enumerate(SCAN_INPUTS):
         nontrivial_h1 += len(cocycle_space(X, 1)) > len(coboundary_space(X, 1))
         for i in (0, 1):
             k_i = 1 + j % 4
             want = _scan_reference(j, i, k_i)
-            got = _dimension_or_error(_library_dimension, X, i, k_i)
-            assert got == want, (name, i)
+            for ints in (True, False):
+                assert _path_dimension(monkeypatch, X, i, k_i, ints) == want, (name, i, ints)
     assert nontrivial_h1 >= 20
+
+
+# --- the int and array paths ----------------------------------------------------
+
+
+# The named complexes of at most 24 edges, as they are and relabelled: the tables
+# reach both sides of 2**INT_TABLE_BITS (the cuboctahedron's B^1 table has 2**13
+# entries and its Z^1 scan 2**16).
+NAMED_SMALL = [
+    (f"{name} relabelled {seed}" if seed else name, relabel(X, seed) if seed else X)
+    for name, X in vars(named_complexes).items()
+    if isinstance(X, Complex2) and X.n_edges <= 24
+    for seed in (None, 1, 2)
+]
+
+
+@pytest.mark.parametrize("X", [X for _, X in NAMED_SMALL], ids=[n for n, _ in NAMED_SMALL])
+def test_int_and_array_paths_agree_on_named_complexes(X, monkeypatch):
+    for i in (0, 1):
+        k_i = (X.regular or (1, 1))[i]
+        want = _path_dimension(monkeypatch, X, i, k_i, False)
+        assert _path_dimension(monkeypatch, X, i, k_i, True) == want, i
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 5), st.integers(0, 100), st.integers(0, 2**32 - 1))
+def test_int_and_array_paths_match_codeword_scan_on_random_complexes(n, percent, seed):
+    X = random_complex(n, percent / 100, seed=seed)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for i, k_i in ((0, 2), (1, 3)):
+            want = _dimension_or_error(scan_certify_dimension, X, i, k_i)
+            for ints in (True, False):
+                assert _path_dimension(monkeypatch, X, i, k_i, ints) == want, (i, ints)
+
+
+@pytest.mark.parametrize(
+    "X, arrays",
+    [(OCTAHEDRON, []), (RP2_6, []), (CUBOCTAHEDRON, [8, 13]), (TORUS_7, [13, 15])],
+    ids=["octahedron", "RP2_6", "cuboctahedron", "torus7"],
+)
+def test_arrays_are_built_only_past_the_int_table_bits(X, arrays, monkeypatch):
+    # The syndrome bits of each coset table built as an array.  A dimension whose
+    # tables all have at most 2**INT_TABLE_BITS entries builds none; the
+    # cuboctahedron's 2**13-entry B^1 table puts its Z^1 table, 2**8, on arrays too.
+    built = []
+    table = expansion._coset_table
+    table.cache_clear()
+    monkeypatch.setattr(
+        expansion, "_coset_table", lambda count, basis: built.append(count - len(basis)) or table(count, basis)
+    )
+    certify_exact.__wrapped__(X, max_bits=30)
+    assert built == arrays
 
 
 # --- witnesses read off the coset tables -------------------------------------
@@ -431,10 +490,10 @@ def test_paley13_certified_without_its_b1_table():
 
 @pytest.fixture
 def coset_table_bits(monkeypatch):
-    """The bits of every coset table built, in order, from an empty table cache;
-    a table read from the cache is not built again."""
+    """The bits of every coset table built, in order, on plain ints or as an array
+    from an empty table cache; an array read from the cache is not built again."""
     built = []
-    table = expansion._coset_table
+    table, int_table = expansion._coset_table, expansion._int_coset_table
     table.cache_clear()
 
     def spy(count, basis):
@@ -444,7 +503,13 @@ def coset_table_bits(monkeypatch):
             built.append(len(weight).bit_length() - 1)
         return columns, weight
 
+    def int_spy(count, basis):
+        columns, weight = int_table(count, basis)
+        built.append(len(weight).bit_length() - 1)
+        return columns, weight
+
     monkeypatch.setattr(expansion, "_coset_table", spy)
+    monkeypatch.setattr(expansion, "_int_coset_table", int_spy)
     return built
 
 

@@ -31,6 +31,7 @@ from named_complexes import (
     findings,
     reference_edge_graph,
     relabel,
+    relabel_graph,
 )
 from scalar_walk import randrange
 from traced import traced_peak
@@ -545,6 +546,47 @@ def test_cheeger_row_blocks_match_the_full_table(name, seed):
     assert (result.h_normalized, result.witness) == (h, witness)
     if name != "random 3-regular 20":
         assert len(np.unique(ties >> spectral.row_bits(G.n))) > 1  # ties in more than one block
+
+
+# G0 and G1 of the named complexes and of K4-K6 with at most 16 vertices, regular of
+# positive degree, as they are and relabelled: the octahedron's G1 has 12 vertices,
+# 2**INT_TABLE_BITS subsets, and K6's G1 15.
+CHEEGER_GRAPHS = [
+    (f"{name} {g}" + (f" relabelled {seed}" if seed else ""), relabel_graph(G, seed) if seed else G)
+    for name, X in [
+        *((n, X) for n, X in vars(named_complexes).items() if isinstance(X, Complex2)),
+        *((f"K{n}", complete_complex(n)) for n in (4, 5, 6)),
+    ]
+    for g, G in (("g0", underlying_graph(X)), ("g1", edge_graph(X)))
+    if G.n <= 16 and G.regular_k
+    for seed in (None, 3)
+]
+
+
+@pytest.mark.parametrize("G", [G for _, G in CHEEGER_GRAPHS], ids=[n for n, _ in CHEEGER_GRAPHS])
+def test_cheeger_int_and_row_paths_match_the_full_table(G):
+    # Both paths called directly, whatever the graph's size, against the whole table:
+    # the constant, every tied side on ints, and the least witness from each.
+    h, witness, ties = full_tables.cheeger(G)
+    k = G.regular_k
+    best, tied = spectral.least_int_ratio(spectral._gray_cuts(G, k), k)
+    assert (best, sorted(tied), spectral.lex_first(tied)) == (h, ties.tolist(), witness)
+    best, narrowed = spectral._cheeger_rows(G, k)
+    assert (best, spectral.lex_first(narrowed)) == (h, witness)
+    assert cheeger_exhaustive(G) == spectral.CheegerResult(h, witness)
+
+
+@pytest.mark.parametrize(
+    "G, rows",
+    [(T5, False), (edge_graph(named_complexes.OCTAHEDRON), False), (edge_graph(complete_complex(6)), True)],
+    ids=["K5-g1", "octahedron-g1", "K6-g1"],
+)
+def test_cheeger_builds_cut_rows_only_past_the_int_table_bits(G, rows, monkeypatch):
+    # The octahedron's G1 has 12 vertices, 2**INT_TABLE_BITS sides: walked on ints.
+    calls = []
+    monkeypatch.setattr(spectral, "cut_rows", lambda masks: calls.append(len(masks)) or cut_rows(masks))
+    cheeger_exhaustive(G)
+    assert calls == ([G.n] if rows else [])
 
 
 def test_least_ratio_keeps_every_tie_in_order():

@@ -87,6 +87,9 @@ WITHOUT_NUMPY = [
     ("cocycles k5.complex --dim 1", 0),
     ("audit k5.complex --lemma outgoing", 0),  # decided by its proof: nothing is scanned
     ("audit octa.complex --lemma outgoing --max-bits 8", 3),  # refused: 12 edges
+    # Every table at most 2**INT_TABLE_BITS entries: enumerated on plain ints.
+    ("certify k5.complex", 0),
+    ("cheeger k5.complex --graph g1", 0),
     ("spectrum k4.complex --graph g2", 2),  # usage error
     ("validate missing.complex", 2),
 ]
@@ -103,9 +106,10 @@ def test_command_never_loads_numpy(fixed, command, code, monkeypatch):
 
 
 def test_certify_loads_numpy_and_output_is_unchanged(fixed, monkeypatch):
-    code, out, err, loaded, frozen = hdx(fixed, "certify", "k5.complex")
+    # The cuboctahedron's B^1 table has 2**13 entries, past INT_TABLE_BITS.
+    code, out, err, loaded, frozen = hdx(fixed, "certify", "cubo.complex")
     assert (code, loaded, frozen) == (0, True, True), err
-    assert (code, out) == in_process(fixed, ["certify", "k5.complex"], monkeypatch)
+    assert (code, out) == in_process(fixed, ["certify", "cubo.complex"], monkeypatch)
 
 
 # (command, exit code): a capacity error and a --strict not-applicable verdict.
