@@ -3,8 +3,9 @@
 numpy is one: commands that never compute with arrays (``--version``,
 ``validate``, ``gen``, ``cocycles``, ``audit --lemma outgoing`` where the
 identity holds, ``certify`` where every coset table has at most
-2**``spectral.INT_TABLE_BITS`` entries, ``cheeger`` on a graph of at most that
-many vertices, usage and input errors) start without paying for it.  Every
+2**``spectral.INT_TABLE_BITS`` entries, ``cheeger`` on a graph of at most
+``spectral.PACKED_CHEEGER_VERTICES`` vertices, usage and input errors) start
+without paying for it.  Every
 module takes ``np`` from here; nothing may read an ``np.`` attribute at import
 time, which annotations under ``from __future__ import annotations`` do not.
 ``hdxwalk.cli`` loads its seven layer modules the same way, so each command

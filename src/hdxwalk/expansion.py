@@ -34,7 +34,8 @@ size of every local view F_v = F & star(v) with the subset-sum and cut kernels.
 Each ``*_judgement`` function passes a lemma's regularity and lambda2 gates
 once per complex and returns the lemma's verdict per vertex and view as arrays
 over those tables (the sum bound, its scale); none spans the edge sets.
-dist(F_v, Z^1) is read off the cached Z^1 coset table, as an array.
+dist(F_v, Z^1) is read off the Z^1 coset table that certification cached,
+on ints or as an array.
 """
 
 from __future__ import annotations
@@ -172,16 +173,18 @@ def _codes(X: Complex2, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return z, b
 
 
-def _int_coset_table(count: int, basis: tuple[int, ...]) -> tuple[tuple[int, ...], list[int]]:
+@lru_cache(maxsize=4)
+def _int_coset_table(count: int, basis: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """``_coset_table`` on plain ints: the columns, and the least weight of every
-    coset as a list, relaxed by one pass per non-unit column over the whole list."""
+    coset, relaxed as a list by one pass per non-unit column over the whole list.
+    Cached as ``_coset_table`` is, for the distance lemma."""
     columns = tuple(gf2.syndrome_columns(basis, count))
     weight = [s.bit_count() for s in range(1 << (count - len(basis)))]
     for column in columns:
         if column & (column - 1):  # zero and unit columns lower no weight
             partner = [weight[s ^ column] for s in range(len(weight))]
             weight = [w if w <= v else v + 1 for w, v in zip(weight, partner)]  # min(w, v + 1)
-    return columns, weight
+    return columns, tuple(weight)
 
 
 @lru_cache(maxsize=4)
@@ -270,17 +273,23 @@ def _least_coset(X: Complex2, i: int, k_i: int, basis: tuple[int, ...], ints: bo
     return eps, _lex_least(columns, ties)
 
 
+def _on_ints(count: int, z_basis: tuple[int, ...], b_basis: tuple[int, ...]) -> bool:
+    """Whether every table of a dimension of ``count`` faces has at most
+    2**INT_TABLE_BITS entries: B's coset table, which bounds Z's, and the
+    cocycles outside B, scanned only when B < Z."""
+    scan = len(z_basis) if len(b_basis) < len(z_basis) else 0
+    return max(count - len(b_basis), scan) <= spectral.INT_TABLE_BITS
+
+
 def _certify_dimension(
     X: Complex2, i: int, k_i: int, z_basis: tuple[int, ...], b_basis: tuple[int, ...]
 ) -> DimensionReport:
     """One dimension's report from the bases ``_codes`` returned, on plain ints
     when every table it builds has at most 2**INT_TABLE_BITS entries."""
     count = (X.n_vertices, X.n_edges)[i]
-    # B's coset table bounds Z's, and the cocycles outside B are scanned only when B < Z.
-    scan = len(z_basis) if len(b_basis) < len(z_basis) else 0
-    ints = max(count - len(b_basis), scan) <= spectral.INT_TABLE_BITS
+    ints = _on_ints(count, z_basis, b_basis)
     eps_z, z_witness = _least_coset(X, i, k_i, z_basis, ints)
-    if not scan:
+    if len(b_basis) == len(z_basis):
         # B = Z: one code, so one table, and no cocycle outside B.
         return DimensionReport(i, eps_z, z_witness, eps_z, z_witness, None, None)
     eps_b = b_witness = None  # B's table, read by no verdict, only when it fits
@@ -395,7 +404,13 @@ def distance_judgement(X: Complex2, *, mu: Fraction, tol: float = 1e-9):
     """Whether the size preconditions hold, and per vertex v whether each view L of
     star(v) has dist(L, Z^1) = min(|L|, k0 - |L|), read off the Z^1 coset table."""
     k0, _, _, met = _size_preconditions(X, "distance formula requires", mu, tol)
-    columns, weight = _coset_table(X.n_edges, cocycle_space(X, 1))
+    z = cocycle_space(X, 1)
+    # The table certification built, which gave mu: on ints or as an array.
+    if _on_ints(X.n_edges, z, coboundary_space(X, 1)):
+        columns, weight = _int_coset_table(X.n_edges, z)
+        weight = np.array(weight, np.uint8)
+    else:
+        columns, weight = _coset_table(X.n_edges, z)
     dtype = np.min_scalar_type(len(weight) - 1)
     holds = [
         weight[subset_xors([columns[e] for e in edges], dtype)] == np.minimum(size, k0 - size)

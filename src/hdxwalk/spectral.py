@@ -4,16 +4,18 @@ Eigenvalues of a k-regular graph are reported normalized by k, sorted
 descending; whether lambda2 < 1/2 is decided exactly, near 1/2 by Sylvester's
 criterion in integers.  Cheeger constants are exact rationals from exhaustive
 subset enumeration; ``cut_rows``, the one cut kernel, streams every cut a row at a time.
-Up to INT_TABLE_BITS vertices a Cheeger constant is found instead by a Gray
-code walk on plain ints, so ``cheeger`` on such a graph never imports numpy;
-its import outweighs every enumeration of at most 2**INT_TABLE_BITS entries.
+Up to PACKED_CHEEGER_VERTICES vertices a Cheeger constant is found instead on
+packed Python ints, one byte per cut, so ``cheeger`` on such a graph never
+imports numpy: on a 2-CPU Xeon VM (Python 3.11.7) the packed kernel takes
+0.2 ms at 12 vertices, 0.8-0.9 ms at 15 (K6's and RP^2_6's edge graphs),
+3.7-4 ms at 18 (K18) and 11-12 ms at 20, where importing numpy takes 75-150 ms.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import chain
+from itertools import accumulate, chain, combinations
 from typing import TYPE_CHECKING, Sequence
 
 from ._lazy import np
@@ -26,14 +28,21 @@ if TYPE_CHECKING:
 
 #: Largest subset table (2**bits entries) the enumeration kernels build.
 TABLE_BIT_LIMIT = 26
-#: Largest subset table (2**bits entries) enumerated on Python ints instead of numpy.
-#: Up to it a process that only certifies or takes a Cheeger constant never imports
-#: numpy, whose import (75-150 ms) outweighs the whole enumeration.  12 because,
-#: with numpy loaded already (2-CPU Xeon VM, Python 3.11.7), the int pass costs at
-#: most 2.1 ms on the certificates of K4-K6, the octahedron and RP^2_6 and 1.2 ms on
-#: the octahedron's edge graph (2**12 cuts), while at 2**15 it costs 9 ms (K6's
-#: edge graph, n = 15) to 37-43 ms (K7's Z^1 table) where numpy takes 0.4-1.6 ms.
+#: Largest coset table (2**bits entries) that ``certify`` enumerates on Python ints
+#: instead of numpy.  Up to it a process that only certifies never imports numpy,
+#: whose import (75-150 ms) outweighs the whole enumeration.  12 because, with
+#: numpy loaded already (2-CPU Xeon VM, Python 3.11.7), the int pass costs at most
+#: 2.1 ms on the certificates of K4-K6, the octahedron and RP^2_6, while at 2**15
+#: it costs 37-43 ms (K7's Z^1 table) where numpy takes 0.4-1.6 ms.
 INT_TABLE_BITS = 12
+#: Most vertices of a graph whose Cheeger constant ``_packed_cheeger`` finds on
+#: packed Python ints instead of numpy's cut rows.  Measured in-process on a 2-CPU
+#: Xeon VM (Python 3.11.7, numpy 2.4.6), complete and random regular graphs: 11-12 ms
+#: at 20 vertices, and each vertex more nearly doubles it, 20 ms at 21, 39 ms at
+#: 22 and 75 ms at 23, where it reaches numpy's import floor (75 ms; 108-121 ms by
+#: ``python -X importtime``).  20 leaves two doublings of margin for a slower host;
+#: from 21 on, with numpy loaded already, the cut rows are 3-5 times faster.
+PACKED_CHEEGER_VERTICES = 20
 #: Most vertices of a graph whose dense n x n matrices are built.
 DENSE_VERTEX_LIMIT = 2**11
 #: Most multiplications, bounded by n**3, of the exact lambda2 decision's elimination.
@@ -408,22 +417,68 @@ def least_int_ratio(entries, k: int) -> tuple[Fraction, list[int]]:
     return Fraction(best_num, k * best_denom), ties
 
 
-def _gray_cuts(G: Graph, k: int):
-    """(mask, cut, size) of every side the Cheeger constant ranges over, in Gray code
-    order: one vertex v joins or leaves S per step, changing the cut by
-    k - 2|N(v) & S|."""
+def _packed_cheeger(G: Graph, k: int) -> tuple[Fraction, list[int]]:
+    """``cheeger_exhaustive``'s least ratio and, from each slice of fields below
+    that attains it, its lexicographically least sides, on packed Python ints.
+
+    Each cut once: T ranges over the subsets of vertices 0..n - 2, so each pair
+    {T, V - T} appears once, and the side counted is T when 2|T| < n, V - T when
+    2|T| > n, and of two equal sides the one holding vertex 0.  The first lo
+    vertices are low, the rest of 0..n - 2 high; for each high set H, taken in
+    Gray code order, the cuts of H + L over every low set L are one int, a byte
+    per L: a cut is at most n**2 / 4, below 256 for n < 32, so every field is
+    exact.  A high vertex w joining H adds k - 2|N(w) & H| - 2|N(w) & L| to
+    every field at once, from ``ones`` and w's packed table of 2|N(w) & L|.
+
+    The fields are in order of |L| and, within a size, of L's sorted vertex
+    tuple.  So one size's slice holds sides of one size, ``min`` gives its least
+    cut, ``find`` its least side T = H + L and ``rfind`` its least side V - T,
+    since complementing reverses that order among sets of one size; at 2|T| = n
+    the sets holding vertex 0 come first.  ``least_int_ratio`` compares the
+    ratios exactly and keeps these candidates of every tie.
+    """
     n, masks = G.n, G.neighbor_masks
-    S = cut = size = 0
-    for i in range(1, 1 << n):
-        v = (i & -i).bit_length() - 1
-        S ^= 1 << v
-        gain = k - 2 * (masks[v] & S).bit_count()
-        if S >> v & 1:
-            cut, size = cut + gain, size + 1
-        else:
-            cut, size = cut - gain, size - 1
-        if 2 * size < n or 2 * size == n and S & 1:
-            yield S, cut, size
+    lo = min((n + 2) // 2, n - 1)
+    bits = [1 << v for v in range(lo)]
+    order = [m for size in range(lo + 1) for m in map(sum, combinations(bits, size))]
+    starts = list(accumulate((math.comb(lo, s) for s in range(lo + 1)), initial=0))
+    # The low sets holding vertex 0 end here in each size class.
+    splits = [a + (s and math.comb(lo - 1, s - 1)) for s, a in enumerate(starts[:-1])]
+    width, full = len(order), (1 << n) - 1
+    low_cuts = [0]
+    for v in range(lo):
+        m = masks[v]
+        low_cuts += [c + k - 2 * (m & t).bit_count() for t, c in enumerate(low_cuts)]
+    ones = int.from_bytes(b"\1" * width, "little")
+    near = [
+        2 * int.from_bytes(bytes(map(int.bit_count, map(masks[w].__and__, order))), "little")
+        for w in range(lo, n - 1)
+    ]
+
+    def sides(packed=int.from_bytes(bytes(map(low_cuts.__getitem__, order)), "little"), high=0):
+        for r in range(1 << (n - 1 - lo)):
+            if r:
+                w = lo + (r & -r).bit_length() - 1
+                high ^= 1 << w
+                gain = (k - 2 * (masks[w] & high).bit_count()) * ones - near[w - lo]
+                packed = packed + gain if high >> w & 1 else packed - gain
+            cuts = packed.to_bytes(width, "little")
+            h = high.bit_count()
+            for s in range(not h, lo + 1):  # T = H + L is not empty
+                a, e, size = starts[s], starts[s + 1], h + s
+                c = min(cuts[a:e])
+                if 2 * size < n:
+                    yield order[cuts.find(c, a, e)] | high, c, size
+                elif 2 * size > n:
+                    yield full ^ (order[cuts.rfind(c, a, e)] | high), c, n - size
+                else:
+                    i, j = cuts.find(c, a, splits[s]), cuts.rfind(c, splits[s], e)
+                    if i >= 0:
+                        yield order[i] | high, c, size
+                    if j >= 0:
+                        yield full ^ (order[j] | high), c, size
+
+    return least_int_ratio(sides(), k)
 
 
 def cheeger_exhaustive(G: Graph) -> CheegerResult:
@@ -431,13 +486,13 @@ def cheeger_exhaustive(G: Graph) -> CheegerResult:
 
     Each cut counts once, from its smaller nonempty side S, and of two equal
     sides from the one holding vertex 0; ties are broken by the lexicographically
-    smallest witness (as a sorted vertex tuple).  Up to INT_TABLE_BITS vertices
-    the subsets are walked in Gray code order on plain ints; past that the cuts
-    come from ``cut_rows``.
+    smallest witness (as a sorted vertex tuple).  Up to PACKED_CHEEGER_VERTICES
+    vertices the cuts are packed into Python ints; past that they come from
+    ``cut_rows``.
     """
     k = _require_regular(G)
-    if G.n <= INT_TABLE_BITS:
-        best, winners = least_int_ratio(_gray_cuts(G, k), k)
+    if G.n <= PACKED_CHEEGER_VERTICES:
+        best, winners = _packed_cheeger(G, k)
     else:
         best, winners = _cheeger_rows(G, k)
     return CheegerResult(best, lex_first(winners))

@@ -837,19 +837,24 @@ def test_audit_evaluates_each_local_view_once(tmp_path, monkeypatch):
     # views, built once per complex and kept on it for the two lemmas that read
     # them, distance and local-views; sum reads the edge graph instead, outgoing neither.
     # The distance judgement reads its distances off the Z^1 coset table that
-    # certification built, from the table cache.  Views are table entries, so
-    # --lemma all builds 8 value objects: the complex, its two graphs (G0 and G1),
-    # the spectrum, the cut result and the certificate with its two dimension reports.
+    # certification built, on plain ints (2**10 entries), from the table cache.
+    # Views are table entries, so --lemma all builds 8 value objects: the complex,
+    # its two graphs (G0 and G1), the spectrum, the cut result and the certificate
+    # with its two dimension reports.
     path = tmp_path / "k6.complex"
     save_complex(complete_complex(6), str(path))
-    counts = {"views": [], "tables": 0, "judgement_tables": 0, "records": 0}
+    counts = {"views": [], "tables": 0, "judgement_tables": 0, "judgement_builds": 0, "records": 0}
     judgement, views = expansion.distance_judgement, expansion.local_views
-    table, init = expansion._coset_table, Record.__init__
+    table, int_table, init = expansion._coset_table, expansion._int_coset_table, Record.__init__
+
+    def builds():
+        return table.cache_info().misses + int_table.cache_info().misses
 
     def counted_judgement(*args, **kwargs):
-        tables = counts["tables"]
+        tables, built = counts["tables"], builds()
         result = judgement(*args, **kwargs)
         counts["judgement_tables"] += counts["tables"] - tables
+        counts["judgement_builds"] += builds() - built
         return result
 
     def counted_views(X):
@@ -859,9 +864,12 @@ def test_audit_evaluates_each_local_view_once(tmp_path, monkeypatch):
             counts["views"].append(result)
         return result
 
-    def counted_table(*args, **kwargs):
-        counts["tables"] += 1
-        return table(*args, **kwargs)
+    def counted(read):
+        def counted_table(*args, **kwargs):
+            counts["tables"] += 1
+            return read(*args, **kwargs)
+
+        return counted_table
 
     def counted_init(self, *args, **kwargs):
         counts["records"] += 1
@@ -869,17 +877,17 @@ def test_audit_evaluates_each_local_view_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(expansion, "distance_judgement", counted_judgement)
     monkeypatch.setattr(expansion, "local_views", counted_views)
-    monkeypatch.setattr(expansion, "_coset_table", counted_table)
+    monkeypatch.setattr(expansion, "_coset_table", counted(table))
+    monkeypatch.setattr(expansion, "_int_coset_table", counted(int_table))
     monkeypatch.setattr(Record, "__init__", counted_init)
     for lemma in ("distance", "all"):
-        for cached in (certify_exact, normalized_spectrum):
+        for cached in (certify_exact, normalized_spectrum, table, int_table):
             cached.cache_clear()
-        table.cache_clear()
-        counts.update(views=[], tables=0, judgement_tables=0, records=0)
+        counts.update(views=[], tables=0, judgement_tables=0, judgement_builds=0, records=0)
         assert invoke("audit", str(path), "--lemma", lemma)[0] == 0
         sizes = [(sum(t.size for t in s), sum(t.size for t in c)) for s, c in counts["views"]]
         assert sizes == [(192, 192)]
-        assert counts["judgement_tables"] == 1
+        assert (counts["judgement_tables"], counts["judgement_builds"]) == (1, 0)
     assert counts["records"] == 8
 
 
@@ -997,15 +1005,15 @@ def test_walk_capacity_exit_3_quickly(k4_file, mode):
     [
         (["spectrum", "--graph", "g0"], (spectral, "adjacency_matrix"), 5),
         (["spectrum", "--graph", "g1"], (spectral, "adjacency_matrix"), 5),
-        (["cheeger", "--graph", "g0"], (spectral, "_gray_cuts"), 5),
-        (["cheeger", "--graph", "g1"], (spectral, "_gray_cuts"), 5),
-        (["cheeger", "--graph", "g1"], (spectral, "cut_rows"), 6),  # 15 vertices: the cut table
+        (["cheeger", "--graph", "g0"], (spectral, "_packed_cheeger"), 5),
+        (["cheeger", "--graph", "g1"], (spectral, "_packed_cheeger"), 5),
+        (["cheeger", "--graph", "g1"], (spectral, "cut_rows"), 7),  # 21 vertices: the cut rows
         (["walk", "--start", "0", "--steps", "5"], (spectral, "start_measure"), 5),
     ],
     ids=["spectrum-g0", "spectrum-g1", "cheeger-g0", "cheeger-g1", "cheeger-g1-rows", "walk"],
 )
 def test_graph_commands_drop_the_complex_before_the_heavy_step(tmp_path, monkeypatch, argv, heavy, n):
-    # The dense solve, the Gray code walk or the cut table, and the Lanczos run start
+    # The dense solve, the packed cuts or the cut rows, and the Lanczos run start
     # once the loaded complex is freed: its graphs are kept on it, and nothing else holds it.
     path = tmp_path / f"k{n}.complex"
     save_complex(complete_complex(n), path)

@@ -491,10 +491,11 @@ def test_paley13_certified_without_its_b1_table():
 @pytest.fixture
 def coset_table_bits(monkeypatch):
     """The bits of every coset table built, in order, on plain ints or as an array
-    from an empty table cache; an array read from the cache is not built again."""
+    from empty table caches; a table read from its cache is not built again."""
     built = []
     table, int_table = expansion._coset_table, expansion._int_coset_table
     table.cache_clear()
+    int_table.cache_clear()
 
     def spy(count, basis):
         misses = table.cache_info().misses
@@ -504,8 +505,10 @@ def coset_table_bits(monkeypatch):
         return columns, weight
 
     def int_spy(count, basis):
+        misses = int_table.cache_info().misses
         columns, weight = int_table(count, basis)
-        built.append(len(weight).bit_length() - 1)
+        if int_table.cache_info().misses > misses:
+            built.append(len(weight).bit_length() - 1)
         return columns, weight
 
     monkeypatch.setattr(expansion, "_coset_table", spy)
@@ -527,13 +530,16 @@ def test_one_coset_table_per_distinct_code(coset_table_bits, X, max_bits, bits):
 
 @pytest.mark.parametrize("lemma", ["distance", "all"])
 def test_audit_builds_the_z1_table_once(coset_table_bits, tmp_path, lemma):
-    # Certification, which gives mu, builds K7's Z^0 and Z^1 tables (B = Z at
-    # both dimensions); the distance judgement reads the same Z^1 table.
-    path = tmp_path / "k7.complex"
-    save_complex(complete_complex(7), str(path))
-    certify_exact.cache_clear()
-    assert run(["audit", str(path), "--lemma", lemma], io.StringIO(), io.StringIO()) == 0
-    assert coset_table_bits == [6, 15]
+    # Certification, which gives mu, builds the Z^0 and Z^1 tables (B = Z at both
+    # dimensions), as arrays on K7 and on plain ints on the octahedron; the distance
+    # judgement reads the same Z^1 table.
+    for X, bits in [(complete_complex(7), [6, 15]), (OCTAHEDRON, [5, 7])]:
+        path = tmp_path / "x.complex"
+        save_complex(X, str(path))
+        certify_exact.cache_clear()
+        coset_table_bits.clear()
+        assert run(["audit", str(path), "--lemma", lemma], io.StringIO(), io.StringIO()) == 0
+        assert coset_table_bits == bits
 
 
 def test_every_table_is_sized_before_any_is_built(coset_table_bits):

@@ -21,6 +21,8 @@ import named_complexes
 import numpy as np
 import pytest
 from charpoly import characteristic_polynomial, lambda2_below_half_by_descartes
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from lemma_loops import cheeger_inequality_slack, edge_graph_floor_slack, mixing_lemma_residual
 from named_complexes import (
     CUBOCTAHEDRON,
@@ -538,19 +540,34 @@ def test_cheeger_capacity_error():
         cheeger_exhaustive(cycle_graph(27))
 
 
+def assert_packed_matches(G, h, witness, ties):
+    """The packed kernel against a reference's constant, witness and tied masks:
+    the same constant, candidates that all tie, and the same least witness."""
+    best, tied = spectral._packed_cheeger(G, G.regular_k)
+    assert best == h
+    assert set(tied) <= set(map(int, ties))
+    assert spectral.lex_first(tied) == witness
+    return tied
+
+
 @pytest.mark.parametrize("name, seed", full_tables.BLOCKED_CASES, ids=full_tables.BLOCKED_IDS)
 def test_cheeger_row_blocks_match_the_full_table(name, seed):
+    # Up to the cut-over, so both paths are called directly: the packed kernel,
+    # and the row blocks with ties in more than one block.
     G = full_tables.blocked_graph(name, seed)
+    assert G.n <= spectral.PACKED_CHEEGER_VERTICES
     h, witness, ties = full_tables.cheeger(G)
-    result = cheeger_exhaustive(G)
-    assert (result.h_normalized, result.witness) == (h, witness)
+    assert cheeger_exhaustive(G) == spectral.CheegerResult(h, witness)
+    assert_packed_matches(G, h, witness, ties)
+    best, narrowed = spectral._cheeger_rows(G, G.regular_k)
+    assert (best, spectral.lex_first(narrowed)) == (h, witness)
     if name != "random 3-regular 20":
         assert len(np.unique(ties >> spectral.row_bits(G.n))) > 1  # ties in more than one block
 
 
 # G0 and G1 of the named complexes and of K4-K6 with at most 16 vertices, regular of
 # positive degree, as they are and relabelled: the octahedron's G1 has 12 vertices,
-# 2**INT_TABLE_BITS subsets, and K6's G1 15.
+# and K6's G1 15.
 CHEEGER_GRAPHS = [
     (f"{name} {g}" + (f" relabelled {seed}" if seed else ""), relabel_graph(G, seed) if seed else G)
     for name, X in [
@@ -565,24 +582,72 @@ CHEEGER_GRAPHS = [
 
 @pytest.mark.parametrize("G", [G for _, G in CHEEGER_GRAPHS], ids=[n for n, _ in CHEEGER_GRAPHS])
 def test_cheeger_int_and_row_paths_match_the_full_table(G):
-    # Both paths called directly, whatever the graph's size, against the whole table:
-    # the constant, every tied side on ints, and the least witness from each.
+    # Both paths called directly, whatever the graph's size, against the whole table
+    # and the direct subset loop: the constant, tied candidates on packed ints, and
+    # the least witness from each.
     h, witness, ties = full_tables.cheeger(G)
-    k = G.regular_k
-    best, tied = spectral.least_int_ratio(spectral._gray_cuts(G, k), k)
-    assert (best, sorted(tied), spectral.lex_first(tied)) == (h, ties.tolist(), witness)
-    best, narrowed = spectral._cheeger_rows(G, k)
+    if G.n <= 12:
+        assert brute_cheeger(G) == (h, witness)
+    assert_packed_matches(G, h, witness, ties)
+    best, narrowed = spectral._cheeger_rows(G, G.regular_k)
     assert (best, spectral.lex_first(narrowed)) == (h, witness)
     assert cheeger_exhaustive(G) == spectral.CheegerResult(h, witness)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(5, spectral.PACKED_CHEEGER_VERTICES), st.sampled_from((3, 4)), st.integers(0, 99))
+@example(spectral.PACKED_CHEEGER_VERTICES, 3, 0)
+@example(spectral.PACKED_CHEEGER_VERTICES - 1, 4, 0)
+def test_packed_cheeger_matches_the_full_table_on_random_regular_graphs(n, d, seed):
+    # Odd and even n, up to the cut-over and at it.
+    assume(n * d % 2 == 0)
+    G = named_complexes.random_regular_graph(n, d, seed)
+    h, witness, ties = full_tables.cheeger(G)
+    assert_packed_matches(G, h, witness, ties)
+    assert cheeger_exhaustive(G) == spectral.CheegerResult(h, witness)
+
+
+def test_packed_cheeger_on_a_disconnected_graph():
+    # Cycles of 3, 4, 5 and 3 vertices: h = 0, tied by unions of cycles at every
+    # side size from 3 to n // 2 = 7.
+    lengths = (3, 4, 5, 3)
+    starts = (0, 3, 7, 12)
+    G = Graph.from_edges(15, [(a + i, a + (i + 1) % c) for a, c in zip(starts, lengths) for i in range(c)])
+    h, witness, ties = full_tables.cheeger(G)
+    assert (h, witness) == brute_cheeger(G) == (0, (0, 1, 2))
+    assert {int(m).bit_count() for m in ties} == set(range(3, 8))
+    for relabelled in (G, relabel_graph(G, 1), relabel_graph(G, 2)):
+        assert_packed_matches(relabelled, *full_tables.cheeger(relabelled))
+
+
+def test_packed_cheeger_ties_at_half_size_on_both_sides_of_vertex_0():
+    # 10-cycles: each 5-arc has the least ratio 2 / (2 * 5).  Of the arcs holding
+    # vertex 0, those without vertex 9 are sides T and those with it the complements
+    # of sets T without vertex 0; the kernel finds candidates of both kinds.  Around
+    # 0, 1, ..., 9 the least witness is a side T; around 0, 9, 1, ..., 8 it holds 9.
+    n = 10
+    for ring, want in [(list(range(n)), (0, 1, 2, 3, 4)), ([0, 9, *range(1, 9)], (0, 1, 2, 3, 9))]:
+        G = Graph.from_edges(n, list(zip(ring, ring[1:] + ring[:1])))
+        h, witness, ties = full_tables.cheeger(G)
+        assert (h, witness) == brute_cheeger(G) == (Fraction(1, 5), want)
+        tied = assert_packed_matches(G, h, witness, ties)
+        assert {m >> (n - 1) & 1 for m in tied} == {0, 1}
+
+
 @pytest.mark.parametrize(
     "G, rows",
-    [(T5, False), (edge_graph(named_complexes.OCTAHEDRON), False), (edge_graph(complete_complex(6)), True)],
-    ids=["K5-g1", "octahedron-g1", "K6-g1"],
+    [
+        (T5, False),
+        (edge_graph(named_complexes.OCTAHEDRON), False),
+        (edge_graph(complete_complex(6)), False),
+        (complete_graph(spectral.PACKED_CHEEGER_VERTICES), False),
+        (edge_graph(complete_complex(7)), True),
+    ],
+    ids=["K5-g1", "octahedron-g1", "K6-g1", "K20-g0", "K7-g1"],
 )
 def test_cheeger_builds_cut_rows_only_past_the_int_table_bits(G, rows, monkeypatch):
-    # The octahedron's G1 has 12 vertices, 2**INT_TABLE_BITS sides: walked on ints.
+    # Up to PACKED_CHEEGER_VERTICES (K20) the cuts are packed into ints; K7's G1 has 21
+    # vertices and reads the cut rows.
     calls = []
     monkeypatch.setattr(spectral, "cut_rows", lambda masks: calls.append(len(masks)) or cut_rows(masks))
     cheeger_exhaustive(G)

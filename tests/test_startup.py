@@ -89,7 +89,11 @@ WITHOUT_NUMPY = [
     ("audit octa.complex --lemma outgoing --max-bits 8", 3),  # refused: 12 edges
     # Every table at most 2**INT_TABLE_BITS entries: enumerated on plain ints.
     ("certify k5.complex", 0),
+    # At most PACKED_CHEEGER_VERTICES vertices: the cuts are packed into ints.
     ("cheeger k5.complex --graph g1", 0),
+    ("cheeger k6.complex --graph g1", 0),  # 15 vertices
+    ("cheeger rp2.complex --graph g1", 0),  # 15 vertices
+    ("cheeger k18.complex --graph g0", 0),
     ("spectrum k4.complex --graph g2", 2),  # usage error
     ("validate missing.complex", 2),
 ]
@@ -110,6 +114,15 @@ def test_certify_loads_numpy_and_output_is_unchanged(fixed, monkeypatch):
     code, out, err, loaded, frozen = hdx(fixed, "certify", "cubo.complex")
     assert (code, loaded, frozen) == (0, True, True), err
     assert (code, out) == in_process(fixed, ["certify", "cubo.complex"], monkeypatch)
+
+
+def test_cheeger_past_the_packed_vertices_loads_numpy_and_output_is_unchanged(fixed, monkeypatch):
+    # The cuboctahedron's edge graph has 24 vertices, past PACKED_CHEEGER_VERTICES:
+    # its cuts come from the cut rows.
+    args = ["cheeger", "cubo.complex", "--graph", "g1"]
+    code, out, err, loaded, frozen = hdx(fixed, *args)
+    assert (code, loaded, frozen) == (0, True, True), err
+    assert (code, out) == in_process(fixed, args, monkeypatch)
 
 
 # (command, exit code): a capacity error and a --strict not-applicable verdict.
