@@ -3,7 +3,8 @@
 ``cli.run`` imports this module once the arguments are parsed, so ``--version``,
 ``--help`` and usage errors never compile it.  Each ``_cmd_<subcommand>`` takes
 the parsed namespace and the output stream and returns the exit code.
-``audit``'s view and sum lemmas draw their first ten failing edge sets from an ascending stream.
+``audit``'s view and sum lemmas draw their first ten failing edge sets from an ascending
+stream, over lists where the tables have at most 2**``spectral.INT_TABLE_BITS`` entries.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 from functools import reduce
-from itertools import groupby, islice
+from itertools import compress, count, groupby, islice
 from operator import add
 from typing import TextIO
 
@@ -168,9 +169,14 @@ def _lemma_result(name: str, X, failing, violation, asserted=True, **extra) -> d
 
 
 def _flagged(flags):
-    """The masks flagged in consecutive row blocks of bool ``flags``, ascending."""
-    for r, flag in enumerate(flags):
-        yield from map(int, np.flatnonzero(flag) + r * flag.size)
+    """The masks flagged in consecutive row blocks of bool ``flags``, lists or arrays, ascending."""
+    start = 0
+    for flag in flags:
+        if isinstance(flag, list):
+            yield from compress(count(start), flag)
+        else:
+            yield from map(int, np.flatnonzero(flag) + start)
+        start += len(flag)
 
 
 def _supersets(view: int, star: int, full: int):
@@ -196,7 +202,7 @@ def _view_lemma(name: str, X: complexes.Complex2, holds, asserted, **extra) -> d
     streams = [
         _supersets(sum((L >> t & 1) << e for t, e in enumerate(edges)), star, (1 << X.n_edges) - 1)
         for edges, star, h in zip(X.vertex_edges, X.vertex_edge_masks, holds)
-        for L in np.flatnonzero(~h).tolist()
+        for L, ok in enumerate(h) if not ok
     ] if any(by_size) else []
     failing = (m for m in _merged(streams) if by_size[m.bit_count()])
 
@@ -266,11 +272,17 @@ def _audit_sum(X: complexes.Complex2, ns) -> dict:
     n, G1 = X.n_edges, graphs.edge_graph(X)  # sum_v |coboundary(F_v)| is F's cut in G1
     bound = [scale * size for size in range(n + 1)]
     # The bound is stated for |F| <= |E|/2; the larger sets pass unchecked.
-    least = np.array([b - ns.slack if 2 * s <= n else -math.inf for s, b in enumerate(bound)])
-    low = spectral.subset_sums([1] * spectral.row_bits(n))  # |t| in row r's masks r * 2**lo + t
-    rows = enumerate(spectral.cut_rows(G1.neighbor_masks))
+    least = [b - ns.slack if 2 * s <= n else -math.inf for s, b in enumerate(bound)]
+    if n <= spectral.INT_TABLE_BITS:
+        cuts = spectral.cut_list(G1.neighbor_masks)
+        flags = [[cut < least[m.bit_count()] for m, cut in enumerate(cuts)]]
+    else:
+        least = np.array(least)
+        low = spectral.subset_sums([1] * spectral.row_bits(n))  # |t| in row r's masks r * 2**lo + t
+        rows = enumerate(spectral.cut_rows(G1.neighbor_masks))
+        flags = (cut < least[low + r.bit_count()] for r, cut in rows)
     return _lemma_result(
-        "sum", X, _flagged(cut < least[low + r.bit_count()] for r, cut in rows),
+        "sum", X, _flagged(flags),
         lambda m: {"lhs": G1.cut(m), "rhs_bound": bound[m.bit_count()]},
         subsets_checked=sum(math.comb(n, s) for s in range(n // 2 + 1)),
         epsilon=eps,

@@ -30,12 +30,16 @@ the local-view distance formula, the per-vertex coboundary lower bounds for
 semi-fat and non-fat vertices, the minimum-cut lower bound, the
 sum-of-coboundaries lower bound, and the closed-form mixing rate.
 ``local_views`` tables, once per complex and vertex v, the size and coboundary
-size of every local view F_v = F & star(v) with the subset-sum and cut kernels.
-Each ``*_judgement`` function passes a lemma's regularity and lambda2 gates
-once per complex and returns the lemma's verdict per vertex and view as arrays
-over those tables (the sum bound, its scale); none spans the edge sets.
-dist(F_v, Z^1) is read off the Z^1 coset table that certification cached,
-on ints or as an array.
+size of every local view F_v = F & star(v), as lists: ``spectral.cut_list``
+gives the cuts of the link.  Each ``*_judgement`` function passes a lemma's
+regularity and lambda2 gates once per complex and returns the lemma's verdict
+per vertex and view as lists over those tables (the sum bound, its scale); none
+spans the edge sets.  dist(F_v, Z^1) is read off the Z^1 coset table that
+certification cached, on ints or as an array.  The lambda2 gate of a G0 on at
+most INT_TABLE_BITS vertices is exact, ``spectral.lambda2_below`` and
+``lambda2_bracket`` on Python ints, and large cuts up to 2**INT_TABLE_BITS
+subsets are one ``cut_list``: so ``audit`` on K4, K5 or the octahedron never
+imports numpy.
 """
 
 from __future__ import annotations
@@ -57,12 +61,16 @@ from .errors import (
     DomainError,
     ParameterError,
     RegularityError,
+    check_tolerance,
 )
 from .graphs import Graph, edge_graph, underlying_graph
 from .spectral import (
     check_table_bits,
+    cut_list,
     cut_rows,
+    lambda2_below,
     lambda2_below_half,
+    lambda2_bracket,
     least_int_ratio,
     least_ratio,
     lex_first,
@@ -105,10 +113,19 @@ def _required_regular(X: Complex2) -> tuple[int, int]:
 def gap_lambda2(G: Graph, claim: str, tol: float = 1e-9) -> float:
     """lambda2 of G; DomainError("<claim> lambda2 < 1/2; ...") unless decided below exactly.
 
-    ``tol`` bounds the eigensolver's residual, as in ``normalized_spectrum``.
+    On at most INT_TABLE_BITS vertices one ``lambda2_below`` decides, and the
+    float of ``lambda2_bracket``'s lower end is returned: no eigensolver runs
+    unless the gate refuses, for the value its message quotes.  Larger graphs,
+    and a ``tol`` below the bracket's width 2**-60, take the eigensolver's value
+    and ``lambda2_below_half``.  ``tol`` bounds the eigensolver's residual, as in
+    ``normalized_spectrum``.
     """
+    check_tolerance(tol)
+    exact = 0 < G.n <= spectral.INT_TABLE_BITS and tol >= 2**-60
+    if exact and lambda2_below(G, Fraction(1, 2)):
+        return float(lambda2_bracket(G)[0])
     report = normalized_spectrum(G, tol)
-    if not lambda2_below_half(G, report):
+    if exact or not lambda2_below_half(G, report):
         raise DomainError(
             f"{claim} lambda2 < 1/2; it is at least 1/2, decided exactly "
             f"(eigensolver value {report.lambda2})"
@@ -382,8 +399,18 @@ def _enough_vertices(n: int, lambda2: float) -> bool:
     return n >= 4.0 / (1.0 - 2.0 * lambda2) - 1e-12
 
 
+# The star tables are lists, of 2**k0 entries per vertex, never arrays: the view
+# lemmas run only once ``certify_exact`` has passed, and that bounds k0.  Every
+# edge lies in a triangle (k1 > 0, or Z^1 would hold every edge set), so triangles
+# each with an edge no earlier one holds give independent rows of coboundary_1,
+# and rank coboundary_1 >= |E|/3.  Its Z^1 coset table, 2**rank entries, fits
+# 2**26, so |E| <= 78, and |E| = |V| * k0 / 2 >= (k0 + 1) * k0 / 2 gives k0 <= 12:
+# no star table exceeds 2**12 entries.  At a table limit of 30, |E| <= 90 gives
+# the same.  ``local_views`` still sizes each table, for a caller that has not certified.
+
+
 @kept_on_complex
-def local_views(X: Complex2) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def local_views(X: Complex2) -> tuple[list[list[int]], list[list[int]]]:
     """Per vertex v, the size and |coboundary| of every local view L inside star(v), kept on X.
 
     A view's index has bit t set when it holds the t-th edge of
@@ -394,9 +421,10 @@ def local_views(X: Complex2) -> tuple[list[np.ndarray], list[np.ndarray]]:
     neighbors = edge_graph(X).neighbor_masks
     sizes, cuts = [], []
     for edges in X.vertex_edges:
-        sizes.append(subset_sums([1] * len(edges)))
+        check_table_bits(len(edges))
+        sizes.append(list(map(int.bit_count, range(1 << len(edges)))))
         link = [sum((neighbors[e] >> f & 1) << t for t, f in enumerate(edges)) for e in edges]
-        cuts.append(np.concatenate([*cut_rows(link)]))
+        cuts.append(cut_list(link))
     return sizes, cuts
 
 
@@ -408,14 +436,12 @@ def distance_judgement(X: Complex2, *, mu: Fraction, tol: float = 1e-9):
     # The table certification built, which gave mu: on ints or as an array.
     if _on_ints(X.n_edges, z, coboundary_space(X, 1)):
         columns, weight = _int_coset_table(X.n_edges, z)
-        weight = np.array(weight, np.uint8)
     else:
         columns, weight = _coset_table(X.n_edges, z)
-    dtype = np.min_scalar_type(len(weight) - 1)
-    holds = [
-        weight[subset_xors([columns[e] for e in edges], dtype)] == np.minimum(size, k0 - size)
-        for edges, size in zip(X.vertex_edges, local_views(X)[0])
-    ]
+    holds = []
+    for star, sizes in zip(X.vertex_edges, local_views(X)[0]):
+        syndromes = _xors([columns[e] for e in star])
+        holds.append([weight[s] == min(size, k0 - size) for s, size in zip(syndromes, sizes)])
     return met, holds
 
 
@@ -431,8 +457,11 @@ def local_view_bound_judgement(
     eps = float(epsilon)
     semi_fat = eps * k1 * (1.0 - eta) * k0
     holds = [
-        (size > eta * k0) | (cut >= np.where(2 * size > k0, semi_fat, eps * k1 * size) - slack)
-        for size, cut in zip(*local_views(X))
+        [
+            size > eta * k0 or cut >= (semi_fat if 2 * size > k0 else eps * k1 * size) - slack
+            for size, cut in zip(sizes, cuts)
+        ]
+        for sizes, cuts in zip(*local_views(X))
     ]
     return met, eta, holds
 
@@ -451,19 +480,25 @@ def large_cuts_audit(G0: Graph, *, tol: float = 1e-9) -> LargeCutsResult:
     k = G0.regular_k
     if k is None or k == 0:
         raise RegularityError("minimum-cut bound needs a regular graph of positive degree")
-    rows = cut_rows(G0.neighbor_masks)  # refused before the eigensolver runs
+    check_table_bits(G0.n)  # refused before the lambda2 gate
     lambda2 = gap_lambda2(G0, "minimum-cut bound requires", tol)
-    lo, min_cut, winners = row_bits(G0.n), math.inf, []
-    for r, row in enumerate(rows):
-        # The odd entries hold vertex 0; the very last, every vertex, is not proper.
-        cut = row[1 : -1 if r == (1 << G0.n - lo) - 1 else None : 2]
-        if (least := int(cut.min())) < min_cut:
-            min_cut, winners = least, []
-        if least == min_cut:
-            winners.append(lex_min((r << lo) + 2 * np.flatnonzero(cut == least) + 1))
+    # The odd masks hold vertex 0; the very last, every vertex, is not proper.
+    if G0.n <= spectral.INT_TABLE_BITS:
+        proper = cut_list(G0.neighbor_masks)[1:-1:2]
+        min_cut = min(proper)
+        winners = [2 * i + 1 for i, cut in enumerate(proper) if cut == min_cut]
+    else:
+        lo, min_cut, winners = row_bits(G0.n), math.inf, []
+        for r, row in enumerate(cut_rows(G0.neighbor_masks)):
+            cut = row[1 : -1 if r == (1 << G0.n - lo) - 1 else None : 2]
+            if (least := int(cut.min())) < min_cut:
+                min_cut, winners = least, []
+            if least == min_cut:
+                winners.append(lex_min((r << lo) + 2 * np.flatnonzero(cut == least) + 1))
+        winners = np.concatenate(winners)
     return LargeCutsResult(
         min_cut=min_cut,
-        witness=lex_first(np.concatenate(winners)),
+        witness=lex_first(winners),
         k=k,
         lambda2=lambda2,
         precondition_met=_enough_vertices(G0.n, lambda2),

@@ -2,13 +2,17 @@
 
 Eigenvalues of a k-regular graph are reported normalized by k, sorted
 descending; whether lambda2 < 1/2 is decided exactly, near 1/2 by Sylvester's
-criterion in integers.  Cheeger constants are exact rationals from exhaustive
-subset enumeration; ``cut_rows``, the one cut kernel, streams every cut a row at a time.
-Up to PACKED_CHEEGER_VERTICES vertices a Cheeger constant is found instead on
-packed Python ints, one byte per cut, so ``cheeger`` on such a graph never
-imports numpy: on a 2-CPU Xeon VM (Python 3.11.7) the packed kernel takes
-0.2 ms at 12 vertices, 0.8-0.9 ms at 15 (K6's and RP^2_6's edge graphs),
-3.7-4 ms at 18 (K18) and 11-12 ms at 20, where importing numpy takes 75-150 ms.
+criterion in integers.  ``lambda2_below(G, t)`` decides lambda2 < t for any
+rational t that way, and ``lambda2_bracket`` bisects with it to an exact
+bracket of width 2**-60: 1.4-3.3 ms at 4-7 vertices, 9-20 ms at 12, with no
+eigensolver.  Cheeger constants are exact rationals from exhaustive subset
+enumeration; ``cut_rows`` streams every cut a row at a time, and ``cut_list``,
+on plain ints, gives every cut of a small graph as one list.  Up to
+PACKED_CHEEGER_VERTICES vertices a Cheeger constant is found instead on packed
+Python ints, one byte per cut, so ``cheeger`` on such a graph never imports
+numpy: on a 2-CPU Xeon VM (Python 3.11.7) the packed kernel takes 0.2 ms at 12
+vertices, 0.8-0.9 ms at 15 (K6's and RP^2_6's edge graphs), 3.7-4 ms at 18
+(K18) and 11-12 ms at 20, where importing numpy takes 75-150 ms.
 """
 
 from __future__ import annotations
@@ -228,30 +232,71 @@ def normalized_spectrum(G: Graph, tol: float = 1e-9) -> SpectralReport:
     )
 
 
+def _check_elimination(G: Graph, what: str) -> None:
+    if G.n**3 > ELIMINATION_WORK_LIMIT:
+        raise CapacityError(
+            f"{what} takes up to {G.n}**3 multiplications; limit is {ELIMINATION_WORK_LIMIT}"
+        )
+
+
+def lambda2_below(G: Graph, t: Fraction) -> bool:
+    """Whether the normalized lambda2 of a regular graph is below t, decided exactly.
+
+    For t = p/q with q > 0, lambda2 < t exactly when B = p*k*I - q*A + q*k*J is
+    positive definite: B has eigenvalue q*k*(t + n - 1) on the all-ones vector
+    and p*k - q*mu for each other eigenvalue mu of A.  The first is positive
+    for every t > 1 - n, and for t <= 1 - n <= -1 <= lambda2 B is not positive
+    definite, rightly; so no t needs a case of its own.  Testing it takes
+    fewer than n**3 multiplications; above ELIMINATION_WORK_LIMIT
+    CapacityError is raised before the first.
+    """
+    k = _require_regular(G)
+    _check_elimination(G, f"deciding lambda2 < {t} exactly")
+    p, q = t.numerator, t.denominator
+    # Row v of B from its diagonal on: (p + q)k, then q(k - 1) at a neighbor and qk elsewhere.
+    return _positive_definite([
+        [(p + q) * k] + [q * (k - (nbrs >> w & 1)) for w in range(v + 1, G.n)]
+        for v, nbrs in enumerate(G.neighbor_masks)
+    ])
+
+
+@lru_cache(maxsize=8)
+def lambda2_bracket(G: Graph) -> tuple[Fraction, Fraction]:
+    """(lo, hi): consecutive multiples of 2**-60 with lo <= lambda2 < hi, exactly.
+
+    Bisection over the multiples of 2**-60 from -1, which lambda2 reaches at
+    least, to 1, which it reaches at most, one ``lambda2_below`` per halving:
+    62 at most.  Cached, as the eigensystem is.
+    """
+    from fractions import Fraction
+
+    step = 1 << 60
+    lo, hi = -step, step + 1  # numerators over 2**60: lambda2 >= lo / 2**60, < hi / 2**60
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if lambda2_below(G, Fraction(mid, step)):
+            hi = mid
+        else:
+            lo = mid
+    return Fraction(lo, step), Fraction(hi, step)
+
+
 def lambda2_below_half(G: Graph, report: SpectralReport) -> bool:
     """Whether the normalized lambda2 of a regular graph is below 1/2, decided exactly.
 
     ``report`` is G's normalized spectrum.  Its float lambda2 decides when it
     lies farther from 1/2 than n times the eigensolver's normalized residual
-    (at least 1e-9), which bounds its error.  Inside that band, lambda2 < 1/2
-    exactly when B = kI - 2A + kJ is positive definite: B has eigenvalue
-    k(n - 1) on the all-ones vector and k - 2*mu for each other eigenvalue mu
-    of A.  Testing that takes fewer than n**3 multiplications; above
-    ELIMINATION_WORK_LIMIT CapacityError is raised before the first.
+    (at least 1e-9), which bounds its error; inside that band ``lambda2_below``
+    does.
     """
     if abs(report.lambda2 - 0.5) > max(G.n * report.tolerance, 1e-9):
         return report.lambda2 < 0.5
-    if G.n**3 > ELIMINATION_WORK_LIMIT:
-        raise CapacityError(
-            f"lambda2 lies within the eigensolver's error of 1/2, and deciding it exactly "
-            f"takes up to {G.n}**3 multiplications; limit is {ELIMINATION_WORK_LIMIT}"
-        )
-    k = G.regular_k
-    # Row v of B from its diagonal on: 2k, then k - 2 at a neighbor and k elsewhere.
-    return _positive_definite([
-        [2 * k] + [k - 2 * (nbrs >> w & 1) for w in range(v + 1, G.n)]
-        for v, nbrs in enumerate(G.neighbor_masks)
-    ])
+    from fractions import Fraction
+
+    _check_elimination(
+        G, "lambda2 lies within the eigensolver's error of 1/2, and deciding it exactly"
+    )
+    return lambda2_below(G, Fraction(1, 2))
 
 
 def _positive_definite(rows: list[list[int]]) -> bool:
@@ -298,6 +343,17 @@ def _doubled(combine, weights: list[int], out: np.ndarray) -> np.ndarray:
     for j, w in enumerate(weights):
         combine(out[: 1 << j], w, out=out[1 << j : 2 << j])
     return out
+
+
+def cut_list(neighbor_masks: Sequence[int]) -> list[int]:
+    """``cut_rows`` on plain ints, as one list: the cut of every subset S of the first
+    len(neighbor_masks) vertices, by S's bit mask, in the graph of these neighbor masks.
+    Doubled: vertex v joining a set S below it adds deg(v) - 2|N(v) & S|."""
+    cuts = [0]
+    for m in neighbor_masks:
+        degree = m.bit_count()
+        cuts += [c + degree - 2 * (m & s).bit_count() for s, c in enumerate(cuts)]
+    return cuts
 
 
 def subset_sums(weights: list[int]) -> np.ndarray:
@@ -417,9 +473,17 @@ def least_int_ratio(entries, k: int) -> tuple[Fraction, list[int]]:
     return Fraction(best_num, k * best_denom), ties
 
 
-def _packed_cheeger(G: Graph, k: int) -> tuple[Fraction, list[int]]:
-    """``cheeger_exhaustive``'s least ratio and, from each slice of fields below
-    that attains it, its lexicographically least sides, on packed Python ints.
+def _lex_less(a: int, b: int) -> bool:
+    """Whether mask a precedes a distinct mask b, compared as sorted vertex tuples: at
+    the least vertex where they differ, the mask holding it comes first, unless the
+    other mask ends there."""
+    low = (a ^ b) & -(a ^ b)
+    return b > low if a & low else a < low
+
+
+def _packed_cheeger(G: Graph, k: int) -> tuple[Fraction, int]:
+    """``cheeger_exhaustive``'s least ratio and its lexicographically least side, as
+    a mask, on packed Python ints.
 
     Each cut once: T ranges over the subsets of vertices 0..n - 2, so each pair
     {T, V - T} appears once, and the side counted is T when 2|T| < n, V - T when
@@ -434,9 +498,12 @@ def _packed_cheeger(G: Graph, k: int) -> tuple[Fraction, list[int]]:
     tuple.  So one size's slice holds sides of one size, ``min`` gives its least
     cut, ``find`` its least side T = H + L and ``rfind`` its least side V - T,
     since complementing reverses that order among sets of one size; at 2|T| = n
-    the sets holding vertex 0 come first.  ``least_int_ratio`` compares the
-    ratios exactly and keeps these candidates of every tie.
+    the sets holding vertex 0 come first, and ``_lex_less`` picks one of the two.
+    The ratios of the slices' witnesses are compared exactly, by cross-multiplication,
+    and of equal ratios the lexicographically least side is kept.
     """
+    from fractions import Fraction
+
     n, masks = G.n, G.neighbor_masks
     lo = min((n + 2) // 2, n - 1)
     bits = [1 << v for v in range(lo)]
@@ -445,10 +512,7 @@ def _packed_cheeger(G: Graph, k: int) -> tuple[Fraction, list[int]]:
     # The low sets holding vertex 0 end here in each size class.
     splits = [a + (s and math.comb(lo - 1, s - 1)) for s, a in enumerate(starts[:-1])]
     width, full = len(order), (1 << n) - 1
-    low_cuts = [0]
-    for v in range(lo):
-        m = masks[v]
-        low_cuts += [c + k - 2 * (m & t).bit_count() for t, c in enumerate(low_cuts)]
+    low_cuts = cut_list(masks[:lo])
     ones = int.from_bytes(b"\1" * width, "little")
     near = [
         2 * int.from_bytes(bytes(map(int.bit_count, map(masks[w].__and__, order))), "little")
@@ -473,12 +537,16 @@ def _packed_cheeger(G: Graph, k: int) -> tuple[Fraction, list[int]]:
                     yield full ^ (order[cuts.rfind(c, a, e)] | high), c, n - size
                 else:
                     i, j = cuts.find(c, a, splits[s]), cuts.rfind(c, splits[s], e)
-                    if i >= 0:
-                        yield order[i] | high, c, size
-                    if j >= 0:
-                        yield full ^ (order[j] | high), c, size
+                    side = order[i] | high if i >= 0 else None
+                    other = full ^ (order[j] | high) if j >= 0 else side
+                    yield other if side is None or _lex_less(other, side) else side, c, size
 
-    return least_int_ratio(sides(), k)
+    best_cut, best_size, witness = 1, 0, 0  # 1/0 lies above every ratio
+    for side, cut, size in sides():
+        diff = cut * best_size - best_cut * size
+        if diff < 0 or diff == 0 and _lex_less(side, witness):
+            best_cut, best_size, witness = cut, size, side
+    return Fraction(best_cut, k * best_size), witness
 
 
 def cheeger_exhaustive(G: Graph) -> CheegerResult:
@@ -492,7 +560,8 @@ def cheeger_exhaustive(G: Graph) -> CheegerResult:
     """
     k = _require_regular(G)
     if G.n <= PACKED_CHEEGER_VERTICES:
-        best, winners = _packed_cheeger(G, k)
+        best, witness = _packed_cheeger(G, k)
+        winners = [witness]
     else:
         best, winners = _cheeger_rows(G, k)
     return CheegerResult(best, lex_first(winners))

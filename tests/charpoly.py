@@ -1,8 +1,9 @@
-"""Characteristic-polynomial reference for ``spectral.lambda2_below_half``.
+"""Characteristic-polynomial reference for ``spectral.lambda2_below_half``,
+``spectral.lambda2_below`` and ``spectral.lambda2_bracket``.
 
 The polynomial is computed in integers, independently of the floating
 eigensolver and of the library's elimination, and the eigenvalues of A at or
-above k/2 are counted from it exactly.  Tests require the library's decision
+above a threshold are counted from it exactly.  Tests require the library's decision
 to agree with this count.
 """
 
@@ -45,3 +46,21 @@ def lambda2_below_half_by_descartes(G) -> bool:
     signs = [a > 0 for a in q if a]
     positive = sum(a != b for a, b in zip(signs, signs[1:]))
     return at_zero + positive == 1
+
+
+def eigenvalues_at_least(G, t) -> int:
+    """How many eigenvalues of A/k, with multiplicity, a k-regular G has at or above t.
+
+    For t = p/q those are the roots y >= 0 of q**n * p((y + p*k) / q), p = det(xI - A),
+    the characteristic polynomial of q*A - p*k*I: an integer polynomial with only
+    real roots, counted as in ``lambda2_below_half_by_descartes``.
+    """
+    shift, scale = t.numerator * G.regular_k, t.denominator
+    # Horner's rule: sum_j c_j * (y + shift)**(n - j) * scale**j, highest power first.
+    q: list[int] = []
+    for j, c in enumerate(characteristic_polynomial(G)):
+        q = [a + shift * b for a, b in zip(q + [0], [0] + q)]
+        q[-1] += c * scale**j
+    at_zero = next(j for j, a in enumerate(reversed(q)) if a)
+    signs = [a > 0 for a in q if a]
+    return at_zero + sum(a != b for a, b in zip(signs, signs[1:]))

@@ -55,7 +55,7 @@ def local_view_sums(X, tables):
     """Row blocks of the sums over v of tables[v] at F's local view at v, over
     every edge mask F, with the masks' sizes |F|; no block if every table is 0.
 
-    ``tables[v]`` holds a non-negative integer or bool per view of star(v),
+    ``tables[v]`` holds a non-negative integer or bool per view of star(v), a list or an array,
     indexed as in ``hdxwalk.expansion.local_views``.  Block r holds the masks
     r * 2**lo + t for t below 2**lo, lo = ``row_bits(|E|)``, which share the
     edges from lo up.  The star's edges ascend, so its low edges index a row
@@ -65,6 +65,7 @@ def local_view_sums(X, tables):
     """
     n = X.n_edges
     lo = row_bits(n)
+    tables = [np.asarray(t) for t in tables]
     dtype = np.min_scalar_type(sum(int(t.max()) for t in tables))
     stars = []
     for edges, table in zip(X.vertex_edges, tables):

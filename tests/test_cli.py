@@ -27,6 +27,8 @@ from lemma_loops import distance, local_views, outgoing, sum_bound
 from loop_exact import loop_evolve_exact, propagated_distances
 from named_complexes import (
     CUBOCTAHEDRON,
+    FANO,
+    HALF_OCTAHEDRON,
     HEAWOOD_LINE,
     ICOSAHEDRON,
     K333,
@@ -792,7 +794,7 @@ def scanned_view_failures(X, holds, asserted):
     """The first ten masks failing a view lemma, by the reference scan over the star
     tables of failing views, ``full_tables.local_view_sums``, a row block at a time."""
     by_size = np.array([asserted(s) for s in range(X.n_edges + 1)])
-    tables = [~h for h in holds] if by_size.any() else []
+    tables = [~np.array(h) for h in holds] if by_size.any() else []
     first = []
     for r, (sums, sizes) in enumerate(full_tables.local_view_sums(X, tables)):
         fail = np.flatnonzero((sums > 0) & by_size[sizes])
@@ -805,31 +807,91 @@ def scanned_view_failures(X, holds, asserted):
 def test_audit_all_enumerates_edge_sets_only_for_the_sum_lemma(tmp_path, monkeypatch):
     # On K7 every lemma holds.  Outgoing is decided by its proof, distance and
     # local-views from the star tables; the sum lemma alone scans the 2**21 edge sets,
-    # in 128 cut rows of 2**14.  Large cuts reads the one row of G0's 2**7
-    # vertex sets, and the star tables one row per star.
+    # in 128 cut rows of 2**14.  Large cuts reads one list of G0's 2**7 vertex
+    # sets, and the star tables one list per star.
     path = str(tmp_path / "k7.complex")
     save_complex(complete_complex(7), path)
-    blocks, lemma = [], [None]
-    cut_rows = spectral.cut_rows
+    blocks, lists, lemma = [], [], [None]
+    cut_rows, cut_list = spectral.cut_rows, spectral.cut_list
 
     def counting(masks):
         for row in cut_rows(masks):
             blocks.append((lemma[0], len(masks), len(row)))
             yield row
 
+    def listing(masks):
+        cuts = cut_list(masks)
+        lists.append((lemma[0], len(masks), len(cuts)))
+        return cuts
+
     def running(name, run):
         return lambda *args: lemma.__setitem__(0, name) or run(*args)
 
     for module in (spectral, expansion):
         monkeypatch.setattr(module, "cut_rows", counting)
+        monkeypatch.setattr(module, "cut_list", listing)
     for name, run in commands._LEMMA_RUNNERS.items():
         monkeypatch.setitem(commands._LEMMA_RUNNERS, name, running(name, run))
     code, out, _ = invoke("audit", path, "--lemma", "all")
     assert (code, json.loads(out)["status"]) == (0, "pass")
-    assert [block for block in blocks if block[1] == 21] == [("sum", 21, 2**14)] * 128
-    assert [block for block in blocks if block[1] != 21] == [("large-cuts", 7, 2**7)] + [
-        ("distance", 6, 2**6)
-    ] * 7
+    assert blocks == [("sum", 21, 2**14)] * 128
+    assert lists == [("large-cuts", 7, 2**7)] + [("distance", 6, 2**6)] * 7
+
+
+
+# Where the small tables are on plain ints and lambda2 is bracketed exactly, and where
+# INT_TABLE_BITS = 0 puts every table on arrays and lambda2 on the eigensolver.
+AUDIT_PATH_INPUTS = {
+    **{f"K{n}": complete_complex(n) for n in range(4, 8)},
+    "octahedron": OCTAHEDRON,
+    "rp2": RP2_6,
+    "torus": TORUS_7,
+    "cuboctahedron": CUBOCTAHEDRON,
+    "fano": FANO,
+    "half-octahedron": HALF_OCTAHEDRON,
+    **{
+        f"random {n} {p} {seed}": random_complex(n, p, seed)
+        for n, p, seed in [(6, 0.5, 3), (6, 0.8, 4), (7, 0.5, 1)]
+    },
+    "K5-relabelled": relabel(complete_complex(5), 2),
+    "octahedron-relabelled": relabel(OCTAHEDRON, 3),
+    "rp2-relabelled": relabel(RP2_6, 8),
+}
+
+
+def assert_same_report(want, got, path="$"):
+    """Equal documents, except that the floats read from lambda2, eta and rhs_bound,
+    may move by 1e-15: the eigensolver's lambda2 against the bracket's."""
+    if isinstance(want, dict):
+        assert want.keys() == got.keys(), path
+        for key in want:
+            assert_same_report(want[key], got[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(want) == len(got), path
+        for i, (w, g) in enumerate(zip(want, got)):
+            assert_same_report(w, g, f"{path}[{i}]")
+    elif isinstance(want, float) and path.endswith((".eta", ".rhs_bound")):
+        assert type(got) is float and abs(want - got) <= 1e-15, path
+    else:
+        assert (type(want), want) == (type(got), got), path
+
+
+@pytest.mark.parametrize("slack", ["1e-9", "-1"])
+@pytest.mark.parametrize("name", sorted(AUDIT_PATH_INPUTS))
+def test_audit_reports_agree_on_ints_and_arrays(name, slack, tmp_path, monkeypatch):
+    path = str(tmp_path / "x.complex")
+    save_complex(AUDIT_PATH_INPUTS[name], path)
+    args = ["audit", path, "--lemma", "all", "--slack", slack]
+    rows, cut_rows = [], spectral.cut_rows
+    for module in (spectral, expansion):
+        monkeypatch.setattr(module, "cut_rows", lambda masks: rows.append(len(masks)) or cut_rows(masks))
+    on_ints, ints_rows = invoke(*args), len(rows)
+    monkeypatch.setattr(spectral, "INT_TABLE_BITS", 0)  # read at call time
+    on_arrays = invoke(*args)
+    assert on_ints[0] == on_arrays[0] and on_ints[2] == on_arrays[2] == ""
+    assert_same_report(json.loads(on_arrays[1]), json.loads(on_ints[1]))
+    if name in ("K4", "K5", "octahedron"):  # every lemma applies, and only the arrays read rows
+        assert ints_rows == 0 < len(rows)
 
 
 def test_audit_evaluates_each_local_view_once(tmp_path, monkeypatch):
@@ -838,9 +900,10 @@ def test_audit_evaluates_each_local_view_once(tmp_path, monkeypatch):
     # them, distance and local-views; sum reads the edge graph instead, outgoing neither.
     # The distance judgement reads its distances off the Z^1 coset table that
     # certification built, on plain ints (2**10 entries), from the table cache.
-    # Views are table entries, so --lemma all builds 8 value objects: the complex,
-    # its two graphs (G0 and G1), the spectrum, the cut result and the certificate
-    # with its two dimension reports.
+    # Views are table entries, so --lemma all builds 7 value objects: the complex,
+    # its two graphs (G0 and G1), the cut result and the certificate with its two
+    # dimension reports.  G0 has 6 vertices, so lambda2 is bracketed exactly and no
+    # spectrum is built.
     path = tmp_path / "k6.complex"
     save_complex(complete_complex(6), str(path))
     counts = {"views": [], "tables": 0, "judgement_tables": 0, "judgement_builds": 0, "records": 0}
@@ -881,14 +944,14 @@ def test_audit_evaluates_each_local_view_once(tmp_path, monkeypatch):
     monkeypatch.setattr(expansion, "_int_coset_table", counted(int_table))
     monkeypatch.setattr(Record, "__init__", counted_init)
     for lemma in ("distance", "all"):
-        for cached in (certify_exact, normalized_spectrum, table, int_table):
+        for cached in (certify_exact, normalized_spectrum, spectral.lambda2_bracket, table, int_table):
             cached.cache_clear()
         counts.update(views=[], tables=0, judgement_tables=0, judgement_builds=0, records=0)
         assert invoke("audit", str(path), "--lemma", lemma)[0] == 0
-        sizes = [(sum(t.size for t in s), sum(t.size for t in c)) for s, c in counts["views"]]
+        sizes = [(sum(map(len, s)), sum(map(len, c))) for s, c in counts["views"]]
         assert sizes == [(192, 192)]
         assert (counts["judgement_tables"], counts["judgement_builds"]) == (1, 0)
-    assert counts["records"] == 8
+    assert counts["records"] == 7
 
 
 # --- walk -------------------------------------------------------------------------

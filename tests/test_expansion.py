@@ -912,8 +912,8 @@ def test_distance_formula_exhaustive_k4_k5():
     for X in (K4, K5):
         met, holds = distance_judgement(X, mu=certify_exact(X).mu)
         assert met
-        assert [h.size for h in holds] == [2 ** len(star) for star in X.vertex_edges]
-        assert all(h.all() for h in holds)
+        assert [len(h) for h in holds] == [2 ** len(star) for star in X.vertex_edges]
+        assert all(map(all, holds))
 
 
 AGREEMENT_INPUTS = [
@@ -952,7 +952,7 @@ def test_local_view_tables_agree_with_coboundary_definition(X):
     # link, against the triangles holding an odd number of its edges.
     sizes, cuts = expansion.local_views(X)
     for v, edges in enumerate(X.vertex_edges):
-        assert sizes[v].size == cuts[v].size == 2 ** len(edges)
+        assert len(sizes[v]) == len(cuts[v]) == 2 ** len(edges)
         for index in range(2 ** len(edges)):
             view = Chain.of(1, [e for t, e in enumerate(edges) if index >> t & 1])
             assert sizes[v][index] == len(view)
@@ -982,8 +982,8 @@ def test_local_view_bounds_exhaustive():
         cert = certify_exact(X)
         met, _, holds = local_view_bound_judgement(X, cert.epsilon_cosystolic, mu=cert.mu)
         assert met
-        assert [h.size for h in holds] == [2 ** len(star) for star in X.vertex_edges]
-        assert all(h.all() for h in holds)
+        assert [len(h) for h in holds] == [2 ** len(star) for star in X.vertex_edges]
+        assert all(map(all, holds))
 
 
 # --- large cuts ---------------------------------------------------------------

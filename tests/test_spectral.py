@@ -20,7 +20,11 @@ import full_tables
 import named_complexes
 import numpy as np
 import pytest
-from charpoly import characteristic_polynomial, lambda2_below_half_by_descartes
+from charpoly import (
+    characteristic_polynomial,
+    eigenvalues_at_least,
+    lambda2_below_half_by_descartes,
+)
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from lemma_loops import cheeger_inequality_slack, edge_graph_floor_slack, mixing_lemma_residual
@@ -52,8 +56,11 @@ from hdxwalk.graphs import Graph, edge_graph, underlying_graph
 from hdxwalk.rng import SplitMix64
 from hdxwalk.spectral import (
     cheeger_exhaustive,
+    cut_list,
     cut_rows,
+    lambda2_below,
     lambda2_below_half,
+    lambda2_bracket,
     normalized_spectrum,
     subset_xors,
 )
@@ -396,6 +403,81 @@ def test_lambda2_decision_refuses_work_above_the_limit(monkeypatch):
         lambda2_below_half(G, report)
 
 
+# Graphs with every distinct eigenvalue of A/k known exactly, descending: the cycle
+# C6 (cos(2 pi j / 6)), K_n (1 and -1/(n - 1)) and the Petersen line graph (4, 2,
+# -1 and -2 over its degree 4).
+EXACT_SPECTRA = {
+    "C6": (cycle_graph(6), (1, Fraction(1, 2), Fraction(-1, 2), -1)),
+    **{f"K{n}": (complete_graph(n), (1, Fraction(-1, n - 1))) for n in range(2, 9)},
+    "Petersen line": (
+        underlying_graph(named_complexes.PETERSEN_LINE),
+        (1, Fraction(1, 2), Fraction(-1, 4), Fraction(-1, 2)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_SPECTRA))
+def test_lambda2_below_just_below_at_and_above_each_eigenvalue(name):
+    # lambda2 is the second eigenvalue counted with multiplicity: 1/2, -1/(n - 1), 1/2.
+    G, values = EXACT_SPECTRA[name]
+    lambda2 = values[1]
+    above = lambda2 + Fraction(1, 10**9)
+    assert eigenvalues_at_least(G, Fraction(lambda2)) >= 2 > eigenvalues_at_least(G, above)
+    delta = Fraction(1, 2**62)
+    thresholds = [v + d for v in values for d in (-delta, 0, delta)] + [Fraction(t) for t in (-2, 0, 2)]
+    assert any(t <= 0 for t in thresholds)
+    for t in thresholds:
+        assert lambda2_below(G, Fraction(t)) == (lambda2 < t), t
+
+
+def test_lambda2_below_refuses_work_above_the_limit(monkeypatch):
+    G = cycle_graph(2 ** 8)  # 2**24 multiplications, past the 2**22 limit
+    monkeypatch.setattr(spectral, "_positive_definite", lambda rows: pytest.fail("computed"))
+    with pytest.raises(CapacityError, match=r"deciding lambda2 < 1/3 exactly takes up to 256\*\*3"):
+        lambda2_below(G, Fraction(1, 3))
+    with pytest.raises(RegularityError):
+        lambda2_below(Graph.from_edges(3, [(0, 1)]), Fraction(1, 2))
+
+
+def assert_brackets(G):
+    """lambda2_bracket(G) against the characteristic polynomial's count at both ends,
+    and against the eigensolver's lambda2."""
+    lo, hi = lambda2_bracket(G)
+    assert hi - lo == Fraction(1, 2**60) and (lo * 2**60).denominator == 1
+    assert eigenvalues_at_least(G, lo) >= 2 > eigenvalues_at_least(G, hi)
+    assert abs(float(lo) - normalized_spectrum(G).lambda2) <= 1e-12
+
+
+SMALL_G0 = [
+    (name, underlying_graph(X))
+    for name, X in vars(named_complexes).items()
+    if isinstance(X, Complex2) and X.n_vertices <= 12 and X.regular
+]
+
+
+@pytest.mark.parametrize("G", [G for _, G in SMALL_G0], ids=[name for name, _ in SMALL_G0])
+def test_lambda2_bracket_holds_lambda2_on_small_named_complexes(G):
+    assert_brackets(G)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(4, 12), st.sampled_from((3, 4)), st.integers(0, 99))
+def test_lambda2_bracket_holds_lambda2_on_random_regular_graphs(n, d, seed):
+    assume(n * d % 2 == 0 and d < n)
+    assert_brackets(named_complexes.random_regular_graph(n, d, seed))
+
+
+def test_lambda2_bracket_on_exact_and_disconnected_spectra():
+    # The bracket holds each exact lambda2, as its lower end where that is a multiple
+    # of 2**-60 (1/2, -1/2 and -1); two triangles have lambda2 = 1.
+    for G, values in EXACT_SPECTRA.values():
+        lo, hi = lambda2_bracket(G)
+        assert lo <= values[1] < hi
+        assert (lo == values[1]) == ((values[1] * 2**60).denominator == 1)
+    two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    assert lambda2_bracket(two_triangles) == (1, 1 + Fraction(1, 2**60))
+
+
 # --- cut tables ------------------------------------------------------------
 
 
@@ -416,6 +498,14 @@ def seeded_graph(n, seed):
     """Irregular graph: each pair is an edge with probability 1/2."""
     rng = SplitMix64(seed)
     return Graph.from_edges(n, [(u, v) for u, v in combinations(range(n), 2) if randrange(rng, 2)])
+
+
+def test_cut_list_matches_the_full_table():
+    # Regular and irregular graphs, and a prefix of the vertices as the packed kernel reads.
+    for G in (complete_graph(7), cycle_graph(9), seeded_graph(10, 3), edge_graph(complete_complex(5))):
+        assert cut_list(G.neighbor_masks) == full_tables.cut_sizes(G.neighbor_masks).tolist()
+    masks = complete_graph(9).neighbor_masks
+    assert cut_list(masks[:5]) == [m.bit_count() * 9 - m.bit_count() ** 2 for m in range(32)]
 
 
 CUT_GRAPHS = {
@@ -542,12 +632,12 @@ def test_cheeger_capacity_error():
 
 def assert_packed_matches(G, h, witness, ties):
     """The packed kernel against a reference's constant, witness and tied masks:
-    the same constant, candidates that all tie, and the same least witness."""
-    best, tied = spectral._packed_cheeger(G, G.regular_k)
+    the same constant, and a side that ties and is the least witness."""
+    best, side = spectral._packed_cheeger(G, G.regular_k)
     assert best == h
-    assert set(tied) <= set(map(int, ties))
-    assert spectral.lex_first(tied) == witness
-    return tied
+    assert side in set(map(int, ties))
+    assert spectral.lex_first([side]) == witness
+    return side
 
 
 @pytest.mark.parametrize("name, seed", full_tables.BLOCKED_CASES, ids=full_tables.BLOCKED_IDS)
@@ -623,15 +713,23 @@ def test_packed_cheeger_on_a_disconnected_graph():
 def test_packed_cheeger_ties_at_half_size_on_both_sides_of_vertex_0():
     # 10-cycles: each 5-arc has the least ratio 2 / (2 * 5).  Of the arcs holding
     # vertex 0, those without vertex 9 are sides T and those with it the complements
-    # of sets T without vertex 0; the kernel finds candidates of both kinds.  Around
-    # 0, 1, ..., 9 the least witness is a side T; around 0, 9, 1, ..., 8 it holds 9.
+    # of sets T without vertex 0.  Around 0, 1, ..., 9 the least witness is a side T;
+    # around 0, 9, 1, ..., 8 it holds 9, so the kernel picks each kind once.
     n = 10
+    sides = []
     for ring, want in [(list(range(n)), (0, 1, 2, 3, 4)), ([0, 9, *range(1, 9)], (0, 1, 2, 3, 9))]:
         G = Graph.from_edges(n, list(zip(ring, ring[1:] + ring[:1])))
         h, witness, ties = full_tables.cheeger(G)
         assert (h, witness) == brute_cheeger(G) == (Fraction(1, 5), want)
-        tied = assert_packed_matches(G, h, witness, ties)
-        assert {m >> (n - 1) & 1 for m in tied} == {0, 1}
+        sides.append(assert_packed_matches(G, h, witness, ties))
+    assert [m >> (n - 1) & 1 for m in sides] == [0, 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**12 - 1), st.integers(0, 2**12 - 1))
+def test_lex_less_compares_masks_as_sorted_vertex_tuples(a, b):
+    assume(a != b)
+    assert spectral._lex_less(a, b) == (spectral.lex_first([a, b]) == spectral.lex_first([a]))
 
 
 @pytest.mark.parametrize(
@@ -645,7 +743,7 @@ def test_packed_cheeger_ties_at_half_size_on_both_sides_of_vertex_0():
     ],
     ids=["K5-g1", "octahedron-g1", "K6-g1", "K20-g0", "K7-g1"],
 )
-def test_cheeger_builds_cut_rows_only_past_the_int_table_bits(G, rows, monkeypatch):
+def test_cheeger_builds_cut_rows_only_past_the_packed_vertices(G, rows, monkeypatch):
     # Up to PACKED_CHEEGER_VERTICES (K20) the cuts are packed into ints; K7's G1 has 21
     # vertices and reads the cut rows.
     calls = []

@@ -94,6 +94,14 @@ WITHOUT_NUMPY = [
     ("cheeger k6.complex --graph g1", 0),  # 15 vertices
     ("cheeger rp2.complex --graph g1", 0),  # 15 vertices
     ("cheeger k18.complex --graph g0", 0),
+    # lambda2 of a G0 on at most INT_TABLE_BITS vertices is bracketed exactly, the star
+    # tables are lists, and cut and sum tables of at most 2**INT_TABLE_BITS entries too.
+    ("audit k4.complex --lemma all", 0),
+    ("audit k5.complex --lemma all", 0),
+    ("audit octa.complex --lemma distance", 0),
+    ("audit octa.complex --lemma local-views", 0),
+    ("audit octa.complex --lemma large-cuts", 0),
+    ("audit octa.complex --lemma sum", 0),
     ("spectrum k4.complex --graph g2", 2),  # usage error
     ("validate missing.complex", 2),
 ]
@@ -120,6 +128,14 @@ def test_cheeger_past_the_packed_vertices_loads_numpy_and_output_is_unchanged(fi
     # The cuboctahedron's edge graph has 24 vertices, past PACKED_CHEEGER_VERTICES:
     # its cuts come from the cut rows.
     args = ["cheeger", "cubo.complex", "--graph", "g1"]
+    code, out, err, loaded, frozen = hdx(fixed, *args)
+    assert (code, loaded, frozen) == (0, True, True), err
+    assert (code, out) == in_process(fixed, args, monkeypatch)
+
+
+def test_audit_past_the_int_table_bits_loads_numpy_and_output_is_unchanged(fixed, monkeypatch):
+    # K7's sum lemma scans 2**21 edge sets, past INT_TABLE_BITS: its cuts come from the cut rows.
+    args = ["audit", "k7.complex", "--lemma", "sum"]
     code, out, err, loaded, frozen = hdx(fixed, *args)
     assert (code, loaded, frozen) == (0, True, True), err
     assert (code, out) == in_process(fixed, args, monkeypatch)
