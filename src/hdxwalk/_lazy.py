@@ -6,10 +6,10 @@ identity holds, ``certify`` where every coset table has at most
 2**``spectral.INT_TABLE_BITS`` entries, ``audit``'s other lemmas where in
 addition G0 has at most INT_TABLE_BITS vertices and lambda2 < 1/2, and the cut
 and sum tables have at most 2**INT_TABLE_BITS entries (K4, K5, the octahedron),
-``cheeger`` on a graph of at most ``spectral.PACKED_CHEEGER_VERTICES``
-vertices, usage and input errors) start without paying for it.  Every
-module takes ``np`` from here; nothing may read an ``np.`` attribute at import
-time, which annotations under ``from __future__ import annotations`` do not.
+``cheeger`` on every graph the table limit admits, usage and input errors)
+start without paying for it.  Every module takes ``np`` from here; nothing may
+read an ``np.`` attribute at import time, which annotations under
+``from __future__ import annotations`` do not.
 ``hdxwalk.cli`` loads its seven layer modules the same way, so each command
 executes only the layers it calls.  This is the ``importlib.util.LazyLoader``
 recipe of the importlib documentation ("Implementing lazy imports").

@@ -7,12 +7,13 @@ rational t that way, and ``lambda2_bracket`` bisects with it to an exact
 bracket of width 2**-60: 1.4-3.3 ms at 4-7 vertices, 9-20 ms at 12, with no
 eigensolver.  Cheeger constants are exact rationals from exhaustive subset
 enumeration; ``cut_rows`` streams every cut a row at a time, and ``cut_list``,
-on plain ints, gives every cut of a small graph as one list.  Up to
-PACKED_CHEEGER_VERTICES vertices a Cheeger constant is found instead on packed
-Python ints, one byte per cut, so ``cheeger`` on such a graph never imports
-numpy: on a 2-CPU Xeon VM (Python 3.11.7) the packed kernel takes 0.2 ms at 12
-vertices, 0.8-0.9 ms at 15 (K6's and RP^2_6's edge graphs), 3.7-4 ms at 18
-(K18) and 11-12 ms at 20, where importing numpy takes 75-150 ms.
+on plain ints, gives every cut of a small graph as one list.  A Cheeger
+constant is found on packed Python ints instead, one byte per cut, skipping at
+C speed each slice of equal-size sides whose least cut cannot meet the best
+ratio so far, so ``cheeger`` never imports numpy: on a 2-CPU Xeon VM (Python
+3.11.7) it takes 2.6 ms on K18, 6.2 ms on K20, 7.4 ms on K7's edge graph (21
+vertices), 32 ms on the cuboctahedron's (24) and 190 ms on K26, where importing
+numpy takes 75-150 ms.
 """
 
 from __future__ import annotations
@@ -39,14 +40,6 @@ TABLE_BIT_LIMIT = 26
 #: 2.1 ms on the certificates of K4-K6, the octahedron and RP^2_6, while at 2**15
 #: it costs 37-43 ms (K7's Z^1 table) where numpy takes 0.4-1.6 ms.
 INT_TABLE_BITS = 12
-#: Most vertices of a graph whose Cheeger constant ``_packed_cheeger`` finds on
-#: packed Python ints instead of numpy's cut rows.  Measured in-process on a 2-CPU
-#: Xeon VM (Python 3.11.7, numpy 2.4.6), complete and random regular graphs: 11-12 ms
-#: at 20 vertices, and each vertex more nearly doubles it, 20 ms at 21, 39 ms at
-#: 22 and 75 ms at 23, where it reaches numpy's import floor (75 ms; 108-121 ms by
-#: ``python -X importtime``).  20 leaves two doublings of margin for a slower host;
-#: from 21 on, with numpy loaded already, the cut rows are 3-5 times faster.
-PACKED_CHEEGER_VERTICES = 20
 #: Most vertices of a graph whose dense n x n matrices are built.
 DENSE_VERTEX_LIMIT = 2**11
 #: Most multiplications, bounded by n**3, of the exact lambda2 decision's elimination.
@@ -424,7 +417,7 @@ class CheegerResult(Record):
     witness: tuple[int, ...]
 
 
-def least_ratio(blocks, k: int, keep=None) -> tuple[Fraction, np.ndarray]:
+def least_ratio(blocks, k: int) -> tuple[Fraction, np.ndarray]:
     """Least num / (k * denom) over the live entries, as an exact fraction, and
     the indices of the entries attaining it.
 
@@ -435,8 +428,7 @@ def least_ratio(blocks, k: int, keep=None) -> tuple[Fraction, np.ndarray]:
     2**16 and denominators below 2**8 two distinct fractions differ by more
     than their rounding.  An entry that is not live, or has denominator 0, is
     divided by 0, to inf or NaN, and ``np.fmin`` passes over NaN, so no masked
-    operation runs.  ``keep`` maps a block's attaining indices, ascending, to
-    the ones returned (all of them by default).
+    operation runs.
     """
     from fractions import Fraction  # its users here: walk and spectrum skip it and decimal
 
@@ -450,8 +442,7 @@ def least_ratio(blocks, k: int, keep=None) -> tuple[Fraction, np.ndarray]:
             if low < least:
                 j = ties[0]
                 least, kept, best = low, [], Fraction(int(num[j]), k * int(denom[j]))
-            ties += offset
-            kept.append(keep(ties) if keep else ties)
+            kept.append(ties + offset)
         offset += len(num)
         del ratio  # not held beside the next block while the generator builds it
     return best, np.concatenate(kept)
@@ -474,9 +465,9 @@ def least_int_ratio(entries, k: int) -> tuple[Fraction, list[int]]:
 
 
 def _lex_less(a: int, b: int) -> bool:
-    """Whether mask a precedes a distinct mask b, compared as sorted vertex tuples: at
-    the least vertex where they differ, the mask holding it comes first, unless the
-    other mask ends there."""
+    """Whether mask a precedes mask b, compared as sorted vertex tuples: at the least
+    vertex where they differ, the mask holding it comes first, unless the other mask
+    ends there.  False when they are equal."""
     low = (a ^ b) & -(a ^ b)
     return b > low if a & low else a < low
 
@@ -495,11 +486,16 @@ def _packed_cheeger(G: Graph, k: int) -> tuple[Fraction, int]:
     every field at once, from ``ones`` and w's packed table of 2|N(w) & L|.
 
     The fields are in order of |L| and, within a size, of L's sorted vertex
-    tuple.  So one size's slice holds sides of one size, ``min`` gives its least
-    cut, ``find`` its least side T = H + L and ``rfind`` its least side V - T,
-    since complementing reverses that order among sets of one size; at 2|T| = n
-    the sets holding vertex 0 come first, and ``_lex_less`` picks one of the two.
-    The ratios of the slices' witnesses are compared exactly, by cross-multiplication,
+    tuple.  So one size's slice holds sides of one size, ``find`` gives its
+    least side T = H + L of a cut c and ``rfind`` its least side V - T, since
+    complementing reverses that order among sets of one size; at 2|T| = n the
+    sets holding vertex 0 come first, and ``_lex_less`` picks one of the two.
+
+    Pruned: with the best ratio so far c* / s*, starting from the side {0} at
+    k / 1, a slice of sides of size s can only meet it with a cut c <= t =
+    c* s // s*.  ``translate`` deletes the slice's bytes above t at C speed;
+    a slice with none left is skipped, and otherwise c is the least left.
+    Ties pass the test, so they are compared exactly, by cross-multiplication,
     and of equal ratios the lexicographically least side is kept.
     """
     from fractions import Fraction
@@ -518,34 +514,38 @@ def _packed_cheeger(G: Graph, k: int) -> tuple[Fraction, int]:
         2 * int.from_bytes(bytes(map(int.bit_count, map(masks[w].__and__, order))), "little")
         for w in range(lo, n - 1)
     ]
+    # The cut values above t, for every t up to k * n / 2: the ratio is at most k / 1.
+    above = [bytes(range(t + 1, 256)) for t in range(k * n)]
+    slices = list(zip(range(lo + 1), starts, starts[1:], splits))
 
-    def sides(packed=int.from_bytes(bytes(map(low_cuts.__getitem__, order)), "little"), high=0):
-        for r in range(1 << (n - 1 - lo)):
-            if r:
-                w = lo + (r & -r).bit_length() - 1
-                high ^= 1 << w
-                gain = (k - 2 * (masks[w] & high).bit_count()) * ones - near[w - lo]
-                packed = packed + gain if high >> w & 1 else packed - gain
-            cuts = packed.to_bytes(width, "little")
-            h = high.bit_count()
-            for s in range(not h, lo + 1):  # T = H + L is not empty
-                a, e, size = starts[s], starts[s + 1], h + s
-                c = min(cuts[a:e])
-                if 2 * size < n:
-                    yield order[cuts.find(c, a, e)] | high, c, size
-                elif 2 * size > n:
-                    yield full ^ (order[cuts.rfind(c, a, e)] | high), c, n - size
-                else:
-                    i, j = cuts.find(c, a, splits[s]), cuts.rfind(c, splits[s], e)
-                    side = order[i] | high if i >= 0 else None
-                    other = full ^ (order[j] | high) if j >= 0 else side
-                    yield other if side is None or _lex_less(other, side) else side, c, size
-
-    best_cut, best_size, witness = 1, 0, 0  # 1/0 lies above every ratio
-    for side, cut, size in sides():
-        diff = cut * best_size - best_cut * size
-        if diff < 0 or diff == 0 and _lex_less(side, witness):
-            best_cut, best_size, witness = cut, size, side
+    packed, high = int.from_bytes(bytes(map(low_cuts.__getitem__, order)), "little"), 0
+    best_cut, best_size, witness = k, 1, 1  # the side {0}
+    for r in range(1 << (n - 1 - lo)):
+        if r:
+            w = lo + (r & -r).bit_length() - 1
+            high ^= 1 << w
+            gain = (k - 2 * (masks[w] & high).bit_count()) * ones - near[w - lo]
+            packed = packed + gain if high >> w & 1 else packed - gain
+        cuts = packed.to_bytes(width, "little")
+        h = high.bit_count()
+        for s, a, e, split in slices[not h :]:  # T = H + L is not empty
+            size = h + s
+            side_size = size if 2 * size <= n else n - size
+            left = cuts[a:e].translate(None, above[best_cut * side_size // best_size])
+            if not left:
+                continue
+            c = min(left)
+            if 2 * size < n:
+                side = order[cuts.find(c, a, e)] | high
+            elif 2 * size > n:
+                side = full ^ (order[cuts.rfind(c, a, e)] | high)
+            else:
+                i, j = cuts.find(c, a, split), cuts.rfind(c, split, e)
+                side = order[i] | high if i >= 0 else None
+                other = full ^ (order[j] | high) if j >= 0 else side
+                side = other if side is None or _lex_less(other, side) else side
+            if c * best_size < best_cut * side_size or _lex_less(side, witness):
+                best_cut, best_size, witness = c, side_size, side
     return Fraction(best_cut, k * best_size), witness
 
 
@@ -554,49 +554,11 @@ def cheeger_exhaustive(G: Graph) -> CheegerResult:
 
     Each cut counts once, from its smaller nonempty side S, and of two equal
     sides from the one holding vertex 0; ties are broken by the lexicographically
-    smallest witness (as a sorted vertex tuple).  Up to PACKED_CHEEGER_VERTICES
-    vertices the cuts are packed into Python ints; past that they come from
-    ``cut_rows``.
+    smallest witness (as a sorted vertex tuple).  The table size is refused
+    first, so no graph of more than TABLE_BIT_LIMIT = 26 vertices reaches the
+    packed kernel, whose byte fields need n < 32.
     """
     k = _require_regular(G)
-    if G.n <= PACKED_CHEEGER_VERTICES:
-        best, witness = _packed_cheeger(G, k)
-        winners = [witness]
-    else:
-        best, winners = _cheeger_rows(G, k)
-    return CheegerResult(best, lex_first(winners))
-
-
-def _cheeger_rows(G: Graph, k: int) -> tuple[Fraction, np.ndarray]:
-    """``cheeger_exhaustive``'s least ratio and its tied masks, one per row block.
-
-    The cuts come a row block at a time, and the sizes and sides of a block
-    from its row's popcount and one row of low popcounts.  Past row 0, a
-    block's masks share the same nonempty high vertices, so none is a prefix of
-    another, and the least is the one holding the lowest vertex where two
-    differ: the largest low bits read in reverse.
-    """
-    n = G.n
-    rows = cut_rows(G.neighbor_masks)
-    lo = row_bits(n)
-    low = subset_sums([1] * lo)
-    odd = np.arange(1 << lo) % 2 == 1  # the masks with vertex 0
-    reversed_low = subset_xors([1 << (lo - 1 - j) for j in range(lo)], np.uint16)
-
-    def least(ties: np.ndarray) -> np.ndarray:
-        if ties[0] >> lo == 0:  # row 0: the empty high part lets a mask be a prefix
-            return lex_min(ties)
-        i = np.argmax(reversed_low[ties & ((1 << lo) - 1)])
-        return ties[[i]]  # a copy: a view would keep the whole block of ties
-
-    def blocks():
-        for r, cut in enumerate(rows):
-            size = low + r.bit_count()
-            # Each cut once, from its smaller nonempty side; of two equal sides, the one with vertex 0.
-            side = 2 * size < n
-            side |= (2 * size == n) & odd
-            if r == 0:
-                side[0] = False
-            yield cut, size, side
-
-    return least_ratio(blocks(), k, keep=least)
+    check_table_bits(G.n)
+    best, witness = _packed_cheeger(G, k)
+    return CheegerResult(best, lex_first([witness]))

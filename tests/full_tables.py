@@ -5,9 +5,9 @@ reference for ``hdxwalk.spectral.cut_rows``, and ``local_view_sums`` sums
 per-star tables over every edge set a row block at a time, the scan that
 ``audit``'s sum and view lemmas replaced by cut rows and merged streams.
 The least ratios below build every table at once too, with a boolean
-temporary of that size per denominator, and return every tied entry, where
-``hdxwalk.spectral.least_ratio`` reads the tables a row block at a time and
-keeps each block's ties or its lexicographically first.  Besides
+temporary of that size per denominator, and return every tied entry, as
+``hdxwalk.spectral.least_ratio`` does reading the tables a row block at a
+time; ``cheeger`` is the reference for the packed Cheeger kernel.  Besides
 ``cut_sizes``, the tables come from the library's doubling kernels
 (``subset_sums``, ``subset_xors``), which are tested against per-mask
 counts on their own.
@@ -21,7 +21,7 @@ from named_complexes import complete_graph, cycle_graph, random_regular_graph, r
 from hdxwalk.expansion import _coset_table
 from hdxwalk.spectral import _doubled, check_table_bits, lex_first, row_bits, subset_sums, subset_xors
 
-# Tables of 2**17 to 2**20 entries: 8 to 64 row blocks of the least-ratio kernel.
+# Tables of 2**17 to 2**20 entries: 8 to 64 row blocks of ``cut_rows``.
 BLOCKED_GRAPHS = {
     "K17": complete_graph(17),
     "K18": complete_graph(18),

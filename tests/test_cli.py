@@ -1070,13 +1070,12 @@ def test_walk_capacity_exit_3_quickly(k4_file, mode):
         (["spectrum", "--graph", "g1"], (spectral, "adjacency_matrix"), 5),
         (["cheeger", "--graph", "g0"], (spectral, "_packed_cheeger"), 5),
         (["cheeger", "--graph", "g1"], (spectral, "_packed_cheeger"), 5),
-        (["cheeger", "--graph", "g1"], (spectral, "cut_rows"), 7),  # 21 vertices: the cut rows
         (["walk", "--start", "0", "--steps", "5"], (spectral, "start_measure"), 5),
     ],
-    ids=["spectrum-g0", "spectrum-g1", "cheeger-g0", "cheeger-g1", "cheeger-g1-rows", "walk"],
+    ids=["spectrum-g0", "spectrum-g1", "cheeger-g0", "cheeger-g1", "walk"],
 )
 def test_graph_commands_drop_the_complex_before_the_heavy_step(tmp_path, monkeypatch, argv, heavy, n):
-    # The dense solve, the packed cuts or the cut rows, and the Lanczos run start
+    # The dense solve, the packed cuts and the Lanczos run start
     # once the loaded complex is freed: its graphs are kept on it, and nothing else holds it.
     path = tmp_path / f"k{n}.complex"
     save_complex(complete_complex(n), path)

@@ -14,7 +14,7 @@ import sys
 import time
 import weakref
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import full_tables
 import named_complexes
@@ -642,17 +642,11 @@ def assert_packed_matches(G, h, witness, ties):
 
 @pytest.mark.parametrize("name, seed", full_tables.BLOCKED_CASES, ids=full_tables.BLOCKED_IDS)
 def test_cheeger_row_blocks_match_the_full_table(name, seed):
-    # Up to the cut-over, so both paths are called directly: the packed kernel,
-    # and the row blocks with ties in more than one block.
+    # Tables of 2**17 to 2**20 subsets, as they are and relabelled.
     G = full_tables.blocked_graph(name, seed)
-    assert G.n <= spectral.PACKED_CHEEGER_VERTICES
     h, witness, ties = full_tables.cheeger(G)
     assert cheeger_exhaustive(G) == spectral.CheegerResult(h, witness)
     assert_packed_matches(G, h, witness, ties)
-    best, narrowed = spectral._cheeger_rows(G, G.regular_k)
-    assert (best, spectral.lex_first(narrowed)) == (h, witness)
-    if name != "random 3-regular 20":
-        assert len(np.unique(ties >> spectral.row_bits(G.n))) > 1  # ties in more than one block
 
 
 # G0 and G1 of the named complexes and of K4-K6 with at most 16 vertices, regular of
@@ -672,24 +666,25 @@ CHEEGER_GRAPHS = [
 
 @pytest.mark.parametrize("G", [G for _, G in CHEEGER_GRAPHS], ids=[n for n, _ in CHEEGER_GRAPHS])
 def test_cheeger_int_and_row_paths_match_the_full_table(G):
-    # Both paths called directly, whatever the graph's size, against the whole table
-    # and the direct subset loop: the constant, tied candidates on packed ints, and
-    # the least witness from each.
+    # The packed kernel against the whole table and the direct subset loop: the
+    # constant, a tied side, and the least witness.
     h, witness, ties = full_tables.cheeger(G)
     if G.n <= 12:
         assert brute_cheeger(G) == (h, witness)
     assert_packed_matches(G, h, witness, ties)
-    best, narrowed = spectral._cheeger_rows(G, G.regular_k)
-    assert (best, spectral.lex_first(narrowed)) == (h, witness)
     assert cheeger_exhaustive(G) == spectral.CheegerResult(h, witness)
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(5, spectral.PACKED_CHEEGER_VERTICES), st.sampled_from((3, 4)), st.integers(0, 99))
-@example(spectral.PACKED_CHEEGER_VERTICES, 3, 0)
-@example(spectral.PACKED_CHEEGER_VERTICES - 1, 4, 0)
+@given(st.integers(5, 20), st.sampled_from((3, 4)), st.integers(0, 99))
+@example(20, 3, 0)
+@example(19, 4, 0)
+@example(21, 4, 0)
+@example(22, 3, 0)
+@example(24, 3, 0)
 def test_packed_cheeger_matches_the_full_table_on_random_regular_graphs(n, d, seed):
-    # Odd and even n, up to the cut-over and at it.
+    # Odd and even n, drawn up to 20 vertices, where the full table is cheap, and
+    # taken at 21, 22 and 24 (0.07 s for the full table at 22).
     assume(n * d % 2 == 0)
     G = named_complexes.random_regular_graph(n, d, seed)
     h, witness, ties = full_tables.cheeger(G)
@@ -698,58 +693,53 @@ def test_packed_cheeger_matches_the_full_table_on_random_regular_graphs(n, d, se
 
 
 def test_packed_cheeger_on_a_disconnected_graph():
-    # Cycles of 3, 4, 5 and 3 vertices: h = 0, tied by unions of cycles at every
-    # side size from 3 to n // 2 = 7.
-    lengths = (3, 4, 5, 3)
-    starts = (0, 3, 7, 12)
-    G = Graph.from_edges(15, [(a + i, a + (i + 1) % c) for a, c in zip(starts, lengths) for i in range(c)])
-    h, witness, ties = full_tables.cheeger(G)
-    assert (h, witness) == brute_cheeger(G) == (0, (0, 1, 2))
-    assert {int(m).bit_count() for m in ties} == set(range(3, 8))
-    for relabelled in (G, relabel_graph(G, 1), relabel_graph(G, 2)):
-        assert_packed_matches(relabelled, *full_tables.cheeger(relabelled))
+    # Cycles of 3, 4, 5 and 3 vertices, and 7 more: h = 0, tied by unions of cycles at
+    # every side size from 3 to n // 2, 7 and 11.  Once the first tie sets the ratio to
+    # 0 the scan reads only slices holding a cut of 0, so a tied slice it skipped would
+    # lose the least witness of some relabelling.
+    for lengths in [(3, 4, 5, 3), (3, 4, 5, 3, 7)]:
+        n = sum(lengths)
+        starts = accumulate(lengths[:-1], initial=0)
+        G = Graph.from_edges(n, [(a + i, a + (i + 1) % c) for a, c in zip(starts, lengths) for i in range(c)])
+        h, witness, ties = full_tables.cheeger(G)
+        assert (h, witness) == (0, (0, 1, 2))
+        if n <= 15:
+            assert brute_cheeger(G) == (h, witness)
+        assert {int(m).bit_count() for m in ties} == set(range(3, n // 2 + 1))
+        for relabelled in (G, relabel_graph(G, 1), relabel_graph(G, 2)):
+            h, witness, ties = full_tables.cheeger(relabelled)
+            assert_packed_matches(relabelled, h, witness, ties)
+            assert cheeger_exhaustive(relabelled) == spectral.CheegerResult(h, witness)
 
 
 def test_packed_cheeger_ties_at_half_size_on_both_sides_of_vertex_0():
-    # 10-cycles: each 5-arc has the least ratio 2 / (2 * 5).  Of the arcs holding
-    # vertex 0, those without vertex 9 are sides T and those with it the complements
-    # of sets T without vertex 0.  Around 0, 1, ..., 9 the least witness is a side T;
-    # around 0, 9, 1, ..., 8 it holds 9, so the kernel picks each kind once.
-    n = 10
-    sides = []
-    for ring, want in [(list(range(n)), (0, 1, 2, 3, 4)), ([0, 9, *range(1, 9)], (0, 1, 2, 3, 9))]:
-        G = Graph.from_edges(n, list(zip(ring, ring[1:] + ring[:1])))
-        h, witness, ties = full_tables.cheeger(G)
-        assert (h, witness) == brute_cheeger(G) == (Fraction(1, 5), want)
-        sides.append(assert_packed_matches(G, h, witness, ties))
-    assert [m >> (n - 1) & 1 for m in sides] == [0, 1]
+    # n-cycles: each arc of n / 2 vertices has the least ratio 2 / n.  Of the arcs
+    # holding vertex 0, those without vertex n - 1 are sides T and those with it the
+    # complements of sets T without vertex 0.  Around 0, 1, ..., n - 1 the least
+    # witness is a side T; around 0, n - 1, 1, ..., n - 2 it holds n - 1, so the
+    # kernel picks each kind once, at 10 vertices and at 22.
+    for n in (10, 22):
+        half, sides = n // 2, []
+        for ring, want in [
+            (list(range(n)), tuple(range(half))),
+            ([0, n - 1, *range(1, n - 1)], (*range(half - 1), n - 1)),
+        ]:
+            G = Graph.from_edges(n, list(zip(ring, ring[1:] + ring[:1])))
+            h, witness, ties = full_tables.cheeger(G)
+            assert (h, witness) == (Fraction(2, n), want)
+            if n <= 12:
+                assert brute_cheeger(G) == (h, witness)
+            sides.append(assert_packed_matches(G, h, witness, ties))
+            assert cheeger_exhaustive(G) == spectral.CheegerResult(h, witness)
+        assert [m >> (n - 1) & 1 for m in sides] == [0, 1]
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**12 - 1), st.integers(0, 2**12 - 1))
 def test_lex_less_compares_masks_as_sorted_vertex_tuples(a, b):
+    assert not spectral._lex_less(a, a)  # the packed kernel meets its first witness {0} again
     assume(a != b)
     assert spectral._lex_less(a, b) == (spectral.lex_first([a, b]) == spectral.lex_first([a]))
-
-
-@pytest.mark.parametrize(
-    "G, rows",
-    [
-        (T5, False),
-        (edge_graph(named_complexes.OCTAHEDRON), False),
-        (edge_graph(complete_complex(6)), False),
-        (complete_graph(spectral.PACKED_CHEEGER_VERTICES), False),
-        (edge_graph(complete_complex(7)), True),
-    ],
-    ids=["K5-g1", "octahedron-g1", "K6-g1", "K20-g0", "K7-g1"],
-)
-def test_cheeger_builds_cut_rows_only_past_the_packed_vertices(G, rows, monkeypatch):
-    # Up to PACKED_CHEEGER_VERTICES (K20) the cuts are packed into ints; K7's G1 has 21
-    # vertices and reads the cut rows.
-    calls = []
-    monkeypatch.setattr(spectral, "cut_rows", lambda masks: calls.append(len(masks)) or cut_rows(masks))
-    cheeger_exhaustive(G)
-    assert calls == ([G.n] if rows else [])
 
 
 def test_least_ratio_keeps_every_tie_in_order():
@@ -762,23 +752,23 @@ def test_least_ratio_keeps_every_tie_in_order():
     best, ties = spectral.least_ratio(iter(blocks), 3)
     assert best == Fraction(1, 6)
     assert ties.tolist() == [0, 1, 6]
-    best, ties = spectral.least_ratio(iter(blocks), 3, keep=lambda t: t[-1:])
-    assert (best, ties.tolist()) == (Fraction(1, 6), [1, 6])
     assert full_tables.least_ratio(num, denom, live, 3)[1].nonzero()[0].tolist() == [0, 1, 6]
 
 
-def test_cheeger_holds_one_int16_table():
-    # K22: no more than the 2 bytes per subset of a whole cut table and the row blocks'
-    # temporaries; the streamed rows hold far less (see the K24 pin below).
+def test_packed_cheeger_holds_less_than_an_int16_table():
+    # K22: less than the 2 bytes per subset of a whole cut table (8 MiB); the packed
+    # rows hold far less (see the pins below).
     G = complete_graph(22)
     cheeger_exhaustive(G)  # an untraced warm-up call
     assert traced_peak(cheeger_exhaustive, G) <= 2.75 * 2**22
 
 
-def test_cheeger_holds_one_row_block_of_cuts():
-    # K24's 2**24 subsets: the cuts come a row block of 2**14 at a time, so the peak is
-    # the blocks' temporaries, where a whole int16 cut table alone takes 32 MiB.
-    G = complete_graph(24)
+@pytest.mark.parametrize("n", [24, 26])
+def test_packed_cheeger_holds_a_few_packed_rows(n):
+    # K24's 2**24 and K26's 2**26 subsets: the cuts are packed a row of 2**13 or 2**14
+    # bytes at a time, beside the low sets' masks and tables, where a whole int16 cut
+    # table alone takes 32 or 128 MiB.
+    G = complete_graph(n)
     cheeger_exhaustive(complete_graph(16))  # an untraced warm-up call
     assert traced_peak(cheeger_exhaustive, G) < 2 * 2**20
 

@@ -89,11 +89,13 @@ WITHOUT_NUMPY = [
     ("audit octa.complex --lemma outgoing --max-bits 8", 3),  # refused: 12 edges
     # Every table at most 2**INT_TABLE_BITS entries: enumerated on plain ints.
     ("certify k5.complex", 0),
-    # At most PACKED_CHEEGER_VERTICES vertices: the cuts are packed into ints.
+    # Every graph the table limit admits: the cuts are packed into ints.
     ("cheeger k5.complex --graph g1", 0),
     ("cheeger k6.complex --graph g1", 0),  # 15 vertices
     ("cheeger rp2.complex --graph g1", 0),  # 15 vertices
     ("cheeger k18.complex --graph g0", 0),
+    ("cheeger k7.complex --graph g1", 0),  # 21 vertices
+    ("cheeger cubo.complex --graph g1", 0),  # 24 vertices
     # lambda2 of a G0 on at most INT_TABLE_BITS vertices is bracketed exactly, the star
     # tables are lists, and cut and sum tables of at most 2**INT_TABLE_BITS entries too.
     ("audit k4.complex --lemma all", 0),
@@ -122,15 +124,6 @@ def test_certify_loads_numpy_and_output_is_unchanged(fixed, monkeypatch):
     code, out, err, loaded, frozen = hdx(fixed, "certify", "cubo.complex")
     assert (code, loaded, frozen) == (0, True, True), err
     assert (code, out) == in_process(fixed, ["certify", "cubo.complex"], monkeypatch)
-
-
-def test_cheeger_past_the_packed_vertices_loads_numpy_and_output_is_unchanged(fixed, monkeypatch):
-    # The cuboctahedron's edge graph has 24 vertices, past PACKED_CHEEGER_VERTICES:
-    # its cuts come from the cut rows.
-    args = ["cheeger", "cubo.complex", "--graph", "g1"]
-    code, out, err, loaded, frozen = hdx(fixed, *args)
-    assert (code, loaded, frozen) == (0, True, True), err
-    assert (code, out) == in_process(fixed, args, monkeypatch)
 
 
 def test_audit_past_the_int_table_bits_loads_numpy_and_output_is_unchanged(fixed, monkeypatch):
