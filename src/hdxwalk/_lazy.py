@@ -4,9 +4,9 @@ numpy is one: commands that never compute with arrays (``--version``,
 ``validate``, ``gen``, ``cocycles``, ``audit --lemma outgoing`` where the
 identity holds, ``certify`` where every coset table has at most
 2**``spectral.INT_TABLE_BITS`` entries, ``audit``'s other lemmas where in
-addition G0 has at most INT_TABLE_BITS vertices and lambda2 < 1/2, and the cut
-and sum tables have at most 2**INT_TABLE_BITS entries (K4, K5, the octahedron),
-``cheeger`` on every graph the table limit admits, usage and input errors)
+addition G0 has at most INT_TABLE_BITS vertices and lambda2 < 1/2 (K4-K6, the
+octahedron, RP^2_6: the cut scans read packed ints at every size), ``cheeger``
+on every graph the table limit admits, usage and input errors)
 start without paying for it.  Every module takes ``np`` from here; nothing may
 read an ``np.`` attribute at import time, which annotations under
 ``from __future__ import annotations`` do not.

@@ -4,7 +4,8 @@
 ``--help`` and usage errors never compile it.  Each ``_cmd_<subcommand>`` takes
 the parsed namespace and the output stream and returns the exit code.
 ``audit``'s view and sum lemmas draw their first ten failing edge sets from an ascending
-stream, over lists where the tables have at most 2**``spectral.INT_TABLE_BITS`` entries.
+stream: merged from the failing views' streams, or ``spectral.cuts_below`` of the edge
+graph.  No handler here computes with arrays.
 """
 
 from __future__ import annotations
@@ -12,13 +13,12 @@ from __future__ import annotations
 import argparse
 import math
 from functools import reduce
-from itertools import compress, count, groupby, islice
+from itertools import groupby, islice
 from operator import add
 from typing import TextIO
 
 # The layer modules as ``hdxwalk.cli`` registered them, not yet executed.
 from . import cochain, complexes, expansion, graphs, spectral, walk
-from ._lazy import np
 from ._record import Record
 from .errors import (
     CapacityError, DegenerateComplexError, DomainError, ParameterError, RegularityError
@@ -168,17 +168,6 @@ def _lemma_result(name: str, X, failing, violation, asserted=True, **extra) -> d
     }
 
 
-def _flagged(flags):
-    """The masks flagged in consecutive row blocks of bool ``flags``, lists or arrays, ascending."""
-    start = 0
-    for flag in flags:
-        if isinstance(flag, list):
-            yield from compress(count(start), flag)
-        else:
-            yield from map(int, np.flatnonzero(flag) + start)
-        start += len(flag)
-
-
 def _supersets(view: int, star: int, full: int):
     """The masks m up to ``full`` with m & star = view, ascending, by adding 1 to m | star."""
     m = view
@@ -273,16 +262,8 @@ def _audit_sum(X: complexes.Complex2, ns) -> dict:
     bound = [scale * size for size in range(n + 1)]
     # The bound is stated for |F| <= |E|/2; the larger sets pass unchecked.
     least = [b - ns.slack if 2 * s <= n else -math.inf for s, b in enumerate(bound)]
-    if n <= spectral.INT_TABLE_BITS:
-        cuts = spectral.cut_list(G1.neighbor_masks)
-        flags = [[cut < least[m.bit_count()] for m, cut in enumerate(cuts)]]
-    else:
-        least = np.array(least)
-        low = spectral.subset_sums([1] * spectral.row_bits(n))  # |t| in row r's masks r * 2**lo + t
-        rows = enumerate(spectral.cut_rows(G1.neighbor_masks))
-        flags = (cut < least[low + r.bit_count()] for r, cut in rows)
     return _lemma_result(
-        "sum", X, _flagged(flags),
+        "sum", X, spectral.cuts_below(G1.neighbor_masks, least),
         lambda m: {"lhs": G1.cut(m), "rhs_bound": bound[m.bit_count()]},
         subsets_checked=sum(math.comb(n, s) for s in range(n // 2 + 1)),
         epsilon=eps,

@@ -37,9 +37,9 @@ per vertex and view as lists over those tables (the sum bound, its scale); none
 spans the edge sets.  dist(F_v, Z^1) is read off the Z^1 coset table that
 certification cached, on ints or as an array.  The lambda2 gate of a G0 on at
 most INT_TABLE_BITS vertices is exact, ``spectral.lambda2_below`` and
-``lambda2_bracket`` on Python ints, and large cuts up to 2**INT_TABLE_BITS
-subsets are one ``cut_list``: so ``audit`` on K4, K5 or the octahedron never
-imports numpy.
+``lambda2_bracket`` on Python ints, and the minimum cut is
+``spectral.least_cut``, on packed ints at every size: so ``audit`` on K4-K6,
+the octahedron or RP^2_6 never imports numpy.
 """
 
 from __future__ import annotations
@@ -67,14 +67,13 @@ from .graphs import Graph, edge_graph, underlying_graph
 from .spectral import (
     check_table_bits,
     cut_list,
-    cut_rows,
     lambda2_below,
     lambda2_below_half,
     lambda2_bracket,
+    least_cut,
     least_int_ratio,
     least_ratio,
     lex_first,
-    lex_min,
     normalized_spectrum,
     row_bits,
     subset_sums,
@@ -482,23 +481,10 @@ def large_cuts_audit(G0: Graph, *, tol: float = 1e-9) -> LargeCutsResult:
         raise RegularityError("minimum-cut bound needs a regular graph of positive degree")
     check_table_bits(G0.n)  # refused before the lambda2 gate
     lambda2 = gap_lambda2(G0, "minimum-cut bound requires", tol)
-    # The odd masks hold vertex 0; the very last, every vertex, is not proper.
-    if G0.n <= spectral.INT_TABLE_BITS:
-        proper = cut_list(G0.neighbor_masks)[1:-1:2]
-        min_cut = min(proper)
-        winners = [2 * i + 1 for i, cut in enumerate(proper) if cut == min_cut]
-    else:
-        lo, min_cut, winners = row_bits(G0.n), math.inf, []
-        for r, row in enumerate(cut_rows(G0.neighbor_masks)):
-            cut = row[1 : -1 if r == (1 << G0.n - lo) - 1 else None : 2]
-            if (least := int(cut.min())) < min_cut:
-                min_cut, winners = least, []
-            if least == min_cut:
-                winners.append(lex_min((r << lo) + 2 * np.flatnonzero(cut == least) + 1))
-        winners = np.concatenate(winners)
+    min_cut, _, side = least_cut(G0, False)
     return LargeCutsResult(
         min_cut=min_cut,
-        witness=lex_first(winners),
+        witness=lex_first([side]),
         k=k,
         lambda2=lambda2,
         precondition_met=_enough_vertices(G0.n, lambda2),

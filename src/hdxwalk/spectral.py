@@ -6,21 +6,22 @@ criterion in integers.  ``lambda2_below(G, t)`` decides lambda2 < t for any
 rational t that way, and ``lambda2_bracket`` bisects with it to an exact
 bracket of width 2**-60: 1.4-3.3 ms at 4-7 vertices, 9-20 ms at 12, with no
 eigensolver.  Cheeger constants are exact rationals from exhaustive subset
-enumeration; ``cut_rows`` streams every cut a row at a time, and ``cut_list``,
-on plain ints, gives every cut of a small graph as one list.  A Cheeger
-constant is found on packed Python ints instead, one byte per cut, skipping at
-C speed each slice of equal-size sides whose least cut cannot meet the best
-ratio so far, so ``cheeger`` never imports numpy: on a 2-CPU Xeon VM (Python
-3.11.7) it takes 2.6 ms on K18, 6.2 ms on K20, 7.4 ms on K7's edge graph (21
-vertices), 32 ms on the cuboctahedron's (24) and 190 ms on K26, where importing
-numpy takes 75-150 ms.
+enumeration.  Every scan of a graph's cuts over its vertex subsets reads
+``_packed_cuts``, rows of one-byte cuts packed into Python ints, and its readers,
+the Cheeger constant and minimum cut (``least_cut``) and the sum lemma's stream
+(``cuts_below``), live here, so only this module knows the format; ``cut_list``
+gives every cut of a small graph as one list.  None imports numpy: on a 2-CPU
+Xeon VM (Python 3.11.7) ``cheeger`` takes 2.6 ms on K18, 6.2 ms on K20, 7.4 ms
+on K7's edge graph (21 vertices), 32 ms on the cuboctahedron's (24) and 190 ms
+on K26, where importing numpy takes 75-150 ms.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, chain, combinations, compress
+from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence
 
 from ._lazy import np
@@ -361,51 +362,6 @@ def subset_xors(columns: list[int], dtype) -> np.ndarray:
     return _doubled(np.bitwise_xor, columns, np.zeros(1 << len(columns), dtype))
 
 
-def cut_rows(neighbor_masks: Sequence[int]):
-    """Row blocks of the cut size |E(S, V - S)| of every vertex subset S of the graph with
-    these neighbor masks (``Graph.neighbor_masks``), by S's bit mask, in int16: row r holds
-    the masks r * 2**lo + t for t below 2**lo, lo = ``row_bits(n)``.  The table size is
-    refused on the call.  A vertex v joining S adds deg(v) - 2|N(v) & S| to its cut: row 0
-    joins the low vertices one at a time, doubled in place, and row r is row r - 1 with
-    the high vertices that differ, two on average, flipped."""
-    n = len(neighbor_masks)
-    check_table_bits(n)
-    lo = row_bits(n)
-    low = np.zeros(1 << lo, np.int16)
-    for j, m in enumerate(neighbor_masks[:lo]):
-        top = low[1 << j : 2 << j]
-        top[0] = m.bit_count()
-        _doubled(np.subtract, [2 * (m >> i & 1) for i in range(j)], top)
-        top += low[: 1 << j]
-    low.flags.writeable = False  # row 0, and the start of every other row
-    twice = [2 * subset_sums([m >> i & 1 for i in range(lo)]) for m in neighbor_masks[lo:]]
-
-    def gain(v: int, high: int) -> np.ndarray:  # v joining a set with these high vertices
-        m = neighbor_masks[v]
-        outside = m.bit_count() - 2 * (m & high).bit_count()
-        return np.subtract(outside, twice[v - lo], dtype=np.int16)
-
-    def rows(row=low, high=0):
-        yield row
-        for r in range(1, 1 << n - lo):
-            for v in range(lo, lo + (r & -r).bit_length()):  # bits lo + i of r ^ (r - 1)
-                high ^= 1 << v
-                row = row + gain(v, high) if high >> v & 1 else row - gain(v, high)
-            yield row
-
-    return rows()
-
-
-def lex_min(masks: np.ndarray) -> np.ndarray:
-    """The least of distinct masks, compared as sorted vertex tuples, as a one-entry array."""
-    rest = masks
-    while len(masks) > 1:
-        low = rest & -rest  # each mask's next vertex; 0 marks a prefix of all the others
-        keep = low == low.min()
-        masks, rest = masks[keep], rest[keep] ^ low[keep]
-    return masks
-
-
 def lex_first(masks) -> tuple[int, ...]:
     """The least of distinct masks, ints or an array of them, as a sorted vertex tuple:
     the witness tie-break of every exact minimum."""
@@ -472,72 +428,98 @@ def _lex_less(a: int, b: int) -> bool:
     return b > low if a & low else a < low
 
 
-def _packed_cheeger(G: Graph, k: int) -> tuple[Fraction, int]:
-    """``cheeger_exhaustive``'s least ratio and its lexicographically least side, as
-    a mask, on packed Python ints.
+def _low_sets(bits: int) -> tuple[list[int], list[int]]:
+    """The masks of the low sets of a scan of ``bits`` vertices, the subsets of the first
+    lo = min((bits + 3) // 2, bits), in the order of ``_packed_cuts``' fields: by size
+    and then as sorted vertex tuples; and the index where each size begins, the end last."""
+    lo = min((bits + 3) // 2, bits)
+    vertices = [1 << v for v in range(lo)]
+    order = [m for size in range(lo + 1) for m in map(sum, combinations(vertices, size))]
+    return order, list(accumulate((math.comb(lo, s) for s in range(lo + 1)), initial=0))
 
-    Each cut once: T ranges over the subsets of vertices 0..n - 2, so each pair
-    {T, V - T} appears once, and the side counted is T when 2|T| < n, V - T when
-    2|T| > n, and of two equal sides the one holding vertex 0.  The first lo
-    vertices are low, the rest of 0..n - 2 high; for each high set H, taken in
-    Gray code order, the cuts of H + L over every low set L are one int, a byte
-    per L: a cut is at most n**2 / 4, below 256 for n < 32, so every field is
-    exact.  A high vertex w joining H adds k - 2|N(w) & H| - 2|N(w) & L| to
-    every field at once, from ``ones`` and w's packed table of 2|N(w) & L|.
 
-    The fields are in order of |L| and, within a size, of L's sorted vertex
-    tuple.  So one size's slice holds sides of one size, ``find`` gives its
-    least side T = H + L of a cut c and ``rfind`` its least side V - T, since
-    complementing reverses that order among sets of one size; at 2|T| = n the
-    sets holding vertex 0 come first, and ``_lex_less`` picks one of the two.
+def _packed_cuts(neighbor_masks: Sequence[int], order: list[int], highs):
+    """(H, cuts) for each high set H of ``highs``, in the order given: the cut of
+    S = H + L for every low set L of ``order`` (``_low_sets``), in the graph of these
+    neighbor masks, packed one byte per L into an int, the first L lowest.
 
-    Pruned: with the best ratio so far c* / s*, starting from the side {0} at
-    k / 1, a slice of sides of size s can only meet it with a cut c <= t =
-    c* s // s*.  ``translate`` deletes the slice's bytes above t at C speed;
-    a slice with none left is skipped, and otherwise c is the least left.
-    Ties pass the test, so they are compared exactly, by cross-multiplication,
-    and of equal ratios the lexicographically least side is kept.
+    The one subset scan of cuts.  A cut is at most n**2 / 4, below 256 for n < 32, so
+    every byte is exact; each caller refuses the table size first.  A vertex w joining
+    S adds deg(w) - 2|N(w) & L| - 2|N(w) & H| to every field at once: w's packed table
+    of the first two terms, built at its first move, less 2|N(w) & H| * ``ones``.  A
+    row costs one move in Gray order, two on average in ascending order.
     """
-    from fractions import Fraction
+    lo = order[-1].bit_length()
+    ones = int.from_bytes(b"\1" * len(order), "little")
+    packed = int.from_bytes(bytes(map(cut_list(neighbor_masks[:lo]).__getitem__, order)), "little")
+    pick = itemgetter(*order)  # a tuple: where a high vertex moves, lo >= 1 and len(order) >= 2
+    plus_two = bytes(range(2, 256)) + b"\0\1"
+    high, alone, twice = 0, {}, {}
+    for target in highs:
+        moved = target ^ high
+        while moved:
+            bit = moved & -moved
+            moved ^= bit
+            high ^= bit
+            w = bit.bit_length() - 1
+            m = neighbor_masks[w]
+            if w not in alone:  # deg(w) - 2|N(w) & L| at every L
+                near = b"\0"  # 2|N(w) & L| by L's mask, doubled one low vertex at a time
+                for v in range(lo):
+                    near += near.translate(plus_two) if m >> v & 1 else near
+                alone[w] = m.bit_count() * ones - int.from_bytes(bytes(pick(near)), "little")
+            c = (m & high).bit_count()
+            if c not in twice:
+                twice[c] = 2 * c * ones
+            gain = alone[w] - twice[c]
+            packed = packed + gain if high & bit else packed - gain
+        yield high, packed
 
-    n, masks = G.n, G.neighbor_masks
-    lo = min((n + 2) // 2, n - 1)
-    bits = [1 << v for v in range(lo)]
-    order = [m for size in range(lo + 1) for m in map(sum, combinations(bits, size))]
-    starts = list(accumulate((math.comb(lo, s) for s in range(lo + 1)), initial=0))
-    # The low sets holding vertex 0 end here in each size class.
+
+def least_cut(G: Graph, per_vertex: bool) -> tuple[int, int, int]:
+    """(c, s, side): the least cut c per vertex of its side, s = |side|, if ``per_vertex``
+    (Cheeger's ratio: the smaller side, of two equal ones the one holding vertex 0),
+    else the least cut c, s = 1, of a side holding vertex 0; the side is the
+    lexicographically least, as a mask.
+
+    Each cut once: T ranges over the subsets of vertices 0..n - 2, the high ones in
+    Gray order.  Within a size's slice of a row ``find`` gives the least side T of a
+    cut and ``rfind`` its least side V - T, as complementing reverses the order among
+    sets of one size; the sets holding vertex 0 come first.  From the side {0}, a
+    slice of sides of size s can meet the best ratio c*/s* only with a cut c <= t =
+    c* s // s*: ``translate`` deletes its bytes above t, and c is the least left.
+    For the least cut a whole row is passed over first unless some field x is below
+    c* + 1 <= 128, which borrows into its top bit in x - (c* + 1) * ones, kept by ~x
+    as x < 128, before any field at least c* + 1 does.  Ties pass, compared exactly.
+    """
+    n, full = G.n, (1 << G.n) - 1
+    order, starts = _low_sets(n - 1)
+    lo = len(starts) - 2
+    # The low sets of each size s are fields a..e, those holding vertex 0 before split.
     splits = [a + (s and math.comb(lo - 1, s - 1)) for s, a in enumerate(starts[:-1])]
-    width, full = len(order), (1 << n) - 1
-    low_cuts = cut_list(masks[:lo])
-    ones = int.from_bytes(b"\1" * width, "little")
-    near = [
-        2 * int.from_bytes(bytes(map(int.bit_count, map(masks[w].__and__, order))), "little")
-        for w in range(lo, n - 1)
-    ]
-    # The cut values above t, for every t up to k * n / 2: the ratio is at most k / 1.
-    above = [bytes(range(t + 1, 256)) for t in range(k * n)]
     slices = list(zip(range(lo + 1), starts, starts[1:], splits))
-
-    packed, high = int.from_bytes(bytes(map(low_cuts.__getitem__, order)), "little"), 0
-    best_cut, best_size, witness = k, 1, 1  # the side {0}
-    for r in range(1 << (n - 1 - lo)):
-        if r:
-            w = lo + (r & -r).bit_length() - 1
-            high ^= 1 << w
-            gain = (k - 2 * (masks[w] & high).bit_count()) * ones - near[w - lo]
-            packed = packed + gain if high >> w & 1 else packed - gain
-        cuts = packed.to_bytes(width, "little")
+    gray = ((r ^ r >> 1) << lo for r in range(1 << (n - 1 - lo)))
+    best_cut, best_size, witness = G.neighbor_masks[0].bit_count(), 1, 1  # the side {0}
+    side_sizes = [min(size, n - size) if per_vertex else 1 for size in range(n)]
+    # The cut values above t, for every t a slice can reach: the ratio is at most deg(0).
+    above = [bytes(range(t + 1, 256)) for t in range(best_cut * max(side_sizes) + 1)]
+    ones = int.from_bytes(b"\1" * len(order), "little")
+    tops, limit = ones << 7, None
+    for high, packed in _packed_cuts(G.neighbor_masks, order, gray):
+        if limit is not None and not (packed - limit) & ~packed & tops:
+            continue
+        cuts = packed.to_bytes(len(order), "little")
         h = high.bit_count()
         for s, a, e, split in slices[not h :]:  # T = H + L is not empty
             size = h + s
-            side_size = size if 2 * size <= n else n - size
+            side_size = side_sizes[size]
             left = cuts[a:e].translate(None, above[best_cut * side_size // best_size])
             if not left:
                 continue
             c = min(left)
-            if 2 * size < n:
+            if per_vertex and 2 * size < n:
                 side = order[cuts.find(c, a, e)] | high
-            elif 2 * size > n:
+            elif per_vertex and 2 * size > n:
                 side = full ^ (order[cuts.rfind(c, a, e)] | high)
             else:
                 i, j = cuts.find(c, a, split), cuts.rfind(c, split, e)
@@ -546,7 +528,48 @@ def _packed_cheeger(G: Graph, k: int) -> tuple[Fraction, int]:
                 side = other if side is None or _lex_less(other, side) else side
             if c * best_size < best_cut * side_size or _lex_less(side, witness):
                 best_cut, best_size, witness = c, side_size, side
-    return Fraction(best_cut, k * best_size), witness
+        if not per_vertex:  # t = c* + 1 <= n in every slice
+            limit = (best_cut + 1) * ones
+    return best_cut, best_size, witness
+
+
+def cuts_below(neighbor_masks: Sequence[int], least: Sequence[float]):
+    """The masks of the vertex sets S of the graph with these neighbor masks whose cut
+    is below least[|S|], ascending, from ``_packed_cuts``' rows; the table size is
+    refused on the call.
+
+    The high sets H ascend, so a row holds the masks H to H + 2**lo - 1, its failures
+    sorted.  A cut is below x exactly when below t = ceil(x), taken from 0 to 256.  A
+    row with no field below its largest t <= 128 is passed over as in ``least_cut``;
+    in each size slice of the others ``translate`` flags the fields below t.
+    """
+    n = len(neighbor_masks)
+    check_table_bits(n)
+    order, starts = _low_sets(n)
+    lo = len(starts) - 2
+    limits = [0 if not x > 0 else 256 if x > 256 else math.ceil(x) for x in least]
+    flags = {t: bytes(v < t for v in range(256)) for t in set(limits)}
+    slices = list(enumerate(zip(starts, starts[1:])))
+    ones = int.from_bytes(b"\1" * len(order), "little")
+    tops = ones << 7
+    # Per |H|, the largest limit of the row times ones, or None past 128.
+    largest = (max(limits[h : h + lo + 1]) for h in range(n - lo + 1))
+    tests = [t * ones if t <= 128 else None for t in largest]
+    rows = _packed_cuts(neighbor_masks, order, (r << lo for r in range(1 << (n - lo))))
+
+    def failing():
+        for high, packed in rows:
+            h = high.bit_count()
+            if tests[h] is not None and not (packed - tests[h]) & ~packed & tops:
+                continue
+            cuts, found = packed.to_bytes(len(order), "little"), []
+            for s, (a, e) in slices:
+                t = limits[h + s]
+                if t and b"\1" in (marks := cuts[a:e].translate(flags[t])):
+                    found += compress(order[a:e], marks)
+            yield from (high | m for m in sorted(found))
+
+    return failing()
 
 
 def cheeger_exhaustive(G: Graph) -> CheegerResult:
@@ -558,7 +581,9 @@ def cheeger_exhaustive(G: Graph) -> CheegerResult:
     first, so no graph of more than TABLE_BIT_LIMIT = 26 vertices reaches the
     packed kernel, whose byte fields need n < 32.
     """
+    from fractions import Fraction
+
     k = _require_regular(G)
     check_table_bits(G.n)
-    best, witness = _packed_cheeger(G, k)
-    return CheegerResult(best, lex_first([witness]))
+    cut, size, witness = least_cut(G, True)
+    return CheegerResult(Fraction(cut, k * size), lex_first([witness]))

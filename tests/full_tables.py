@@ -1,16 +1,17 @@
-"""Whole subset tables: the references for the library's row-block kernels.
+"""Whole subset tables: the references for the library's subset kernels.
 
 ``cut_sizes`` builds a graph's cut table over all 2**n subsets at once, the
-reference for ``hdxwalk.spectral.cut_rows``, and ``local_view_sums`` sums
-per-star tables over every edge set a row block at a time, the scan that
-``audit``'s sum and view lemmas replaced by cut rows and merged streams.
-The least ratios below build every table at once too, with a boolean
-temporary of that size per denominator, and return every tied entry, as
-``hdxwalk.spectral.least_ratio`` does reading the tables a row block at a
-time; ``cheeger`` is the reference for the packed Cheeger kernel.  Besides
+reference for the packed cut rows of ``hdxwalk.spectral._packed_cuts``
+(``packed_table`` joins them by mask), and ``local_view_sums`` sums per-star
+tables over every edge set a row block at a time, the scan that ``audit``'s
+sum and view lemmas replaced by cut rows and merged streams.  The least ratios
+below build every table at once too, with a boolean temporary of that size per
+denominator, and return every tied entry, as ``hdxwalk.spectral.least_ratio``
+does reading the tables a row block at a time; ``cheeger`` and ``min_cut`` are
+the references for the packed Cheeger and minimum-cut kernels.  Besides
 ``cut_sizes``, the tables come from the library's doubling kernels
-(``subset_sums``, ``subset_xors``), which are tested against per-mask
-counts on their own.
+(``subset_sums``, ``subset_xors``), which are tested against per-mask counts
+on their own.
 """
 
 from fractions import Fraction
@@ -19,9 +20,10 @@ import numpy as np
 from named_complexes import complete_graph, cycle_graph, random_regular_graph, relabel_graph
 
 from hdxwalk.expansion import _coset_table
+from hdxwalk import spectral
 from hdxwalk.spectral import _doubled, check_table_bits, lex_first, row_bits, subset_sums, subset_xors
 
-# Tables of 2**17 to 2**20 entries: 8 to 64 row blocks of ``cut_rows``.
+# Tables of 2**17 to 2**20 entries, read as 2**7 to 2**9 packed cut rows.
 BLOCKED_GRAPHS = {
     "K17": complete_graph(17),
     "K18": complete_graph(18),
@@ -49,6 +51,21 @@ def cut_sizes(neighbor_masks):
         _doubled(np.subtract, [2 * (nbrs >> i & 1) for i in range(j)], top)
         top += cut[: 1 << j]
     return cut
+
+
+def packed_table(masks, highs=None):
+    """``spectral._packed_cuts``' rows over every high set, in ascending order or in the
+    order ``highs`` gives, joined into one list indexed by mask: field i of row H is
+    the cut of H + order[i], ``order`` being the low sets by size, then lexicographically."""
+    order, starts = spectral._low_sets(len(masks))
+    lo = len(starts) - 2
+    if highs is None:
+        highs = [r << lo for r in range(1 << (len(masks) - lo))]
+    table = [None] * (1 << len(masks))
+    for high, packed in spectral._packed_cuts(masks, order, highs):
+        for low, cut in zip(order, packed.to_bytes(len(order), "little")):
+            table[high | low] = cut
+    return table
 
 
 def local_view_sums(X, tables):

@@ -807,16 +807,17 @@ def scanned_view_failures(X, holds, asserted):
 def test_audit_all_enumerates_edge_sets_only_for_the_sum_lemma(tmp_path, monkeypatch):
     # On K7 every lemma holds.  Outgoing is decided by its proof, distance and
     # local-views from the star tables; the sum lemma alone scans the 2**21 edge sets,
-    # in 128 cut rows of 2**14.  Large cuts reads one list of G0's 2**7 vertex
-    # sets, and the star tables one list per star.
+    # in 512 packed rows of 2**12 cuts.  Large cuts reads G0's 2**6 vertex sets without
+    # vertex 6 in 4 rows of 2**4, and the star tables one list per star; each scan
+    # starts from one list of the cuts of its low vertex sets.
     path = str(tmp_path / "k7.complex")
     save_complex(complete_complex(7), path)
     blocks, lists, lemma = [], [], [None]
-    cut_rows, cut_list = spectral.cut_rows, spectral.cut_list
+    packed_cuts, cut_list = spectral._packed_cuts, spectral.cut_list
 
-    def counting(masks):
-        for row in cut_rows(masks):
-            blocks.append((lemma[0], len(masks), len(row)))
+    def counting(masks, order, highs):
+        for row in packed_cuts(masks, order, highs):
+            blocks.append((lemma[0], len(masks), len(order)))
             yield row
 
     def listing(masks):
@@ -827,20 +828,21 @@ def test_audit_all_enumerates_edge_sets_only_for_the_sum_lemma(tmp_path, monkeyp
     def running(name, run):
         return lambda *args: lemma.__setitem__(0, name) or run(*args)
 
+    monkeypatch.setattr(spectral, "_packed_cuts", counting)
     for module in (spectral, expansion):
-        monkeypatch.setattr(module, "cut_rows", counting)
         monkeypatch.setattr(module, "cut_list", listing)
     for name, run in commands._LEMMA_RUNNERS.items():
         monkeypatch.setitem(commands._LEMMA_RUNNERS, name, running(name, run))
     code, out, _ = invoke("audit", path, "--lemma", "all")
     assert (code, json.loads(out)["status"]) == (0, "pass")
-    assert blocks == [("sum", 21, 2**14)] * 128
-    assert lists == [("large-cuts", 7, 2**7)] + [("distance", 6, 2**6)] * 7
+    assert blocks == [("large-cuts", 7, 2**4)] * 4 + [("sum", 21, 2**12)] * 512
+    assert lists == [("large-cuts", 4, 2**4)] + [("distance", 6, 2**6)] * 7 + [("sum", 12, 2**12)]
 
 
 
-# Where the small tables are on plain ints and lambda2 is bracketed exactly, and where
-# INT_TABLE_BITS = 0 puts every table on arrays and lambda2 on the eigensolver.
+# Where certify's small tables are on plain ints and lambda2 is bracketed exactly, and
+# where INT_TABLE_BITS = 0 puts every certify table on arrays and lambda2 on the
+# eigensolver; the cut scans read the packed rows either way.
 AUDIT_PATH_INPUTS = {
     **{f"K{n}": complete_complex(n) for n in range(4, 8)},
     "octahedron": OCTAHEDRON,
@@ -882,16 +884,20 @@ def test_audit_reports_agree_on_ints_and_arrays(name, slack, tmp_path, monkeypat
     path = str(tmp_path / "x.complex")
     save_complex(AUDIT_PATH_INPUTS[name], path)
     args = ["audit", path, "--lemma", "all", "--slack", slack]
-    rows, cut_rows = [], spectral.cut_rows
-    for module in (spectral, expansion):
-        monkeypatch.setattr(module, "cut_rows", lambda masks: rows.append(len(masks)) or cut_rows(masks))
-    on_ints, ints_rows = invoke(*args), len(rows)
+    rows, packed_cuts = [], spectral._packed_cuts
+    monkeypatch.setattr(
+        spectral, "_packed_cuts", lambda masks, *args: rows.append(len(masks)) or packed_cuts(masks, *args)
+    )
+    on_ints, ints_rows = invoke(*args), list(rows)
     monkeypatch.setattr(spectral, "INT_TABLE_BITS", 0)  # read at call time
     on_arrays = invoke(*args)
     assert on_ints[0] == on_arrays[0] and on_ints[2] == on_arrays[2] == ""
     assert_same_report(json.loads(on_arrays[1]), json.loads(on_ints[1]))
-    if name in ("K4", "K5", "octahedron"):  # every lemma applies, and only the arrays read rows
-        assert ints_rows == 0 < len(rows)
+    # Both read the same packed cut scans: where every lemma applies, G0's and G1's.
+    assert rows == ints_rows + ints_rows
+    if name in ("K4", "K5", "octahedron"):
+        X = AUDIT_PATH_INPUTS[name]
+        assert ints_rows == [X.n_vertices, X.n_edges]
 
 
 def test_audit_evaluates_each_local_view_once(tmp_path, monkeypatch):
@@ -1068,8 +1074,8 @@ def test_walk_capacity_exit_3_quickly(k4_file, mode):
     [
         (["spectrum", "--graph", "g0"], (spectral, "adjacency_matrix"), 5),
         (["spectrum", "--graph", "g1"], (spectral, "adjacency_matrix"), 5),
-        (["cheeger", "--graph", "g0"], (spectral, "_packed_cheeger"), 5),
-        (["cheeger", "--graph", "g1"], (spectral, "_packed_cheeger"), 5),
+        (["cheeger", "--graph", "g0"], (spectral, "least_cut"), 5),
+        (["cheeger", "--graph", "g1"], (spectral, "least_cut"), 5),
         (["walk", "--start", "0", "--steps", "5"], (spectral, "start_measure"), 5),
     ],
     ids=["spectrum-g0", "spectrum-g1", "cheeger-g0", "cheeger-g1", "walk"],
@@ -1516,7 +1522,8 @@ GONE = (
     "span_iter in_span chain_to_mask mask_to_chain DISTANCE_ENUMERATION_LIMIT DimensionMismatchError "
     "coboundary_size build_incidence _least_ratio "
     "Distribution point_mass evolve_exact RapidMixingReport rapid_mixing_audit DegreeProfile "
-    "degree_profile validate ValidationReport build_from_triangles edge_ids randrange derive_seed"
+    "degree_profile validate ValidationReport build_from_triangles edge_ids randrange derive_seed "
+    "cut_rows lex_min _flagged _packed_cheeger"
 ).split()
 
 

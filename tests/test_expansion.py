@@ -15,7 +15,7 @@ import random
 import time
 import weakref
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import full_tables
 import named_complexes
@@ -71,7 +71,7 @@ from hdxwalk.expansion import (
 )
 from hdxwalk.graphs import Graph, edge_graph, underlying_graph
 from hdxwalk.rng import SplitMix64
-from hdxwalk.spectral import cheeger_exhaustive, cut_rows, normalized_spectrum, row_bits
+from hdxwalk.spectral import cheeger_exhaustive, normalized_spectrum, row_bits
 
 K4 = complete_complex(4)
 K5 = complete_complex(5)
@@ -677,14 +677,16 @@ def test_coset_row_blocks_match_the_full_table(X, ties, monkeypatch):
 
 def test_local_view_sums_hold_one_row_block():
     # The sums of local coboundaries over the cuboctahedron's 2**24 edge sets are the
-    # cuts of its edge graph: the sum lemma's pass over them holds one row block of
-    # 2**14 cuts and flags at a time, never a table per edge set.
+    # cuts of its edge graph: the sum lemma's pass over them holds one packed row of
+    # 2**13 cuts and its flags at a time, never a table per edge set.  Each edge lies
+    # in one triangle, so the edge graph is 8 disjoint triangles, and the sets of cut 0
+    # are the 2**8 unions of them.
     masks = edge_graph(CUBOCTAHEDRON).neighbor_masks
 
     def full_pass():
-        return list(commands._flagged(cut < 0 for cut in cut_rows(masks)))
+        return list(spectral.cuts_below(masks, [0.5] * 25))
 
-    assert full_pass() == []
+    assert len(full_pass()) == 2**8
     assert traced_peak(full_pass) < 2**20
 
 
@@ -813,11 +815,10 @@ def test_outgoing_identity_full_edge_set():
 
 def test_outgoing_identity_exhaustive():
     # The two tables whose agreement audit --lemma outgoing decides, on every edge set,
-    # and the edge graph's cut rows, which the sum lemma reads as the sums.
+    # and the edge graph's packed cut rows, which the sum lemma reads as the sums.
     for X in (K4, K5):
         assert np.array_equal(cut_table(edge_graph(X)), coboundary_sums(X))
-        assert np.array_equal(np.concatenate([*cut_rows(edge_graph(X).neighbor_masks)]),
-                              coboundary_sums(X))
+        assert full_tables.packed_table(edge_graph(X).neighbor_masks) == coboundary_sums(X).tolist()
 
 
 def test_outgoing_identity_on_random_complexes():
@@ -860,7 +861,7 @@ def test_outgoing_decision_is_the_exhaustive_comparison(name, monkeypatch):
         monkeypatch.setattr(module, attr, spying)
 
     for module, attr in [
-        (graphs, "edge_graph"), (spectral, "cut_rows"), (expansion, "local_views"),
+        (graphs, "edge_graph"), (spectral, "_packed_cuts"), (expansion, "local_views"),
         (commands, "_supersets"), (commands, "_merged"), (commands, "_lemma_result"),
     ]:
         spy(module, attr)
@@ -1055,20 +1056,120 @@ def test_large_cuts_capacity():
 
 @pytest.mark.parametrize("name, seed", full_tables.BLOCKED_CASES, ids=full_tables.BLOCKED_IDS)
 def test_large_cuts_row_blocks_match_the_full_table(name, seed, monkeypatch):
-    # The lambda2 gate is passed for every graph, so the cycle's cuts are compared too.
+    # The packed minimum-cut scan against the whole table.  The lambda2 gate is passed
+    # for every graph, so the cycle's cuts are compared too.
     monkeypatch.setattr(expansion, "gap_lambda2", lambda G, claim, tol: 0.0)
     G = full_tables.blocked_graph(name, seed)
     least, witness, ties = full_tables.min_cut(G)
     result = large_cuts_audit(G)
     assert (result.min_cut, result.witness) == (least, witness)
-    assert len(np.unique(ties >> 1 + row_bits(G.n - 1))) > 1  # ties in more than one block of t
+    lo = len(spectral._low_sets(G.n - 1)[1]) - 2
+    assert len({int(m) >> lo for m in ties}) > 1  # ties in more than one packed row
 
 
-def test_large_cuts_hold_one_int16_table():
-    # n = 22: 2 bytes per subset for the cut table, and the row blocks' temporaries.
+def joined_copies(n, k, seed):
+    """Two copies of a random k-regular graph on n vertices, one edge {a, b} of each
+    swapped for the edges {a, b'} and {a', b} between them: still k-regular, and the
+    copies are split by a cut of 2 < k."""
+    G = named_complexes.random_regular_graph(n, k, seed)
+    (a, b), *rest = [(u, v) for u in range(n) for v in G.adjacency[u] if u < v]
+    edges = rest + [(u + n, v + n) for u, v in rest] + [(a, b + n), (a + n, b)]
+    return Graph.from_edges(2 * n, edges)
+
+
+def union_of_cycles(*lengths):
+    """Disjoint cycles of these lengths: a minimum cut of 0, tied by unions of them."""
+    starts = accumulate(lengths[:-1], initial=0)
+    return Graph.from_edges(sum(lengths), [(a + i, a + (i + 1) % c) for a, c in zip(starts, lengths) for i in range(c)])
+
+
+# Minimum cuts whose least witness is not {0}, from 14 to 24 vertices, and, up to 26,
+# ties at every size of side: each as it is and relabelled twice.
+MIN_CUT_GRAPHS = {
+    "K2": complete_graph(2),
+    "K3": complete_graph(3),
+    "copies 7 4": joined_copies(7, 4, 1),
+    "copies 10 3": joined_copies(10, 3, 2),
+    "copies 11 4": joined_copies(11, 4, 3),
+    "copies 12 5": joined_copies(12, 5, 4),
+    "cycles 3 4 5 3": union_of_cycles(3, 4, 5, 3),
+    "cycles 5 6 7 4": union_of_cycles(5, 6, 7, 4),
+    "cycles 5 6 7 8": union_of_cycles(5, 6, 7, 8),
+    "C13": cycle_graph(13),
+    "C22": cycle_graph(22),
+    "C26": cycle_graph(26),
+}
+
+
+def component_min_cut(G):
+    """(0, the least union of components holding vertex 0 short of them all): the
+    minimum cut of a disconnected graph, from its components alone."""
+    seen, parts = 0, []
+    for v in range(G.n):
+        if not seen >> v & 1:
+            part, frontier = 1 << v, [v]
+            while frontier:
+                u = frontier.pop()
+                for w in G.adjacency[u]:
+                    if not part >> w & 1:
+                        part |= 1 << w
+                        frontier.append(w)
+            seen |= part
+            parts.append(part)
+    unions = [parts[0] | sum(p for j, p in enumerate(parts[1:]) if r >> j & 1) for r in range(2 ** (len(parts) - 1) - 1)]
+    return 0, spectral.lex_first(unions)
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+@pytest.mark.parametrize("name", sorted(MIN_CUT_GRAPHS))
+def test_large_cuts_match_the_full_table_past_twelve_vertices(name, seed, monkeypatch):
+    # Where the cut rows of numpy ran once.  The full table takes 128 MiB at 26 vertices,
+    # so there the cycles' answers are taken from their components and arcs: 0 for a
+    # union, and 2 on C26, whose least arc holding 0 is {0}.
+    monkeypatch.setattr(expansion, "gap_lambda2", lambda G, claim, tol: 0.0)
+    G = MIN_CUT_GRAPHS[name]
+    G = G if seed is None else named_complexes.relabel_graph(G, seed)
+    result = large_cuts_audit(G)
+    if G.n <= 24:
+        assert (result.min_cut, result.witness) == full_tables.min_cut(G)[:2]
+    elif name == "C26":
+        assert (result.min_cut, result.witness) == (2, (0,))
+    else:
+        assert (result.min_cut, result.witness) == component_min_cut(G)
+    if name.startswith("copies"):
+        assert result.min_cut == 2 < G.regular_k and len(result.witness) > 1
+
+
+def test_large_cuts_hold_less_than_an_int16_table():
+    # n = 22: less than the 2 bytes per subset of a whole cut table (8 MiB); the
+    # packed rows of 2**12 cuts hold far less.
     G = complete_graph(22)
     large_cuts_audit(G)
     assert traced_peak(large_cuts_audit, G) <= 2.5 * 2**22
+
+
+def test_cut_scans_read_the_packed_rows(monkeypatch):
+    # Cheeger constants, the minimum cut and the sum lemma each read the one row
+    # generator, at 6 vertices or edges and past 20.
+    monkeypatch.setattr(expansion, "gap_lambda2", lambda G, claim, tol: 0.0)
+    rows, packed_cuts = [], spectral._packed_cuts
+
+    def spying(masks, order, highs):
+        for row in packed_cuts(masks, order, highs):
+            rows.append(len(masks))
+            yield row
+
+    monkeypatch.setattr(spectral, "_packed_cuts", spying)
+    ns = argparse.Namespace(max_bits=24, slack=1e-9, tol=1e-9)
+    for run, inputs in [
+        (spectral.cheeger_exhaustive, [complete_graph(6), complete_graph(21)]),
+        (large_cuts_audit, [complete_graph(6), complete_graph(22)]),
+        (lambda X: commands._audit_sum(X, ns), [K4, complete_complex(7)]),
+    ]:
+        for x in inputs:
+            rows.clear()
+            run(x)
+            assert rows and set(rows) == {x.n if isinstance(x, Graph) else x.n_edges}
 
 
 # --- sum of coboundaries -------------------------------------------------------
@@ -1133,23 +1234,29 @@ def test_sum_lemma_lists_violations_without_an_index_per_failure():
 
 @pytest.mark.parametrize("bits, seed", [(0, 0), (3, 1), (14, 2), (17, 3), (17, 4), (20, 5)])
 def test_lemma_result_lists_the_first_ten_failures(bits, seed, monkeypatch):
-    # Sparse failures, some straddling row blocks of 2**14 entries, and some
-    # tables with fewer than ten failures in all.  Each violation is described
-    # from its mask, and the scan stops at the block of the tenth.
+    # Sparse failures of the sum stream, on a random graph: the sets of four sizes whose
+    # cut is at most one above the least of their size, straddling packed rows; the
+    # first three tables have fewer than ten failures in all.  Each violation is
+    # described from its mask, and the scan stops at the row of the tenth.
     rng = np.random.default_rng(seed)
-    fail = rng.random(1 << bits) < 12 / (1 << bits)
-    fail[rng.integers(0, 1 << bits, 3)] = True
+    G = Graph.from_edges(bits, [(u, v) for u, v in combinations(range(bits), 2) if rng.random() < 0.5])
+    cuts, sizes = full_tables.cut_sizes(G.neighbor_masks), spectral.subset_sums([1] * bits)
+    least = [-math.inf] * (bits + 1)
+    for s in rng.choice(bits + 1, min(bits + 1, 4), replace=False):
+        least[s] = float(cuts[sizes == s].min()) + rng.choice([0.5, 1.5])
+    fail = cuts < np.array(least)[sizes]
     sums = rng.integers(0, 200, 1 << bits)
-    lo = row_bits(bits)
-    read = []
+    lo = len(spectral._low_sets(bits)[1]) - 2
+    read, packed_cuts = [], spectral._packed_cuts
 
-    def blocks():
-        for row in fail.reshape(-1, 1 << lo):
+    def rows(*args):
+        for row in packed_cuts(*args):
             read.append(row)
             yield row
 
+    monkeypatch.setattr(spectral, "_packed_cuts", rows)
     result = commands._lemma_result(
-        "sum", argparse.Namespace(n_edges=bits), commands._flagged(blocks()),
+        "sum", argparse.Namespace(n_edges=bits), spectral.cuts_below(G.neighbor_masks, least),
         lambda m: {"m": m, "total": sums[m]},
     )
     want = np.flatnonzero(fail)[:10].tolist()
@@ -1169,12 +1276,12 @@ def test_sum_coboundaries_exhaustive_k4_k5():
     [K4, build_from_triangles([(0, 1, 2), (1, 2, 3)], [(3, 4)]), random_complex(6, 0.5, seed=3)],
 )
 def test_local_view_sums_match_per_subset_sums(X):
-    # The reference scan, and the edge graph's cut rows that the sum lemma reads.
+    # The reference scan, and the edge graph's packed cut rows that the sum lemma reads.
     views = expansion.local_views(X)[1]
     sizes = np.concatenate([size for _, size in full_tables.local_view_sums(X, views)])
     want = [outgoing(X, Chain.from_mask(1, m))[1] for m in range(1 << X.n_edges)]
     assert coboundary_sums(X).tolist() == want
-    assert np.concatenate([*cut_rows(edge_graph(X).neighbor_masks)]).tolist() == want
+    assert full_tables.packed_table(edge_graph(X).neighbor_masks) == want
     assert sizes.tolist() == [m.bit_count() for m in range(1 << X.n_edges)]
 
 

@@ -9,12 +9,13 @@ signs, and Cheeger values against a direct subset loop written here.
 """
 
 import io
+import math
 import os
 import sys
 import time
 import weakref
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, islice
 
 import full_tables
 import named_complexes
@@ -52,12 +53,12 @@ from hdxwalk.complexes import (
     random_complex,
 )
 from hdxwalk.errors import CapacityError, RegularityError
+from hdxwalk.expansion import certify_exact, sum_bound_judgement
 from hdxwalk.graphs import Graph, edge_graph, underlying_graph
 from hdxwalk.rng import SplitMix64
 from hdxwalk.spectral import (
     cheeger_exhaustive,
     cut_list,
-    cut_rows,
     lambda2_below,
     lambda2_below_half,
     lambda2_bracket,
@@ -520,24 +521,28 @@ CUT_GRAPHS = {
 
 @pytest.mark.parametrize("name", sorted(CUT_GRAPHS))
 def test_cut_sizes_match_per_mask_cut(name):
-    # The streamed kernel and the whole-table reference.
+    # The packed rows and the whole-table reference.
     G = CUT_GRAPHS[name]
     want = [
         sum(1 for u in range(G.n) for v in G.adjacency[u] if u < v and (mask >> u & 1) != (mask >> v & 1))
         for mask in range(1 << G.n)
     ]
     assert full_tables.cut_sizes(G.neighbor_masks).tolist() == want
-    assert joined_rows(G.neighbor_masks).tolist() == want
+    assert joined_rows(G.neighbor_masks) == want
 
 
 def joined_rows(masks):
-    """``cut_rows``' blocks, each of 2**row_bits(n) entries, joined into one table."""
-    rows = list(cut_rows(masks))
-    assert {len(row) for row in rows} == {1 << spectral.row_bits(len(masks))}
-    return np.concatenate(rows)
+    """``spectral._packed_cuts``' rows, joined by mask, their high sets taken in ascending
+    order and in a shuffled one, which moves several high vertices between rows."""
+    table = full_tables.packed_table(masks)
+    lo = len(spectral._low_sets(len(masks))[1]) - 2
+    highs = [r << lo for r in range(1 << (len(masks) - lo))]
+    np.random.default_rng(len(masks)).shuffle(highs)
+    assert full_tables.packed_table(masks, highs) == table
+    return table
 
 
-# The G0 and G1 of every named complex with at most 24 edges: up to 2**10 row blocks.
+# The G0 and G1 of every named complex with at most 24 edges: up to 2**12 packed rows.
 NAMED_GRAPHS = {
     f"{name} {graph.__name__}": graph(X)
     for name, X in {
@@ -551,23 +556,49 @@ NAMED_GRAPHS = {
 
 @pytest.mark.parametrize("name, seed", full_tables.BLOCKED_CASES, ids=full_tables.BLOCKED_IDS)
 def test_cut_rows_match_the_full_table_on_blocked_graphs(name, seed):
+    # The packed cut rows, the one subset scan of cuts, against the whole table.
     masks = full_tables.blocked_graph(name, seed).neighbor_masks
-    assert len(masks) > spectral.row_bits(len(masks))  # more than one row block
-    assert np.array_equal(joined_rows(masks), full_tables.cut_sizes(masks))
+    assert len(spectral._low_sets(len(masks))[0]) < 2 ** len(masks)  # more than one row
+    assert joined_rows(masks) == full_tables.cut_sizes(masks).tolist()
 
 
 @pytest.mark.parametrize("name", sorted(NAMED_GRAPHS))
 def test_cut_rows_match_the_full_table_on_named_complexes(name):
     masks = NAMED_GRAPHS[name].neighbor_masks
-    assert np.array_equal(joined_rows(masks), full_tables.cut_sizes(masks))
+    assert joined_rows(masks) == full_tables.cut_sizes(masks).tolist()
     relabelled = named_complexes.relabel_graph(NAMED_GRAPHS[name], 3).neighbor_masks
-    assert np.array_equal(joined_rows(relabelled), full_tables.cut_sizes(relabelled))
+    assert joined_rows(relabelled) == full_tables.cut_sizes(relabelled).tolist()
 
 
-def test_cut_rows_refuse_the_table_on_the_call():
+def test_cuts_below_refuse_the_table_on_the_call():
     # Before any row is built, as every exit 3 of a cut reader needs.
     with pytest.raises(CapacityError, match=r"got 2\*\*27"):
-        cut_rows(cycle_graph(27).neighbor_masks)
+        spectral.cuts_below(cycle_graph(27).neighbor_masks, [0] * 28)
+
+
+# Complexes whose sum lemma applies, up to 21 edges; it fails on the Fano complex.
+SUM_COMPLEXES = {"K4": complete_complex(4), "K5": complete_complex(5), "K7": complete_complex(7),
+                 **{n: getattr(named_complexes, n) for n in ("OCTAHEDRON", "RP2_6", "TORUS_7", "FANO")}}
+
+
+@pytest.mark.parametrize("slack", [1e-9, 0.0, -1.0, -1e6])
+@pytest.mark.parametrize("name", sorted(SUM_COMPLEXES))
+def test_cuts_below_match_the_full_table(name, slack):
+    # The sum lemma's stream: the masks whose cut in G1 is below the bound less the
+    # slack, ascending.  At -1e6 every limit is past 255, so every set of at most |E|/2
+    # edges fails; there the first 2**16 are compared.
+    X = SUM_COMPLEXES[name]
+    n, masks = X.n_edges, edge_graph(X).neighbor_masks
+    scale = sum_bound_judgement(X, certify_exact(X).epsilon_cosystolic)
+    least = [scale * s - slack if 2 * s <= n else -np.inf for s in range(n + 1)]
+    sizes = spectral.subset_sums([1] * n)
+    want = np.flatnonzero(full_tables.cut_sizes(masks) < np.array(least)[sizes])
+    got = list(islice(spectral.cuts_below(masks, least), 1 << 16))
+    assert got == want[: 1 << 16].tolist()
+    if name == "FANO":
+        assert len(want) > 0
+    if slack == -1e6:
+        assert len(want) == sum(math.comb(n, s) for s in range(n // 2 + 1))
 
 
 # --- Cheeger ---------------------------------------------------------------
@@ -633,8 +664,8 @@ def test_cheeger_capacity_error():
 def assert_packed_matches(G, h, witness, ties):
     """The packed kernel against a reference's constant, witness and tied masks:
     the same constant, and a side that ties and is the least witness."""
-    best, side = spectral._packed_cheeger(G, G.regular_k)
-    assert best == h
+    cut, size, side = spectral.least_cut(G, True)
+    assert Fraction(cut, G.regular_k * size) == h
     assert side in set(map(int, ties))
     assert spectral.lex_first([side]) == witness
     return side

@@ -97,9 +97,11 @@ WITHOUT_NUMPY = [
     ("cheeger k7.complex --graph g1", 0),  # 21 vertices
     ("cheeger cubo.complex --graph g1", 0),  # 24 vertices
     # lambda2 of a G0 on at most INT_TABLE_BITS vertices is bracketed exactly, the star
-    # tables are lists, and cut and sum tables of at most 2**INT_TABLE_BITS entries too.
+    # tables are lists, and the cut scans read packed ints at every size.
     ("audit k4.complex --lemma all", 0),
     ("audit k5.complex --lemma all", 0),
+    ("audit k6.complex --lemma all", 0),  # 2**15 edge sets
+    ("audit rp2.complex --lemma all", 0),  # 2**15 edge sets
     ("audit octa.complex --lemma distance", 0),
     ("audit octa.complex --lemma local-views", 0),
     ("audit octa.complex --lemma large-cuts", 0),
@@ -127,7 +129,7 @@ def test_certify_loads_numpy_and_output_is_unchanged(fixed, monkeypatch):
 
 
 def test_audit_past_the_int_table_bits_loads_numpy_and_output_is_unchanged(fixed, monkeypatch):
-    # K7's sum lemma scans 2**21 edge sets, past INT_TABLE_BITS: its cuts come from the cut rows.
+    # K7's certificate reads its 2**15-entry Z^1 table, past INT_TABLE_BITS, on arrays.
     args = ["audit", "k7.complex", "--lemma", "sum"]
     code, out, err, loaded, frozen = hdx(fixed, *args)
     assert (code, loaded, frozen) == (0, True, True), err
